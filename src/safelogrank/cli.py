@@ -8,9 +8,11 @@ Human-facing output reports e-values in log10 (a value of 1.3 means the
 e-value passed 20); everything internal is natural-log.  ``--out BASE``
 writes ``BASE.csv`` (fixed column order, '.' decimal separator, %.10g) and a
 ``BASE.json`` mirror carrying full precision.  A ``--config`` file holds
-``key = value`` pairs for any long option; explicit flags win.  Environment
-variables ``SAFELOGRANK_SEED`` and ``SAFELOGRANK_CHUNK`` supply defaults for
-the seed and the simulation chunk size, nothing else.
+``key = value`` pairs for any long option; explicit flags win.  The
+environment variable ``SAFELOGRANK_SEED`` supplies the default seed, nothing
+else.  Reports are standard JSON: a value that is not finite is written as
+``null`` (an empty CSV cell), and ``--out`` refuses a base whose report
+files would replace an input.
 """
 
 from __future__ import annotations
@@ -25,17 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .adaptive import PriorSpec, confidence_sequence, plugin_log_trace, bayes_log_trace
-from .core import (
-    MartingaleState,
-    RiskSet,
-    log_evalue_increment,
-    update_two_sided,
-)
+from .core import RiskSet, log_evalue_trace
 from .data import DatasetError, TrialDataset, read_dataset
 from .gaussian import (
     fixed_sample_boundary,
     gaussian_safe_boundary,
     log_gaussian_evalue,
+    logrank_moments,
     null_expectation_audit,
     obf_boundary,
     schoenfeld_mu,
@@ -127,11 +125,6 @@ def _env_seed() -> int:
     return int(os.environ.get("SAFELOGRANK_SEED", "0"))
 
 
-def _env_chunk() -> int | None:
-    raw = os.environ.get("SAFELOGRANK_CHUNK")
-    return int(raw) if raw else None
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -146,21 +139,39 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _finite(value: float) -> float | None:
+    """``value``, or None (JSON null) when it is NaN or infinite."""
+    return value if math.isfinite(value) else None
+
+
+def _report_base(out: str | None, inputs: Sequence[str] = ()) -> str | None:
+    """``out`` without a trailing ``.csv``.  Refuses a base whose report
+    files would replace one of ``inputs``."""
+    if out is None:
+        return None
+    base = out[:-4] if out.endswith(".csv") else out
+    targets = {os.path.realpath(base + ext) for ext in (".csv", ".json")}
+    for path in inputs:
+        if os.path.realpath(path) in targets:
+            raise UsageError(f"--out {out} would overwrite the input {path}")
+    return base
+
+
 def emit_report(
     out: str | None, columns: Sequence[str], rows: Sequence[dict], summary: dict
 ) -> None:
     """Write ``<out>.csv`` (fixed order, %.10g) and ``<out>.json`` (full
-    precision); no files when ``out`` is None."""
-    if out is None:
+    precision, standard JSON); no files when ``out`` is None."""
+    base = _report_base(out)
+    if base is None:
         return
-    base = out[:-4] if out.endswith(".csv") else out
     with open(base + ".csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
     payload = {"summary": summary, "columns": list(columns), "rows": list(rows)}
     with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=True)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -228,6 +239,9 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 # analyze
 # ---------------------------------------------------------------------------
 
+_ANALYSIS_COLUMNS = ("index", "time", "n", "y1", "y0", "o", "o1", "log10_e", "z", "boundary_z")
+
+
 def _analysis_rows(
     dataset: TrialDataset,
     test: str,
@@ -238,89 +252,45 @@ def _analysis_rows(
     prior: PriorSpec | None,
 ) -> tuple[list[dict], dict]:
     times, batches = dataset.event_batches()
-    rows: list[dict] = []
-    n_cum = 0
-    score = variance = 0.0
+    stream = dataset.stream
+    n = np.cumsum(stream.o)
+    score, variance = logrank_moments(stream)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = score / np.sqrt(variance)
+    boundary = [None] * len(times)
 
     if not batches:
-        log_e_trace = np.asarray([])
-    elif test == "exact" and not two_sided:
-        log_e_trace = np.cumsum(
-            [log_evalue_increment(theta1, theta0, b) for b in batches]
-        )
+        log_e_trace = np.zeros(0)
     elif test == "exact":
-        state = MartingaleState()
-        vals = []
-        for b in batches:
-            state = update_two_sided(state, b, theta1, theta0)
-            vals.append(state.log_e)
-        log_e_trace = np.asarray(vals)
+        log_e_trace = log_evalue_trace(stream, theta1, theta0, two_sided=two_sided)
     elif test == "plugin":
         log_e_trace = plugin_log_trace(batches, theta0=theta0)
     elif test == "bayes":
         log_e_trace = bayes_log_trace(batches, prior, theta0=theta0)
-    else:  # gaussian
-        m1 = batches[0].risk.y1 if batches else 0
-        m0 = batches[0].risk.y0 if batches else 0
-        mu1 = schoenfeld_mu(theta1, m1, m0) if batches else 0.0
-        vals = []
-        n_seen = 0
-        s = v = 0.0
-        for b in batches:
-            y1, y = b.risk.y1, b.risk.total
-            a1 = y1 / y
-            s += b.o1 - b.o * a1
-            if y > 1:
-                v += b.o * a1 * (1 - a1) * (y - b.o) / (y - 1)
-            n_seen += b.o
-            z = s / math.sqrt(v) if v > 0 else math.nan
-            vals.append(
-                log_gaussian_evalue(n_seen, z, mu1) if v > 0 else -math.inf
-            )
-        log_e_trace = np.asarray(vals)
+    else:  # gaussian: no evidence is defined until the variance is positive
+        m1, m0 = int(stream.y1[0]), int(stream.y0[0])
+        mu1 = schoenfeld_mu(theta1, m1, m0)
+        log_e_trace = np.where(variance > 0, log_gaussian_evalue(n, z, mu1), -np.inf)
+        boundary = gaussian_safe_boundary(n, theta1, alpha, m1, m0).tolist()
 
-    for i, (t, b) in enumerate(zip(times, batches)):
-        y1, y = b.risk.y1, b.risk.total
-        a1 = y1 / y
-        score += b.o1 - b.o * a1
-        if y > 1:
-            variance += b.o * a1 * (1 - a1) * (y - b.o) / (y - 1)
-        n_cum += b.o
-        z = score / math.sqrt(variance) if variance > 0 else None
-        boundary = (
-            gaussian_safe_boundary(n_cum, theta1, alpha)
-            if test == "gaussian"
-            else None
-        )
-        rows.append(
-            {
-                "index": i + 1,
-                "time": t,
-                "n": n_cum,
-                "y1": b.risk.y1,
-                "y0": b.risk.y0,
-                "o": b.o,
-                "o1": b.o1,
-                "log10_e": float(log_e_trace[i]) / LN10,
-                "z": z,
-                "boundary_z": boundary,
-            }
-        )
+    columns = (
+        range(1, len(times) + 1), times, n.tolist(),
+        stream.y1.tolist(), stream.y0.tolist(), stream.o.tolist(), stream.o1.tolist(),
+        [_finite(v) for v in (log_e_trace / LN10).tolist()],
+        [_finite(v) for v in z.tolist()],
+        boundary,
+    )
+    rows = [dict(zip(_ANALYSIS_COLUMNS, values)) for values in zip(*columns)]
 
     final_log_e = float(log_e_trace[-1]) if len(batches) else 0.0
     running_max = float(np.max(log_e_trace)) if len(batches) else 0.0
-    threshold = math.log(1.0 / alpha)
-    crossed = running_max >= threshold
-    reject_at = None
-    if crossed:
-        first = int(np.argmax(log_e_trace >= threshold))
-        reject_at = rows[first]["n"]
+    hits = np.flatnonzero(log_e_trace >= math.log(1.0 / alpha))
     summary = {
-        "n_events": n_cum,
-        "final_log10_e": final_log_e / LN10,
-        "max_log10_e": running_max / LN10,
-        "decision": "reject" if crossed else "continue",
-        "reject_at_n": reject_at,
+        "n_events": int(n[-1]) if len(batches) else 0,
+        "final_log10_e": _finite(final_log_e / LN10),
+        "max_log10_e": _finite(running_max / LN10),
+        "decision": "reject" if hits.size else "continue",
+        "reject_at_n": rows[hits[0]]["n"] if hits.size else None,
     }
     return rows, summary
 
@@ -341,12 +311,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError(f"--theta1 (or --theta-min) is required for the {test} test")
     if two_sided and test != "exact":
         raise UsageError("--two-sided is only available for the exact test")
+    if test == "gaussian" and theta0 != 1.0:
+        raise UsageError("the gaussian test only tests theta0 = 1; use --test exact")
 
     prior = None
     if test == "bayes":
         prior = _parse_prior(opt.get("prior"), theta1)
 
     paths = [args.dataset] + list(args.meta or [])
+    out = _report_base(opt.get("out"), paths)
     datasets = [read_dataset(p, delimiter=delimiter) for p in paths]
 
     if test == "gaussian":
@@ -368,7 +341,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     all_rows: list[dict] = []
     summaries = []
-    combined_log10 = 0.0
     for index, (path, ds) in enumerate(zip(paths, datasets)):
         rows, summary = _analysis_rows(
             ds, test, theta1, theta0, alpha, two_sided, prior
@@ -378,7 +350,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         all_rows.extend(rows)
         summary["path"] = path
         summaries.append(summary)
-        combined_log10 += summary["final_log10_e"]
+    finals = [s["final_log10_e"] for s in summaries]
+    # a study without a defined (Gaussian) e-value leaves the product undefined
+    combined_log10 = None if None in finals else sum(finals)
 
     threshold_log10 = math.log10(1.0 / alpha)
     if len(datasets) == 1:
@@ -390,7 +364,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # combined product crossing, rejects
         decision = (
             "reject"
-            if combined_log10 >= threshold_log10
+            if combined_log10 is not None and combined_log10 >= threshold_log10
             or any(s["decision"] == "reject" for s in summaries)
             else "continue"
         )
@@ -402,20 +376,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary["alpha"] = alpha
     summary["test"] = test
 
-    columns = [
-        "dataset",
-        "index",
-        "time",
-        "n",
-        "y1",
-        "y0",
-        "o",
-        "o1",
-        "log10_e",
-        "z",
-        "boundary_z",
-    ]
-    emit_report(opt.get("out"), columns, all_rows, summary)
+    emit_report(out, ("dataset",) + _ANALYSIS_COLUMNS, all_rows, summary)
     _print_summary(summary)
     return EXIT_REJECT if decision == "reject" else EXIT_CONTINUE
 
@@ -475,7 +436,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                     "test": t,
                     "n_max": n_max,
                     "mean_capped": rep.mean_capped,
-                    "conditional_mean": rep.conditional_mean,
+                    "conditional_mean": _finite(rep.conditional_mean),
                     "power": rep.power,
                     "ratio_n_max": n_max / n_fixed,
                     "ratio_mean": rep.mean_capped / n_fixed,
@@ -512,7 +473,7 @@ def cmd_design(args: argparse.Namespace) -> int:
                 "test": r.test_kind,
                 "n_max": r.n_max,
                 "mean_capped": r.mean_capped,
-                "conditional_mean": r.conditional_mean,
+                "conditional_mean": _finite(r.conditional_mean),
                 "power": r.power,
                 "ratio_n_max": r.ratio_n_max,
                 "ratio_mean": r.ratio_mean,
@@ -522,7 +483,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     summary = {
         "schoenfeld_n_fixed": table["n_fixed"],
-        "wald_expected_stopping": table["wald_expected"],
+        "wald_expected_stopping": _finite(table["wald_expected"]),
         "theta1": theta1,
         "true_theta": theta,
         "alpha": alpha,
@@ -574,17 +535,17 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
     sign = -1.0 if side == "left" else 1.0
     fixed = fixed_sample_boundary(alpha, side)
-    rows = []
-    for n in range(n_from, n_to + 1, step):
-        safe = sign * abs(gaussian_safe_boundary(n, theta1, alpha, m1, m0))
-        rows.append(
-            {
-                "n": n,
-                "gaussian_safe": safe,
-                "obrien_fleming": obf_boundary(n, n_max, alpha, side) if n <= n_max else None,
-                "fixed_classical": fixed,
-            }
-        )
+    ns = np.arange(n_from, n_to + 1, step)
+    safe = sign * np.abs(gaussian_safe_boundary(ns, theta1, alpha, m1, m0))
+    rows = [
+        {
+            "n": n,
+            "gaussian_safe": g,
+            "obrien_fleming": obf_boundary(n, n_max, alpha, side) if n <= n_max else None,
+            "fixed_classical": fixed,
+        }
+        for n, g in zip(ns.tolist(), safe.tolist())
+    ]
     summary = {
         "theta1": theta1,
         "alpha": alpha,
@@ -611,6 +572,7 @@ def cmd_confseq(args: argparse.Namespace) -> int:
     prior = None
     if numerator == "bayes":
         prior = _parse_prior(opt.get("prior"), opt.get("theta1", None, float))
+    out = _report_base(opt.get("out"), [args.dataset])
     dataset = read_dataset(args.dataset, delimiter=opt.get("delimiter"))
     times, batches = dataset.event_batches()
 
@@ -622,25 +584,17 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         prior=prior,
         running_intersection=opt.flag("intersect"),
     )
-    rows = []
-    n_cum = 0
-    for i, (t, b) in enumerate(zip(times, batches)):
-        n_cum += b.o
-        rows.append(
-            {
-                "index": i + 1,
-                "time": t,
-                "n": n_cum,
-                "lower": float(seq.lower[i]),
-                "upper": float(seq.upper[i]),
-                "lower_bracketed": bool(seq.lower_bracketed[i]),
-                "upper_bracketed": bool(seq.upper_bracketed[i]),
-            }
-        )
+    columns = ["index", "time", "n", "lower", "upper", "lower_bracketed", "upper_bracketed"]
+    values = (
+        range(1, len(times) + 1), times, np.cumsum(dataset.stream.o).tolist(),
+        [_finite(v) for v in seq.lower.tolist()], [_finite(v) for v in seq.upper.tolist()],
+        seq.lower_bracketed.tolist(), seq.upper_bracketed.tolist(),
+    )
+    rows = [dict(zip(columns, row)) for row in zip(*values)]
     summary = {
-        "n_events": n_cum,
-        "final_lower": seq.final_lower,
-        "final_upper": seq.final_upper,
+        "n_events": int(dataset.stream.o.sum()),
+        "final_lower": _finite(seq.final_lower),
+        "final_upper": _finite(seq.final_upper),
         "alpha": alpha,
         "numerator": numerator,
         "intersected": seq.intersected,
@@ -648,8 +602,7 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         "grid_hi": float(seq.grid[-1]),
         "grid_points": int(seq.grid.size),
     }
-    columns = ["index", "time", "n", "lower", "upper", "lower_bracketed", "upper_bracketed"]
-    emit_report(opt.get("out"), columns, rows, summary)
+    emit_report(out, columns, rows, summary)
     _print_summary(summary)
     return EXIT_CONTINUE
 

@@ -23,8 +23,12 @@ that it ever exceeds ``1/alpha`` is at most ``alpha`` — the test may be
 monitored continuously and stopped (or extended) at will without inflating
 the type-I error.
 
-All probability arithmetic is carried out in natural-log space; log-binomial
-coefficients come from ``gammaln`` and normalizers from log-sum-exp.
+All arithmetic is in natural-log space.  ``log_evalue_trace`` evaluates a
+columnar ``EventStream`` at once: single events use the closed form
+``o1*log(theta1/theta0) + log(y0 + theta0*y1) - log(y0 + theta1*y1)``, forced
+batches give exactly 0, and tied batches use ``log_hypergeom_pmf``
+(``gammaln`` log-binomials, log-sum-exp normalizer), the package's one
+Fisher noncentral hypergeometric formula.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "THETA_UPPER",
     "RiskSet",
     "EventBatch",
+    "EventStream",
     "MartingaleState",
     "ScoreComponents",
     "validate_theta",
@@ -243,6 +248,25 @@ def evalue_increment(theta1: float, theta0: float, batch: EventBatch) -> float:
     return math.exp(log_evalue_increment(theta1, theta0, batch))
 
 
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """Event batches as columns, one entry per event time: ascending
+    ``times`` and integer arrays ``y1``, ``y0`` (at risk just before), ``o``
+    (events) and ``o1`` (treatment events)."""
+
+    times: np.ndarray
+    y1: np.ndarray
+    y0: np.ndarray
+    o: np.ndarray
+    o1: np.ndarray
+
+    @classmethod
+    def from_batches(cls, batches: Sequence[EventBatch]) -> "EventStream":
+        """Columns of ``batches``, at times 1, 2, ..."""
+        cols = np.array([(b.risk.y1, b.risk.y0, b.o, b.o1) for b in batches], dtype=np.int64)
+        return cls(np.arange(1.0, len(batches) + 1.0), *cols.reshape(-1, 4).T)
+
+
 @dataclass(frozen=True)
 class MartingaleState:
     """Running state of a test martingale.
@@ -299,9 +323,10 @@ def update_martingale(
     )
 
 
-def two_sided_log_evalue(log_left: float, log_right: float) -> float:
-    """Log of the equal-weight mixture (M_left + M_right) / 2, in log space."""
-    return float(np.logaddexp(log_left, log_right) - math.log(2.0))
+def two_sided_log_evalue(log_left, log_right):
+    """Log of the equal-weight mixture (M_left + M_right) / 2, in log space;
+    elementwise for arrays."""
+    return np.logaddexp(log_left, log_right) - math.log(2.0)
 
 
 def update_two_sided(
@@ -321,7 +346,7 @@ def update_two_sided(
     left = left + log_evalue_increment(theta_min, theta0, batch)
     right = right + log_evalue_increment(1.0 / theta_min, theta0, batch)
     return MartingaleState(
-        log_e=two_sided_log_evalue(left, right),
+        log_e=float(two_sided_log_evalue(left, right)),
         n_events=state.n_events + batch.o,
         n_event_times=state.n_event_times + 1,
         components=(left, right),
@@ -366,12 +391,32 @@ def log_likelihood(
 
 
 def log_evalue_trace(
-    batches: Sequence[EventBatch], theta1: float, theta0: float = 1.0
+    stream: EventStream | Sequence[EventBatch],
+    theta1: float,
+    theta0: float = 1.0,
+    two_sided: bool = False,
 ) -> np.ndarray:
-    """Cumulative log e-value after each event time, as an array of length
-    ``len(batches)``."""
-    incs = [log_evalue_increment(theta1, theta0, b) for b in batches]
-    return np.cumsum(incs) if incs else np.zeros(0)
+    """Cumulative log e-value after each event time: the running sum of
+    ``log_evalue_increment`` over the stream, computed for all event times
+    at once.  ``two_sided`` mixes the alternatives ``theta1`` and
+    ``1/theta1`` half-half, as ``update_two_sided`` does."""
+    if not isinstance(stream, EventStream):
+        stream = EventStream.from_batches(stream)
+    theta1 = validate_theta(theta1, "theta1")
+    theta0 = validate_theta(theta0, "theta0")
+    if two_sided:
+        left, right = (log_evalue_trace(stream, t, theta0) for t in (theta1, 1.0 / theta1))
+        return two_sided_log_evalue(left, right)
+    y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
+    inc = o1 * (math.log(theta1) - math.log(theta0))
+    inc += np.log(y0 + theta0 * y1) - np.log(y0 + theta1 * y1)
+    forced = np.maximum(0, o - y0) == np.minimum(o, y1)
+    inc[forced] = 0.0
+    for i in np.flatnonzero((o > 1) & ~forced).tolist():
+        support, logp1 = log_hypergeom_pmf(theta1, int(y1[i]), int(y0[i]), int(o[i]))
+        _, logp0 = log_hypergeom_pmf(theta0, int(y1[i]), int(y0[i]), int(o[i]))
+        inc[i] = logp1[o1[i] - support[0]] - logp0[o1[i] - support[0]]
+    return np.cumsum(inc)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
-"""Survival datasets: records, delimited-text parsing, event-batch derivation.
+"""Survival datasets: records, delimited-text parsing, event-stream derivation.
 
 A record is (entry, exit, group, status).  The risk set at an event time t
 contains every record with ``entry < t <= exit`` — including the participant
 whose event defines t, and including records censored exactly at t (censoring
 ties resolve after events).  Ties are grouped by exact equality of exit
-times, so event batches are reproducible from the file bytes alone.
+times, so event batches are reproducible from the file bytes alone.  Events
+are derived once, by sorting, as a columnar ``EventStream`` (O(N log N) in
+the number of records); the ``EventBatch`` tuple is a scalar view of it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .core import EventBatch, RiskSet
+from .core import EventBatch, EventStream, RiskSet
 
 __all__ = [
     "EVENT",
@@ -85,35 +87,43 @@ class TrialDataset:
     def event_batches(self) -> tuple[tuple[float, ...], tuple[EventBatch, ...]]:
         """Distinct event times (ascending) and the batch at each.
 
-        Risk counts are computed by rank arithmetic: the number at risk in a
-        group at time t is #(entry < t) - #(exit < t).
+        Derives and caches the columnar ``stream``: ``np.unique`` and
+        ``np.bincount`` give the event times and counts, and the number at
+        risk in a group at time t is #(entry < t) - #(exit < t), by
+        ``searchsorted`` on the group's sorted entry and exit times.
         """
         if self._cache is not None:
-            return self._cache
-        events = [r for r in self.records if r.status == EVENT]
-        times = np.unique([r.exit for r in events])
-        entry = {g: np.sort([r.entry for r in self.records if r.group == g]) for g in (0, 1)}
-        exits = {g: np.sort([r.exit for r in self.records if r.group == g]) for g in (0, 1)}
-        batches = []
-        for t in times:
-            y = {
-                g: int(
-                    np.searchsorted(entry[g], t, side="left")
-                    - np.searchsorted(exits[g], t, side="left")
-                )
-                for g in (0, 1)
-            }
-            o1 = sum(1 for r in events if r.exit == t and r.group == 1)
-            o = sum(1 for r in events if r.exit == t)
-            if y[0] + y[1] < o:
-                raise DatasetError(
-                    f"event at time {t} with only {y[0] + y[1]} at risk; "
-                    "check entry/exit times"
-                )
-            batches.append(EventBatch(risk=RiskSet(y[1], y[0]), o=o, o1=o1))
-        result = (tuple(float(t) for t in times), tuple(batches))
-        object.__setattr__(self, "_cache", result)
-        return result
+            return self._cache[1:]
+        exit_, entry, group, status = np.array(
+            [(r.exit, r.entry, r.group, r.status) for r in self.records], dtype=float
+        ).reshape(-1, 4).T
+        times, slot = np.unique(exit_[status == EVENT], return_inverse=True)
+        o = np.bincount(slot, minlength=times.size)
+        o1 = np.bincount(slot[group[status == EVENT] == 1], minlength=times.size)
+        y1, y0 = (
+            np.searchsorted(np.sort(entry[group == g]), times, side="left")
+            - np.searchsorted(np.sort(exit_[group == g]), times, side="left")
+            for g in (1, 0)
+        )
+        if np.any(y1 + y0 < o):
+            i = np.argmax(y1 + y0 < o)
+            raise DatasetError(
+                f"event at time {float(times[i])} with only {int(y1[i] + y0[i])} at risk; "
+                "check entry/exit times"
+            )
+        # the validating scalar view of the stream
+        columns = (y1.tolist(), y0.tolist(), o.tolist(), o1.tolist())
+        batches = tuple(EventBatch(RiskSet(a, b), k, j) for a, b, k, j in zip(*columns))
+        stream = EventStream(times, y1, y0, o, o1)
+        object.__setattr__(self, "_cache", (stream, tuple(times.tolist()), batches))
+        return self._cache[1:]
+
+    @property
+    def stream(self) -> EventStream:
+        """The columnar event stream, as derived by ``event_batches``."""
+        if self._cache is None:
+            self.event_batches()
+        return self._cache[0]
 
     @property
     def batches(self) -> tuple[EventBatch, ...]:

@@ -33,11 +33,12 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .core import EventBatch, RiskSet, validate_theta
+from .core import EventBatch, EventStream, RiskSet, validate_theta
 
 __all__ = [
     "LogrankSummary",
     "BoundarySpec",
+    "logrank_moments",
     "logrank_z",
     "per_event_z",
     "schoenfeld_mu",
@@ -79,32 +80,23 @@ class LogrankSummary:
         return self.score / math.sqrt(self.variance)
 
 
-def _batch_moments(batch: EventBatch) -> tuple[float, float]:
-    """(E1, V1) of the central hypergeometric draw at one event time."""
-    y1, y = batch.risk.y1, batch.risk.total
-    a1 = y1 / y
-    e1 = batch.o * a1
-    if y > 1:
-        v1 = batch.o * a1 * (1.0 - a1) * (y - batch.o) / (y - 1.0)
-    else:
-        v1 = 0.0
-    return e1, v1
+def logrank_moments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
+    sum(V1) after each event time, where E1 = o*y1/y and
+    V1 = o*(y1/y)*(1 - y1/y)*(y - o)/(y - 1) (0 when y = 1)."""
+    y = stream.y1 + stream.y0
+    a1 = stream.y1 / y
+    v1 = stream.o * a1 * (1.0 - a1) * (y - stream.o) / np.maximum(y - 1, 1)
+    return np.cumsum(stream.o1 - stream.o * a1), np.cumsum(v1)
 
 
 def logrank_z(batches: Sequence[EventBatch]) -> LogrankSummary:
     """Ties-corrected logrank summary of an event-batch sequence."""
-    score = 0.0
-    variance = 0.0
-    n_events = 0
-    for b in batches:
-        e1, v1 = _batch_moments(b)
-        score += b.o1 - e1
-        variance += v1
-        n_events += b.o
+    score, variance = logrank_moments(EventStream.from_batches(batches))
     summary = LogrankSummary(
-        score=score,
-        variance=variance,
-        n_events=n_events,
+        score=float(score[-1]) if len(batches) else 0.0,
+        variance=float(variance[-1]) if len(batches) else 0.0,
+        n_events=sum(b.o for b in batches),
         n_event_times=len(batches),
     )
     summary.z  # fail fast on degenerate variance
@@ -113,10 +105,10 @@ def logrank_z(batches: Sequence[EventBatch]) -> LogrankSummary:
 
 def per_event_z(batch: EventBatch) -> float:
     """Standardized contribution (o1 - E1)/sqrt(V1) of a single event time."""
-    e1, v1 = _batch_moments(batch)
+    (score,), (v1,) = logrank_moments(EventStream.from_batches([batch]))
     if v1 <= 0.0:
         raise ValueError(f"per-event Z undefined for forced batch {batch}")
-    return (batch.o1 - e1) / math.sqrt(v1)
+    return float(score) / math.sqrt(v1)
 
 
 def schoenfeld_mu(theta: float, m1: int, m0: int) -> float:
@@ -142,11 +134,12 @@ def gaussian_increment(mu1: float, z: float, o: int = 1) -> float:
     return math.exp(log_gaussian_increment(mu1, z, o))
 
 
-def log_gaussian_evalue(n: int, z: float, mu1: float) -> float:
-    """Log Gaussian e-value from the summary statistic after ``n`` events."""
-    if n < 1:
+def log_gaussian_evalue(n, z, mu1: float):
+    """Log Gaussian e-value from the summary statistic after ``n`` events;
+    ``n`` and ``z`` may be arrays of one shape."""
+    if np.any(np.less(n, 1)):
         raise ValueError(f"n must be >= 1, got {n}")
-    return -0.5 * n * mu1 * mu1 + mu1 * math.sqrt(n) * z
+    return -0.5 * n * mu1 * mu1 + mu1 * np.sqrt(n) * z
 
 
 def gaussian_evalue(summary: LogrankSummary, mu1: float) -> float:
@@ -189,10 +182,9 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
-def gaussian_safe_boundary(
-    n: int, theta1: float, alpha: float, m1: int = 1, m0: int = 1
-) -> float:
-    """Z-scale rejection threshold of the Gaussian e-value test after ``n`` events.
+def gaussian_safe_boundary(n, theta1: float, alpha: float, m1: int = 1, m0: int = 1):
+    """Z-scale rejection threshold of the Gaussian e-value test after ``n``
+    events (an integer or an integer array).
 
     Solves log M''(n, Z) = log(1/alpha) for Z:
 
@@ -206,9 +198,9 @@ def gaussian_safe_boundary(
     if theta1 == 1.0:
         raise ValueError("theta1=1 has no rejection boundary")
     _check_alpha(alpha)
-    if n < 1:
+    if np.any(np.less(n, 1)):
         raise ValueError(f"n must be >= 1, got {n}")
-    g = schoenfeld_mu(theta1, m1, m0) * math.sqrt(n)
+    g = schoenfeld_mu(theta1, m1, m0) * np.sqrt(n)
     return g / 2.0 - math.log(alpha) / g
 
 

@@ -38,6 +38,36 @@ def exact_increment(theta1: Fraction, theta0: Fraction, y1: int, y0: int, o: int
     return num / den
 
 
+def event_batches_reference(records) -> tuple[tuple[float, ...], tuple]:
+    """Event times and batches of survival records, one event time at a time.
+
+    The O(event times x records) derivation the package used before its
+    columnar stream: at each distinct event time t, count per group the
+    records with entry < t minus those with exit < t, and the events at t.
+    """
+    import numpy as np
+
+    from safelogrank.core import EventBatch, RiskSet
+
+    events = [r for r in records if r.status == 1]
+    times = np.unique([r.exit for r in events])
+    entry = {g: np.sort([r.entry for r in records if r.group == g]) for g in (0, 1)}
+    exits = {g: np.sort([r.exit for r in records if r.group == g]) for g in (0, 1)}
+    batches = []
+    for t in times:
+        y = {
+            g: int(
+                np.searchsorted(entry[g], t, side="left")
+                - np.searchsorted(exits[g], t, side="left")
+            )
+            for g in (0, 1)
+        }
+        o1 = sum(1 for r in events if r.exit == t and r.group == 1)
+        o = sum(1 for r in events if r.exit == t)
+        batches.append(EventBatch(risk=RiskSet(y[1], y[0]), o=o, o1=o1))
+    return tuple(float(t) for t in times), tuple(batches)
+
+
 def brute_force_product(increments) -> float:
     """Plain running product of float increments (no log-space tricks)."""
     out = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -78,6 +79,9 @@ def test_usage_errors(null_dataset, capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["analyze", null_dataset, "--theta1", "0.7", "--two-sided",
                  "--test", "plugin"]) == EXIT_USAGE
+    # the Gaussian e-value is built for theta0 = 1 only
+    assert main(["analyze", null_dataset, "--test", "gaussian", "--theta1", "0.7",
+                 "--theta0", "0.7"]) == EXIT_USAGE
 
 
 def test_help_exits_zero(capsys):
@@ -269,3 +273,83 @@ def test_two_sided_analyze_runs(strong_dataset, capsys):
         "analyze", strong_dataset, "--theta-min", "0.5", "--two-sided",
     ])
     assert code == EXIT_REJECT
+
+
+def test_boundary_z_uses_the_allocation_of_the_trace(tmp_path, capsys):
+    stream = sample_single_event_stream(300, 100, 0.5, stream_rng(3, 0))
+    path = tmp_path / "unbalanced.csv"
+    write_dataset(dataset_from_batches(stream), str(path))
+    code = main([
+        "analyze", str(path), "--test", "gaussian", "--theta1", "0.5",
+        "--allow-unbalanced-gaussian", "--out", str(tmp_path / "r"),
+    ])
+    assert code == EXIT_REJECT
+    report = json.loads((tmp_path / "r.json").read_text())
+    rows = report["rows"]
+    by_trace = next(r["n"] for r in rows if r["log10_e"] >= math.log10(20.0))
+    by_z = next(r["n"] for r in rows if r["z"] <= r["boundary_z"])
+    assert by_z == by_trace == report["summary"]["reject_at_n"]
+
+
+def test_boundary_z_balanced_is_the_balanced_boundary(strong_dataset, tmp_path, capsys):
+    from safelogrank.gaussian import gaussian_safe_boundary
+
+    main(["analyze", strong_dataset, "--test", "gaussian", "--theta1", "0.5",
+          "--out", str(tmp_path / "r")])
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert [r["boundary_z"] for r in rows] == [
+        gaussian_safe_boundary(r["n"], 0.5, 0.05) for r in rows
+    ]
+
+
+def test_out_refuses_to_overwrite_an_input(null_dataset, tmp_path, capsys):
+    original = open(null_dataset, "rb").read()
+    other = tmp_path / "other.csv"
+    other.write_bytes(original)
+    link = tmp_path / "link.csv"
+    os.symlink(null_dataset, link)
+    base = null_dataset[:-4]
+    for argv in (
+        ["analyze", null_dataset, "--theta1", "0.7", "--out", base],
+        ["analyze", null_dataset, "--theta1", "0.7", "--out", null_dataset],
+        ["analyze", null_dataset, "--theta1", "0.7", "--out", str(tmp_path / "link")],
+        ["analyze", str(other), "--meta", null_dataset, "--theta1", "0.7", "--out", base],
+        ["confseq", null_dataset, "--out", base],
+    ):
+        assert main(argv) == EXIT_USAGE
+        assert "overwrite" in capsys.readouterr().err
+    assert open(null_dataset, "rb").read() == original
+    assert not os.path.exists(base + ".json")
+
+
+def test_reports_are_standard_json(strong_dataset, tmp_path, capsys):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    # the first event time takes its whole 1:1 risk set, so the logrank
+    # variance, z and the Gaussian e-value start out undefined
+    tied_first = tmp_path / "tie-first.csv"
+    tied_first.write_text(
+        "entry,time,group,status\n0,1,1,event\n0,1,0,event\n1,2,1,event\n"
+        "1,3,0,event\n1,4,1,censored\n1,4,0,censored\n"
+    )
+    small = ["--m1", "100", "--m0", "100", "--reps", "40", "--seed", "1", "--cap", "150"]
+    runs = [
+        ["analyze", strong_dataset, "--theta1", "0.5"],
+        ["analyze", strong_dataset, "--theta1", "0.5", "--two-sided"],
+        ["analyze", strong_dataset, "--test", "plugin"],
+        ["analyze", strong_dataset, "--test", "bayes", "--theta1", "0.5"],
+        ["analyze", str(tied_first), "--test", "gaussian", "--theta1", "0.7"],
+        ["analyze", str(tied_first), "--meta", strong_dataset, "--test", "gaussian",
+         "--theta1", "0.7", "--allow-unbalanced-gaussian"],
+        ["design", "--theta1", "0.5", "--test", "exact,gaussian,plugin", "--obf", *small],
+        ["design", "--theta1", "0.5", "--true-theta", "2.0", "--tie-h0", "0.05", *small],
+        ["confseq", strong_dataset, "--grid", "0.9:1.1:3"],
+    ]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / f"r{i}")]) in (EXIT_CONTINUE, EXIT_REJECT)
+        report = json.loads((tmp_path / f"r{i}.json").read_text(), parse_constant=refuse)
+        assert report["rows"] or report["summary"]
+    first = json.loads((tmp_path / "r4.json").read_text())["rows"][0]
+    assert first["z"] is None and first["log10_e"] is None
+    assert json.loads((tmp_path / "r7.json").read_text())["summary"]["wald_expected_stopping"] is None

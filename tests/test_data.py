@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import io
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from safelogrank.core import EventBatch, RiskSet
+from safelogrank.core import EventBatch, RiskSet, log_evalue_trace
 from safelogrank.data import (
     CENSORED,
     EVENT,
@@ -18,6 +23,8 @@ from safelogrank.data import (
     write_dataset,
 )
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
+
+from oracles import event_batches_reference, exact_increment
 
 CSV_BASIC = """\
 time,group,status
@@ -149,3 +156,77 @@ def test_group_sizes():
     ds = parse_dataset(CSV_BASIC)
     assert ds.group_size(1) == 2
     assert ds.group_size(0) == 2
+
+
+def test_short_risk_set_names_the_first_offending_time():
+    # records that skip validation: each is absent from its own event's risk set
+    early = SurvivalRecord(exit=1.0, group=0, status=EVENT)
+    late = SurvivalRecord(exit=2.0, group=1, status=EVENT)
+    later = SurvivalRecord(exit=4.0, group=0, status=EVENT)
+    object.__setattr__(late, "entry", 3.0)
+    object.__setattr__(later, "entry", 5.0)
+    with pytest.raises(DatasetError, match=r"^event at time 2\.0 with only 0 at risk"):
+        TrialDataset(records=(early, late, later)).event_batches()
+
+
+@st.composite
+def _records(draw):
+    """A few records on a coarse time grid: ties, censoring exactly at event
+    times, late entries (sometimes at an event time) and one-group tails."""
+    records = []
+    for _ in range(draw(st.integers(1, 14))):
+        k = draw(st.integers(1, 6))
+        entry = draw(st.sampled_from([0, 0, 0, draw(st.integers(0, k - 1))]))
+        records.append(
+            SurvivalRecord(
+                exit=k / 2,
+                group=draw(st.integers(0, 1)),
+                status=draw(st.sampled_from([EVENT, EVENT, CENSORED])),
+                entry=entry / 2,
+            )
+        )
+    return tuple(records)
+
+
+_MIXED = (
+    SurvivalRecord(exit=1.0, group=1, status=EVENT),
+    SurvivalRecord(exit=1.0, group=0, status=EVENT),  # tie
+    SurvivalRecord(exit=1.0, group=0, status=CENSORED),  # censored at an event time
+    SurvivalRecord(exit=2.0, group=1, status=EVENT, entry=1.0),  # enters at an event time
+    SurvivalRecord(exit=2.5, group=1, status=EVENT),
+    SurvivalRecord(exit=3.0, group=1, status=EVENT),  # only treatment left: forced
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(records=_records())
+@example(records=_MIXED)
+def test_event_stream_equals_reference_derivation(records):
+    ds = TrialDataset(records=records)
+    assert ds.event_batches() == event_batches_reference(records)
+
+
+def _log(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    records=_records(),
+    theta1=st.sampled_from([0.25, 0.7, 1.6, 3.0]),
+    theta0=st.sampled_from([1.0, 0.8]),
+)
+@example(records=_MIXED, theta1=0.5, theta0=1.0)
+def test_vectorized_traces_match_rational_oracle(records, theta1, theta0):
+    stream = TrialDataset(records=records).stream
+    left = right = Fraction(1)
+    one_sided, two_sided = [], []
+    for y1, y0, o, o1 in zip(*(a.tolist() for a in (stream.y1, stream.y0, stream.o, stream.o1))):
+        left *= exact_increment(Fraction(theta1), Fraction(theta0), y1, y0, o, o1)
+        right *= exact_increment(Fraction(1.0 / theta1), Fraction(theta0), y1, y0, o, o1)
+        one_sided.append(_log(left))
+        two_sided.append(_log((left + right) / 2))
+    got = log_evalue_trace(stream, theta1, theta0)
+    assert np.allclose(got, one_sided, rtol=0, atol=1e-12)
+    got = log_evalue_trace(stream, theta1, theta0, two_sided=True)
+    assert np.allclose(got, two_sided, rtol=0, atol=1e-12)
