@@ -15,9 +15,8 @@ import numpy as np
 from safelogrank import (
     confidence_sequence,
     log_evalue_trace,
-    new_plugin_state,
+    plugin_estimates,
     plugin_log_trace,
-    plugin_update,
     sample_single_event_stream,
     stream_rng,
 )
@@ -29,12 +28,10 @@ def main() -> None:
     stream = sample_single_event_stream(150, 150, TRUTH, stream_rng(99, 0))
 
     # watch the estimate converge
-    state = new_plugin_state(150, 150)
+    theta_hat = plugin_estimates(stream, 150, 150)
     print(f"true hazard ratio {TRUTH}; plug-in estimate after k events:")
-    for k, batch in enumerate(stream, start=1):
-        state = plugin_update(state, batch)
-        if k in (1, 5, 25, 100, 250):
-            print(f"  k = {k:>3}: theta_hat = {state.theta_hat:.3f}")
+    for k in (1, 5, 25, 100, 250):
+        print(f"  k = {k:>3}: theta_hat = {theta_hat[k]:.3f}")
 
     # evidence accumulated: learned numerator vs committed alternatives
     plug = plugin_log_trace(stream)

@@ -42,14 +42,12 @@ from .gaussian import (
     schoenfeld_mu,
 )
 from .adaptive import (
-    BayesPosterior,
     ConfidenceSequence,
     PriorSpec,
     bayes_log_trace,
     confidence_sequence,
-    new_plugin_state,
+    plugin_estimates,
     plugin_log_trace,
-    plugin_update,
 )
 from .data import (
     SurvivalRecord,
@@ -103,10 +101,8 @@ __all__ = [
     "boundary_value",
     # adaptive
     "PriorSpec",
-    "BayesPosterior",
     "ConfidenceSequence",
-    "new_plugin_state",
-    "plugin_update",
+    "plugin_estimates",
     "plugin_log_trace",
     "bayes_log_trace",
     "confidence_sequence",

@@ -20,48 +20,53 @@ Two strategies are provided:
   virtual observations anchored at the initial risk set (one treatment
   event with an extra treatment participant, one control event with an
   extra control participant).  The smoothing keeps the maximizer interior
-  from the first event onward.
+  from the first event onward.  ``plugin_newton`` is the one solver: a
+  safeguarded Newton iteration on the smoothed score, vectorized over rows.
+  A trace solves 64 consecutive prefixes of the stream as the rows of one
+  call, warm-started from the estimate before them; the simulation engine
+  solves all its replications at once, warm-started from each one's
+  previous estimate.  Either way a solve takes two to four iterations over
+  the single-event columns and the padded tied-batch table of the history,
+  so a trace of T event times costs O(T^2) vectorized work in O(T/64)
+  Python steps.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
-  ``theta``, discretized on a fixed log-spaced quadrature grid.  The product
-  of predictive increments telescopes exactly to the (discretized) Bayes
+  ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
+  posterior before each event time is the log prior plus a cumulative sum
+  over the ``(event times, nodes)`` kernel table, so the product of
+  predictive increments telescopes exactly to the (discretized) Bayes
   factor, which the tests exploit.
 
 Inverting a family of such e-processes over a grid of null hazard ratios
-gives an anytime-valid confidence sequence for the hazard ratio.
+gives an anytime-valid confidence sequence for the hazard ratio.  Every
+likelihood here is ``core.log_kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     THETA_LOWER,
     THETA_UPPER,
     EventBatch,
-    _logsumexp,
-    log_evalue_increment,
-    log_hypergeom_event_prob,
-    log_hypergeom_pmf,
+    EventStream,
+    _log_binom_weights,
+    as_stream,
+    log_kernel,
     validate_theta,
 )
 
 __all__ = [
-    "PlugInState",
     "PriorSpec",
-    "BayesPosterior",
     "ConfidenceSequence",
-    "new_plugin_state",
-    "plugin_update",
-    "plugin_log_increment",
-    "plugin_increment",
+    "plugin_newton",
+    "plugin_estimates",
     "plugin_log_trace",
-    "bayes_predictive_log_increment",
     "bayes_log_trace",
     "confidence_sequence",
     "default_theta_grid",
@@ -75,9 +80,149 @@ _LOG_THETA_HI = math.log(THETA_UPPER)
 # plug-in (prequential maximum likelihood)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlugInState:
-    """Plug-in estimate of the hazard ratio from the strictly-past events.
+def plugin_newton(
+    beta: np.ndarray,
+    o1_sum,
+    c: np.ndarray,
+    ties: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Roots ``beta = log(theta_hat)`` of the smoothed plug-in scores, one
+    per row, by safeguarded Newton from the warm start ``beta``.
+
+    Row ``r`` scores
+
+        U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
+                  + sum_k (o1[r, k] - E_beta[u[r, k]])
+
+    ``c`` holds ``log(y1/y0)`` of each single event, the two virtual events
+    included, and ``-inf`` in unused slots (they add nothing); ``o1_sum``
+    counts their treatment events.  ``ties = (o1, u, log_w)`` holds the
+    informative tied batches, broadcast to ``(R, K)`` observed counts and
+    ``(R, K, S)`` tables of support values and log-binomial weights, padded
+    with ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's
+    noncentral hypergeometric law.  An unused batch slot is ``o1 = 0`` with
+    the single support point ``u = 0``, ``log_w = 0``.
+
+    U is strictly decreasing (the smoothed likelihood is strictly concave),
+    so each iteration narrows the bracket its sign gives, starting from
+    ``[log 1e-8, log 1e8]``; a Newton step that leaves the bracket is
+    replaced by bisection, and a root beyond the admissible range ends at
+    its edge.  A row stops, and is left unchanged from then on, when its
+    last Newton step is at most 1e-7 (the error left after it is of order
+    1e-14) or its bracket is narrower than 1e-12, so every row's result
+    depends on its own inputs only.
+    """
+    b = np.array(beta, dtype=float)
+    lo = np.full(b.shape, _LOG_THETA_LO)
+    hi = np.full(b.shape, _LOG_THETA_HI)
+    active = np.ones(b.shape, dtype=bool)
+    half_c, width = 0.5 * c, c.shape[1]
+    for _ in range(100):
+        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
+        t = half_c + 0.5 * b[:, None]
+        np.tanh(t, out=t)
+        score = o1_sum - 0.5 * (width + t.sum(axis=1))
+        t *= t
+        info = 0.25 * (width - t.sum(axis=1))
+        if ties is not None:
+            t_o1, t_u, t_lw = ties
+            w = t_lw + t_u * b[:, None, None]
+            w -= w.max(axis=-1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            mean = (w * t_u).sum(axis=-1)
+            score += (t_o1 - mean).sum(axis=-1)
+            info += ((w * t_u * t_u).sum(axis=-1) - mean * mean).sum(axis=-1)
+        lo = np.where(score > 0, b, lo)
+        hi = np.where(score < 0, b, hi)
+        new = b + score / info
+        newton = (new > lo) & (new < hi)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        done = (np.abs(new - b) <= 1e-7) & newton | (hi - lo <= 1e-12)
+        b = np.where(active, new, b)
+        active &= ~done
+        if not active.any():
+            break
+    return b
+
+
+# Estimates solved together, one row per prefix of the stream.  The block
+# and its single-event width depend on the row index only, so a prefix of a
+# stream of single events gets bit-identical estimates.
+_BLOCK = 64
+
+
+def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.ndarray:
+    """``log(theta_hat)`` fitted on the first ``i`` event times, i = 0..n;
+    ``m1``/``m0`` default to the risk set of the first batch.
+
+    The history is laid out once: the single events (the two virtual ones
+    first, then the stream's informative ones) as one column of offsets
+    ``log(y1/y0)`` with running treatment counts, and the informative tied
+    batches as one padded table.  The fit on the first i event times reads
+    their prefixes.  ``plugin_newton`` solves ``_BLOCK`` consecutive
+    prefixes at a time as its rows, warm-started from the last estimate of
+    the block before.  Forced batches carry no likelihood information and
+    leave the estimate unchanged.
+    """
+    y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
+    m1 = int(y1[0]) if m1 is None else m1
+    m0 = int(y0[0]) if m0 is None else m0
+    if m1 < 1 or m0 < 1:
+        raise ValueError(f"initial group sizes must be >= 1, got m1={m1}, m0={m0}")
+    n = o.size
+    informative = np.maximum(0, o - y0) != np.minimum(o, y1)
+    single = informative & (o == 1)
+    tied = np.flatnonzero(informative & (o > 1))
+    n_single = np.concatenate([[0], np.cumsum(single)])
+    n_tied = np.concatenate([[0], np.cumsum(informative & (o > 1))])
+
+    # virtual treatment event at (m1+1, m0), virtual control event at (m1, m0+1)
+    c = np.full(n + _BLOCK + 2, -np.inf)
+    c[:2] = math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
+    c[2 : 2 + n_single[-1]] = np.log(y1[single]) - np.log(y0[single])
+    o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(o1[single], dtype=float)])
+
+    weights = [_log_binom_weights(int(y1[i]), int(y0[i]), int(o[i])) for i in tied.tolist()]
+    size = max((u.size for u, _ in weights), default=1)
+    t_u = np.zeros((tied.size, size))
+    t_lw = np.full((tied.size, size), -np.inf)
+    for k, (u, log_w) in enumerate(weights):
+        t_u[k, : u.size] = u
+        t_lw[k, : u.size] = log_w
+    t_o1 = o1[tied].astype(float)
+    unused = np.where(np.arange(size) == 0, 0.0, -np.inf)
+    block = _BLOCK if not tied.size else max(1, min(_BLOCK, 2**17 // (tied.size * size)))
+
+    betas = np.empty(n + 1)
+    warm = 0.0
+    for start in range(0, n + 1, block):
+        rows = np.arange(start, min(start + block, n + 1))
+        width = start + block + 2
+        held = np.arange(width) < n_single[rows][:, None] + 2
+        c_rows = np.where(held, c[:width], -np.inf)
+        ties = None
+        k = int(n_tied[rows[-1]])
+        if k:
+            held = np.arange(k) < n_tied[rows][:, None]
+            ties = (
+                np.where(held, t_o1[:k], 0.0),
+                np.where(held[..., None], t_u[:k], 0.0),
+                np.where(held[..., None], t_lw[:k], unused),
+            )
+        betas[rows] = plugin_newton(
+            np.full(rows.size, warm), o1_sum[n_single[rows]], c_rows, ties
+        )
+        warm = betas[rows[-1]]
+    return betas
+
+
+def plugin_estimates(
+    batches: EventStream | Sequence[EventBatch],
+    m1: int | None = None,
+    m0: int | None = None,
+) -> np.ndarray:
+    """Plug-in estimates ``theta_hat`` after 0, 1, ..., n event times.
 
     ``theta_hat`` maximizes the smoothed conditional log-likelihood
 
@@ -85,120 +230,15 @@ class PlugInState:
         + log q_theta(1 | m1+1, m0) + log q_theta(0 | m1, m0+1)
 
     where ``(m1, m0)`` is the *initial* risk set (the virtual points stay
-    anchored there no matter how far the trial has progressed).  Because the
-    state is immutable and updates return fresh states, an increment computed
-    from a state can never have seen the batch it scores — the predictive
-    discipline that makes the plug-in e-process a martingale is enforced by
-    construction.
-
-    Internally the informative single events are held as flat arrays
-    (``o1``, ``log(y1/y0)``) so the score can be evaluated in one vectorized
-    pass; tied batches keep their log-binomial weight tables.
+    anchored there no matter how far the trial has progressed), which
+    defaults to the first batch's.  Entry 0 comes from the virtual points
+    alone (exactly 1 for a balanced initial risk set).
     """
-
-    m1: int
-    m0: int
-    theta_hat: float
-    n_events: int = 0
-    n_event_times: int = 0
-    # singles: o1 and log(y1/y0) per informative single event
-    _single_o1: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    _single_offset: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    # ties: (o1, support, log binomial weights) per informative tied batch
-    _ties: tuple = ()
-
-    def smoothed_score(self, beta: float) -> float:
-        """U(beta) of the smoothed likelihood (strictly decreasing in beta)."""
-        total = 0.0
-        if self._single_o1.size:
-            p = _sigmoid(beta + self._single_offset)
-            total += float(np.sum(self._single_o1 - p))
-        for o1, support, log_w in self._ties:
-            total += o1 - _tilted_mean(support, log_w, beta)
-        # virtual treatment event at (m1+1, m0), virtual control event at (m1, m0+1)
-        total += 1.0 - _sigmoid(beta + math.log((self.m1 + 1) / self.m0))
-        total -= _sigmoid(beta + math.log(self.m1 / (self.m0 + 1)))
-        return total
-
-
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _tilted_mean(support: np.ndarray, log_w: np.ndarray, beta: float) -> float:
-    log_p = log_w + support * beta
-    log_p = log_p - _logsumexp(log_p)
-    return float(np.exp(log_p) @ support)
-
-
-def _solve_theta_hat(state: PlugInState) -> float:
-    beta_hat = brentq(
-        state.smoothed_score, _LOG_THETA_LO, _LOG_THETA_HI, xtol=1e-12, rtol=8.9e-16
-    )
-    return math.exp(beta_hat)
-
-
-def new_plugin_state(m1: int, m0: int) -> PlugInState:
-    """Fresh plug-in state before any events; the estimate comes from the
-    virtual points alone (exactly 1 for a balanced initial risk set)."""
-    if m1 < 1 or m0 < 1:
-        raise ValueError(f"initial group sizes must be >= 1, got m1={m1}, m0={m0}")
-    state = PlugInState(m1=m1, m0=m0, theta_hat=1.0)
-    return PlugInState(m1=m1, m0=m0, theta_hat=_solve_theta_hat(state))
-
-
-def plugin_update(state: PlugInState, batch: EventBatch) -> PlugInState:
-    """Fold one event batch into the history and re-maximize.
-
-    Forced batches (single-point support) are recorded in the counters but
-    carry no likelihood information, so they are not stored.
-    """
-    single_o1, single_offset, ties = state._single_o1, state._single_offset, state._ties
-    if not batch.forced:
-        if batch.o == 1:
-            single_o1 = np.append(single_o1, float(batch.o1))
-            single_offset = np.append(
-                single_offset, math.log(batch.risk.y1 / batch.risk.y0)
-            )
-        else:
-            support, _ = log_hypergeom_pmf(1.0, batch.risk.y1, batch.risk.y0, batch.o)
-            log_w = _log_binom_weights(batch.risk.y1, batch.risk.y0, batch.o, support)
-            ties = ties + ((batch.o1, support.astype(float), log_w),)
-    probe = replace(
-        state,
-        n_events=state.n_events + batch.o,
-        n_event_times=state.n_event_times + 1,
-        _single_o1=single_o1,
-        _single_offset=single_offset,
-        _ties=ties,
-    )
-    return replace(probe, theta_hat=_solve_theta_hat(probe))
-
-
-def _log_binom_weights(y1: int, y0: int, o: int, support: np.ndarray) -> np.ndarray:
-    from scipy.special import gammaln
-
-    u = support
-    return (
-        gammaln(y1 + 1) - gammaln(u + 1) - gammaln(y1 - u + 1)
-        + gammaln(y0 + 1) - gammaln(o - u + 1) - gammaln(y0 - o + u + 1)
-    )
-
-
-def plugin_log_increment(
-    state: PlugInState, batch: EventBatch, theta0: float = 1.0
-) -> float:
-    """Log e-value increment q_thetahat(o1|batch) / q_theta0(o1|batch) where
-    ``state`` must predate ``batch``."""
-    return log_evalue_increment(state.theta_hat, theta0, batch)
-
-
-def plugin_increment(state: PlugInState, batch: EventBatch, theta0: float = 1.0) -> float:
-    return math.exp(plugin_log_increment(state, batch, theta0))
+    return np.exp(_plugin_betas(as_stream(batches), m1, m0))
 
 
 def plugin_log_trace(
-    batches: Sequence[EventBatch],
+    batches: EventStream | Sequence[EventBatch],
     m1: int | None = None,
     m0: int | None = None,
     theta0: float = 1.0,
@@ -206,26 +246,19 @@ def plugin_log_trace(
 ):
     """Cumulative plug-in log e-value after each event time.
 
-    ``m1``/``m0`` default to the risk set of the first batch.  With
-    ``return_numerator`` the per-event log predictive probabilities
-    log q_thetahat_i(o1_i | batch_i) come back too (they do not depend on
-    ``theta0``, which confidence sequences exploit).
+    ``m1``/``m0`` default to the risk set of the first batch.  Event time i
+    is scored by ``log_kernel`` at the estimate fitted on event times
+    before i.  With ``return_numerator`` the per-event log predictive
+    probabilities log q_thetahat_i(o1_i | batch_i) come back too (they do
+    not depend on ``theta0``, which confidence sequences exploit).
     """
-    if not batches:
+    stream = as_stream(batches)
+    theta0 = validate_theta(theta0, "theta0")
+    if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    if m1 is None:
-        m1 = batches[0].risk.y1
-    if m0 is None:
-        m0 = batches[0].risk.y0
-    state = new_plugin_state(m1, m0)
-    log_num = np.empty(len(batches))
-    log_inc = np.empty(len(batches))
-    for i, batch in enumerate(batches):
-        log_num[i] = log_hypergeom_event_prob(state.theta_hat, batch)
-        log_inc[i] = plugin_log_increment(state, batch, theta0)
-        state = plugin_update(state, batch)
-    trace = np.cumsum(log_inc)
+    log_num = log_kernel(stream, _plugin_betas(stream, m1, m0)[:-1])
+    trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
     return (trace, log_num) if return_numerator else trace
 
 
@@ -286,84 +319,46 @@ class PriorSpec:
         return cls(thetas=np.asarray(thetas, dtype=float), weights=w)
 
 
-def _log_kernel_on_nodes(log_thetas: np.ndarray, batch: EventBatch) -> np.ndarray:
-    """log q_theta(o1 | batch) evaluated at every node, vectorized."""
-    y1, y0, o, o1 = batch.risk.y1, batch.risk.y0, batch.o, batch.o1
-    if batch.forced:
-        return np.zeros_like(log_thetas)
-    if o == 1:
-        log_w1 = math.log(y1) + log_thetas
-        log_z = np.logaddexp(math.log(y0), log_w1)
-        return (log_w1 if o1 == 1 else math.log(y0)) - log_z
-    support, _ = log_hypergeom_pmf(1.0, y1, y0, o)
-    log_w = _log_binom_weights(y1, y0, o, support)
-    table = log_w[None, :] + np.outer(log_thetas, support.astype(float))
-    m = table.max(axis=1)
-    log_z = m + np.log(np.exp(table - m[:, None]).sum(axis=1))
-    return table[:, int(o1 - support[0])] - log_z
-
-
-class BayesPosterior:
-    """Posterior over the prior's grid, updated one event batch at a time."""
-
-    def __init__(self, prior: PriorSpec):
-        self.prior = prior
-        self._log_thetas = np.log(prior.thetas)
-        with np.errstate(divide="ignore"):
-            self._log_w = np.log(prior.weights)
-
-    def log_predictive(self, batch: EventBatch) -> float:
-        """log of the posterior-predictive probability of the observed o1."""
-        log_k = _log_kernel_on_nodes(self._log_thetas, batch)
-        value = _logsumexp(self._log_w + log_k) - _logsumexp(self._log_w)
-        if not math.isfinite(value):
-            raise ValueError(
-                "posterior predictive underflowed to zero; the prior grid puts "
-                "no usable mass near the data"
-            )
-        return float(value)
-
-    def log_increment(self, batch: EventBatch, theta0: float = 1.0) -> float:
-        if batch.forced:
-            return 0.0
-        return self.log_predictive(batch) - log_hypergeom_event_prob(theta0, batch)
-
-    def update(self, batch: EventBatch) -> None:
-        self._log_w = self._log_w + _log_kernel_on_nodes(self._log_thetas, batch)
-
-    def posterior_weights(self) -> np.ndarray:
-        w = np.exp(self._log_w - _logsumexp(self._log_w))
-        return w / w.sum()
-
-
-def bayes_predictive_log_increment(
-    prior: PriorSpec,
-    history: Sequence[EventBatch],
-    batch: EventBatch,
-    theta0: float = 1.0,
-) -> float:
-    """One predictive increment given the prior and the strictly-past history."""
-    posterior = BayesPosterior(prior)
-    for past in history:
-        posterior.update(past)
-    return posterior.log_increment(batch, theta0)
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of a 2-d array, overwriting ``a``."""
+    m = a.max(axis=1)
+    a -= m[:, None]
+    np.exp(a, out=a)
+    return m + np.log(a.sum(axis=1))
 
 
 def bayes_log_trace(
-    batches: Sequence[EventBatch],
+    batches: EventStream | Sequence[EventBatch],
     prior: PriorSpec,
     theta0: float = 1.0,
     return_numerator: bool = False,
 ):
-    """Cumulative Bayes-predictive log e-value after each event time."""
-    posterior = BayesPosterior(prior)
-    log_num = np.empty(len(batches))
-    log_inc = np.empty(len(batches))
-    for i, batch in enumerate(batches):
-        log_num[i] = posterior.log_predictive(batch)
-        log_inc[i] = posterior.log_increment(batch, theta0)
-        posterior.update(batch)
-    trace = np.cumsum(log_inc) if batches else np.zeros(0)
+    """Cumulative Bayes-predictive log e-value after each event time.
+
+    With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
+    the unnormalized log posterior before event time i is
+    ``log prior + sum_{k<i} K[k]`` and the log predictive is
+    ``logsumexp(posterior + K[i]) - logsumexp(posterior)``.
+    """
+    stream = as_stream(batches)
+    theta0 = validate_theta(theta0, "theta0")
+    if not stream.o.size:
+        empty = np.zeros(0)
+        return (empty, empty) if return_numerator else empty
+    table = log_kernel(stream, np.log(prior.thetas)[None, :])
+    log_post = np.empty_like(table)
+    with np.errstate(divide="ignore"):
+        log_post[0] = np.log(prior.weights)
+    log_post[1:] = table[:-1]
+    np.cumsum(log_post, axis=0, out=log_post)
+    table += log_post
+    log_num = _logsumexp_rows(table) - _logsumexp_rows(log_post)
+    if not np.isfinite(log_num).all():
+        raise ValueError(
+            "posterior predictive underflowed to zero; the prior grid puts "
+            "no usable mass near the data"
+        )
+    trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
     return (trace, log_num) if return_numerator else trace
 
 
@@ -416,7 +411,7 @@ class ConfidenceSequence:
 
 
 def confidence_sequence(
-    batches: Sequence[EventBatch],
+    batches: EventStream | Sequence[EventBatch],
     alpha: float = 0.05,
     numerator: Literal["plugin", "bayes"] = "plugin",
     grid: np.ndarray | None = None,
@@ -437,6 +432,10 @@ def confidence_sequence(
     grid points.  Running intersection is off by default: the plain sequence is
     what the coverage guarantee speaks about, intersection is a reporting
     convenience.
+
+    The family is one ``(event times, grid)`` array: the ``log_kernel``
+    denominators, summed over event times and subtracted from the summed
+    numerator in place.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -446,44 +445,33 @@ def confidence_sequence(
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
 
+    stream = as_stream(batches)
     if numerator == "plugin":
-        _, log_num = plugin_log_trace(batches, m1=m1, m0=m0, return_numerator=True)
+        _, log_num = plugin_log_trace(stream, m1=m1, m0=m0, return_numerator=True)
     elif numerator == "bayes":
         if prior is None:
             prior = PriorSpec.lognormal(mean_log=0.0)
-        _, log_num = bayes_log_trace(batches, prior, return_numerator=True)
+        _, log_num = bayes_log_trace(stream, prior, return_numerator=True)
     else:
         raise ValueError(f"unknown numerator strategy {numerator!r}")
 
-    n_times = len(batches)
-    n_grid = grid.size
-    log_thetas = np.log(grid)
-    log_den = np.empty((n_times, n_grid))
-    for i, batch in enumerate(batches):
-        log_den[i] = _log_kernel_on_nodes(log_thetas, batch)
+    log_mart = log_kernel(stream, np.log(grid)[None, :])
+    np.cumsum(log_mart, axis=0, out=log_mart)
+    np.subtract(np.cumsum(log_num)[:, None], log_mart, out=log_mart)
+    keep = log_mart < math.log(1.0 / alpha)
+    del log_mart
 
-    log_mart = np.cumsum(log_num)[:, None] - np.cumsum(log_den, axis=0)
-    rejected = log_mart >= math.log(1.0 / alpha)
+    # hull of the kept grid points; NaN when the grid is too coarse and
+    # every candidate is rejected
+    first = keep.argmax(axis=1)
+    last = grid.size - 1 - keep[:, ::-1].argmax(axis=1)
+    some = keep[np.arange(keep.shape[0]), first]
+    lower = np.where(some, grid[first], math.nan)
+    upper = np.where(some, grid[last], math.nan)
+    lower_bracketed = ~keep[:, 0]
+    upper_bracketed = ~keep[:, -1]
 
-    lower = np.empty(n_times)
-    upper = np.empty(n_times)
-    lower_bracketed = np.zeros(n_times, dtype=bool)
-    upper_bracketed = np.zeros(n_times, dtype=bool)
-    for i in range(n_times):
-        keep = ~rejected[i]
-        if not keep.any():
-            # grid too coarse: every candidate rejected
-            lower[i] = math.nan
-            upper[i] = math.nan
-            lower_bracketed[i] = upper_bracketed[i] = True
-            continue
-        idx = np.flatnonzero(keep)
-        lower[i] = grid[idx[0]]
-        upper[i] = grid[idx[-1]]
-        lower_bracketed[i] = bool(rejected[i, 0])
-        upper_bracketed[i] = bool(rejected[i, -1])
-
-    if running_intersection and n_times:
+    if running_intersection and keep.shape[0]:
         lower = np.maximum.accumulate(lower)
         upper = np.minimum.accumulate(upper)
         lower_bracketed = np.maximum.accumulate(lower_bracketed)

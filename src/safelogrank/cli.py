@@ -264,9 +264,9 @@ def _analysis_rows(
     elif test == "exact":
         log_e_trace = log_evalue_trace(stream, theta1, theta0, two_sided=two_sided)
     elif test == "plugin":
-        log_e_trace = plugin_log_trace(batches, theta0=theta0)
+        log_e_trace = plugin_log_trace(stream, theta0=theta0)
     elif test == "bayes":
-        log_e_trace = bayes_log_trace(batches, prior, theta0=theta0)
+        log_e_trace = bayes_log_trace(stream, prior, theta0=theta0)
     else:  # gaussian: no evidence is defined until the variance is positive
         m1, m0 = int(stream.y1[0]), int(stream.y0[0])
         mu1 = schoenfeld_mu(theta1, m1, m0)
@@ -293,6 +293,24 @@ def _analysis_rows(
         "reject_at_n": rows[hits[0]]["n"] if hits.size else None,
     }
     return rows, summary
+
+
+def pooled_decision(summaries: list[dict], alpha: float) -> tuple[float | None, str]:
+    """Combined log10 e-value of independent studies and the decision.
+
+    Evidence multiplies across independent studies: only the product of
+    their final e-values is an e-value, so only it decides.  A study
+    crossing ``1/alpha`` on its own stays in its own summary but does not
+    reject the pooled null (that would take a union bound over studies).
+    A study without a defined (Gaussian) e-value leaves the product
+    undefined.  One study decides by its own running maximum.
+    """
+    if len(summaries) == 1:
+        return summaries[0]["final_log10_e"], summaries[0]["decision"]
+    finals = [s["final_log10_e"] for s in summaries]
+    combined = None if None in finals else sum(finals)
+    reject = combined is not None and combined >= math.log10(1.0 / alpha)
+    return combined, "reject" if reject else "continue"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -350,24 +368,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         all_rows.extend(rows)
         summary["path"] = path
         summaries.append(summary)
-    finals = [s["final_log10_e"] for s in summaries]
-    # a study without a defined (Gaussian) e-value leaves the product undefined
-    combined_log10 = None if None in finals else sum(finals)
-
-    threshold_log10 = math.log10(1.0 / alpha)
+    combined_log10, decision = pooled_decision(summaries, alpha)
     if len(datasets) == 1:
-        decision = summaries[0]["decision"]
         summary = dict(summaries[0])
         del summary["path"]
     else:
-        # evidence multiplies across studies; any single crossing, or the
-        # combined product crossing, rejects
-        decision = (
-            "reject"
-            if combined_log10 is not None and combined_log10 >= threshold_log10
-            or any(s["decision"] == "reject" for s in summaries)
-            else "continue"
-        )
         summary = {
             "combined_log10_e": combined_log10,
             "decision": decision,
@@ -574,10 +579,9 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         prior = _parse_prior(opt.get("prior"), opt.get("theta1", None, float))
     out = _report_base(opt.get("out"), [args.dataset])
     dataset = read_dataset(args.dataset, delimiter=opt.get("delimiter"))
-    times, batches = dataset.event_batches()
-
+    times = dataset.event_times
     seq = confidence_sequence(
-        batches,
+        dataset.stream,
         alpha=alpha,
         numerator=numerator,
         grid=grid,
@@ -671,7 +675,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("--two-sided", action="store_true", dest="two_sided")
     analyze.add_argument("--prior", help="bayes numerator prior: lognormal:CENTER[,SD] | point:THETA")
     analyze.add_argument("--meta", nargs="+", metavar="DATASET",
-                         help="further datasets; final e-values multiply")
+                         help="further independent datasets; the product of the final e-values decides")
     analyze.add_argument("--delimiter", help="force a field delimiter")
     analyze.add_argument("--allow-unbalanced-gaussian", action="store_true",
                          dest="allow_unbalanced_gaussian")

@@ -23,12 +23,14 @@ that it ever exceeds ``1/alpha`` is at most ``alpha`` — the test may be
 monitored continuously and stopped (or extended) at will without inflating
 the type-I error.
 
-All arithmetic is in natural-log space.  ``log_evalue_trace`` evaluates a
-columnar ``EventStream`` at once: single events use the closed form
-``o1*log(theta1/theta0) + log(y0 + theta0*y1) - log(y0 + theta1*y1)``, forced
-batches give exactly 0, and tied batches use ``log_hypergeom_pmf``
-(``gammaln`` log-binomials, log-sum-exp normalizer), the package's one
-Fisher noncentral hypergeometric formula.
+All arithmetic is in natural-log space.  ``log_kernel`` is the one
+vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, with
+``theta`` a scalar, one value per event time, or a grid: single events use
+the logistic closed form, forced batches give exactly 0, and tied batches
+use the ``gammaln`` log-binomials of ``log_hypergeom_pmf`` with a
+log-sum-exp normalizer, the package's one Fisher noncentral hypergeometric
+formula.  The exact traces, the learned numerators and the confidence
+sequence denominators all read it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ __all__ = [
     "meta_combine",
     "meta_combine_log",
     "log_likelihood",
+    "as_stream",
+    "log_kernel",
     "log_evalue_trace",
     "score_components",
 ]
@@ -201,14 +205,18 @@ def log_hypergeom_pmf(
     theta = validate_theta(theta)
     if y1 < 0 or y0 < 0 or not (1 <= o <= y1 + y0):
         raise ValueError(f"invalid batch (y1={y1}, y0={y0}, o={o})")
-    lo, hi = max(0, o - y0), min(o, y1)
-    u = np.arange(lo, hi + 1)
-    log_w = (
+    u, log_w = _log_binom_weights(y1, y0, o)
+    log_w = log_w + u * math.log(theta)
+    return u, log_w - _logsumexp(log_w)
+
+
+def _log_binom_weights(y1: int, y0: int, o: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support ``u`` of a batch and the log weights ``log C(y1, u) + log C(y0, o - u)``."""
+    u = np.arange(max(0, o - y0), min(o, y1) + 1)
+    return u, (
         gammaln(y1 + 1) - gammaln(u + 1) - gammaln(y1 - u + 1)
         + gammaln(y0 + 1) - gammaln(o - u + 1) - gammaln(y0 - o + u + 1)
-        + u * math.log(theta)
     )
-    return u, log_w - _logsumexp(log_w)
 
 
 def log_hypergeom_event_prob(theta: float, batch: EventBatch) -> float:
@@ -390,6 +398,45 @@ def log_likelihood(
     return float(sum(log_hypergeom_event_prob(theta, b) for b in batches))
 
 
+def as_stream(stream: EventStream | Sequence[EventBatch]) -> EventStream:
+    """``stream`` itself, or the columns of a sequence of batches."""
+    return stream if isinstance(stream, EventStream) else EventStream.from_batches(stream)
+
+
+def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
+    """log q_theta(o1 | batch) at every event time of ``stream``.
+
+    ``log_theta`` is a scalar, a per-row array of shape ``(n,)``, or a grid
+    of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result.
+    Single events use the logistic closed form ``-log(1 + exp(-/+d))`` with
+    ``d = log(y1/y0) + log_theta``; forced batches give exactly 0; tied
+    batches evaluate the Fisher noncentral hypergeometric log-pmf one row at
+    a time (an ``(G, support)`` table per row).  A grid result is the only
+    ``(n, G)`` array this allocates.
+    """
+    log_theta = np.asarray(log_theta, dtype=float)
+    y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(y1) - np.log(y0)  # +-inf on forced rows, overwritten below
+    sign = np.where(o1 == 1, -1.0, 1.0)
+    if log_theta.ndim == 2:
+        c, sign = c[:, None], sign[:, None]
+    out = c + log_theta
+    out *= sign
+    np.logaddexp(0.0, out, out=out)
+    np.negative(out, out=out)
+    forced = np.maximum(0, o - y0) == np.minimum(o, y1)
+    out[forced] = 0.0
+    rows = np.broadcast_to(log_theta, out.shape)
+    for i in np.flatnonzero((o > 1) & ~forced).tolist():
+        u, log_w = _log_binom_weights(int(y1[i]), int(y0[i]), int(o[i]))
+        table = log_w + np.multiply.outer(rows[i], u)
+        m = table.max(axis=-1)
+        log_z = m + np.log(np.exp(table - m[..., None]).sum(axis=-1))
+        out[i] = table[..., o1[i] - u[0]] - log_z
+    return out
+
+
 def log_evalue_trace(
     stream: EventStream | Sequence[EventBatch],
     theta1: float,
@@ -397,25 +444,17 @@ def log_evalue_trace(
     two_sided: bool = False,
 ) -> np.ndarray:
     """Cumulative log e-value after each event time: the running sum of
-    ``log_evalue_increment`` over the stream, computed for all event times
-    at once.  ``two_sided`` mixes the alternatives ``theta1`` and
-    ``1/theta1`` half-half, as ``update_two_sided`` does."""
-    if not isinstance(stream, EventStream):
-        stream = EventStream.from_batches(stream)
+    ``log_evalue_increment`` over the stream, ``log_kernel`` at ``theta1``
+    minus ``log_kernel`` at ``theta0``.  ``two_sided`` mixes the
+    alternatives ``theta1`` and ``1/theta1`` half-half, as
+    ``update_two_sided`` does."""
+    stream = as_stream(stream)
     theta1 = validate_theta(theta1, "theta1")
     theta0 = validate_theta(theta0, "theta0")
     if two_sided:
         left, right = (log_evalue_trace(stream, t, theta0) for t in (theta1, 1.0 / theta1))
         return two_sided_log_evalue(left, right)
-    y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
-    inc = o1 * (math.log(theta1) - math.log(theta0))
-    inc += np.log(y0 + theta0 * y1) - np.log(y0 + theta1 * y1)
-    forced = np.maximum(0, o - y0) == np.minimum(o, y1)
-    inc[forced] = 0.0
-    for i in np.flatnonzero((o > 1) & ~forced).tolist():
-        support, logp1 = log_hypergeom_pmf(theta1, int(y1[i]), int(y0[i]), int(o[i]))
-        _, logp0 = log_hypergeom_pmf(theta0, int(y1[i]), int(y0[i]), int(o[i]))
-        inc[i] = logp1[o1[i] - support[0]] - logp0[o1[i] - support[0]]
+    inc = log_kernel(stream, math.log(theta1)) - log_kernel(stream, math.log(theta0))
     return np.cumsum(inc)
 
 

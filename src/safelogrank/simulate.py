@@ -27,10 +27,8 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
-from .adaptive import PriorSpec, bayes_log_trace, plugin_log_trace
+from .adaptive import PriorSpec, bayes_log_trace, plugin_log_trace, plugin_newton
 from .core import (
     EventBatch,
     RiskSet,
@@ -307,27 +305,12 @@ def stopping_time(batches: Sequence[EventBatch], design: DesignSpec) -> float:
 # vectorized multi-replication engine (single-event streams)
 # ---------------------------------------------------------------------------
 
-_THETA_HAT_BRACKET = (math.log(1e-8), math.log(1e8))
-
-
 @dataclass
 class _EngineResult:
     cap: int
     taus: dict[str, np.ndarray]
     z_scaled: np.ndarray | None = None  # (reps, cap) of Z_n * sqrt(n)
     dlog_at_exact_stop: np.ndarray | None = None
-
-
-def _initial_theta_hat(m1: int, m0: int) -> float:
-    """Root of the virtual-point score before any data: solved once, shared
-    by every replication."""
-    a = math.log((m1 + 1) / m0)
-    b = math.log(m1 / (m0 + 1))
-
-    def score(beta: float) -> float:
-        return (1.0 - expit(beta + a)) - expit(beta + b)
-
-    return float(brentq(score, *_THETA_HAT_BRACKET, xtol=1e-12, rtol=8.9e-16))
 
 
 def _evolve_single_event(
@@ -378,14 +361,15 @@ def _evolve_single_event(
     gauss_logm = np.zeros(reps)
 
     if "plugin" in want:
-        # History slabs for the smoothed score.  Empty slots hold
-        # (o1, offset) = (1, +inf): sigmoid(beta + inf) == 1 makes their
-        # score and information contributions exactly zero.
-        hist_o1 = np.ones((reps, cap))
-        hist_c = np.full((reps, cap), np.inf)
-        beta = np.full(reps, _initial_theta_hat(m1, m0))
-        va = math.log((m1 + 1) / m0)
-        vb = math.log(m1 / (m0 + 1))
+        # Offsets log(y1/y0) of each replication's single events for
+        # ``plugin_newton``: the virtual treatment and control events first,
+        # then the informative events; empty slots hold -inf, which adds
+        # nothing to the score.  ``o1_sum`` counts treatment events, the
+        # virtual one included.
+        hist_c = np.full((reps, cap + 2), -np.inf)
+        hist_c[:, :2] = math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
+        o1_sum = np.ones(reps)
+        beta = np.full(reps, plugin_newton(np.zeros(1), 1.0, hist_c[:1, :2])[0])
         plugin_logm = np.zeros(reps)
 
     z_scaled = np.full((reps, cap), np.nan) if collect_z else None
@@ -444,9 +428,9 @@ def _evolve_single_event(
             newly = (taus["plugin"][a] == np.inf) & (plugin_logm[a] >= threshold)
             taus["plugin"][a[newly]] = n
             # fold the new observation into each history, then re-solve
-            hist_o1[inf_idx, i] = o1[informative]
-            hist_c[inf_idx, i] = ly1 - ly0
-            _newton_theta_hat(beta, hist_o1, hist_c, i + 1, va, vb, inf_idx)
+            hist_c[inf_idx, i + 2] = ly1 - ly0
+            o1_sum[inf_idx] += o1[informative]
+            beta[inf_idx] = plugin_newton(beta[inf_idx], o1_sum[inf_idx], hist_c[inf_idx, : i + 3])
 
         if collect_dlog and {"exact", "gaussian"} <= want:
             hit = a[(taus["exact"][a] == n)]
@@ -467,41 +451,6 @@ def _evolve_single_event(
         z_scaled=z_scaled,
         dlog_at_exact_stop=dlog,
     )
-
-
-def _newton_theta_hat(
-    beta: np.ndarray,
-    hist_o1: np.ndarray,
-    hist_c: np.ndarray,
-    width: int,
-    va: float,
-    vb: float,
-    rows: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 40,
-) -> None:
-    """Newton update, in place, of the smoothed-score roots for ``rows``.
-
-    The smoothed log likelihood is strictly concave in beta with positive
-    information from the two virtual points, so warm-started Newton with a
-    bracket clamp converges in a couple of iterations.
-    """
-    if rows.size == 0:
-        return
-    o1 = hist_o1[rows, :width]
-    c = hist_c[rows, :width]
-    b = beta[rows]
-    for _ in range(max_iter):
-        sig = expit(b[:, None] + c)
-        sa = expit(b + va)
-        sb = expit(b + vb)
-        u_val = (o1 - sig).sum(axis=1) + (1.0 - sa) - sb
-        info = (sig * (1.0 - sig)).sum(axis=1) + sa * (1.0 - sa) + sb * (1.0 - sb)
-        step = u_val / info
-        b = np.clip(b + step, *_THETA_HAT_BRACKET)
-        if np.max(np.abs(step)) <= tol:
-            break
-    beta[rows] = b
 
 
 def simulate_stopping_times(

@@ -18,6 +18,7 @@ from safelogrank.core import (
     RiskSet,
     evalue_increment,
     log_evalue_increment,
+    log_evalue_trace,
     log_hypergeom_pmf,
     score_components,
 )
@@ -294,4 +295,40 @@ def test_11_wald_approximation_of_expected_stopping():
         ok,
         f"formula {value:.4f} (191.4 +/- 0.1), simulated mean {taus.mean():.1f}, "
         f"relative gap {rel:.3f} (<= 0.15), all replications stopped: {untruncated}",
+    )
+
+
+def test_12_meta_analysis_keeps_type_one_error():
+    """2000 replications of 5 independent null studies of 60 vs 60, exact
+    test at theta1 = 0.7: the pooled ``analyze --meta`` decision may reject
+    in at most ~alpha of them.  Rejecting when any single study crosses on
+    its own would reject in about 8% and fail this band."""
+    from safelogrank.cli import pooled_decision
+    from safelogrank.core import EventStream
+
+    alpha, reps, studies, m = 0.05, 2000, 5, 60
+    rng = np.random.Generator(np.random.Philox(1212))
+    # under the null every order of the 2m events is equally likely
+    o1 = rng.permuted(np.tile(np.repeat([1, 0], m), (reps * studies, 1)), axis=1)
+    y1 = m - np.cumsum(o1, axis=1) + o1
+    y0 = 2 * m - np.arange(2 * m) - y1
+    ones = np.ones(2 * m, dtype=np.int64)
+    rejections = 0
+    for rep in range(reps):
+        summaries = []
+        for k in range(rep * studies, (rep + 1) * studies):
+            stream = EventStream(np.arange(1.0, 2 * m + 1), y1[k], y0[k], ones, o1[k])
+            trace = log_evalue_trace(stream, 0.7)
+            crossed = bool(np.max(trace) >= math.log(1.0 / alpha))
+            summaries.append(
+                {"final_log10_e": float(trace[-1]) / math.log(10.0),
+                 "decision": "reject" if crossed else "continue"}
+            )
+        rejections += pooled_decision(summaries, alpha)[1] == "reject"
+    rate = rejections / reps
+    limit = alpha + 3.0 * math.sqrt(alpha * (1 - alpha) / reps)
+    _verdict(
+        "meta-analysis type-I error",
+        rate <= limit,
+        f"pooled null rejected in {rate:.4f} of replications (<= {limit:.4f})",
     )

@@ -153,6 +153,26 @@ def test_meta_combines_by_multiplication(tmp_path, capsys):
     assert combined["summary"]["combined_log10_e"] == pytest.approx(sum(finals), abs=1e-12)
 
 
+def test_meta_rejects_only_on_the_product(tmp_path, capsys):
+    # study 0 crosses 1/alpha on its own; study 1 carries strong evidence the
+    # other way, so the product of the final e-values stays below 1/alpha
+    paths = []
+    for rep, theta in enumerate((0.5, 2.0)):
+        stream = sample_single_event_stream(50, 50, theta, stream_rng(300, rep))
+        p = tmp_path / f"site{rep}.csv"
+        write_dataset(dataset_from_batches(stream), str(p))
+        paths.append(str(p))
+    code = main([
+        "analyze", paths[0], "--meta", paths[1], "--theta1", "0.5",
+        "--out", str(tmp_path / "combined"),
+    ])
+    summary = json.loads((tmp_path / "combined.json").read_text())["summary"]
+    assert [s["decision"] for s in summary["per_dataset"]] == ["reject", "continue"]
+    assert summary["combined_log10_e"] < math.log10(20.0)
+    assert summary["decision"] == "continue"
+    assert code == EXIT_CONTINUE
+
+
 def test_config_file_with_flag_override(null_dataset, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theta1 = 0.7\nalpha = 0.05  # run level\ntest = exact\n")
