@@ -67,7 +67,6 @@ from .simulate import (
     sample_tied_stream,
     schoenfeld_sample_size,
     simulate_stopping_times,
-    stopping_time,
     stream_rng,
     summarize_stopping,
     wald_expected_stopping,
@@ -120,7 +119,6 @@ __all__ = [
     "stream_rng",
     "sample_single_event_stream",
     "sample_tied_stream",
-    "stopping_time",
     "simulate_stopping_times",
     "estimate_nmax",
     "summarize_stopping",

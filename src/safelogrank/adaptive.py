@@ -55,7 +55,7 @@ from .core import (
     THETA_UPPER,
     EventBatch,
     EventStream,
-    _log_binom_weights,
+    _support_table,
     as_stream,
     log_kernel,
     validate_theta,
@@ -183,13 +183,9 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     c[2 : 2 + n_single[-1]] = np.log(y1[single]) - np.log(y0[single])
     o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(o1[single], dtype=float)])
 
-    weights = [_log_binom_weights(int(y1[i]), int(y0[i]), int(o[i])) for i in tied.tolist()]
-    size = max((u.size for u, _ in weights), default=1)
-    t_u = np.zeros((tied.size, size))
-    t_lw = np.full((tied.size, size), -np.inf)
-    for k, (u, log_w) in enumerate(weights):
-        t_u[k, : u.size] = u
-        t_lw[k, : u.size] = log_w
+    t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
+    t_u = t_u.astype(float)
+    size = t_u.shape[1]
     t_o1 = o1[tied].astype(float)
     unused = np.where(np.arange(size) == 0, 0.0, -np.inf)
     block = _BLOCK if not tied.size else max(1, min(_BLOCK, 2**17 // (tied.size * size)))

@@ -38,17 +38,7 @@ from .gaussian import (
     obf_boundary,
     schoenfeld_mu,
 )
-from .simulate import (
-    DesignSpec,
-    SimScenario,
-    design_table,
-    estimate_nmax,
-    simulate_stopping_times,
-    summarize_stopping,
-    schoenfeld_sample_size,
-    wald_expected_stopping,
-    UnattainablePowerError,
-)
+from .simulate import design_table
 
 EXIT_CONTINUE = 0
 EXIT_REJECT = 10
@@ -409,82 +399,38 @@ def cmd_design(args: argparse.Namespace) -> int:
         if t not in ("exact", "gaussian", "plugin"):
             raise UsageError(f"design supports exact/gaussian/plugin, got {t!r}")
 
-    if tie_h0 is not None:
-        # tied streams go through the per-stream walker, one test at a time
-        rows = []
-        unattained = []
-        n_fixed = schoenfeld_sample_size(theta1, alpha, 1.0 - power)
-        for t in tests:
-            design = DesignSpec(
-                theta1=theta1, alpha=alpha, power=power, test_kind=t
-            )
-            scenario = SimScenario(
-                m1=m1,
-                m0=m0,
-                theta=theta,
-                design=design,
-                replications=reps,
-                seed=seed,
-                tie_h0=tie_h0,
-            )
-            taus = simulate_stopping_times(scenario, cap=cap)
-            try:
-                n_max = estimate_nmax(taus, power)
-            except UnattainablePowerError as err:
-                unattained.append(
-                    {"test_kind": t, "requested": err.requested, "achieved": err.achieved}
-                )
-                continue
-            rep = summarize_stopping(taus, n_max, seed=seed)
-            rows.append(
-                {
-                    "test": t,
-                    "n_max": n_max,
-                    "mean_capped": rep.mean_capped,
-                    "conditional_mean": _finite(rep.conditional_mean),
-                    "power": rep.power,
-                    "ratio_n_max": n_max / n_fixed,
-                    "ratio_mean": rep.mean_capped / n_fixed,
-                }
-            )
-        try:
-            wald = wald_expected_stopping(theta, theta1, m1, m0, alpha)
-        except ValueError:
-            wald = math.nan
-        table = {
-            "n_fixed": n_fixed,
-            "wald_expected": wald,
-            "rows": rows,
-            "unattained": unattained,
+    include_obf = opt.flag("obf")
+    obf_cap = opt.get("obf_cap", None, int)
+    if obf_cap is not None and not include_obf:
+        raise UsageError("--obf-cap sets the O'Brien-Fleming horizon scan; it needs --obf")
+
+    table = design_table(
+        theta1,
+        m1,
+        m0,
+        theta=theta,
+        alpha=alpha,
+        power=power,
+        replications=reps,
+        seed=seed,
+        kinds=tuple(tests),
+        cap=cap,
+        include_obf=include_obf,
+        obf_cap=obf_cap,
+        tie_h0=tie_h0,
+    )
+    row_dicts = [
+        {
+            "test": r.test_kind,
+            "n_max": r.n_max,
+            "mean_capped": r.mean_capped,
+            "conditional_mean": _finite(r.conditional_mean),
+            "power": r.power,
+            "ratio_n_max": r.ratio_n_max,
+            "ratio_mean": r.ratio_mean,
         }
-        row_dicts = rows
-    else:
-        table = design_table(
-            theta1,
-            m1,
-            m0,
-            theta=theta,
-            alpha=alpha,
-            power=power,
-            replications=reps,
-            seed=seed,
-            kinds=tuple(tests),
-            cap=cap,
-            include_obf=opt.flag("obf"),
-            obf_cap=opt.get("obf_cap", None, int),
-        )
-        row_dicts = [
-            {
-                "test": r.test_kind,
-                "n_max": r.n_max,
-                "mean_capped": r.mean_capped,
-                "conditional_mean": _finite(r.conditional_mean),
-                "power": r.power,
-                "ratio_n_max": r.ratio_n_max,
-                "ratio_mean": r.ratio_mean,
-            }
-            for r in table["rows"]
-        ]
+        for r in table["rows"]
+    ]
 
     summary = {
         "schoenfeld_n_fixed": table["n_fixed"],

@@ -27,10 +27,12 @@ All arithmetic is in natural-log space.  ``log_kernel`` is the one
 vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, with
 ``theta`` a scalar, one value per event time, or a grid: single events use
 the logistic closed form, forced batches give exactly 0, and tied batches
-use the ``gammaln`` log-binomials of ``log_hypergeom_pmf`` with a
-log-sum-exp normalizer, the package's one Fisher noncentral hypergeometric
-formula.  The exact traces, the learned numerators and the confidence
-sequence denominators all read it.
+are evaluated together over a padded support table whose log-binomials come
+from one log-factorial table (built with ``math.lgamma``), normalized by
+log-sum-exp: the package's one Fisher noncentral hypergeometric formula,
+which ``log_hypergeom_pmf`` shares.  The exact traces, the learned
+numerators, the confidence sequence denominators and the simulation engine
+all read it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "THETA_LOWER",
@@ -60,10 +61,8 @@ __all__ = [
     "log_evalue_increment",
     "update_martingale",
     "update_two_sided",
-    "two_sided_state",
     "two_sided_log_evalue",
     "meta_combine",
-    "meta_combine_log",
     "log_likelihood",
     "as_stream",
     "log_kernel",
@@ -199,24 +198,49 @@ def log_hypergeom_pmf(
     Returns ``(support, logp)`` where ``support`` enumerates the possible
     treatment-event counts ``max(0, o - y0) .. min(o, y1)`` and ``logp`` the
     corresponding normalized log-probabilities.  Weights are assembled in log
-    space (log-binomials via ``gammaln``, normalizer via log-sum-exp), so the
-    result is finite for any admissible ``theta``.
+    space (log-binomials from a log-factorial table, normalizer via
+    log-sum-exp), so the result is finite for any admissible ``theta``.
     """
     theta = validate_theta(theta)
     if y1 < 0 or y0 < 0 or not (1 <= o <= y1 + y0):
         raise ValueError(f"invalid batch (y1={y1}, y0={y0}, o={o})")
-    u, log_w = _log_binom_weights(y1, y0, o)
-    log_w = log_w + u * math.log(theta)
+    u = np.arange(max(0, o - y0), min(o, y1) + 1)
+    log_w = _log_binom_weights(_log_factorial(max(y1, y0)), y1, y0, o, u) + u * math.log(theta)
     return u, log_w - _logsumexp(log_w)
 
 
-def _log_binom_weights(y1: int, y0: int, o: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support ``u`` of a batch and the log weights ``log C(y1, u) + log C(y0, o - u)``."""
-    u = np.arange(max(0, o - y0), min(o, y1) + 1)
-    return u, (
-        gammaln(y1 + 1) - gammaln(u + 1) - gammaln(y1 - u + 1)
-        + gammaln(y0 + 1) - gammaln(o - u + 1) - gammaln(y0 - o + u + 1)
+_LOG_FACTORIAL = np.zeros(1)
+
+
+def _log_factorial(n: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0..n`` at least, from a table grown by doubling."""
+    global _LOG_FACTORIAL
+    size = _LOG_FACTORIAL.size
+    if size <= n:
+        more = [math.lgamma(k + 1.0) for k in range(size, max(n + 1, 2 * size))]
+        _LOG_FACTORIAL = np.concatenate([_LOG_FACTORIAL, more])
+    return _LOG_FACTORIAL
+
+
+def _log_binom_weights(lf: np.ndarray, y1, y0, o, u):
+    """``log C(y1, u) + log C(y0, o - u)``, elementwise for ``u`` in the
+    support, from the log-factorial table ``lf``."""
+    return lf[y1] - lf[u] - lf[y1 - u] + lf[y0] - lf[o - u] - lf[y0 - o + u]
+
+
+def _support_table(y1: np.ndarray, y0: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded supports of batches, one row each: ``u[k, j] = lo_k + j`` with
+    ``lo_k = max(0, o_k - y0_k)``, and the log weights of
+    ``_log_binom_weights``, ``-inf`` past the row's support."""
+    lo = np.maximum(0, o - y0)
+    size = np.minimum(o, y1) - lo + 1
+    u = lo[:, None] + np.arange(size.max(initial=1))
+    inside = u < (lo + size)[:, None]
+    lf = _log_factorial(int(max(y1.max(initial=0), y0.max(initial=0))))
+    log_w = _log_binom_weights(
+        lf, y1[:, None], y0[:, None], o[:, None], np.where(inside, u, lo[:, None])
     )
+    return u, np.where(inside, log_w, -np.inf)
 
 
 def log_hypergeom_event_prob(theta: float, batch: EventBatch) -> float:
@@ -361,25 +385,6 @@ def update_two_sided(
     )
 
 
-def two_sided_state(left: MartingaleState, right: MartingaleState) -> float:
-    """Mix two independently tracked one-sided states into one e-value.
-
-    Both states must have seen the same events; mixing is done at read-out
-    via log-sum-exp, never by accumulating the mixture itself.
-    """
-    if (left.n_events, left.n_event_times) != (right.n_events, right.n_event_times):
-        raise ValueError(
-            "two-sided components disagree on event counts: "
-            f"({left.n_events}, {left.n_event_times}) vs ({right.n_events}, {right.n_event_times})"
-        )
-    return math.exp(two_sided_log_evalue(left.log_e, right.log_e))
-
-
-def meta_combine_log(states: Iterable[MartingaleState]) -> float:
-    """Log of the product of the states' operative e-values."""
-    return float(sum(s.log_e for s in states))
-
-
 def meta_combine(states: Iterable[MartingaleState]) -> float:
     """Multiply evidence across independent trials.
 
@@ -388,7 +393,7 @@ def meta_combine(states: Iterable[MartingaleState]) -> float:
     point and the pooled trial continued later; the result depends only on
     the final per-trial states.
     """
-    return math.exp(meta_combine_log(states))
+    return math.exp(sum(s.log_e for s in states))
 
 
 def log_likelihood(
@@ -410,9 +415,9 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result.
     Single events use the logistic closed form ``-log(1 + exp(-/+d))`` with
     ``d = log(y1/y0) + log_theta``; forced batches give exactly 0; tied
-    batches evaluate the Fisher noncentral hypergeometric log-pmf one row at
-    a time (an ``(G, support)`` table per row).  A grid result is the only
-    ``(n, G)`` array this allocates.
+    batches evaluate the Fisher noncentral hypergeometric log-pmf together,
+    in blocks of rows of similar support size, so no block holds more than
+    ``_TIE_CELLS`` (rows, grid, support) cells.
     """
     log_theta = np.asarray(log_theta, dtype=float)
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
@@ -427,14 +432,40 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     np.negative(out, out=out)
     forced = np.maximum(0, o - y0) == np.minimum(o, y1)
     out[forced] = 0.0
-    rows = np.broadcast_to(log_theta, out.shape)
-    for i in np.flatnonzero((o > 1) & ~forced).tolist():
-        u, log_w = _log_binom_weights(int(y1[i]), int(y0[i]), int(o[i]))
-        table = log_w + np.multiply.outer(rows[i], u)
-        m = table.max(axis=-1)
-        log_z = m + np.log(np.exp(table - m[..., None]).sum(axis=-1))
-        out[i] = table[..., o1[i] - u[0]] - log_z
+    tied = np.flatnonzero((o > 1) & ~forced)
+    if tied.size:
+        rows = np.broadcast_to(log_theta, out.shape)[tied]
+        out[tied] = _tied_log_kernel(y1[tied], y0[tied], o[tied], o1[tied], rows)
     return out
+
+
+# Rows x grid x support cells of one block of tied batches in ``log_kernel``.
+_TIE_CELLS = 1 << 14
+
+
+def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
+    """``log_kernel`` of informative tied batches, ``log_theta`` of shape
+    ``(k,)`` or ``(k, G)``: log weight of the observed split minus the
+    log-sum-exp over the padded support, in blocks of rows sorted by
+    support size."""
+    grid = log_theta.reshape(o.size, -1)
+    size = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
+    order = np.argsort(size, kind="stable")
+    out = np.empty(grid.shape)
+    start = 0
+    while start < order.size:
+        cells = np.arange(1, order.size - start + 1) * size[order[start:]] * grid.shape[1]
+        rows = order[start : start + max(1, int(np.searchsorted(cells, _TIE_CELLS, "right")))]
+        start += rows.size
+        u, log_w = _support_table(y1[rows], y0[rows], o[rows])
+        lt = grid[rows]
+        table = log_w[:, None, :] + lt[:, :, None] * u[:, None, :]
+        m = table.max(axis=-1)
+        table -= m[..., None]
+        np.exp(table, out=table)
+        seen = log_w[np.arange(rows.size), o1[rows] - u[:, 0]]
+        out[rows] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=-1)))
+    return out.reshape(log_theta.shape)
 
 
 def log_evalue_trace(

@@ -38,6 +38,7 @@ from .core import EventBatch, EventStream, RiskSet, validate_theta
 __all__ = [
     "LogrankSummary",
     "BoundarySpec",
+    "logrank_increments",
     "logrank_moments",
     "logrank_z",
     "per_event_z",
@@ -80,14 +81,20 @@ class LogrankSummary:
         return self.score / math.sqrt(self.variance)
 
 
-def logrank_moments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
-    sum(V1) after each event time, where E1 = o*y1/y and
+def logrank_increments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
+    """Logrank score term ``o1 - E1`` and ties-corrected variance term
+    ``V1`` of each event time, where E1 = o*y1/y and
     V1 = o*(y1/y)*(1 - y1/y)*(y - o)/(y - 1) (0 when y = 1)."""
     y = stream.y1 + stream.y0
     a1 = stream.y1 / y
     v1 = stream.o * a1 * (1.0 - a1) * (y - stream.o) / np.maximum(y - 1, 1)
-    return np.cumsum(stream.o1 - stream.o * a1), np.cumsum(v1)
+    return stream.o1 - stream.o * a1, v1
+
+
+def logrank_moments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
+    sum(V1) after each event time (see ``logrank_increments``)."""
+    return tuple(np.cumsum(x) for x in logrank_increments(stream))
 
 
 def logrank_z(batches: Sequence[EventBatch]) -> LogrankSummary:

@@ -3,17 +3,28 @@
 Event streams are simulated directly on the risk-set scale: given ``y1``
 treatment and ``y0`` control participants at risk, the next event falls in
 the treatment group with probability ``theta * y1 / (y0 + theta * y1)``.
-Tied streams instead walk unit time steps in which every at-risk
-participant — control with probability ``h0``, treatment with
-``h0 * theta`` — may have an event; all events inside one unit interval
-form a single tied batch.
+Tied streams instead run in unit time: every participant's event interval
+is geometric, with success probability ``h0`` (control) or ``h0 * theta``
+(treatment), which is the law of an event in each interval with those
+probabilities; all events inside one unit interval form a single tied
+batch.
 
 Randomness is counter-based: replication ``r`` of a run with seed ``s``
 draws from a Philox stream keyed by ``(s, r)``, so results are bit-identical
 however replications are chunked or distributed.
 
+One engine sizes every design.  Single-event streams for the exact (one- or
+two-sided), Gaussian and plug-in tests evolve in lockstep, one event per
+step across all replications, so a replication drops out as soon as every
+requested test has stopped.  Tied streams, and the Bayes, O'Brien-Fleming
+and fixed-horizon tests, are sampled first, all replications' event times
+concatenated into one ``EventStream``; the kernel of ``core.log_kernel``
+(or the logrank increments, or the learned numerators) runs over it once,
+and cumulative sums along each replication give the first crossing.
+
 A stopping time ``tau`` is the first cumulative event count at which the
-monitored statistic crosses its threshold (``+inf`` when it never does).
+monitored statistic crosses its threshold (``+inf`` when it never does);
+``cap`` and ``max_events`` end every stream at that many cumulative events.
 Designs are compared the way group-sequential designs usually are: the
 maximum sample size ``n_max`` is the empirical ``power``-quantile of ``tau``,
 the expected duration is the mean of ``tau' = min(tau, n_max)``, and the
@@ -31,17 +42,17 @@ import numpy as np
 from .adaptive import PriorSpec, bayes_log_trace, plugin_log_trace, plugin_newton
 from .core import (
     EventBatch,
+    EventStream,
     RiskSet,
-    log_evalue_increment,
-    update_two_sided,
-    MartingaleState,
+    log_kernel,
+    two_sided_log_evalue,
     validate_theta,
 )
 from .gaussian import (
     fixed_sample_boundary,
     log_gaussian_evalue,
+    logrank_increments,
     normal_quantile,
-    obf_boundary,
     schoenfeld_mu,
 )
 
@@ -54,17 +65,14 @@ __all__ = [
     "stream_rng",
     "sample_single_event_stream",
     "sample_tied_stream",
-    "stopping_time",
     "simulate_stopping_times",
     "compare_exact_gaussian",
     "estimate_nmax",
-    "bootstrap_nmax",
     "summarize_stopping",
     "estimate_obf_nmax",
     "obf_stopping_times",
     "schoenfeld_sample_size",
     "wald_expected_stopping",
-    "unit_time_martingale",
     "design_table",
     "DesignRow",
 ]
@@ -205,6 +213,23 @@ class TiedStream:
             raise ValueError("unit times must lie within the horizon")
 
 
+def _tied_columns(
+    m1: int, m0: int, theta: float, h0: float, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """The one tied sampler: unit time, ``y1``, ``y0``, ``o`` and ``o1`` of
+    every interval with events, run to risk-set exhaustion.  Each treatment
+    participant's event interval is ``Geometric(h0 * theta)`` and each
+    control participant's ``Geometric(h0)``, drawn in that order."""
+    if not (0.0 < h0 * max(theta, 1.0) < 1.0):
+        raise ValueError(f"h0 * max(theta, 1) must lie in (0, 1), got h0={h0}")
+    when = np.concatenate([rng.geometric(h0 * theta, m1), rng.geometric(h0, m0)])
+    times, interval = np.unique(when, return_inverse=True)
+    o = np.bincount(interval, minlength=times.size)
+    o1 = np.bincount(interval[:m1], minlength=times.size)
+    y1 = m1 - np.cumsum(o1) + o1
+    return times, y1, m1 + m0 - np.cumsum(o) + o - y1, o, o1
+
+
 def sample_tied_stream(
     m1: int,
     m0: int,
@@ -217,93 +242,36 @@ def sample_tied_stream(
     with probability ``h0`` (control) or ``h0 * theta`` (treatment).  Runs to
     risk-set exhaustion unless a horizon is given."""
     validate_theta(theta)
-    if not (0.0 < h0 * max(theta, 1.0) < 1.0):
-        raise ValueError(f"h0 * max(theta, 1) must lie in (0, 1), got h0={h0}")
-    y1, y0 = m1, m0
-    batches: list[EventBatch] = []
-    times: list[int] = []
-    k = 0
-    while y1 + y0 > 0 and (horizon is None or k < horizon):
-        k += 1
-        o1 = int(rng.binomial(y1, h0 * theta)) if y1 else 0
-        o0 = int(rng.binomial(y0, h0)) if y0 else 0
-        if o1 + o0:
-            batches.append(EventBatch(risk=RiskSet(y1, y0), o=o1 + o0, o1=o1))
-            times.append(k)
-            y1 -= o1
-            y0 -= o0
-    return TiedStream(
-        m1=m1, m0=m0, batches=tuple(batches), times=tuple(times), horizon=k
+    times, y1, y0, o, o1 = _tied_columns(m1, m0, theta, h0, rng)
+    last = int(times[-1]) if times.size else 0
+    if horizon is not None:
+        last = min(last, horizon)
+        keep = times <= horizon
+        times, y1, y0, o, o1 = times[keep], y1[keep], y0[keep], o[keep], o1[keep]
+    batches = tuple(
+        EventBatch(risk=RiskSet(a, b), o=c, o1=d)
+        for a, b, c, d in zip(y1.tolist(), y0.tolist(), o.tolist(), o1.tolist())
+    )
+    return TiedStream(m1=m1, m0=m0, batches=batches, times=tuple(times.tolist()), horizon=last)
+
+
+# ---------------------------------------------------------------------------
+# lockstep engine (single-event streams)
+# ---------------------------------------------------------------------------
+
+def _event_limit(scenario: SimScenario, cap: int | None) -> int:
+    """Events per replication: ``m1 + m0``, ``cap`` and ``max_events``, whichever is least."""
+    return min(b for b in (scenario.m1 + scenario.m0, cap, scenario.max_events) if b is not None)
+
+
+def _single_increment(o1, ly1, ly0, log_theta, log_theta0):
+    """Exact log e-value increment of single events with ``y1, y0 >= 1``."""
+    return (
+        o1 * (log_theta - log_theta0)
+        + np.logaddexp(ly0, log_theta0 + ly1)
+        - np.logaddexp(ly0, log_theta + ly1)
     )
 
-
-# ---------------------------------------------------------------------------
-# per-stream stopping times
-# ---------------------------------------------------------------------------
-
-def stopping_time(batches: Sequence[EventBatch], design: DesignSpec) -> float:
-    """First cumulative event count at which the design's statistic crosses
-    its threshold, walking one explicit stream; ``inf`` if it never does."""
-    n_events = np.cumsum([b.o for b in batches])
-    kind = design.test_kind
-    if kind in ("exact", "plugin", "bayes"):
-        if kind == "exact" and design.two_sided:
-            state = MartingaleState()
-            trace = np.empty(len(batches))
-            for i, b in enumerate(batches):
-                state = update_two_sided(state, b, design.theta1, design.theta0)
-                trace[i] = state.log_e
-        elif kind == "exact":
-            trace = np.cumsum(
-                [log_evalue_increment(design.theta1, design.theta0, b) for b in batches]
-            )
-        elif kind == "plugin":
-            trace = plugin_log_trace(batches, theta0=design.theta0)
-        else:
-            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            trace = bayes_log_trace(batches, prior, theta0=design.theta0)
-        hits = np.flatnonzero(trace >= design.log_threshold)
-        return float(n_events[hits[0]]) if hits.size else math.inf
-
-    if kind in ("gaussian", "obf", "fixed"):
-        mu1 = (
-            schoenfeld_mu(design.theta1, batches[0].risk.y1, batches[0].risk.y0)
-            if batches and kind == "gaussian"
-            else None
-        )
-        score = variance = 0.0
-        for b, n in zip(batches, n_events):
-            y1, y = b.risk.y1, b.risk.total
-            a1 = y1 / y
-            score += b.o1 - b.o * a1
-            if y > 1:
-                variance += b.o * a1 * (1 - a1) * (y - b.o) / (y - 1)
-            if variance <= 0:
-                continue
-            z = score / math.sqrt(variance)
-            if kind == "gaussian":
-                if log_gaussian_evalue(int(n), z, mu1) >= design.log_threshold:
-                    return float(n)
-            elif kind == "obf":
-                if n > design.n_max:
-                    return math.inf
-                bound = obf_boundary(int(n), design.n_max, design.alpha, design.side)
-                crossed = z <= bound if design.side == "left" else z >= bound
-                if crossed:
-                    return float(n)
-            else:  # fixed: one look at the horizon
-                if n >= design.n_max:
-                    bound = fixed_sample_boundary(design.alpha, design.side)
-                    crossed = z <= bound if design.side == "left" else z >= bound
-                    return float(n) if crossed else math.inf
-        return math.inf
-
-    raise ValueError(f"unsupported test kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# vectorized multi-replication engine (single-event streams)
-# ---------------------------------------------------------------------------
 
 @dataclass
 class _EngineResult:
@@ -322,20 +290,20 @@ def _evolve_single_event(
     collect_dlog: bool = False,
 ) -> _EngineResult:
     """Evolve every replication's event stream in lockstep, one event per
-    step, recording first-crossing times for the requested one-sided tests.
+    step, recording first-crossing times for the requested tests.
 
     All tests see the same simulated streams, so stopping times for
     different kinds are directly comparable replication by replication.
     The cap never exceeds ``m1 + m0``, so every replication has an event at
     every step and the cumulative event count is simply the step index.
+    A two-sided exact design keeps one accumulator for ``theta1`` and one
+    for ``1/theta1`` and reads them out with ``two_sided_log_evalue``.
     """
     design = scenario.design
     m1, m0 = scenario.m1, scenario.m0
     lo, hi = rep_range if rep_range is not None else (0, scenario.replications)
     reps = hi - lo
-    cap = m1 + m0 if cap is None else min(cap, m1 + m0)
-    if scenario.max_events is not None:
-        cap = min(cap, scenario.max_events)
+    cap = _event_limit(scenario, cap)
     threshold = design.log_threshold
 
     u = np.empty((reps, cap))
@@ -346,14 +314,18 @@ def _evolve_single_event(
     y0 = np.full(reps, m0, dtype=np.int64)
 
     want = set(kinds)
-    unknown = want - {"exact", "gaussian", "plugin"}
+    unknown = want - set(_LOCKSTEP_KINDS)
     if unknown:
         raise ValueError(f"engine supports exact/gaussian/plugin, got {sorted(unknown)}")
     taus = {k: np.full(reps, np.inf) for k in want}
 
-    log_t1 = math.log(design.theta1) if "exact" in want else 0.0
     log_t0 = math.log(design.theta0)
-    exact_logm = np.zeros(reps)
+    # one accumulator per alternative: theta1, and 1/theta1 when two-sided
+    sides = [math.log(design.theta1)]
+    if design.two_sided:
+        sides.append(math.log(1.0 / design.theta1))
+    side_logm = np.zeros((len(sides), reps))
+    exact_logm = np.zeros(reps) if design.two_sided else side_logm[0]
 
     mu1 = schoenfeld_mu(design.theta1, m1, m0) if ("gaussian" in want or collect_z) else 0.0
     score = np.zeros(reps)
@@ -392,13 +364,12 @@ def _evolve_single_event(
         ly0 = np.log(y0[inf_idx])
 
         if "exact" in want:
-            inc = np.zeros(a.size)
-            inc[informative] = (
-                o1[informative] * (log_t1 - log_t0)
-                + np.logaddexp(ly0, log_t0 + ly1)
-                - np.logaddexp(ly0, log_t1 + ly1)
-            )
-            exact_logm[a] += inc
+            for j, log_t1 in enumerate(sides):
+                inc = np.zeros(a.size)
+                inc[informative] = _single_increment(o1[informative], ly1, ly0, log_t1, log_t0)
+                side_logm[j, a] += inc
+            if design.two_sided:
+                exact_logm[a] = two_sided_log_evalue(*side_logm[:, a])
             newly = (taus["exact"][a] == np.inf) & (exact_logm[a] >= threshold)
             taus["exact"][a[newly]] = n
 
@@ -418,12 +389,7 @@ def _evolve_single_event(
 
         if "plugin" in want:
             inc = np.zeros(a.size)
-            b_inf = beta[inf_idx]
-            inc[informative] = (
-                o1[informative] * (b_inf - log_t0)
-                + np.logaddexp(ly0, log_t0 + ly1)
-                - np.logaddexp(ly0, b_inf + ly1)
-            )
+            inc[informative] = _single_increment(o1[informative], ly1, ly0, beta[inf_idx], log_t0)
             plugin_logm[a] += inc
             newly = (taus["plugin"][a] == np.inf) & (plugin_logm[a] >= threshold)
             taus["plugin"][a[newly]] = n
@@ -453,6 +419,125 @@ def _evolve_single_event(
     )
 
 
+# ---------------------------------------------------------------------------
+# stream engine (tied streams; Bayes, O'Brien-Fleming and fixed tests)
+# ---------------------------------------------------------------------------
+
+_LOCKSTEP_KINDS = ("exact", "gaussian", "plugin")
+
+# Replications x events per chunk of the stream engine.  Chunks of this size
+# run as fast as larger ones, and their few-hundred-kB temporaries leave the
+# heap no larger between calls.
+_STREAM_CELLS = 1 << 14
+
+
+def _sample_streams(scenario: SimScenario, cap: int | None, lo: int, hi: int) -> list[EventStream]:
+    """Event streams of replications ``lo..hi-1``, each ended after
+    ``_event_limit`` cumulative events (a tied one at its last batch within
+    them)."""
+    m1, m0, theta = scenario.m1, scenario.m0, scenario.theta
+    limit = _event_limit(scenario, cap)
+    streams = []
+    for r in range(lo, hi):
+        rng = stream_rng(scenario.seed, r)
+        if scenario.tie_h0 is None:
+            streams.append(EventStream.from_batches(sample_single_event_stream(m1, m0, theta, rng, limit)))
+        else:
+            cols = _tied_columns(m1, m0, theta, scenario.tie_h0, rng)
+            keep = np.cumsum(cols[3]) <= limit
+            streams.append(EventStream(*(c[keep] for c in cols)))
+    return streams
+
+
+def _stream_taus(streams: list[EventStream], scenario: SimScenario, kind: str) -> np.ndarray:
+    """First cumulative event count at which test ``kind`` crosses on each
+    stream, ``inf`` if it never does.  The streams are concatenated into one
+    for the kernels, and running sums are taken along a ``(streams, L)``
+    layout with one stream per row, in event order."""
+    design = scenario.design
+    lengths = np.array([s.o.size for s in streams])
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    whole = EventStream(
+        *(np.concatenate([getattr(s, f) for s in streams]) for f in ("times", "y1", "y0", "o", "o1"))
+    )
+
+    def per_row(values, fill=0.0):
+        out = np.full(valid.shape, fill)
+        out[valid] = values
+        return out
+
+    n = np.cumsum(per_row(whole.o), axis=1)
+    if kind in ("exact", "plugin", "bayes"):
+        if kind == "exact":
+            null = log_kernel(whole, math.log(design.theta0))
+
+            def trace(theta):
+                return np.cumsum(per_row(log_kernel(whole, math.log(theta)) - null), axis=1)
+
+            stat = trace(design.theta1)
+            if design.two_sided:
+                stat = two_sided_log_evalue(stat, trace(1.0 / design.theta1))
+        else:
+            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
+            traces = [
+                plugin_log_trace(s, scenario.m1, scenario.m0, design.theta0)
+                if kind == "plugin"
+                else bayes_log_trace(s, prior, design.theta0)
+                for s in streams
+            ]
+            stat = per_row(np.concatenate(traces), -np.inf)
+        hit = stat >= design.log_threshold
+    elif kind in ("gaussian", "obf", "fixed"):
+        score, variance = (np.cumsum(per_row(x), axis=1) for x in logrank_increments(whole))
+        pos = variance > 0
+        z = np.divide(score, np.sqrt(variance), out=np.zeros(valid.shape), where=pos)
+        left = design.side == "left"
+        if kind == "gaussian":
+            mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
+            hit = pos & (log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold)
+        elif kind == "obf":
+            bound = normal_quantile(1.0 - design.alpha / 2.0) / np.sqrt(n / design.n_max)
+            hit = pos & (n <= design.n_max) & ((z <= -bound) if left else (z >= bound))
+        else:  # fixed: one look, at the first event time reaching the horizon
+            look = pos & (n >= design.n_max)
+            bound = fixed_sample_boundary(design.alpha, design.side)
+            hit = look & (np.cumsum(look, axis=1) == 1) & ((z <= bound) if left else (z >= bound))
+    else:
+        raise ValueError(f"unsupported test kind {kind!r}")
+    hit &= valid
+    first = hit.argmax(axis=1)
+    return np.where(hit.any(axis=1), n[np.arange(valid.shape[0]), first], np.inf)
+
+
+def _stopping_times(
+    scenario: SimScenario,
+    kinds: Sequence[str],
+    cap: int | None = None,
+    chunk_size: int | None = None,
+) -> dict[str, np.ndarray]:
+    """Stopping times of every replication for each test kind, every kind on
+    the same streams: in lockstep for single-event streams and the kinds it
+    knows, through the stream engine otherwise.  Replications are keyed
+    individually, so any chunking gives bit-identical results."""
+    lockstep = scenario.tie_h0 is None and set(kinds) <= set(_LOCKSTEP_KINDS)
+    reps = scenario.replications
+    if chunk_size is not None:
+        chunk = max(1, chunk_size)
+    else:
+        chunk = reps if lockstep else max(1, _STREAM_CELLS // _event_limit(scenario, None))
+    parts: dict[str, list[np.ndarray]] = {k: [] for k in kinds}
+    for lo in range(0, reps, chunk):
+        hi = min(lo + chunk, reps)
+        if lockstep:
+            taus = _evolve_single_event(scenario, kinds, cap, rep_range=(lo, hi)).taus
+        else:
+            streams = _sample_streams(scenario, cap, lo, hi)
+            taus = {k: _stream_taus(streams, scenario, k) for k in kinds}
+        for k in kinds:
+            parts[k].append(taus[k])
+    return {k: np.concatenate(v) for k, v in parts.items()}
+
+
 def simulate_stopping_times(
     scenario: SimScenario,
     cap: int | None = None,
@@ -460,47 +545,13 @@ def simulate_stopping_times(
 ) -> np.ndarray:
     """Stopping times (in events) for every replication of a scenario.
 
-    ``chunk_size`` only bounds memory: replications are keyed individually,
-    so any chunking returns bit-identical results.
+    ``cap`` (and the scenario's ``max_events``) end each stream after that
+    many cumulative events.  ``chunk_size`` only bounds memory:
+    replications are keyed individually, so any chunking returns
+    bit-identical results.
     """
-    design = scenario.design
-    if (
-        scenario.tie_h0 is not None
-        or design.two_sided
-        or design.test_kind not in ("exact", "gaussian", "plugin")
-    ):
-        return _stopping_times_per_stream(scenario, cap)
-    reps = scenario.replications
-    chunk = reps if chunk_size is None else max(1, chunk_size)
-    parts = []
-    for lo in range(0, reps, chunk):
-        res = _evolve_single_event(
-            scenario,
-            kinds=(design.test_kind,),
-            cap=cap,
-            rep_range=(lo, min(lo + chunk, reps)),
-        )
-        parts.append(res.taus[design.test_kind])
-    return np.concatenate(parts)
-
-
-def _stopping_times_per_stream(scenario: SimScenario, cap: int | None) -> np.ndarray:
-    design = scenario.design
-    taus = np.empty(scenario.replications)
-    limit = scenario.max_events if cap is None else cap
-    for r in range(scenario.replications):
-        rng = stream_rng(scenario.seed, r)
-        if scenario.tie_h0 is None:
-            batches: Sequence[EventBatch] = sample_single_event_stream(
-                scenario.m1, scenario.m0, scenario.theta, rng, max_events=limit
-            )
-        else:
-            stream = sample_tied_stream(
-                scenario.m1, scenario.m0, scenario.theta, scenario.tie_h0, rng
-            )
-            batches = stream.batches
-        taus[r] = stopping_time(batches, design)
-    return taus
+    kind = scenario.design.test_kind
+    return _stopping_times(scenario, (kind,), cap, chunk_size)[kind]
 
 
 @dataclass(frozen=True)
@@ -539,28 +590,6 @@ def estimate_nmax(taus: np.ndarray, power: float) -> int:
     if finite.size < k:
         raise UnattainablePowerError(power, finite.size / taus.size)
     return int(finite[k - 1])
-
-
-def bootstrap_nmax(
-    taus: np.ndarray,
-    power: float,
-    rounds: int = 1000,
-    seed: int = 0,
-    level: float = 0.95,
-) -> tuple[int, int]:
-    """Percentile bootstrap interval for the estimated n_max."""
-    taus = np.asarray(taus, dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
-    estimates = np.empty(rounds)
-    for b in range(rounds):
-        resampled = taus[rng.integers(0, taus.size, taus.size)]
-        try:
-            estimates[b] = estimate_nmax(resampled, power)
-        except UnattainablePowerError:
-            estimates[b] = np.inf
-    tail = (1.0 - level) / 2.0
-    lo, hi = np.quantile(estimates, [tail, 1.0 - tail])
-    return int(lo), int(hi)
 
 
 @dataclass(frozen=True)
@@ -693,31 +722,6 @@ def wald_expected_stopping(
 
 
 # ---------------------------------------------------------------------------
-# unit-time view of a tied stream
-# ---------------------------------------------------------------------------
-
-def unit_time_martingale(
-    stream: TiedStream, theta1: float, theta0: float = 1.0
-) -> np.ndarray:
-    """Cumulative log e-value indexed by unit time rather than event time.
-
-    Unit intervals without events contribute a factor of one, so the
-    process agrees with the event-time martingale at every event time and
-    is flat in between — the two views are interchangeable for monitoring.
-    """
-    log_u = np.zeros(stream.horizon)
-    increments = {
-        t: log_evalue_increment(theta1, theta0, b)
-        for t, b in zip(stream.times, stream.batches)
-    }
-    running = 0.0
-    for k in range(1, stream.horizon + 1):
-        running += increments.get(k, 0.0)
-        log_u[k - 1] = running
-    return log_u
-
-
-# ---------------------------------------------------------------------------
 # design tables
 # ---------------------------------------------------------------------------
 
@@ -749,14 +753,20 @@ def design_table(
     cap: int | None = None,
     include_obf: bool = False,
     obf_cap: int | None = None,
+    tie_h0: float | None = None,
 ) -> dict:
     """Compare sequential designs against the classical fixed-sample test.
 
     Simulates stopping times under ``theta`` (defaulting to the design
     alternative), sizes each design for the requested power, and reports
     expected durations.  The classical row is the reference: its n_max is
-    the Schoenfeld event count and it never stops early.
+    the Schoenfeld event count and it never stops early.  ``tie_h0``
+    simulates tied unit-time streams with that control hazard instead of
+    single events; ``cap`` ends every stream after that many events.  The
+    O'Brien-Fleming comparator needs single-event streams.
     """
+    if include_obf and tie_h0 is not None:
+        raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
     theta = theta1 if theta is None else theta
     n_fixed = schoenfeld_sample_size(theta1, alpha, 1.0 - power)
     rows: list[DesignRow] = []
@@ -764,59 +774,50 @@ def design_table(
 
     design = DesignSpec(theta1=theta1, alpha=alpha, power=power)
     scenario = SimScenario(
-        m1=m1, m0=m0, theta=theta, design=design, replications=replications, seed=seed
+        m1=m1,
+        m0=m0,
+        theta=theta,
+        design=design,
+        replications=replications,
+        seed=seed,
+        tie_h0=tie_h0,
     )
-    engine_kinds = [k for k in kinds if k in ("exact", "gaussian", "plugin")]
-    if engine_kinds:
-        res = _evolve_single_event(scenario, kinds=engine_kinds, cap=cap)
-        for kind in engine_kinds:
-            taus = res.taus[kind]
-            try:
-                n_max = estimate_nmax(taus, power)
-            except UnattainablePowerError as err:
-                unattained.append(
-                    {"test_kind": kind, "requested": err.requested, "achieved": err.achieved}
-                )
-                continue
-            rep = summarize_stopping(taus, n_max, seed=seed)
-            rows.append(
-                DesignRow(
-                    test_kind=kind,
-                    n_max=n_max,
-                    mean_capped=rep.mean_capped,
-                    conditional_mean=rep.conditional_mean,
-                    power=rep.power,
-                    ratio_n_max=n_max / n_fixed,
-                    ratio_mean=rep.mean_capped / n_fixed,
-                )
+
+    def add_row(kind: str, taus: np.ndarray, n_max: int) -> None:
+        rep = summarize_stopping(taus, n_max, seed=seed)
+        rows.append(
+            DesignRow(
+                test_kind=kind,
+                n_max=n_max,
+                mean_capped=rep.mean_capped,
+                conditional_mean=rep.conditional_mean,
+                power=rep.power,
+                ratio_n_max=n_max / n_fixed,
+                ratio_mean=rep.mean_capped / n_fixed,
             )
+        )
+
+    def unattainable(kind: str, err: UnattainablePowerError) -> None:
+        unattained.append({"test_kind": kind, "requested": err.requested, "achieved": err.achieved})
+
+    engine_kinds = [k for k in kinds if k in _LOCKSTEP_KINDS]
+    for kind, taus in (_stopping_times(scenario, engine_kinds, cap) if engine_kinds else {}).items():
+        try:
+            n_max = estimate_nmax(taus, power)
+        except UnattainablePowerError as err:
+            unattainable(kind, err)
+        else:
+            add_row(kind, taus, n_max)
 
     if include_obf:
-        horizon_cap = obf_cap if obf_cap is not None else (cap or m1 + m0)
         try:
-            h, z_scaled = estimate_obf_nmax(scenario, cap=horizon_cap)
+            h, z_scaled = estimate_obf_nmax(
+                scenario, cap=obf_cap if obf_cap is not None else (cap or m1 + m0)
+            )
         except UnattainablePowerError as err:
-            unattained.append(
-                {
-                    "test_kind": "obrien-fleming",
-                    "requested": err.requested,
-                    "achieved": err.achieved,
-                }
-            )
+            unattainable("obrien-fleming", err)
         else:
-            taus = obf_stopping_times(z_scaled, h, alpha, design.side)
-            rep = summarize_stopping(taus, h, seed=seed)
-            rows.append(
-                DesignRow(
-                    test_kind="obrien-fleming",
-                    n_max=h,
-                    mean_capped=rep.mean_capped,
-                    conditional_mean=rep.conditional_mean,
-                    power=rep.power,
-                    ratio_n_max=h / n_fixed,
-                    ratio_mean=rep.mean_capped / n_fixed,
-                )
-            )
+            add_row("obrien-fleming", obf_stopping_times(z_scaled, h, alpha, design.side), h)
 
     rows.append(
         DesignRow(

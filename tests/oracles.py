@@ -312,6 +312,183 @@ def confidence_bounds_reference(batches, log_num, grid, alpha: float):
     return out
 
 
+# ---------------------------------------------------------------------------
+# per-stream simulation: the walker, tied sampler and summaries that the
+# package's lockstep and stream engines replaced
+# ---------------------------------------------------------------------------
+
+def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, horizon=None):
+    """Unit-time stream drawn one interval at a time: ``Binomial(y1, h0 *
+    theta)`` treatment and ``Binomial(y0, h0)`` control events per interval.
+    The same law as the package's geometric sampler, in another draw order."""
+    from safelogrank.core import EventBatch, RiskSet
+    from safelogrank.simulate import TiedStream
+
+    y1, y0 = m1, m0
+    batches, times = [], []
+    k = 0
+    while y1 + y0 > 0 and (horizon is None or k < horizon):
+        k += 1
+        o1 = int(rng.binomial(y1, h0 * theta)) if y1 else 0
+        o0 = int(rng.binomial(y0, h0)) if y0 else 0
+        if o1 + o0:
+            batches.append(EventBatch(risk=RiskSet(y1, y0), o=o1 + o0, o1=o1))
+            times.append(k)
+            y1 -= o1
+            y0 -= o0
+    return TiedStream(m1=m1, m0=m0, batches=tuple(batches), times=tuple(times), horizon=k)
+
+
+def stopping_time(batches, design) -> float:
+    """First cumulative event count at which the design's statistic crosses
+    its threshold, walking one explicit stream batch by batch with the
+    scalar kernels; ``inf`` if it never does."""
+    import numpy as np
+
+    from safelogrank.adaptive import PriorSpec, bayes_log_trace, plugin_log_trace
+    from safelogrank.core import MartingaleState, log_evalue_increment, update_two_sided
+    from safelogrank.gaussian import (
+        fixed_sample_boundary,
+        log_gaussian_evalue,
+        obf_boundary,
+        schoenfeld_mu,
+    )
+
+    n_events = np.cumsum([b.o for b in batches])
+    kind = design.test_kind
+    if kind in ("exact", "plugin", "bayes"):
+        if kind == "exact" and design.two_sided:
+            state = MartingaleState()
+            trace = np.empty(len(batches))
+            for i, b in enumerate(batches):
+                state = update_two_sided(state, b, design.theta1, design.theta0)
+                trace[i] = state.log_e
+        elif kind == "exact":
+            trace = np.cumsum(
+                [log_evalue_increment(design.theta1, design.theta0, b) for b in batches]
+            )
+        elif kind == "plugin":
+            trace = plugin_log_trace(batches, theta0=design.theta0)
+        else:
+            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
+            trace = bayes_log_trace(batches, prior, theta0=design.theta0)
+        hits = np.flatnonzero(trace >= design.log_threshold)
+        return float(n_events[hits[0]]) if hits.size else math.inf
+
+    mu1 = (
+        schoenfeld_mu(design.theta1, batches[0].risk.y1, batches[0].risk.y0)
+        if batches and kind == "gaussian"
+        else None
+    )
+    score = variance = 0.0
+    for b, n in zip(batches, n_events):
+        y1, y = b.risk.y1, b.risk.total
+        a1 = y1 / y
+        score += b.o1 - b.o * a1
+        if y > 1:
+            variance += b.o * a1 * (1 - a1) * (y - b.o) / (y - 1)
+        if variance <= 0:
+            continue
+        z = score / math.sqrt(variance)
+        if kind == "gaussian":
+            if log_gaussian_evalue(int(n), z, mu1) >= design.log_threshold:
+                return float(n)
+        elif kind == "obf":
+            if n > design.n_max:
+                return math.inf
+            bound = obf_boundary(int(n), design.n_max, design.alpha, design.side)
+            if (z <= bound) if design.side == "left" else (z >= bound):
+                return float(n)
+        else:  # fixed: one look at the horizon
+            if n >= design.n_max:
+                bound = fixed_sample_boundary(design.alpha, design.side)
+                crossed = z <= bound if design.side == "left" else z >= bound
+                return float(n) if crossed else math.inf
+    return math.inf
+
+
+def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
+    """Stopping times of a scenario, one replication at a time through
+    ``stopping_time``: single-event streams from the package sampler,
+    tied streams from ``tied_sampler`` (default: the package's), both
+    truncated after ``cap`` (else ``max_events``) cumulative events."""
+    import numpy as np
+
+    from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
+
+    tied_sampler = tied_sampler or sample_tied_stream
+    limit = scenario.max_events if cap is None else cap
+    taus = np.empty(scenario.replications)
+    for r in range(scenario.replications):
+        rng = stream_rng(scenario.seed, r)
+        if scenario.tie_h0 is None:
+            batches = sample_single_event_stream(
+                scenario.m1, scenario.m0, scenario.theta, rng, max_events=limit
+            )
+        else:
+            batches = tied_sampler(
+                scenario.m1, scenario.m0, scenario.theta, scenario.tie_h0, rng
+            ).batches
+            if limit is not None:
+                batches = [b for b, n in zip(batches, np.cumsum([b.o for b in batches])) if n <= limit]
+        taus[r] = stopping_time(batches, scenario.design)
+    return taus
+
+
+def unit_time_martingale(stream, theta1: float, theta0: float = 1.0):
+    """Cumulative log e-value of a ``TiedStream`` indexed by unit time rather
+    than event time: intervals without events contribute a factor of one, so
+    the process agrees with the event-time martingale at every event time
+    and is flat in between."""
+    import numpy as np
+
+    from safelogrank.core import log_evalue_increment
+
+    log_u = np.zeros(stream.horizon)
+    increments = {
+        t: log_evalue_increment(theta1, theta0, b)
+        for t, b in zip(stream.times, stream.batches)
+    }
+    running = 0.0
+    for k in range(1, stream.horizon + 1):
+        running += increments.get(k, 0.0)
+        log_u[k - 1] = running
+    return log_u
+
+
+def bootstrap_nmax(taus, power: float, rounds: int = 1000, seed: int = 0, level: float = 0.95):
+    """Percentile bootstrap interval for the estimated n_max."""
+    import numpy as np
+
+    from safelogrank.simulate import UnattainablePowerError, estimate_nmax
+
+    taus = np.asarray(taus, dtype=float)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0xB007))))
+    estimates = np.empty(rounds)
+    for b in range(rounds):
+        resampled = taus[rng.integers(0, taus.size, taus.size)]
+        try:
+            estimates[b] = estimate_nmax(resampled, power)
+        except UnattainablePowerError:
+            estimates[b] = np.inf
+    tail = (1.0 - level) / 2.0
+    lo, hi = np.quantile(estimates, [tail, 1.0 - tail])
+    return int(lo), int(hi)
+
+
+def two_sided_state(left, right) -> float:
+    """Mix two independently tracked one-sided ``MartingaleState``s into one
+    e-value at read-out; both must have seen the same events."""
+    from safelogrank.core import two_sided_log_evalue
+
+    if (left.n_events, left.n_event_times) != (right.n_events, right.n_event_times):
+        raise ValueError(
+            "two-sided components disagree on event counts: "
+            f"({left.n_events}, {left.n_event_times}) vs ({right.n_events}, {right.n_event_times})"
+        )
+    return math.exp(two_sided_log_evalue(left.log_e, right.log_e))
+
+
 # Standard normal quantiles to 25 significant digits (computed offline with
 # mpmath's erfinv at 40-digit precision).  Used to certify the package's
 # quantile routine to the documented 1e-9 absolute error bound.

@@ -231,6 +231,37 @@ def test_design_with_ties(tmp_path):
     assert report["rows"], "tied design should still size the test"
 
 
+def test_design_tie_h0_refuses_the_obf_comparator(tmp_path):
+    tied = ["design", "--theta1", "0.5", "--m1", "80", "--m0", "80", "--reps", "20",
+            "--tie-h0", "0.05"]
+    assert main(tied + ["--obf", "--out", str(tmp_path / "a")]) == EXIT_USAGE
+    assert main(tied + ["--obf-cap", "100", "--out", str(tmp_path / "b")]) == EXIT_USAGE
+    assert main(tied + ["--obf", "--obf-cap", "100", "--out", str(tmp_path / "c")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
+def test_design_obf_cap_needs_obf(tmp_path):
+    single = ["design", "--theta1", "0.7", "--m1", "300", "--m0", "300", "--reps", "50"]
+    assert main(single + ["--obf-cap", "100", "--out", str(tmp_path / "a")]) == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+    assert main(single + ["--obf", "--obf-cap", "100", "--out", str(tmp_path / "b")]) == EXIT_CONTINUE
+
+
+def test_design_tie_h0_honors_cap(tmp_path):
+    tied = ["design", "--theta1", "0.5", "--m1", "200", "--m0", "200", "--reps", "60",
+            "--seed", "4", "--tie-h0", "0.02"]
+    assert main(tied + ["--out", str(tmp_path / "full")]) == EXIT_CONTINUE
+    assert main(tied + ["--cap", "40", "--out", str(tmp_path / "capped")]) == EXIT_CONTINUE
+    full = json.loads((tmp_path / "full.json").read_text())
+    capped = json.loads((tmp_path / "capped.json").read_text())
+    exact = {r["test"]: r for r in full["rows"]}["exact"]
+    assert exact["n_max"] > 40
+    # fewer than 80% of the streams stop within 40 events, so no exact row
+    assert [r["test"] for r in capped["rows"]] == ["fixed-classical"]
+    (unattained,) = capped["summary"]["unattained_power"]
+    assert unattained["test_kind"] == "exact" and unattained["achieved"] < 0.8
+
+
 def test_boundary_table_values(tmp_path, capsys):
     code = main([
         "boundary", "--theta1", "0.7", "--nmax", "100", "--alpha", "0.05",

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safelogrank import core
 from safelogrank.core import (
     EventBatch,
+    EventStream,
     MartingaleState,
     RiskSet,
     bernoulli_event_prob,
@@ -21,16 +23,16 @@ from safelogrank.core import (
     log_evalue_increment,
     log_evalue_trace,
     log_hypergeom_pmf,
+    log_kernel,
     log_likelihood,
     meta_combine,
     score_components,
-    two_sided_state,
     update_martingale,
     update_two_sided,
     validate_theta,
 )
 
-from oracles import exact_bernoulli_prob, exact_hypergeom_pmf, exact_increment
+from oracles import exact_bernoulli_prob, exact_hypergeom_pmf, exact_increment, two_sided_state
 
 
 def batch(y1, y0, o, o1):
@@ -170,6 +172,62 @@ def test_increment_has_unit_null_expectation(y1, y0, o, theta1):
         for u in support
     )
     assert abs(total - 1.0) <= 1e-12
+
+
+@st.composite
+def _tied_batches(draw):
+    """Columns of up to 40 batches, ties and forced batches included."""
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        y1, y0 = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        if y1 + y0 == 0:
+            y1 = 1
+        o = draw(st.integers(1, min(y1 + y0, 25)))
+        o1 = draw(st.integers(max(0, o - y0), min(o, y1)))
+        rows.append((y1, y0, o, o1))
+    y1, y0, o, o1 = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    return EventStream(np.arange(1.0, len(rows) + 1.0), y1, y0, o, o1)
+
+
+def _per_row_kernel(stream, theta):
+    out = []
+    for y1, y0, o, o1 in zip(*(c.tolist() for c in (stream.y1, stream.y0, stream.o, stream.o1))):
+        support, logp = log_hypergeom_pmf(theta, y1, y0, o)
+        out.append(0.0 if support.size == 1 else float(logp[o1 - support[0]]))
+    return np.array(out)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    stream=_tied_batches(),
+    thetas=st.lists(
+        st.one_of(st.sampled_from([1e-8, 1e8, 1.0]), st.floats(1e-8, 1e8)), min_size=1, max_size=6
+    ),
+)
+def test_vectorized_tied_kernel_matches_per_row_pmf(stream, thetas):
+    """``log_kernel``'s blocked padded-support evaluation equals the per-row
+    Fisher noncentral hypergeometric log-pmf for a scalar, a per-row and an
+    ``(n, G)`` theta, forced batches and the admissible extremes included."""
+    log_t = np.log(thetas)
+    want = np.stack([_per_row_kernel(stream, t) for t in thetas], axis=1)
+    grid = log_kernel(stream, np.broadcast_to(log_t, (stream.o.size, log_t.size)))
+    assert grid.shape == want.shape
+    assert np.allclose(grid, want, rtol=0, atol=1e-12)
+    assert np.allclose(log_kernel(stream, log_t[None, :]), want, rtol=0, atol=1e-12)
+    assert np.allclose(log_kernel(stream, log_t[0]), want[:, 0], rtol=0, atol=1e-12)
+    per_row = np.resize(log_t, stream.o.size)
+    got = log_kernel(stream, per_row)
+    idx = np.resize(np.arange(log_t.size), stream.o.size)
+    assert np.allclose(got, want[np.arange(stream.o.size), idx], rtol=0, atol=1e-12)
+    forced = np.maximum(0, stream.o - stream.y0) == np.minimum(stream.o, stream.y1)
+    assert np.all(grid[forced] == 0.0)
+    # blocks of a handful of cells: many blocks, each padded to its own width
+    cells, core._TIE_CELLS = core._TIE_CELLS, 16
+    try:
+        small = log_kernel(stream, np.broadcast_to(log_t, (stream.o.size, log_t.size)))
+    finally:
+        core._TIE_CELLS = cells
+    assert np.allclose(small, want, rtol=0, atol=1e-12)
 
 
 def test_forced_batches_short_circuit_to_exactly_zero():

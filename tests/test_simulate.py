@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safelogrank.core import log_evalue_increment
+from safelogrank.core import log_evalue_increment, log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
     UnattainablePowerError,
-    bootstrap_nmax,
     compare_exact_gaussian,
     design_table,
     estimate_nmax,
@@ -24,11 +23,17 @@ from safelogrank.simulate import (
     sample_tied_stream,
     schoenfeld_sample_size,
     simulate_stopping_times,
-    stopping_time,
     stream_rng,
     summarize_stopping,
-    unit_time_martingale,
     wald_expected_stopping,
+)
+
+from oracles import (
+    bootstrap_nmax,
+    sample_tied_stream_binomial,
+    stopping_time,
+    stopping_times_per_stream,
+    unit_time_martingale,
 )
 
 LOG20 = math.log(20.0)
@@ -96,6 +101,53 @@ def test_tied_stream_horizon_truncates():
 def test_tied_stream_rejects_certain_events():
     with pytest.raises(ValueError):
         sample_tied_stream(5, 5, 2.0, 0.6, stream_rng(0, 0))
+
+
+def test_geometric_tied_sampler_has_the_binomial_law():
+    """The geometric sampler draws each participant's event interval; the
+    oracle draws binomial counts interval by interval.  Same law: mean
+    events in the first intervals within 4 standard errors of the exact
+    value for both, and stopping times of the exact test alike (two-sample
+    KS statistic below 0.16, about the 0.1% critical value for 250 vs 250)."""
+    from scipy.stats import ks_2samp
+
+    m, theta, h0, reps, intervals = 100, 0.6, 0.02, 250, 10
+    design = DesignSpec(theta1=0.6)
+    q1, q0 = h0 * theta, h0
+    k = np.arange(1, intervals + 1)
+    p1, p0 = (1 - q1) ** (k - 1) * q1, (1 - q0) ** (k - 1) * q0
+    expected = {"treatment": m * p1.sum(), "all": m * (p1.sum() + p0.sum())}
+    variance = {
+        "treatment": m * p1.sum() * (1 - p1.sum()),
+        "all": m * p1.sum() * (1 - p1.sum()) + m * p0.sum() * (1 - p0.sum()),
+    }
+    taus = {}
+    for name, sampler, seed in (
+        ("geometric", sample_tied_stream, 71),
+        ("binomial", sample_tied_stream_binomial, 72),
+    ):
+        counts = {"treatment": [], "all": []}
+        taus[name] = []
+        for r in range(reps):
+            stream = sampler(m, m, theta, h0, stream_rng(seed, r))
+            early = [b for b, t in zip(stream.batches, stream.times) if t <= intervals]
+            counts["treatment"].append(sum(b.o1 for b in early))
+            counts["all"].append(sum(b.o for b in early))
+            trace = log_evalue_trace(stream.batches, 0.6)
+            n = np.cumsum([b.o for b in stream.batches])
+            hits = np.flatnonzero(trace >= design.log_threshold)
+            taus[name].append(n[hits[0]] if hits.size else math.inf)
+        for key, values in counts.items():
+            se = math.sqrt(variance[key] / reps)
+            assert abs(np.mean(values) - expected[key]) <= 4 * se, (name, key, np.mean(values))
+    assert np.array_equal(
+        taus["geometric"],
+        simulate_stopping_times(
+            SimScenario(m1=m, m0=m, theta=theta, design=design, replications=reps, seed=71, tie_h0=h0)
+        ),
+    )
+    a, b = (np.array(taus[k]) for k in ("geometric", "binomial"))
+    assert ks_2samp(a[np.isfinite(a)], b[np.isfinite(b)]).statistic < 0.16
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +220,68 @@ def test_engine_chunking_is_bit_identical():
     whole = simulate_stopping_times(scenario, cap=120)
     chunked = simulate_stopping_times(scenario, cap=120, chunk_size=7)
     assert np.array_equal(whole, chunked)
+    # the two-sided lockstep accumulators and the stream engine on tied streams
+    for two_sided, tie_h0 in ((True, None), (False, 0.01), (True, 0.01)):
+        scenario = SimScenario(
+            m1=100, m0=100, theta=0.6, design=DesignSpec(theta1=0.7, two_sided=two_sided),
+            replications=33, seed=8, tie_h0=tie_h0,
+        )
+        whole = simulate_stopping_times(scenario, cap=120)
+        assert np.isfinite(whole).any()
+        assert np.array_equal(whole, simulate_stopping_times(scenario, cap=120, chunk_size=7))
+
+
+@pytest.mark.parametrize(
+    "seed,theta1,theta",
+    [(3, 0.7, 0.7), (5, 0.5, 1.6), (11, 1.4, 0.6), (19, 0.8, 1.0), (23, 0.6, 0.45)],
+)
+def test_two_sided_engine_matches_oracle_walk(seed, theta1, theta):
+    design = DesignSpec(theta1=theta1, two_sided=True)
+    scenario = SimScenario(
+        m1=150, m0=120, theta=theta, design=design, replications=20, seed=seed
+    )
+    fast = simulate_stopping_times(scenario, cap=220)
+    assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=220))
+
+
+@pytest.mark.parametrize("tie_h0", [None, 0.03])
+@pytest.mark.parametrize(
+    "kind,two_sided,n_max",
+    [
+        ("exact", False, None),
+        ("exact", True, None),
+        ("gaussian", False, None),
+        ("plugin", False, None),
+        ("bayes", False, None),
+        ("obf", False, 70),
+        ("fixed", False, 50),
+    ],
+)
+def test_engine_matches_oracle_walk_for_every_design(kind, two_sided, n_max, tie_h0):
+    design = DesignSpec(theta1=0.6, test_kind=kind, two_sided=two_sided, n_max=n_max)
+    scenario = SimScenario(
+        m1=60, m0=70, theta=0.5, design=design, replications=25, seed=13, tie_h0=tie_h0
+    )
+    fast = simulate_stopping_times(scenario)
+    assert 0 < np.isfinite(fast).sum() < fast.size
+    assert np.array_equal(fast, stopping_times_per_stream(scenario))
+
+
+def test_tied_streams_honor_cap_and_max_events():
+    design = DesignSpec(theta1=0.7)
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.5, design=design, replications=40, seed=9, tie_h0=0.02
+    )
+    full = simulate_stopping_times(scenario)
+    assert (full[np.isfinite(full)] > 60).any()
+    capped = simulate_stopping_times(scenario, cap=60)
+    assert np.array_equal(capped, np.where(full <= 60, full, np.inf))
+    limited = SimScenario(
+        m1=300, m0=300, theta=0.5, design=design, replications=40, seed=9, tie_h0=0.02,
+        max_events=60,
+    )
+    assert np.array_equal(simulate_stopping_times(limited), capped)
+    assert np.array_equal(capped, stopping_times_per_stream(scenario, cap=60))
 
 
 def test_engine_rerun_is_deterministic():
