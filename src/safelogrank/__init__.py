@@ -30,9 +30,7 @@ from .core import (
     update_two_sided,
 )
 from .gaussian import (
-    BoundarySpec,
     LogrankSummary,
-    boundary_value,
     fixed_sample_boundary,
     gaussian_evalue,
     gaussian_safe_boundary,
@@ -96,8 +94,6 @@ __all__ = [
     "gaussian_safe_boundary",
     "obf_boundary",
     "fixed_sample_boundary",
-    "BoundarySpec",
-    "boundary_value",
     # adaptive
     "PriorSpec",
     "ConfidenceSequence",

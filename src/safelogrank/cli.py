@@ -488,14 +488,11 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     fixed = fixed_sample_boundary(alpha, side)
     ns = np.arange(n_from, n_to + 1, step)
     safe = sign * np.abs(gaussian_safe_boundary(ns, theta1, alpha, m1, m0))
+    obf = obf_boundary(ns[ns <= n_max], n_max, alpha, side).tolist()
+    obf += [None] * (ns.size - len(obf))
     rows = [
-        {
-            "n": n,
-            "gaussian_safe": g,
-            "obrien_fleming": obf_boundary(n, n_max, alpha, side) if n <= n_max else None,
-            "fixed_classical": fixed,
-        }
-        for n, g in zip(ns.tolist(), safe.tolist())
+        {"n": n, "gaussian_safe": g, "obrien_fleming": o, "fixed_classical": fixed}
+        for n, g, o in zip(ns.tolist(), safe.tolist(), obf)
     ]
     summary = {
         "theta1": theta1,

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import EventBatch, EventStream, RiskSet, validate_theta
 
 __all__ = [
     "LogrankSummary",
-    "BoundarySpec",
     "logrank_increments",
     "logrank_moments",
     "logrank_z",
@@ -52,7 +51,6 @@ __all__ = [
     "gaussian_safe_boundary",
     "obf_boundary",
     "fixed_sample_boundary",
-    "boundary_value",
 ]
 
 
@@ -186,7 +184,7 @@ def normal_quantile(p: float) -> float:
     """Standard normal quantile, accurate to well below 1e-9 absolute error."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must be in (0, 1), got {p}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def gaussian_safe_boundary(n, theta1: float, alpha: float, m1: int = 1, m0: int = 1):
@@ -211,8 +209,9 @@ def gaussian_safe_boundary(n, theta1: float, alpha: float, m1: int = 1, m0: int 
     return g / 2.0 - math.log(alpha) / g
 
 
-def obf_boundary(n: int, n_max: int, alpha: float, side: str = "left") -> float:
-    """Continuous-monitoring O'Brien-Fleming-type boundary on the Z scale.
+def obf_boundary(n, n_max: int, alpha: float, side: str = "left"):
+    """Continuous-monitoring O'Brien-Fleming-type boundary on the Z scale
+    after ``n`` events (an integer or an integer array).
 
     Derived from the reflection bound for Brownian motion monitored up to a
     planning horizon of ``n_max`` events: the trial rejects at information
@@ -222,11 +221,11 @@ def obf_boundary(n: int, n_max: int, alpha: float, side: str = "left") -> float:
     _check_alpha(alpha)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not (1 <= n <= n_max):
+    if np.any(np.less(n, 1)) or np.any(np.greater(n, n_max)):
         raise ValueError(
             f"O'Brien-Fleming boundary undefined beyond the horizon: n={n}, n_max={n_max}"
         )
-    c = normal_quantile(1.0 - alpha / 2.0) / math.sqrt(n / n_max)
+    c = normal_quantile(1.0 - alpha / 2.0) / np.sqrt(np.divide(n, n_max))
     return -c if _check_side(side) == "left" else c
 
 
@@ -235,44 +234,6 @@ def fixed_sample_boundary(alpha: float, side: str = "left") -> float:
     _check_alpha(alpha)
     c = normal_quantile(1.0 - alpha)
     return -c if _check_side(side) == "left" else c
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Which monitoring boundary to tabulate, and its parameters.
-
-    ``kind``: 'gaussian-safe' | 'obrien-fleming' | 'fixed-classical'
-    ``side``: 'left' (rejects for small Z) or 'right'
-    ``theta1`` is required for 'gaussian-safe'; ``n_max`` for 'obrien-fleming'.
-    ``m1``/``m0`` give the allocation for unbalanced Gaussian boundaries.
-    """
-
-    kind: str
-    alpha: float = 0.05
-    side: str = "left"
-    theta1: float | None = None
-    n_max: int | None = None
-    m1: int = 1
-    m0: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gaussian-safe", "obrien-fleming", "fixed-classical"):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        _check_alpha(self.alpha)
-        _check_side(self.side)
-        if self.kind == "gaussian-safe" and self.theta1 is None:
-            raise ValueError("gaussian-safe boundary requires theta1")
-        if self.kind == "obrien-fleming" and self.n_max is None:
-            raise ValueError("obrien-fleming boundary requires n_max")
-
-
-def boundary_value(n: int, spec: BoundarySpec) -> float:
-    """Z-scale boundary of ``spec`` after ``n`` events."""
-    if spec.kind == "gaussian-safe":
-        return gaussian_safe_boundary(n, spec.theta1, spec.alpha, spec.m1, spec.m0)
-    if spec.kind == "obrien-fleming":
-        return obf_boundary(n, spec.n_max, spec.alpha, spec.side)
-    return fixed_sample_boundary(spec.alpha, spec.side)
 
 
 def _check_alpha(alpha: float) -> float:

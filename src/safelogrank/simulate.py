@@ -13,14 +13,21 @@ Randomness is counter-based: replication ``r`` of a run with seed ``s``
 draws from a Philox stream keyed by ``(s, r)``, so results are bit-identical
 however replications are chunked or distributed.
 
-One engine sizes every design.  Single-event streams for the exact (one- or
-two-sided), Gaussian and plug-in tests evolve in lockstep, one event per
-step across all replications, so a replication drops out as soon as every
-requested test has stopped.  Tied streams, and the Bayes, O'Brien-Fleming
-and fixed-horizon tests, are sampled first, all replications' event times
-concatenated into one ``EventStream``; the kernel of ``core.log_kernel``
-(or the logrank increments, or the learned numerators) runs over it once,
-and cumulative sums along each replication give the first crossing.
+One sampler draws every single-event stream: each replication reads
+uniforms from its generator in blocks of steps, and one step per event
+compares them with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes
+every design.  Single-event streams for the exact (one- or two-sided),
+Gaussian and plug-in tests evolve in lockstep, one event per step across
+all replications, so a replication stops drawing as soon as every requested
+test has stopped.  Tied streams, and the Bayes, O'Brien-Fleming and
+fixed-horizon tests, are sampled first (single-event ones by the same step,
+vectorized over replications), all replications' event times concatenated
+into one ``EventStream``; the kernel of ``core.log_kernel`` (or the logrank
+increments, or the learned numerators) runs over it once, and cumulative
+sums along each replication give the first crossing.  O'Brien-Fleming
+sizing scans the running extremes of ``Z_n * sqrt(n)`` of sampled streams
+for the shortest horizon with the requested power.  Replications are taken
+in chunks, so memory stays bounded however many there are.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -53,6 +60,7 @@ from .gaussian import (
     log_gaussian_evalue,
     logrank_increments,
     normal_quantile,
+    obf_boundary,
     schoenfeld_mu,
 )
 
@@ -66,11 +74,9 @@ __all__ = [
     "sample_single_event_stream",
     "sample_tied_stream",
     "simulate_stopping_times",
-    "compare_exact_gaussian",
     "estimate_nmax",
     "summarize_stopping",
     "estimate_obf_nmax",
-    "obf_stopping_times",
     "schoenfeld_sample_size",
     "wald_expected_stopping",
     "design_table",
@@ -161,6 +167,12 @@ class SimScenario:
             raise ValueError(
                 f"tie_h0 * max(theta, 1) must lie in (0, 1), got tie_h0={self.tie_h0}"
             )
+        _check_cap(self.max_events, "max_events")
+
+
+def _check_cap(cap: int | None, name: str = "cap") -> None:
+    if cap is not None and cap < 1:
+        raise ValueError(f"{name} must be >= 1, got {cap}")
 
 
 def stream_rng(seed: int, replication: int) -> np.random.Generator:
@@ -172,6 +184,59 @@ def stream_rng(seed: int, replication: int) -> np.random.Generator:
 # samplers
 # ---------------------------------------------------------------------------
 
+# Steps of uniforms a replication draws at once.
+_BLOCK = 256
+
+
+class _Uniforms:
+    """The uniforms that drive single-event streams, one stream per
+    generator.  Replication ``r`` draws from ``rngs[r]`` in blocks of
+    ``_BLOCK`` steps, and only while it is asked for, so its events are the
+    same however replications are grouped or when they stop."""
+
+    def __init__(self, rngs: list[np.random.Generator], limit: int):
+        self.rngs, self.limit = rngs, limit
+        self.block = np.empty((len(rngs), min(_BLOCK, limit)))
+        self.by_step = np.empty(self.block.shape[::-1])
+
+    def at(self, i: int, rows) -> np.ndarray:
+        """Uniforms of step ``i`` (0-based), one per replication; only the
+        entries of ``rows`` are drawn, and a row asked for at step ``i``
+        must have been asked for at every step before."""
+        j = i % _BLOCK
+        if j == 0:
+            steps = min(_BLOCK, self.limit - i)
+            for r in rows:
+                self.rngs[r].random(out=self.block[r, :steps])
+            self.by_step[...] = self.block.T
+        return self.by_step[j]
+
+
+def _treatment_events(theta: float, y1: np.ndarray, y0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Whether each next single event falls in the treatment group, at risk
+    sets ``y1, y0``: where ``u < theta * y1 / (y0 + theta * y1)``."""
+    t1 = theta * y1
+    return u < t1 / (y0 + t1)
+
+
+def _single_event_columns(
+    m1: int, m0: int, theta: float, rngs: list[np.random.Generator], limit: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``y1``, ``y0`` and ``o1`` of the first ``limit`` events of one
+    single-event stream per generator, as ``(len(rngs), limit)`` arrays."""
+    uniforms = _Uniforms(rngs, limit)
+    rows = range(len(rngs))
+    cols = np.empty((3, limit, len(rngs)), dtype=np.int64)
+    y1 = np.full(len(rngs), m1, dtype=np.int64)
+    y0 = np.full(len(rngs), m0, dtype=np.int64)
+    for i in range(limit):
+        o1 = _treatment_events(theta, y1, y0, uniforms.at(i, rows))
+        cols[0, i], cols[1, i], cols[2, i] = y1, y0, o1
+        y1 -= o1
+        y0 -= ~o1
+    return tuple(c.T for c in cols)
+
+
 def sample_single_event_stream(
     m1: int,
     m0: int,
@@ -181,17 +246,12 @@ def sample_single_event_stream(
 ) -> list[EventBatch]:
     """One-event-at-a-time stream, run to risk-set exhaustion (or a cap)."""
     validate_theta(theta)
-    y1, y0 = m1, m0
     n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
-    u = rng.random(n)
-    out = []
-    for i in range(n):
-        p1 = theta * y1 / (y0 + theta * y1)
-        o1 = int(u[i] < p1)
-        out.append(EventBatch(risk=RiskSet(y1, y0), o=1, o1=o1))
-        y1 -= o1
-        y0 -= 1 - o1
-    return out
+    (y1,), (y0,), (o1,) = _single_event_columns(m1, m0, theta, [rng], n)
+    return [
+        EventBatch(risk=RiskSet(a, b), o=1, o1=c)
+        for a, b, c in zip(y1.tolist(), y0.tolist(), o1.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -261,6 +321,7 @@ def sample_tied_stream(
 
 def _event_limit(scenario: SimScenario, cap: int | None) -> int:
     """Events per replication: ``m1 + m0``, ``cap`` and ``max_events``, whichever is least."""
+    _check_cap(cap)
     return min(b for b in (scenario.m1 + scenario.m0, cap, scenario.max_events) if b is not None)
 
 
@@ -273,31 +334,23 @@ def _single_increment(o1, ly1, ly0, log_theta, log_theta0):
     )
 
 
-@dataclass
-class _EngineResult:
-    cap: int
-    taus: dict[str, np.ndarray]
-    z_scaled: np.ndarray | None = None  # (reps, cap) of Z_n * sqrt(n)
-    dlog_at_exact_stop: np.ndarray | None = None
-
-
 def _evolve_single_event(
     scenario: SimScenario,
     kinds: Sequence[str],
     cap: int | None = None,
     rep_range: tuple[int, int] | None = None,
-    collect_z: bool = False,
-    collect_dlog: bool = False,
-) -> _EngineResult:
+) -> dict[str, np.ndarray]:
     """Evolve every replication's event stream in lockstep, one event per
-    step, recording first-crossing times for the requested tests.
+    step, and return first-crossing times for the requested tests.
 
     All tests see the same simulated streams, so stopping times for
-    different kinds are directly comparable replication by replication.
-    The cap never exceeds ``m1 + m0``, so every replication has an event at
-    every step and the cumulative event count is simply the step index.
-    A two-sided exact design keeps one accumulator for ``theta1`` and one
-    for ``1/theta1`` and reads them out with ``two_sided_log_evalue``.
+    different kinds are directly comparable replication by replication.  A
+    replication stops drawing events once every requested test has
+    stopped on it.  The cap never exceeds ``m1 + m0``, so every replication
+    has an event at every step and the cumulative event count is simply
+    the step index.  A two-sided exact design keeps one accumulator for
+    ``theta1`` and one for ``1/theta1`` and reads them out with
+    ``two_sided_log_evalue``.
     """
     design = scenario.design
     m1, m0 = scenario.m1, scenario.m0
@@ -305,11 +358,7 @@ def _evolve_single_event(
     reps = hi - lo
     cap = _event_limit(scenario, cap)
     threshold = design.log_threshold
-
-    u = np.empty((reps, cap))
-    for r in range(reps):
-        u[r] = stream_rng(scenario.seed, lo + r).random(cap)
-
+    uniforms = _Uniforms([stream_rng(scenario.seed, r) for r in range(lo, hi)], cap)
     y1 = np.full(reps, m1, dtype=np.int64)
     y0 = np.full(reps, m0, dtype=np.int64)
 
@@ -327,7 +376,7 @@ def _evolve_single_event(
     side_logm = np.zeros((len(sides), reps))
     exact_logm = np.zeros(reps) if design.two_sided else side_logm[0]
 
-    mu1 = schoenfeld_mu(design.theta1, m1, m0) if ("gaussian" in want or collect_z) else 0.0
+    mu1 = schoenfeld_mu(design.theta1, m1, m0) if "gaussian" in want else 0.0
     score = np.zeros(reps)
     variance = np.zeros(reps)
     gauss_logm = np.zeros(reps)
@@ -344,24 +393,19 @@ def _evolve_single_event(
         beta = np.full(reps, plugin_newton(np.zeros(1), 1.0, hist_c[:1, :2])[0])
         plugin_logm = np.zeros(reps)
 
-    z_scaled = np.full((reps, cap), np.nan) if collect_z else None
-    dlog = np.full(reps, np.nan) if collect_dlog else None
-
     active = np.ones(reps, dtype=bool)
     for i in range(cap):
         n = i + 1
-        if not active.any():
+        a = np.flatnonzero(active)
+        if a.size == 0:
             break
-        a = np.flatnonzero(active) if not collect_z else np.arange(reps)
         ay1, ay0 = y1[a], y0[a]
-        total = ay1 + ay0
-        p1 = scenario.theta * ay1 / (ay0 + scenario.theta * ay1)
-        o1 = (u[a, i] < p1).astype(np.int64)
+        o1 = _treatment_events(scenario.theta, ay1, ay0, uniforms.at(i, a)[a])
 
         informative = (ay1 > 0) & (ay0 > 0)
         inf_idx = a[informative]
-        ly1 = np.log(y1[inf_idx])
-        ly0 = np.log(y0[inf_idx])
+        ly1 = np.log(ay1[informative])
+        ly0 = np.log(ay0[informative])
 
         if "exact" in want:
             for j, log_t1 in enumerate(sides):
@@ -373,19 +417,16 @@ def _evolve_single_event(
             newly = (taus["exact"][a] == np.inf) & (exact_logm[a] >= threshold)
             taus["exact"][a[newly]] = n
 
-        if "gaussian" in want or collect_z:
-            e1 = ay1 / total
+        if "gaussian" in want:
+            e1 = ay1 / (ay1 + ay0)
             score[a] += o1 - e1
             variance[a] += e1 * (1.0 - e1)  # o == 1, so V1 = A1 (1 - A1)
             pos = variance[a] > 0
             z = np.zeros(a.size)
             z[pos] = score[a][pos] / np.sqrt(variance[a][pos])
-            if collect_z:
-                z_scaled[a[pos], i] = z[pos] * math.sqrt(n)
-            if "gaussian" in want:
-                gauss_logm[a] = -0.5 * n * mu1 * mu1 + mu1 * math.sqrt(n) * z
-                newly = pos & (taus["gaussian"][a] == np.inf) & (gauss_logm[a] >= threshold)
-                taus["gaussian"][a[newly]] = n
+            gauss_logm[a] = -0.5 * n * mu1 * mu1 + mu1 * math.sqrt(n) * z
+            newly = pos & (taus["gaussian"][a] == np.inf) & (gauss_logm[a] >= threshold)
+            taus["gaussian"][a[newly]] = n
 
         if "plugin" in want:
             inc = np.zeros(a.size)
@@ -398,25 +439,15 @@ def _evolve_single_event(
             o1_sum[inf_idx] += o1[informative]
             beta[inf_idx] = plugin_newton(beta[inf_idx], o1_sum[inf_idx], hist_c[inf_idx, : i + 3])
 
-        if collect_dlog and {"exact", "gaussian"} <= want:
-            hit = a[(taus["exact"][a] == n)]
-            dlog[hit] = np.abs(exact_logm[hit] - gauss_logm[hit])
-
-        y1[a] -= o1
-        y0[a] -= 1 - o1
+        y1[a] = ay1 - o1
+        y0[a] = ay0 - ~o1
 
         done = np.ones(a.size, dtype=bool)
         for k in want:
             done &= taus[k][a] < np.inf
-        if not collect_z:
-            active[a[done]] = False
+        active[a[done]] = False
 
-    return _EngineResult(
-        cap=cap,
-        taus=taus,
-        z_scaled=z_scaled,
-        dlog_at_exact_stop=dlog,
-    )
+    return taus
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +461,12 @@ _LOCKSTEP_KINDS = ("exact", "gaussian", "plugin")
 # heap no larger between calls.
 _STREAM_CELLS = 1 << 14
 
+# Replications x events per chunk of the lockstep loop and of the
+# O'Brien-Fleming scan, which step every event across a whole chunk: larger
+# chunks pay the per-step cost of numpy fewer times, and 2^20 cells keep each
+# array of a chunk at 8 MB.
+_LOCKSTEP_CELLS = 1 << 20
+
 
 def _sample_streams(scenario: SimScenario, cap: int | None, lo: int, hi: int) -> list[EventStream]:
     """Event streams of replications ``lo..hi-1``, each ended after
@@ -437,15 +474,16 @@ def _sample_streams(scenario: SimScenario, cap: int | None, lo: int, hi: int) ->
     them)."""
     m1, m0, theta = scenario.m1, scenario.m0, scenario.theta
     limit = _event_limit(scenario, cap)
+    rngs = [stream_rng(scenario.seed, r) for r in range(lo, hi)]
+    if scenario.tie_h0 is None:
+        times, ones = np.arange(1.0, limit + 1.0), np.ones(limit, dtype=np.int64)
+        y1, y0, o1 = _single_event_columns(m1, m0, theta, rngs, limit)
+        return [EventStream(times, a, b, ones, c) for a, b, c in zip(y1, y0, o1)]
     streams = []
-    for r in range(lo, hi):
-        rng = stream_rng(scenario.seed, r)
-        if scenario.tie_h0 is None:
-            streams.append(EventStream.from_batches(sample_single_event_stream(m1, m0, theta, rng, limit)))
-        else:
-            cols = _tied_columns(m1, m0, theta, scenario.tie_h0, rng)
-            keep = np.cumsum(cols[3]) <= limit
-            streams.append(EventStream(*(c[keep] for c in cols)))
+    for rng in rngs:
+        cols = _tied_columns(m1, m0, theta, scenario.tie_h0, rng)
+        keep = np.cumsum(cols[3]) <= limit
+        streams.append(EventStream(*(c[keep] for c in cols)))
     return streams
 
 
@@ -496,8 +534,8 @@ def _stream_taus(streams: list[EventStream], scenario: SimScenario, kind: str) -
             mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
             hit = pos & (log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold)
         elif kind == "obf":
-            bound = normal_quantile(1.0 - design.alpha / 2.0) / np.sqrt(n / design.n_max)
-            hit = pos & (n <= design.n_max) & ((z <= -bound) if left else (z >= bound))
+            bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
+            hit = pos & (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
         else:  # fixed: one look, at the first event time reaching the horizon
             look = pos & (n >= design.n_max)
             bound = fixed_sample_boundary(design.alpha, design.side)
@@ -521,15 +559,21 @@ def _stopping_times(
     individually, so any chunking gives bit-identical results."""
     lockstep = scenario.tie_h0 is None and set(kinds) <= set(_LOCKSTEP_KINDS)
     reps = scenario.replications
+    limit = _event_limit(scenario, cap)
     if chunk_size is not None:
         chunk = max(1, chunk_size)
+    elif lockstep:
+        # cells per replication of the lockstep's widest array: the
+        # plug-in history, or the block of uniforms
+        width = limit + 2 if "plugin" in kinds else min(_BLOCK, limit)
+        chunk = max(1, _LOCKSTEP_CELLS // width)
     else:
-        chunk = reps if lockstep else max(1, _STREAM_CELLS // _event_limit(scenario, None))
+        chunk = max(1, _STREAM_CELLS // _event_limit(scenario, None))
     parts: dict[str, list[np.ndarray]] = {k: [] for k in kinds}
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
         if lockstep:
-            taus = _evolve_single_event(scenario, kinds, cap, rep_range=(lo, hi)).taus
+            taus = _evolve_single_event(scenario, kinds, cap, rep_range=(lo, hi))
         else:
             streams = _sample_streams(scenario, cap, lo, hi)
             taus = {k: _stream_taus(streams, scenario, k) for k in kinds}
@@ -552,27 +596,6 @@ def simulate_stopping_times(
     """
     kind = scenario.design.test_kind
     return _stopping_times(scenario, (kind,), cap, chunk_size)[kind]
-
-
-@dataclass(frozen=True)
-class ExactGaussianComparison:
-    tau_exact: np.ndarray
-    tau_gaussian: np.ndarray
-    dlog_at_exact_stop: np.ndarray  # nan where the exact test never stopped
-
-
-def compare_exact_gaussian(scenario: SimScenario, cap: int | None = None) -> ExactGaussianComparison:
-    """Run the exact and Gaussian-approximate tests on the same streams and
-    record how far apart their log e-values are at the exact test's
-    stopping time."""
-    res = _evolve_single_event(
-        scenario, kinds=("exact", "gaussian"), cap=cap, collect_dlog=True
-    )
-    return ExactGaussianComparison(
-        tau_exact=res.taus["exact"],
-        tau_gaussian=res.taus["gaussian"],
-        dlog_at_exact_stop=res.dlog_at_exact_stop,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,54 +653,49 @@ def summarize_stopping(taus: np.ndarray, n_max: int, seed: int | None = None) ->
     )
 
 
-def obf_stopping_times(
-    z_scaled: np.ndarray, n_max: int, alpha: float, side: str = "left"
-) -> np.ndarray:
-    """First event count n <= n_max at which Z_n crosses the O'Brien-Fleming
-    boundary, given the matrix of Z_n * sqrt(n) paths."""
-    if n_max > z_scaled.shape[1]:
-        raise ValueError(f"n_max={n_max} exceeds the simulated path length {z_scaled.shape[1]}")
-    path = z_scaled[:, :n_max]
-    crit = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(n_max)
-    with np.errstate(invalid="ignore"):
-        hits = path <= -crit if side == "left" else path >= crit
-    any_hit = hits.any(axis=1)
-    first = hits.argmax(axis=1) + 1.0
-    return np.where(any_hit, first, np.inf)
-
-
 def estimate_obf_nmax(
     scenario: SimScenario,
     cap: int,
     power: float | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Smallest O'Brien-Fleming horizon reaching the target power, found by
-    scanning candidate horizons over shared simulated Z paths.
+    """Smallest O'Brien-Fleming horizon reaching the target power, and each
+    replication's stopping time at that horizon.
 
-    A path crosses the boundary for horizon ``h`` iff
-    ``min_n (Z_n * sqrt(n)) <= -z_{1-alpha/2} * sqrt(h)`` (left side), so one
-    running minimum per path answers every candidate at once.  Returns the
-    horizon and the matrix of scaled-Z paths for reuse.
+    A stream crosses the boundary of horizon ``h`` iff
+    ``min_{n <= h} Z_n * sqrt(n) <= -z_{1-alpha/2} * sqrt(h)`` (left side;
+    the maximum and ``>=`` on the right), so one running extreme per stream
+    answers every candidate horizon at once.  ``Z_n * sqrt(n)`` comes from
+    the logrank increments of the sampled single-event streams, in chunks
+    of replications.  A second pass over the first ``h`` events of the same
+    streams gives the stopping times, by the same comparison.
     """
     design = scenario.design
     power = design.power if power is None else power
-    res = _evolve_single_event(scenario, kinds=("gaussian",), cap=cap, collect_z=True)
-    z_scaled = res.z_scaled
+    limit = _event_limit(scenario, cap)
+    reps = scenario.replications
+    sign = -1.0 if design.side == "left" else 1.0
     crit = normal_quantile(1.0 - design.alpha / 2.0)
-    with np.errstate(invalid="ignore"):
-        extreme = (
-            np.fmin.accumulate(z_scaled, axis=1)
-            if design.side == "left"
-            else np.fmax.accumulate(z_scaled, axis=1)
-        )
-    for h in range(1, res.cap + 1):
-        col = extreme[:, h - 1]
-        bound = crit * math.sqrt(h)
-        frac = np.mean(col <= -bound) if design.side == "left" else np.mean(col >= bound)
-        if frac >= power:
-            return h, z_scaled
-    achieved = float(np.mean(extreme[:, -1] <= -crit * math.sqrt(res.cap)))
-    raise UnattainablePowerError(power, achieved)
+
+    def extremes(steps: int):
+        """Running maximum of ``sign * Z_n * sqrt(n)``, n = 1..steps, of
+        each chunk of replications."""
+        chunk = max(1, _LOCKSTEP_CELLS // steps)
+        for lo in range(0, reps, chunk):
+            rngs = [stream_rng(scenario.seed, r) for r in range(lo, min(lo + chunk, reps))]
+            y1, y0, o1 = _single_event_columns(scenario.m1, scenario.m0, scenario.theta, rngs, steps)
+            stream = EventStream(None, y1, y0, np.ones_like(o1), o1)
+            score, variance = (np.cumsum(x, axis=1) for x in logrank_increments(stream))
+            z = np.divide(score, np.sqrt(variance), out=np.full(score.shape, np.nan), where=variance > 0)
+            yield np.fmax.accumulate(sign * (z * np.sqrt(np.arange(1.0, steps + 1.0))), axis=1)
+
+    bounds = crit * np.sqrt(np.arange(1.0, limit + 1.0))
+    crossed = sum((e >= bounds).sum(axis=0) for e in extremes(limit))
+    reached = np.flatnonzero(crossed / reps >= power)
+    if not reached.size:
+        raise UnattainablePowerError(power, float(crossed[-1] / reps))
+    h = int(reached[0]) + 1
+    hits = [e >= bounds[h - 1] for e in extremes(h)]
+    return h, np.concatenate([np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf) for hit in hits])
 
 
 def schoenfeld_sample_size(theta1: float, alpha: float = 0.05, beta: float = 0.2) -> int:
@@ -767,6 +785,8 @@ def design_table(
     """
     if include_obf and tie_h0 is not None:
         raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
+    _check_cap(cap)
+    _check_cap(obf_cap, "obf_cap")
     theta = theta1 if theta is None else theta
     n_fixed = schoenfeld_sample_size(theta1, alpha, 1.0 - power)
     rows: list[DesignRow] = []
@@ -811,13 +831,13 @@ def design_table(
 
     if include_obf:
         try:
-            h, z_scaled = estimate_obf_nmax(
+            h, taus = estimate_obf_nmax(
                 scenario, cap=obf_cap if obf_cap is not None else (cap or m1 + m0)
             )
         except UnattainablePowerError as err:
             unattainable("obrien-fleming", err)
         else:
-            add_row("obrien-fleming", obf_stopping_times(z_scaled, h, alpha, design.side), h)
+            add_row("obrien-fleming", taus, h)
 
     rows.append(
         DesignRow(

@@ -339,6 +339,25 @@ def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, 
     return TiedStream(m1=m1, m0=m0, batches=tuple(batches), times=tuple(times), horizon=k)
 
 
+def sample_single_event_stream_loop(m1: int, m0: int, theta: float, rng, max_events=None):
+    """Single-event stream drawn event by event from one ``rng.random(n)``
+    call: the event falls in the treatment group when its uniform is below
+    ``theta * y1 / (y0 + theta * y1)``."""
+    from safelogrank.core import EventBatch, RiskSet
+
+    y1, y0 = m1, m0
+    n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
+    u = rng.random(n)
+    out = []
+    for i in range(n):
+        p1 = theta * y1 / (y0 + theta * y1)
+        o1 = int(u[i] < p1)
+        out.append(EventBatch(risk=RiskSet(y1, y0), o=1, o1=o1))
+        y1 -= o1
+        y0 -= 1 - o1
+    return out
+
+
 def stopping_time(batches, design) -> float:
     """First cumulative event count at which the design's statistic crosses
     its threshold, walking one explicit stream batch by batch with the
@@ -409,12 +428,13 @@ def stopping_time(batches, design) -> float:
 
 def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
     """Stopping times of a scenario, one replication at a time through
-    ``stopping_time``: single-event streams from the package sampler,
-    tied streams from ``tied_sampler`` (default: the package's), both
-    truncated after ``cap`` (else ``max_events``) cumulative events."""
+    ``stopping_time``: single-event streams from
+    ``sample_single_event_stream_loop``, tied streams from ``tied_sampler``
+    (default: the package's), both truncated after ``cap`` (else
+    ``max_events``) cumulative events."""
     import numpy as np
 
-    from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
+    from safelogrank.simulate import sample_tied_stream, stream_rng
 
     tied_sampler = tied_sampler or sample_tied_stream
     limit = scenario.max_events if cap is None else cap
@@ -422,7 +442,7 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
     for r in range(scenario.replications):
         rng = stream_rng(scenario.seed, r)
         if scenario.tie_h0 is None:
-            batches = sample_single_event_stream(
+            batches = sample_single_event_stream_loop(
                 scenario.m1, scenario.m0, scenario.theta, rng, max_events=limit
             )
         else:
@@ -433,6 +453,88 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
                 batches = [b for b, n in zip(batches, np.cumsum([b.o for b in batches])) if n <= limit]
         taus[r] = stopping_time(batches, scenario.design)
     return taus
+
+
+def obf_z_paths(scenario, cap: int):
+    """``Z_n * sqrt(n)`` of each replication's single-event stream, one row
+    per replication and one column per event up to ``cap``, from
+    ``sample_single_event_stream_loop`` and the logrank moments."""
+    import numpy as np
+
+    from safelogrank.core import EventStream
+    from safelogrank.gaussian import logrank_moments
+    from safelogrank.simulate import stream_rng
+
+    paths = []
+    for r in range(scenario.replications):
+        batches = sample_single_event_stream_loop(
+            scenario.m1, scenario.m0, scenario.theta, stream_rng(scenario.seed, r), cap
+        )
+        score, variance = logrank_moments(EventStream.from_batches(batches))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(variance > 0, score / np.sqrt(variance), np.nan)
+        paths.append(z * np.sqrt(np.arange(1.0, len(batches) + 1.0)))
+    return np.array(paths)
+
+
+def obf_stopping_times(z_scaled, n_max: int, alpha: float, side: str = "left"):
+    """First event count n <= n_max at which Z_n crosses the O'Brien-Fleming
+    boundary, given the matrix of Z_n * sqrt(n) paths."""
+    import numpy as np
+
+    from safelogrank.gaussian import normal_quantile
+
+    if n_max > z_scaled.shape[1]:
+        raise ValueError(f"n_max={n_max} exceeds the simulated path length {z_scaled.shape[1]}")
+    path = z_scaled[:, :n_max]
+    crit = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(n_max)
+    with np.errstate(invalid="ignore"):
+        hits = path <= -crit if side == "left" else path >= crit
+    any_hit = hits.any(axis=1)
+    first = hits.argmax(axis=1) + 1.0
+    return np.where(any_hit, first, np.inf)
+
+
+@dataclass(frozen=True)
+class ExactGaussianComparison:
+    tau_exact: object
+    tau_gaussian: object
+    dlog_at_exact_stop: object  # nan where the exact test never stopped
+
+
+def compare_exact_gaussian(scenario, cap=None) -> ExactGaussianComparison:
+    """Run the exact and Gaussian-approximate tests on the same streams, one
+    stream at a time, and record how far apart their log e-values are at
+    the exact test's stopping time.  The streams come from the package's
+    column sampler, which ``sample_single_event_stream_loop`` checks."""
+    import numpy as np
+
+    from safelogrank.core import EventStream, log_evalue_trace
+    from safelogrank.gaussian import log_gaussian_evalue, logrank_moments, schoenfeld_mu
+    from safelogrank.simulate import _single_event_columns, stream_rng
+
+    design = scenario.design
+    limit = min(scenario.m1 + scenario.m0, cap or scenario.m1 + scenario.m0)
+    rngs = [stream_rng(scenario.seed, r) for r in range(scenario.replications)]
+    columns = _single_event_columns(scenario.m1, scenario.m0, scenario.theta, rngs, limit)
+    mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
+    n = np.arange(1, limit + 1)
+    tau_exact = np.full(scenario.replications, np.inf)
+    tau_gaussian = np.full(scenario.replications, np.inf)
+    dlog = np.full(scenario.replications, np.nan)
+    for r, (y1, y0, o1) in enumerate(zip(*columns)):
+        stream = EventStream(n.astype(float), y1, y0, np.ones(limit, dtype=np.int64), o1)
+        exact = log_evalue_trace(stream, design.theta1, design.theta0)
+        score, variance = logrank_moments(stream)
+        gauss = np.where(variance > 0, log_gaussian_evalue(n, score / np.sqrt(variance), mu1), -np.inf)
+        for taus, trace in ((tau_exact, exact), (tau_gaussian, gauss)):
+            hits = np.flatnonzero(trace >= design.log_threshold)
+            if hits.size:
+                taus[r] = n[hits[0]]
+        if np.isfinite(tau_exact[r]):
+            i = int(tau_exact[r]) - 1
+            dlog[r] = abs(exact[i] - gauss[i])
+    return ExactGaussianComparison(tau_exact, tau_gaussian, dlog)
 
 
 def unit_time_martingale(stream, theta1: float, theta0: float = 1.0):

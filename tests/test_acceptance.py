@@ -26,7 +26,6 @@ from safelogrank.gaussian import logrank_z, null_expectation_audit
 from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
-    compare_exact_gaussian,
     design_table,
     sample_single_event_stream,
     schoenfeld_sample_size,
@@ -35,7 +34,7 @@ from safelogrank.simulate import (
     wald_expected_stopping,
 )
 
-from oracles import sample_tied_stream_binomial, unit_time_martingale
+from oracles import compare_exact_gaussian, sample_tied_stream_binomial, unit_time_martingale
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:

@@ -247,6 +247,29 @@ def test_design_obf_cap_needs_obf(tmp_path):
     assert main(single + ["--obf", "--obf-cap", "100", "--out", str(tmp_path / "b")]) == EXIT_CONTINUE
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--cap", "0"], ["--cap", "-5"], ["--obf", "--obf-cap", "0"], ["--obf", "--obf-cap", "-5"]],
+)
+def test_design_refuses_caps_below_one(flags, tmp_path, capsys):
+    single = ["design", "--theta1", "0.7", "--m1", "100", "--m0", "100", "--reps", "20"]
+    assert main(single + flags + ["--out", str(tmp_path / "a")]) == EXIT_USAGE
+    assert "cap must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_loads_no_scipy():
+    import subprocess
+    import sys
+
+    import safelogrank
+
+    code = "import sys, safelogrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(safelogrank.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_design_tie_h0_honors_cap(tmp_path):
     tied = ["design", "--theta1", "0.5", "--m1", "200", "--m0", "200", "--reps", "60",
             "--seed", "4", "--tie-h0", "0.02"]
@@ -278,6 +301,15 @@ def test_boundary_table_values(tmp_path, capsys):
     mu1 = schoenfeld_mu(0.7, 1, 1)
     z40 = rows[40]["gaussian_safe"]
     assert log_gaussian_evalue(40, z40, mu1) == pytest.approx(math.log(20.0), abs=1e-9)
+
+
+def test_boundary_past_the_horizon_and_without_one(tmp_path):
+    argv = ["boundary", "--theta1", "0.7", "--n-to", "8"]
+    assert main(argv + ["--nmax", "5", "--out", str(tmp_path / "b")]) == EXIT_CONTINUE
+    rows = json.loads((tmp_path / "b.json").read_text())["rows"]
+    assert [r["obrien_fleming"] is None for r in rows] == [False] * 5 + [True] * 3
+    assert main(argv + ["--nmax", "0", "--out", str(tmp_path / "c")]) == EXIT_USAGE
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_confseq_rows_and_intersection(tmp_path, capsys):

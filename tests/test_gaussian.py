@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from safelogrank.core import EventBatch, RiskSet, evalue_increment, score_components
 from safelogrank.gaussian import (
-    BoundarySpec,
-    boundary_value,
     fixed_sample_boundary,
     gaussian_evalue,
     gaussian_increment,
@@ -211,6 +209,19 @@ def test_obf_boundary_horizon_enforced():
         obf_boundary(206, 205, 0.05)
     with pytest.raises(ValueError):
         obf_boundary(0, 205, 0.05)
+    with pytest.raises(ValueError):
+        obf_boundary(np.array([1, 205, 206]), 205, 0.05)
+    with pytest.raises(ValueError):
+        obf_boundary(np.array([0, 1]), 205, 0.05)
+    with pytest.raises(ValueError):
+        obf_boundary(np.zeros(0, dtype=int), 0, 0.05)  # no horizon
+
+
+def test_obf_boundary_on_arrays_equals_each_value():
+    ns = np.arange(1, 206)
+    for side in ("left", "right"):
+        values = obf_boundary(ns, 205, 0.05, side)
+        assert values.tolist() == [obf_boundary(int(n), 205, 0.05, side) for n in ns]
 
 
 def test_fixed_sample_boundary():
@@ -218,19 +229,17 @@ def test_fixed_sample_boundary():
     assert fixed_sample_boundary(0.05, "right") == pytest.approx(1.6448536269514722, abs=1e-9)
 
 
-def test_boundary_spec_dispatch_and_validation():
-    spec = BoundarySpec(kind="gaussian-safe", theta1=0.7)
-    assert boundary_value(100, spec) == pytest.approx(-2.5714982489843539, rel=1e-12)
-    spec = BoundarySpec(kind="obrien-fleming", n_max=205)
-    assert boundary_value(100, spec) == pytest.approx(-2.8062413621110637, rel=1e-10)
-    spec = BoundarySpec(kind="fixed-classical")
-    assert boundary_value(1, spec) == pytest.approx(-1.6448536269514722, abs=1e-9)
+def test_boundary_defaults_and_validation():
+    # each boundary at its default alpha 0.05 and left side
+    assert gaussian_safe_boundary(100, 0.7, 0.05) == pytest.approx(-2.5714982489843539, rel=1e-12)
+    assert obf_boundary(100, 205, 0.05) == pytest.approx(-2.8062413621110637, rel=1e-10)
+    assert fixed_sample_boundary(0.05) == pytest.approx(-1.6448536269514722, abs=1e-9)
     with pytest.raises(ValueError):
-        BoundarySpec(kind="gaussian-safe")  # theta1 missing
+        gaussian_safe_boundary(100, 1.0, 0.05)  # no alternative to drift towards
     with pytest.raises(ValueError):
-        BoundarySpec(kind="obrien-fleming")  # n_max missing
+        obf_boundary(1, 0, 0.05)  # no horizon
     with pytest.raises(ValueError):
-        BoundarySpec(kind="pocock")
+        fixed_sample_boundary(0.05, "both")  # a side the boundaries do not have
 
 
 def test_boundary_shapes():

@@ -14,11 +14,10 @@ from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
     UnattainablePowerError,
-    compare_exact_gaussian,
+    _BLOCK,
     design_table,
     estimate_nmax,
     estimate_obf_nmax,
-    obf_stopping_times,
     sample_single_event_stream,
     sample_tied_stream,
     schoenfeld_sample_size,
@@ -30,6 +29,10 @@ from safelogrank.simulate import (
 
 from oracles import (
     bootstrap_nmax,
+    compare_exact_gaussian,
+    obf_stopping_times,
+    obf_z_paths,
+    sample_single_event_stream_loop,
     sample_tied_stream_binomial,
     stopping_time,
     stopping_times_per_stream,
@@ -58,6 +61,17 @@ def test_single_event_stream_accounting():
 def test_single_event_stream_respects_cap():
     batches = sample_single_event_stream(50, 50, 0.7, stream_rng(0, 3), max_events=12)
     assert len(batches) == 12
+
+
+@pytest.mark.parametrize(
+    "m1,m0,theta,max_events",
+    [(3, 2, 1.0, None), (300, 250, 0.7, None), (400, 400, 1.3, 2 * _BLOCK + 37), (900, 20, 0.4, _BLOCK)],
+)
+def test_single_event_stream_matches_the_per_event_loop(m1, m0, theta, max_events):
+    # block draws of uniforms give the same events as one draw per stream
+    for rep in range(3):
+        got = sample_single_event_stream(m1, m0, theta, stream_rng(61, rep), max_events)
+        assert got == sample_single_event_stream_loop(m1, m0, theta, stream_rng(61, rep), max_events)
 
 
 def test_stream_rng_is_keyed_per_replication():
@@ -220,6 +234,17 @@ def test_engine_chunking_is_bit_identical():
     whole = simulate_stopping_times(scenario, cap=120)
     chunked = simulate_stopping_times(scenario, cap=120, chunk_size=7)
     assert np.array_equal(whole, chunked)
+    # a cap that ends inside a block of uniforms, on streams that outlast blocks
+    cap = 2 * _BLOCK + 37
+    for kind in ("exact", "plugin"):
+        scenario = SimScenario(
+            m1=400, m0=400, theta=0.85, design=DesignSpec(theta1=0.7, test_kind=kind),
+            replications=15, seed=10,
+        )
+        whole = simulate_stopping_times(scenario, cap=cap)
+        assert (whole[np.isfinite(whole)] > _BLOCK).any() and np.isinf(whole).any()
+        assert np.array_equal(whole, simulate_stopping_times(scenario, cap=cap, chunk_size=7))
+        assert np.array_equal(whole, stopping_times_per_stream(scenario, cap=cap))
     # the two-sided lockstep accumulators and the stream engine on tied streams
     for two_sided, tie_h0 in ((True, None), (False, 0.01), (True, 0.01)):
         scenario = SimScenario(
@@ -385,6 +410,7 @@ def test_wald_tracks_monte_carlo_mean():
 # ---------------------------------------------------------------------------
 
 def test_obf_stopping_times_manual_paths():
+    # the oracle scan that the O'Brien-Fleming sizing is checked against
     # Z * sqrt(n) paths; boundary for n_max = 4 at level 0.05 is
     # -1.96 * sqrt(4) = -3.92 on the scaled axis.
     z_scaled = np.array(
@@ -405,8 +431,10 @@ def test_estimate_obf_nmax_matches_its_own_paths():
     scenario = SimScenario(
         m1=300, m0=300, theta=0.5, design=design, replications=300, seed=6
     )
-    h, z_scaled = estimate_obf_nmax(scenario, cap=150)
+    h, taus = estimate_obf_nmax(scenario, cap=150)
     assert 1 <= h <= 150
+    z_scaled = obf_z_paths(scenario, cap=150)
+    assert np.array_equal(taus, obf_stopping_times(z_scaled, h, 0.05, "left"))
     power_at_h = np.mean(np.isfinite(obf_stopping_times(z_scaled, h, 0.05, "left")))
     assert power_at_h >= 0.8
     if h > 1:
@@ -423,6 +451,22 @@ def test_estimate_obf_nmax_unattainable_under_null():
     )
     with pytest.raises(UnattainablePowerError):
         estimate_obf_nmax(scenario, cap=60)
+
+
+@pytest.mark.parametrize("theta1,side", [(0.7, "left"), (1.5, "right")])
+def test_unattained_obf_power_reports_the_crossing_fraction(theta1, side):
+    # under the null neither side reaches the power; ``achieved`` is the
+    # fraction of streams that cross the boundary of the longest horizon
+    # (on the left it is 0.06 at 98 events and 0.055 at 99 and 100)
+    design = DesignSpec(theta1=theta1)
+    scenario = SimScenario(m1=200, m0=200, theta=1.0, design=design, replications=200, seed=0)
+    z_scaled = obf_z_paths(scenario, 100)
+    for cap in (99, 100):
+        with pytest.raises(UnattainablePowerError) as err:
+            estimate_obf_nmax(scenario, cap=cap)
+        crossed = np.isfinite(obf_stopping_times(z_scaled, cap, 0.05, side))
+        assert 0 < crossed.mean() < 0.8
+        assert err.value.achieved == crossed.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +527,21 @@ def test_stopping_distribution_insensitive_to_tie_coarseness():
 # design table
 # ---------------------------------------------------------------------------
 
+def test_design_table_at_cli_defaults_keeps_memory_bounded():
+    # the lockstep loop holds a block of uniforms per replication, not the
+    # (replications, cap) array of 80 MB at these settings
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        table = design_table(0.7, 5000, 5000, replications=1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row.test_kind for row in table["rows"]] == ["exact", "fixed-classical"]
+    assert peak < 16 * 2**20, peak
+
+
 def test_design_table_structure():
     table = design_table(
         0.5,
@@ -536,3 +595,16 @@ def test_scenario_validation():
         SimScenario(m1=10, m0=10, theta=0.7, design=design, replications=0)
     with pytest.raises(ValueError):
         SimScenario(m1=10, m0=10, theta=2.0, design=design, tie_h0=0.6)
+    with pytest.raises(ValueError):
+        SimScenario(m1=10, m0=10, theta=0.7, design=design, max_events=0)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_caps_below_one_are_refused(cap):
+    scenario = SimScenario(m1=10, m0=10, theta=0.7, design=DesignSpec(theta1=0.7), replications=5)
+    with pytest.raises(ValueError, match="cap"):
+        simulate_stopping_times(scenario, cap=cap)
+    with pytest.raises(ValueError, match="cap"):
+        design_table(0.7, 10, 10, replications=5, cap=cap)
+    with pytest.raises(ValueError, match="obf_cap"):
+        design_table(0.7, 10, 10, replications=5, include_obf=True, obf_cap=cap)
