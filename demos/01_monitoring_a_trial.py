@@ -9,37 +9,32 @@ then multiplies in (optional continuation).
 
 from __future__ import annotations
 
-from safelogrank import (
-    MartingaleState,
-    meta_combine,
-    sample_single_event_stream,
-    stream_rng,
-    update_martingale,
-)
+import math
+
+import numpy as np
+
+from safelogrank import log_evalue_trace, sample_single_event_stream, stream_rng
 
 ALPHA = 0.05
 THETA1 = 0.5  # design alternative: treatment halves the hazard
 
 
-def run_site(seed: int, rep: int, label: str) -> MartingaleState:
-    """Walk one site's event stream; return the final monitoring state."""
+def run_site(seed: int, rep: int, label: str) -> float:
+    """Monitor one site's event stream; return its final log e-value."""
     stream = sample_single_event_stream(80, 80, theta=0.5, rng=stream_rng(seed, rep))
-    state = MartingaleState()
-    crossed_at = None
-    for batch in stream:
-        state = update_martingale(state, batch, theta1=THETA1)
-        if crossed_at is None and state.crossed(ALPHA):
-            crossed_at = state.n_events
-    print(f"{label}: {state.n_events} events, final e-value {state.evalue:,.1f}")
-    if crossed_at is None:
+    trace = log_evalue_trace(stream, theta1=THETA1)  # log e-value after each event
+    n_events = np.cumsum(stream.o)
+    crossed = np.flatnonzero(trace >= -math.log(ALPHA))
+    print(f"{label}: {n_events[-1]} events, final e-value {math.exp(trace[-1]):,.1f}")
+    if not crossed.size:
         print(f"  never crossed 1/alpha = {1 / ALPHA:.0f}; decision: continue")
     else:
         print(
-            f"  crossed 1/alpha = {1 / ALPHA:.0f} after {crossed_at} events -- "
+            f"  crossed 1/alpha = {1 / ALPHA:.0f} after {n_events[crossed[0]]} events -- "
             "we could have stopped there, and stopping would not inflate the "
             "type-I error"
         )
-    return state
+    return float(trace[-1])
 
 
 def main() -> None:
@@ -48,7 +43,7 @@ def main() -> None:
     print()
     site_b = run_site(2024, 1, "site B")
 
-    combined = meta_combine([site_a, site_b])
+    combined = math.exp(site_a + site_b)  # the product of the final e-values
     print(
         f"\nmeta-analysis: evidence multiplies, combined e-value "
         f"{combined:,.1f}"

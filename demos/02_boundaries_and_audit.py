@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from safelogrank import (
-    RiskSet,
     fixed_sample_boundary,
     gaussian_safe_boundary,
     null_expectation_audit,
@@ -49,11 +48,11 @@ def audit() -> None:
     print("null expectation of the Gaussian per-event factor (must be <= 1):")
     for m1, m0 in ((100, 100), (300, 100)):
         worst = max(
-            null_expectation_audit(float(t), m1, m0, RiskSet(m1, m0))
+            null_expectation_audit(float(t), m1, m0, m1, m0)
             for t in np.geomspace(0.5, 2.0, 31)
         )
         print(f"  allocation {m1}:{m0}, theta1 in [0.5, 2]: worst = {worst:.9f}")
-    leak = null_expectation_audit(0.1, 300, 100, RiskSet(300, 100))
+    leak = null_expectation_audit(0.1, 300, 100, 300, 100)
     print(f"  allocation 300:100 at theta1 = 0.1: {leak:.6f}  <-- leaks!")
     print(
         "for unbalanced designs or extreme alternatives, use the exact test "

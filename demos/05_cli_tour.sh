@@ -11,10 +11,10 @@ trap 'rm -rf "$WORK"' EXIT
 echo "=== make a synthetic dataset (treatment halves the hazard) ==="
 python3 - "$WORK/trial.csv" <<'PY'
 import sys
-from safelogrank import dataset_from_batches, sample_single_event_stream, stream_rng, write_dataset
+from safelogrank import dataset_from_stream, sample_single_event_stream, stream_rng, write_dataset
 stream = sample_single_event_stream(120, 120, 0.5, stream_rng(7, 0))
-write_dataset(dataset_from_batches(stream), sys.argv[1])
-print(f"wrote {sys.argv[1]} with {len(stream)} events")
+write_dataset(dataset_from_stream(stream), sys.argv[1])
+print(f"wrote {sys.argv[1]} with {len(stream.o)} events")
 PY
 
 echo

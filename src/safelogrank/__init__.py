@@ -9,32 +9,18 @@ Gaussian approximation on the logrank statistic, learned (plug-in and
 Bayes predictive) alternatives, confidence sequences, a Monte Carlo design
 engine, dataset I/O, and a command line front end live in the submodules:
 
-- :mod:`safelogrank.core` — risk sets, event batches, exact e-processes
-- :mod:`safelogrank.gaussian` — logrank Z, Gaussian e-values, boundaries
+- :mod:`safelogrank.core` — event streams, the exact kernel and e-processes
+- :mod:`safelogrank.gaussian` — logrank moments, Gaussian e-values, boundaries
 - :mod:`safelogrank.adaptive` — plug-in/Bayes numerators, confidence sequences
 - :mod:`safelogrank.simulate` — samplers, stopping times, design tables
 - :mod:`safelogrank.data` — survival records and delimited-text parsing
 - :mod:`safelogrank.cli` — the ``safelogrank`` command
 """
 
-from .core import (
-    EventBatch,
-    MartingaleState,
-    RiskSet,
-    evalue_increment,
-    log_evalue_increment,
-    log_evalue_trace,
-    meta_combine,
-    score_components,
-    update_martingale,
-    update_two_sided,
-)
+from .core import EventBatch, EventStream, RiskSet, log_evalue_trace
 from .gaussian import (
-    LogrankSummary,
     fixed_sample_boundary,
-    gaussian_evalue,
     gaussian_safe_boundary,
-    logrank_z,
     null_expectation_audit,
     obf_boundary,
     schoenfeld_mu,
@@ -50,7 +36,7 @@ from .adaptive import (
 from .data import (
     SurvivalRecord,
     TrialDataset,
-    dataset_from_batches,
+    dataset_from_stream,
     parse_dataset,
     read_dataset,
     write_dataset,
@@ -75,20 +61,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
+    "EventStream",
     "RiskSet",
     "EventBatch",
-    "MartingaleState",
-    "log_evalue_increment",
-    "evalue_increment",
-    "update_martingale",
-    "update_two_sided",
     "log_evalue_trace",
-    "meta_combine",
-    "score_components",
     # gaussian
-    "LogrankSummary",
-    "logrank_z",
-    "gaussian_evalue",
     "schoenfeld_mu",
     "null_expectation_audit",
     "gaussian_safe_boundary",
@@ -107,7 +84,7 @@ __all__ = [
     "parse_dataset",
     "read_dataset",
     "write_dataset",
-    "dataset_from_batches",
+    "dataset_from_stream",
     # simulate
     "DesignSpec",
     "SimScenario",

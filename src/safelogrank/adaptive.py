@@ -46,17 +46,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .core import (
     THETA_LOWER,
     THETA_UPPER,
-    EventBatch,
     EventStream,
     _support_table,
-    as_stream,
     log_kernel,
     validate_theta,
 )
@@ -214,9 +212,7 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
 
 
 def plugin_estimates(
-    batches: EventStream | Sequence[EventBatch],
-    m1: int | None = None,
-    m0: int | None = None,
+    stream: EventStream, m1: int | None = None, m0: int | None = None
 ) -> np.ndarray:
     """Plug-in estimates ``theta_hat`` after 0, 1, ..., n event times.
 
@@ -230,11 +226,11 @@ def plugin_estimates(
     defaults to the first batch's.  Entry 0 comes from the virtual points
     alone (exactly 1 for a balanced initial risk set).
     """
-    return np.exp(_plugin_betas(as_stream(batches), m1, m0))
+    return np.exp(_plugin_betas(stream, m1, m0))
 
 
 def plugin_log_trace(
-    batches: EventStream | Sequence[EventBatch],
+    stream: EventStream,
     m1: int | None = None,
     m0: int | None = None,
     theta0: float = 1.0,
@@ -248,7 +244,6 @@ def plugin_log_trace(
     probabilities log q_thetahat_i(o1_i | batch_i) come back too (they do
     not depend on ``theta0``, which confidence sequences exploit).
     """
-    stream = as_stream(batches)
     theta0 = validate_theta(theta0, "theta0")
     if not stream.o.size:
         empty = np.zeros(0)
@@ -324,7 +319,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def bayes_log_trace(
-    batches: EventStream | Sequence[EventBatch],
+    stream: EventStream,
     prior: PriorSpec,
     theta0: float = 1.0,
     return_numerator: bool = False,
@@ -336,7 +331,6 @@ def bayes_log_trace(
     ``log prior + sum_{k<i} K[k]`` and the log predictive is
     ``logsumexp(posterior + K[i]) - logsumexp(posterior)``.
     """
-    stream = as_stream(batches)
     theta0 = validate_theta(theta0, "theta0")
     if not stream.o.size:
         empty = np.zeros(0)
@@ -407,7 +401,7 @@ class ConfidenceSequence:
 
 
 def confidence_sequence(
-    batches: EventStream | Sequence[EventBatch],
+    stream: EventStream,
     alpha: float = 0.05,
     numerator: Literal["plugin", "bayes"] = "plugin",
     grid: np.ndarray | None = None,
@@ -441,7 +435,6 @@ def confidence_sequence(
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
 
-    stream = as_stream(batches)
     if numerator == "plugin":
         _, log_num = plugin_log_trace(stream, m1=m1, m0=m0, return_numerator=True)
     elif numerator == "bayes":

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .adaptive import PriorSpec, confidence_sequence, plugin_log_trace, bayes_log_trace
-from .core import RiskSet, log_evalue_trace
+from .core import log_evalue_trace
 from .data import DatasetError, TrialDataset, read_dataset
 from .gaussian import (
     fixed_sample_boundary,
@@ -179,11 +179,24 @@ def _print_summary(summary: dict) -> None:
 # shared flag parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_prior(text: str | None, theta1: float | None) -> PriorSpec:
+def _refuse(args: argparse.Namespace, reason: str, *names: str) -> None:
+    """Refuse command line flags that the chosen test would ignore (a
+    config file key may serve several commands, so keys are not refused)."""
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None and value is not False:
+            raise UsageError(f"--{name.replace('_', '-')} {reason}")
+
+
+def _bayes_prior(opt: Options) -> PriorSpec:
+    """The Bayes prior of ``--prior``, else a default centered at ``--theta1``."""
+    text = opt.get("prior")
     if text is None:
+        theta1 = opt.get("theta1", None, float)
         if theta1 is None:
             raise UsageError("the bayes test needs --prior or --theta1 to center a default prior")
         return PriorSpec.lognormal(math.log(theta1))
+    _refuse(opt.args, "only centers the default prior; it does not apply with --prior", "theta1")
     kind, _, rest = text.partition(":")
     try:
         if kind == "lognormal":
@@ -241,15 +254,15 @@ def _analysis_rows(
     two_sided: bool,
     prior: PriorSpec | None,
 ) -> tuple[list[dict], dict]:
-    times, batches = dataset.event_batches()
     stream = dataset.stream
+    times = stream.times.tolist()
     n = np.cumsum(stream.o)
     score, variance = logrank_moments(stream)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = score / np.sqrt(variance)
     boundary = [None] * len(times)
 
-    if not batches:
+    if not times:
         log_e_trace = np.zeros(0)
     elif test == "exact":
         log_e_trace = log_evalue_trace(stream, theta1, theta0, two_sided=two_sided)
@@ -272,11 +285,11 @@ def _analysis_rows(
     )
     rows = [dict(zip(_ANALYSIS_COLUMNS, values)) for values in zip(*columns)]
 
-    final_log_e = float(log_e_trace[-1]) if len(batches) else 0.0
-    running_max = float(np.max(log_e_trace)) if len(batches) else 0.0
+    final_log_e = float(log_e_trace[-1]) if times else 0.0
+    running_max = float(np.max(log_e_trace)) if times else 0.0
     hits = np.flatnonzero(log_e_trace >= math.log(1.0 / alpha))
     summary = {
-        "n_events": int(n[-1]) if len(batches) else 0,
+        "n_events": int(n[-1]) if times else 0,
         "final_log10_e": _finite(final_log_e / LN10),
         "max_log10_e": _finite(running_max / LN10),
         "decision": "reject" if hits.size else "continue",
@@ -324,7 +337,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     prior = None
     if test == "bayes":
-        prior = _parse_prior(opt.get("prior"), theta1)
+        prior = _bayes_prior(opt)
+    else:
+        _refuse(args, f"applies only to the bayes test, not {test}", "prior")
+    if test == "plugin":
+        _refuse(args, "does not apply to the plugin test, which learns its alternative", "theta1")
+    if test != "gaussian":
+        _refuse(args, f"applies only to the gaussian test, not {test}", "allow_unbalanced_gaussian")
 
     paths = [args.dataset] + list(args.meta or [])
     out = _report_base(opt.get("out"), paths)
@@ -332,10 +351,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if test == "gaussian":
         for path, ds in zip(paths, datasets):
-            batches = ds.batches
-            if not batches:
+            stream = ds.stream
+            if not len(stream.o):
                 continue
-            m1, m0 = batches[0].risk.y1, batches[0].risk.y0
+            m1, m0 = int(stream.y1[0]), int(stream.y0[0])
             if (m1 != m0 or not 0.5 <= theta1 <= 2.0) and not opt.flag(
                 "allow_unbalanced_gaussian"
             ):
@@ -519,12 +538,14 @@ def cmd_confseq(args: argparse.Namespace) -> int:
     grid = _parse_grid(opt.get("grid"))
     prior = None
     if numerator == "bayes":
-        prior = _parse_prior(opt.get("prior"), opt.get("theta1", None, float))
+        prior = _bayes_prior(opt)
+    else:
+        _refuse(args, "applies only to the bayes numerator", "prior", "theta1")
     out = _report_base(opt.get("out"), [args.dataset])
-    dataset = read_dataset(args.dataset, delimiter=opt.get("delimiter"))
-    times = dataset.event_times
+    stream = read_dataset(args.dataset, delimiter=opt.get("delimiter")).stream
+    times = stream.times.tolist()
     seq = confidence_sequence(
-        dataset.stream,
+        stream,
         alpha=alpha,
         numerator=numerator,
         grid=grid,
@@ -533,13 +554,13 @@ def cmd_confseq(args: argparse.Namespace) -> int:
     )
     columns = ["index", "time", "n", "lower", "upper", "lower_bracketed", "upper_bracketed"]
     values = (
-        range(1, len(times) + 1), times, np.cumsum(dataset.stream.o).tolist(),
+        range(1, len(times) + 1), times, np.cumsum(stream.o).tolist(),
         [_finite(v) for v in seq.lower.tolist()], [_finite(v) for v in seq.upper.tolist()],
         seq.lower_bracketed.tolist(), seq.upper_bracketed.tolist(),
     )
     rows = [dict(zip(columns, row)) for row in zip(*values)]
     summary = {
-        "n_events": int(dataset.stream.o.sum()),
+        "n_events": int(stream.o.sum()),
         "final_lower": _finite(seq.final_lower),
         "final_upper": _finite(seq.final_upper),
         "alpha": alpha,
@@ -576,7 +597,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         row = {"theta": float(theta)}
         for a, b in ratios:
             m1, m0 = a * scale, b * scale
-            value = null_expectation_audit(float(theta), m1, m0, RiskSet(m1, m0))
+            value = null_expectation_audit(float(theta), m1, m0, m1, m0)
             key = f"audit_{a}_{b}"
             row[key] = value
             worst[key] = max(worst[key], value)
@@ -596,7 +617,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value file; flags override it")
     sub.add_argument("--out", help="write OUT.csv and OUT.json reports")
-    sub.add_argument("--alpha", type=float, help="type-I error budget (default 0.05)")
 
 
 def build_parser() -> _Parser:
@@ -688,6 +708,9 @@ def build_parser() -> _Parser:
     _add_common(audit)
     audit.set_defaults(handler=cmd_audit)
 
+    # every command but audit, whose table does not depend on a level
+    for sub in (analyze, design, boundary, confseq):
+        sub.add_argument("--alpha", type=float, help="type-I error budget (default 0.05)")
     return parser
 
 

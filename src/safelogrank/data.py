@@ -6,13 +6,15 @@ whose event defines t, and including records censored exactly at t (censoring
 ties resolve after events).  Ties are grouped by exact equality of exit
 times, so event batches are reproducible from the file bytes alone.  Events
 are derived once, by sorting, as a columnar ``EventStream`` (O(N log N) in
-the number of records); the ``EventBatch`` tuple is a scalar view of it.
+the number of records), which is what every analysis reads;
+``TrialDataset.batches`` builds a validating ``EventBatch`` view of it only
+when asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -27,7 +29,7 @@ __all__ = [
     "parse_dataset",
     "read_dataset",
     "write_dataset",
-    "dataset_from_batches",
+    "dataset_from_stream",
 ]
 
 EVENT = 1
@@ -70,12 +72,12 @@ class SurvivalRecord:
 
 @dataclass(frozen=True)
 class TrialDataset:
-    """An ordered collection of survival records with derived event batches."""
+    """An ordered collection of survival records with its derived event stream."""
 
     records: tuple[SurvivalRecord, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_cache", None)
+        object.__setattr__(self, "_stream", None)
 
     def group_size(self, group: int) -> int:
         return sum(1 for r in self.records if r.group == group)
@@ -84,16 +86,18 @@ class TrialDataset:
     def n_events(self) -> int:
         return sum(1 for r in self.records if r.status == EVENT)
 
-    def event_batches(self) -> tuple[tuple[float, ...], tuple[EventBatch, ...]]:
-        """Distinct event times (ascending) and the batch at each.
+    def event_batches(self) -> EventStream:
+        """Derive and cache the columnar event stream: one row per distinct
+        event time, with the batch of events at it.
 
-        Derives and caches the columnar ``stream``: ``np.unique`` and
-        ``np.bincount`` give the event times and counts, and the number at
-        risk in a group at time t is #(entry < t) - #(exit < t), by
-        ``searchsorted`` on the group's sorted entry and exit times.
+        ``np.unique`` and ``np.bincount`` give the event times and counts,
+        and the number at risk in a group at time t is
+        #(entry < t) - #(exit < t), by ``searchsorted`` on the group's
+        sorted entry and exit times.  An event outside its own risk set
+        (possible only for records that skipped validation) is refused.
         """
-        if self._cache is not None:
-            return self._cache[1:]
+        if self._stream is not None:
+            return self._stream
         exit_, entry, group, status = np.array(
             [(r.exit, r.entry, r.group, r.status) for r in self.records], dtype=float
         ).reshape(-1, 4).T
@@ -105,33 +109,31 @@ class TrialDataset:
             - np.searchsorted(np.sort(exit_[group == g]), times, side="left")
             for g in (1, 0)
         )
-        if np.any(y1 + y0 < o):
-            i = np.argmax(y1 + y0 < o)
+        short = (y1 < o1) | (y0 < o - o1)
+        if np.any(short):
+            i = np.argmax(short)
             raise DatasetError(
-                f"event at time {float(times[i])} with only {int(y1[i] + y0[i])} at risk; "
-                "check entry/exit times"
+                f"event at time {float(times[i])} with only {int(y1[i] + y0[i])} at risk "
+                f"({int(y1[i])} treatment, {int(y0[i])} control); check entry/exit times"
             )
-        # the validating scalar view of the stream
-        columns = (y1.tolist(), y0.tolist(), o.tolist(), o1.tolist())
-        batches = tuple(EventBatch(RiskSet(a, b), k, j) for a, b, k, j in zip(*columns))
-        stream = EventStream(times, y1, y0, o, o1)
-        object.__setattr__(self, "_cache", (stream, tuple(times.tolist()), batches))
-        return self._cache[1:]
+        object.__setattr__(self, "_stream", EventStream(times, y1, y0, o, o1))
+        return self._stream
 
     @property
     def stream(self) -> EventStream:
         """The columnar event stream, as derived by ``event_batches``."""
-        if self._cache is None:
-            self.event_batches()
-        return self._cache[0]
+        return self.event_batches()
 
     @property
     def batches(self) -> tuple[EventBatch, ...]:
-        return self.event_batches()[1]
+        """The stream as validating ``EventBatch`` rows, built when read."""
+        s = self.stream
+        columns = (s.y1.tolist(), s.y0.tolist(), s.o.tolist(), s.o1.tolist())
+        return tuple(EventBatch(RiskSet(a, b), k, j) for a, b, k, j in zip(*columns))
 
     @property
     def event_times(self) -> tuple[float, ...]:
-        return self.event_batches()[0]
+        return tuple(self.stream.times.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -233,42 +235,35 @@ def write_dataset(dataset: TrialDataset, target: str | TextIO) -> None:
             fh.close()
 
 
-def dataset_from_batches(
-    batches: Sequence[EventBatch], times: Sequence[float] | None = None
-) -> TrialDataset:
-    """Reconstruct a dataset whose derived batches equal ``batches``.
+def dataset_from_stream(stream: EventStream) -> TrialDataset:
+    """Reconstruct a dataset whose derived stream equals ``stream``.
 
-    Everyone enters at 0; each event in the batch at time t becomes a record
-    exiting at t; participants remaining at risk after the final batch are
-    censored at the last event time (they were still in its risk set).
-    Useful for persisting simulated streams in the on-disk format.
+    Everyone enters at 0; each event at time t becomes a record exiting at
+    t; participants remaining at risk after the final event time are
+    censored at it (they were still in its risk set).  Useful for
+    persisting simulated streams in the on-disk format.
     """
-    if not batches:
-        raise ValueError("need at least one batch to reconstruct a dataset")
-    if times is None:
-        times = tuple(float(k) for k in range(1, len(batches) + 1))
-    if len(times) != len(batches):
-        raise ValueError("need exactly one time per batch")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError("batch times must be strictly increasing")
-
+    times, y1, y0, o1 = stream.times, stream.y1, stream.y0, stream.o1
+    if not times.size:
+        raise ValueError("need at least one event time to reconstruct a dataset")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("event times must be strictly increasing")
+    o0 = stream.o - o1
+    if np.any((o1 < 0) | (o0 < 0) | (stream.o < 1) | (o1 > y1) | (o0 > y0)):
+        raise ValueError("every event time needs events within its risk set")
+    left1, left0 = y1 - o1, y0 - o0
+    moved = (y1[1:] != left1[:-1]) | (y0[1:] != left0[:-1])
+    if np.any(moved):
+        i = int(np.argmax(moved)) + 1
+        raise ValueError(
+            f"event time {float(times[i])} has risk {(int(y1[i]), int(y0[i]))} but "
+            f"{(int(left1[i - 1]), int(left0[i - 1]))} remain; the stream is not self-consistent"
+        )
     records = []
-    y1, y0 = batches[0].risk.y1, batches[0].risk.y0
-    for b, t in zip(batches, times):
-        if (b.risk.y1, b.risk.y0) != (y1, y0):
-            raise ValueError(
-                f"batch at time {t} has risk {(b.risk.y1, b.risk.y0)} but "
-                f"{(y1, y0)} remain; the stream is not self-consistent"
-            )
-        for _ in range(b.o1):
-            records.append(SurvivalRecord(exit=t, group=1, status=EVENT))
-        for _ in range(b.o0):
-            records.append(SurvivalRecord(exit=t, group=0, status=EVENT))
-        y1 -= b.o1
-        y0 -= b.o0
-    last = times[-1]
-    for _ in range(y1):
-        records.append(SurvivalRecord(exit=last, group=1, status=CENSORED))
-    for _ in range(y0):
-        records.append(SurvivalRecord(exit=last, group=0, status=CENSORED))
+    for t, k1, k0 in zip(times.tolist(), o1.tolist(), o0.tolist()):
+        records += [SurvivalRecord(exit=t, group=1, status=EVENT) for _ in range(k1)]
+        records += [SurvivalRecord(exit=t, group=0, status=EVENT) for _ in range(k0)]
+    last = float(times[-1])
+    records += [SurvivalRecord(exit=last, group=1, status=CENSORED) for _ in range(int(left1[-1]))]
+    records += [SurvivalRecord(exit=last, group=0, status=CENSORED) for _ in range(int(left0[-1]))]
     return TrialDataset(records=tuple(records))

@@ -27,24 +27,16 @@ critical value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
-from .core import EventBatch, EventStream, RiskSet, validate_theta
+from .core import EventStream, validate_theta
 
 __all__ = [
-    "LogrankSummary",
     "logrank_increments",
     "logrank_moments",
-    "logrank_z",
-    "per_event_z",
     "schoenfeld_mu",
-    "gaussian_increment",
-    "log_gaussian_increment",
-    "gaussian_evalue",
     "log_gaussian_evalue",
     "null_expectation_audit",
     "normal_quantile",
@@ -52,31 +44,6 @@ __all__ = [
     "obf_boundary",
     "fixed_sample_boundary",
 ]
-
-
-@dataclass(frozen=True)
-class LogrankSummary:
-    """Sufficient summary of a dataset for the Gaussian e-process.
-
-    ``score``    sum over event times of (o1 - E1), E1 = o * y1 / (y1 + y0)
-    ``variance`` sum of the ties-corrected hypergeometric variances V1
-    ``n_events`` total number of events (ties each count)
-    ``n_event_times`` number of distinct event times
-    """
-
-    score: float
-    variance: float
-    n_events: int
-    n_event_times: int
-
-    @property
-    def z(self) -> float:
-        if self.variance <= 0.0:
-            raise ValueError(
-                "logrank Z is undefined: total variance is zero "
-                "(every event time had a one-group or exhausted risk set)"
-            )
-        return self.score / math.sqrt(self.variance)
 
 
 def logrank_increments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
@@ -95,27 +62,6 @@ def logrank_moments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.cumsum(x) for x in logrank_increments(stream))
 
 
-def logrank_z(batches: Sequence[EventBatch]) -> LogrankSummary:
-    """Ties-corrected logrank summary of an event-batch sequence."""
-    score, variance = logrank_moments(EventStream.from_batches(batches))
-    summary = LogrankSummary(
-        score=float(score[-1]) if len(batches) else 0.0,
-        variance=float(variance[-1]) if len(batches) else 0.0,
-        n_events=sum(b.o for b in batches),
-        n_event_times=len(batches),
-    )
-    summary.z  # fail fast on degenerate variance
-    return summary
-
-
-def per_event_z(batch: EventBatch) -> float:
-    """Standardized contribution (o1 - E1)/sqrt(V1) of a single event time."""
-    (score,), (v1,) = logrank_moments(EventStream.from_batches([batch]))
-    if v1 <= 0.0:
-        raise ValueError(f"per-event Z undefined for forced batch {batch}")
-    return float(score) / math.sqrt(v1)
-
-
 def schoenfeld_mu(theta: float, m1: int, m0: int) -> float:
     """Per-event mean shift of the logrank statistic under hazard ratio ``theta``
     for initial allocation ``m1`` treatment vs ``m0`` control:
@@ -127,18 +73,6 @@ def schoenfeld_mu(theta: float, m1: int, m0: int) -> float:
     return math.log(theta) * math.sqrt(m1 * m0) / (m1 + m0)
 
 
-def log_gaussian_increment(mu1: float, z: float, o: int = 1) -> float:
-    """Log ratio of N(mu1*sqrt(o), 1) to N(0, 1) densities at the per-event-time
-    standardized statistic ``z``:  -mu1**2 * o / 2 + mu1 * sqrt(o) * z."""
-    if o < 1:
-        raise ValueError(f"o must be >= 1, got {o}")
-    return -0.5 * mu1 * mu1 * o + mu1 * math.sqrt(o) * z
-
-
-def gaussian_increment(mu1: float, z: float, o: int = 1) -> float:
-    return math.exp(log_gaussian_increment(mu1, z, o))
-
-
 def log_gaussian_evalue(n, z, mu1: float):
     """Log Gaussian e-value from the summary statistic after ``n`` events;
     ``n`` and ``z`` may be arrays of one shape."""
@@ -147,36 +81,33 @@ def log_gaussian_evalue(n, z, mu1: float):
     return -0.5 * n * mu1 * mu1 + mu1 * np.sqrt(n) * z
 
 
-def gaussian_evalue(summary: LogrankSummary, mu1: float) -> float:
-    """Gaussian e-value of a dataset summary against drift ``mu1``."""
-    return math.exp(log_gaussian_evalue(summary.n_events, summary.z, mu1))
-
-
-def null_expectation_audit(
-    theta1: float, m1: int, m0: int, current_risk: RiskSet
-) -> float:
+def null_expectation_audit(theta1: float, m1: int, m0: int, y1: int, y0: int) -> float:
     """Exact null expectation of the per-event Gaussian increment.
 
     The drift ``mu1`` is fixed from the *initial* allocation ``(m1, m0)``
-    while the event is drawn from the *current* risk set — exactly the
-    situation during a running trial.  A value <= 1 means the Gaussian
-    increment is a genuine e-variable at this state (the approximation is
-    safe, if slightly conservative); a value > 1 quantifies the type-I
-    leakage of the approximation.  Balanced designs with equal current risk
-    sets give exp(-mu1^2/2)*cosh(mu1) <= 1 for every design alternative;
-    sufficiently unbalanced allocations with extreme ``theta1`` exceed 1.
+    while the event is drawn from the *current* risk set ``(y1, y0)`` —
+    exactly the situation during a running trial.  Under the null the event
+    is a treatment event (``o1 = 1``) with probability ``y1 / y``; its
+    standardized logrank term is ``z(o1) = (o1 - E1) / sqrt(V1)`` with
+    ``E1 = y1 / y`` and ``V1 = E1 (1 - E1)``, so the expectation is the
+    two-term sum ``sum_o1 q0(o1) exp(-mu1**2/2 + mu1 z(o1))``.  A value <= 1
+    means the Gaussian increment is a genuine e-variable at this state (the
+    approximation is safe, if slightly conservative); a value > 1
+    quantifies the type-I leakage of the approximation.  Balanced designs
+    with equal current risk sets give exp(-mu1^2/2)*cosh(mu1) <= 1 for every
+    design alternative; sufficiently unbalanced allocations with extreme
+    ``theta1`` exceed 1.
     """
     mu1 = schoenfeld_mu(theta1, m1, m0)
-    y1, y0 = current_risk.y1, current_risk.y0
     if y1 < 1 or y0 < 1:
-        raise ValueError(
-            f"audit needs both groups at risk, got y1={y1}, y0={y0}"
-        )
+        raise ValueError(f"audit needs both groups at risk, got y1={y1}, y0={y0}")
+    y = y1 + y0
+    e1 = y1 / y
+    # V1 in the operation order of ``logrank_increments`` at o = 1
+    sd = math.sqrt(e1 * (1.0 - e1) * (y - 1) / (y - 1))
     total = 0.0
-    for o1 in (0, 1):
-        b = EventBatch(risk=current_risk, o=1, o1=o1)
-        q_null = (y1 if o1 == 1 else y0) / current_risk.total
-        total += q_null * gaussian_increment(mu1, per_event_z(b), o=1)
+    for o1, at_risk in ((0, y0), (1, y1)):
+        total += at_risk / y * math.exp(-0.5 * mu1 * mu1 + mu1 * ((o1 - e1) / sd))
     return total
 
 

@@ -48,9 +48,7 @@ import numpy as np
 
 from .adaptive import PriorSpec, bayes_log_trace, plugin_log_trace, plugin_newton
 from .core import (
-    EventBatch,
     EventStream,
-    RiskSet,
     log_kernel,
     two_sided_log_evalue,
     validate_theta,
@@ -68,7 +66,6 @@ __all__ = [
     "DesignSpec",
     "SimScenario",
     "StoppingReport",
-    "TiedStream",
     "UnattainablePowerError",
     "stream_rng",
     "sample_single_event_stream",
@@ -243,34 +240,13 @@ def sample_single_event_stream(
     theta: float,
     rng: np.random.Generator,
     max_events: int | None = None,
-) -> list[EventBatch]:
-    """One-event-at-a-time stream, run to risk-set exhaustion (or a cap)."""
+) -> EventStream:
+    """One-event-at-a-time stream, run to risk-set exhaustion (or a cap),
+    at event times 1, 2, ...: the one-row view of the column sampler."""
     validate_theta(theta)
     n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
     (y1,), (y0,), (o1,) = _single_event_columns(m1, m0, theta, [rng], n)
-    return [
-        EventBatch(risk=RiskSet(a, b), o=1, o1=c)
-        for a, b, c in zip(y1.tolist(), y0.tolist(), o1.tolist())
-    ]
-
-
-@dataclass(frozen=True)
-class TiedStream:
-    """Event batches indexed by the unit time interval they occurred in."""
-
-    m1: int
-    m0: int
-    batches: tuple[EventBatch, ...]
-    times: tuple[int, ...]  # 1-based unit time of each batch
-    horizon: int  # number of unit intervals simulated
-
-    def __post_init__(self) -> None:
-        if len(self.batches) != len(self.times):
-            raise ValueError("each batch needs exactly one unit time")
-        if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ValueError("unit times must be strictly increasing")
-        if self.times and not (1 <= self.times[0] and self.times[-1] <= self.horizon):
-            raise ValueError("unit times must lie within the horizon")
+    return EventStream(np.arange(1.0, n + 1.0), y1, y0, np.ones(n, dtype=np.int64), o1)
 
 
 def _tied_columns(
@@ -297,22 +273,16 @@ def sample_tied_stream(
     h0: float,
     rng: np.random.Generator,
     horizon: int | None = None,
-) -> TiedStream:
+) -> EventStream:
     """Unit-time stream: each at-risk participant has an event in interval k
-    with probability ``h0`` (control) or ``h0 * theta`` (treatment).  Runs to
-    risk-set exhaustion unless a horizon is given."""
+    with probability ``h0`` (control) or ``h0 * theta`` (treatment).  Each
+    event time is the (1-based) unit interval of its batch.  Runs to
+    risk-set exhaustion unless a horizon is given, which drops the batches
+    after it."""
     validate_theta(theta)
     times, y1, y0, o, o1 = _tied_columns(m1, m0, theta, h0, rng)
-    last = int(times[-1]) if times.size else 0
-    if horizon is not None:
-        last = min(last, horizon)
-        keep = times <= horizon
-        times, y1, y0, o, o1 = times[keep], y1[keep], y0[keep], o[keep], o1[keep]
-    batches = tuple(
-        EventBatch(risk=RiskSet(a, b), o=c, o1=d)
-        for a, b, c, d in zip(y1.tolist(), y0.tolist(), o.tolist(), o1.tolist())
-    )
-    return TiedStream(m1=m1, m0=m0, batches=batches, times=tuple(times.tolist()), horizon=last)
+    keep = slice(None) if horizon is None else times <= horizon
+    return EventStream(times[keep].astype(float), y1[keep], y0[keep], o[keep], o1[keep])
 
 
 # ---------------------------------------------------------------------------

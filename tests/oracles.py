@@ -39,6 +39,29 @@ def exact_increment(theta1: Fraction, theta0: Fraction, y1: int, y0: int, o: int
     return num / den
 
 
+def stream_of(rows, times=None):
+    """``EventStream`` of ``(y1, y0, o, o1)`` row tuples, at event times
+    1, 2, ... unless ``times`` are given."""
+    import numpy as np
+
+    from safelogrank.core import EventStream
+
+    y1, y0, o, o1 = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    times = np.arange(1.0, len(y1) + 1.0) if times is None else np.asarray(times, dtype=float)
+    return EventStream(times, y1, y0, o, o1)
+
+
+def _rows(stream):
+    """The ``(y1, y0, o, o1)`` rows of a stream, as Python ints."""
+    return list(zip(*(c.tolist() for c in (stream.y1, stream.y0, stream.o, stream.o1))))
+
+
+def _log_q(theta: float, y1: int, y0: int, o: int, o1: int) -> float:
+    """log q_theta(o1 | batch), from the exact rational pmf at the binary
+    value of ``theta``."""
+    return math.log(exact_hypergeom_pmf(Fraction(theta), y1, y0, o)[o1])
+
+
 def event_batches_reference(records) -> tuple[tuple[float, ...], tuple]:
     """Event times and batches of survival records, one event time at a time.
 
@@ -191,23 +214,26 @@ def new_plugin_state(m1: int, m0: int) -> PlugInState:
     )
 
 
-def plugin_update(state: PlugInState, batch) -> PlugInState:
-    """Fold one event batch into the history and re-maximize; forced batches
-    are counted but carry no likelihood information."""
+def plugin_update(state: PlugInState, row) -> PlugInState:
+    """Fold one ``(y1, y0, o, o1)`` event batch into the history and
+    re-maximize; forced batches are counted but carry no likelihood
+    information."""
     import numpy as np
 
+    y1, y0, o, o1 = row
     single_o1, single_offset, ties = state._single_o1, state._single_offset, state._ties
-    if not batch.forced:
-        if batch.o == 1:
-            single_o1 = single_o1 + (float(batch.o1),)
-            single_offset = single_offset + (math.log(batch.risk.y1 / batch.risk.y0),)
+    lo, hi = max(0, o - y0), min(o, y1)
+    if lo < hi:
+        if o == 1:
+            single_o1 = single_o1 + (float(o1),)
+            single_offset = single_offset + (math.log(y1 / y0),)
         else:
-            support = np.arange(batch.o1_min, batch.o1_max + 1)
-            log_w = _log_binom_weights(batch.risk.y1, batch.risk.y0, batch.o, support)
-            ties = ties + ((batch.o1, support.astype(float), log_w),)
+            support = np.arange(lo, hi + 1)
+            log_w = _log_binom_weights(y1, y0, o, support)
+            ties = ties + ((o1, support.astype(float), log_w),)
     probe = replace(
         state,
-        n_events=state.n_events + batch.o,
+        n_events=state.n_events + o,
         n_event_times=state.n_event_times + 1,
         _single_o1=single_o1,
         _single_offset=single_offset,
@@ -216,36 +242,37 @@ def plugin_update(state: PlugInState, batch) -> PlugInState:
     return replace(probe, theta_hat=_solve_theta_hat(probe))
 
 
-def plugin_reference(batches, m1=None, m0=None, theta0: float = 1.0):
+def plugin_reference(stream, m1=None, m0=None, theta0: float = 1.0):
     """Per-event plug-in: (trace, log numerators, theta_hat before each
     event time and after the last)."""
-    from safelogrank.core import log_evalue_increment, log_hypergeom_event_prob
-
-    m1 = batches[0].risk.y1 if m1 is None else m1
-    m0 = batches[0].risk.y0 if m0 is None else m0
+    rows = _rows(stream)
+    m1 = rows[0][0] if m1 is None else m1
+    m0 = rows[0][1] if m0 is None else m0
     state = new_plugin_state(m1, m0)
     log_m, trace, log_num, thetas = 0.0, [], [], [state.theta_hat]
-    for batch in batches:
-        log_num.append(log_hypergeom_event_prob(state.theta_hat, batch))
-        log_m += log_evalue_increment(state.theta_hat, theta0, batch)
+    for row in rows:
+        log_num.append(_log_q(state.theta_hat, *row))
+        log_m += log_num[-1] - _log_q(theta0, *row)
         trace.append(log_m)
-        state = plugin_update(state, batch)
+        state = plugin_update(state, row)
         thetas.append(state.theta_hat)
     return trace, log_num, thetas
 
 
-def log_kernel_on_nodes(log_thetas, batch):
-    """log q_theta(o1 | batch) at every node, for one batch."""
+def log_kernel_on_nodes(log_thetas, row):
+    """log q_theta(o1 | batch) at every node, for one ``(y1, y0, o, o1)``
+    batch."""
     import numpy as np
 
-    y1, y0, o, o1 = batch.risk.y1, batch.risk.y0, batch.o, batch.o1
-    if batch.forced:
+    y1, y0, o, o1 = row
+    lo, hi = max(0, o - y0), min(o, y1)
+    if lo == hi:
         return np.zeros_like(log_thetas)
     if o == 1:
         log_w1 = math.log(y1) + log_thetas
         log_z = np.logaddexp(math.log(y0), log_w1)
         return (log_w1 if o1 == 1 else math.log(y0)) - log_z
-    support = np.arange(batch.o1_min, batch.o1_max + 1)
+    support = np.arange(lo, hi + 1)
     log_w = _log_binom_weights(y1, y0, o, support)
     table = log_w[None, :] + np.outer(log_thetas, support.astype(float))
     m = table.max(axis=1)
@@ -263,35 +290,34 @@ class BayesPosterior:
         with np.errstate(divide="ignore"):
             self._log_w = np.log(prior.weights)
 
-    def log_predictive(self, batch) -> float:
+    def log_predictive(self, row) -> float:
         """log of the posterior-predictive probability of the observed o1."""
-        log_k = log_kernel_on_nodes(self._log_thetas, batch)
+        log_k = log_kernel_on_nodes(self._log_thetas, row)
         return _lse(self._log_w + log_k) - _lse(self._log_w)
 
-    def log_increment(self, batch, theta0: float = 1.0) -> float:
-        from safelogrank.core import log_hypergeom_event_prob
-
-        if batch.forced:
+    def log_increment(self, row, theta0: float = 1.0) -> float:
+        y1, y0, o, _ = row
+        if max(0, o - y0) == min(o, y1):
             return 0.0
-        return self.log_predictive(batch) - log_hypergeom_event_prob(theta0, batch)
+        return self.log_predictive(row) - _log_q(theta0, *row)
 
-    def update(self, batch) -> None:
-        self._log_w = self._log_w + log_kernel_on_nodes(self._log_thetas, batch)
+    def update(self, row) -> None:
+        self._log_w = self._log_w + log_kernel_on_nodes(self._log_thetas, row)
 
 
-def bayes_reference(batches, prior, theta0: float = 1.0):
+def bayes_reference(stream, prior, theta0: float = 1.0):
     """Per-batch Bayes predictive: (trace, log numerators)."""
     posterior = BayesPosterior(prior)
     log_m, trace, log_num = 0.0, [], []
-    for batch in batches:
-        log_num.append(posterior.log_predictive(batch))
-        log_m += posterior.log_increment(batch, theta0)
+    for row in _rows(stream):
+        log_num.append(posterior.log_predictive(row))
+        log_m += posterior.log_increment(row, theta0)
         trace.append(log_m)
-        posterior.update(batch)
+        posterior.update(row)
     return trace, log_num
 
 
-def confidence_bounds_reference(batches, log_num, grid, alpha: float):
+def confidence_bounds_reference(stream, log_num, grid, alpha: float):
     """Hull of the non-rejected grid points at each event time, one row and
     one batch at a time: (lower, upper, lower_bracketed, upper_bracketed)."""
     import numpy as np
@@ -300,8 +326,8 @@ def confidence_bounds_reference(batches, log_num, grid, alpha: float):
     log_den = np.zeros(len(grid))
     cum_num = 0.0
     out = []
-    for batch, num in zip(batches, log_num):
-        log_den = log_den + log_kernel_on_nodes(log_thetas, batch)
+    for row, num in zip(_rows(stream), log_num):
+        log_den = log_den + log_kernel_on_nodes(log_thetas, row)
         cum_num += num
         rejected = cum_num - log_den >= math.log(1.0 / alpha)
         keep = np.flatnonzero(~rejected)
@@ -319,53 +345,50 @@ def confidence_bounds_reference(batches, log_num, grid, alpha: float):
 
 def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, horizon=None):
     """Unit-time stream drawn one interval at a time: ``Binomial(y1, h0 *
-    theta)`` treatment and ``Binomial(y0, h0)`` control events per interval.
-    The same law as the package's geometric sampler, in another draw order."""
-    from safelogrank.core import EventBatch, RiskSet
-    from safelogrank.simulate import TiedStream
-
+    theta)`` treatment and ``Binomial(y0, h0)`` control events per interval,
+    each interval with events one event time.  The same law as the
+    package's geometric sampler, in another draw order."""
     y1, y0 = m1, m0
-    batches, times = [], []
+    rows, times = [], []
     k = 0
     while y1 + y0 > 0 and (horizon is None or k < horizon):
         k += 1
         o1 = int(rng.binomial(y1, h0 * theta)) if y1 else 0
         o0 = int(rng.binomial(y0, h0)) if y0 else 0
         if o1 + o0:
-            batches.append(EventBatch(risk=RiskSet(y1, y0), o=o1 + o0, o1=o1))
+            rows.append((y1, y0, o1 + o0, o1))
             times.append(k)
             y1 -= o1
             y0 -= o0
-    return TiedStream(m1=m1, m0=m0, batches=tuple(batches), times=tuple(times), horizon=k)
+    return stream_of(rows, times)
 
 
 def sample_single_event_stream_loop(m1: int, m0: int, theta: float, rng, max_events=None):
     """Single-event stream drawn event by event from one ``rng.random(n)``
     call: the event falls in the treatment group when its uniform is below
     ``theta * y1 / (y0 + theta * y1)``."""
-    from safelogrank.core import EventBatch, RiskSet
-
     y1, y0 = m1, m0
     n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
     u = rng.random(n)
-    out = []
+    rows = []
     for i in range(n):
         p1 = theta * y1 / (y0 + theta * y1)
         o1 = int(u[i] < p1)
-        out.append(EventBatch(risk=RiskSet(y1, y0), o=1, o1=o1))
+        rows.append((y1, y0, 1, o1))
         y1 -= o1
         y0 -= 1 - o1
-    return out
+    return stream_of(rows)
 
 
-def stopping_time(batches, design) -> float:
+def stopping_time(stream, design) -> float:
     """First cumulative event count at which the design's statistic crosses
-    its threshold, walking one explicit stream batch by batch with the
-    scalar kernels; ``inf`` if it never does."""
+    its threshold, walking one explicit stream event time by event time
+    (the likelihood traces come whole from the package's trace functions);
+    ``inf`` if it never does."""
     import numpy as np
 
     from safelogrank.adaptive import PriorSpec, bayes_log_trace, plugin_log_trace
-    from safelogrank.core import MartingaleState, log_evalue_increment, update_two_sided
+    from safelogrank.core import log_evalue_trace
     from safelogrank.gaussian import (
         fixed_sample_boundary,
         log_gaussian_evalue,
@@ -373,39 +396,32 @@ def stopping_time(batches, design) -> float:
         schoenfeld_mu,
     )
 
-    n_events = np.cumsum([b.o for b in batches])
+    rows = _rows(stream)
+    n_events = np.cumsum(stream.o)
     kind = design.test_kind
     if kind in ("exact", "plugin", "bayes"):
-        if kind == "exact" and design.two_sided:
-            state = MartingaleState()
-            trace = np.empty(len(batches))
-            for i, b in enumerate(batches):
-                state = update_two_sided(state, b, design.theta1, design.theta0)
-                trace[i] = state.log_e
-        elif kind == "exact":
-            trace = np.cumsum(
-                [log_evalue_increment(design.theta1, design.theta0, b) for b in batches]
-            )
+        if kind == "exact":
+            trace = log_evalue_trace(stream, design.theta1, design.theta0, design.two_sided)
         elif kind == "plugin":
-            trace = plugin_log_trace(batches, theta0=design.theta0)
+            trace = plugin_log_trace(stream, theta0=design.theta0)
         else:
             prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            trace = bayes_log_trace(batches, prior, theta0=design.theta0)
+            trace = bayes_log_trace(stream, prior, theta0=design.theta0)
         hits = np.flatnonzero(trace >= design.log_threshold)
         return float(n_events[hits[0]]) if hits.size else math.inf
 
     mu1 = (
-        schoenfeld_mu(design.theta1, batches[0].risk.y1, batches[0].risk.y0)
-        if batches and kind == "gaussian"
+        schoenfeld_mu(design.theta1, rows[0][0], rows[0][1])
+        if rows and kind == "gaussian"
         else None
     )
     score = variance = 0.0
-    for b, n in zip(batches, n_events):
-        y1, y = b.risk.y1, b.risk.total
+    for (y1, y0, o, o1), n in zip(rows, n_events):
+        y = y1 + y0
         a1 = y1 / y
-        score += b.o1 - b.o * a1
+        score += o1 - o * a1
         if y > 1:
-            variance += b.o * a1 * (1 - a1) * (y - b.o) / (y - 1)
+            variance += o * a1 * (1 - a1) * (y - o) / (y - 1)
         if variance <= 0:
             continue
         z = score / math.sqrt(variance)
@@ -434,6 +450,7 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
     ``max_events``) cumulative events."""
     import numpy as np
 
+    from safelogrank.core import EventStream
     from safelogrank.simulate import sample_tied_stream, stream_rng
 
     tied_sampler = tied_sampler or sample_tied_stream
@@ -442,16 +459,15 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
     for r in range(scenario.replications):
         rng = stream_rng(scenario.seed, r)
         if scenario.tie_h0 is None:
-            batches = sample_single_event_stream_loop(
+            stream = sample_single_event_stream_loop(
                 scenario.m1, scenario.m0, scenario.theta, rng, max_events=limit
             )
         else:
-            batches = tied_sampler(
-                scenario.m1, scenario.m0, scenario.theta, scenario.tie_h0, rng
-            ).batches
+            stream = tied_sampler(scenario.m1, scenario.m0, scenario.theta, scenario.tie_h0, rng)
             if limit is not None:
-                batches = [b for b, n in zip(batches, np.cumsum([b.o for b in batches])) if n <= limit]
-        taus[r] = stopping_time(batches, scenario.design)
+                keep = np.cumsum(stream.o) <= limit
+                stream = EventStream(*(c[keep] for c in (stream.times, stream.y1, stream.y0, stream.o, stream.o1)))
+        taus[r] = stopping_time(stream, scenario.design)
     return taus
 
 
@@ -461,19 +477,18 @@ def obf_z_paths(scenario, cap: int):
     ``sample_single_event_stream_loop`` and the logrank moments."""
     import numpy as np
 
-    from safelogrank.core import EventStream
     from safelogrank.gaussian import logrank_moments
     from safelogrank.simulate import stream_rng
 
     paths = []
     for r in range(scenario.replications):
-        batches = sample_single_event_stream_loop(
+        stream = sample_single_event_stream_loop(
             scenario.m1, scenario.m0, scenario.theta, stream_rng(scenario.seed, r), cap
         )
-        score, variance = logrank_moments(EventStream.from_batches(batches))
+        score, variance = logrank_moments(stream)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(variance > 0, score / np.sqrt(variance), np.nan)
-        paths.append(z * np.sqrt(np.arange(1.0, len(batches) + 1.0)))
+        paths.append(z * np.sqrt(np.arange(1.0, stream.o.size + 1.0)))
     return np.array(paths)
 
 
@@ -537,22 +552,22 @@ def compare_exact_gaussian(scenario, cap=None) -> ExactGaussianComparison:
     return ExactGaussianComparison(tau_exact, tau_gaussian, dlog)
 
 
-def unit_time_martingale(stream, theta1: float, theta0: float = 1.0):
-    """Cumulative log e-value of a ``TiedStream`` indexed by unit time rather
-    than event time: intervals without events contribute a factor of one, so
-    the process agrees with the event-time martingale at every event time
-    and is flat in between."""
+def unit_time_martingale(stream, horizon: int, theta1: float, theta0: float = 1.0):
+    """Cumulative log e-value of a unit-time stream over intervals
+    1..``horizon`` rather than over event times: the event time of a batch
+    is its interval, intervals without events contribute a factor of one,
+    so the process agrees with the event-time martingale at every event
+    time and is flat in between.  The factors are the exact rational
+    likelihood ratios."""
     import numpy as np
 
-    from safelogrank.core import log_evalue_increment
-
-    log_u = np.zeros(stream.horizon)
+    log_u = np.zeros(horizon)
     increments = {
-        t: log_evalue_increment(theta1, theta0, b)
-        for t, b in zip(stream.times, stream.batches)
+        int(t): _log_q(theta1, *row) - _log_q(theta0, *row)
+        for t, row in zip(stream.times.tolist(), _rows(stream))
     }
     running = 0.0
-    for k in range(1, stream.horizon + 1):
+    for k in range(1, horizon + 1):
         running += increments.get(k, 0.0)
         log_u[k - 1] = running
     return log_u
@@ -579,16 +594,15 @@ def bootstrap_nmax(taus, power: float, rounds: int = 1000, seed: int = 0, level:
 
 
 def two_sided_state(left, right) -> float:
-    """Mix two independently tracked one-sided ``MartingaleState``s into one
-    e-value at read-out; both must have seen the same events."""
+    """Mix two independently tracked one-sided log e-value traces into one
+    e-value at read-out; both must have seen the same event times."""
     from safelogrank.core import two_sided_log_evalue
 
-    if (left.n_events, left.n_event_times) != (right.n_events, right.n_event_times):
+    if len(left) != len(right):
         raise ValueError(
-            "two-sided components disagree on event counts: "
-            f"({left.n_events}, {left.n_event_times}) vs ({right.n_events}, {right.n_event_times})"
+            f"two-sided components disagree on event times: {len(left)} vs {len(right)}"
         )
-    return math.exp(two_sided_log_evalue(left.log_e, right.log_e))
+    return math.exp(two_sided_log_evalue(left[-1], right[-1]))
 
 
 # Standard normal quantiles to 25 significant digits (computed offline with

@@ -9,20 +9,13 @@ cover the fine structure.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from safelogrank.adaptive import confidence_sequence
-from safelogrank.core import (
-    EventBatch,
-    RiskSet,
-    evalue_increment,
-    log_evalue_increment,
-    log_evalue_trace,
-    log_hypergeom_pmf,
-    score_components,
-)
-from safelogrank.gaussian import logrank_z, null_expectation_audit
+from safelogrank.core import log_evalue_trace, log_kernel
+from safelogrank.gaussian import logrank_moments, null_expectation_audit
 from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
@@ -34,7 +27,13 @@ from safelogrank.simulate import (
     wald_expected_stopping,
 )
 
-from oracles import compare_exact_gaussian, sample_tied_stream_binomial, unit_time_martingale
+from oracles import (
+    compare_exact_gaussian,
+    exact_hypergeom_pmf,
+    sample_tied_stream_binomial,
+    stream_of,
+    unit_time_martingale,
+)
 
 
 def _verdict(name: str, ok: bool, detail: str) -> None:
@@ -52,18 +51,12 @@ def test_01_every_exact_factor_has_unit_null_expectation():
             if y1 + y0 == 0:
                 continue
             for o in range(1, y1 + y0 + 1):
-                support = np.arange(max(0, o - y0), min(o, y1) + 1)
+                # one row per possible treatment-event count
+                support = stream_of([(y1, y0, o, u) for u in range(max(0, o - y0), min(o, y1) + 1)])
                 for theta1, theta0 in pairs:
-                    _, logp = log_hypergeom_pmf(theta0, y1, y0, o)
-                    expectation = sum(
-                        math.exp(lp)
-                        * evalue_increment(
-                            theta1,
-                            theta0,
-                            EventBatch(risk=RiskSet(y1, y0), o=o, o1=int(o1)),
-                        )
-                        for o1, lp in zip(support, logp)
-                    )
+                    null = log_kernel(support, math.log(theta0))
+                    factor = np.exp(log_kernel(support, math.log(theta1)) - null)
+                    expectation = float(np.exp(null) @ factor)
                     worst = max(worst, abs(expectation - 1.0))
     _verdict(
         "unit null expectation (exhaustive grid)",
@@ -105,9 +98,9 @@ def test_04_gaussian_factor_null_expectation_audit():
     worst = 0.0
     for m in (1, 5, 50, 500):
         for theta1 in np.geomspace(0.5, 2.0, 41):
-            value = null_expectation_audit(float(theta1), m, m, RiskSet(m, m))
+            value = null_expectation_audit(float(theta1), m, m, m, m)
             worst = max(worst, value)
-    leak = null_expectation_audit(0.1, 300, 100, RiskSet(300, 100))
+    leak = null_expectation_audit(0.1, 300, 100, 300, 100)
     ok = worst <= 1.0 + 1e-9 and leak > 1.0
     _verdict(
         "gaussian null-expectation audit",
@@ -178,8 +171,8 @@ def test_07_confidence_sequence_coverage():
     exits = 0
     reps = 1000
     for r in range(reps):
-        batches = sample_single_event_stream(50, 50, theta_true, stream_rng(55, r))
-        seq = confidence_sequence(batches, alpha=0.05, numerator="plugin", grid=grid)
+        stream = sample_single_event_stream(50, 50, theta_true, stream_rng(55, r))
+        seq = confidence_sequence(stream, alpha=0.05, numerator="plugin", grid=grid)
         if not bool(seq.contains(theta_true).all()):
             exits += 1
     rate = exits / reps
@@ -219,6 +212,20 @@ def test_08_learning_numerator_beats_misspecified_fixed_alternative():
     )
 
 
+def _exact_score(stream, beta: float) -> tuple[float, float]:
+    """Score sum(o1 - mean) and information sum(variance) of the exact
+    conditional likelihood at log hazard ratio ``beta``, from the rational
+    pmf at the binary value of ``exp(beta)``."""
+    theta = Fraction(math.exp(beta))
+    score = information = Fraction(0)
+    for y1, y0, o, o1 in zip(*(c.tolist() for c in (stream.y1, stream.y0, stream.o, stream.o1))):
+        pmf = exact_hypergeom_pmf(theta, y1, y0, o)
+        mean = sum(u * p for u, p in pmf.items())
+        score += o1 - mean
+        information += sum(u * u * p for u, p in pmf.items()) - mean * mean
+    return float(score), float(information)
+
+
 def test_09_score_statistic_equals_logrank_statistic():
     rng = np.random.Generator(np.random.Philox(909))
     worst_z = 0.0
@@ -228,23 +235,23 @@ def test_09_score_statistic_equals_logrank_statistic():
         stream = sample_tied_stream_binomial(
             m1, m0, float(rng.choice([0.5, 0.8, 1.0, 1.5])), 0.08, rng, horizon=30
         )
-        if len(stream.batches) < 2:
+        if len(stream.o) < 2:
             continue
-        batches = stream.batches
-        sc = score_components(batches, beta=0.0)
-        z_score = sc.score / math.sqrt(sc.information)
-        z_logrank = logrank_z(batches).z
+        score, information = _exact_score(stream, 0.0)
+        z_score = score / math.sqrt(information)
+        logrank_score, variance = (x[-1] for x in logrank_moments(stream))
+        z_logrank = logrank_score / math.sqrt(variance)
         worst_z = max(worst_z, abs(z_score - z_logrank))
-        # finite differences on the tilted log likelihood at beta = -0.2
+        # score and information are the first and negative second derivative
+        # of the log likelihood sum(log_kernel): central finite differences
+        # at beta = -0.2
+        ll = lambda b: float(log_kernel(stream, b).sum())  # noqa: E731
         h = 1e-5
-        sc_mid = score_components(batches, beta=-0.2)
-        up = score_components(batches, beta=-0.2 + h)
-        down = score_components(batches, beta=-0.2 - h)
-        # score is the derivative of the log likelihood; information the
-        # negative second derivative -> compare score slopes
-        fd_info = -(up.score - down.score) / (2 * h)
-        rel = abs(fd_info - sc_mid.information) / max(1.0, abs(sc_mid.information))
-        worst_fd = max(worst_fd, rel)
+        fd_score = (ll(-0.2 + h) - ll(-0.2 - h)) / (2 * h)
+        h = 1e-4
+        fd_info = -(ll(-0.2 + h) - 2 * ll(-0.2) + ll(-0.2 - h)) / h**2
+        for fd, exact in zip((fd_score, fd_info), _exact_score(stream, -0.2)):
+            worst_fd = max(worst_fd, abs(fd - exact) / max(1.0, abs(exact)))
     ok = worst_z <= 1e-10 and worst_fd <= 1e-6
     _verdict(
         "score test equals logrank statistic",
@@ -265,11 +272,10 @@ def test_10_unit_time_process_matches_event_time_process():
         if h0 * max(theta, 1.0) >= 1.0:
             continue
         stream = sample_tied_stream_binomial(m1, m0, theta, h0, rng_master)
-        log_u = unit_time_martingale(stream, theta1=0.7)
-        trace = np.cumsum(
-            [log_evalue_increment(0.7, 1.0, b) for b in stream.batches]
-        )
-        for cum, t in zip(trace, stream.times):
+        times = stream.times.astype(int)
+        log_u = unit_time_martingale(stream, int(times[-1]), theta1=0.7)
+        trace = log_evalue_trace(stream, 0.7)
+        for cum, t in zip(trace, times):
             worst = max(worst, abs(log_u[t - 1] - cum))
     _verdict(
         "unit-time view matches event-time view",

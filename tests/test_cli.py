@@ -16,7 +16,7 @@ from safelogrank.cli import (
     EXIT_USAGE,
     main,
 )
-from safelogrank.data import dataset_from_batches, write_dataset
+from safelogrank.data import dataset_from_stream, write_dataset
 from safelogrank.simulate import sample_single_event_stream, stream_rng
 
 
@@ -26,7 +26,7 @@ def strong_dataset(tmp_path):
     theta1=0.5 certainly crosses 1/alpha somewhere."""
     stream = sample_single_event_stream(150, 150, 0.35, stream_rng(1001, 0))
     path = tmp_path / "strong.csv"
-    write_dataset(dataset_from_batches(stream), str(path))
+    write_dataset(dataset_from_stream(stream), str(path))
     return str(path)
 
 
@@ -34,7 +34,7 @@ def strong_dataset(tmp_path):
 def null_dataset(tmp_path):
     stream = sample_single_event_stream(25, 25, 1.0, stream_rng(77, 0))
     path = tmp_path / "null.csv"
-    write_dataset(dataset_from_batches(stream), str(path))
+    write_dataset(dataset_from_stream(stream), str(path))
     return str(path)
 
 
@@ -84,6 +84,27 @@ def test_usage_errors(null_dataset, capsys):
                  "--theta0", "0.7"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["audit", "--alpha", "0.01"], "--alpha"),
+        (["analyze", "DATA", "--test", "exact", "--theta1", "0.7", "--prior", "point:0.5"], "--prior"),
+        (["analyze", "DATA", "--test", "exact", "--theta1", "0.7", "--allow-unbalanced-gaussian"],
+         "--allow-unbalanced-gaussian"),
+        (["analyze", "DATA", "--test", "plugin", "--theta1", "0.7"], "--theta1"),
+        (["analyze", "DATA", "--test", "plugin", "--theta1", "0"], "--theta1"),  # a falsy value
+        (["analyze", "DATA", "--test", "bayes", "--theta1", "0.7", "--prior", "point:0.5"], "--theta1"),
+        (["confseq", "DATA", "--theta1", "0.7"], "--theta1"),
+        (["confseq", "DATA", "--prior", "point:0.5"], "--prior"),
+    ],
+)
+def test_flags_the_chosen_test_ignores_are_refused(argv, flag, null_dataset, tmp_path, capsys):
+    argv = [null_dataset if a == "DATA" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
@@ -92,7 +113,7 @@ def test_help_exits_zero(capsys):
 def test_gaussian_guard_on_unbalanced_data(tmp_path, capsys):
     stream = sample_single_event_stream(60, 20, 0.7, stream_rng(5, 0))
     path = tmp_path / "unbalanced.csv"
-    write_dataset(dataset_from_batches(stream), str(path))
+    write_dataset(dataset_from_stream(stream), str(path))
     code = main(["analyze", str(path), "--test", "gaussian", "--theta1", "0.7"])
     assert code == EXIT_USAGE
     assert "--allow-unbalanced-gaussian" in capsys.readouterr().err
@@ -110,7 +131,7 @@ def test_gaussian_guard_on_extreme_theta(strong_dataset):
 
 def test_analyze_reports_are_byte_deterministic(strong_dataset, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    args = ["analyze", strong_dataset, "--theta1", "0.5", "--test", "plugin"]
+    args = ["analyze", strong_dataset, "--test", "plugin"]
     main(args + ["--out", str(out1)])
     main(args + ["--out", str(out2)])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
@@ -121,9 +142,10 @@ def test_analyze_is_streaming_consistent(tmp_path, capsys):
     stream = sample_single_event_stream(40, 40, 0.6, stream_rng(9, 0))
     full = tmp_path / "full.csv"
     prefix = tmp_path / "prefix.csv"
-    write_dataset(dataset_from_batches(stream), str(full))
-    write_dataset(dataset_from_batches(stream[:30]), str(prefix))
-    args = ["--theta1", "0.6", "--test", "plugin", "--alpha", "1e-9"]
+    write_dataset(dataset_from_stream(stream), str(full))
+    head = sample_single_event_stream(40, 40, 0.6, stream_rng(9, 0), max_events=30)
+    write_dataset(dataset_from_stream(head), str(prefix))
+    args = ["--test", "plugin", "--alpha", "1e-9"]
     main(["analyze", str(full), *args, "--out", str(tmp_path / "f")])
     main(["analyze", str(prefix), *args, "--out", str(tmp_path / "p")])
     full_rows = (tmp_path / "f.csv").read_text().splitlines()
@@ -140,7 +162,7 @@ def test_meta_combines_by_multiplication(tmp_path, capsys):
     for rep in range(2):
         stream = sample_single_event_stream(50, 50, 0.5, stream_rng(300, rep))
         p = tmp_path / f"site{rep}.csv"
-        write_dataset(dataset_from_batches(stream), str(p))
+        write_dataset(dataset_from_stream(stream), str(p))
         paths.append(str(p))
         main(["analyze", str(p), "--theta1", "0.5", "--out", str(tmp_path / f"r{rep}")])
         report = json.loads((tmp_path / f"r{rep}.json").read_text())
@@ -160,7 +182,7 @@ def test_meta_rejects_only_on_the_product(tmp_path, capsys):
     for rep, theta in enumerate((0.5, 2.0)):
         stream = sample_single_event_stream(50, 50, theta, stream_rng(300, rep))
         p = tmp_path / f"site{rep}.csv"
-        write_dataset(dataset_from_batches(stream), str(p))
+        write_dataset(dataset_from_stream(stream), str(p))
         paths.append(str(p))
     code = main([
         "analyze", paths[0], "--meta", paths[1], "--theta1", "0.5",
@@ -315,7 +337,7 @@ def test_boundary_past_the_horizon_and_without_one(tmp_path):
 def test_confseq_rows_and_intersection(tmp_path, capsys):
     stream = sample_single_event_stream(60, 60, 0.7, stream_rng(12, 0))
     data_path = tmp_path / "trial.csv"
-    write_dataset(dataset_from_batches(stream), str(data_path))
+    write_dataset(dataset_from_stream(stream), str(data_path))
     code = main([
         "confseq", str(data_path), "--grid", "0.1:10:80",
         "--out", str(tmp_path / "cs"),
@@ -361,7 +383,7 @@ def test_two_sided_analyze_runs(strong_dataset, capsys):
 def test_boundary_z_uses_the_allocation_of_the_trace(tmp_path, capsys):
     stream = sample_single_event_stream(300, 100, 0.5, stream_rng(3, 0))
     path = tmp_path / "unbalanced.csv"
-    write_dataset(dataset_from_batches(stream), str(path))
+    write_dataset(dataset_from_stream(stream), str(path))
     code = main([
         "analyze", str(path), "--test", "gaussian", "--theta1", "0.5",
         "--allow-unbalanced-gaussian", "--out", str(tmp_path / "r"),

@@ -18,13 +18,13 @@ from safelogrank.data import (
     DatasetError,
     SurvivalRecord,
     TrialDataset,
-    dataset_from_batches,
+    dataset_from_stream,
     parse_dataset,
     write_dataset,
 )
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 
-from oracles import event_batches_reference, exact_increment
+from oracles import event_batches_reference, exact_increment, stream_of
 
 CSV_BASIC = """\
 time,group,status
@@ -39,8 +39,8 @@ def test_parse_basic_csv():
     ds = parse_dataset(CSV_BASIC)
     assert len(ds.records) == 4
     assert ds.n_events == 3
-    times, batches = ds.event_batches()
-    assert times == (1.0, 2.0, 4.0)
+    batches = ds.batches
+    assert ds.event_times == (1.0, 2.0, 4.0)
     assert batches[0] == EventBatch(risk=RiskSet(2, 2), o=1, o1=1)
     assert batches[1] == EventBatch(risk=RiskSet(1, 2), o=1, o1=0)
     # the record censored at 3.0 has left the risk set by 4.0
@@ -50,24 +50,22 @@ def test_parse_basic_csv():
 def test_tied_events_pool_into_one_batch():
     text = "time,group,status\n2,1,1\n2,0,1\n5,0,0\n5,1,0\n"
     ds = parse_dataset(text)
-    times, batches = ds.event_batches()
-    assert times == (2.0,)
-    assert batches == (EventBatch(risk=RiskSet(2, 2), o=2, o1=1),)
+    assert ds.event_times == (2.0,)
+    assert ds.batches == (EventBatch(risk=RiskSet(2, 2), o=2, o1=1),)
 
 
 def test_censoring_tie_at_event_time_counts_in_risk_set():
     # censored exactly at the event time: still at risk for that event
     text = "time,group,status\n3,1,event\n3,0,censored\n"
     ds = parse_dataset(text)
-    _, batches = ds.event_batches()
-    assert batches == (EventBatch(risk=RiskSet(1, 1), o=1, o1=1),)
+    assert ds.batches == (EventBatch(risk=RiskSet(1, 1), o=1, o1=1),)
 
 
 def test_left_truncated_entry_joins_late():
     text = "entry,time,group,status\n0,1,1,event\n0,4,0,event\n2,4,1,censored\n2,5,1,event\n"
     ds = parse_dataset(text)
-    times, batches = ds.event_batches()
-    assert times == (1.0, 4.0, 5.0)
+    batches = ds.batches
+    assert ds.event_times == (1.0, 4.0, 5.0)
     # at t=1 the late entrants (entry=2) are not yet at risk
     assert batches[0].risk == RiskSet(1, 1)
     # at t=4 both have joined; one is censored exactly there and still counts
@@ -123,33 +121,34 @@ def test_all_censored_dataset_has_no_batches():
     assert ds.n_events == 0
 
 
+def _columns(stream):
+    return [c.tolist() for c in (stream.times, stream.y1, stream.y0, stream.o, stream.o1)]
+
+
 def test_round_trip_single_event_stream():
     stream = sample_single_event_stream(12, 9, 0.6, stream_rng(44, 0))
-    ds = dataset_from_batches(stream)
+    ds = dataset_from_stream(stream)
     buf = io.StringIO()
     write_dataset(ds, buf)
     reparsed = parse_dataset(buf.getvalue())
-    assert reparsed.batches == tuple(stream)
+    assert _columns(reparsed.stream) == _columns(stream)
 
 
 def test_round_trip_tied_stream_with_censoring():
     tied = sample_tied_stream(20, 20, 0.8, 0.1, stream_rng(45, 1), horizon=8)
-    ds = dataset_from_batches(tied.batches, times=[float(t) for t in tied.times])
+    ds = dataset_from_stream(tied)
     assert any(r.status == CENSORED for r in ds.records)  # horizon truncates
     buf = io.StringIO()
     write_dataset(ds, buf)
-    assert parse_dataset(buf.getvalue()).batches == tied.batches
+    assert _columns(parse_dataset(buf.getvalue()).stream) == _columns(tied)
 
 
-def test_dataset_from_batches_rejects_inconsistent_stream():
-    bad = [
-        EventBatch(risk=RiskSet(2, 2), o=1, o1=1),
-        EventBatch(risk=RiskSet(2, 2), o=1, o1=1),  # risk did not shrink
-    ]
+def test_dataset_from_stream_rejects_inconsistent_stream():
+    bad = stream_of([(2, 2, 1, 1), (2, 2, 1, 1)])  # risk did not shrink
     with pytest.raises(ValueError, match="not self-consistent"):
-        dataset_from_batches(bad)
+        dataset_from_stream(bad)
     with pytest.raises(ValueError):
-        dataset_from_batches([])
+        dataset_from_stream(stream_of([]))
 
 
 def test_group_sizes():
@@ -166,7 +165,11 @@ def test_short_risk_set_names_the_first_offending_time():
     object.__setattr__(late, "entry", 3.0)
     object.__setattr__(later, "entry", 5.0)
     with pytest.raises(DatasetError, match=r"^event at time 2\.0 with only 0 at risk"):
-        TrialDataset(records=(early, late, later)).event_batches()
+        TrialDataset(records=(early, late, later)).stream
+    # enough at risk in total, but not in the event's own group
+    control = SurvivalRecord(exit=6.0, group=0, status=CENSORED)
+    with pytest.raises(DatasetError, match=r"^event at time 2\.0 .*\(0 treatment, 2 control\)"):
+        TrialDataset(records=(late, control, control)).stream
 
 
 @st.composite
@@ -203,7 +206,7 @@ _MIXED = (
 @example(records=_MIXED)
 def test_event_stream_equals_reference_derivation(records):
     ds = TrialDataset(records=records)
-    assert ds.event_batches() == event_batches_reference(records)
+    assert (ds.event_times, ds.batches) == event_batches_reference(records)
 
 
 def _log(value: Fraction) -> float:

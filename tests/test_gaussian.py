@@ -3,32 +3,33 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safelogrank.core import EventBatch, RiskSet, evalue_increment, score_components
+from safelogrank.core import log_evalue_trace
 from safelogrank.gaussian import (
     fixed_sample_boundary,
-    gaussian_evalue,
-    gaussian_increment,
     gaussian_safe_boundary,
     log_gaussian_evalue,
-    logrank_z,
+    logrank_increments,
+    logrank_moments,
     normal_quantile,
     null_expectation_audit,
     obf_boundary,
-    per_event_z,
     schoenfeld_mu,
 )
 
-from oracles import NORMAL_QUANTILES
+from oracles import NORMAL_QUANTILES, exact_hypergeom_pmf, stream_of
 
 
-def batch(y1, y0, o, o1):
-    return EventBatch(risk=RiskSet(y1=y1, y0=y0), o=o, o1=o1)
+def z_term(*row):
+    """Standardized logrank term (o1 - E1)/sqrt(V1) of one batch."""
+    (score,), (v1,) = logrank_increments(stream_of([row]))
+    return score / math.sqrt(v1)
 
 
 MU1_07 = -0.17833747196936619  # schoenfeld_mu(0.7, balanced) = log(0.7)/2
@@ -59,13 +60,14 @@ def test_schoenfeld_mu_sign_and_null():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_increment_frozen_value():
-    # mu1 = log(0.7)/2, single control event at balanced risk (Z = -1)
-    assert gaussian_increment(MU1_07, -1.0) == pytest.approx(1.1763722576593701, rel=1e-12)
+    # mu1 = log(0.7)/2, single control event at balanced risk (Z = -1): the
+    # e-value after one event is the per-event increment
+    assert math.exp(log_gaussian_evalue(1, -1.0, MU1_07)) == pytest.approx(1.1763722576593701, rel=1e-12)
 
 
 def test_gaussian_increment_close_to_exact_when_balanced():
-    exact = evalue_increment(0.7, 1.0, batch(50, 50, 1, 0))
-    approx = gaussian_increment(MU1_07, per_event_z(batch(50, 50, 1, 0)))
+    exact = math.exp(log_evalue_trace(stream_of([(50, 50, 1, 0)]), 0.7, 1.0)[0])
+    approx = math.exp(log_gaussian_evalue(1, z_term(50, 50, 1, 0), MU1_07))
     assert abs(exact - approx) < 2e-4  # 1.17647... vs 1.17637...
 
 
@@ -76,52 +78,60 @@ def test_gaussian_evalue_frozen_value():
 
 
 def test_gaussian_evalue_from_summary():
-    s = logrank_z([batch(10, 10, 1, 0), batch(9, 10, 1, 0), batch(9, 9, 1, 1)])
-    direct = math.exp(log_gaussian_evalue(s.n_events, s.z, MU1_07))
-    assert gaussian_evalue(s, MU1_07) == pytest.approx(direct, rel=1e-14)
+    stream = stream_of([(10, 10, 1, 0), (9, 10, 1, 0), (9, 9, 1, 1)])
+    score, variance = logrank_moments(stream)
+    n, z = np.cumsum(stream.o), score / np.sqrt(variance)
+    direct = math.exp(log_gaussian_evalue(int(n[-1]), float(z[-1]), MU1_07))
+    assert math.exp(log_gaussian_evalue(n, z, MU1_07)[-1]) == pytest.approx(direct, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
-# logrank summary
+# logrank moments
 # ---------------------------------------------------------------------------
 
 def test_tied_batch_moments():
     # o=2 of y1=y0=2: E1 = 2*(1/2) = 1, V1 = 2*(1/4)*(2/3) = 1/3
-    s = logrank_z([batch(2, 2, 2, 1)])
-    assert s.score == pytest.approx(1 - 1.0, abs=1e-15)
-    assert s.variance == pytest.approx(1 / 3, abs=1e-15)
+    (score,), (variance,) = logrank_moments(stream_of([(2, 2, 2, 1)]))
+    assert score == pytest.approx(1 - 1.0, abs=1e-15)
+    assert variance == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_per_event_z_balanced_single_event():
-    assert per_event_z(batch(8, 8, 1, 0)) == pytest.approx(-1.0, abs=1e-14)
-    assert per_event_z(batch(8, 8, 1, 1)) == pytest.approx(1.0, abs=1e-14)
+    assert z_term(8, 8, 1, 0) == pytest.approx(-1.0, abs=1e-14)
+    assert z_term(8, 8, 1, 1) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_per_event_z_rejects_forced_batch():
+    # a forced batch carries no variance, so it has no standardized term,
+    # and the audit, which standardizes the next event, refuses its risk set
+    (score,), (v1,) = logrank_increments(stream_of([(3, 0, 1, 1)]))
+    assert score == 0.0 and v1 == 0.0
     with pytest.raises(ValueError):
-        per_event_z(batch(3, 0, 1, 1))
-
-
-def test_logrank_z_degenerate_variance_raises():
-    with pytest.raises(ValueError):
-        logrank_z([batch(3, 0, 1, 1), batch(2, 0, 1, 1)])
+        null_expectation_audit(0.7, 3, 3, 3, 0)
 
 
 def test_logrank_matches_score_test_at_null():
     rng = np.random.default_rng(5)
     y1, y0 = 20, 25
-    batches = []
+    rows = []
     for _ in range(15):
         if min(y1, y0) == 0:
             break
         o = int(rng.integers(1, 4))
         lo, hi = max(0, o - y0), min(o, y1)
         o1 = int(rng.integers(lo, hi + 1))
-        batches.append(batch(y1, y0, o, o1))
+        rows.append((y1, y0, o, o1))
         y1, y0 = y1 - o1, y0 - (o - o1)
-    s = logrank_z(batches)
-    sc = score_components(batches, beta=0.0)
-    assert s.z == pytest.approx(sc.score / math.sqrt(sc.information), abs=1e-12)
+    score, variance = (x[-1] for x in logrank_moments(stream_of(rows)))
+    # score and information of the exact conditional likelihood at theta = 1
+    exact_score = exact_info = 0
+    for y1, y0, o, o1 in rows:
+        pmf = exact_hypergeom_pmf(Fraction(1), y1, y0, o)
+        mean = sum(u * p for u, p in pmf.items())
+        exact_score += o1 - mean
+        exact_info += sum(u * u * p for u, p in pmf.items()) - mean * mean
+    z = score / math.sqrt(variance)
+    assert z == pytest.approx(float(exact_score) / math.sqrt(exact_info), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +142,12 @@ def test_audit_balanced_designs_are_safe():
     for theta1 in np.exp(np.linspace(math.log(0.5), math.log(2.0), 21)):
         for m in (10, 100, 1000):
             for y in (m, max(m // 2, 1), 1):
-                val = null_expectation_audit(float(theta1), m, m, RiskSet(y, y))
+                val = null_expectation_audit(float(theta1), m, m, y, y)
                 assert val <= 1.0 + 1e-9
 
 
 def test_audit_unbalanced_extreme_alternative_leaks():
-    val = null_expectation_audit(0.1, 3, 1, RiskSet(3, 1))
+    val = null_expectation_audit(0.1, 3, 1, 3, 1)
     assert val == pytest.approx(1.1117727075334443, rel=1e-12)
     assert val > 1.0
 
@@ -150,12 +160,12 @@ def test_audit_unbalanced_extreme_alternative_leaks():
 @settings(max_examples=200, deadline=None)
 def test_audit_balanced_property(theta1, m, y):
     y = min(y, m)
-    assert null_expectation_audit(theta1, m, m, RiskSet(y, y)) <= 1.0 + 1e-9
+    assert null_expectation_audit(theta1, m, m, y, y) <= 1.0 + 1e-9
 
 
 def test_audit_requires_both_groups():
     with pytest.raises(ValueError):
-        null_expectation_audit(0.7, 5, 5, RiskSet(5, 0))
+        null_expectation_audit(0.7, 5, 5, 5, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safelogrank.core import log_evalue_increment, log_evalue_trace
+from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
@@ -30,6 +31,7 @@ from safelogrank.simulate import (
 from oracles import (
     bootstrap_nmax,
     compare_exact_gaussian,
+    exact_increment,
     obf_stopping_times,
     obf_z_paths,
     sample_single_event_stream_loop,
@@ -42,25 +44,34 @@ from oracles import (
 LOG20 = math.log(20.0)
 
 
+def columns(stream):
+    """The columns of a stream as lists, for comparing streams."""
+    return [c.tolist() for c in (stream.times, stream.y1, stream.y0, stream.o, stream.o1)]
+
+
+def rows(stream):
+    return list(zip(*columns(stream)[1:]))
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
 def test_single_event_stream_accounting():
-    batches = sample_single_event_stream(3, 2, 1.0, stream_rng(11, 0))
-    assert len(batches) == 5
+    stream = sample_single_event_stream(3, 2, 1.0, stream_rng(11, 0))
+    assert stream.times.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
     y1, y0 = 3, 2
-    for b in batches:
-        assert b.o == 1
-        assert (b.risk.y1, b.risk.y0) == (y1, y0)
-        y1 -= b.o1
-        y0 -= 1 - b.o1
+    for b_y1, b_y0, o, o1 in rows(stream):
+        assert o == 1
+        assert (b_y1, b_y0) == (y1, y0)
+        y1 -= o1
+        y0 -= 1 - o1
     assert (y1, y0) == (0, 0)
 
 
 def test_single_event_stream_respects_cap():
-    batches = sample_single_event_stream(50, 50, 0.7, stream_rng(0, 3), max_events=12)
-    assert len(batches) == 12
+    stream = sample_single_event_stream(50, 50, 0.7, stream_rng(0, 3), max_events=12)
+    assert len(stream.o) == 12
 
 
 @pytest.mark.parametrize(
@@ -71,13 +82,14 @@ def test_single_event_stream_matches_the_per_event_loop(m1, m0, theta, max_event
     # block draws of uniforms give the same events as one draw per stream
     for rep in range(3):
         got = sample_single_event_stream(m1, m0, theta, stream_rng(61, rep), max_events)
-        assert got == sample_single_event_stream_loop(m1, m0, theta, stream_rng(61, rep), max_events)
+        want = sample_single_event_stream_loop(m1, m0, theta, stream_rng(61, rep), max_events)
+        assert columns(got) == columns(want)
 
 
 def test_stream_rng_is_keyed_per_replication():
-    a = sample_single_event_stream(20, 20, 0.5, stream_rng(7, 4))
-    b = sample_single_event_stream(20, 20, 0.5, stream_rng(7, 4))
-    c = sample_single_event_stream(20, 20, 0.5, stream_rng(7, 5))
+    a, b, c = (
+        columns(sample_single_event_stream(20, 20, 0.5, stream_rng(7, r))) for r in (4, 4, 5)
+    )
     assert a == b
     assert a != c
 
@@ -95,21 +107,22 @@ def test_tied_stream_accounting(m1, m0, theta, h0, rep):
         return
     stream = sample_tied_stream(m1, m0, theta, h0, stream_rng(3, rep))
     y1, y0 = m1, m0
-    for b, t in zip(stream.batches, stream.times):
-        assert 1 <= t <= stream.horizon
-        assert (b.risk.y1, b.risk.y0) == (y1, y0)
-        assert b.o1 <= y1 and b.o - b.o1 <= y0
-        y1 -= b.o1
-        y0 -= b.o - b.o1
+    # event times are the distinct unit intervals with events, in order
+    assert np.all(np.diff(stream.times) >= 1) and stream.times[0] >= 1
+    for b_y1, b_y0, o, o1 in rows(stream):
+        assert (b_y1, b_y0) == (y1, y0)
+        assert o1 <= y1 and o - o1 <= y0
+        y1 -= o1
+        y0 -= o - o1
     # no horizon given, so the stream runs to exhaustion
     assert (y1, y0) == (0, 0)
-    assert sum(b.o for b in stream.batches) == m1 + m0
+    assert stream.o.sum() == m1 + m0
 
 
 def test_tied_stream_horizon_truncates():
     stream = sample_tied_stream(100, 100, 0.7, 0.01, stream_rng(5, 0), horizon=25)
-    assert stream.horizon == 25
-    assert sum(b.o for b in stream.batches) < 200
+    assert stream.times[-1] <= 25
+    assert stream.o.sum() < 200
 
 
 def test_tied_stream_rejects_certain_events():
@@ -144,11 +157,11 @@ def test_geometric_tied_sampler_has_the_binomial_law():
         taus[name] = []
         for r in range(reps):
             stream = sampler(m, m, theta, h0, stream_rng(seed, r))
-            early = [b for b, t in zip(stream.batches, stream.times) if t <= intervals]
-            counts["treatment"].append(sum(b.o1 for b in early))
-            counts["all"].append(sum(b.o for b in early))
-            trace = log_evalue_trace(stream.batches, 0.6)
-            n = np.cumsum([b.o for b in stream.batches])
+            early = stream.times <= intervals
+            counts["treatment"].append(stream.o1[early].sum())
+            counts["all"].append(stream.o[early].sum())
+            trace = log_evalue_trace(stream, 0.6)
+            n = np.cumsum(stream.o)
             hits = np.flatnonzero(trace >= design.log_threshold)
             taus[name].append(n[hits[0]] if hits.size else math.inf)
         for key, values in counts.items():
@@ -170,33 +183,35 @@ def test_geometric_tied_sampler_has_the_binomial_law():
 
 def test_stopping_time_matches_manual_trace():
     rng = stream_rng(21, 0)
-    batches = sample_single_event_stream(80, 80, 0.4, rng)
+    stream = sample_single_event_stream(80, 80, 0.4, rng)
     design = DesignSpec(theta1=0.5, alpha=0.05)
-    trace = np.cumsum([log_evalue_increment(0.5, 1.0, b) for b in batches])
+    trace = np.cumsum(
+        [math.log(exact_increment(Fraction(0.5), Fraction(1), *row)) for row in rows(stream)]
+    )
     hits = np.flatnonzero(trace >= LOG20)
     expected = float(hits[0] + 1) if hits.size else math.inf
-    assert stopping_time(batches, design) == expected
+    assert stopping_time(stream, design) == expected
 
 
 def test_stopping_time_never_crossing_is_inf():
-    batches = sample_single_event_stream(10, 10, 1.0, stream_rng(2, 2))
-    assert stopping_time(batches, DesignSpec(theta1=0.5, alpha=1e-6)) == math.inf
+    stream = sample_single_event_stream(10, 10, 1.0, stream_rng(2, 2))
+    assert stopping_time(stream, DesignSpec(theta1=0.5, alpha=1e-6)) == math.inf
 
 
 def test_stopping_time_obf_ignores_events_past_horizon():
-    batches = sample_single_event_stream(40, 40, 0.3, stream_rng(9, 1))
+    stream = sample_single_event_stream(40, 40, 0.3, stream_rng(9, 1))
     capped = DesignSpec(theta1=0.5, test_kind="obf", n_max=10)
     wide = DesignSpec(theta1=0.5, test_kind="obf", n_max=80)
-    tau_capped = stopping_time(batches, capped)
+    tau_capped = stopping_time(stream, capped)
     assert tau_capped == math.inf or tau_capped <= 10
-    tau_wide = stopping_time(batches, wide)
+    tau_wide = stopping_time(stream, wide)
     assert tau_wide <= 80
 
 
 def test_stopping_time_fixed_decides_only_at_horizon():
-    batches = sample_single_event_stream(60, 60, 0.3, stream_rng(14, 0))
+    stream = sample_single_event_stream(60, 60, 0.3, stream_rng(14, 0))
     design = DesignSpec(theta1=0.5, test_kind="fixed", n_max=40)
-    tau = stopping_time(batches, design)
+    tau = stopping_time(stream, design)
     assert tau in (40.0, math.inf)
 
 
@@ -475,17 +490,16 @@ def test_unattained_obf_power_reports_the_crossing_fraction(theta1, side):
 
 def test_unit_time_martingale_agrees_at_event_times():
     stream = sample_tied_stream(60, 60, 0.7, 0.02, stream_rng(19, 0))
-    log_u = unit_time_martingale(stream, theta1=0.7)
-    assert log_u.shape == (stream.horizon,)
-    trace = np.cumsum(
-        [log_evalue_increment(0.7, 1.0, b) for b in stream.batches]
-    )
-    for cum, t in zip(trace, stream.times):
+    horizon = int(stream.times[-1]) + 5
+    log_u = unit_time_martingale(stream, horizon, theta1=0.7)
+    assert log_u.shape == (horizon,)
+    trace = log_evalue_trace(stream, 0.7)
+    for cum, t in zip(trace, stream.times.astype(int)):
         assert log_u[t - 1] == pytest.approx(cum, abs=1e-12)
     # flat wherever nothing happened
-    event_units = set(stream.times)
+    event_units = set(stream.times.astype(int).tolist())
     previous = 0.0
-    for k in range(1, stream.horizon + 1):
+    for k in range(1, horizon + 1):
         if k not in event_units:
             assert log_u[k - 1] == previous
         previous = log_u[k - 1]
