@@ -10,9 +10,13 @@ writes ``BASE.csv`` (fixed column order, '.' decimal separator, %.10g) and a
 ``BASE.json`` mirror carrying full precision.  A ``--config`` file holds
 ``key = value`` pairs for any long option; explicit flags win.  The
 environment variable ``SAFELOGRANK_SEED`` supplies the default seed, nothing
-else.  Reports are standard JSON: a value that is not finite is written as
-``null`` (an empty CSV cell), and ``--out`` refuses a base whose report
-files would replace an input.
+else.  Reports are standard JSON: a value that is not finite, in any column
+or the summary, is written as ``null`` (an empty CSV cell).  Every command
+checks ``--out`` before it reads an input or simulates: it refuses a base in
+a directory that does not exist and one whose report files would replace an
+input.  ``emit_report`` takes each table as columns and writes both files in
+chunks of rows, formatting each column chunk once, so the memory it holds
+does not grow with the table.
 """
 
 from __future__ import annotations
@@ -119,27 +123,21 @@ def _env_seed() -> int:
 # emission
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
 def _finite(value: float) -> float | None:
     """``value``, or None (JSON null) when it is NaN or infinite."""
     return value if math.isfinite(value) else None
 
 
 def _report_base(out: str | None, inputs: Sequence[str] = ()) -> str | None:
-    """``out`` without a trailing ``.csv``.  Refuses a base whose report
-    files would replace one of ``inputs``."""
+    """``out`` without a trailing ``.csv``.  Refuses a base in a directory
+    that does not exist, and one whose report files would replace one of
+    ``inputs``; commands call it before any work."""
     if out is None:
         return None
     base = out[:-4] if out.endswith(".csv") else out
+    directory = os.path.dirname(base)
+    if directory and not os.path.isdir(directory):
+        raise UsageError(f"--out {out}: the directory {directory} does not exist")
     targets = {os.path.realpath(base + ext) for ext in (".csv", ".json")}
     for path in inputs:
         if os.path.realpath(path) in targets:
@@ -147,22 +145,93 @@ def _report_base(out: str | None, inputs: Sequence[str] = ()) -> str | None:
     return base
 
 
+# Rows formatted and written at a time; bounds the text held.  Larger chunks
+# were no faster, and 4096 rows raised the peak memory of a 4k-row report.
+_CHUNK_ROWS = 512
+_NONFINITE = ("nan", "inf", "-inf")  # what float.__repr__ and %g make of them
+_BOOL = {True: "true", False: "false"}
+# One C-level formatter per cell type, applied to a whole column chunk:
+# (JSON text, CSV text).  JSON text is exactly what ``json.dump`` writes.
+_FORMAT = {
+    float: (float.__repr__, "%.10g".__mod__),
+    int: (int.__repr__, int.__repr__),
+    bool: (_BOOL.__getitem__, _BOOL.__getitem__),
+    str: (json.encoder.encode_basestring_ascii, str),
+}
+
+
+def _cell(value) -> tuple[str, str]:
+    """JSON and CSV text of one cell of a chunk holding mixed types."""
+    if value is None:
+        return "null", ""
+    if value is True or value is False:
+        return _BOOL[value], _BOOL[value]
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value), value
+    if isinstance(value, int):
+        return int.__repr__(value), int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value), "%.10g" % value
+        return "null", ""
+    raise TypeError(f"a report cell cannot hold {type(value).__name__}: {value!r}")
+
+
+def _format_chunk(values: list) -> tuple[list[str], list[str]]:
+    """JSON and CSV text of one column chunk; a non-finite float is null
+    in JSON and an empty CSV cell."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1 or kinds.isdisjoint(_FORMAT):
+        json_cells, csv_cells = zip(*map(_cell, values))
+        return list(json_cells), list(csv_cells)
+    kind = kinds.pop()
+    to_json, to_csv = _FORMAT[kind]
+    json_cells, csv_cells = list(map(to_json, values)), list(map(to_csv, values))
+    if kind is float and not math.isfinite(sum(values)):  # a NaN or inf is in the chunk
+        json_cells = ["null" if c in _NONFINITE else c for c in json_cells]
+        csv_cells = ["" if c in _NONFINITE else c for c in csv_cells]
+    return json_cells, csv_cells
+
+
 def emit_report(
-    out: str | None, columns: Sequence[str], rows: Sequence[dict], summary: dict
+    out: str | None, columns: Sequence[str], table: dict, summary: dict
 ) -> None:
     """Write ``<out>.csv`` (fixed order, %.10g) and ``<out>.json`` (full
-    precision, standard JSON); no files when ``out`` is None."""
-    base = _report_base(out)
-    if base is None:
+    precision, standard JSON); no files when ``out`` is None.
+
+    ``out`` is a base from ``_report_base``.  ``table`` maps each column name
+    to its values (a list, range or 1-d array, all of one length); its key
+    order is the key order of each JSON row, and ``columns`` is the CSV and
+    header order.  Cells are None, bool, int, float or str; a float that is
+    not finite is written as null.  Rows are formatted and written
+    ``_CHUNK_ROWS`` at a time, one column chunk per formatter call.
+    """
+    if out is None:
         return
-    with open(base + ".csv", "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row.get(c)) for c in columns) + "\n")
-    payload = {"summary": summary, "columns": list(columns), "rows": list(rows)}
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    names = list(table)
+    n_rows = len(table[names[0]]) if names else 0
+    payload = {"summary": summary, "columns": list(columns), "rows": []}
+    head, _, tail = json.dumps(payload, indent=1, allow_nan=False).rpartition("[]")
+    encode = json.encoder.encode_basestring_ascii
+    row_template = "  {\n" + ",\n".join(
+        f"   {encode(name).replace('%', '%%')}: %s" for name in names
+    ) + "\n  }"
+    with open(out + ".csv", "w", encoding="utf-8") as csv_fh, \
+            open(out + ".json", "w", encoding="utf-8") as json_fh:
+        csv_fh.write(",".join(columns) + "\n")
+        json_fh.write(head + ("[\n" if n_rows else "[]"))
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            cells = {}  # name -> (JSON texts, CSV texts) of this chunk
+            for name in names:
+                chunk = table[name][lo:lo + _CHUNK_ROWS]
+                cells[name] = _format_chunk(
+                    chunk.tolist() if isinstance(chunk, np.ndarray) else list(chunk)
+                )
+            csv_fh.write("\n".join(map(",".join, zip(*(cells[c][1] for c in columns)))) + "\n")
+            json_fh.write(("" if lo == 0 else ",\n") + ",\n".join(
+                map(row_template.__mod__, zip(*(cells[name][0] for name in names)))
+            ))
+        json_fh.write(("\n ]" if n_rows else "") + tail + "\n")
 
 
 def _print_summary(summary: dict) -> None:
@@ -219,12 +288,12 @@ def _parse_grid(text: str | None) -> np.ndarray | None:
         return None
     try:
         lo, hi, count = text.split(":")
-        grid = np.geomspace(float(lo), float(hi), int(count))
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise UsageError(f"cannot parse grid {text!r}: expected LO:HI:COUNT") from None
-    if not (0 < grid[0] < grid[-1]) or grid.size < 2:
-        raise UsageError("grid needs 0 < LO < HI and COUNT >= 2")
-    return grid
+    if not (0 < lo < hi < math.inf) or count < 2:
+        raise UsageError("grid needs 0 < LO < HI < inf and COUNT >= 2")
+    return np.geomspace(lo, hi, count)
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -245,7 +314,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 _ANALYSIS_COLUMNS = ("index", "time", "n", "y1", "y0", "o", "o1", "log10_e", "z", "boundary_z")
 
 
-def _analysis_rows(
+def _analysis_table(
     dataset: TrialDataset,
     test: str,
     theta1: float | None,
@@ -253,16 +322,16 @@ def _analysis_rows(
     alpha: float,
     two_sided: bool,
     prior: PriorSpec | None,
-) -> tuple[list[dict], dict]:
+) -> tuple[dict, dict]:
     stream = dataset.stream
-    times = stream.times.tolist()
+    size = len(stream.times)
     n = np.cumsum(stream.o)
     score, variance = logrank_moments(stream)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = score / np.sqrt(variance)
-    boundary = [None] * len(times)
+    boundary = np.full(size, np.nan)  # written as null: only the gaussian test has one
 
-    if not times:
+    if not size:
         log_e_trace = np.zeros(0)
     elif test == "exact":
         log_e_trace = log_evalue_trace(stream, theta1, theta0, two_sided=two_sided)
@@ -274,28 +343,25 @@ def _analysis_rows(
         m1, m0 = int(stream.y1[0]), int(stream.y0[0])
         mu1 = schoenfeld_mu(theta1, m1, m0)
         log_e_trace = np.where(variance > 0, log_gaussian_evalue(n, z, mu1), -np.inf)
-        boundary = gaussian_safe_boundary(n, theta1, alpha, m1, m0).tolist()
+        boundary = gaussian_safe_boundary(n, theta1, alpha, m1, m0)
 
-    columns = (
-        range(1, len(times) + 1), times, n.tolist(),
-        stream.y1.tolist(), stream.y0.tolist(), stream.o.tolist(), stream.o1.tolist(),
-        [_finite(v) for v in (log_e_trace / LN10).tolist()],
-        [_finite(v) for v in z.tolist()],
-        boundary,
+    values = (
+        np.arange(1, size + 1), stream.times, n, stream.y1, stream.y0, stream.o, stream.o1,
+        log_e_trace / LN10, z, boundary,
     )
-    rows = [dict(zip(_ANALYSIS_COLUMNS, values)) for values in zip(*columns)]
+    table = dict(zip(_ANALYSIS_COLUMNS, values))
 
-    final_log_e = float(log_e_trace[-1]) if times else 0.0
-    running_max = float(np.max(log_e_trace)) if times else 0.0
+    final_log_e = float(log_e_trace[-1]) if size else 0.0
+    running_max = float(np.max(log_e_trace)) if size else 0.0
     hits = np.flatnonzero(log_e_trace >= math.log(1.0 / alpha))
     summary = {
-        "n_events": int(n[-1]) if times else 0,
+        "n_events": int(n[-1]) if size else 0,
         "final_log10_e": _finite(final_log_e / LN10),
         "max_log10_e": _finite(running_max / LN10),
         "decision": "reject" if hits.size else "continue",
-        "reject_at_n": rows[hits[0]]["n"] if hits.size else None,
+        "reject_at_n": int(n[hits[0]]) if hits.size else None,
     }
-    return rows, summary
+    return table, summary
 
 
 def pooled_decision(summaries: list[dict], alpha: float) -> tuple[float | None, str]:
@@ -366,17 +432,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     "proceed anyway, or use --test exact."
                 )
 
-    all_rows: list[dict] = []
+    tables = []
     summaries = []
     for index, (path, ds) in enumerate(zip(paths, datasets)):
-        rows, summary = _analysis_rows(
+        table, summary = _analysis_table(
             ds, test, theta1, theta0, alpha, two_sided, prior
         )
-        for r in rows:
-            r["dataset"] = index
-        all_rows.extend(rows)
+        table["dataset"] = np.full(len(table["n"]), index)
+        tables.append(table)
         summary["path"] = path
         summaries.append(summary)
+    table = {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
     combined_log10, decision = pooled_decision(summaries, alpha)
     if len(datasets) == 1:
         summary = dict(summaries[0])
@@ -390,7 +456,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary["alpha"] = alpha
     summary["test"] = test
 
-    emit_report(out, ("dataset",) + _ANALYSIS_COLUMNS, all_rows, summary)
+    emit_report(out, ("dataset",) + _ANALYSIS_COLUMNS, table, summary)
     _print_summary(summary)
     return EXIT_REJECT if decision == "reject" else EXIT_CONTINUE
 
@@ -422,6 +488,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     obf_cap = opt.get("obf_cap", None, int)
     if obf_cap is not None and not include_obf:
         raise UsageError("--obf-cap sets the O'Brien-Fleming horizon scan; it needs --obf")
+    out = _report_base(opt.get("out"))
 
     table = design_table(
         theta1,
@@ -438,19 +505,16 @@ def cmd_design(args: argparse.Namespace) -> int:
         obf_cap=obf_cap,
         tie_h0=tie_h0,
     )
-    row_dicts = [
-        {
-            "test": r.test_kind,
-            "n_max": r.n_max,
-            "mean_capped": r.mean_capped,
-            "conditional_mean": _finite(r.conditional_mean),
-            "power": r.power,
-            "ratio_n_max": r.ratio_n_max,
-            "ratio_mean": r.ratio_mean,
-        }
-        for r in table["rows"]
-    ]
-
+    rows = table["rows"]
+    report = {
+        "test": [r.test_kind for r in rows],
+        "n_max": [r.n_max for r in rows],
+        "mean_capped": [r.mean_capped for r in rows],
+        "conditional_mean": [r.conditional_mean for r in rows],
+        "power": [r.power for r in rows],
+        "ratio_n_max": [r.ratio_n_max for r in rows],
+        "ratio_mean": [r.ratio_mean for r in rows],
+    }
     summary = {
         "schoenfeld_n_fixed": table["n_fixed"],
         "wald_expected_stopping": _finite(table["wald_expected"]),
@@ -462,22 +526,10 @@ def cmd_design(args: argparse.Namespace) -> int:
         "seed": seed,
         "unattained_power": table["unattained"],
     }
-    columns = [
-        "test",
-        "n_max",
-        "mean_capped",
-        "conditional_mean",
-        "power",
-        "ratio_n_max",
-        "ratio_mean",
-    ]
-    emit_report(opt.get("out"), columns, row_dicts, summary)
+    emit_report(out, list(report), report, summary)
     _print_summary(summary)
-    for row in row_dicts:
-        print(
-            f"  {row['test']}: n_max={row['n_max']}"
-            f" mean={row['mean_capped']:.1f} power={row['power']:.3f}"
-        )
+    for r in rows:
+        print(f"  {r.test_kind}: n_max={r.n_max} mean={r.mean_capped:.1f} power={r.power:.3f}")
     return EXIT_CONTINUE
 
 
@@ -502,25 +554,26 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     step = opt.get("n_step", 1, int)
     if not (1 <= n_from <= n_to) or step < 1:
         raise UsageError("need 1 <= n-from <= n-to and n-step >= 1")
+    out = _report_base(opt.get("out"))
 
     sign = -1.0 if side == "left" else 1.0
     fixed = fixed_sample_boundary(alpha, side)
     ns = np.arange(n_from, n_to + 1, step)
     safe = sign * np.abs(gaussian_safe_boundary(ns, theta1, alpha, m1, m0))
-    obf = obf_boundary(ns[ns <= n_max], n_max, alpha, side).tolist()
-    obf += [None] * (ns.size - len(obf))
-    rows = [
-        {"n": n, "gaussian_safe": g, "obrien_fleming": o, "fixed_classical": fixed}
-        for n, g, o in zip(ns.tolist(), safe.tolist(), obf)
-    ]
+    obf = np.full(ns.size, np.nan)  # written as null past the horizon
+    obf[ns <= n_max] = obf_boundary(ns[ns <= n_max], n_max, alpha, side)
+    table = {
+        "n": ns, "gaussian_safe": safe, "obrien_fleming": obf,
+        "fixed_classical": np.full(ns.size, fixed),
+    }
     summary = {
         "theta1": theta1,
         "alpha": alpha,
         "n_max": n_max,
         "side": side,
-        "rows_emitted": len(rows),
+        "rows_emitted": ns.size,
     }
-    emit_report(opt.get("out"), ["n", "gaussian_safe", "obrien_fleming", "fixed_classical"], rows, summary)
+    emit_report(out, list(table), table, summary)
     _print_summary(summary)
     return EXIT_CONTINUE
 
@@ -543,7 +596,6 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         _refuse(args, "applies only to the bayes numerator", "prior", "theta1")
     out = _report_base(opt.get("out"), [args.dataset])
     stream = read_dataset(args.dataset, delimiter=opt.get("delimiter")).stream
-    times = stream.times.tolist()
     seq = confidence_sequence(
         stream,
         alpha=alpha,
@@ -552,13 +604,15 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         prior=prior,
         running_intersection=opt.flag("intersect"),
     )
-    columns = ["index", "time", "n", "lower", "upper", "lower_bracketed", "upper_bracketed"]
-    values = (
-        range(1, len(times) + 1), times, np.cumsum(stream.o).tolist(),
-        [_finite(v) for v in seq.lower.tolist()], [_finite(v) for v in seq.upper.tolist()],
-        seq.lower_bracketed.tolist(), seq.upper_bracketed.tolist(),
-    )
-    rows = [dict(zip(columns, row)) for row in zip(*values)]
+    table = {
+        "index": np.arange(1, len(stream.times) + 1),
+        "time": stream.times,
+        "n": np.cumsum(stream.o),
+        "lower": seq.lower,
+        "upper": seq.upper,
+        "lower_bracketed": seq.lower_bracketed,
+        "upper_bracketed": seq.upper_bracketed,
+    }
     summary = {
         "n_events": int(stream.o.sum()),
         "final_lower": _finite(seq.final_lower),
@@ -570,7 +624,7 @@ def cmd_confseq(args: argparse.Namespace) -> int:
         "grid_hi": float(seq.grid[-1]),
         "grid_points": int(seq.grid.size),
     }
-    emit_report(out, columns, rows, summary)
+    emit_report(out, list(table), table, summary)
     _print_summary(summary)
     return EXIT_CONTINUE
 
@@ -588,24 +642,17 @@ def cmd_audit(args: argparse.Namespace) -> int:
     ratios = [_parse_ratio(r) for r in opt.get("ratios", "1:1,3:1").split(",")]
     if not (0 < lo < hi) or points < 2 or scale < 1:
         raise UsageError("need 0 < theta-from < theta-to, points >= 2, scale >= 1")
+    out = _report_base(opt.get("out"))
 
-    thetas = np.geomspace(lo, hi, points)
-    columns = ["theta"] + [f"audit_{a}_{b}" for a, b in ratios]
-    rows = []
-    worst = {f"audit_{a}_{b}": 0.0 for a, b in ratios}
-    for theta in thetas:
-        row = {"theta": float(theta)}
-        for a, b in ratios:
-            m1, m0 = a * scale, b * scale
-            value = null_expectation_audit(float(theta), m1, m0, m1, m0)
-            key = f"audit_{a}_{b}"
-            row[key] = value
-            worst[key] = max(worst[key], value)
-        rows.append(row)
+    thetas = np.geomspace(lo, hi, points).tolist()
+    table = {"theta": thetas}
     summary = {"theta_from": lo, "theta_to": hi, "points": points, "scale": scale}
-    for key, value in worst.items():
-        summary[f"max_{key}"] = value
-    emit_report(opt.get("out"), columns, rows, summary)
+    for a, b in ratios:
+        m1, m0 = a * scale, b * scale
+        values = [null_expectation_audit(theta, m1, m0, m1, m0) for theta in thetas]
+        table[f"audit_{a}_{b}"] = values
+        summary[f"max_audit_{a}_{b}"] = max([0.0] + values)
+    emit_report(out, list(table), table, summary)
     _print_summary(summary)
     return EXIT_CONTINUE
 

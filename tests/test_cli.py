@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from safelogrank import cli
 from safelogrank.cli import (
     EXIT_CONTINUE,
     EXIT_DATA,
@@ -82,6 +83,10 @@ def test_usage_errors(null_dataset, capsys):
     # the Gaussian e-value is built for theta0 = 1 only
     assert main(["analyze", null_dataset, "--test", "gaussian", "--theta1", "0.7",
                  "--theta0", "0.7"]) == EXIT_USAGE
+    # a grid of fewer than two points, or with an infinite end, has nothing to invert over
+    for grid in ("0.5:2:0", "0.5:2:1", "0.5:2:-3", "0.5:inf:5", "2:0.5:5"):
+        assert main(["confseq", null_dataset, "--grid", grid]) == EXIT_USAGE
+        assert "grid needs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -425,6 +430,31 @@ def test_out_refuses_to_overwrite_an_input(null_dataset, tmp_path, capsys):
         assert "overwrite" in capsys.readouterr().err
     assert open(null_dataset, "rb").read() == original
     assert not os.path.exists(base + ".json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "DATA", "--theta1", "0.7"],
+        ["confseq", "DATA"],
+        ["design", "--theta1", "0.7"],
+        ["boundary", "--theta1", "0.7", "--nmax", "100"],
+        ["audit"],
+    ],
+)
+def test_out_into_a_missing_directory_is_refused_before_any_work(
+    argv, null_dataset, tmp_path, monkeypatch, capsys
+):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("read_dataset", "design_table", "gaussian_safe_boundary", "null_expectation_audit"):
+        monkeypatch.setattr(cli, name, no_work)
+    missing = tmp_path / "missing"
+    argv = [null_dataset if a == "DATA" else a for a in argv]
+    assert main(argv + ["--out", str(missing / "report")]) == EXIT_USAGE
+    assert f"the directory {missing} does not exist" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_reports_are_standard_json(strong_dataset, tmp_path, capsys):
