@@ -129,13 +129,15 @@ def _finite(value: float) -> float | None:
 
 
 def _report_base(out: str | None, inputs: Sequence[str] = ()) -> str | None:
-    """``out`` without a trailing ``.csv``.  Refuses a base in a directory
-    that does not exist, and one whose report files would replace one of
-    ``inputs``; commands call it before any work."""
+    """``out`` without a trailing ``.csv``.  Refuses a base that names no
+    file, one in a directory that does not exist, and one whose report files
+    would replace one of ``inputs``; commands call it before any work."""
     if out is None:
         return None
     base = out[:-4] if out.endswith(".csv") else out
-    directory = os.path.dirname(base)
+    directory, name = os.path.split(base)
+    if not name:  # "dir/" would write the hidden files dir/.csv and dir/.json
+        raise UsageError(f"--out {out} names no file: give a base such as {directory or '.'}/report")
     if directory and not os.path.isdir(directory):
         raise UsageError(f"--out {out}: the directory {directory} does not exist")
     targets = {os.path.realpath(base + ext) for ext in (".csv", ".json")}

@@ -457,6 +457,13 @@ def test_out_into_a_missing_directory_is_refused_before_any_work(
     assert not missing.exists()
 
 
+def test_out_naming_no_file_is_refused(tmp_path, capsys):
+    for out in (f"{tmp_path}/", f"{tmp_path}/.csv", ".csv"):
+        assert main(["audit", "--points", "3", "--out", out]) == EXIT_USAGE
+        assert "names no file" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_reports_are_standard_json(strong_dataset, tmp_path, capsys):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
