@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from fractions import Fraction
@@ -141,6 +142,69 @@ def test_round_trip_tied_stream_with_censoring():
     buf = io.StringIO()
     write_dataset(ds, buf)
     assert _columns(parse_dataset(buf.getvalue()).stream) == _columns(tied)
+
+
+_LATE_ENTRIES = """\
+entry,time,group,status
+0,1,1,event
+0,4,0,event
+2,4,1,censored
+2,5,1,event
+0.1234567890123,3.75,0,censored
+1e-3,2.5,1,1
+0,6,0,0
+"""
+
+
+@pytest.mark.parametrize(
+    "make,digest",
+    [
+        (
+            lambda: dataset_from_stream(sample_single_event_stream(12, 9, 0.6, stream_rng(44, 0))),
+            "b67a50ff80ec34b50935df79fd1eab947ee2a0a9849d88d90e6b6b0d3911e727",
+        ),
+        (
+            # the horizon leaves 9 + 6 at risk, written as a censored tail
+            lambda: dataset_from_stream(
+                sample_tied_stream(20, 20, 0.8, 0.1, stream_rng(45, 1), horizon=8)
+            ),
+            "a4b734eb8f496dd2582a2980a21bb293293b11d10cb1de53056d4a70d085a670",
+        ),
+        (
+            lambda: parse_dataset(_LATE_ENTRIES),
+            "a99b7475a92be8898e948eee291135a00099ecb304a04f6b142e35dfd6df8f8d",
+        ),
+    ],
+    ids=["single-event-stream", "tied-stream-censored-tail", "parsed-late-entries"],
+)
+def test_written_datasets_are_pinned(make, digest):
+    buf = io.StringIO()
+    write_dataset(make(), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("-0.5,1,0,event\n", "line 2: entry time must be nonnegative, got -0.5"),
+        ("0,nan,0,event\n", "line 2: exit time must exceed entry time, got entry=0.0 exit=nan"),
+        ("nan,1,0,event\n", "line 2: exit time must exceed entry time, got entry=nan exit=1.0"),
+        # with several bad lines, the first is named, whichever rule it breaks
+        (
+            "3,1,0,event\n0,1,2,event\n",
+            "line 2: exit time must exceed entry time, got entry=3.0 exit=1.0",
+        ),
+        ("0,1,2,event\n3,1,0,event\n", "line 2: group must be 0 or 1, got '2'"),
+        (
+            "0,1,0,event\n3,1,0,event\n0,1,0\n",
+            "line 3: exit time must exceed entry time, got entry=3.0 exit=1.0",
+        ),
+    ],
+)
+def test_record_errors_are_pinned(rows, message):
+    with pytest.raises(DatasetError) as err:
+        parse_dataset("entry,time,group,status\n" + rows)
+    assert str(err.value) == message
 
 
 def test_dataset_from_stream_rejects_inconsistent_stream():
