@@ -13,11 +13,11 @@ engine, dataset I/O, and a command line front end live in the submodules:
 - :mod:`safelogrank.gaussian` — logrank moments, Gaussian e-values, boundaries
 - :mod:`safelogrank.adaptive` — plug-in/Bayes numerators, confidence sequences
 - :mod:`safelogrank.simulate` — samplers, stopping times, design tables
-- :mod:`safelogrank.data` — survival records and delimited-text parsing
+- :mod:`safelogrank.data` — survival records as columns, delimited-text parsing
 - :mod:`safelogrank.cli` — the ``safelogrank`` command
 """
 
-from .core import EventBatch, EventStream, RiskSet, log_evalue_trace
+from .core import EventStream, log_evalue_trace
 from .gaussian import (
     fixed_sample_boundary,
     gaussian_safe_boundary,
@@ -34,7 +34,6 @@ from .adaptive import (
     plugin_log_trace,
 )
 from .data import (
-    SurvivalRecord,
     TrialDataset,
     dataset_from_stream,
     parse_dataset,
@@ -62,8 +61,6 @@ __all__ = [
     "__version__",
     # core
     "EventStream",
-    "RiskSet",
-    "EventBatch",
     "log_evalue_trace",
     # gaussian
     "schoenfeld_mu",
@@ -79,7 +76,6 @@ __all__ = [
     "bayes_log_trace",
     "confidence_sequence",
     # data
-    "SurvivalRecord",
     "TrialDataset",
     "parse_dataset",
     "read_dataset",

@@ -31,9 +31,7 @@ are evaluated together over a padded support table whose log-binomials come
 from one log-factorial table (built with ``math.lgamma``), normalized by
 log-sum-exp: the package's one Fisher noncentral hypergeometric formula.
 The exact traces, the learned numerators, the confidence sequence
-denominators and the simulation engine all read it.  ``RiskSet`` and
-``EventBatch`` are a validating scalar view of one row of an
-``EventStream``.
+denominators and the simulation engine all read it.
 """
 
 from __future__ import annotations
@@ -46,8 +44,6 @@ import numpy as np
 __all__ = [
     "THETA_LOWER",
     "THETA_UPPER",
-    "RiskSet",
-    "EventBatch",
     "EventStream",
     "validate_theta",
     "two_sided_log_evalue",
@@ -69,64 +65,6 @@ def validate_theta(theta: float, name: str = "theta") -> float:
             f"{name} must be a finite hazard ratio in [{THETA_LOWER:g}, {THETA_UPPER:g}], got {theta!r}"
         )
     return theta
-
-
-@dataclass(frozen=True)
-class RiskSet:
-    """Participants still at risk just before an event time.
-
-    ``y1`` counts the treatment group, ``y0`` the control group.  The risk
-    set at a time ``t`` contains everyone with ``entry < t <= exit``; in
-    particular it still includes the participants about to have their event
-    at ``t``, and anyone censored exactly at ``t``.
-    """
-
-    y1: int
-    y0: int
-
-    def __post_init__(self) -> None:
-        for label, value in (("y1", self.y1), ("y0", self.y0)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValueError(f"RiskSet.{label} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"RiskSet.{label} must be >= 0, got {value}")
-
-    @property
-    def total(self) -> int:
-        return self.y1 + self.y0
-
-
-@dataclass(frozen=True)
-class EventBatch:
-    """All events tied at one event time: ``o`` events, ``o1`` from treatment.
-
-    Ties are exact equality of recorded exit times.  ``o1`` must lie in the
-    hypergeometric support ``[max(0, o - y0), min(o, y1)]``; anything else is
-    inconsistent with the risk set and rejected outright.
-    """
-
-    risk: RiskSet
-    o: int
-    o1: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.o <= self.risk.total):
-            raise ValueError(
-                f"event count o={self.o} outside [1, {self.risk.total}] for risk set {self.risk}"
-            )
-        if not (self.o1_min <= self.o1 <= self.o1_max):
-            raise ValueError(
-                f"o1={self.o1} outside support [{self.o1_min}, {self.o1_max}] "
-                f"for o={self.o} events in risk set {self.risk}"
-            )
-
-    @property
-    def o1_min(self) -> int:
-        return max(0, self.o - self.risk.y0)
-
-    @property
-    def o1_max(self) -> int:
-        return min(self.o, self.risk.y1)
 
 
 _LOG_FACTORIAL = np.zeros(1)

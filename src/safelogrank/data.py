@@ -1,14 +1,13 @@
-"""Survival datasets: records, delimited-text parsing, event-stream derivation.
+"""Survival datasets: records as columns, delimited-text parsing, event-stream derivation.
 
-A record is (entry, exit, group, status).  The risk set at an event time t
-contains every record with ``entry < t <= exit`` — including the participant
-whose event defines t, and including records censored exactly at t (censoring
-ties resolve after events).  Ties are grouped by exact equality of exit
-times, so event batches are reproducible from the file bytes alone.  Events
-are derived once, by sorting, as a columnar ``EventStream`` (O(N log N) in
-the number of records), which is what every analysis reads;
-``TrialDataset.batches`` builds a validating ``EventBatch`` view of it only
-when asked.
+A dataset is four columns, one entry per record: ``entry``, ``exit``,
+``group`` and ``status``.  The risk set at an event time t contains every
+record with ``entry < t <= exit`` — including the participant whose event
+defines t, and including records censored exactly at t (censoring ties
+resolve after events).  Ties are grouped by exact equality of exit times,
+so event batches are reproducible from the file bytes alone.  Events are
+derived once, by sorting, as a columnar ``EventStream`` (O(N log N) in the
+number of records), which is what every analysis reads.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import EventBatch, EventStream, RiskSet
+from .core import EventStream
 
 __all__ = [
     "EVENT",
     "CENSORED",
     "DatasetError",
-    "SurvivalRecord",
     "TrialDataset",
     "parse_dataset",
     "read_dataset",
@@ -42,49 +40,64 @@ _STATUS_NAMES = {
     "censored": CENSORED,
 }
 
+_GROUP_NAMES = {"0": 0, "1": 1}
+
 
 class DatasetError(ValueError):
     """Malformed survival data; the message carries the offending line."""
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One participant: at risk on (entry, exit], with an event or a
-    censoring at exit."""
+def _first_fault(entry, exit_, group, status) -> tuple[int, str] | None:
+    """The first record that breaks a record rule, and the first rule it
+    breaks: group and status in {0, 1}, entry >= 0, and exit > entry (so
+    neither time is NaN).  None when every record keeps them."""
+    entry, exit_, group, status = (np.asarray(c) for c in (entry, exit_, group, status))
+    rules = (
+        ~np.isin(group, (0, 1)),
+        ~np.isin(status, (EVENT, CENSORED)),
+        entry < 0,
+        ~(exit_ > entry),
+    )
+    broken = np.logical_or.reduce(rules)
+    if not broken.any():
+        return None
+    i = int(np.argmax(broken))
+    e, x = float(entry[i]), float(exit_[i])
+    messages = (
+        f"group must be 0 or 1, got {group[i]}",
+        f"status must be {EVENT} (event) or {CENSORED} (censored)",
+        f"entry time must be nonnegative, got {e}",
+        f"exit time must exceed entry time, got entry={e} exit={x}",
+    )
+    return i, next(m for rule, m in zip(rules, messages) if rule[i])
 
-    exit: float
-    group: int
-    status: int
-    entry: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.group not in (0, 1):
-            raise DatasetError(f"group must be 0 or 1, got {self.group}")
-        if self.status not in (EVENT, CENSORED):
-            raise DatasetError(f"status must be {EVENT} (event) or {CENSORED} (censored)")
-        if self.entry < 0:
-            raise DatasetError(f"entry time must be nonnegative, got {self.entry}")
-        if not self.exit > self.entry:
-            raise DatasetError(
-                f"exit time must exceed entry time, got entry={self.entry} exit={self.exit}"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDataset:
-    """An ordered collection of survival records with its derived event stream."""
+    """Survival records as four 1-d columns of one length: each record is
+    at risk on (entry, exit], in group 0 (control) or 1 (treatment), with
+    an event (status 1) or a censoring (0) at exit.  The columns are stored
+    read-only, as float ``entry``/``exit`` and integer ``group``/``status``;
+    a record that breaks a rule is refused, naming its index."""
 
-    records: tuple[SurvivalRecord, ...]
+    entry: np.ndarray
+    exit: np.ndarray
+    group: np.ndarray
+    status: np.ndarray
 
     def __post_init__(self) -> None:
+        columns = [np.array(c, dtype=float) for c in (self.entry, self.exit)]
+        columns += [np.array(c) for c in (self.group, self.status)]
+        if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
+            raise DatasetError("entry, exit, group and status must be 1-d columns of one length")
+        fault = _first_fault(*columns)
+        if fault is not None:
+            raise DatasetError(f"record {fault[0]}: {fault[1]}")
+        columns[2:] = [c.astype(np.int64) for c in columns[2:]]
+        for name, column in zip(("entry", "exit", "group", "status"), columns):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "_stream", None)
-
-    def group_size(self, group: int) -> int:
-        return sum(1 for r in self.records if r.group == group)
-
-    @property
-    def n_events(self) -> int:
-        return sum(1 for r in self.records if r.status == EVENT)
 
     def event_batches(self) -> EventStream:
         """Derive and cache the columnar event stream: one row per distinct
@@ -93,29 +106,20 @@ class TrialDataset:
         ``np.unique`` and ``np.bincount`` give the event times and counts,
         and the number at risk in a group at time t is
         #(entry < t) - #(exit < t), by ``searchsorted`` on the group's
-        sorted entry and exit times.  An event outside its own risk set
-        (possible only for records that skipped validation) is refused.
+        sorted entry and exit times.  Every event lies in its own group's
+        risk set, since each record has entry < exit.
         """
         if self._stream is not None:
             return self._stream
-        exit_, entry, group, status = np.array(
-            [(r.exit, r.entry, r.group, r.status) for r in self.records], dtype=float
-        ).reshape(-1, 4).T
-        times, slot = np.unique(exit_[status == EVENT], return_inverse=True)
+        event = self.status == EVENT
+        times, slot = np.unique(self.exit[event], return_inverse=True)
         o = np.bincount(slot, minlength=times.size)
-        o1 = np.bincount(slot[group[status == EVENT] == 1], minlength=times.size)
+        o1 = np.bincount(slot[self.group[event] == 1], minlength=times.size)
         y1, y0 = (
-            np.searchsorted(np.sort(entry[group == g]), times, side="left")
-            - np.searchsorted(np.sort(exit_[group == g]), times, side="left")
+            np.searchsorted(np.sort(self.entry[self.group == g]), times, side="left")
+            - np.searchsorted(np.sort(self.exit[self.group == g]), times, side="left")
             for g in (1, 0)
         )
-        short = (y1 < o1) | (y0 < o - o1)
-        if np.any(short):
-            i = np.argmax(short)
-            raise DatasetError(
-                f"event at time {float(times[i])} with only {int(y1[i] + y0[i])} at risk "
-                f"({int(y1[i])} treatment, {int(y0[i])} control); check entry/exit times"
-            )
         object.__setattr__(self, "_stream", EventStream(times, y1, y0, o, o1))
         return self._stream
 
@@ -123,17 +127,6 @@ class TrialDataset:
     def stream(self) -> EventStream:
         """The columnar event stream, as derived by ``event_batches``."""
         return self.event_batches()
-
-    @property
-    def batches(self) -> tuple[EventBatch, ...]:
-        """The stream as validating ``EventBatch`` rows, built when read."""
-        s = self.stream
-        columns = (s.y1.tolist(), s.y0.tolist(), s.o.tolist(), s.o1.tolist())
-        return tuple(EventBatch(RiskSet(a, b), k, j) for a, b, k, j in zip(*columns))
-
-    @property
-    def event_times(self) -> tuple[float, ...]:
-        return tuple(self.stream.times.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +154,7 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     delimiter is comma/tab autodetected unless forced.  Status accepts
     1/0 or event/censored.  Errors carry 1-based line numbers.
     """
-    lines = [ln for ln in text.splitlines()]
-    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
         raise DatasetError("empty input: expected a header row and at least one record")
     header_no, header = rows[0]
@@ -182,38 +174,50 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     if len(rows) == 1:
         raise DatasetError("no records after the header row")
 
-    records = []
-    for line_no, line in rows[1:]:
-        fields = _split(line, delimiter)
-        if len(fields) < len(names):
-            raise DatasetError(
-                f"line {line_no}: expected {len(names)} fields, got {len(fields)}"
-            )
-        try:
-            exit_time = float(fields[columns["exit"]])
-            entry = float(fields[columns["entry"]]) if "entry" in columns else 0.0
-        except ValueError as err:
-            raise DatasetError(f"line {line_no}: {err}") from None
-        group_text = fields[columns["group"]]
-        if group_text not in ("0", "1"):
-            raise DatasetError(f"line {line_no}: group must be 0 or 1, got {group_text!r}")
-        status_text = fields[columns["status"]].lower()
-        if status_text not in _STATUS_NAMES:
-            raise DatasetError(
-                f"line {line_no}: status must be one of 1/0/event/censored, got {status_text!r}"
-            )
-        try:
-            records.append(
-                SurvivalRecord(
-                    exit=exit_time,
-                    group=int(group_text),
-                    status=_STATUS_NAMES[status_text],
-                    entry=entry,
+    width = len(names)
+    exit_at, group_at, status_at = columns["exit"], columns["group"], columns["status"]
+    entry_at = columns.get("entry")
+    body = rows[1:]
+    parsed = entry, exit_, group, status = [], [], [], []
+    try:
+        for line_no, line in body:
+            fields = _split(line, delimiter)
+            if len(fields) < width:
+                raise DatasetError(f"line {line_no}: expected {width} fields, got {len(fields)}")
+            try:
+                x = float(fields[exit_at])
+                e = float(fields[entry_at]) if entry_at is not None else 0.0
+            except ValueError as err:
+                raise DatasetError(f"line {line_no}: {err}") from None
+            g = _GROUP_NAMES.get(fields[group_at])
+            if g is None:
+                raise DatasetError(
+                    f"line {line_no}: group must be 0 or 1, got {fields[group_at]!r}"
                 )
-            )
-        except DatasetError as err:
-            raise DatasetError(f"line {line_no}: {err}") from None
-    return TrialDataset(records=tuple(records))
+            status_text = fields[status_at].lower()
+            s = _STATUS_NAMES.get(status_text)
+            if s is None:
+                raise DatasetError(
+                    f"line {line_no}: status must be one of 1/0/event/censored, got {status_text!r}"
+                )
+            entry.append(e)
+            exit_.append(x)
+            group.append(g)
+            status.append(s)
+    except DatasetError:
+        # a record rule broken on an earlier line is the first error
+        _refuse_first_fault(parsed, body)
+        raise
+    _refuse_first_fault(parsed, body)
+    return TrialDataset(*parsed)
+
+
+def _refuse_first_fault(columns, body: list[tuple[int, str]]) -> None:
+    """Raise a DatasetError at the input line of the first record that
+    breaks a record rule, if any does; record i was parsed from body[i]."""
+    fault = _first_fault(*columns)
+    if fault is not None:
+        raise DatasetError(f"line {body[fault[0]][0]}: {fault[1]}") from None
 
 
 def read_dataset(path: str, delimiter: str | None = None) -> TrialDataset:
@@ -227,9 +231,9 @@ def write_dataset(dataset: TrialDataset, target: str | TextIO) -> None:
     fh: TextIO = open(target, "w", encoding="utf-8") if own else target
     try:
         fh.write("entry,exit,group,status\n")
-        for r in dataset.records:
-            status = "event" if r.status == EVENT else "censored"
-            fh.write(f"{r.entry:.10g},{r.exit:.10g},{r.group},{status}\n")
+        columns = (dataset.entry, dataset.exit, dataset.group, dataset.status)
+        for e, x, g, s in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{e:.10g},{x:.10g},{g},{'event' if s == EVENT else 'censored'}\n")
     finally:
         if own:
             fh.close()
@@ -239,9 +243,10 @@ def dataset_from_stream(stream: EventStream) -> TrialDataset:
     """Reconstruct a dataset whose derived stream equals ``stream``.
 
     Everyone enters at 0; each event at time t becomes a record exiting at
-    t; participants remaining at risk after the final event time are
-    censored at it (they were still in its risk set).  Useful for
-    persisting simulated streams in the on-disk format.
+    t, treatment events before control events; participants remaining at
+    risk after the final event time are censored at it (they were still in
+    its risk set), treatment before control.  Useful for persisting
+    simulated streams in the on-disk format.
     """
     times, y1, y0, o1 = stream.times, stream.y1, stream.y0, stream.o1
     if not times.size:
@@ -259,11 +264,14 @@ def dataset_from_stream(stream: EventStream) -> TrialDataset:
             f"event time {float(times[i])} has risk {(int(y1[i]), int(y0[i]))} but "
             f"{(int(left1[i - 1]), int(left0[i - 1]))} remain; the stream is not self-consistent"
         )
-    records = []
-    for t, k1, k0 in zip(times.tolist(), o1.tolist(), o0.tolist()):
-        records += [SurvivalRecord(exit=t, group=1, status=EVENT) for _ in range(k1)]
-        records += [SurvivalRecord(exit=t, group=0, status=EVENT) for _ in range(k0)]
-    last = float(times[-1])
-    records += [SurvivalRecord(exit=last, group=1, status=CENSORED) for _ in range(int(left1[-1]))]
-    records += [SurvivalRecord(exit=last, group=0, status=CENSORED) for _ in range(int(left0[-1]))]
-    return TrialDataset(records=tuple(records))
+    # runs of records: (treatment, control) events at each time, then the
+    # (treatment, control) censored tail at the last time
+    counts = np.append(np.column_stack([o1, o0]), [left1[-1], left0[-1]])
+    runs = times.size + 1
+    exit_ = np.repeat(np.append(times, times[-1]), 2)
+    return TrialDataset(
+        np.zeros(int(counts.sum())),
+        np.repeat(exit_, counts),
+        np.repeat(np.tile([1, 0], runs), counts),
+        np.repeat(np.where(np.arange(2 * runs) < 2 * times.size, EVENT, CENSORED), counts),
+    )

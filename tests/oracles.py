@@ -51,7 +51,7 @@ def stream_of(rows, times=None):
     return EventStream(times, y1, y0, o, o1)
 
 
-def _rows(stream):
+def rows_of(stream):
     """The ``(y1, y0, o, o1)`` rows of a stream, as Python ints."""
     return list(zip(*(c.tolist() for c in (stream.y1, stream.y0, stream.o, stream.o1))))
 
@@ -62,33 +62,32 @@ def _log_q(theta: float, y1: int, y0: int, o: int, o1: int) -> float:
     return math.log(exact_hypergeom_pmf(Fraction(theta), y1, y0, o)[o1])
 
 
+def dataset_of(records):
+    """``TrialDataset`` of ``(entry, exit, group, status)`` record tuples."""
+    from safelogrank.data import TrialDataset
+
+    return TrialDataset(*(list(zip(*records)) or [(), (), (), ()]))
+
+
 def event_batches_reference(records) -> tuple[tuple[float, ...], tuple]:
-    """Event times and batches of survival records, one event time at a time.
+    """Event times and ``(y1, y0, o, o1)`` batches of ``(entry, exit, group,
+    status)`` records, one event time at a time.
 
-    The O(event times x records) derivation the package used before its
-    columnar stream: at each distinct event time t, count per group the
-    records with entry < t minus those with exit < t, and the events at t.
+    The O(event times x records) derivation by definition: at each distinct
+    event time t, count per group the records with ``entry < t <= exit``,
+    and the events at t.  Each batch is checked to be one: it holds an
+    event, no more events than are at risk, and a treatment count ``o1`` in
+    the support ``[max(0, o - y0), min(o, y1)]``.
     """
-    import numpy as np
-
-    from safelogrank.core import EventBatch, RiskSet
-
-    events = [r for r in records if r.status == 1]
-    times = np.unique([r.exit for r in events])
-    entry = {g: np.sort([r.entry for r in records if r.group == g]) for g in (0, 1)}
-    exits = {g: np.sort([r.exit for r in records if r.group == g]) for g in (0, 1)}
+    events = [(x, g) for _, x, g, s in records if s == 1]
     batches = []
+    times = sorted({x for x, _ in events})
     for t in times:
-        y = {
-            g: int(
-                np.searchsorted(entry[g], t, side="left")
-                - np.searchsorted(exits[g], t, side="left")
-            )
-            for g in (0, 1)
-        }
-        o1 = sum(1 for r in events if r.exit == t and r.group == 1)
-        o = sum(1 for r in events if r.exit == t)
-        batches.append(EventBatch(risk=RiskSet(y[1], y[0]), o=o, o1=o1))
+        y1, y0 = (sum(1 for e, x, g, _ in records if g == k and e < t <= x) for k in (1, 0))
+        o = sum(1 for x, _ in events if x == t)
+        o1 = sum(1 for x, g in events if x == t and g == 1)
+        assert 1 <= o <= y1 + y0 and max(0, o - y0) <= o1 <= min(o, y1), (t, y1, y0, o, o1)
+        batches.append((y1, y0, o, o1))
     return tuple(float(t) for t in times), tuple(batches)
 
 
@@ -245,7 +244,7 @@ def plugin_update(state: PlugInState, row) -> PlugInState:
 def plugin_reference(stream, m1=None, m0=None, theta0: float = 1.0):
     """Per-event plug-in: (trace, log numerators, theta_hat before each
     event time and after the last)."""
-    rows = _rows(stream)
+    rows = rows_of(stream)
     m1 = rows[0][0] if m1 is None else m1
     m0 = rows[0][1] if m0 is None else m0
     state = new_plugin_state(m1, m0)
@@ -309,7 +308,7 @@ def bayes_reference(stream, prior, theta0: float = 1.0):
     """Per-batch Bayes predictive: (trace, log numerators)."""
     posterior = BayesPosterior(prior)
     log_m, trace, log_num = 0.0, [], []
-    for row in _rows(stream):
+    for row in rows_of(stream):
         log_num.append(posterior.log_predictive(row))
         log_m += posterior.log_increment(row, theta0)
         trace.append(log_m)
@@ -326,7 +325,7 @@ def confidence_bounds_reference(stream, log_num, grid, alpha: float):
     log_den = np.zeros(len(grid))
     cum_num = 0.0
     out = []
-    for row, num in zip(_rows(stream), log_num):
+    for row, num in zip(rows_of(stream), log_num):
         log_den = log_den + log_kernel_on_nodes(log_thetas, row)
         cum_num += num
         rejected = cum_num - log_den >= math.log(1.0 / alpha)
@@ -396,7 +395,7 @@ def stopping_time(stream, design) -> float:
         schoenfeld_mu,
     )
 
-    rows = _rows(stream)
+    rows = rows_of(stream)
     n_events = np.cumsum(stream.o)
     kind = design.test_kind
     if kind in ("exact", "plugin", "bayes"):
@@ -564,7 +563,7 @@ def unit_time_martingale(stream, horizon: int, theta1: float, theta0: float = 1.
     log_u = np.zeros(horizon)
     increments = {
         int(t): _log_q(theta1, *row) - _log_q(theta0, *row)
-        for t, row in zip(stream.times.tolist(), _rows(stream))
+        for t, row in zip(stream.times.tolist(), rows_of(stream))
     }
     running = 0.0
     for k in range(1, horizon + 1):

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from safelogrank import core
 from safelogrank.cli import pooled_decision
 from safelogrank.core import (
-    EventBatch,
-    RiskSet,
     log_evalue_trace,
     log_kernel,
     validate_theta,
 )
-from safelogrank.data import dataset_from_stream
+from safelogrank.data import EVENT, dataset_from_stream
 from safelogrank.gaussian import logrank_moments
 
 from oracles import (
@@ -31,10 +29,6 @@ from oracles import (
     stream_of,
     two_sided_state,
 )
-
-
-def batch(y1, y0, o, o1):
-    return EventBatch(risk=RiskSet(y1=y1, y0=y0), o=o, o1=o1)
 
 
 def prob(theta, *row):
@@ -126,8 +120,8 @@ def test_bernoulli_matches_rational_oracle(y1, y0, theta, o1):
     want = float(exact_bernoulli_prob(frac_theta, y1, y0, o1))
     if want == 0.0:
         # an impossible split is not a batch, so the kernel never sees it
-        with pytest.raises(ValueError):
-            batch(y1, y0, 1, o1)
+        with pytest.raises(ValueError, match="within its risk set"):
+            dataset_from_stream(stream_of([(y1, y0, 1, o1)]))
     else:
         assert prob(theta, y1, y0, 1, o1) == pytest.approx(want, rel=1e-13)
 
@@ -260,21 +254,21 @@ def test_theta_range_is_enforced():
 
 
 def test_batch_rejects_o1_outside_support():
-    with pytest.raises(ValueError):
-        batch(2, 2, 3, 0)  # needs at least 3-2=1 treatment event
-    with pytest.raises(ValueError):
-        batch(2, 2, 1, 2)
-    with pytest.raises(ValueError):
-        batch(2, 2, 0, 0)  # a batch must contain an event
-    with pytest.raises(ValueError):
-        batch(2, 2, 5, 2)  # more events than participants
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(2, 2, 3, 0)]))  # needs at least 3-2=1 treatment event
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(2, 2, 1, 2)]))
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(2, 2, 0, 0)]))  # a batch must contain an event
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(2, 2, 5, 2)]))  # more events than participants
 
 
-def test_risk_set_rejects_negative_and_noninteger():
-    with pytest.raises(ValueError):
-        RiskSet(-1, 3)
-    with pytest.raises(ValueError):
-        RiskSet(1.5, 3)  # type: ignore[arg-type]
+def test_dataset_from_stream_rejects_negative_risk_sets():
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(-1, 3, 1, 0)]))
+    with pytest.raises(ValueError, match="within its risk set"):
+        dataset_from_stream(stream_of([(3, -1, 1, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +290,8 @@ def _random_rows(rng, n_times, y1, y0, max_o):
 
 def test_update_counts_events_and_event_times():
     ds = dataset_from_stream(stream_of([(10, 10, 2, 1), (9, 9, 1, 0)]))
-    assert ds.n_events == 3
-    assert ds.event_times == (1.0, 2.0)
+    assert int((ds.status == EVENT).sum()) == 3
+    assert ds.stream.times.tolist() == [1.0, 2.0]
 
 
 def test_update_matches_brute_force_product():
