@@ -51,7 +51,8 @@ EXIT_DATA = 65
 
 LN10 = math.log(10.0)
 
-_TRUTHY = {"1", "true", "yes", "on"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,11 +113,22 @@ class Options:
     def flag(self, name: str) -> bool:
         if getattr(self.args, name, False):
             return True
-        return self.config.get(name, "").lower() in _TRUTHY
+        value = self.config.get(name, "false")
+        if value.lower() not in _BOOLEANS:
+            raise UsageError(
+                f"option {name!r}: expected one of 1/true/yes/on or 0/false/no/off, got {value!r}"
+            )
+        return _BOOLEANS[value.lower()]
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("SAFELOGRANK_SEED", "0"))
+    """The seed in ``SAFELOGRANK_SEED``, or 0; read only when neither a flag
+    nor a config key sets one."""
+    value = os.environ.get("SAFELOGRANK_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"SAFELOGRANK_SEED must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +430,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     datasets = [read_dataset(p, delimiter=delimiter) for p in paths]
 
     if test == "gaussian":
+        allow_unbalanced = opt.flag("allow_unbalanced_gaussian")
         for path, ds in zip(paths, datasets):
             stream = ds.stream
             if not len(stream.o):
                 continue
             m1, m0 = int(stream.y1[0]), int(stream.y0[0])
-            if (m1 != m0 or not 0.5 <= theta1 <= 2.0) and not opt.flag(
-                "allow_unbalanced_gaussian"
-            ):
+            if (m1 != m0 or not 0.5 <= theta1 <= 2.0) and not allow_unbalanced:
                 raise UsageError(
                     f"{path}: the Gaussian approximation is only recommended for "
                     f"balanced groups with theta1 in [0.5, 2] (got {m1}:{m0}, "
@@ -478,7 +489,9 @@ def cmd_design(args: argparse.Namespace) -> int:
     m0 = opt.get("m0", 5000, int)
     theta = opt.get("true_theta", theta1, float)
     reps = opt.get("reps", 1000, int)
-    seed = opt.get("seed", _env_seed(), int)
+    seed = opt.get("seed", None, int)
+    if seed is None:
+        seed = _env_seed()
     cap = opt.get("cap", None, int)
     tie_h0 = opt.get("tie_h0", None, float)
     tests = [t.strip() for t in opt.get("test", "exact").split(",")]

@@ -221,7 +221,8 @@ def _refuse_first_fault(columns, body: list[tuple[int, str]]) -> None:
 
 
 def read_dataset(path: str, delimiter: str | None = None) -> TrialDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheets write
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_dataset(fh.read(), delimiter=delimiter)
 
 

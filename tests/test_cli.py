@@ -54,6 +54,23 @@ def test_analyze_continue_exit_code(null_dataset, capsys):
     assert "decision: continue" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "time,group,status\n1,1,event\n2,0,event\n3,0,event\n",
+        # the entry column comes first, so the mark once hid it
+        "entry,time,group,status\n0,1,1,event\n0,2,0,event\n1.5,3,1,event\n0,4,0,event\n",
+    ],
+)
+def test_a_byte_order_mark_is_read_as_none(text, tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["analyze", str(plain), "--theta1", "0.7", "--out", str(tmp_path / "p")]) == EXIT_CONTINUE
+    assert main(["analyze", str(marked), "--theta1", "0.7", "--out", str(tmp_path / "m")]) == EXIT_CONTINUE
+    assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+
+
 def test_analyze_zero_events_is_continue(tmp_path, capsys):
     path = tmp_path / "censored.csv"
     path.write_text("time,group,status\n1,0,censored\n2,1,censored\n")
@@ -74,7 +91,7 @@ def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_usage_errors(null_dataset, capsys):
+def test_usage_errors(null_dataset, tmp_path, capsys):
     assert main(["analyze", null_dataset]) == EXIT_USAGE  # theta1 missing
     assert main(["analyze", null_dataset, "--test", "zebra"]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
@@ -87,6 +104,11 @@ def test_usage_errors(null_dataset, capsys):
     for grid in ("0.5:2:0", "0.5:2:1", "0.5:2:-3", "0.5:inf:5", "2:0.5:5"):
         assert main(["confseq", null_dataset, "--grid", grid]) == EXIT_USAGE
         assert "grid needs" in capsys.readouterr().err
+    # a config flag that is not a boolean is refused, not read as false
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("theta1 = 0.7\ntwo_sided = maybe\n")
+    assert main(["analyze", null_dataset, "--config", str(cfg)]) == EXIT_USAGE
+    assert "option 'two_sided'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -212,6 +234,20 @@ def test_config_file_with_flag_override(null_dataset, tmp_path, capsys):
     assert "alpha: 0.2" in capsys.readouterr().out
 
 
+def test_config_flags_read_booleans_in_any_case(null_dataset, tmp_path, capsys):
+    main(["analyze", null_dataset, "--theta1", "0.7", "--two-sided"])
+    two_sided = capsys.readouterr().out
+    main(["analyze", null_dataset, "--theta1", "0.7"])
+    one_sided = capsys.readouterr().out
+    assert two_sided != one_sided
+    cfg = tmp_path / "flag.cfg"
+    for value, want in [("1", two_sided), ("True", two_sided), ("YES", two_sided), ("on", two_sided),
+                        ("0", one_sided), ("false", one_sided), ("No", one_sided), ("OFF", one_sided)]:
+        cfg.write_text(f"theta1 = 0.7\ntwo_sided = {value}\n")
+        main(["analyze", null_dataset, "--config", str(cfg)])
+        assert capsys.readouterr().out == want, value
+
+
 def test_config_rejects_malformed_line(null_dataset, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha 0.05\n")
@@ -231,6 +267,24 @@ def test_design_emits_reference_and_rows(tmp_path, capsys):
     assert kinds == ["exact", "fixed-classical"]
     csv_lines = (tmp_path / "design.csv").read_text().splitlines()
     assert csv_lines[0] == "test,n_max,mean_capped,conditional_mean,power,ratio_n_max,ratio_mean"
+
+
+def test_env_seed_is_read_only_when_no_seed_is_set(tmp_path, monkeypatch, capsys):
+    argv = ["design", "--theta1", "0.7", "--m1", "50", "--m0", "50", "--reps", "20"]
+    main(argv + ["--seed", "3"])
+    seeded = capsys.readouterr().out
+    monkeypatch.setenv("SAFELOGRANK_SEED", "3")
+    main(argv)
+    assert capsys.readouterr().out == seeded
+    monkeypatch.setenv("SAFELOGRANK_SEED", "abc")
+    assert main(argv + ["--seed", "3"]) == EXIT_CONTINUE
+    assert capsys.readouterr().out == seeded
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONTINUE
+    assert capsys.readouterr().out == seeded
+    assert main(argv) == EXIT_USAGE
+    assert "SAFELOGRANK_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_design_deterministic_under_seed(tmp_path):
