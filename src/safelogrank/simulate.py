@@ -598,16 +598,6 @@ class StoppingReport:
     replications: int
     seed: int | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "mean_capped": self.mean_capped,
-            "conditional_mean": self.conditional_mean,
-            "power": self.power,
-            "replications": self.replications,
-            "seed": self.seed,
-        }
-
 
 def summarize_stopping(taus: np.ndarray, n_max: int, seed: int | None = None) -> StoppingReport:
     taus = np.asarray(taus, dtype=float)
