@@ -62,7 +62,7 @@ def test_analyze_continue_exit_code(null_dataset, capsys):
         "entry,time,group,status\n0,1,1,event\n0,2,0,event\n1.5,3,1,event\n0,4,0,event\n",
     ],
 )
-def test_a_byte_order_mark_is_read_as_none(text, tmp_path, capsys):
+def test_a_byte_order_mark_is_skipped(text, tmp_path, capsys):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_text(text, encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
