@@ -49,14 +49,16 @@ class DatasetError(ValueError):
 
 def _first_fault(entry, exit_, group, status) -> tuple[int, str] | None:
     """The first record that breaks a record rule, and the first rule it
-    breaks: group and status in {0, 1}, entry >= 0, and exit > entry (so
-    neither time is NaN).  None when every record keeps them."""
+    breaks: group and status in {0, 1}, entry >= 0, exit > entry (so
+    neither time is NaN), and a finite exit.  None when every record keeps
+    them."""
     entry, exit_, group, status = (np.asarray(c) for c in (entry, exit_, group, status))
     rules = (
         ~np.isin(group, (0, 1)),
         ~np.isin(status, (EVENT, CENSORED)),
         entry < 0,
         ~(exit_ > entry),
+        exit_ == np.inf,
     )
     broken = np.logical_or.reduce(rules)
     if not broken.any():
@@ -68,6 +70,7 @@ def _first_fault(entry, exit_, group, status) -> tuple[int, str] | None:
         f"status must be {EVENT} (event) or {CENSORED} (censored)",
         f"entry time must be nonnegative, got {e}",
         f"exit time must exceed entry time, got entry={e} exit={x}",
+        f"exit time must be finite, got entry={e} exit={x}",
     )
     return i, next(m for rule, m in zip(rules, messages) if rule[i])
 
@@ -137,27 +140,27 @@ _EXIT_NAMES = ("exit", "time")
 
 
 def _split(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is not None:
-        return [f.strip() for f in line.split(delimiter)]
-    if "\t" in line:
-        return [f.strip() for f in line.split("\t")]
-    if "," in line:
-        return [f.strip() for f in line.split(",")]
-    return line.split()
+    if delimiter is None:
+        return line.split()
+    return [f.strip() for f in line.split(delimiter)]
 
 
 def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     """Parse delimited survival data with a header row.
 
     The header must name ``exit`` (or ``time``), ``group`` and ``status``
-    columns; an ``entry`` column is optional and defaults to 0.  The
-    delimiter is comma/tab autodetected unless forced.  Status accepts
-    1/0 or event/censored.  Errors carry 1-based line numbers.
+    columns; an ``entry`` column is optional and defaults to 0.  Unless
+    forced, the delimiter is read once, from the header: a tab if it has
+    one, else a comma if it has one, else runs of whitespace; every row is
+    split with it.  Status accepts 1/0 or event/censored.  Errors carry
+    1-based line numbers.
     """
     rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
         raise DatasetError("empty input: expected a header row and at least one record")
     header_no, header = rows[0]
+    if delimiter is None:
+        delimiter = next((d for d in ("\t", ",") if d in header), None)
     names = [f.lower() for f in _split(header, delimiter)]
     columns: dict[str, int] = {}
     for idx, name in enumerate(names):

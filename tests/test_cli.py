@@ -91,6 +91,13 @@ def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_refuses_an_infinite_exit_time(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("time,group,status\n1,0,event\ninf,0,event\n2,1,censored\n")
+    assert main(["analyze", str(path), "--theta1", "0.7"]) == EXIT_DATA
+    assert "line 3: exit time must be finite, got entry=0.0 exit=inf" in capsys.readouterr().err
+
+
 def test_usage_errors(null_dataset, tmp_path, capsys):
     assert main(["analyze", null_dataset]) == EXIT_USAGE  # theta1 missing
     assert main(["analyze", null_dataset, "--test", "zebra"]) == EXIT_USAGE

@@ -85,6 +85,16 @@ def test_tab_delimiter_autodetected_and_forcible():
     assert int(parse_dataset(semi, delimiter=";").stream.o.sum()) == 1
 
 
+def test_delimiter_is_read_once_from_the_header():
+    # a stray tab at the end of a comma-separated row is whitespace, not a
+    # delimiter of that row
+    text = "time,group,status\n1,0,event\t\n2,1,censored\n"
+    stream = parse_dataset(text).stream
+    assert stream.times.tolist() == [1.0] and stream.o1.tolist() == [0]
+    # a whitespace-separated file stays whitespace-separated
+    assert parse_dataset("time group status\n1  1\tevent\n").stream.o1.tolist() == [1]
+
+
 def test_header_synonym_exit():
     text = "exit,group,status\n1.5,0,event\n"
     assert parse_dataset(text).stream.times.tolist() == [1.5]
@@ -195,6 +205,7 @@ def test_written_datasets_are_pinned(make, digest):
         ("-0.5,1,0,event\n", "line 2: entry time must be nonnegative, got -0.5"),
         ("0,nan,0,event\n", "line 2: exit time must exceed entry time, got entry=0.0 exit=nan"),
         ("nan,1,0,event\n", "line 2: exit time must exceed entry time, got entry=nan exit=1.0"),
+        ("0,inf,0,event\n", "line 2: exit time must be finite, got entry=0.0 exit=inf"),
         # with several bad lines, the first is named, whichever rule it breaks
         (
             "3,1,0,event\n0,1,2,event\n",
