@@ -22,12 +22,18 @@ Two strategies are provided:
   extra control participant).  The smoothing keeps the maximizer interior
   from the first event onward.  ``plugin_newton`` is the one solver: a
   safeguarded Newton iteration on the smoothed score, vectorized over rows.
-  A trace solves 64 consecutive prefixes of the stream as the rows of one
-  call, warm-started from the estimate before them; the simulation engine
-  solves all its replications at once, warm-started from each one's
-  previous estimate.  Either way a solve takes two to four iterations over
-  the single-event columns and the padded tied-batch table of the history,
-  so a trace of T event times costs O(T^2) vectorized work in O(T/64)
+  The single events enter the score as running sums of 16 power moments of
+  their sigmoids about a centre, which a fixed table turns into the Taylor
+  series of the score (order 14, used within 0.25 of the centre; the
+  series has radius pi).  A new event adds one row of moments.  A solve
+  reads the stored offsets only when an iterate moves more than 0.25 from
+  its row's centre, and then re-centres there; tied batches keep their
+  exact padded table.  A trace solves 64 consecutive prefixes of the
+  stream as the rows of one call, from prefix sums of moment rows about a
+  centre that moves only when the warm start is 0.125 from it; the
+  simulation engine keeps moments and a centre per replication and solves
+  all replications at once.  Either way a solve takes two to four
+  iterations, so a trace of T single events costs O(T) work in O(T/64)
   Python steps.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -78,12 +84,96 @@ _LOG_THETA_HI = math.log(THETA_UPPER)
 # plug-in (prequential maximum likelihood)
 # ---------------------------------------------------------------------------
 
+# The single-event score is a sum of sigmoids, expanded as a Taylor series
+# about a centre: every derivative of the sigmoid is a polynomial in the
+# sigmoid itself, P_0(s) = s and P_{k+1}(s) = P_k'(s) s (1 - s).  The series
+# has radius pi (the sigmoid has poles at +-i pi), so _ORDER + 1 terms within
+# _RADIUS of the centre leave a relative error near 1e-17.
+_ORDER = 14
+_RADIUS = 0.25
+
+# Event cells per chunk of a history read when re-centring.
+_CELLS = 1 << 16
+
+
+def _taylor_table(order: int) -> np.ndarray:
+    """The map from power moments to Taylor coefficients.  An event's power
+    moments are ``[s, t, t*s, ..., t*s^order]`` with ``s`` its sigmoid and
+    ``t = s (1 - s)``; row k of the table, dotted with them, is
+    ``P_k(s) / k!`` for k = 0..order+1.  ``P_k = t R_k`` for k >= 1, where
+    ``R_1 = 1`` and ``R_{k+1} = (1 - 2s) R_k + s (1 - s) R_k'``, so row k
+    holds the coefficients of ``R_k`` (ascending) over k!.  Factoring out
+    ``t`` keeps the tails accurate, where ``s`` is near 0 or 1."""
+    table = np.zeros((order + 2, order + 2))
+    table[0, 0] = 1.0
+    r = [1]
+    for k in range(1, order + 2):
+        table[k, 1 : 1 + len(r)] = np.array(r, dtype=float) / math.factorial(k)
+        nxt = [0] * (len(r) + 1)
+        for d, v in enumerate(r):
+            nxt[d] += (1 + d) * v
+            nxt[d + 1] -= (2 + d) * v
+        r = nxt
+    return table
+
+
+# the coefficients of h**k, k = 0.._ORDER, in the series of the sigmoid sum
+# (row 0) and of its derivative (row 1), as maps from power moments
+_TAYLOR = _taylor_table(_ORDER)
+_SERIES = np.stack([_TAYLOR[:-1], _TAYLOR[1:] * np.arange(1.0, _ORDER + 2)[:, None]])
+
+
+def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = sigmoid(x)`` and ``t = s (1 - s)``, with ``1 - s`` computed as
+    ``sigmoid(-x)``, so ``t`` keeps its relative accuracy in the tails."""
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s, s / (1.0 + np.exp(x))
+
+
+def _moment_rows(x: np.ndarray) -> np.ndarray:
+    """Power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each event of a
+    1-d array of ``x = centre + log(y1/y0)``, one row per event."""
+    rows = np.empty((x.size, _ORDER + 2))
+    rows[:, 0], rows[:, 1] = _sigmoids(x)
+    rows[:, 2:] = rows[:, :1]
+    np.cumprod(rows[:, 1:], axis=1, out=rows[:, 1:])
+    return rows
+
+
+def _moments_about(c: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Summed power moments of each row of offsets ``c`` (``-inf`` where
+    empty, which adds nothing) about the centres ``at``, one row per
+    centre.  A row's bits depend on its offsets and the width of ``c``
+    only."""
+    out = np.empty((at.size, _ORDER + 2))
+    step = max(1, _CELLS // max(1, c.shape[1]))
+    for lo in range(0, at.size, step):
+        part = slice(lo, lo + step)
+        s, p = _sigmoids(c[part] + at[part, None])
+        out[part, 0] = s.sum(axis=1)
+        for d in range(1, _ORDER + 2):
+            out[part, d] = p.sum(axis=1)
+            p *= s
+    return out
+
+
+def _series(moments: np.ndarray) -> np.ndarray:
+    """Coefficients ``(R, 2, _ORDER + 1)`` of the sigmoid sum's series and
+    of its derivative's, from rows of power moments.  Every reduction here
+    and in ``plugin_newton`` runs along a contiguous last axis of fixed
+    length, and ``einsum`` never calls BLAS, so a row's bits do not depend
+    on how many rows there are."""
+    return np.einsum("rd,jkd->rjk", moments, _SERIES)
+
+
 def plugin_newton(
     beta: np.ndarray,
     o1_sum,
-    c: np.ndarray,
+    moments: np.ndarray,
+    centre: np.ndarray,
+    history: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ties: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots ``beta = log(theta_hat)`` of the smoothed plug-in scores, one
     per row, by safeguarded Newton from the warm start ``beta``.
 
@@ -92,14 +182,20 @@ def plugin_newton(
         U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
                   + sum_k (o1[r, k] - E_beta[u[r, k]])
 
-    ``c`` holds ``log(y1/y0)`` of each single event, the two virtual events
-    included, and ``-inf`` in unused slots (they add nothing); ``o1_sum``
-    counts their treatment events.  ``ties = (o1, u, log_w)`` holds the
-    informative tied batches, broadcast to ``(R, K)`` observed counts and
-    ``(R, K, S)`` tables of support values and log-binomial weights, padded
-    with ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's
-    noncentral hypergeometric law.  An unused batch slot is ``o1 = 0`` with
-    the single support point ``u = 0``, ``log_w = 0``.
+    where ``c`` holds ``log(y1/y0)`` of each single event, the two virtual
+    events included, and ``o1_sum`` counts their treatment events.  The
+    single events enter through row ``r`` of ``moments``, the sum of their
+    power moments (``_moment_rows``) about ``centre[r]``: a fixed
+    table turns it into the Taylor coefficients of the sigmoid sum about
+    the centre, and 15 terms give U and U' anywhere within 0.25 of it.
+    When an iterate moves further, ``history(rows, at)`` returns those
+    rows' moments about ``at``, read from their stored offsets, and the
+    rows re-centre there.  ``ties = (o1, u, log_w)`` holds the informative
+    tied batches, broadcast to ``(R, K)`` observed counts and ``(R, K, S)``
+    tables of support values and log-binomial weights, padded with
+    ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's noncentral
+    hypergeometric law.  An unused batch slot is ``o1 = 0`` with the single
+    support point ``u = 0``, ``log_w = 0``.
 
     U is strictly decreasing (the smoothed likelihood is strictly concave),
     so each iteration narrows the bracket its sign gives, starting from
@@ -108,20 +204,29 @@ def plugin_newton(
     its edge.  A row stops, and is left unchanged from then on, when its
     last Newton step is at most 1e-7 (the error left after it is of order
     1e-14) or its bracket is narrower than 1e-12, so every row's result
-    depends on its own inputs only.
+    depends on its own inputs only.  Returns the roots with the moments
+    and centres they end with.
     """
     b = np.array(beta, dtype=float)
+    moments = np.array(moments, dtype=float)
+    centre = np.array(centre, dtype=float)
+    series = _series(moments)
     lo = np.full(b.shape, _LOG_THETA_LO)
     hi = np.full(b.shape, _LOG_THETA_HI)
     active = np.ones(b.shape, dtype=bool)
-    half_c, width = 0.5 * c, c.shape[1]
+    powers = np.ones((b.size, _ORDER + 1))
     for _ in range(100):
-        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
-        t = half_c + 0.5 * b[:, None]
-        np.tanh(t, out=t)
-        score = o1_sum - 0.5 * (width + t.sum(axis=1))
-        t *= t
-        info = 0.25 * (width - t.sum(axis=1))
+        h = b - centre
+        far = np.flatnonzero(active & (np.abs(h) > _RADIUS))
+        if far.size:
+            moments[far] = history(far, b[far])
+            centre[far] = b[far]
+            series[far] = _series(moments[far])
+            h[far] = 0.0
+        powers[:, 1:] = h[:, None]
+        np.cumprod(powers, axis=1, out=powers)
+        total, info = np.einsum("rjk,rk->jr", series, powers)
+        score = o1_sum - total
         if ties is not None:
             t_o1, t_u, t_lw = ties
             w = t_lw + t_u * b[:, None, None]
@@ -141,12 +246,12 @@ def plugin_newton(
         active &= ~done
         if not active.any():
             break
-    return b
+    return b, moments, centre
 
 
 # Estimates solved together, one row per prefix of the stream.  The block
-# and its single-event width depend on the row index only, so a prefix of a
-# stream of single events gets bit-identical estimates.
+# depends on the row index only, so a prefix of a stream of single events
+# gets bit-identical estimates.
 _BLOCK = 64
 
 
@@ -157,11 +262,16 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     The history is laid out once: the single events (the two virtual ones
     first, then the stream's informative ones) as one column of offsets
     ``log(y1/y0)`` with running treatment counts, and the informative tied
-    batches as one padded table.  The fit on the first i event times reads
-    their prefixes.  ``plugin_newton`` solves ``_BLOCK`` consecutive
-    prefixes at a time as its rows, warm-started from the last estimate of
-    the block before.  Forced batches carry no likelihood information and
-    leave the estimate unchanged.
+    batches as one padded table.  ``plugin_newton`` solves ``_BLOCK``
+    consecutive prefixes at a time as its rows, warm-started from the last
+    estimate of the block before.  The rows' moments are the moments of the
+    history before the block plus prefix sums of one moment row per new
+    single event, all about one centre.  The centre moves to the warm start,
+    and the history before the block is read again, only when the warm
+    start is more than half the Taylor radius from it: it depends on past
+    estimates only, and a trace costs time linear in its length.  Forced
+    batches carry no likelihood information and leave the estimate
+    unchanged.
     """
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
     m1 = int(y1[0]) if m1 is None else m1
@@ -179,6 +289,7 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     c = np.full(n + _BLOCK + 2, -np.inf)
     c[:2] = math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
     c[2 : 2 + n_single[-1]] = np.log(y1[single]) - np.log(y0[single])
+    ends = n_single + 2  # offsets read by the fit on the first i event times
     o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(o1[single], dtype=float)])
 
     t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
@@ -189,12 +300,22 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     block = _BLOCK if not tied.size else max(1, min(_BLOCK, 2**17 // (tied.size * size)))
 
     betas = np.empty(n + 1)
-    warm = 0.0
+    warm = centre = 0.0
+    base, based = np.zeros((1, _ORDER + 2)), 0  # moments of c[:based] about centre
     for start in range(0, n + 1, block):
         rows = np.arange(start, min(start + block, n + 1))
+        # a row re-centres on offsets padded to a width set by its index
         width = start + block + 2
-        held = np.arange(width) < n_single[rows][:, None] + 2
-        c_rows = np.where(held, c[:width], -np.inf)
+        if abs(warm - centre) > 0.5 * _RADIUS:
+            centre, based = warm, ends[start]
+            base = _moments_about(c[None, :based], np.array([centre]))
+        upto = ends[min(start + block, n)]
+        cum = np.cumsum(np.vstack([base, _moment_rows(c[based:upto] + centre)]), axis=0)
+
+        def history(r, at):
+            held = np.arange(width) < ends[rows[r]][:, None]
+            return _moments_about(np.where(held, c[:width], -np.inf), at)
+
         ties = None
         k = int(n_tied[rows[-1]])
         if k:
@@ -205,8 +326,10 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
                 np.where(held[..., None], t_lw[:k], unused),
             )
         betas[rows] = plugin_newton(
-            np.full(rows.size, warm), o1_sum[n_single[rows]], c_rows, ties
-        )
+            np.full(rows.size, warm), o1_sum[n_single[rows]], cum[ends[rows] - based],
+            np.full(rows.size, centre), history, ties,
+        )[0]
+        base, based = cum[-1:], upto
         warm = betas[rows[-1]]
     return betas
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safelogrank.core import log_kernel
+from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
     PriorSpec,
     bayes_log_trace,
@@ -190,6 +191,41 @@ def test_plugin_matches_brentq_reference(stream, theta0):
     assert np.allclose(trace, ref_trace, rtol=0, atol=1e-10)
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-10)
     assert np.allclose(plugin_estimates(stream), ref_thetas, rtol=1e-10, atol=0)
+
+
+@st.composite
+def _plugin_streams(draw):
+    """Single-event and tied streams at hazard ratios 0.3-3 from unbalanced
+    risk sets, and one-group streams (every event in one group, the other
+    group vast) whose estimate ends at the clamp."""
+    kind = draw(st.sampled_from(["single", "tied", "one-group"]))
+    if kind == "one-group":
+        n, vast = draw(st.integers(1, 8)), 10**9
+        if draw(st.booleans()):
+            return stream_of([(n - k, vast, 1, 1) for k in range(n)])
+        return stream_of([(vast, n - k, 1, 0) for k in range(n)])
+    theta = draw(st.floats(0.3, 3.0))
+    m1, m0 = draw(st.integers(2, 60)), draw(st.integers(2, 60))
+    rng = stream_rng(draw(st.integers(0, 2**16)), 0)
+    if kind == "single":
+        return sample_single_event_stream(m1, m0, theta, rng)
+    return sample_tied_stream(m1, m0, theta, draw(st.sampled_from([0.02, 0.1, 0.3])), rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(stream=_plugin_streams())
+@example(stream=stream_of(_TIES_AND_FORCED))
+@example(stream=_single_event_stream(0.5, 200, 200, 400, seed=5))
+def test_moment_solver_matches_column_reference(stream):
+    # the running-moment solver against the same solver reading every
+    # offset on every iteration: estimates within 1e-12, clamp included
+    betas = np.log(plugin_estimates(stream))
+    reference = oracles.plugin_betas_columns(stream)
+    assert np.allclose(betas, reference, rtol=0, atol=1e-12)
+    y1, y0 = int(stream.y1[0]), int(stream.y0[0])
+    if max(y1, y0) == 10**9:
+        edge = math.log(1e8) if y0 > y1 else math.log(1e-8)
+        assert abs(reference[-1] - edge) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safelogrank.adaptive import plugin_newton
 from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
@@ -234,11 +235,33 @@ def test_engine_matches_per_stream(kind):
             for r in range(25)
         ]
     )
-    if kind == "plugin":
-        # independent root-finders: crossings must agree event for event
-        assert np.array_equal(fast, slow), (fast, slow)
-    else:
-        assert np.array_equal(fast, slow)
+    assert np.array_equal(fast, slow), (fast, slow)
+
+
+def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
+    # streams long enough that every replication's moments re-centre
+    # several times; the lockstep solves and the per-stream traces keep
+    # different centres, yet every crossing agrees
+    import safelogrank.simulate as simulate
+
+    recentred = []
+
+    def counting(beta, o1_sum, moments, centre, history, ties=None):
+        def read(rows, at):
+            recentred.append(rows.size)
+            return history(rows, at)
+
+        return plugin_newton(beta, o1_sum, moments, centre, read, ties)
+
+    monkeypatch.setattr(simulate, "plugin_newton", counting)
+    scenario = SimScenario(
+        m1=400, m0=400, theta=0.8, design=DesignSpec(theta1=0.7, test_kind="plugin"),
+        replications=12, seed=21,
+    )
+    fast = simulate_stopping_times(scenario, cap=600)
+    assert sum(recentred) >= 5 * scenario.replications
+    assert np.isfinite(fast).any() and (fast[np.isfinite(fast)] > 2 * _BLOCK).any()
+    assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=600))
 
 
 def test_engine_chunking_is_bit_identical():
