@@ -22,19 +22,18 @@ Two strategies are provided:
   extra control participant).  The smoothing keeps the maximizer interior
   from the first event onward.  ``plugin_newton`` is the one solver: a
   safeguarded Newton iteration on the smoothed score, vectorized over rows.
-  The single events enter the score as running sums of 16 power moments of
-  their sigmoids about a centre, which a fixed table turns into the Taylor
-  series of the score (order 14, used within 0.25 of the centre; the
-  series has radius pi).  A new event adds one row of moments.  A solve
-  reads the stored offsets only when an iterate moves more than 0.25 from
-  its row's centre, and then re-centres there; tied batches keep their
-  exact padded table.  A trace solves 64 consecutive prefixes of the
-  stream as the rows of one call, from prefix sums of moment rows about a
-  centre that moves only when the warm start is 0.125 from it; the
-  simulation engine keeps moments and a centre per replication and solves
-  all replications at once.  Either way a solve takes two to four
-  iterations, so a trace of T single events costs O(T) work in O(T/64)
-  Python steps.
+  A trace solves 64 consecutive prefixes of the stream as the rows of one
+  call, summing the sigmoids of their single events on every iteration
+  (``_offset_sums``), so a trace of T event times costs O(T^2) work in
+  O(T/64) Python steps.  The simulation engine grows all replications'
+  streams in lockstep (``PluginLockstep``), and there the single events
+  enter the score as running sums of 16 power moments of their sigmoids
+  about a centre per replication, which a fixed table turns into the
+  Taylor series of the score (order 14, used within 0.25 of the centre;
+  the series has radius pi).  A new event adds one row of moments; a solve
+  reads a replication's stored offsets only when its iterate moves more
+  than 0.25 from the centre, and then re-centres there.  A step thus costs
+  O(replications), not O(replications x events so far).
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
   ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
@@ -68,6 +67,7 @@ from .core import (
 __all__ = [
     "PriorSpec",
     "ConfidenceSequence",
+    "PluginLockstep",
     "plugin_newton",
     "plugin_estimates",
     "plugin_log_trace",
@@ -84,6 +84,91 @@ _LOG_THETA_HI = math.log(THETA_UPPER)
 # plug-in (prequential maximum likelihood)
 # ---------------------------------------------------------------------------
 
+def plugin_newton(
+    beta: np.ndarray,
+    o1_sum,
+    singles: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    ties: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Roots ``beta = log(theta_hat)`` of the smoothed plug-in scores, one
+    per row, by safeguarded Newton from the warm start ``beta``.
+
+    Row ``r`` scores
+
+        U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
+                  + sum_k (o1[r, k] - E_beta[u[r, k]])
+
+    where ``c`` holds ``log(y1/y0)`` of each single event, the two virtual
+    events included, and ``o1_sum`` counts their treatment events.
+    ``singles(beta, active)`` returns every row's sigmoid sum and the sum
+    of its derivatives: ``_offset_sums`` reads them from the offsets,
+    ``_MomentSums`` from running moments.  ``ties = (o1, u, log_w)`` holds
+    the informative tied batches, broadcast to ``(R, K)`` observed counts
+    and ``(R, K, S)`` tables of support values and log-binomial weights,
+    padded with ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's
+    noncentral hypergeometric law.  An unused batch slot is ``o1 = 0`` with
+    the single support point ``u = 0``, ``log_w = 0``.
+
+    U is strictly decreasing (the smoothed likelihood is strictly concave),
+    so each iteration narrows the bracket its sign gives, starting from
+    ``[log 1e-8, log 1e8]``; a Newton step that leaves the bracket is
+    replaced by bisection, and a root beyond the admissible range ends at
+    its edge.  A row stops, and is left unchanged from then on, when its
+    last Newton step is at most 1e-7 (the error left after it is of order
+    1e-14) or its bracket is narrower than 1e-12, so every row's result
+    depends on its own inputs only.
+    """
+    b = np.array(beta, dtype=float)
+    lo = np.full(b.shape, _LOG_THETA_LO)
+    hi = np.full(b.shape, _LOG_THETA_HI)
+    active = np.ones(b.shape, dtype=bool)
+    for _ in range(100):
+        total, info = singles(b, active)
+        score = o1_sum - total
+        if ties is not None:
+            t_o1, t_u, t_lw = ties
+            w = t_lw + t_u * b[:, None, None]
+            w -= w.max(axis=-1, keepdims=True)
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            mean = (w * t_u).sum(axis=-1)
+            score += (t_o1 - mean).sum(axis=-1)
+            info += ((w * t_u * t_u).sum(axis=-1) - mean * mean).sum(axis=-1)
+        lo = np.where(score > 0, b, lo)
+        hi = np.where(score < 0, b, hi)
+        new = b + score / info
+        newton = (new > lo) & (new < hi)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        done = (np.abs(new - b) <= 1e-7) & newton | (hi - lo <= 1e-12)
+        b = np.where(active, new, b)
+        active &= ~done
+        if not active.any():
+            break
+    return b
+
+
+def _virtual_offsets(m1: int, m0: int) -> tuple[float, float]:
+    """Offsets ``log(y1/y0)`` of the two virtual events: a treatment event
+    at ``(m1+1, m0)`` and a control event at ``(m1, m0+1)``."""
+    return math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
+
+
+def _offset_sums(c: np.ndarray):
+    """The single-event term of ``plugin_newton``, summed on every call over
+    rows of offsets ``c`` (``-inf`` in unused slots, which add nothing)."""
+    half_c, width = 0.5 * c, c.shape[1]
+
+    def sums(b, active):
+        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
+        t = half_c + 0.5 * b[:, None]
+        np.tanh(t, out=t)
+        total = 0.5 * (width + t.sum(axis=1))
+        t *= t
+        return total, 0.25 * (width - t.sum(axis=1))
+
+    return sums
+
+
 # The single-event score is a sum of sigmoids, expanded as a Taylor series
 # about a centre: every derivative of the sigmoid is a polynomial in the
 # sigmoid itself, P_0(s) = s and P_{k+1}(s) = P_k'(s) s (1 - s).  The series
@@ -92,8 +177,8 @@ _LOG_THETA_HI = math.log(THETA_UPPER)
 _ORDER = 14
 _RADIUS = 0.25
 
-# Event cells per chunk of a history read when re-centring.
-_CELLS = 1 << 16
+# Cells per chunk of the power moments of a history read when re-centring.
+_CELLS = 1 << 18
 
 
 def _taylor_table(order: int) -> np.ndarray:
@@ -133,125 +218,113 @@ def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _moment_rows(x: np.ndarray) -> np.ndarray:
     """Power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each event of a
     1-d array of ``x = centre + log(y1/y0)``, one row per event."""
-    rows = np.empty((x.size, _ORDER + 2))
-    rows[:, 0], rows[:, 1] = _sigmoids(x)
-    rows[:, 2:] = rows[:, :1]
-    np.cumprod(rows[:, 1:], axis=1, out=rows[:, 1:])
-    return rows
+    # built event-minor, so cumprod runs across events, not along each row
+    rows = np.empty((_ORDER + 2, x.size))
+    rows[0], rows[1] = _sigmoids(x)
+    rows[2:] = rows[0]
+    np.cumprod(rows[1:], axis=0, out=rows[1:])
+    return rows.T
 
 
 def _moments_about(c: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Summed power moments of each row of offsets ``c`` (``-inf`` where
     empty, which adds nothing) about the centres ``at``, one row per
-    centre.  A row's bits depend on its offsets and the width of ``c``
-    only."""
+    centre."""
     out = np.empty((at.size, _ORDER + 2))
-    step = max(1, _CELLS // max(1, c.shape[1]))
+    step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[1])))
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        s, p = _sigmoids(c[part] + at[part, None])
-        out[part, 0] = s.sum(axis=1)
-        for d in range(1, _ORDER + 2):
-            out[part, d] = p.sum(axis=1)
-            p *= s
+        s, t = _sigmoids(c[part] + at[part, None])
+        p = np.empty((s.shape[0], _ORDER + 2, s.shape[1]))
+        p[:, 0], p[:, 1] = s, t
+        p[:, 2:] = s[:, None]
+        np.cumprod(p[:, 1:], axis=1, out=p[:, 1:])
+        out[part] = p.sum(axis=2)
     return out
 
 
 def _series(moments: np.ndarray) -> np.ndarray:
     """Coefficients ``(R, 2, _ORDER + 1)`` of the sigmoid sum's series and
-    of its derivative's, from rows of power moments.  Every reduction here
-    and in ``plugin_newton`` runs along a contiguous last axis of fixed
-    length, and ``einsum`` never calls BLAS, so a row's bits do not depend
-    on how many rows there are."""
+    of its derivative's, from rows of power moments."""
     return np.einsum("rd,jkd->rjk", moments, _SERIES)
 
 
-def plugin_newton(
-    beta: np.ndarray,
-    o1_sum,
-    moments: np.ndarray,
-    centre: np.ndarray,
-    history: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ties: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots ``beta = log(theta_hat)`` of the smoothed plug-in scores, one
-    per row, by safeguarded Newton from the warm start ``beta``.
+class _MomentSums:
+    """The single-event term of ``plugin_newton`` from running moments.
 
-    Row ``r`` scores
-
-        U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
-                  + sum_k (o1[r, k] - E_beta[u[r, k]])
-
-    where ``c`` holds ``log(y1/y0)`` of each single event, the two virtual
-    events included, and ``o1_sum`` counts their treatment events.  The
-    single events enter through row ``r`` of ``moments``, the sum of their
-    power moments (``_moment_rows``) about ``centre[r]``: a fixed
-    table turns it into the Taylor coefficients of the sigmoid sum about
-    the centre, and 15 terms give U and U' anywhere within 0.25 of it.
-    When an iterate moves further, ``history(rows, at)`` returns those
-    rows' moments about ``at``, read from their stored offsets, and the
-    rows re-centre there.  ``ties = (o1, u, log_w)`` holds the informative
-    tied batches, broadcast to ``(R, K)`` observed counts and ``(R, K, S)``
-    tables of support values and log-binomial weights, padded with
-    ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's noncentral
-    hypergeometric law.  An unused batch slot is ``o1 = 0`` with the single
-    support point ``u = 0``, ``log_w = 0``.
-
-    U is strictly decreasing (the smoothed likelihood is strictly concave),
-    so each iteration narrows the bracket its sign gives, starting from
-    ``[log 1e-8, log 1e8]``; a Newton step that leaves the bracket is
-    replaced by bisection, and a root beyond the admissible range ends at
-    its edge.  A row stops, and is left unchanged from then on, when its
-    last Newton step is at most 1e-7 (the error left after it is of order
-    1e-14) or its bracket is narrower than 1e-12, so every row's result
-    depends on its own inputs only.  Returns the roots with the moments
-    and centres they end with.
+    Row ``r`` of ``moments`` is the sum of its single events' power moments
+    (``_moment_rows``) about ``centre[r]``; a fixed table turns it into the
+    Taylor coefficients of the sigmoid sum about the centre, and 15 terms
+    give the sum and its derivative within ``_RADIUS`` of it.  When an
+    active row's iterate moves further, ``history(rows, at)`` returns those
+    rows' moments about ``at``, read from their stored offsets, and the rows
+    re-centre there: ``moments`` and ``centre`` are updated in place.
     """
-    b = np.array(beta, dtype=float)
-    moments = np.array(moments, dtype=float)
-    centre = np.array(centre, dtype=float)
-    series = _series(moments)
-    lo = np.full(b.shape, _LOG_THETA_LO)
-    hi = np.full(b.shape, _LOG_THETA_HI)
-    active = np.ones(b.shape, dtype=bool)
-    powers = np.ones((b.size, _ORDER + 1))
-    for _ in range(100):
-        h = b - centre
-        far = np.flatnonzero(active & (np.abs(h) > _RADIUS))
-        if far.size:
-            moments[far] = history(far, b[far])
-            centre[far] = b[far]
-            series[far] = _series(moments[far])
+
+    def __init__(self, moments, centre, history):
+        self.moments, self.centre, self.history = moments, centre, history
+        self.series = _series(moments)
+        self.powers = np.ones((centre.size, _ORDER + 1))
+
+    def __call__(self, b, active):
+        h = b - self.centre
+        far = np.abs(h) > _RADIUS
+        far &= active
+        if far.any():
+            far = np.flatnonzero(far)
+            self.moments[far] = self.history(far, b[far])
+            self.centre[far] = b[far]
+            self.series[far] = _series(self.moments[far])
             h[far] = 0.0
-        powers[:, 1:] = h[:, None]
-        np.cumprod(powers, axis=1, out=powers)
-        total, info = np.einsum("rjk,rk->jr", series, powers)
-        score = o1_sum - total
-        if ties is not None:
-            t_o1, t_u, t_lw = ties
-            w = t_lw + t_u * b[:, None, None]
-            w -= w.max(axis=-1, keepdims=True)
-            np.exp(w, out=w)
-            w /= w.sum(axis=-1, keepdims=True)
-            mean = (w * t_u).sum(axis=-1)
-            score += (t_o1 - mean).sum(axis=-1)
-            info += ((w * t_u * t_u).sum(axis=-1) - mean * mean).sum(axis=-1)
-        lo = np.where(score > 0, b, lo)
-        hi = np.where(score < 0, b, hi)
-        new = b + score / info
-        newton = (new > lo) & (new < hi)
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        done = (np.abs(new - b) <= 1e-7) & newton | (hi - lo <= 1e-12)
-        b = np.where(active, new, b)
-        active &= ~done
-        if not active.any():
-            break
-    return b, moments, centre
+        self.powers[:, 1:] = h[:, None]
+        np.cumprod(self.powers, axis=1, out=self.powers)
+        return np.einsum("rjk,rk->jr", self.series, self.powers)
+
+
+class PluginLockstep:
+    """Plug-in estimates of many streams of single events that grow by one
+    event per step: the numerator of the simulation engine's plug-in test.
+
+    Each stream keeps its offsets ``log(y1/y0)`` (the two virtual events,
+    then one slot per step, ``-inf`` where the stream had no informative
+    event), its treatment count, its estimate ``beta`` and the power
+    moments of its single events about a centre of its own.  An event adds
+    one row of moments, and the offsets are read only when a solve moves a
+    stream's iterate more than ``_RADIUS`` from its centre, so a step costs
+    work linear in the number of streams, not in the length of the history.
+    """
+
+    def __init__(self, streams: int, steps: int, m1: int, m0: int):
+        self.offsets = np.full((streams, steps + 2), -np.inf)
+        self.offsets[:, :2] = _virtual_offsets(m1, m0)
+        self.o1_sum = np.ones(streams)
+        sums = _MomentSums(
+            _moments_about(self.offsets[:1, :2], np.zeros(1)), np.zeros(1),
+            lambda r, at: _moments_about(self.offsets[r, :2], at),
+        )
+        self.beta = np.full(streams, plugin_newton(np.zeros(1), 1.0, sums)[0])
+        self.moments = np.repeat(sums.moments, streams, axis=0)
+        self.centre = np.full(streams, sums.centre[0])
+
+    def add(self, step: int, rows: np.ndarray, offsets: np.ndarray, o1: np.ndarray) -> None:
+        """Fold event ``step`` of the streams ``rows`` (offsets
+        ``log(y1/y0)``, treatment indicators ``o1``) into their histories
+        and re-solve their estimates."""
+        self.offsets[rows, step + 2] = offsets
+        self.o1_sum[rows] += o1
+        centre = self.centre[rows]
+        sums = _MomentSums(
+            self.moments[rows] + _moment_rows(offsets + centre),
+            centre,
+            lambda r, at: _moments_about(self.offsets[rows[r], : step + 3], at),
+        )
+        self.beta[rows] = plugin_newton(self.beta[rows], self.o1_sum[rows], sums)
+        self.moments[rows], self.centre[rows] = sums.moments, sums.centre
 
 
 # Estimates solved together, one row per prefix of the stream.  The block
-# depends on the row index only, so a prefix of a stream of single events
-# gets bit-identical estimates.
+# and its single-event width depend on the row index only, so a prefix of a
+# stream of single events gets bit-identical estimates.
 _BLOCK = 64
 
 
@@ -262,16 +335,11 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     The history is laid out once: the single events (the two virtual ones
     first, then the stream's informative ones) as one column of offsets
     ``log(y1/y0)`` with running treatment counts, and the informative tied
-    batches as one padded table.  ``plugin_newton`` solves ``_BLOCK``
-    consecutive prefixes at a time as its rows, warm-started from the last
-    estimate of the block before.  The rows' moments are the moments of the
-    history before the block plus prefix sums of one moment row per new
-    single event, all about one centre.  The centre moves to the warm start,
-    and the history before the block is read again, only when the warm
-    start is more than half the Taylor radius from it: it depends on past
-    estimates only, and a trace costs time linear in its length.  Forced
-    batches carry no likelihood information and leave the estimate
-    unchanged.
+    batches as one padded table.  The fit on the first i event times reads
+    their prefixes.  ``plugin_newton`` solves ``_BLOCK`` consecutive
+    prefixes at a time as its rows, warm-started from the last estimate of
+    the block before.  Forced batches carry no likelihood information and
+    leave the estimate unchanged.
     """
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
     m1 = int(y1[0]) if m1 is None else m1
@@ -285,11 +353,9 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     n_single = np.concatenate([[0], np.cumsum(single)])
     n_tied = np.concatenate([[0], np.cumsum(informative & (o > 1))])
 
-    # virtual treatment event at (m1+1, m0), virtual control event at (m1, m0+1)
     c = np.full(n + _BLOCK + 2, -np.inf)
-    c[:2] = math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
+    c[:2] = _virtual_offsets(m1, m0)
     c[2 : 2 + n_single[-1]] = np.log(y1[single]) - np.log(y0[single])
-    ends = n_single + 2  # offsets read by the fit on the first i event times
     o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(o1[single], dtype=float)])
 
     t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
@@ -300,22 +366,12 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     block = _BLOCK if not tied.size else max(1, min(_BLOCK, 2**17 // (tied.size * size)))
 
     betas = np.empty(n + 1)
-    warm = centre = 0.0
-    base, based = np.zeros((1, _ORDER + 2)), 0  # moments of c[:based] about centre
+    warm = 0.0
     for start in range(0, n + 1, block):
         rows = np.arange(start, min(start + block, n + 1))
-        # a row re-centres on offsets padded to a width set by its index
         width = start + block + 2
-        if abs(warm - centre) > 0.5 * _RADIUS:
-            centre, based = warm, ends[start]
-            base = _moments_about(c[None, :based], np.array([centre]))
-        upto = ends[min(start + block, n)]
-        cum = np.cumsum(np.vstack([base, _moment_rows(c[based:upto] + centre)]), axis=0)
-
-        def history(r, at):
-            held = np.arange(width) < ends[rows[r]][:, None]
-            return _moments_about(np.where(held, c[:width], -np.inf), at)
-
+        held = np.arange(width) < n_single[rows][:, None] + 2
+        c_rows = np.where(held, c[:width], -np.inf)
         ties = None
         k = int(n_tied[rows[-1]])
         if k:
@@ -326,10 +382,8 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
                 np.where(held[..., None], t_lw[:k], unused),
             )
         betas[rows] = plugin_newton(
-            np.full(rows.size, warm), o1_sum[n_single[rows]], cum[ends[rows] - based],
-            np.full(rows.size, centre), history, ties,
-        )[0]
-        base, based = cum[-1:], upto
+            np.full(rows.size, warm), o1_sum[n_single[rows]], _offset_sums(c_rows), ties
+        )
         warm = betas[rows[-1]]
     return betas
 

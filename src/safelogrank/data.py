@@ -150,17 +150,18 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
 
     The header must name ``exit`` (or ``time``), ``group`` and ``status``
     columns; an ``entry`` column is optional and defaults to 0.  Unless
-    forced, the delimiter is read once, from the header: a tab if it has
-    one, else a comma if it has one, else runs of whitespace; every row is
-    split with it.  Status accepts 1/0 or event/censored.  Errors carry
-    1-based line numbers.
+    forced, the delimiter is read once, from the header with its leading
+    and trailing whitespace stripped: a tab if it has one, else a comma if
+    it has one, else runs of whitespace; every row is split with it, so a
+    row separated otherwise than its header is refused.  Status accepts 1/0
+    or event/censored.  Errors carry 1-based line numbers.
     """
     rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows:
         raise DatasetError("empty input: expected a header row and at least one record")
     header_no, header = rows[0]
     if delimiter is None:
-        delimiter = next((d for d in ("\t", ",") if d in header), None)
+        delimiter = next((d for d in ("\t", ",") if d in header.strip()), None)
     names = [f.lower() for f in _split(header, delimiter)]
     columns: dict[str, int] = {}
     for idx, name in enumerate(names):

@@ -46,14 +46,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .adaptive import (
-    PriorSpec,
-    _moment_rows,
-    _moments_about,
-    bayes_log_trace,
-    plugin_log_trace,
-    plugin_newton,
-)
+from .adaptive import PluginLockstep, PriorSpec, bayes_log_trace, plugin_log_trace
 from .core import (
     EventStream,
     log_kernel,
@@ -359,21 +352,7 @@ def _evolve_single_event(
     gauss_logm = np.zeros(reps)
 
     if "plugin" in want:
-        # Offsets log(y1/y0) of each replication's single events: the
-        # virtual treatment and control events first, then the informative
-        # events; empty slots hold -inf, which adds nothing.  ``plugin_newton``
-        # reads them only to re-centre; each step adds one row to the power
-        # moments about each replication's centre.  ``o1_sum`` counts
-        # treatment events, the virtual one included.
-        hist_c = np.full((reps, cap + 2), -np.inf)
-        hist_c[:, :2] = math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
-        o1_sum = np.ones(reps)
-        beta, moments, centre = plugin_newton(
-            np.zeros(1), 1.0, _moments_about(hist_c[:1, :2], np.zeros(1)), np.zeros(1),
-            lambda r, at: _moments_about(hist_c[r, :2], at),
-        )
-        beta, centre = np.full(reps, beta[0]), np.full(reps, centre[0])
-        moments = np.repeat(moments, reps, axis=0)
+        plugin = PluginLockstep(reps, cap, m1, m0)
         plugin_logm = np.zeros(reps)
 
     active = np.ones(reps, dtype=bool)
@@ -413,20 +392,14 @@ def _evolve_single_event(
 
         if "plugin" in want:
             inc = np.zeros(a.size)
-            inc[informative] = _single_increment(o1[informative], ly1, ly0, beta[inf_idx], log_t0)
+            inc[informative] = _single_increment(
+                o1[informative], ly1, ly0, plugin.beta[inf_idx], log_t0
+            )
             plugin_logm[a] += inc
             newly = (taus["plugin"][a] == np.inf) & (plugin_logm[a] >= threshold)
             taus["plugin"][a[newly]] = n
             # fold the new observation into each history, then re-solve
-            hist_c[inf_idx, i + 2] = ly1 - ly0
-            o1_sum[inf_idx] += o1[informative]
-            beta[inf_idx], moments[inf_idx], centre[inf_idx] = plugin_newton(
-                beta[inf_idx],
-                o1_sum[inf_idx],
-                moments[inf_idx] + _moment_rows(ly1 - ly0 + centre[inf_idx]),
-                centre[inf_idx],
-                lambda r, at: _moments_about(hist_c[inf_idx[r], : i + 3], at),
-            )
+            plugin.add(i, inf_idx, ly1 - ly0, o1[informative])
 
         y1[a] = ay1 - o1
         y0[a] = ay0 - ~o1

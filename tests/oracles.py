@@ -258,86 +258,6 @@ def plugin_reference(stream, m1=None, m0=None, theta0: float = 1.0):
     return trace, log_num, thetas
 
 
-def plugin_newton_columns(beta, o1_sum, c, ties=None):
-    """The plug-in solver with the single-event term summed over the whole
-    history, the exact reference for ``adaptive.plugin_newton``: the same
-    bracket, bisection, clamp and stopping rule, with the score
-
-        U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
-                  + sum_k (o1[r, k] - E_beta[u[r, k]])
-
-    read from the offsets ``c`` (``-inf`` in unused slots) on every
-    iteration.  ``ties = (o1, u, log_w)`` is ``plugin_newton``'s padded
-    tied-batch table."""
-    import numpy as np
-
-    b = np.array(beta, dtype=float)
-    lo = np.full(b.shape, math.log(1e-8))
-    hi = np.full(b.shape, math.log(1e8))
-    active = np.ones(b.shape, dtype=bool)
-    half_c, width = 0.5 * c, c.shape[1]
-    for _ in range(100):
-        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
-        t = np.tanh(half_c + 0.5 * b[:, None])
-        score = o1_sum - 0.5 * (width + t.sum(axis=1))
-        info = 0.25 * (width - (t * t).sum(axis=1))
-        if ties is not None:
-            t_o1, t_u, t_lw = ties
-            w = t_lw + t_u * b[:, None, None]
-            w = np.exp(w - w.max(axis=-1, keepdims=True))
-            w /= w.sum(axis=-1, keepdims=True)
-            mean = (w * t_u).sum(axis=-1)
-            score += (t_o1 - mean).sum(axis=-1)
-            info += ((w * t_u * t_u).sum(axis=-1) - mean * mean).sum(axis=-1)
-        lo = np.where(score > 0, b, lo)
-        hi = np.where(score < 0, b, hi)
-        new = b + score / info
-        newton = (new > lo) & (new < hi)
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        done = (np.abs(new - b) <= 1e-7) & newton | (hi - lo <= 1e-12)
-        b = np.where(active, new, b)
-        active &= ~done
-        if not active.any():
-            break
-    return b
-
-
-def plugin_betas_columns(stream, m1=None, m0=None):
-    """``log(theta_hat)`` after 0..n event times, one ``plugin_newton_columns``
-    solve per prefix over its whole history, warm-started from the estimate
-    before it."""
-    import numpy as np
-
-    from safelogrank.core import _support_table
-
-    rows = rows_of(stream)
-    m1 = rows[0][0] if m1 is None else m1
-    m0 = rows[0][1] if m0 is None else m0
-    # virtual treatment event at (m1+1, m0), virtual control event at (m1, m0+1)
-    c, o1_sum = [math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))], 1.0
-    tied = []
-    beta = 0.0
-    betas = []
-    for i in range(len(rows) + 1):
-        ties = None
-        if tied:
-            y1, y0, o, t_o1 = (np.array(col) for col in zip(*tied))
-            u, log_w = _support_table(y1, y0, o)
-            ties = (t_o1[None].astype(float), u[None].astype(float), log_w[None])
-        beta = float(plugin_newton_columns(np.array([beta]), o1_sum, np.array([c]), ties)[0])
-        betas.append(beta)
-        if i < len(rows):
-            y1, y0, o, o1 = rows[i]
-            if max(0, o - y0) == min(o, y1):
-                continue  # forced: no likelihood information
-            if o == 1:
-                c.append(math.log(y1 / y0))
-                o1_sum += o1
-            else:
-                tied.append((y1, y0, o, o1))
-    return np.array(betas)
-
-
 def log_kernel_on_nodes(log_thetas, row):
     """log q_theta(o1 | batch) at every node, for one ``(y1, y0, o, o1)``
     batch."""

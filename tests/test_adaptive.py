@@ -10,15 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safelogrank.core import log_kernel
+from safelogrank.core import _support_table, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
+    PluginLockstep,
     PriorSpec,
+    _MomentSums,
+    _moments_about,
+    _offset_sums,
     bayes_log_trace,
     confidence_sequence,
     default_theta_grid,
     plugin_estimates,
     plugin_log_trace,
+    plugin_newton,
 )
 
 import oracles
@@ -212,20 +217,80 @@ def _plugin_streams(draw):
     return sample_tied_stream(m1, m0, theta, draw(st.sampled_from([0.02, 0.1, 0.3])), rng)
 
 
+def _whole_stream_fit(stream):
+    """``plugin_newton``'s inputs for the fit on a whole stream: one row of
+    offsets of its single events (the two virtual ones first), their
+    treatment count, and its informative tied batches as one table row."""
+    rows = oracles.rows_of(stream)
+    m1, m0 = rows[0][0], rows[0][1]
+    c, o1_sum, tied = [math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))], 1.0, []
+    for row in rows:
+        y1, y0, o, o1 = row
+        if forced(row):
+            continue
+        if o == 1:
+            c.append(math.log(y1 / y0))
+            o1_sum += o1
+        else:
+            tied.append(row)
+    ties = None
+    if tied:
+        y1, y0, o, t_o1 = (np.array(col) for col in zip(*tied))
+        u, log_w = _support_table(y1, y0, o)
+        ties = (t_o1[None].astype(float), u[None].astype(float), log_w[None])
+    return np.array([c]), o1_sum, ties
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(stream=_plugin_streams())
 @example(stream=stream_of(_TIES_AND_FORCED))
 @example(stream=_single_event_stream(0.5, 200, 200, 400, seed=5))
-def test_moment_solver_matches_column_reference(stream):
-    # the running-moment solver against the same solver reading every
-    # offset on every iteration: estimates within 1e-12, clamp included
-    betas = np.log(plugin_estimates(stream))
-    reference = oracles.plugin_betas_columns(stream)
-    assert np.allclose(betas, reference, rtol=0, atol=1e-12)
+def test_moment_sums_solve_like_offset_sums(stream):
+    # plugin_newton on running moments about 0, re-centring on the way from
+    # warm starts up to 4 away, against the same solver summing every
+    # offset on every iteration: roots within 1e-12, clamp included
+    warm = np.array([-4.0, -1.0, 0.0, 0.5, 4.0])
+    c, o1_sum, ties = _whole_stream_fit(stream)
+    c = np.repeat(c, warm.size, axis=0)
+    if ties is not None:
+        ties = tuple(np.repeat(t, warm.size, axis=0) for t in ties)
+    reference = plugin_newton(warm, o1_sum, _offset_sums(c), ties)
+    sums = _MomentSums(
+        _moments_about(c, np.zeros(warm.size)), np.zeros(warm.size),
+        lambda r, at: _moments_about(c[r], at),
+    )
+    assert np.allclose(plugin_newton(warm, o1_sum, sums, ties), reference, rtol=0, atol=1e-12)
     y1, y0 = int(stream.y1[0]), int(stream.y0[0])
     if max(y1, y0) == 10**9:
         edge = math.log(1e8) if y0 > y1 else math.log(1e-8)
-        assert abs(reference[-1] - edge) <= 1e-12
+        assert np.abs(reference - edge).max() <= 1e-12
+
+
+def test_plugin_lockstep_matches_trace_estimates():
+    # streams grown together one event per step, as the simulation engine
+    # grows them, against each stream's own trace: estimates within 1e-12
+    # through several re-centrings
+    m1, m0, thetas = 300, 250, (0.3, 0.7, 1.0, 1.6, 3.0)
+    streams = [
+        sample_single_event_stream(m1, m0, theta, stream_rng(7, r), max_events=500)
+        for r, theta in enumerate(thetas)
+    ]
+    steps = max(s.o.size for s in streams)
+    lockstep = PluginLockstep(len(streams), steps, m1, m0)
+    got = np.full((len(streams), steps + 1), lockstep.beta[0])
+    for i in range(steps):
+        rows = np.array(
+            [r for r, s in enumerate(streams) if i < s.o.size and min(s.y1[i], s.y0[i]) > 0]
+        )
+        if rows.size:
+            y1 = np.array([streams[r].y1[i] for r in rows], dtype=float)
+            y0 = np.array([streams[r].y0[i] for r in rows], dtype=float)
+            o1 = np.array([streams[r].o1[i] for r in rows])
+            lockstep.add(i, rows, np.log(y1) - np.log(y0), o1)
+        got[:, i + 1] = lockstep.beta
+    for r, s in enumerate(streams):
+        reference = np.log(plugin_estimates(s))
+        assert np.allclose(got[r, : reference.size], reference, rtol=0, atol=1e-12)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -91,8 +91,16 @@ def test_delimiter_is_read_once_from_the_header():
     text = "time,group,status\n1,0,event\t\n2,1,censored\n"
     stream = parse_dataset(text).stream
     assert stream.times.tolist() == [1.0] and stream.o1.tolist() == [0]
+    # and so is one at the end of the header
+    assert parse_dataset("time,group,status\t\n1,0,event\n").stream.times.tolist() == [1.0]
     # a whitespace-separated file stays whitespace-separated
-    assert parse_dataset("time group status\n1  1\tevent\n").stream.o1.tolist() == [1]
+    assert parse_dataset("time group status\t\n1  1\tevent\n").stream.o1.tolist() == [1]
+    # every row is split as its header is: whitespace-separated rows under a
+    # comma or tab header are refused
+    for header in ("time,group,status", "time\tgroup\tstatus"):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset(f"{header}\n1 0 event\n")
+        assert str(err.value) == "line 2: expected 3 fields, got 1"
 
 
 def test_header_synonym_exit():

@@ -49,11 +49,9 @@ GOLDEN = {
         "87b90222dc93d61c99303c52c1d36adc0c207456b250ed107461820591c2b521",
         "f562ed37bbd7634b81df7c0ff6770de74789fa77a745885ac0f1f1ea14105163",
     ),
-    # the JSON carries full-precision plug-in e-values, so it pins the last
-    # bits of the plug-in solver as well as the emitter's bytes
     "plugin": (
         "f1a8f4cbc7f7e45ecd7f2b7f5f3591f11616137d3f7afda460e5b1fddcf7dac6",
-        "6ef2347a032c25c8ad684052c91c5627055bef95a5ebc58b57e14911adf69103",
+        "93133099429af63b991bcc5bb31b59ae8e03d848336e3c792b597c91341f5a63",
     ),
     "bayes": (
         "3340121e88539487867b6b04dbb52ce2745b50f547d796f214fa4a4e2f979c38",

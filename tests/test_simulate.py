@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safelogrank.adaptive import plugin_newton
 from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
@@ -240,20 +239,18 @@ def test_engine_matches_per_stream(kind):
 
 def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
     # streams long enough that every replication's moments re-centre
-    # several times; the lockstep solves and the per-stream traces keep
-    # different centres, yet every crossing agrees
-    import safelogrank.simulate as simulate
+    # several times; the lockstep solves on running moments and the
+    # per-stream traces on every offset, yet every crossing agrees
+    import safelogrank.adaptive as adaptive
 
     recentred = []
+    moments_about = adaptive._moments_about
 
-    def counting(beta, o1_sum, moments, centre, history, ties=None):
-        def read(rows, at):
-            recentred.append(rows.size)
-            return history(rows, at)
+    def counting(c, at):
+        recentred.append(at.size)
+        return moments_about(c, at)
 
-        return plugin_newton(beta, o1_sum, moments, centre, read, ties)
-
-    monkeypatch.setattr(simulate, "plugin_newton", counting)
+    monkeypatch.setattr(adaptive, "_moments_about", counting)
     scenario = SimScenario(
         m1=400, m0=400, theta=0.8, design=DesignSpec(theta1=0.7, test_kind="plugin"),
         replications=12, seed=21,
