@@ -10,7 +10,7 @@ Bayes predictive) alternatives, confidence sequences, a Monte Carlo design
 engine, dataset I/O, and a command line front end live in the submodules:
 
 - :mod:`safelogrank.core` — event streams, the exact kernel and e-processes
-- :mod:`safelogrank.gaussian` — logrank moments, Gaussian e-values, boundaries
+- :mod:`safelogrank.gaussian` — the logrank statistic Z, Gaussian e-values, boundaries
 - :mod:`safelogrank.adaptive` — plug-in/Bayes numerators, confidence sequences
 - :mod:`safelogrank.simulate` — samplers, stopping times, design tables
 - :mod:`safelogrank.data` — survival records as columns, delimited-text parsing

@@ -37,7 +37,7 @@ from .gaussian import (
     fixed_sample_boundary,
     gaussian_safe_boundary,
     log_gaussian_evalue,
-    logrank_moments,
+    logrank_z,
     null_expectation_audit,
     obf_boundary,
     schoenfeld_mu,
@@ -75,9 +75,11 @@ def load_config(path: str) -> dict[str, str]:
     """Key-value config: one ``name = value`` per line, ``#`` comments.
 
     Names match the long command line options (hyphens and underscores are
-    interchangeable).
+    interchangeable).  One file may serve several commands, so a key of any
+    command is accepted; a key that no command knows is refused.
     """
     out: dict[str, str] = {}
+    known = _option_names()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -86,7 +88,10 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{line_no}: expected 'name = value', got {raw.rstrip()!r}")
             name, value = line.split("=", 1)
-            out[name.strip().lower().replace("-", "_")] = value.strip()
+            name = name.strip().lower().replace("-", "_")
+            if name not in known:
+                raise UsageError(f"{path}:{line_no}: no command has an option {name!r}")
+            out[name] = value.strip()
     return out
 
 
@@ -340,9 +345,7 @@ def _analysis_table(
     stream = dataset.stream
     size = len(stream.times)
     n = np.cumsum(stream.o)
-    score, variance = logrank_moments(stream)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = score / np.sqrt(variance)
+    z = logrank_z(stream)
     boundary = np.full(size, np.nan)  # written as null: only the gaussian test has one
 
     if not size:
@@ -356,7 +359,7 @@ def _analysis_table(
     else:  # gaussian: no evidence is defined until the variance is positive
         m1, m0 = int(stream.y1[0]), int(stream.y0[0])
         mu1 = schoenfeld_mu(theta1, m1, m0)
-        log_e_trace = np.where(variance > 0, log_gaussian_evalue(n, z, mu1), -np.inf)
+        log_e_trace = np.where(np.isnan(z), -np.inf, log_gaussian_evalue(n, z, mu1))
         boundary = gaussian_safe_boundary(n, theta1, alpha, m1, m0)
 
     values = (
@@ -426,6 +429,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _refuse(args, f"applies only to the gaussian test, not {test}", "allow_unbalanced_gaussian")
 
     paths = [args.dataset] + list(args.meta or [])
+    real = [os.path.realpath(p) for p in paths]
+    for i, path in enumerate(real):
+        if path in real[:i]:  # one study's e-value would multiply itself
+            raise UsageError(
+                f"{paths[i]} is the same file as {paths[real.index(path)]}: "
+                "--meta combines independent datasets"
+            )
     out = _report_base(opt.get("out"), paths)
     datasets = [read_dataset(p, delimiter=delimiter) for p in paths]
 
@@ -688,6 +698,7 @@ def build_parser() -> _Parser:
         "tabulate boundaries, and invert confidence sequences.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands.choices  # command name -> its parser
 
     analyze = commands.add_parser(
         "analyze", help="per-event-time e-value trace and decision for a dataset"
@@ -774,6 +785,16 @@ def build_parser() -> _Parser:
     for sub in (analyze, design, boundary, confseq):
         sub.add_argument("--alpha", type=float, help="type-I error budget (default 0.05)")
     return parser
+
+
+def _option_names() -> set[str]:
+    """The long options of every command, by their config-file names."""
+    return {
+        action.dest
+        for command in build_parser().commands.values()
+        for action in command._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:

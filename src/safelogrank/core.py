@@ -119,6 +119,8 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
 
     ``log_theta`` is a scalar, a per-row array of shape ``(n,)``, or a grid
     of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result.
+    With a scalar ``log_theta`` the columns may have any shape, such as
+    ``(replications, L)``, and the result has theirs.
     Single events use the logistic closed form ``-log(1 + exp(-/+d))`` with
     ``d = log(y1/y0) + log_theta``; forced batches give exactly 0; tied
     batches evaluate the Fisher noncentral hypergeometric log-pmf together,
@@ -138,8 +140,8 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     np.negative(out, out=out)
     forced = np.maximum(0, o - y0) == np.minimum(o, y1)
     out[forced] = 0.0
-    tied = np.flatnonzero((o > 1) & ~forced)
-    if tied.size:
+    tied = np.nonzero((o > 1) & ~forced)
+    if tied[0].size:
         rows = np.broadcast_to(log_theta, out.shape)[tied]
         out[tied] = _tied_log_kernel(y1[tied], y0[tied], o[tied], o1[tied], rows)
     return out

@@ -35,7 +35,7 @@ from .core import EventStream, validate_theta
 
 __all__ = [
     "logrank_increments",
-    "logrank_moments",
+    "logrank_z",
     "schoenfeld_mu",
     "log_gaussian_evalue",
     "null_expectation_audit",
@@ -56,10 +56,13 @@ def logrank_increments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
     return stream.o1 - stream.o * a1, v1
 
 
-def logrank_moments(stream: EventStream) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
-    sum(V1) after each event time (see ``logrank_increments``)."""
-    return tuple(np.cumsum(x) for x in logrank_increments(stream))
+def logrank_z(stream: EventStream) -> np.ndarray:
+    """Standardized logrank statistic ``Z = sum(o1 - E1) / sqrt(sum(V1))``
+    after each event time (see ``logrank_increments``), running along the
+    last axis, so ``(replications, L)`` columns give one path per row; NaN
+    until the cumulative variance is positive."""
+    score, variance = (np.cumsum(x, axis=-1) for x in logrank_increments(stream))
+    return np.divide(score, np.sqrt(variance), out=np.full(score.shape, np.nan), where=variance > 0)
 
 
 def schoenfeld_mu(theta: float, m1: int, m0: int) -> float:

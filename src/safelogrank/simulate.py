@@ -20,18 +20,20 @@ every design.  Single-event streams for the exact (one- or two-sided),
 Gaussian and plug-in tests evolve in lockstep, one event per step across
 all replications, so a replication stops drawing as soon as every requested
 test has stopped.  Tied streams, and the Bayes, O'Brien-Fleming and
-fixed-horizon tests, are sampled first (single-event ones by the same step,
-vectorized over replications), all replications' event times concatenated
-into one ``EventStream``; the kernel of ``core.log_kernel`` (or the logrank
-increments, or the learned numerators) runs over it once, and cumulative
-sums along each replication give the first crossing.  O'Brien-Fleming
-sizing scans the running extremes of ``Z_n * sqrt(n)`` of sampled streams
-for the shortest horizon with the requested power.  Replications are taken
-in chunks, so memory stays bounded however many there are.
+fixed-horizon tests, are sampled first by ``_sample_block``: one
+``EventStream`` whose columns are ``(replications, L)`` arrays, one stream
+per row in event order, tied rows padded with empty batches that add
+exactly 0 to every sum.  ``core.log_kernel`` and ``gaussian.logrank_z`` (or
+the learned numerators, row by row) run over the block, and running sums
+along each row give the first crossing.  O'Brien-Fleming sizing reads
+single-event blocks from the same function and scans the running extremes
+of ``Z_n * sqrt(n)`` for the shortest horizon with the design's power.
+Replications are taken in chunks, so memory stays bounded however many
+there are.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
-``cap`` and ``max_events`` end every stream at that many cumulative events.
+``cap`` ends every stream at that many cumulative events.
 Designs are compared the way group-sequential designs usually are: the
 maximum sample size ``n_max`` is the empirical ``power``-quantile of ``tau``,
 the expected duration is the mean of ``tau' = min(tau, n_max)``, and the
@@ -56,7 +58,7 @@ from .core import (
 from .gaussian import (
     fixed_sample_boundary,
     log_gaussian_evalue,
-    logrank_increments,
+    logrank_z,
     normal_quantile,
     obf_boundary,
     schoenfeld_mu,
@@ -150,7 +152,6 @@ class SimScenario:
     replications: int = 10_000
     seed: int = 0
     tie_h0: float | None = None
-    max_events: int | None = None
 
     def __post_init__(self) -> None:
         if self.m1 < 1 or self.m0 < 1:
@@ -164,7 +165,6 @@ class SimScenario:
             raise ValueError(
                 f"tie_h0 * max(theta, 1) must lie in (0, 1), got tie_h0={self.tie_h0}"
             )
-        _check_cap(self.max_events, "max_events")
 
 
 def _check_cap(cap: int | None, name: str = "cap") -> None:
@@ -290,9 +290,9 @@ def sample_tied_stream(
 # ---------------------------------------------------------------------------
 
 def _event_limit(scenario: SimScenario, cap: int | None) -> int:
-    """Events per replication: ``m1 + m0``, ``cap`` and ``max_events``, whichever is least."""
+    """Events per replication: ``m1 + m0`` or ``cap``, whichever is less."""
     _check_cap(cap)
-    return min(b for b in (scenario.m1 + scenario.m0, cap, scenario.max_events) if b is not None)
+    return scenario.m1 + scenario.m0 if cap is None else min(cap, scenario.m1 + scenario.m0)
 
 
 def _single_increment(o1, ly1, ly0, log_theta, log_theta0):
@@ -430,90 +430,81 @@ _STREAM_CELLS = 1 << 14
 _LOCKSTEP_CELLS = 1 << 20
 
 
-def _sample_streams(scenario: SimScenario, cap: int | None, lo: int, hi: int) -> list[EventStream]:
-    """Event streams of replications ``lo..hi-1``, each ended after
-    ``_event_limit`` cumulative events (a tied one at its last batch within
-    them)."""
+def _sample_block(scenario: SimScenario, limit: int, lo: int, hi: int) -> EventStream:
+    """Event streams of replications ``lo..hi-1`` as ``(replications, L)``
+    columns, one stream per row in event order, each ended after ``limit``
+    cumulative events (a tied one at its last batch within them).  Single
+    events fill ``L = limit`` columns.  A tied row shorter than the longest
+    is padded with empty batches at risk sets ``(1, 1)``: they add exactly 0
+    to every kernel and logrank sum and to the event count, so a row's
+    running statistics stay flat past its last batch.  ``times`` is None;
+    nothing that scores a block reads it."""
     m1, m0, theta = scenario.m1, scenario.m0, scenario.theta
-    limit = _event_limit(scenario, cap)
     rngs = [stream_rng(scenario.seed, r) for r in range(lo, hi)]
     if scenario.tie_h0 is None:
-        times, ones = np.arange(1.0, limit + 1.0), np.ones(limit, dtype=np.int64)
         y1, y0, o1 = _single_event_columns(m1, m0, theta, rngs, limit)
-        return [EventStream(times, a, b, ones, c) for a, b, c in zip(y1, y0, o1)]
-    streams = []
-    for rng in rngs:
-        cols = _tied_columns(m1, m0, theta, scenario.tie_h0, rng)
-        keep = np.cumsum(cols[3]) <= limit
-        streams.append(EventStream(*(c[keep] for c in cols)))
-    return streams
+        return EventStream(None, y1, y0, np.ones_like(o1), o1)
+    streams = [_tied_columns(m1, m0, theta, scenario.tie_h0, rng)[1:] for rng in rngs]
+    ends = [int(np.searchsorted(np.cumsum(o), limit, "right")) for _, _, o, _ in streams]
+    block = np.zeros((4, len(rngs), max(ends, default=0)), dtype=np.int64)
+    block[:2] = 1
+    for row, (cols, end) in enumerate(zip(streams, ends)):
+        for column, values in zip(block, cols):
+            column[row, :end] = values[:end]
+    return EventStream(None, *block)
 
 
-def _stream_taus(streams: list[EventStream], scenario: SimScenario, kind: str) -> np.ndarray:
+def _stream_taus(block: EventStream, scenario: SimScenario, kind: str) -> np.ndarray:
     """First cumulative event count at which test ``kind`` crosses on each
-    stream, ``inf`` if it never does.  The streams are concatenated into one
-    for the kernels, and running sums are taken along a ``(streams, L)``
-    layout with one stream per row, in event order."""
+    row of a ``_sample_block``, ``inf`` if it never does.  The kernels and
+    ``logrank_z`` run over the whole block, the learned numerators row by
+    row, and running sums go along each row; the first crossing of a row is
+    never in its padding, which repeats the row's last statistic."""
     design = scenario.design
-    lengths = np.array([s.o.size for s in streams])
-    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    whole = EventStream(
-        *(np.concatenate([getattr(s, f) for s in streams]) for f in ("times", "y1", "y0", "o", "o1"))
-    )
-
-    def per_row(values, fill=0.0):
-        out = np.full(valid.shape, fill)
-        out[valid] = values
-        return out
-
-    n = np.cumsum(per_row(whole.o), axis=1)
+    n = np.cumsum(block.o, axis=1)
     if kind in ("exact", "plugin", "bayes"):
         if kind == "exact":
-            null = log_kernel(whole, math.log(design.theta0))
+            null = log_kernel(block, math.log(design.theta0))
 
             def trace(theta):
-                return np.cumsum(per_row(log_kernel(whole, math.log(theta)) - null), axis=1)
+                return np.cumsum(log_kernel(block, math.log(theta)) - null, axis=1)
 
             stat = trace(design.theta1)
             if design.two_sided:
                 stat = two_sided_log_evalue(stat, trace(1.0 / design.theta1))
         else:
             prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            traces = [
-                plugin_log_trace(s, scenario.m1, scenario.m0, design.theta0)
+            rows = zip(block.y1, block.y0, block.o, block.o1)
+            stat = np.array([
+                plugin_log_trace(EventStream(None, *row), scenario.m1, scenario.m0, design.theta0)
                 if kind == "plugin"
-                else bayes_log_trace(s, prior, design.theta0)
-                for s in streams
-            ]
-            stat = per_row(np.concatenate(traces), -np.inf)
+                else bayes_log_trace(EventStream(None, *row), prior, design.theta0)
+                for row in rows
+            ])
         hit = stat >= design.log_threshold
     elif kind in ("gaussian", "obf", "fixed"):
-        score, variance = (np.cumsum(per_row(x), axis=1) for x in logrank_increments(whole))
-        pos = variance > 0
-        z = np.divide(score, np.sqrt(variance), out=np.zeros(valid.shape), where=pos)
+        z = logrank_z(block)  # NaN, which crosses nothing, until the variance is positive
         left = design.side == "left"
         if kind == "gaussian":
             mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
-            hit = pos & (log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold)
+            hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
         elif kind == "obf":
             bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
-            hit = pos & (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
+            hit = (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
         else:  # fixed: one look, at the first event time reaching the horizon
-            look = pos & (n >= design.n_max)
+            look = ~np.isnan(z) & (n >= design.n_max)
             bound = fixed_sample_boundary(design.alpha, design.side)
             hit = look & (np.cumsum(look, axis=1) == 1) & ((z <= bound) if left else (z >= bound))
     else:
         raise ValueError(f"unsupported test kind {kind!r}")
-    hit &= valid
+    if not hit.shape[1]:  # every stream ended before its first batch
+        return np.full(hit.shape[0], np.inf)
     first = hit.argmax(axis=1)
-    return np.where(hit.any(axis=1), n[np.arange(valid.shape[0]), first], np.inf)
+    return np.where(hit.any(axis=1), n[np.arange(hit.shape[0]), first], np.inf)
 
 
 def _stopping_times(
-    scenario: SimScenario,
-    kinds: Sequence[str],
-    cap: int | None = None,
-    chunk_size: int | None = None,
+    scenario: SimScenario, kinds: Sequence[str], cap: int | None = None
 ) -> dict[str, np.ndarray]:
     """Stopping times of every replication for each test kind, every kind on
     the same streams: in lockstep for single-event streams and the kinds it
@@ -522,42 +513,35 @@ def _stopping_times(
     lockstep = scenario.tie_h0 is None and set(kinds) <= set(_LOCKSTEP_KINDS)
     reps = scenario.replications
     limit = _event_limit(scenario, cap)
-    if chunk_size is not None:
-        chunk = max(1, chunk_size)
-    elif lockstep:
+    if lockstep:
         # cells per replication of the lockstep's widest array: the
         # plug-in history, or the block of uniforms
         width = limit + 2 if "plugin" in kinds else min(_BLOCK, limit)
         chunk = max(1, _LOCKSTEP_CELLS // width)
     else:
-        chunk = max(1, _STREAM_CELLS // _event_limit(scenario, None))
+        chunk = max(1, _STREAM_CELLS // (scenario.m1 + scenario.m0))
     parts: dict[str, list[np.ndarray]] = {k: [] for k in kinds}
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
         if lockstep:
             taus = _evolve_single_event(scenario, kinds, cap, rep_range=(lo, hi))
         else:
-            streams = _sample_streams(scenario, cap, lo, hi)
-            taus = {k: _stream_taus(streams, scenario, k) for k in kinds}
+            block = _sample_block(scenario, limit, lo, hi)
+            taus = {k: _stream_taus(block, scenario, k) for k in kinds}
         for k in kinds:
             parts[k].append(taus[k])
     return {k: np.concatenate(v) for k, v in parts.items()}
 
 
-def simulate_stopping_times(
-    scenario: SimScenario,
-    cap: int | None = None,
-    chunk_size: int | None = None,
-) -> np.ndarray:
+def simulate_stopping_times(scenario: SimScenario, cap: int | None = None) -> np.ndarray:
     """Stopping times (in events) for every replication of a scenario.
 
-    ``cap`` (and the scenario's ``max_events``) end each stream after that
-    many cumulative events.  ``chunk_size`` only bounds memory:
-    replications are keyed individually, so any chunking returns
-    bit-identical results.
+    ``cap`` ends each stream after that many cumulative events.
+    Replications run in chunks that bound memory; each is keyed
+    individually, so the chunking never changes the result.
     """
     kind = scenario.design.test_kind
-    return _stopping_times(scenario, (kind,), cap, chunk_size)[kind]
+    return _stopping_times(scenario, (kind,), cap)[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -605,24 +589,21 @@ def summarize_stopping(taus: np.ndarray, n_max: int, seed: int | None = None) ->
     )
 
 
-def estimate_obf_nmax(
-    scenario: SimScenario,
-    cap: int,
-    power: float | None = None,
-) -> tuple[int, np.ndarray]:
-    """Smallest O'Brien-Fleming horizon reaching the target power, and each
-    replication's stopping time at that horizon.
+def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
+    """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
+    design's power, and each replication's stopping time at that horizon.
 
     A stream crosses the boundary of horizon ``h`` iff
     ``min_{n <= h} Z_n * sqrt(n) <= -z_{1-alpha/2} * sqrt(h)`` (left side;
     the maximum and ``>=`` on the right), so one running extreme per stream
-    answers every candidate horizon at once.  ``Z_n * sqrt(n)`` comes from
-    the logrank increments of the sampled single-event streams, in chunks
-    of replications.  A second pass over the first ``h`` events of the same
-    streams gives the stopping times, by the same comparison.
+    answers every candidate horizon at once.  ``Z_n`` is ``logrank_z`` of
+    single-event blocks from ``_sample_block``, in chunks of replications.
+    A second pass over the first ``h`` events of the same streams gives the
+    stopping times, by the same comparison.
     """
+    if scenario.tie_h0 is not None:
+        raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
     design = scenario.design
-    power = design.power if power is None else power
     limit = _event_limit(scenario, cap)
     reps = scenario.replications
     sign = -1.0 if design.side == "left" else 1.0
@@ -632,19 +613,16 @@ def estimate_obf_nmax(
         """Running maximum of ``sign * Z_n * sqrt(n)``, n = 1..steps, of
         each chunk of replications."""
         chunk = max(1, _LOCKSTEP_CELLS // steps)
+        root_n = np.sqrt(np.arange(1.0, steps + 1.0))
         for lo in range(0, reps, chunk):
-            rngs = [stream_rng(scenario.seed, r) for r in range(lo, min(lo + chunk, reps))]
-            y1, y0, o1 = _single_event_columns(scenario.m1, scenario.m0, scenario.theta, rngs, steps)
-            stream = EventStream(None, y1, y0, np.ones_like(o1), o1)
-            score, variance = (np.cumsum(x, axis=1) for x in logrank_increments(stream))
-            z = np.divide(score, np.sqrt(variance), out=np.full(score.shape, np.nan), where=variance > 0)
-            yield np.fmax.accumulate(sign * (z * np.sqrt(np.arange(1.0, steps + 1.0))), axis=1)
+            z = logrank_z(_sample_block(scenario, steps, lo, min(lo + chunk, reps)))
+            yield np.fmax.accumulate(sign * (z * root_n), axis=1)
 
     bounds = crit * np.sqrt(np.arange(1.0, limit + 1.0))
     crossed = sum((e >= bounds).sum(axis=0) for e in extremes(limit))
-    reached = np.flatnonzero(crossed / reps >= power)
+    reached = np.flatnonzero(crossed / reps >= design.power)
     if not reached.size:
-        raise UnattainablePowerError(power, float(crossed[-1] / reps))
+        raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
     h = int(reached[0]) + 1
     hits = [e >= bounds[h - 1] for e in extremes(h)]
     return h, np.concatenate([np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf) for hit in hits])

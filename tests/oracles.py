@@ -362,6 +362,17 @@ def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, 
     return stream_of(rows, times)
 
 
+def logrank_moments(stream):
+    """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
+    sum(V1) after each event time, from the package's per-event
+    ``logrank_increments``."""
+    import numpy as np
+
+    from safelogrank.gaussian import logrank_increments
+
+    return tuple(np.cumsum(x) for x in logrank_increments(stream))
+
+
 def sample_single_event_stream_loop(m1: int, m0: int, theta: float, rng, max_events=None):
     """Single-event stream drawn event by event from one ``rng.random(n)``
     call: the event falls in the treatment group when its uniform is below
@@ -445,26 +456,25 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
     """Stopping times of a scenario, one replication at a time through
     ``stopping_time``: single-event streams from
     ``sample_single_event_stream_loop``, tied streams from ``tied_sampler``
-    (default: the package's), both truncated after ``cap`` (else
-    ``max_events``) cumulative events."""
+    (default: the package's), both truncated after ``cap`` cumulative
+    events when it is given."""
     import numpy as np
 
     from safelogrank.core import EventStream
     from safelogrank.simulate import sample_tied_stream, stream_rng
 
     tied_sampler = tied_sampler or sample_tied_stream
-    limit = scenario.max_events if cap is None else cap
     taus = np.empty(scenario.replications)
     for r in range(scenario.replications):
         rng = stream_rng(scenario.seed, r)
         if scenario.tie_h0 is None:
             stream = sample_single_event_stream_loop(
-                scenario.m1, scenario.m0, scenario.theta, rng, max_events=limit
+                scenario.m1, scenario.m0, scenario.theta, rng, max_events=cap
             )
         else:
             stream = tied_sampler(scenario.m1, scenario.m0, scenario.theta, scenario.tie_h0, rng)
-            if limit is not None:
-                keep = np.cumsum(stream.o) <= limit
+            if cap is not None:
+                keep = np.cumsum(stream.o) <= cap
                 stream = EventStream(*(c[keep] for c in (stream.times, stream.y1, stream.y0, stream.o, stream.o1)))
         taus[r] = stopping_time(stream, scenario.design)
     return taus
@@ -476,7 +486,6 @@ def obf_z_paths(scenario, cap: int):
     ``sample_single_event_stream_loop`` and the logrank moments."""
     import numpy as np
 
-    from safelogrank.gaussian import logrank_moments
     from safelogrank.simulate import stream_rng
 
     paths = []
@@ -524,7 +533,7 @@ def compare_exact_gaussian(scenario, cap=None) -> ExactGaussianComparison:
     import numpy as np
 
     from safelogrank.core import EventStream, log_evalue_trace
-    from safelogrank.gaussian import log_gaussian_evalue, logrank_moments, schoenfeld_mu
+    from safelogrank.gaussian import log_gaussian_evalue, schoenfeld_mu
     from safelogrank.simulate import _single_event_columns, stream_rng
 
     design = scenario.design

@@ -15,7 +15,7 @@ import numpy as np
 
 from safelogrank.adaptive import confidence_sequence
 from safelogrank.core import log_evalue_trace, log_kernel
-from safelogrank.gaussian import logrank_moments, null_expectation_audit
+from safelogrank.gaussian import null_expectation_audit
 from safelogrank.simulate import (
     DesignSpec,
     SimScenario,
@@ -30,6 +30,7 @@ from safelogrank.simulate import (
 from oracles import (
     compare_exact_gaussian,
     exact_hypergeom_pmf,
+    logrank_moments,
     sample_tied_stream_binomial,
     stream_of,
     unit_time_martingale,

@@ -355,7 +355,7 @@ def test_point_mass_prior_recovers_fixed_alternative():
 
 def test_two_point_prior_first_event_numerator_is_half():
     # prior 1/2 on {0.5, 2}, balanced first event: numerator = (1/3 + 2/3)/2
-    prior = PriorSpec.from_grid([0.5, 2.0], [0.5, 0.5])
+    prior = PriorSpec([0.5, 2.0], [0.5, 0.5])
     for o1 in (0, 1):
         _, log_num = bayes_log_trace(stream_of([(10, 10, 1, o1)]), prior, return_numerator=True)
         assert math.exp(log_num[0]) == pytest.approx(0.5, abs=1e-14)
@@ -403,11 +403,11 @@ def test_misspecified_prior_keeps_type_one_control():
 
 def test_prior_spec_validation():
     with pytest.raises(ValueError):
-        PriorSpec.from_grid([2.0, 0.5], [0.5, 0.5])  # not increasing
+        PriorSpec([2.0, 0.5], [0.5, 0.5])  # not increasing
     with pytest.raises(ValueError):
-        PriorSpec.from_grid([0.5, 2.0], [0.6, 0.5])  # does not sum to 1
+        PriorSpec([0.5, 2.0], [0.6, 0.5])  # does not sum to 1
     with pytest.raises(ValueError):
-        PriorSpec.from_grid([0.5, 2.0], [1.1, -0.1])  # negative mass
+        PriorSpec([0.5, 2.0], [1.1, -0.1])  # negative mass
     with pytest.raises(ValueError):
         PriorSpec.lognormal(0.0, sd_log=0.0)
 

@@ -209,6 +209,22 @@ def test_meta_combines_by_multiplication(tmp_path, capsys):
     assert combined["summary"]["combined_log10_e"] == pytest.approx(sum(finals), abs=1e-12)
 
 
+def test_meta_refuses_the_same_dataset_twice(tmp_path, capsys):
+    # one study alone continues; listed twice, its e-value would multiply
+    # itself past 1/alpha
+    stream = sample_single_event_stream(60, 60, 0.6, stream_rng(10, 0), max_events=40)
+    write_dataset(dataset_from_stream(stream), str(tmp_path / "m.csv"))
+    (tmp_path / "sub").mkdir()
+    path = str(tmp_path / "m.csv")
+    assert main(["analyze", path, "--theta1", "0.5"]) == EXIT_CONTINUE
+    capsys.readouterr()
+    for again in (path, str(tmp_path / "sub" / ".." / "m.csv")):
+        argv = ["analyze", path, "--theta1", "0.5", "--meta", again, "--out", str(tmp_path / "combined")]
+        assert main(argv) == EXIT_USAGE
+        assert f"{again} is the same file as {path}" in capsys.readouterr().err
+        assert not (tmp_path / "combined.json").exists()
+
+
 def test_meta_rejects_only_on_the_product(tmp_path, capsys):
     # study 0 crosses 1/alpha on its own; study 1 carries strong evidence the
     # other way, so the product of the final e-values stays below 1/alpha
@@ -259,6 +275,29 @@ def test_config_rejects_malformed_line(null_dataset, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha 0.05\n")
     assert main(["analyze", null_dataset, "--config", str(cfg)]) == EXIT_USAGE
+
+
+def test_config_refuses_a_key_no_command_knows(null_dataset, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("theta1 = 0.7\nalpah = 0.01\n")
+    assert main(["analyze", null_dataset, "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{cfg}:2: no command has an option 'alpah'" in capsys.readouterr().err
+    # a key of another command stays accepted: one file may serve several
+    cfg.write_text("theta1 = 0.7\nalpha = 0.01\nreps = 20\nobf-cap = 50\n")
+    assert main(["analyze", null_dataset, "--config", str(cfg)]) == EXIT_CONTINUE
+    assert "alpha: 0.01" in capsys.readouterr().out
+
+
+def test_design_with_a_cap_before_every_first_batch(tmp_path, capsys):
+    # every tied stream's first batch holds more events than the cap, so no
+    # replication has a batch within it and none ever stops
+    code = main([
+        "design", "--theta1", "0.7", "--true-theta", "1", "--tie-h0", "0.5", "--m1", "300",
+        "--m0", "300", "--reps", "5", "--cap", "5", "--out", str(tmp_path / "d"),
+    ])
+    assert code == EXIT_CONTINUE
+    summary = json.loads((tmp_path / "d.json").read_text())["summary"]
+    assert summary["unattained_power"] == [{"test_kind": "exact", "requested": 0.8, "achieved": 0.0}]
 
 
 def test_design_emits_reference_and_rows(tmp_path, capsys):

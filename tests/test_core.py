@@ -18,7 +18,6 @@ from safelogrank.core import (
     validate_theta,
 )
 from safelogrank.data import EVENT, dataset_from_stream
-from safelogrank.gaussian import logrank_moments
 
 from oracles import (
     brute_force_product,
@@ -26,6 +25,7 @@ from oracles import (
     exact_hypergeom_pmf,
     exact_increment,
     log_kernel_on_nodes,
+    logrank_moments,
     stream_of,
     two_sided_state,
 )

@@ -10,20 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safelogrank.core import log_evalue_trace
+from safelogrank.core import EventStream, log_evalue_trace
 from safelogrank.gaussian import (
     fixed_sample_boundary,
     gaussian_safe_boundary,
     log_gaussian_evalue,
     logrank_increments,
-    logrank_moments,
+    logrank_z,
     normal_quantile,
     null_expectation_audit,
     obf_boundary,
     schoenfeld_mu,
 )
 
-from oracles import NORMAL_QUANTILES, exact_hypergeom_pmf, stream_of
+from oracles import NORMAL_QUANTILES, exact_hypergeom_pmf, logrank_moments, stream_of
 
 
 def z_term(*row):
@@ -88,6 +88,21 @@ def test_gaussian_evalue_from_summary():
 # ---------------------------------------------------------------------------
 # logrank moments
 # ---------------------------------------------------------------------------
+
+def test_logrank_z_runs_along_each_row():
+    # a forced batch first: Z is undefined until the variance is positive
+    rows = [(3, 0, 1, 1), (10, 10, 1, 0), (9, 10, 2, 1), (8, 9, 1, 1)]
+    score, variance = logrank_moments(stream_of(rows))
+    z = logrank_z(stream_of(rows))
+    assert np.isnan(z[0])
+    assert np.array_equal(z[1:], score[1:] / np.sqrt(variance[1:]))
+    # (replications, L) columns give one path per row
+    other = [(10, 10, 1, 1), (10, 9, 3, 2), (8, 7, 1, 0), (8, 6, 2, 1)]
+    columns = (np.array([rows, other])[..., i] for i in range(4))
+    paths = logrank_z(EventStream(None, *columns))
+    assert np.array_equal(paths[0], z, equal_nan=True)
+    assert np.array_equal(paths[1], logrank_z(stream_of(other)))
+
 
 def test_tied_batch_moments():
     # o=2 of y1=y0=2: E1 = 2*(1/2) = 1, V1 = 2*(1/4)*(2/3) = 1/3

@@ -261,13 +261,24 @@ def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
     assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=600))
 
 
-def test_engine_chunking_is_bit_identical():
+def small_chunks(monkeypatch, scenario, cap):
+    """Stopping times of ``scenario`` with both engines' chunks shrunk to a
+    few replications each."""
+    import safelogrank.simulate as simulate
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_LOCKSTEP_CELLS", 2000)
+        patch.setattr(simulate, "_STREAM_CELLS", 2000)
+        return simulate_stopping_times(scenario, cap=cap)
+
+
+def test_engine_chunking_is_bit_identical(monkeypatch):
     design = DesignSpec(theta1=0.7)
     scenario = SimScenario(
         m1=100, m0=100, theta=0.6, design=design, replications=33, seed=8
     )
     whole = simulate_stopping_times(scenario, cap=120)
-    chunked = simulate_stopping_times(scenario, cap=120, chunk_size=7)
+    chunked = small_chunks(monkeypatch, scenario, cap=120)
     assert np.array_equal(whole, chunked)
     # a cap that ends inside a block of uniforms, on streams that outlast blocks
     cap = 2 * _BLOCK + 37
@@ -278,7 +289,7 @@ def test_engine_chunking_is_bit_identical():
         )
         whole = simulate_stopping_times(scenario, cap=cap)
         assert (whole[np.isfinite(whole)] > _BLOCK).any() and np.isinf(whole).any()
-        assert np.array_equal(whole, simulate_stopping_times(scenario, cap=cap, chunk_size=7))
+        assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=cap))
         assert np.array_equal(whole, stopping_times_per_stream(scenario, cap=cap))
     # the two-sided lockstep accumulators and the stream engine on tied streams
     for two_sided, tie_h0 in ((True, None), (False, 0.01), (True, 0.01)):
@@ -288,7 +299,7 @@ def test_engine_chunking_is_bit_identical():
         )
         whole = simulate_stopping_times(scenario, cap=120)
         assert np.isfinite(whole).any()
-        assert np.array_equal(whole, simulate_stopping_times(scenario, cap=120, chunk_size=7))
+        assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=120))
 
 
 @pytest.mark.parametrize(
@@ -327,7 +338,7 @@ def test_engine_matches_oracle_walk_for_every_design(kind, two_sided, n_max, tie
     assert np.array_equal(fast, stopping_times_per_stream(scenario))
 
 
-def test_tied_streams_honor_cap_and_max_events():
+def test_tied_streams_honor_cap():
     design = DesignSpec(theta1=0.7)
     scenario = SimScenario(
         m1=300, m0=300, theta=0.5, design=design, replications=40, seed=9, tie_h0=0.02
@@ -336,12 +347,24 @@ def test_tied_streams_honor_cap_and_max_events():
     assert (full[np.isfinite(full)] > 60).any()
     capped = simulate_stopping_times(scenario, cap=60)
     assert np.array_equal(capped, np.where(full <= 60, full, np.inf))
-    limited = SimScenario(
-        m1=300, m0=300, theta=0.5, design=design, replications=40, seed=9, tie_h0=0.02,
-        max_events=60,
-    )
-    assert np.array_equal(simulate_stopping_times(limited), capped)
     assert np.array_equal(capped, stopping_times_per_stream(scenario, cap=60))
+
+
+@pytest.mark.parametrize("kind,n_max", [
+    ("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None), ("obf", 4), ("fixed", 3),
+])
+@pytest.mark.parametrize("m,h0,cap", [(300, 0.5, 5), (20, 0.1, 4)])
+def test_engine_on_streams_that_end_before_their_first_batch(kind, n_max, m, h0, cap):
+    # a tied stream whose first batch exceeds the cap has no batch within
+    # it: at 300+300 every stream, at 20+20 only some
+    design = DesignSpec(theta1=0.6, test_kind=kind, n_max=n_max)
+    scenario = SimScenario(m1=m, m0=m, theta=0.5, design=design, replications=30, seed=5, tie_h0=h0)
+    first = [sample_tied_stream(m, m, 0.5, h0, stream_rng(5, r)).o[0] for r in range(30)]
+    empty = np.greater(first, cap)
+    assert empty.all() if m == 300 else 0 < empty.sum() < empty.size
+    fast = simulate_stopping_times(scenario, cap=cap)
+    assert np.isinf(fast[empty]).all()
+    assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=cap))
 
 
 def test_engine_rerun_is_deterministic():
@@ -477,6 +500,14 @@ def test_estimate_obf_nmax_matches_its_own_paths():
             np.isfinite(obf_stopping_times(z_scaled, h - 1, 0.05, "left"))
         )
         assert power_below < 0.8
+
+
+def test_estimate_obf_nmax_refuses_tied_streams():
+    # its scan counts one event per step, which a tied stream does not have
+    design = DesignSpec(theta1=0.5)
+    scenario = SimScenario(m1=100, m0=100, theta=0.5, design=design, replications=10, tie_h0=0.02)
+    with pytest.raises(ValueError, match="single-event"):
+        estimate_obf_nmax(scenario, cap=60)
 
 
 def test_estimate_obf_nmax_unattainable_under_null():
@@ -629,8 +660,6 @@ def test_scenario_validation():
         SimScenario(m1=10, m0=10, theta=0.7, design=design, replications=0)
     with pytest.raises(ValueError):
         SimScenario(m1=10, m0=10, theta=2.0, design=design, tie_h0=0.6)
-    with pytest.raises(ValueError):
-        SimScenario(m1=10, m0=10, theta=0.7, design=design, max_events=0)
 
 
 @pytest.mark.parametrize("cap", [0, -5])
