@@ -22,18 +22,21 @@ Two strategies are provided:
   extra control participant).  The smoothing keeps the maximizer interior
   from the first event onward.  ``plugin_newton`` is the one solver: a
   safeguarded Newton iteration on the smoothed score, vectorized over rows.
-  A trace solves 64 consecutive prefixes of the stream as the rows of one
-  call, summing the sigmoids of their single events on every iteration
-  (``_offset_sums``), so a trace of T event times costs O(T^2) work in
-  O(T/64) Python steps.  The simulation engine grows all replications'
-  streams in lockstep (``PluginLockstep``), and there the single events
-  enter the score as running sums of 16 power moments of their sigmoids
-  about a centre per replication, which a fixed table turns into the
-  Taylor series of the score (order 14, used within 0.25 of the centre;
-  the series has radius pi).  A new event adds one row of moments; a solve
-  reads a replication's stored offsets only when its iterate moves more
-  than 0.25 from the centre, and then re-centres there.  A step thus costs
-  O(replications), not O(replications x events so far).
+  The score is a sum of means, one per informative batch, and enters the
+  solver as Taylor series about a centre per row (``_SeriesTerm``; order
+  14, used within 0.25 of the centre).  A single event contributes the
+  power moments of its sigmoid, which a fixed table turns into the series
+  (radius pi); a tied batch contributes the cumulants of its Fisher
+  noncentral hypergeometric law, taken from the central moments of its
+  support table, used within ``2.2 / sd`` of the centre when its tilted sd
+  is large.  A trace solves 64 consecutive prefixes of the stream as the
+  rows of one call, on the series of the history before them plus prefix
+  sums of one series per new event; the simulation engine grows all
+  replications' streams in lockstep (``PluginLockstep``) and adds one row
+  of moments per event.  A solve reads a row's stored history only when
+  its iterate leaves the radius, and then re-centres there, so a trace
+  costs work close to linear in its length and a lockstep step work
+  linear in the number of replications.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
   ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
@@ -87,27 +90,23 @@ _LOG_THETA_HI = math.log(THETA_UPPER)
 def plugin_newton(
     beta: np.ndarray,
     o1_sum,
-    singles: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    ties: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    term: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Roots ``beta = log(theta_hat)`` of the smoothed plug-in scores, one
     per row, by safeguarded Newton from the warm start ``beta``.
 
     Row ``r`` scores
 
-        U(beta) = o1_sum[r] - sum_j sigmoid(beta + c[r, j])
-                  + sum_k (o1[r, k] - E_beta[u[r, k]])
+        U(beta) = o1_sum[r] - sum_k E_beta[u_k]
 
-    where ``c`` holds ``log(y1/y0)`` of each single event, the two virtual
-    events included, and ``o1_sum`` counts their treatment events.
-    ``singles(beta, active)`` returns every row's sigmoid sum and the sum
-    of its derivatives: ``_offset_sums`` reads them from the offsets,
-    ``_MomentSums`` from running moments.  ``ties = (o1, u, log_w)`` holds
-    the informative tied batches, broadcast to ``(R, K)`` observed counts
-    and ``(R, K, S)`` tables of support values and log-binomial weights,
-    padded with ``log_w = -inf``; ``E_beta[u]`` is the mean of the batch's
-    noncentral hypergeometric law.  An unused batch slot is ``o1 = 0`` with
-    the single support point ``u = 0``, ``log_w = 0``.
+    over its informative batches k, the two virtual events included:
+    ``o1_sum`` counts their treatment events, and ``E_beta[u_k]`` is the
+    mean of batch k's treatment count at hazard ratio ``exp(beta)``, the
+    sigmoid of ``beta + log(y1/y0)`` for a single event and a Fisher
+    noncentral hypergeometric mean for a tied batch.  ``term(beta,
+    active)`` returns every row's sum of those means and the sum of their
+    variances, which is ``-U'(beta)``; ``_SeriesTerm`` reads both from
+    Taylor series about a centre per row.
 
     U is strictly decreasing (the smoothed likelihood is strictly concave),
     so each iteration narrows the bracket its sign gives, starting from
@@ -123,17 +122,8 @@ def plugin_newton(
     hi = np.full(b.shape, _LOG_THETA_HI)
     active = np.ones(b.shape, dtype=bool)
     for _ in range(100):
-        total, info = singles(b, active)
+        total, info = term(b, active)
         score = o1_sum - total
-        if ties is not None:
-            t_o1, t_u, t_lw = ties
-            w = t_lw + t_u * b[:, None, None]
-            w -= w.max(axis=-1, keepdims=True)
-            np.exp(w, out=w)
-            w /= w.sum(axis=-1, keepdims=True)
-            mean = (w * t_u).sum(axis=-1)
-            score += (t_o1 - mean).sum(axis=-1)
-            info += ((w * t_u * t_u).sum(axis=-1) - mean * mean).sum(axis=-1)
         lo = np.where(score > 0, b, lo)
         hi = np.where(score < 0, b, hi)
         new = b + score / info
@@ -153,31 +143,16 @@ def _virtual_offsets(m1: int, m0: int) -> tuple[float, float]:
     return math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
 
 
-def _offset_sums(c: np.ndarray):
-    """The single-event term of ``plugin_newton``, summed on every call over
-    rows of offsets ``c`` (``-inf`` in unused slots, which add nothing)."""
-    half_c, width = 0.5 * c, c.shape[1]
-
-    def sums(b, active):
-        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
-        t = half_c + 0.5 * b[:, None]
-        np.tanh(t, out=t)
-        total = 0.5 * (width + t.sum(axis=1))
-        t *= t
-        return total, 0.25 * (width - t.sum(axis=1))
-
-    return sums
-
-
-# The single-event score is a sum of sigmoids, expanded as a Taylor series
-# about a centre: every derivative of the sigmoid is a polynomial in the
-# sigmoid itself, P_0(s) = s and P_{k+1}(s) = P_k'(s) s (1 - s).  The series
-# has radius pi (the sigmoid has poles at +-i pi), so _ORDER + 1 terms within
-# _RADIUS of the centre leave a relative error near 1e-17.
+# The score is a sum of means, expanded as a Taylor series about a centre.
+# Every derivative of the sigmoid is a polynomial in the sigmoid itself,
+# P_0(s) = s and P_{k+1}(s) = P_k'(s) s (1 - s).  The series has radius pi
+# (the sigmoid has poles at +-i pi), so _ORDER + 1 terms within _RADIUS of
+# the centre leave a relative error near 1e-17.
 _ORDER = 14
 _RADIUS = 0.25
 
-# Cells per chunk of the power moments of a history read when re-centring.
+# Cells per chunk of the moments of a history read when re-centring: the
+# power moments of single events, the central moments of tied batches.
 _CELLS = 1 << 18
 
 
@@ -215,16 +190,29 @@ def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s / (1.0 + np.exp(x))
 
 
-def _moments_about(c: np.ndarray, at: np.ndarray) -> np.ndarray:
+def _moment_rows(x: np.ndarray) -> np.ndarray:
+    """Power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each event of a
+    1-d array of ``x = centre + log(y1/y0)``, one row per event."""
+    rows = np.empty((x.size, _ORDER + 2))
+    rows[:, 0], rows[:, 1] = _sigmoids(x)
+    rows[:, 2:] = rows[:, :1]
+    np.cumprod(rows[:, 1:], axis=1, out=rows[:, 1:])
+    return rows
+
+
+def _moments_about(c: np.ndarray, at: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
     """Summed power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each row of
     offsets ``c`` (``-inf`` where empty, which adds nothing) about the
     centres ``at``, one row per centre: ``s`` is the sigmoid of
-    ``at + c`` and ``t = s (1 - s)``."""
+    ``at + c`` and ``t = s (1 - s)``.  With ``ends``, ``c`` is one row of
+    offsets and centre r reads its first ``ends[r]``.  A row's bits depend
+    on its offsets and the width of ``c`` only."""
     out = np.empty((at.size, _ORDER + 2))
-    step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[1])))
+    step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[-1])))
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        s, t = _sigmoids(c[part] + at[part, None])
+        x = c[part] if ends is None else np.where(np.arange(c.size) < ends[part, None], c, -np.inf)
+        s, t = _sigmoids(x + at[part, None])
         # moment-major, one whole-array product per power: several times
         # faster than np.cumprod across the moments, and the same products
         p = np.empty((_ORDER + 2,) + s.shape)
@@ -241,32 +229,110 @@ def _series(moments: np.ndarray) -> np.ndarray:
     return np.einsum("rd,jkd->rjk", moments, _SERIES)
 
 
-class _MomentSums:
-    """The single-event term of ``plugin_newton`` from running moments.
+# A tied batch's series comes from its cumulants, which the moment-to-
+# cumulant recursion below takes from central moments.  The recursion
+# cancels more as the batch's tilted sd grows, so a row holding tied
+# batches uses its series within min(_RADIUS, _TIED_REACH / sd) of the
+# centre, sd the largest among them: that keeps the error near 1e-12 up to
+# sd 25, where the full radius would leave 4e-9 at sd 15.
+_TIED_REACH = 2.2
+_CUMULANT_BINOMIALS = np.array(
+    [[math.comb(n - 1, j - 1) if 0 < j <= n else 0 for j in range(_ORDER + 3)] for n in range(_ORDER + 3)],
+    dtype=float,
+)
+_FACTORIALS = np.array([math.factorial(j) for j in range(_ORDER + 1)], dtype=float)
 
-    Row ``r`` of ``moments`` is the sum of its single events' power moments
-    (``_moments_about``) about ``centre[r]``; a fixed table turns it into the
-    Taylor coefficients of the sigmoid sum about the centre, and 15 terms
-    give the sum and its derivative within ``_RADIUS`` of it.  When an
-    active row's iterate moves further, ``history(rows, at)`` returns those
-    rows' moments about ``at``, read from their stored offsets, and the rows
-    re-centre there: ``moments`` and ``centre`` are updated in place.
+
+def _radius(sd: np.ndarray) -> np.ndarray:
+    """Where a series about a centre serves, from the largest tilted sd of
+    the tied batches it sums (0 for single events only)."""
+    return np.minimum(_RADIUS, _TIED_REACH / np.maximum(sd, 1.0))
+
+
+def _tied_series(u: np.ndarray, log_w: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(k, 2, _ORDER + 1)`` of the Taylor series of k tied
+    batches' means (row 0) and variances (row 1) about the centres ``at``,
+    and the batches' standard deviations there, from their support tables
+    (``core._support_table``).
+
+    Tilted to ``at``, a batch's treatment count u has the law proportional
+    to ``w(u) exp(at u)``, with cumulants ``kappa_n``; at ``at + h`` its
+    mean is ``sum_j kappa_{j+1} h^j / j!`` and its variance
+    ``sum_j kappa_{j+2} h^j / j!``.  The cumulants come from the central
+    moments ``m_n`` by ``kappa_n = m_n - sum_{j=2}^{n-2} C(n-1, j-1)
+    kappa_j m_{n-j}``, since ``m_1 = 0``."""
+    kappa = np.empty((_ORDER + 3, at.size))
+    step = max(1, _CELLS // ((_ORDER + 3) * u.shape[1]))
+    for lo in range(0, at.size, step):
+        part = slice(lo, lo + step)
+        p = log_w[part] + at[part, None] * u[part]
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        kappa[1, part] = (p * u[part]).sum(axis=1)
+        d = u[part] - kappa[1, part, None]
+        p *= d
+        for n in range(2, _ORDER + 3):
+            p *= d
+            kappa[n, part] = p.sum(axis=1)
+    m = kappa.copy()  # central moments from order 2
+    for n in range(4, _ORDER + 3):
+        kappa[n] -= np.einsum(
+            "j,jk,jk->k", _CUMULANT_BINOMIALS[n, 2 : n - 1], kappa[2 : n - 1], m[n - 2 : 1 : -1]
+        )
+    coef = np.stack([kappa[1 : _ORDER + 2], kappa[2:]], axis=-1) / _FACTORIALS[:, None, None]
+    return coef.transpose(1, 2, 0), np.sqrt(kappa[2])
+
+
+def _tied_sums(u: np.ndarray, log_w: np.ndarray, counts: np.ndarray, at: np.ndarray):
+    """Row r's summed series (``_tied_series``) of the first ``counts[r]``
+    batches of a support table about ``at[r]``, and the largest sd among
+    them (0 where the row holds none).  Whole rows are read together, about
+    ``_CELLS`` support cells at a time."""
+    out = np.zeros((at.size, 2, _ORDER + 1))
+    sd = np.zeros(at.size)
+    rows = np.flatnonzero(counts)
+    cells = np.cumsum(counts[rows]) * u.shape[1]
+    lo = 0
+    while lo < rows.size:
+        reach = (cells[lo - 1] if lo else 0) + _CELLS
+        part = rows[lo : max(lo + 1, int(np.searchsorted(cells, reach, "right")))]
+        lo += part.size
+        k = counts[part]
+        first = np.cumsum(k) - k
+        batch = np.arange(k.sum()) - np.repeat(first, k)
+        coef, s = _tied_series(u[batch], log_w[batch], np.repeat(at[part], k))
+        out[part] = np.add.reduceat(coef, first, axis=0)
+        sd[part] = np.maximum.reduceat(s, first)
+    return out, sd
+
+
+class _SeriesTerm:
+    """The term of ``plugin_newton`` from Taylor series about a centre per
+    row.
+
+    Row ``r`` of ``series`` holds the coefficients of ``h**k``,
+    k = 0.._ORDER, in the sum of its batches' means (``[r, 0]``) and
+    variances (``[r, 1]``) at ``centre[r] + h``, which serve within
+    ``radius[r]`` of the centre.  When an active row's iterate moves
+    further, ``history(rows, at)`` returns those rows' series about ``at``
+    and their radii there, read from their stored events, and the rows
+    re-centre: ``series``, ``centre`` and ``radius`` are updated in place.
     """
 
-    def __init__(self, moments, centre, history):
-        self.moments, self.centre, self.history = moments, centre, history
-        self.series = _series(moments)
+    def __init__(self, series, centre, radius, history):
+        self.series, self.centre, self.radius = series, centre, radius
+        self.history = history
         self.powers = np.ones((centre.size, _ORDER + 1))
 
     def __call__(self, b, active):
         h = b - self.centre
-        far = np.abs(h) > _RADIUS
+        far = np.abs(h) > self.radius
         far &= active
         if far.any():
             far = np.flatnonzero(far)
-            self.moments[far] = self.history(far, b[far])
+            self.series[far], self.radius[far] = self.history(far, b[far])
             self.centre[far] = b[far]
-            self.series[far] = _series(self.moments[far])
             h[far] = 0.0
         self.powers[:, 1:] = h[:, None]
         np.cumprod(self.powers, axis=1, out=self.powers)
@@ -290,13 +356,24 @@ class PluginLockstep:
         self.offsets = np.full((streams, steps + 2), -np.inf)
         self.offsets[:, :2] = _virtual_offsets(m1, m0)
         self.o1_sum = np.ones(streams)
-        sums = _MomentSums(
-            _moments_about(self.offsets[:1, :2], np.zeros(1)), np.zeros(1),
-            lambda r, at: _moments_about(self.offsets[r, :2], at),
-        )
-        self.beta = np.full(streams, plugin_newton(np.zeros(1), 1.0, sums)[0])
-        self.moments = np.repeat(sums.moments, streams, axis=0)
-        self.centre = np.full(streams, sums.centre[0])
+        moments, centre = _moments_about(self.offsets[:1, :2], np.zeros(1)), np.zeros(1)
+        beta = self._solve(np.zeros(1), 1.0, moments, centre, lambda r: self.offsets[r, :2])
+        self.beta = np.full(streams, beta[0])
+        self.moments = np.repeat(moments, streams, axis=0)
+        self.centre = np.full(streams, centre[0])
+
+    @staticmethod
+    def _solve(beta, o1_sum, moments, centre, offsets):
+        """``plugin_newton`` on running moments about ``centre``; a row that
+        re-centres reads ``offsets(rows)``, and its ``moments`` and
+        ``centre`` are updated in place."""
+
+        def history(r, at):
+            moments[r] = _moments_about(offsets(r), at)
+            return _series(moments[r]), _RADIUS
+
+        term = _SeriesTerm(_series(moments), centre, np.full(centre.size, _RADIUS), history)
+        return plugin_newton(beta, o1_sum, term)
 
     def add(self, step: int, rows: np.ndarray, offsets: np.ndarray, o1: np.ndarray) -> None:
         """Fold event ``step`` of the streams ``rows`` (offsets
@@ -305,13 +382,12 @@ class PluginLockstep:
         self.offsets[rows, step + 2] = offsets
         self.o1_sum[rows] += o1
         centre = self.centre[rows]
-        sums = _MomentSums(
-            self.moments[rows] + _moments_about(offsets[:, None], centre),
-            centre,
-            lambda r, at: _moments_about(self.offsets[rows[r], : step + 3], at),
+        moments = self.moments[rows] + _moments_about(offsets[:, None], centre)
+        self.beta[rows] = self._solve(
+            self.beta[rows], self.o1_sum[rows], moments, centre,
+            lambda r: self.offsets[rows[r], : step + 3],
         )
-        self.beta[rows] = plugin_newton(self.beta[rows], self.o1_sum[rows], sums)
-        self.moments[rows], self.centre[rows] = sums.moments, sums.centre
+        self.moments[rows], self.centre[rows] = moments, centre
 
 
 # Estimates solved together, one row per prefix of the stream.  The block
@@ -324,60 +400,85 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
     """``log(theta_hat)`` fitted on the first ``i`` event times, i = 0..n;
     ``m1``/``m0`` default to the risk set of the first batch.
 
-    The history is laid out once: the single events (the two virtual ones
-    first, then the stream's informative ones) as one column of offsets
-    ``log(y1/y0)`` with running treatment counts, and the informative tied
-    batches as one padded table.  The fit on the first i event times reads
-    their prefixes.  ``plugin_newton`` solves ``_BLOCK`` consecutive
-    prefixes at a time as its rows, warm-started from the last estimate of
-    the block before.  Forced batches carry no likelihood information and
-    leave the estimate unchanged.
+    The two virtual events lead the history as batches of their own, and
+    the history is laid out once: the single events as one column of
+    offsets ``log(y1/y0)``, the informative tied batches as one support
+    table, and the running treatment count of both.  Blocks of ``_BLOCK``
+    consecutive prefixes are solved together by ``plugin_newton``,
+    warm-started from the last estimate of the block before, on Taylor
+    series about one centre (``_SeriesTerm``): the series of the fit
+    before the block plus prefix sums of one series per new event, power
+    moments for a single event and cumulants for a tied batch.  A row whose
+    iterate leaves the radius re-centres on its own history.  The next
+    block starts from the series its last row ended with, and reads its
+    history again about the warm start only when that row's centre is more
+    than half the radius from it, so a trace costs time close to linear in
+    its length.  Forced batches carry no likelihood information and leave
+    the estimate unchanged.
     """
-    y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
-    m1 = int(y1[0]) if m1 is None else m1
-    m0 = int(y0[0]) if m0 is None else m0
+    m1 = int(stream.y1[0]) if m1 is None else m1
+    m0 = int(stream.y0[0]) if m0 is None else m0
     if m1 < 1 or m0 < 1:
         raise ValueError(f"initial group sizes must be >= 1, got m1={m1}, m0={m0}")
+    # a virtual treatment event at (m1+1, m0), a virtual control event at (m1, m0+1)
+    y1 = np.concatenate([[m1 + 1, m1], stream.y1])
+    y0 = np.concatenate([[m0, m0 + 1], stream.y0])
+    o = np.concatenate([[1, 1], stream.o])
+    o1 = np.concatenate([[1, 0], stream.o1])
     n = o.size
     informative = np.maximum(0, o - y0) != np.minimum(o, y1)
     single = informative & (o == 1)
-    tied = np.flatnonzero(informative & (o > 1))
-    n_single = np.concatenate([[0], np.cumsum(single)])
-    n_tied = np.concatenate([[0], np.cumsum(informative & (o > 1))])
+    tied = informative & (o > 1)
+    ends = np.concatenate([[0], np.cumsum(single)])  # offsets held by the fit on i
+    n_tied = np.concatenate([[0], np.cumsum(tied)])
+    o1_sum = np.concatenate([[0.0], np.cumsum(np.where(informative, o1, 0), dtype=float)])
 
-    c = np.full(n + _BLOCK + 2, -np.inf)
-    c[:2] = _virtual_offsets(m1, m0)
-    c[2 : 2 + n_single[-1]] = np.log(y1[single]) - np.log(y0[single])
-    o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(o1[single], dtype=float)])
+    c = np.full(n + _BLOCK, -np.inf)
+    c[: ends[-1]] = np.log(y1[single]) - np.log(y0[single])
+    if n_tied[-1]:
+        t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
+        t_u = t_u.astype(float)
 
-    t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
-    t_u = t_u.astype(float)
-    size = t_u.shape[1]
-    t_o1 = o1[tied].astype(float)
-    unused = np.where(np.arange(size) == 0, 0.0, -np.inf)
-    block = _BLOCK if not tied.size else max(1, min(_BLOCK, 2**17 // (tied.size * size)))
+    def history(i, at, width):
+        """Series of the fits on the first ``i`` batches about ``at``, and
+        their radii; the single events read as a row of ``width``."""
+        series = _series(_moments_about(c[:width], at, ends[i]))
+        if not n_tied[-1]:
+            return series, np.full(i.size, _RADIUS)
+        tied_series, sd = _tied_sums(t_u, t_lw, n_tied[i], at)
+        return series + tied_series, _radius(sd)
 
     betas = np.empty(n + 1)
-    warm = 0.0
-    for start in range(0, n + 1, block):
-        rows = np.arange(start, min(start + block, n + 1))
-        width = start + block + 2
-        held = np.arange(width) < n_single[rows][:, None] + 2
-        c_rows = np.where(held, c[:width], -np.inf)
-        ties = None
-        k = int(n_tied[rows[-1]])
-        if k:
-            held = np.arange(k) < n_tied[rows][:, None]
-            ties = (
-                np.where(held, t_o1[:k], 0.0),
-                np.where(held[..., None], t_u[:k], 0.0),
-                np.where(held[..., None], t_lw[:k], unused),
-            )
-        betas[rows] = plugin_newton(
-            np.full(rows.size, warm), o1_sum[n_single[rows]], _offset_sums(c_rows), ties
+    warm = centre = 0.0
+    base, base_radius = np.zeros((2, _ORDER + 1)), _RADIUS  # the fit on no batches
+    for start in range(0, n, _BLOCK):
+        # the fits on the first start..stop batches: one series per batch,
+        # summed onto the fit before; a row's radius is its batches' least
+        stop = min(start + _BLOCK, n)
+        step = np.zeros((1 + stop - start, 2, _ORDER + 1))
+        radius = np.full(1 + stop - start, _RADIUS)
+        step[0], radius[0] = base, base_radius
+        s, t = 1 + np.flatnonzero(single[start:stop]), 1 + np.flatnonzero(tied[start:stop])
+        step[s] = _series(_moment_rows(c[ends[start] : ends[stop]] + centre))
+        if t.size:
+            part = slice(n_tied[start], n_tied[stop])
+            step[t], sd = _tied_series(t_u[part], t_lw[part], np.full(t.size, centre))
+            radius[t] = _radius(sd)
+        np.cumsum(step, axis=0, out=step)
+        np.minimum.accumulate(radius, out=radius)
+
+        rows = np.arange(max(start + 1, 2), stop + 1)  # a fit holds both virtual events
+        term = _SeriesTerm(
+            step[rows - start], np.full(rows.size, centre), radius[rows - start],
+            lambda r, at: history(rows[r], at, start + _BLOCK),
         )
-        warm = betas[rows[-1]]
-    return betas
+        betas[rows] = plugin_newton(np.full(rows.size, warm), o1_sum[rows], term)
+        warm = betas[stop]
+        base, centre, base_radius = term.series[-1], term.centre[-1], term.radius[-1]
+        if abs(warm - centre) > 0.5 * base_radius:
+            centre = warm
+            (base,), (base_radius,) = history(rows[-1:], np.full(1, centre), start + _BLOCK)
+    return betas[2:]
 
 
 def plugin_estimates(
@@ -564,6 +665,11 @@ class ConfidenceSequence:
         return (self.lower <= theta) & (theta <= self.upper)
 
 
+# Cells of the (event times, grid) family that confidence_sequence holds at
+# a time: 64k cells, 512 KB, about 160 event times at the default grid.
+_FAMILY_CELLS = 1 << 16
+
+
 def confidence_sequence(
     stream: EventStream,
     alpha: float = 0.05,
@@ -579,17 +685,23 @@ def confidence_sequence(
     For every grid value ``theta'`` the e-process M_{theta'} shares the same
     numerator (the plug-in or Bayes predictive trace) and differs only in the
     denominator likelihood, so one pass computes the whole family.  The
-    interval at event time i is the hull of non-rejected grid points; by
-    Ville's inequality the true hazard ratio leaves the (unintersected)
-    sequence at any time with probability at most alpha — provided it lies on
-    the grid; off-grid values inherit the guarantee of their nearest bracketing
-    grid points.  Running intersection is off by default: the plain sequence is
+    interval at event time i is the hull of non-rejected grid points.  By
+    Ville's inequality a true hazard ratio *on the grid* leaves the
+    (unintersected) sequence at any time with probability at most alpha.
+    The guarantee holds for grid values only: the hull rounds each end of
+    the non-rejected set inward by up to one grid cell, so an off-grid
+    value may be printed as excluded before its own e-process rejects it
+    (ROADMAP.md, "Confidence sequences that keep their guarantee off the
+    grid").  Running intersection is off by default: the plain sequence is
     what the coverage guarantee speaks about, intersection is a reporting
     convenience.
 
-    The family is one ``(event times, grid)`` array: the ``log_kernel``
-    denominators, summed over event times and subtracted from the summed
-    numerator in place.
+    The family is read in chunks of event-time rows, ``_FAMILY_CELLS``
+    ``(event times, grid)`` cells at a time: the ``log_kernel``
+    denominators, summed over event times with the running sum of the rows
+    before carried into the chunk's first row, and subtracted from the
+    summed numerator in place.  Memory does not grow with the number of
+    event times, and every cell has the bits of one whole-array sum.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -608,23 +720,34 @@ def confidence_sequence(
     else:
         raise ValueError(f"unknown numerator strategy {numerator!r}")
 
-    log_mart = log_kernel(stream, np.log(grid)[None, :])
-    np.cumsum(log_mart, axis=0, out=log_mart)
-    np.subtract(np.cumsum(log_num)[:, None], log_mart, out=log_mart)
-    keep = log_mart < math.log(1.0 / alpha)
-    del log_mart
+    n = stream.o.size
+    cum_num = np.cumsum(log_num)
+    log_grid, log_bound = np.log(grid)[None, :], math.log(1.0 / alpha)
+    lower, upper = np.empty(n), np.empty(n)
+    lower_bracketed, upper_bracketed = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    denominator = np.zeros(grid.size)
+    step = max(1, _FAMILY_CELLS // grid.size)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
+        log_mart = log_kernel(rows, log_grid)
+        log_mart[0] += denominator
+        np.cumsum(log_mart, axis=0, out=log_mart)
+        denominator = log_mart[-1].copy()
+        np.subtract(cum_num[part, None], log_mart, out=log_mart)
+        keep = log_mart < log_bound
 
-    # hull of the kept grid points; NaN when the grid is too coarse and
-    # every candidate is rejected
-    first = keep.argmax(axis=1)
-    last = grid.size - 1 - keep[:, ::-1].argmax(axis=1)
-    some = keep[np.arange(keep.shape[0]), first]
-    lower = np.where(some, grid[first], math.nan)
-    upper = np.where(some, grid[last], math.nan)
-    lower_bracketed = ~keep[:, 0]
-    upper_bracketed = ~keep[:, -1]
+        # hull of the kept grid points; NaN when the grid is too coarse and
+        # every candidate is rejected
+        first = keep.argmax(axis=1)
+        last = grid.size - 1 - keep[:, ::-1].argmax(axis=1)
+        some = keep[np.arange(keep.shape[0]), first]
+        lower[part] = np.where(some, grid[first], math.nan)
+        upper[part] = np.where(some, grid[last], math.nan)
+        lower_bracketed[part] = ~keep[:, 0]
+        upper_bracketed[part] = ~keep[:, -1]
 
-    if running_intersection and keep.shape[0]:
+    if running_intersection and n:
         lower = np.maximum.accumulate(lower)
         upper = np.minimum.accumulate(upper)
         lower_bracketed = np.maximum.accumulate(lower_bracketed)

@@ -76,7 +76,9 @@ def load_config(path: str) -> dict[str, str]:
 
     Names match the long command line options (hyphens and underscores are
     interchangeable).  One file may serve several commands, so a key of any
-    command is accepted; a key that no command knows is refused.
+    command is accepted; a key that no command knows is refused, and so is
+    ``meta``: the datasets a decision combines are named on the command
+    line only.
     """
     out: dict[str, str] = {}
     known = _option_names()
@@ -91,6 +93,8 @@ def load_config(path: str) -> dict[str, str]:
             name = name.strip().lower().replace("-", "_")
             if name not in known:
                 raise UsageError(f"{path}:{line_no}: no command has an option {name!r}")
+            if name == "meta":
+                raise UsageError(f"{path}:{line_no}: give --meta on the command line, not in a config file")
             out[name] = value.strip()
     return out
 

@@ -258,6 +258,85 @@ def plugin_reference(stream, m1=None, m0=None, theta0: float = 1.0):
     return trace, log_num, thetas
 
 
+def plugin_table_term(c, ties=None):
+    """The term of ``adaptive.plugin_newton`` summed afresh on every call:
+    each row's sigmoids over its offsets ``c`` (``-inf`` in unused slots,
+    which add nothing) and, with ``ties = (u, log_w)``, the tilted means and
+    variances of its tied batches, read from ``(R, K, S)`` support tables
+    padded with ``log_w = -inf`` (an unused batch slot is the single support
+    point ``u = 0``, ``log_w = 0``).  The reference for the package's Taylor
+    series term: the same solver on the same history, exact to rounding."""
+    import numpy as np
+
+    half_c, width = 0.5 * np.asarray(c, dtype=float), c.shape[1]
+
+    def term(b, active):
+        # sigmoid(x) = (1 + tanh(x/2)) / 2, its derivative (1 - tanh(x/2)**2) / 4
+        t = np.tanh(half_c + 0.5 * b[:, None])
+        total = 0.5 * (width + t.sum(axis=1))
+        info = 0.25 * (width - (t * t).sum(axis=1))
+        if ties is not None:
+            u, log_w = ties
+            w = log_w + u * b[:, None, None]
+            w = np.exp(w - w.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            mean = (w * u).sum(axis=-1)
+            total = total + mean.sum(axis=-1)
+            info = info + ((w * u * u).sum(axis=-1) - mean * mean).sum(axis=-1)
+        return total, info
+
+    return term
+
+
+def exact_plugin_betas(stream, m1=None, m0=None):
+    """``log(theta_hat)`` after 0..n event times, every prefix solved by
+    ``adaptive.plugin_newton`` from 0 on ``plugin_table_term`` over its whole
+    history, 64 prefixes per call."""
+    import numpy as np
+
+    from safelogrank.adaptive import plugin_newton
+    from safelogrank.core import _support_table
+
+    y1, y0, o, o1 = (np.asarray(a) for a in (stream.y1, stream.y0, stream.o, stream.o1))
+    m1 = int(y1[0]) if m1 is None else m1
+    m0 = int(y0[0]) if m0 is None else m0
+    n = o.size
+    informative = np.maximum(0, o - y0) != np.minimum(o, y1)
+    single = informative & (o == 1)
+    tied = np.flatnonzero(informative & (o > 1))
+    with np.errstate(divide="ignore"):
+        offsets = np.where(single, np.log(y1) - np.log(y0), -np.inf)
+    o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(np.where(informative, o1, 0))])
+    u, log_w = _support_table(y1[tied], y0[tied], o[tied])
+    unused = np.where(np.arange(u.shape[1]) == 0, 0.0, -np.inf)
+    betas = np.empty(n + 1)
+    for start in range(0, n + 1, 64):
+        rows = np.arange(start, min(start + 64, n + 1))
+        before = np.arange(n) < rows[:, None]  # event k is in the history of fit i when k < i
+        c = np.concatenate([
+            np.tile([math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))], (rows.size, 1)),
+            np.where(before, offsets, -np.inf),
+        ], axis=1)
+        ties = None
+        if tied.size:
+            held = (tied < rows[:, None])[..., None]
+            ties = (np.where(held, u, 0.0), np.where(held, log_w, unused))
+        betas[rows] = plugin_newton(np.zeros(rows.size), o1_sum[rows], plugin_table_term(c, ties))
+    return betas
+
+
+def exact_plugin_log_trace(stream, theta0: float = 1.0):
+    """The plug-in trace scored at ``exact_plugin_betas``."""
+    import numpy as np
+
+    from safelogrank.core import log_kernel
+
+    if not stream.o.size:
+        return np.zeros(0)
+    log_num = log_kernel(stream, exact_plugin_betas(stream)[:-1])
+    return np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
+
+
 def log_kernel_on_nodes(log_thetas, row):
     """log q_theta(o1 | batch) at every node, for one ``(y1, y0, o, o1)``
     batch."""
@@ -393,11 +472,12 @@ def sample_single_event_stream_loop(m1: int, m0: int, theta: float, rng, max_eve
 def stopping_time(stream, design) -> float:
     """First cumulative event count at which the design's statistic crosses
     its threshold, walking one explicit stream event time by event time
-    (the likelihood traces come whole from the package's trace functions);
-    ``inf`` if it never does."""
+    (the likelihood traces come whole from the package's trace functions,
+    the plug-in one from ``exact_plugin_log_trace``); ``inf`` if it never
+    does."""
     import numpy as np
 
-    from safelogrank.adaptive import PriorSpec, bayes_log_trace, plugin_log_trace
+    from safelogrank.adaptive import PriorSpec, bayes_log_trace
     from safelogrank.core import log_evalue_trace
     from safelogrank.gaussian import (
         fixed_sample_boundary,
@@ -413,7 +493,7 @@ def stopping_time(stream, design) -> float:
         if kind == "exact":
             trace = log_evalue_trace(stream, design.theta1, design.theta0, design.two_sided)
         elif kind == "plugin":
-            trace = plugin_log_trace(stream, theta0=design.theta0)
+            trace = exact_plugin_log_trace(stream, theta0=design.theta0)
         else:
             prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
             trace = bayes_log_trace(stream, prior, theta0=design.theta0)

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from safelogrank.core import _support_table, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
+    _RADIUS,
     PluginLockstep,
     PriorSpec,
-    _MomentSums,
+    _SeriesTerm,
     _moments_about,
-    _offset_sums,
+    _radius,
+    _series,
+    _tied_sums,
     bayes_log_trace,
     confidence_sequence,
     default_theta_grid,
@@ -217,10 +220,30 @@ def _plugin_streams(draw):
     return sample_tied_stream(m1, m0, theta, draw(st.sampled_from([0.02, 0.1, 0.3])), rng)
 
 
+@st.composite
+def _trace_streams(draw):
+    """``_plugin_streams``, and streams of single events from risk sets in
+    the thousands with a few tied batches of up to 1,500 events among them,
+    whose tilted sds (up to about 15) shrink the series' radius."""
+    if draw(st.booleans()):
+        return draw(_plugin_streams())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    y1, y0, rows = int(rng.integers(1500, 2500)), int(rng.integers(1500, 2500)), []
+    for _ in range(draw(st.integers(1, 100))):
+        o = min(int(rng.choice([1] * 30 + [2, 40, 400, 1500])), (y1 + y0) // 2)
+        o1 = int(rng.hypergeometric(y1, y0, o))
+        rows.append((y1, y0, o, o1))
+        y1, y0 = y1 - o1, y0 - (o - o1)
+        if min(y1, y0) < 10:
+            break
+    return stream_of(rows)
+
+
 def _whole_stream_fit(stream):
     """``plugin_newton``'s inputs for the fit on a whole stream: one row of
-    offsets of its single events (the two virtual ones first), their
-    treatment count, and its informative tied batches as one table row."""
+    offsets of its single events (the two virtual ones first), the
+    treatment count of its informative batches, and the support table of
+    its informative tied batches (``None`` if it has none)."""
     rows = oracles.rows_of(stream)
     m1, m0 = rows[0][0], rows[0][1]
     c, o1_sum, tied = [math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))], 1.0, []
@@ -228,48 +251,85 @@ def _whole_stream_fit(stream):
         y1, y0, o, o1 = row
         if forced(row):
             continue
+        o1_sum += o1
         if o == 1:
             c.append(math.log(y1 / y0))
-            o1_sum += o1
         else:
             tied.append(row)
-    ties = None
+    table = None
     if tied:
-        y1, y0, o, t_o1 = (np.array(col) for col in zip(*tied))
+        y1, y0, o, _ = (np.array(col) for col in zip(*tied))
         u, log_w = _support_table(y1, y0, o)
-        ties = (t_o1[None].astype(float), u[None].astype(float), log_w[None])
-    return np.array([c]), o1_sum, ties
+        table = (u.astype(float), log_w)
+    return np.array([c]), o1_sum, table
+
+
+def _series_term(c, table, centre):
+    """The package's series term for rows of offsets ``c`` that share the
+    tied batches ``table``, about ``centre``; a row re-centres on all of
+    them."""
+    def history(r, at):
+        series = _series(_moments_about(c[r], at))
+        if table is None:
+            return series, _RADIUS
+        tied, sd = _tied_sums(*table, np.full(r.size, table[0].shape[0]), at)
+        return series + tied, _radius(sd)
+
+    series, radius = history(np.arange(centre.size), centre)
+    return _SeriesTerm(series, centre.copy(), np.broadcast_to(radius, centre.shape).copy(), history)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(stream=_plugin_streams())
+@given(stream=_trace_streams())
 @example(stream=stream_of(_TIES_AND_FORCED))
 @example(stream=_single_event_stream(0.5, 200, 200, 400, seed=5))
+@example(stream=stream_of([(2000, 2000, 1500, 700), (1300, 1200, 400, 180), (1120, 980, 2, 1)]))
 def test_moment_sums_solve_like_offset_sums(stream):
-    # plugin_newton on running moments about 0, re-centring on the way from
-    # warm starts up to 4 away, against the same solver summing every
-    # offset on every iteration: roots within 1e-12, clamp included
+    # plugin_newton on series about 0, re-centring on the way from warm
+    # starts up to 4 away: at every iterate the solver visits, the series
+    # term is within 1e-12 (1 + o) of the same sums taken afresh over every
+    # offset and support table, and so are the roots, clamp included
     warm = np.array([-4.0, -1.0, 0.0, 0.5, 4.0])
-    c, o1_sum, ties = _whole_stream_fit(stream)
+    c, o1_sum, table = _whole_stream_fit(stream)
     c = np.repeat(c, warm.size, axis=0)
-    if ties is not None:
-        ties = tuple(np.repeat(t, warm.size, axis=0) for t in ties)
-    reference = plugin_newton(warm, o1_sum, _offset_sums(c), ties)
-    sums = _MomentSums(
-        _moments_about(c, np.zeros(warm.size)), np.zeros(warm.size),
-        lambda r, at: _moments_about(c[r], at),
-    )
-    assert np.allclose(plugin_newton(warm, o1_sum, sums, ties), reference, rtol=0, atol=1e-12)
+    ties = None
+    if table is not None:
+        u, log_w = table
+        ties = (np.repeat(u[None], warm.size, axis=0), np.repeat(log_w[None], warm.size, axis=0))
+    exact = oracles.plugin_table_term(c, ties)
+    series = _series_term(c, table, np.zeros(warm.size))
+    tolerance = 1e-12 * (1 + stream.o.max())
+
+    def checked(b, active):
+        got = series(b, active)
+        assert np.abs(np.subtract(got, exact(b, active))[:, active]).max() <= tolerance
+        return got
+
+    reference = plugin_newton(warm, o1_sum, exact)
+    assert np.abs(plugin_newton(warm, o1_sum, checked) - reference).max() <= tolerance
     y1, y0 = int(stream.y1[0]), int(stream.y0[0])
     if max(y1, y0) == 10**9:
         edge = math.log(1e8) if y0 > y1 else math.log(1e-8)
         assert np.abs(reference - edge).max() <= 1e-12
 
 
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(stream=_trace_streams())
+@example(stream=stream_of(_TIES_AND_FORCED))
+@example(stream=_single_event_stream(0.5, 200, 200, 400, seed=5))
+def test_plugin_trace_matches_exact_prefix_solve(stream):
+    # the trace's blocked series solve, with its block centres, carried
+    # history and re-centrings, against every prefix solved on its whole
+    # history: within 1e-12 (1 + o), clamp included
+    got = np.log(plugin_estimates(stream))
+    reference = oracles.exact_plugin_betas(stream)
+    assert np.abs(got - reference).max() <= 1e-12 * (1 + stream.o.max(initial=0))
+
+
 def test_plugin_lockstep_matches_trace_estimates():
     # streams grown together one event per step, as the simulation engine
-    # grows them, against each stream's own trace: estimates within 1e-12
-    # through several re-centrings
+    # grows them, against each stream's prefixes solved exactly: estimates
+    # within 1e-12 through several re-centrings
     m1, m0, thetas = 300, 250, (0.3, 0.7, 1.0, 1.6, 3.0)
     streams = [
         sample_single_event_stream(m1, m0, theta, stream_rng(7, r), max_events=500)
@@ -289,7 +349,7 @@ def test_plugin_lockstep_matches_trace_estimates():
             lockstep.add(i, rows, np.log(y1) - np.log(y0), o1)
         got[:, i + 1] = lockstep.beta
     for r, s in enumerate(streams):
-        reference = np.log(plugin_estimates(s))
+        reference = oracles.exact_plugin_betas(s)
         assert np.allclose(got[r, : reference.size], reference, rtol=0, atol=1e-12)
 
 

@@ -288,6 +288,20 @@ def test_config_refuses_a_key_no_command_knows(null_dataset, tmp_path, capsys):
     assert "alpha: 0.01" in capsys.readouterr().out
 
 
+def test_config_refuses_meta(tmp_path, capsys):
+    # a config file cannot name further datasets: the command would print
+    # the one-dataset decision, not the combined one the file asks for
+    paths = []
+    for name, seed in (("m.csv", 10), ("m2.csv", 11)):
+        stream = sample_single_event_stream(60, 60, 0.5, stream_rng(seed, 0))
+        paths.append(str(tmp_path / name))
+        write_dataset(dataset_from_stream(stream), paths[-1])
+    cfg = tmp_path / "meta.cfg"
+    cfg.write_text(f"theta1 = 0.5\nmeta = {paths[1]}\n")
+    assert main(["analyze", paths[0], "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{cfg}:2: give --meta on the command line" in capsys.readouterr().err
+
+
 def test_design_with_a_cap_before_every_first_batch(tmp_path, capsys):
     # every tied stream's first batch holds more events than the cap, so no
     # replication has a batch within it and none ever stops

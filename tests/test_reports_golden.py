@@ -49,9 +49,13 @@ GOLDEN = {
         "87b90222dc93d61c99303c52c1d36adc0c207456b250ed107461820591c2b521",
         "f562ed37bbd7634b81df7c0ff6770de74789fa77a745885ac0f1f1ea14105163",
     ),
+    # The JSON digest was re-pinned when plug-in traces moved from summing
+    # every offset on every iteration to Taylor series about a centre: 298 of
+    # its 300 full-precision log10_e cells moved, by at most 7.1e-15.  The
+    # CSV (10 significant digits), the decision and the crossing did not.
     "plugin": (
         "f1a8f4cbc7f7e45ecd7f2b7f5f3591f11616137d3f7afda460e5b1fddcf7dac6",
-        "93133099429af63b991bcc5bb31b59ae8e03d848336e3c792b597c91341f5a63",
+        "fac01437a74d2822a6cf3664853a086df27e4d1843701789f0cf70b4c6abd9f1",
     ),
     "bayes": (
         "3340121e88539487867b6b04dbb52ce2745b50f547d796f214fa4a4e2f979c38",
