@@ -282,7 +282,8 @@ def plugin_table_term(c, ties=None):
             w /= w.sum(axis=-1, keepdims=True)
             mean = (w * u).sum(axis=-1)
             total = total + mean.sum(axis=-1)
-            info = info + ((w * u * u).sum(axis=-1) - mean * mean).sum(axis=-1)
+            # about the mean: E[u^2] - E[u]^2 loses ~1e-9 at 1,500 events
+            info = info + (w * (u - mean[..., None]) ** 2).sum(axis=(-2, -1))
         return total, info
 
     return term
