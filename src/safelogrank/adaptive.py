@@ -190,16 +190,6 @@ def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s / (1.0 + np.exp(x))
 
 
-def _moment_rows(x: np.ndarray) -> np.ndarray:
-    """Power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each event of a
-    1-d array of ``x = centre + log(y1/y0)``, one row per event."""
-    rows = np.empty((x.size, _ORDER + 2))
-    rows[:, 0], rows[:, 1] = _sigmoids(x)
-    rows[:, 2:] = rows[:, :1]
-    np.cumprod(rows[:, 1:], axis=1, out=rows[:, 1:])
-    return rows
-
-
 def _moments_about(c: np.ndarray, at: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
     """Summed power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each row of
     offsets ``c`` (``-inf`` where empty, which adds nothing) about the
@@ -459,7 +449,7 @@ def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.nda
         radius = np.full(1 + stop - start, _RADIUS)
         step[0], radius[0] = base, base_radius
         s, t = 1 + np.flatnonzero(single[start:stop]), 1 + np.flatnonzero(tied[start:stop])
-        step[s] = _series(_moment_rows(c[ends[start] : ends[stop]] + centre))
+        step[s] = _series(_moments_about(c[ends[start] : ends[stop], None], np.full(s.size, centre)))
         if t.size:
             part = slice(n_tied[start], n_tied[stop])
             step[t], sd = _tied_series(t_u[part], t_lw[part], np.full(t.size, centre))
@@ -701,7 +691,11 @@ def confidence_sequence(
     denominators, summed over event times with the running sum of the rows
     before carried into the chunk's first row, and subtracted from the
     summed numerator in place.  Memory does not grow with the number of
-    event times, and every cell has the bits of one whole-array sum.
+    event times.  The carried sum adds in the order of one whole-array
+    sum, so a single event's cells keep their bits; a tied batch's
+    ``log_kernel`` pads its support to the widest in its block of rows,
+    and chunking can change that width and with it the last bits of a
+    cell (about 1e-13 in the log e-value).
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from safelogrank import adaptive
 from safelogrank.core import _support_table, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
@@ -378,12 +380,16 @@ def test_bayes_trace_matches_per_batch_reference(stream, center, theta0):
     stream=_small_streams(),
     numerator=st.sampled_from(["plugin", "bayes"]),
     alpha=st.sampled_from([0.05, 0.3]),
+    chunk_rows=st.sampled_from([1, 3, 7]),
 )
-@example(stream=stream_of(_TIES_AND_FORCED), numerator="plugin", alpha=0.3)
-def test_confidence_bounds_match_per_batch_reference(stream, numerator, alpha):
+@example(stream=stream_of(_TIES_AND_FORCED), numerator="plugin", alpha=0.3, chunk_rows=1)
+def test_confidence_bounds_match_per_batch_reference(stream, numerator, alpha, chunk_rows):
+    # the family is read a few event times at a time, so every example with
+    # more than chunk_rows event times carries its denominators across chunks
     grid = default_theta_grid(60, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
-    cs = confidence_sequence(stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior)
+    with mock.patch.object(adaptive, "_FAMILY_CELLS", chunk_rows * grid.size):
+        cs = confidence_sequence(stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior)
     if numerator == "plugin":
         ref_num = oracles.plugin_reference(stream)[1]
     else:
@@ -497,6 +503,33 @@ def test_confidence_sequence_narrows_and_covers_truth():
     assert cs.contains(0.7).all()  # single stream at its own truth: no exit expected here
     # interval actually contracts as evidence accumulates
     assert cs.upper[-1] - cs.lower[-1] < cs.upper[10] - cs.lower[10]
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        _single_event_stream(0.7, 300, 300, 400, seed=7),
+        sample_tied_stream(1000, 1000, 0.7, 0.01, stream_rng(0, 0)),  # 417 batches, o <= 21
+    ],
+    ids=["single", "tied"],
+)
+def test_confidence_sequence_chunks_match_one_pass(stream):
+    # reading the family in chunks of event times, with the running
+    # denominators carried, gives the bounds of one whole-array pass; the
+    # tied kernel's cells differ from that pass in the last bits here
+    grid = default_theta_grid()
+    fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
+
+    def bounds(rows, intersect):
+        with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * grid.size):
+            cs = confidence_sequence(stream, grid=grid, running_intersection=intersect)
+        return [getattr(cs, f) for f in fields]
+
+    for intersect in (False, True):
+        whole = bounds(stream.o.size, intersect)
+        for rows in (1, 7, 163):
+            for got, want in zip(bounds(rows, intersect), whole):
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_confidence_sequence_running_intersection_is_nested():
