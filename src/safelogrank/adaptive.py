@@ -31,12 +31,14 @@ Two strategies are provided:
   support table, used within ``2.2 / sd`` of the centre when its tilted sd
   is large.  A trace solves 64 consecutive prefixes of the stream as the
   rows of one call, on the series of the history before them plus prefix
-  sums of one series per new event; the simulation engine grows all
-  replications' streams in lockstep (``PluginLockstep``) and adds one row
-  of moments per event.  A solve reads a row's stored history only when
-  its iterate leaves the radius, and then re-centres there, so a trace
-  costs work close to linear in its length and a lockstep step work
-  linear in the number of replications.
+  sums of one series per new event.  The simulation engine samples
+  growing prefixes of many replications' streams and steps their
+  estimates over each prefix's new events, one event across all open
+  replications at a time (``PluginLockstep``), adding one row of moments
+  per event.  A solve reads a row's stored history only when its iterate
+  leaves the radius, and then re-centres there, so a trace costs work
+  close to linear in its length and an engine step work linear in the
+  number of replications.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
   ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
@@ -332,6 +334,8 @@ class _SeriesTerm:
 class PluginLockstep:
     """Plug-in estimates of many streams of single events that grow by one
     event per step: the numerator of the simulation engine's plug-in test.
+    The engine steps it over the new events of each growing prefix it
+    samples, so the state carries from one prefix to the next.
 
     Each stream keeps its offsets ``log(y1/y0)`` (the two virtual events,
     then one slot per step, ``-inf`` where the stream had no informative

@@ -13,23 +13,23 @@ Randomness is counter-based: replication ``r`` of a run with seed ``s``
 draws from a Philox stream keyed by ``(s, r)``, so results are bit-identical
 however replications are chunked or distributed.
 
-One sampler draws every single-event stream: each replication reads
-uniforms from its generator in blocks of steps, and one step per event
-compares them with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes
-every design.  Single-event streams for the exact (one- or two-sided),
-Gaussian and plug-in tests evolve in lockstep, one event per step across
-all replications, so a replication stops drawing as soon as every requested
-test has stopped.  Tied streams, and the Bayes, O'Brien-Fleming and
-fixed-horizon tests, are sampled first by ``_sample_block``: one
-``EventStream`` whose columns are ``(replications, L)`` arrays, one stream
-per row in event order, tied rows padded with empty batches that add
-exactly 0 to every sum.  ``core.log_kernel`` and ``gaussian.logrank_z`` (or
-the learned numerators, row by row) run over the block, and running sums
-along each row give the first crossing.  O'Brien-Fleming sizing reads
-single-event blocks from the same function and scans the running extremes
-of ``Z_n * sqrt(n)`` for the shortest horizon with the design's power.
-Replications are taken in chunks, so memory stays bounded however many
-there are.
+One sampler draws every single-event stream: each replication draws one
+uniform per event from its generator, and one step per event compares it
+with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes every design.
+``_sample_block`` draws replications' streams as one ``EventStream`` whose
+columns are ``(replications, L)`` arrays, one stream per row in event
+order, tied rows padded with empty batches that add exactly 0 to every sum.
+``core.log_kernel`` and ``gaussian.logrank_z`` (or the learned numerators)
+run over the block, and running sums along each row give the first
+crossing.  The engine scores growing prefixes: the first 256 events, then
+512 and so on up to the limit, each drawn again for the replications that
+some requested test has not yet stopped, so a replication is sampled to at
+most about twice the events its decisions need.  The samplers are
+prefix-consistent, so every prefix gives the stopping times of the whole
+stream.  O'Brien-Fleming sizing reads single-event blocks from the same
+function and scans the running extremes of ``Z_n * sqrt(n)`` for the
+shortest horizon with the design's power.  Replications are taken in
+chunks, so memory stays bounded however many there are.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -181,57 +181,30 @@ def stream_rng(seed: int, replication: int) -> np.random.Generator:
 # samplers
 # ---------------------------------------------------------------------------
 
-# Steps of uniforms a replication draws at once.
-_BLOCK = 256
-
-
-class _Uniforms:
-    """The uniforms that drive single-event streams, one stream per
-    generator.  Replication ``r`` draws from ``rngs[r]`` in blocks of
-    ``_BLOCK`` steps, and only while it is asked for, so its events are the
-    same however replications are grouped or when they stop."""
-
-    def __init__(self, rngs: list[np.random.Generator], limit: int):
-        self.rngs, self.limit = rngs, limit
-        self.block = np.empty((len(rngs), min(_BLOCK, limit)))
-        self.by_step = np.empty(self.block.shape[::-1])
-
-    def at(self, i: int, rows) -> np.ndarray:
-        """Uniforms of step ``i`` (0-based), one per replication; only the
-        entries of ``rows`` are drawn, and a row asked for at step ``i``
-        must have been asked for at every step before."""
-        j = i % _BLOCK
-        if j == 0:
-            steps = min(_BLOCK, self.limit - i)
-            for r in rows:
-                self.rngs[r].random(out=self.block[r, :steps])
-            self.by_step[...] = self.block.T
-        return self.by_step[j]
-
-
-def _treatment_events(theta: float, y1: np.ndarray, y0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Whether each next single event falls in the treatment group, at risk
-    sets ``y1, y0``: where ``u < theta * y1 / (y0 + theta * y1)``."""
-    t1 = theta * y1
-    return u < t1 / (y0 + t1)
-
-
 def _single_event_columns(
     m1: int, m0: int, theta: float, rngs: list[np.random.Generator], limit: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``y1``, ``y0`` and ``o1`` of the first ``limit`` events of one
-    single-event stream per generator, as ``(len(rngs), limit)`` arrays."""
-    uniforms = _Uniforms(rngs, limit)
-    rows = range(len(rngs))
-    cols = np.empty((3, limit, len(rngs)), dtype=np.int64)
-    y1 = np.full(len(rngs), m1, dtype=np.int64)
-    y0 = np.full(len(rngs), m0, dtype=np.int64)
+    single-event stream per generator, as ``(len(rngs), limit)`` arrays.
+    Generator r draws ``limit`` uniforms, one per event in order, and an
+    event falls in the treatment group where its uniform is below
+    ``theta * y1 / (y0 + theta * y1)``, so a stream's first events are the
+    same whatever the limit."""
+    uniforms = np.empty((limit, len(rngs)))
+    for r, rng in enumerate(rngs):
+        uniforms[:, r] = rng.random(limit)
+    o1 = np.empty((limit, len(rngs)), dtype=bool)
+    y1 = np.full(len(rngs), float(m1))  # risk sets, exact in floats
+    y0 = np.full(len(rngs), float(m0))
     for i in range(limit):
-        o1 = _treatment_events(theta, y1, y0, uniforms.at(i, rows))
-        cols[0, i], cols[1, i], cols[2, i] = y1, y0, o1
-        y1 -= o1
-        y0 -= ~o1
-    return tuple(c.T for c in cols)
+        t1 = theta * y1
+        np.less(uniforms[i], t1 / (y0 + t1), out=o1[i])
+        y1 -= o1[i]
+        np.subtract(m1 + m0 - i - 1, y1, out=y0)
+    del uniforms
+    o1 = o1.T.astype(np.int64)
+    before = np.cumsum(o1, axis=1) - o1  # treatment events before each event
+    return m1 - before, m0 - np.arange(limit) + before, o1
 
 
 def sample_single_event_stream(
@@ -286,7 +259,7 @@ def sample_tied_stream(
 
 
 # ---------------------------------------------------------------------------
-# lockstep engine (single-event streams)
+# engine
 # ---------------------------------------------------------------------------
 
 def _event_limit(scenario: SimScenario, cap: int | None) -> int:
@@ -295,143 +268,20 @@ def _event_limit(scenario: SimScenario, cap: int | None) -> int:
     return scenario.m1 + scenario.m0 if cap is None else min(cap, scenario.m1 + scenario.m0)
 
 
-def _single_increment(o1, ly1, ly0, log_theta, log_theta0):
-    """Exact log e-value increment of single events with ``y1, y0 >= 1``."""
-    return (
-        o1 * (log_theta - log_theta0)
-        + np.logaddexp(ly0, log_theta0 + ly1)
-        - np.logaddexp(ly0, log_theta + ly1)
-    )
+# Events of the first prefix the engine samples; each later prefix doubles it.
+_BLOCK = 256
+
+# Replications x events per array: 2^20 cells keep each array at 8 MB.  The
+# plug-in and the O'Brien-Fleming scan step every event across a chunk of
+# replications whose history or block fills _CELLS cells, since larger
+# chunks pay the per-event cost of numpy fewer times.  A block that is only
+# scored holds about 16 arrays of its size at once, so the engine samples
+# and scores _CELLS // 16 cells at a time.
+_CELLS = 1 << 20
 
 
-def _evolve_single_event(
-    scenario: SimScenario,
-    kinds: Sequence[str],
-    cap: int | None = None,
-    rep_range: tuple[int, int] | None = None,
-) -> dict[str, np.ndarray]:
-    """Evolve every replication's event stream in lockstep, one event per
-    step, and return first-crossing times for the requested tests.
-
-    All tests see the same simulated streams, so stopping times for
-    different kinds are directly comparable replication by replication.  A
-    replication stops drawing events once every requested test has
-    stopped on it.  The cap never exceeds ``m1 + m0``, so every replication
-    has an event at every step and the cumulative event count is simply
-    the step index.  A two-sided exact design keeps one accumulator for
-    ``theta1`` and one for ``1/theta1`` and reads them out with
-    ``two_sided_log_evalue``.
-    """
-    design = scenario.design
-    m1, m0 = scenario.m1, scenario.m0
-    lo, hi = rep_range if rep_range is not None else (0, scenario.replications)
-    reps = hi - lo
-    cap = _event_limit(scenario, cap)
-    threshold = design.log_threshold
-    uniforms = _Uniforms([stream_rng(scenario.seed, r) for r in range(lo, hi)], cap)
-    y1 = np.full(reps, m1, dtype=np.int64)
-    y0 = np.full(reps, m0, dtype=np.int64)
-
-    want = set(kinds)
-    unknown = want - set(_LOCKSTEP_KINDS)
-    if unknown:
-        raise ValueError(f"engine supports exact/gaussian/plugin, got {sorted(unknown)}")
-    taus = {k: np.full(reps, np.inf) for k in want}
-
-    log_t0 = math.log(design.theta0)
-    # one accumulator per alternative: theta1, and 1/theta1 when two-sided
-    sides = [math.log(design.theta1)]
-    if design.two_sided:
-        sides.append(math.log(1.0 / design.theta1))
-    side_logm = np.zeros((len(sides), reps))
-    exact_logm = np.zeros(reps) if design.two_sided else side_logm[0]
-
-    mu1 = schoenfeld_mu(design.theta1, m1, m0) if "gaussian" in want else 0.0
-    score = np.zeros(reps)
-    variance = np.zeros(reps)
-    gauss_logm = np.zeros(reps)
-
-    if "plugin" in want:
-        plugin = PluginLockstep(reps, cap, m1, m0)
-        plugin_logm = np.zeros(reps)
-
-    active = np.ones(reps, dtype=bool)
-    for i in range(cap):
-        n = i + 1
-        a = np.flatnonzero(active)
-        if a.size == 0:
-            break
-        ay1, ay0 = y1[a], y0[a]
-        o1 = _treatment_events(scenario.theta, ay1, ay0, uniforms.at(i, a)[a])
-
-        informative = (ay1 > 0) & (ay0 > 0)
-        inf_idx = a[informative]
-        ly1 = np.log(ay1[informative])
-        ly0 = np.log(ay0[informative])
-
-        if "exact" in want:
-            for j, log_t1 in enumerate(sides):
-                inc = np.zeros(a.size)
-                inc[informative] = _single_increment(o1[informative], ly1, ly0, log_t1, log_t0)
-                side_logm[j, a] += inc
-            if design.two_sided:
-                exact_logm[a] = two_sided_log_evalue(*side_logm[:, a])
-            newly = (taus["exact"][a] == np.inf) & (exact_logm[a] >= threshold)
-            taus["exact"][a[newly]] = n
-
-        if "gaussian" in want:
-            e1 = ay1 / (ay1 + ay0)
-            score[a] += o1 - e1
-            variance[a] += e1 * (1.0 - e1)  # o == 1, so V1 = A1 (1 - A1)
-            pos = variance[a] > 0
-            z = np.zeros(a.size)
-            z[pos] = score[a][pos] / np.sqrt(variance[a][pos])
-            gauss_logm[a] = -0.5 * n * mu1 * mu1 + mu1 * math.sqrt(n) * z
-            newly = pos & (taus["gaussian"][a] == np.inf) & (gauss_logm[a] >= threshold)
-            taus["gaussian"][a[newly]] = n
-
-        if "plugin" in want:
-            inc = np.zeros(a.size)
-            inc[informative] = _single_increment(
-                o1[informative], ly1, ly0, plugin.beta[inf_idx], log_t0
-            )
-            plugin_logm[a] += inc
-            newly = (taus["plugin"][a] == np.inf) & (plugin_logm[a] >= threshold)
-            taus["plugin"][a[newly]] = n
-            # fold the new observation into each history, then re-solve
-            plugin.add(i, inf_idx, ly1 - ly0, o1[informative])
-
-        y1[a] = ay1 - o1
-        y0[a] = ay0 - ~o1
-
-        done = np.ones(a.size, dtype=bool)
-        for k in want:
-            done &= taus[k][a] < np.inf
-        active[a[done]] = False
-
-    return taus
-
-
-# ---------------------------------------------------------------------------
-# stream engine (tied streams; Bayes, O'Brien-Fleming and fixed tests)
-# ---------------------------------------------------------------------------
-
-_LOCKSTEP_KINDS = ("exact", "gaussian", "plugin")
-
-# Replications x events per chunk of the stream engine.  Chunks of this size
-# run as fast as larger ones, and their few-hundred-kB temporaries leave the
-# heap no larger between calls.
-_STREAM_CELLS = 1 << 14
-
-# Replications x events per chunk of the lockstep loop and of the
-# O'Brien-Fleming scan, which step every event across a whole chunk: larger
-# chunks pay the per-step cost of numpy fewer times, and 2^20 cells keep each
-# array of a chunk at 8 MB.
-_LOCKSTEP_CELLS = 1 << 20
-
-
-def _sample_block(scenario: SimScenario, limit: int, lo: int, hi: int) -> EventStream:
-    """Event streams of replications ``lo..hi-1`` as ``(replications, L)``
+def _sample_block(scenario: SimScenario, limit: int, replications) -> EventStream:
+    """Event streams of the given replications as ``(replications, L)``
     columns, one stream per row in event order, each ended after ``limit``
     cumulative events (a tied one at its last batch within them).  Single
     events fill ``L = limit`` columns.  A tied row shorter than the longest
@@ -440,7 +290,7 @@ def _sample_block(scenario: SimScenario, limit: int, lo: int, hi: int) -> EventS
     running statistics stay flat past its last batch.  ``times`` is None;
     nothing that scores a block reads it."""
     m1, m0, theta = scenario.m1, scenario.m0, scenario.theta
-    rngs = [stream_rng(scenario.seed, r) for r in range(lo, hi)]
+    rngs = [stream_rng(scenario.seed, r) for r in replications]
     if scenario.tie_h0 is None:
         y1, y0, o1 = _single_event_columns(m1, m0, theta, rngs, limit)
         return EventStream(None, y1, y0, np.ones_like(o1), o1)
@@ -462,25 +312,26 @@ def _stream_taus(block: EventStream, scenario: SimScenario, kind: str) -> np.nda
     never in its padding, which repeats the row's last statistic."""
     design = scenario.design
     n = np.cumsum(block.o, axis=1)
-    if kind in ("exact", "plugin", "bayes"):
-        if kind == "exact":
-            null = log_kernel(block, math.log(design.theta0))
-
-            def trace(theta):
-                return np.cumsum(log_kernel(block, math.log(theta)) - null, axis=1)
-
-            stat = trace(design.theta1)
-            if design.two_sided:
-                stat = two_sided_log_evalue(stat, trace(1.0 / design.theta1))
-        else:
-            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            rows = zip(block.y1, block.y0, block.o, block.o1)
-            stat = np.array([
-                plugin_log_trace(EventStream(None, *row), scenario.m1, scenario.m0, design.theta0)
-                if kind == "plugin"
-                else bayes_log_trace(EventStream(None, *row), prior, design.theta0)
-                for row in rows
-            ])
+    if kind == "exact":
+        # one kernel call scores every cell at each alternative, theta1 (and
+        # 1/theta1 when two-sided), then at the null
+        alternatives = [math.log(design.theta1)]
+        if design.two_sided:
+            alternatives.append(math.log(1.0 / design.theta1))
+        cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
+        table = log_kernel(cells, np.array([alternatives + [math.log(design.theta0)]]))
+        traces = np.cumsum((table[:, :-1] - table[:, -1:]).reshape(n.shape + (len(alternatives),)), axis=1)
+        stat = two_sided_log_evalue(traces[..., 0], traces[..., 1]) if design.two_sided else traces[..., 0]
+        hit = stat >= design.log_threshold
+    elif kind in ("plugin", "bayes"):
+        prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
+        rows = zip(block.y1, block.y0, block.o, block.o1)
+        stat = np.array([
+            plugin_log_trace(EventStream(None, *row), scenario.m1, scenario.m0, design.theta0)
+            if kind == "plugin"
+            else bayes_log_trace(EventStream(None, *row), prior, design.theta0)
+            for row in rows
+        ])
         hit = stat >= design.log_threshold
     elif kind in ("gaussian", "obf", "fixed"):
         z = logrank_z(block)  # NaN, which crosses nothing, until the variance is positive
@@ -503,34 +354,91 @@ def _stream_taus(block: EventStream, scenario: SimScenario, kind: str) -> np.nda
     return np.where(hit.any(axis=1), n[np.arange(hit.shape[0]), first], np.inf)
 
 
+def _plugin_taus(
+    plugin: PluginLockstep, log_m: np.ndarray, events, rows: np.ndarray, start: int, design: DesignSpec
+) -> np.ndarray:
+    """Plug-in stopping times of the chunk's ``rows`` of single-event
+    streams over their events from ``start`` on, given as ``(events, rows)``
+    columns ``y1, y0, o1``.  One event at a time across the rows still
+    open, ``log_kernel`` at each row's estimate less the null adds to its
+    log e-value in ``log_m``, which carries it from one prefix to the next,
+    and then the event is folded into the row's estimate."""
+    y1, y0, o1 = events
+    taus = np.full(rows.size, np.inf)
+    grid = np.full((rows.size, 2), math.log(design.theta0))
+    ones = np.ones(rows.size, dtype=np.int64)
+    keep = np.arange(rows.size)  # the open rows, as columns of y1, y0, o1
+    for j in range(o1.shape[0]):
+        if not keep.size:
+            break
+        row = rows[keep]
+        event = EventStream(None, y1[j, keep], y0[j, keep], ones[: keep.size], o1[j, keep])
+        grid[: keep.size, 0] = plugin.beta[row]
+        k = log_kernel(event, grid[: keep.size])
+        log_m[row] += k[:, 0] - k[:, 1]
+        hit = log_m[row] >= design.log_threshold
+        taus[keep[hit]] = start + j + 1
+        informative = (event.y1 > 0) & (event.y0 > 0)
+        offsets = np.log(event.y1[informative]) - np.log(event.y0[informative])
+        plugin.add(start + j, row[informative], offsets, event.o1[informative])
+        keep = keep[~hit]
+    return taus
+
+
 def _stopping_times(
     scenario: SimScenario, kinds: Sequence[str], cap: int | None = None
 ) -> dict[str, np.ndarray]:
     """Stopping times of every replication for each test kind, every kind on
-    the same streams: in lockstep for single-event streams and the kinds it
-    knows, through the stream engine otherwise.  Replications are keyed
-    individually, so any chunking gives bit-identical results."""
-    lockstep = scenario.tie_h0 is None and set(kinds) <= set(_LOCKSTEP_KINDS)
+    the same streams.
+
+    Replications run over growing prefixes: ``_sample_block`` draws the
+    first ``_BLOCK`` events of the replications still running, then twice
+    as many, and so on up to the limit, in blocks of at most
+    ``_CELLS // 16`` cells, and ``_stream_taus`` scores each kind on the
+    rows that have not crossed for it.  A replication stops running once
+    every kind has crossed on it, so it is sampled to at most about twice
+    the events its decisions need.  The samplers are prefix-consistent, so
+    a longer prefix repeats the shorter one and a row first crosses where it
+    would on the whole stream.  On single-event streams the plug-in is
+    stepped by ``PluginLockstep`` instead, one event at a time across every
+    open replication of a chunk of ``_CELLS // (limit + 2)``, over the new
+    events of each prefix only, its state carried from one prefix to the
+    next.  Replications are keyed individually, so any chunking gives
+    bit-identical results.
+    """
+    kinds = list(dict.fromkeys(kinds))
     reps = scenario.replications
     limit = _event_limit(scenario, cap)
-    if lockstep:
-        # cells per replication of the lockstep's widest array: the
-        # plug-in history, or the block of uniforms
-        width = limit + 2 if "plugin" in kinds else min(_BLOCK, limit)
-        chunk = max(1, _LOCKSTEP_CELLS // width)
-    else:
-        chunk = max(1, _STREAM_CELLS // (scenario.m1 + scenario.m0))
-    parts: dict[str, list[np.ndarray]] = {k: [] for k in kinds}
+    taus = {k: np.full(reps, np.inf) for k in kinds}
+    stepped = "plugin" in kinds and scenario.tie_h0 is None
+    chunk = max(1, _CELLS // (limit + 2)) if stepped else reps
     for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        if lockstep:
-            taus = _evolve_single_event(scenario, kinds, cap, rep_range=(lo, hi))
-        else:
-            block = _sample_block(scenario, limit, lo, hi)
-            taus = {k: _stream_taus(block, scenario, k) for k in kinds}
-        for k in kinds:
-            parts[k].append(taus[k])
-    return {k: np.concatenate(v) for k, v in parts.items()}
+        rows = np.arange(lo, min(lo + chunk, reps))
+        if stepped:
+            plugin = PluginLockstep(rows.size, limit, scenario.m1, scenario.m0)
+            log_m = np.zeros(rows.size)
+        length = 0
+        while kinds and rows.size and length < limit:
+            done, length = length, min(max(2 * length, _BLOCK), limit)
+            size = max(1, _CELLS // (16 * length))
+            new = []  # the plug-in's open rows and their events past ``done``
+            for start in range(0, rows.size, size):
+                part = rows[start : start + size]
+                block = _sample_block(scenario, length, part)
+                for kind in kinds:
+                    open_ = np.isinf(taus[kind][part])
+                    if kind == "plugin" and stepped:
+                        events = (c[open_, done:].T for c in (block.y1, block.y0, block.o1))
+                        new.append((part[open_], *events))
+                    elif open_.any():
+                        on = EventStream(None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
+                        taus[kind][part[open_]] = _stream_taus(on, scenario, kind)
+            if new:
+                part, *events = (np.concatenate(c, axis=-1) for c in zip(*new))
+                del new
+                taus["plugin"][part] = _plugin_taus(plugin, log_m, events, part - lo, done, scenario.design)
+            rows = rows[np.isinf([taus[k][rows] for k in kinds]).any(axis=0)]
+    return taus
 
 
 def simulate_stopping_times(scenario: SimScenario, cap: int | None = None) -> np.ndarray:
@@ -612,10 +520,10 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     def extremes(steps: int):
         """Running maximum of ``sign * Z_n * sqrt(n)``, n = 1..steps, of
         each chunk of replications."""
-        chunk = max(1, _LOCKSTEP_CELLS // steps)
+        chunk = max(1, _CELLS // steps)
         root_n = np.sqrt(np.arange(1.0, steps + 1.0))
         for lo in range(0, reps, chunk):
-            z = logrank_z(_sample_block(scenario, steps, lo, min(lo + chunk, reps)))
+            z = logrank_z(_sample_block(scenario, steps, range(lo, min(lo + chunk, reps))))
             yield np.fmax.accumulate(sign * (z * root_n), axis=1)
 
     bounds = crit * np.sqrt(np.arange(1.0, limit + 1.0))
@@ -713,6 +621,9 @@ def design_table(
     single events; ``cap`` ends every stream after that many events.  The
     O'Brien-Fleming comparator needs single-event streams.
     """
+    for kind in kinds:
+        if kind not in ("exact", "gaussian", "plugin"):
+            raise ValueError(f"design_table sizes exact/gaussian/plugin designs, got {kind!r}")
     if include_obf and tie_h0 is not None:
         raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
     _check_cap(cap)
@@ -750,8 +661,7 @@ def design_table(
     def unattainable(kind: str, err: UnattainablePowerError) -> None:
         unattained.append({"test_kind": kind, "requested": err.requested, "achieved": err.achieved})
 
-    engine_kinds = [k for k in kinds if k in _LOCKSTEP_KINDS]
-    for kind, taus in (_stopping_times(scenario, engine_kinds, cap) if engine_kinds else {}).items():
+    for kind, taus in _stopping_times(scenario, kinds, cap).items():
         try:
             n_max = estimate_nmax(taus, power)
         except UnattainablePowerError as err:

@@ -419,7 +419,7 @@ def confidence_bounds_reference(stream, log_num, grid, alpha: float):
 
 # ---------------------------------------------------------------------------
 # per-stream simulation: the walker, tied sampler and summaries that the
-# package's lockstep and stream engines replaced
+# package's engine replaced
 # ---------------------------------------------------------------------------
 
 def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, horizon=None):

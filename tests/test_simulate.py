@@ -16,6 +16,9 @@ from safelogrank.simulate import (
     SimScenario,
     UnattainablePowerError,
     _BLOCK,
+    _sample_block,
+    _stopping_times,
+    _stream_taus,
     design_table,
     estimate_nmax,
     estimate_obf_nmax,
@@ -239,7 +242,7 @@ def test_engine_matches_per_stream(kind):
 
 def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
     # streams long enough that every replication's moments re-centre
-    # several times; the lockstep solves on running moments and the
+    # several times; the engine solves on running moments and the
     # per-stream traces on every offset, yet every crossing agrees
     import safelogrank.adaptive as adaptive
 
@@ -262,13 +265,15 @@ def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
 
 
 def small_chunks(monkeypatch, scenario, cap):
-    """Stopping times of ``scenario`` with both engines' chunks shrunk to a
-    few replications each."""
+    """Stopping times of ``scenario`` with the engine's chunks shrunk to a
+    few replications each: 2000 cells make plug-in chunks of 3 replications
+    at a limit of 549 events and sample other blocks one replication at a
+    time, so the replications still running at 512 events span several
+    chunks."""
     import safelogrank.simulate as simulate
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_LOCKSTEP_CELLS", 2000)
-        patch.setattr(simulate, "_STREAM_CELLS", 2000)
+        patch.setattr(simulate, "_CELLS", 2000)
         return simulate_stopping_times(scenario, cap=cap)
 
 
@@ -291,7 +296,7 @@ def test_engine_chunking_is_bit_identical(monkeypatch):
         assert (whole[np.isfinite(whole)] > _BLOCK).any() and np.isinf(whole).any()
         assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=cap))
         assert np.array_equal(whole, stopping_times_per_stream(scenario, cap=cap))
-    # the two-sided lockstep accumulators and the stream engine on tied streams
+    # two-sided designs, and single- and two-sided designs on tied streams
     for two_sided, tie_h0 in ((True, None), (False, 0.01), (True, 0.01)):
         scenario = SimScenario(
             m1=100, m0=100, theta=0.6, design=DesignSpec(theta1=0.7, two_sided=two_sided),
@@ -300,6 +305,66 @@ def test_engine_chunking_is_bit_identical(monkeypatch):
         whole = simulate_stopping_times(scenario, cap=120)
         assert np.isfinite(whole).any()
         assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=120))
+
+
+def test_kinds_scored_together_keep_their_own_stopping_times(monkeypatch):
+    # the engine samples 256 events, then 512, then the cap, and drops a
+    # replication only once every kind has crossed on it; here rows cross
+    # on different kinds before 256, between 256 and 512, after 512, and
+    # never, so a row dropped while another kind still needs it, or
+    # plug-in estimates lost between prefixes, would move a stopping time
+    kinds = ("exact", "gaussian", "plugin")
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.8, design=DesignSpec(theta1=0.7), replications=12, seed=1
+    )
+    together = _stopping_times(scenario, kinds, cap=600)
+    both = np.array([together["exact"], together["plugin"]])
+    assert ((both[0] <= _BLOCK) & (both[1] > _BLOCK)).any()
+    for lo, hi in ((0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 600)):
+        assert ((both > lo) & (both <= hi)).any(axis=1).all(), (lo, hi)
+    assert np.isinf(np.array(list(together.values()))).all(axis=0).any()
+    for kind in kinds:
+        alone = SimScenario(
+            m1=300, m0=300, theta=0.8, design=DesignSpec(theta1=0.7, test_kind=kind),
+            replications=12, seed=1,
+        )
+        assert np.array_equal(together[kind], simulate_stopping_times(alone, cap=600)), kind
+        assert np.array_equal(together[kind], stopping_times_per_stream(alone, cap=600)), kind
+    import safelogrank.simulate as simulate
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_CELLS", 2000)
+        chunked = _stopping_times(scenario, kinds, cap=600)
+    for kind in kinds:
+        assert np.array_equal(together[kind], chunked[kind]), kind
+
+
+def test_tied_bayes_crossings_straddle_a_prefix():
+    design = DesignSpec(theta1=0.7, test_kind="bayes")
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.6, design=design, replications=20, seed=3, tie_h0=0.02
+    )
+    fast = simulate_stopping_times(scenario)
+    assert (fast <= _BLOCK).any() and (np.isfinite(fast) & (fast > _BLOCK)).any()
+    assert np.array_equal(fast, stopping_times_per_stream(scenario))
+
+
+@pytest.mark.parametrize("tie_h0", [None, 0.02])
+@pytest.mark.parametrize(
+    "kind,n_max", [("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None),
+                   ("obf", 400), ("fixed", 300)],
+)
+def test_growing_prefixes_match_one_block_at_the_full_cap(kind, n_max, tie_h0):
+    # scoring every replication's whole stream in one block gives the same
+    # stopping times as the engine's growing prefixes, at cap = m1 + m0
+    design = DesignSpec(theta1=0.7, test_kind=kind, n_max=n_max)
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.75, design=design, replications=16, seed=2, tie_h0=tie_h0
+    )
+    fast = simulate_stopping_times(scenario, cap=600)
+    whole = _stream_taus(_sample_block(scenario, 600, range(16)), scenario, kind)
+    assert np.isfinite(fast).any() and (fast[np.isfinite(fast)] > _BLOCK).any()
+    assert np.array_equal(fast, whole)
 
 
 @pytest.mark.parametrize(
@@ -593,8 +658,8 @@ def test_stopping_distribution_insensitive_to_tie_coarseness():
 # ---------------------------------------------------------------------------
 
 def test_design_table_at_cli_defaults_keeps_memory_bounded():
-    # the lockstep loop holds a block of uniforms per replication, not the
-    # (replications, cap) array of 80 MB at these settings
+    # the engine samples and scores growing prefixes 2^16 cells at a time,
+    # not the (replications, cap) array of 80 MB at these settings
     import tracemalloc
 
     tracemalloc.start()
@@ -605,6 +670,12 @@ def test_design_table_at_cli_defaults_keeps_memory_bounded():
         tracemalloc.stop()
     assert [row.test_kind for row in table["rows"]] == ["exact", "fixed-classical"]
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("kind", ["bayes", "nonsense"])
+def test_design_table_refuses_kinds_it_cannot_size(kind):
+    with pytest.raises(ValueError, match=kind):
+        design_table(0.7, 100, 100, replications=10, kinds=(kind,))
 
 
 def test_design_table_structure():
