@@ -29,16 +29,15 @@ Two strategies are provided:
   (radius pi); a tied batch contributes the cumulants of its Fisher
   noncentral hypergeometric law, taken from the central moments of its
   support table, used within ``2.2 / sd`` of the centre when its tilted sd
-  is large.  A trace solves 64 consecutive prefixes of the stream as the
-  rows of one call, on the series of the history before them plus prefix
-  sums of one series per new event.  The simulation engine samples
-  growing prefixes of many replications' streams and steps their
-  estimates over each prefix's new events, one event across all open
-  replications at a time (``PluginLockstep``), adding one row of moments
-  per event.  A solve reads a row's stored history only when its iterate
-  leaves the radius, and then re-centres there, so a trace costs work
-  close to linear in its length and an engine step work linear in the
-  number of replications.
+  is large.  ``_plugin_betas`` fits many rows of streams at once and
+  carries each row's fit from one call to the next: it solves blocks of up
+  to 64 prefixes of every row as the rows of one call, on the series of
+  the history before them plus prefix sums of one series per new batch.  A
+  trace is one call on one row; the simulation engine calls it on the open
+  replications of each growing prefix, a span of events at a time.  A
+  solve reads a row's stored history only when its iterate leaves the
+  radius, and then re-centres there, so a stream costs work close to
+  linear in its length.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
   ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
@@ -72,7 +71,6 @@ from .core import (
 __all__ = [
     "PriorSpec",
     "ConfidenceSequence",
-    "PluginLockstep",
     "plugin_newton",
     "plugin_estimates",
     "plugin_log_trace",
@@ -139,12 +137,6 @@ def plugin_newton(
     return b
 
 
-def _virtual_offsets(m1: int, m0: int) -> tuple[float, float]:
-    """Offsets ``log(y1/y0)`` of the two virtual events: a treatment event
-    at ``(m1+1, m0)`` and a control event at ``(m1, m0+1)``."""
-    return math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))
-
-
 # The score is a sum of means, expanded as a Taylor series about a centre.
 # Every derivative of the sigmoid is a polynomial in the sigmoid itself,
 # P_0(s) = s and P_{k+1}(s) = P_k'(s) s (1 - s).  The series has radius pi
@@ -192,18 +184,19 @@ def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, s / (1.0 + np.exp(x))
 
 
-def _moments_about(c: np.ndarray, at: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
+def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.ndarray:
     """Summed power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each row of
     offsets ``c`` (``-inf`` where empty, which adds nothing) about the
     centres ``at``, one row per centre: ``s`` is the sigmoid of
-    ``at + c`` and ``t = s (1 - s)``.  With ``ends``, ``c`` is one row of
-    offsets and centre r reads its first ``ends[r]``.  A row's bits depend
-    on its offsets and the width of ``c`` only."""
+    ``at + c`` and ``t = s (1 - s)``.  With ``rows`` and ``ends``, centre
+    r reads the first ``ends[r]`` offsets of row ``rows[r]``.  A row's bits
+    depend on its offsets and the width of ``c`` only."""
     out = np.empty((at.size, _ORDER + 2))
     step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[-1])))
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        x = c[part] if ends is None else np.where(np.arange(c.size) < ends[part, None], c, -np.inf)
+        x = c[part] if ends is None else np.where(
+            np.arange(c.shape[1]) < ends[part, None], c[rows[part]] if c.shape[0] > 1 else c, -np.inf)
         s, t = _sigmoids(x + at[part, None])
         # moment-major, one whole-array product per power: several times
         # faster than np.cumprod across the moments, and the same products
@@ -211,7 +204,7 @@ def _moments_about(c: np.ndarray, at: np.ndarray, ends: np.ndarray | None = None
         p[0], p[1] = s, t
         for k in range(2, _ORDER + 2):
             np.multiply(p[k - 1], s, out=p[k])
-        out[part] = p.sum(axis=2).T
+        out[part] = (p.sum(axis=2) if p.shape[2] > 1 else p[:, :, 0]).T  # one offset a row: its own sum
     return out
 
 
@@ -320,159 +313,150 @@ class _SeriesTerm:
     def __call__(self, b, active):
         h = b - self.centre
         far = np.abs(h) > self.radius
-        far &= active
-        if far.any():
-            far = np.flatnonzero(far)
+        if far.any() and (far := np.flatnonzero(far & active)).size:
             self.series[far], self.radius[far] = self.history(far, b[far])
             self.centre[far] = b[far]
             h[far] = 0.0
-        self.powers[:, 1:] = h[:, None]
-        np.cumprod(self.powers, axis=1, out=self.powers)
-        return np.einsum("rjk,rk->jr", self.series, self.powers)
+        p = self.powers
+        p[:, 1:] = h[:, None]
+        if h.size > _BLOCK:  # many rows: whole-column products beat cumprod along short rows
+            for k in range(2, _ORDER + 1):
+                np.multiply(p[:, k - 1], h, out=p[:, k])
+        else:
+            np.cumprod(p, axis=1, out=p)
+        return np.einsum("rjk,rk->jr", self.series, p)
 
 
-class PluginLockstep:
-    """Plug-in estimates of many streams of single events that grow by one
-    event per step: the numerator of the simulation engine's plug-in test.
-    The engine steps it over the new events of each growing prefix it
-    samples, so the state carries from one prefix to the next.
-
-    Each stream keeps its offsets ``log(y1/y0)`` (the two virtual events,
-    then one slot per step, ``-inf`` where the stream had no informative
-    event), its treatment count, its estimate ``beta`` and the power
-    moments of its single events about a centre of its own.  An event adds
-    one row of moments, and the offsets are read only when a solve moves a
-    stream's iterate more than ``_RADIUS`` from its centre, so a step costs
-    work linear in the number of streams, not in the length of the history.
-    """
-
-    def __init__(self, streams: int, steps: int, m1: int, m0: int):
-        self.offsets = np.full((streams, steps + 2), -np.inf)
-        self.offsets[:, :2] = _virtual_offsets(m1, m0)
-        self.o1_sum = np.ones(streams)
-        moments, centre = _moments_about(self.offsets[:1, :2], np.zeros(1)), np.zeros(1)
-        beta = self._solve(np.zeros(1), 1.0, moments, centre, lambda r: self.offsets[r, :2])
-        self.beta = np.full(streams, beta[0])
-        self.moments = np.repeat(moments, streams, axis=0)
-        self.centre = np.full(streams, centre[0])
-
-    @staticmethod
-    def _solve(beta, o1_sum, moments, centre, offsets):
-        """``plugin_newton`` on running moments about ``centre``; a row that
-        re-centres reads ``offsets(rows)``, and its ``moments`` and
-        ``centre`` are updated in place."""
-
-        def history(r, at):
-            moments[r] = _moments_about(offsets(r), at)
-            return _series(moments[r]), _RADIUS
-
-        term = _SeriesTerm(_series(moments), centre, np.full(centre.size, _RADIUS), history)
-        return plugin_newton(beta, o1_sum, term)
-
-    def add(self, step: int, rows: np.ndarray, offsets: np.ndarray, o1: np.ndarray) -> None:
-        """Fold event ``step`` of the streams ``rows`` (offsets
-        ``log(y1/y0)``, treatment indicators ``o1``) into their histories
-        and re-solve their estimates."""
-        self.offsets[rows, step + 2] = offsets
-        self.o1_sum[rows] += o1
-        centre = self.centre[rows]
-        moments = self.moments[rows] + _moments_about(offsets[:, None], centre)
-        self.beta[rows] = self._solve(
-            self.beta[rows], self.o1_sum[rows], moments, centre,
-            lambda r: self.offsets[rows[r], : step + 3],
-        )
-        self.moments[rows], self.centre[rows] = moments, centre
-
-
-# Estimates solved together, one row per prefix of the stream.  The block
-# and its single-event width depend on the row index only, so a prefix of a
-# stream of single events gets bit-identical estimates.
+# Estimates solved together, one row per prefix of a stream.  The block and
+# its single-event width depend on the prefix's position only, so a row gets
+# bit-identical estimates whatever the rows solved with it, and a prefix of
+# a stream of single events those of the whole stream.
 _BLOCK = 64
 
 
-def _plugin_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.ndarray:
-    """``log(theta_hat)`` fitted on the first ``i`` event times, i = 0..n;
-    ``m1``/``m0`` default to the risk set of the first batch.
+class _PluginFit:
+    """What ``_plugin_betas`` carries for each row from call to call: the
+    estimate, treatment count, centre, radius and series (``state``), the
+    batches taken, virtual events included, and the history: the offsets
+    ``log(y1/y0)`` of its informative single events in order, and the
+    ``(y1, y0, o)`` of its informative tied batches (one-row fits only)."""
 
-    The two virtual events lead the history as batches of their own, and
-    the history is laid out once: the single events as one column of
-    offsets ``log(y1/y0)``, the informative tied batches as one support
-    table, and the running treatment count of both.  Blocks of ``_BLOCK``
-    consecutive prefixes are solved together by ``plugin_newton``,
-    warm-started from the last estimate of the block before, on Taylor
-    series about one centre (``_SeriesTerm``): the series of the fit
-    before the block plus prefix sums of one series per new event, power
-    moments for a single event and cumulants for a tied batch.  A row whose
-    iterate leaves the radius re-centres on its own history.  The next
-    block starts from the series its last row ended with, and reads its
-    history again about the warm start only when that row's centre is more
-    than half the radius from it, so a trace costs time close to linear in
-    its length.  Forced batches carry no likelihood information and leave
-    the estimate unchanged.
+    def __init__(self, rows: int, m1: int, m0: int, batches: int):
+        if m1 < 1 or m0 < 1:
+            raise ValueError(f"initial group sizes must be >= 1, got m1={m1}, m0={m0}")
+        self.m1, self.m0 = m1, m0
+        self.state = np.zeros((rows, 4 + 2 * (_ORDER + 1)))
+        self.state[:, 3] = _RADIUS
+        self.taken, self.held = np.zeros((2, rows), dtype=np.int64)
+        self.offsets = np.full((rows, batches + 2 + _BLOCK), -np.inf)
+        self.tied = np.zeros((3, 0), dtype=np.int64)
+
+
+def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarray:
+    """``log(theta_hat)`` of rows ``rows`` of ``fit``, fitted on their
+    history and the first j of the new batches ``y1, y0, o, o1`` (``(rows,
+    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  The rows must have taken
+    the same number of batches; a new fit takes the two virtual events
+    first, as batches of their own.
+
+    Blocks of at most ``_BLOCK`` prefixes of every row, from where the rows
+    stand, are solved together by ``plugin_newton``, warm-started from each
+    row's last estimate, on Taylor series about the row's centre
+    (``_SeriesTerm``): the series of the fit before the block plus prefix
+    sums of one series per new batch, power moments for a single event and
+    cumulants for a tied batch.  A prefix whose iterate leaves the radius
+    re-centres on its own history, read as a row as wide as the block's
+    start plus ``_BLOCK``.  The next block starts from the series each
+    row's last prefix ended with, read again about the warm start only when
+    that centre is more than half the radius from it.  Forced batches leave
+    the fit unchanged.
     """
-    m1 = int(stream.y1[0]) if m1 is None else m1
-    m0 = int(stream.y0[0]) if m0 is None else m0
-    if m1 < 1 or m0 < 1:
-        raise ValueError(f"initial group sizes must be >= 1, got m1={m1}, m0={m0}")
-    # a virtual treatment event at (m1+1, m0), a virtual control event at (m1, m0+1)
-    y1 = np.concatenate([[m1 + 1, m1], stream.y1])
-    y0 = np.concatenate([[m0, m0 + 1], stream.y0])
-    o = np.concatenate([[1, 1], stream.o])
-    o1 = np.concatenate([[1, 0], stream.o1])
-    n = o.size
+    taken = int(fit.taken[rows[0]])
+    lead = 0 if taken else 2
+    if lead:  # a virtual treatment event at (m1+1, m0), a virtual control event at (m1, m0+1)
+        columns = np.empty((4, rows.size, 2 + o.shape[1]), dtype=np.int64)
+        columns[:, :, :2] = [[[fit.m1 + 1, fit.m1]], [[fit.m0, fit.m0 + 1]], [[1, 1]], [[1, 0]]]
+        columns[:, :, 2:] = y1, y0, o, o1
+        y1, y0, o, o1 = columns
+    n = o.shape[1]
     informative = np.maximum(0, o - y0) != np.minimum(o, y1)
     single = informative & (o == 1)
     tied = informative & (o > 1)
-    ends = np.concatenate([[0], np.cumsum(single)])  # offsets held by the fit on i
-    n_tied = np.concatenate([[0], np.cumsum(tied)])
-    o1_sum = np.concatenate([[0.0], np.cumsum(np.where(informative, o1, 0), dtype=float)])
+    gap = np.log(np.maximum(y1, 1)) - np.log(np.maximum(y0, 1))  # log(y1/y0) where single
+    # running counts over the first j new batches, j = 0..n: single events
+    # (the offsets held), tied batches and treatment events
+    counts = np.zeros((3, rows.size, n + 1), dtype=np.int64)
+    counts[:, :, 1:] = single, tied, np.where(informative, o1, 0)
+    np.cumsum(counts, axis=2, out=counts)
+    state = fit.state[rows]
+    beta, o1_sum, centre, base_radius = state[:, :4].T
+    base = state[:, 4:].reshape(-1, 2, _ORDER + 1)
+    ends, n_tied = fit.held[rows, None] + counts[0], fit.tied.shape[1] + counts[1]
+    o1_sum = o1_sum[:, None] + counts[2]
+    r, j = np.nonzero(single)
+    fit.offsets[rows[r], ends[r, j]] = gap[single]
+    has_tied = tied.any()
+    if has_tied:
+        if fit.offsets.shape[0] > 1:
+            raise ValueError("tied batches are fitted one row at a time")
+        fit.tied = np.concatenate([fit.tied, np.stack([y1[tied], y0[tied], o[tied]])], axis=1)
+        t_u, t_lw = (table.astype(float) for table in _support_table(*fit.tied))
 
-    c = np.full(n + _BLOCK, -np.inf)
-    c[: ends[-1]] = np.log(y1[single]) - np.log(y0[single])
-    if n_tied[-1]:
-        t_u, t_lw = _support_table(y1[tied], y0[tied], o[tied])
-        t_u = t_u.astype(float)
-
-    def history(i, at, width):
-        """Series of the fits on the first ``i`` batches about ``at``, and
-        their radii; the single events read as a row of ``width``."""
-        series = _series(_moments_about(c[:width], at, ends[i]))
-        if not n_tied[-1]:
-            return series, np.full(i.size, _RADIUS)
-        tied_series, sd = _tied_sums(t_u, t_lw, n_tied[i], at)
+    def history(r, i, at, width, shift=0):
+        """Series about ``at``, and radii, of the fits of rows ``r`` on their
+        first ``shift + i`` new batches; single events read ``width`` wide."""
+        i = i + shift
+        series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
+        if not fit.tied.size:
+            return series, np.full(at.size, _RADIUS)
+        tied_series, sd = _tied_sums(t_u, t_lw, n_tied[r, i], at)
         return series + tied_series, _radius(sd)
 
-    betas = np.empty(n + 1)
-    warm = centre = 0.0
-    base, base_radius = np.zeros((2, _ORDER + 1)), _RADIUS  # the fit on no batches
-    for start in range(0, n, _BLOCK):
-        # the fits on the first start..stop batches: one series per batch,
-        # summed onto the fit before; a row's radius is its batches' least
-        stop = min(start + _BLOCK, n)
-        step = np.zeros((1 + stop - start, 2, _ORDER + 1))
-        radius = np.full(1 + stop - start, _RADIUS)
-        step[0], radius[0] = base, base_radius
-        s, t = 1 + np.flatnonzero(single[start:stop]), 1 + np.flatnonzero(tied[start:stop])
-        step[s] = _series(_moments_about(c[ends[start] : ends[stop], None], np.full(s.size, centre)))
-        if t.size:
-            part = slice(n_tied[start], n_tied[stop])
-            step[t], sd = _tied_series(t_u[part], t_lw[part], np.full(t.size, centre))
-            radius[t] = _radius(sd)
-        np.cumsum(step, axis=0, out=step)
-        np.minimum.accumulate(radius, out=radius)
+    betas = np.empty((rows.size, n + 1))
+    betas[:, 0] = beta
+    for lo in range(0, n, _BLOCK):
+        # the fits on the new batches lo..hi: one series per batch, summed
+        # onto the fit before; a prefix's radius is its batches' least
+        hi, start = min(lo + _BLOCK, n), taken + lo
+        step = np.zeros((rows.size, 1 + hi - lo, 2, _ORDER + 1))
+        radius = np.full(step.shape[:2], _RADIUS)
+        step[:, 0], radius[:, 0] = base, base_radius
+        s, t = single[:, lo:hi], tied[:, lo:hi]
+        step[:, 1:][s] = _series(_moments_about(gap[:, lo:hi][s][:, None], centre.repeat(s.sum(axis=1))))
+        if has_tied and t.any():
+            part = slice(n_tied[0, lo], n_tied[0, hi])
+            step[:, 1:][t], sd = _tied_series(t_u[part], t_lw[part], np.full(t.sum(), centre[0]))
+            radius[:, 1:][t] = _radius(sd)
+        np.cumsum(step, axis=1, out=step)
+        np.minimum.accumulate(radius, axis=1, out=radius)
 
-        rows = np.arange(max(start + 1, 2), stop + 1)  # a fit holds both virtual events
+        first = max(1, 2 - start)  # a fit holds both virtual events
+        count = hi - lo + 1 - first
         term = _SeriesTerm(
-            step[rows - start], np.full(rows.size, centre), radius[rows - start],
-            lambda r, at: history(rows[r], at, start + _BLOCK),
+            step[:, first:].reshape(-1, 2, _ORDER + 1), centre.repeat(count), radius[:, first:].ravel(),
+            lambda f, at: history(*np.divmod(f, count), at, start + _BLOCK, lo + first),
         )
-        betas[rows] = plugin_newton(np.full(rows.size, warm), o1_sum[rows], term)
-        warm = betas[stop]
-        base, centre, base_radius = term.series[-1], term.centre[-1], term.radius[-1]
-        if abs(warm - centre) > 0.5 * base_radius:
-            centre = warm
-            (base,), (base_radius,) = history(rows[-1:], np.full(1, centre), start + _BLOCK)
-    return betas[2:]
+        b = plugin_newton(beta.repeat(count), o1_sum[:, lo + first : hi + 1].ravel(), term)
+        betas[:, lo + first : hi + 1] = b.reshape(rows.size, count)
+        last = slice(count - 1, None, count)  # each row's last prefix
+        beta[:], base[:] = b[last], term.series[last]
+        centre[:], base_radius[:] = term.centre[last], term.radius[last]
+        far = np.abs(beta - centre) > 0.5 * base_radius
+        if far.any():
+            far = np.flatnonzero(far)
+            centre[far] = beta[far]
+            base[far], base_radius[far] = history(far, np.full(far.size, hi), centre[far], start + _BLOCK)
+    state[:, 1] = o1_sum[:, -1]
+    fit.state[rows], fit.held[rows] = state, ends[:, -1]
+    fit.taken[rows] += n
+    return betas[:, lead:]
+
+
+def _stream_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.ndarray:
+    """``log(theta_hat)`` on the first i event times, i = 0..n, by one call on a one-row fit."""
+    m1, m0 = int(stream.y1[0]) if m1 is None else m1, int(stream.y0[0]) if m0 is None else m0
+    columns = (c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1))
+    return _plugin_betas(_PluginFit(1, m1, m0, stream.o.size), np.zeros(1, dtype=np.int64), *columns)[0]
 
 
 def plugin_estimates(
@@ -490,7 +474,7 @@ def plugin_estimates(
     defaults to the first batch's.  Entry 0 comes from the virtual points
     alone (exactly 1 for a balanced initial risk set).
     """
-    return np.exp(_plugin_betas(stream, m1, m0))
+    return np.exp(_stream_betas(stream, m1, m0))
 
 
 def plugin_log_trace(
@@ -512,7 +496,7 @@ def plugin_log_trace(
     if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    log_num = log_kernel(stream, _plugin_betas(stream, m1, m0)[:-1])
+    log_num = log_kernel(stream, _stream_betas(stream, m1, m0)[:-1])
     trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
     return (trace, log_num) if return_numerator else trace
 
@@ -588,20 +572,30 @@ def bayes_log_trace(
     With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
     the unnormalized log posterior before event time i is
     ``log prior + sum_{k<i} K[k]`` and the log predictive is
-    ``logsumexp(posterior + K[i]) - logsumexp(posterior)``.
+    ``logsumexp(posterior + K[i]) - logsumexp(posterior)``.  The table is
+    read in chunks of event-time rows, ``_FAMILY_CELLS`` cells at a time,
+    with the running posterior carried into each chunk's first row, as
+    ``confidence_sequence`` reads its family.
     """
     theta0 = validate_theta(theta0, "theta0")
     if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    table = log_kernel(stream, np.log(prior.thetas)[None, :])
-    log_post = np.empty_like(table)
+    log_grid, n = np.log(prior.thetas)[None, :], stream.o.size
+    log_num = np.empty(n)
     with np.errstate(divide="ignore"):
-        log_post[0] = np.log(prior.weights)
-    log_post[1:] = table[:-1]
-    np.cumsum(log_post, axis=0, out=log_post)
-    table += log_post
-    log_num = _logsumexp_rows(table) - _logsumexp_rows(log_post)
+        carry = np.log(prior.weights)  # the log posterior before the chunk
+    step = max(1, _FAMILY_CELLS // prior.thetas.size)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
+        table = log_kernel(rows, log_grid)
+        log_post = np.empty_like(table)
+        log_post[0], log_post[1:] = carry, table[:-1]
+        np.cumsum(log_post, axis=0, out=log_post)
+        carry = log_post[-1] + table[-1]
+        table += log_post
+        log_num[part] = _logsumexp_rows(table) - _logsumexp_rows(log_post)
     if not np.isfinite(log_num).all():
         raise ValueError(
             "posterior predictive underflowed to zero; the prior grid puts "

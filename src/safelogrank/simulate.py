@@ -21,15 +21,16 @@ columns are ``(replications, L)`` arrays, one stream per row in event
 order, tied rows padded with empty batches that add exactly 0 to every sum.
 ``core.log_kernel`` and ``gaussian.logrank_z`` (or the learned numerators)
 run over the block, and running sums along each row give the first
-crossing.  The engine scores growing prefixes: the first 256 events, then
-512 and so on up to the limit, each drawn again for the replications that
-some requested test has not yet stopped, so a replication is sampled to at
-most about twice the events its decisions need.  The samplers are
-prefix-consistent, so every prefix gives the stopping times of the whole
-stream.  O'Brien-Fleming sizing reads single-event blocks from the same
-function and scans the running extremes of ``Z_n * sqrt(n)`` for the
-shortest horizon with the design's power.  Replications are taken in
-chunks, so memory stays bounded however many there are.
+crossing.  The engine scores growing prefixes, the first 256 events, then
+512 and so on up to the limit, each for the replications that some
+requested test has not yet stopped; a single-event plug-in goes on from
+its fits on the prefix before.  The samplers are prefix-consistent, so
+every prefix gives the stopping times of the whole stream, and a
+replication is sampled to at most about twice the events its decisions
+need.  O'Brien-Fleming sizing scans growing prefixes of single-event
+blocks for the shortest horizon with the design's power, from the running
+extremes of ``Z_n * sqrt(n)``.  Replications are taken in chunks, so
+memory stays bounded however many there are.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -48,7 +49,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .adaptive import PluginLockstep, PriorSpec, bayes_log_trace, plugin_log_trace
+from .adaptive import _BLOCK as _SPAN, _ORDER, PriorSpec, _PluginFit, _plugin_betas
+from .adaptive import bayes_log_trace, plugin_log_trace
 from .core import (
     EventStream,
     log_kernel,
@@ -272,11 +274,11 @@ def _event_limit(scenario: SimScenario, cap: int | None) -> int:
 _BLOCK = 256
 
 # Replications x events per array: 2^20 cells keep each array at 8 MB.  The
-# plug-in and the O'Brien-Fleming scan step every event across a chunk of
-# replications whose history or block fills _CELLS cells, since larger
-# chunks pay the per-event cost of numpy fewer times.  A block that is only
-# scored holds about 16 arrays of its size at once, so the engine samples
-# and scores _CELLS // 16 cells at a time.
+# plug-in fits of a chunk of replications hold their histories in about
+# _CELLS cells, and the O'Brien-Fleming scan samples chunks whose blocks
+# fill _CELLS cells.  A block that is only scored holds about 16 arrays of
+# its size at once, so the engine samples and scores _CELLS // 16 cells at
+# a time.
 _CELLS = 1 << 20
 
 
@@ -354,34 +356,33 @@ def _stream_taus(block: EventStream, scenario: SimScenario, kind: str) -> np.nda
     return np.where(hit.any(axis=1), n[np.arange(hit.shape[0]), first], np.inf)
 
 
-def _plugin_taus(
-    plugin: PluginLockstep, log_m: np.ndarray, events, rows: np.ndarray, start: int, design: DesignSpec
+def _plugin_crossings(
+    fit: _PluginFit, log_m: np.ndarray, rows: np.ndarray, block: EventStream, done: int, design: DesignSpec
 ) -> np.ndarray:
-    """Plug-in stopping times of the chunk's ``rows`` of single-event
-    streams over their events from ``start`` on, given as ``(events, rows)``
-    columns ``y1, y0, o1``.  One event at a time across the rows still
-    open, ``log_kernel`` at each row's estimate less the null adds to its
-    log e-value in ``log_m``, which carries it from one prefix to the next,
-    and then the event is folded into the row's estimate."""
-    y1, y0, o1 = events
+    """Plug-in stopping times of rows ``rows`` of ``fit``, whose single-event
+    streams ``block`` (``(rows, L)`` columns) are solved and scored up to
+    event ``done``.  Chunks of rows holding about ``_CELLS // 8`` cells of
+    series go on in spans as long as the events before them, a quarter of
+    ``_SPAN`` to ``_SPAN``: ``_plugin_betas`` solves a span for the rows
+    still open, one ``log_kernel`` call scores it at the estimates before
+    each event less the null, and a row drops out at its first crossing."""
     taus = np.full(rows.size, np.inf)
-    grid = np.full((rows.size, 2), math.log(design.theta0))
-    ones = np.ones(rows.size, dtype=np.int64)
-    keep = np.arange(rows.size)  # the open rows, as columns of y1, y0, o1
-    for j in range(o1.shape[0]):
-        if not keep.size:
-            break
-        row = rows[keep]
-        event = EventStream(None, y1[j, keep], y0[j, keep], ones[: keep.size], o1[j, keep])
-        grid[: keep.size, 0] = plugin.beta[row]
-        k = log_kernel(event, grid[: keep.size])
-        log_m[row] += k[:, 0] - k[:, 1]
-        hit = log_m[row] >= design.log_threshold
-        taus[keep[hit]] = start + j + 1
-        informative = (event.y1 > 0) & (event.y0 > 0)
-        offsets = np.log(event.y1[informative]) - np.log(event.y0[informative])
-        plugin.add(start + j, row[informative], offsets, event.o1[informative])
-        keep = keep[~hit]
+    size = max(1, _CELLS // (16 * (_ORDER + 1) * (_SPAN + 1)))
+    for lo in range(0, rows.size, size):
+        keep, pos = np.arange(lo, min(lo + size, rows.size)), done  # the chunk's open rows
+        while keep.size and pos < block.o.shape[1]:
+            stop = min(block.o.shape[1], pos + min(_SPAN, max(_SPAN // 4, pos)))
+            span = [c[keep, pos:stop] for c in (block.y1, block.y0, block.o, block.o1)]
+            betas = _plugin_betas(fit, rows[keep], *span)[:, :-1]
+            grid = np.stack([betas.ravel(), np.full(betas.size, math.log(design.theta0))], axis=1)
+            k = log_kernel(EventStream(None, *(c.ravel() for c in span)), grid)
+            steps = (k[:, 0] - k[:, 1]).reshape(betas.shape)
+            trace = np.cumsum(np.concatenate([log_m[rows[keep], None], steps], axis=1), axis=1)
+            hit = trace[:, 1:] >= design.log_threshold
+            crossed = hit.any(axis=1)
+            taus[keep[crossed]] = pos + hit[crossed].argmax(axis=1) + 1
+            log_m[rows[keep]] = trace[:, -1]
+            keep, pos = keep[~crossed], stop
     return taus
 
 
@@ -399,10 +400,10 @@ def _stopping_times(
     every kind has crossed on it, so it is sampled to at most about twice
     the events its decisions need.  The samplers are prefix-consistent, so
     a longer prefix repeats the shorter one and a row first crosses where it
-    would on the whole stream.  On single-event streams the plug-in is
-    stepped by ``PluginLockstep`` instead, one event at a time across every
-    open replication of a chunk of ``_CELLS // (limit + 2)``, over the new
-    events of each prefix only, its state carried from one prefix to the
+    would on the whole stream.  On single-event streams the plug-in goes on
+    from the prefix before: ``_plugin_crossings`` solves and scores each
+    prefix's new events only, for chunks of ``_CELLS // (limit + 2)``
+    replications whose fits (``_PluginFit``) carry from one prefix to the
     next.  Replications are keyed individually, so any chunking gives
     bit-identical results.
     """
@@ -415,28 +416,23 @@ def _stopping_times(
     for lo in range(0, reps, chunk):
         rows = np.arange(lo, min(lo + chunk, reps))
         if stepped:
-            plugin = PluginLockstep(rows.size, limit, scenario.m1, scenario.m0)
+            fit = _PluginFit(rows.size, scenario.m1, scenario.m0, limit)
             log_m = np.zeros(rows.size)
         length = 0
         while kinds and rows.size and length < limit:
             done, length = length, min(max(2 * length, _BLOCK), limit)
             size = max(1, _CELLS // (16 * length))
-            new = []  # the plug-in's open rows and their events past ``done``
             for start in range(0, rows.size, size):
                 part = rows[start : start + size]
                 block = _sample_block(scenario, length, part)
                 for kind in kinds:
                     open_ = np.isinf(taus[kind][part])
-                    if kind == "plugin" and stepped:
-                        events = (c[open_, done:].T for c in (block.y1, block.y0, block.o1))
-                        new.append((part[open_], *events))
-                    elif open_.any():
+                    if open_.any():
                         on = EventStream(None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
-                        taus[kind][part[open_]] = _stream_taus(on, scenario, kind)
-            if new:
-                part, *events = (np.concatenate(c, axis=-1) for c in zip(*new))
-                del new
-                taus["plugin"][part] = _plugin_taus(plugin, log_m, events, part - lo, done, scenario.design)
+                        taus[kind][part[open_]] = (
+                            _plugin_crossings(fit, log_m, part[open_] - lo, on, done, scenario.design)
+                            if kind == "plugin" and stepped else _stream_taus(on, scenario, kind)
+                        )
             rows = rows[np.isinf([taus[k][rows] for k in kinds]).any(axis=0)]
     return taus
 
@@ -506,6 +502,10 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     the maximum and ``>=`` on the right), so one running extreme per stream
     answers every candidate horizon at once.  ``Z_n`` is ``logrank_z`` of
     single-event blocks from ``_sample_block``, in chunks of replications.
+    The scan reads growing prefixes, the first ``_BLOCK`` events, then
+    twice as many and so on up to ``cap``, and stops at the first prefix
+    that holds a horizon with the power: the samplers are
+    prefix-consistent, so that horizon is the one a scan to ``cap`` finds.
     A second pass over the first ``h`` events of the same streams gives the
     stopping times, by the same comparison.
     """
@@ -526,10 +526,15 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
             z = logrank_z(_sample_block(scenario, steps, range(lo, min(lo + chunk, reps))))
             yield np.fmax.accumulate(sign * (z * root_n), axis=1)
 
-    bounds = crit * np.sqrt(np.arange(1.0, limit + 1.0))
-    crossed = sum((e >= bounds).sum(axis=0) for e in extremes(limit))
-    reached = np.flatnonzero(crossed / reps >= design.power)
-    if not reached.size:
+    length = 0
+    while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
+        length = min(max(2 * length, _BLOCK), limit)
+        bounds = crit * np.sqrt(np.arange(1.0, length + 1.0))
+        crossed = sum((e >= bounds).sum(axis=0) for e in extremes(length))
+        reached = np.flatnonzero(crossed / reps >= design.power)
+        if reached.size:
+            break
+    else:
         raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
     h = int(reached[0]) + 1
     hits = [e >= bounds[h - 1] for e in extremes(h)]

@@ -16,10 +16,11 @@ from safelogrank.core import _support_table, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
     _RADIUS,
-    PluginLockstep,
     PriorSpec,
+    _PluginFit,
     _SeriesTerm,
     _moments_about,
+    _plugin_betas,
     _radius,
     _series,
     _tied_sums,
@@ -333,31 +334,67 @@ def test_plugin_trace_matches_exact_prefix_solve(stream):
     assert np.abs(got - reference).max() <= 1e-12 * (1 + _largest_tie(stream))
 
 
-def test_plugin_lockstep_matches_trace_estimates():
-    # streams grown together one event per step, as the simulation engine
-    # grows them, against each stream's prefixes solved exactly: estimates
-    # within 1e-12 through several re-centrings
+def _grow(fit, rows, streams, spans, drops=None):
+    """Each row's estimates from ``_plugin_betas`` called on ``fit`` with
+    the rows of ``streams`` that are still in, span by span; ``drops[r]``
+    is the number of spans after which row r leaves, as a row of the
+    engine leaves at its first crossing."""
+    columns = [np.array([getattr(s, c) for s in streams]) for c in ("y1", "y0", "o", "o1")]
+    got, pos = [[] for _ in rows], 0
+    for k, span in enumerate(spans):
+        keep = np.array([r for r in range(len(rows)) if drops is None or k < drops[r]], dtype=np.int64)
+        if keep.size:
+            betas = _plugin_betas(fit, rows[keep], *(c[keep, pos : pos + span] for c in columns))
+            for r, row in zip(keep, betas):
+                got[r].extend(row if not got[r] else row[1:])
+        pos += span
+    return [np.array(g) for g in got]
+
+
+def test_plugin_rows_grown_over_uneven_spans_match_exact_estimates():
+    # five streams fitted together over spans of uneven length, some within
+    # one block and some across several, against each stream's prefixes
+    # solved exactly: estimates within 1e-12 through several re-centrings;
+    # the control group runs out in some streams, so their later events are
+    # forced
     m1, m0, thetas = 300, 250, (0.3, 0.7, 1.0, 1.6, 3.0)
     streams = [
         sample_single_event_stream(m1, m0, theta, stream_rng(7, r), max_events=500)
         for r, theta in enumerate(thetas)
     ]
-    steps = max(s.o.size for s in streams)
-    lockstep = PluginLockstep(len(streams), steps, m1, m0)
-    got = np.full((len(streams), steps + 1), lockstep.beta[0])
-    for i in range(steps):
-        rows = np.array(
-            [r for r, s in enumerate(streams) if i < s.o.size and min(s.y1[i], s.y0[i]) > 0]
-        )
-        if rows.size:
-            y1 = np.array([streams[r].y1[i] for r in rows], dtype=float)
-            y0 = np.array([streams[r].y0[i] for r in rows], dtype=float)
-            o1 = np.array([streams[r].o1[i] for r in rows])
-            lockstep.add(i, rows, np.log(y1) - np.log(y0), o1)
-        got[:, i + 1] = lockstep.beta
+    assert any((s.y0 == 0).any() for s in streams)
+    spans = (1, 7, 64, 3, 100, 50, 129, 146)
+    assert sum(spans) == 500
+    got = _grow(_PluginFit(len(streams), m1, m0, 500), np.arange(len(streams)), streams, spans)
     for r, s in enumerate(streams):
         reference = oracles.exact_plugin_betas(s)
-        assert np.allclose(got[r, : reference.size], reference, rtol=0, atol=1e-12)
+        assert got[r].size == reference.size
+        assert np.allclose(got[r], reference, rtol=0, atol=1e-12)
+
+
+def test_plugin_rows_solved_together_match_each_row_alone():
+    # rows fitted together, leaving after different spans as the engine's
+    # rows leave at their first crossings, get the bits each row gets when
+    # it is fitted alone over the same spans: a prefix that re-centres reads
+    # its history as a row as wide as its block makes it, whatever the rows
+    # beside it hold.  With m1 = 3 the treatment group runs out early in
+    # most streams, at different events, so the rows hold different numbers
+    # of offsets; every estimate is within 1e-12 of the exact solve.
+    m1, m0, thetas = 3, 300, (0.5, 1.0, 2.0, 5.0, 12.0)
+    streams = [
+        sample_single_event_stream(m1, m0, theta, stream_rng(17, r), max_events=300)
+        for r, theta in enumerate(thetas)
+    ]
+    assert len({int(np.argmax(s.y1 == 0)) for s in streams}) > 1
+    spans, drops = (16, 16, 32, 64, 64, 64, 44), (2, 7, 4, 7, 5)
+    fit = _PluginFit(len(streams) + 2, m1, m0, 300)
+    rows = np.arange(2, len(streams) + 2)  # not the fit's first rows
+    together = _grow(fit, rows, streams, spans, drops)
+    for r, s in enumerate(streams):
+        (alone,) = _grow(_PluginFit(1, m1, m0, 300), np.zeros(1, dtype=np.int64), [s], spans, drops[r:r + 1])
+        assert np.array_equal(together[r], alone)
+        reference = oracles.exact_plugin_betas(s)[: alone.size]
+        assert np.allclose(alone, reference, rtol=0, atol=1e-12)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -530,6 +567,35 @@ def test_confidence_sequence_chunks_match_one_pass(stream):
         for rows in (1, 7, 163):
             for got, want in zip(bounds(rows, intersect), whole):
                 assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        _single_event_stream(0.7, 300, 300, 400, seed=7),
+        sample_tied_stream(1000, 1000, 0.7, 0.01, stream_rng(0, 0)),  # 417 batches, o <= 21
+    ],
+    ids=["single", "tied"],
+)
+def test_bayes_trace_chunks_match_one_pass(stream):
+    # reading the kernel table and the log posterior in chunks of event
+    # times, with the running posterior carried, gives the trace of one
+    # whole-array pass: bit for bit on single events, within 1e-12 where
+    # the tied kernel pads its support to a chunk's widest batch
+    prior = PriorSpec.lognormal(math.log(0.7), 0.5)
+    tied = bool((stream.o > 1).any())
+
+    def trace(rows):
+        with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * prior.thetas.size):
+            return bayes_log_trace(stream, prior, theta0=0.9, return_numerator=True)
+
+    whole = trace(stream.o.size)
+    for rows in (1, 7, 163):
+        for got, want in zip(trace(rows), whole):
+            if tied:
+                assert np.abs(got - want).max() <= 1e-12
+            else:
+                assert np.array_equal(got, want)
 
 
 def test_confidence_sequence_running_intersection_is_nested():

@@ -240,18 +240,20 @@ def test_engine_matches_per_stream(kind):
     assert np.array_equal(fast, slow), (fast, slow)
 
 
-def test_plugin_lockstep_recentres_and_matches_per_stream(monkeypatch):
-    # streams long enough that every replication's moments re-centre
-    # several times; the engine solves on running moments and the
-    # per-stream traces on every offset, yet every crossing agrees
+def test_plugin_design_recentres_and_matches_per_stream(monkeypatch):
+    # streams long enough that every replication's estimates re-centre on
+    # their histories several times; the engine solves spans of growing
+    # prefixes on carried series and the per-stream traces whole streams,
+    # yet every crossing agrees
     import safelogrank.adaptive as adaptive
 
     recentred = []
     moments_about = adaptive._moments_about
 
-    def counting(c, at):
-        recentred.append(at.size)
-        return moments_about(c, at)
+    def counting(c, at, rows=None, ends=None):
+        if ends is not None:  # a history read, not the moments of new events
+            recentred.append(at.size)
+        return moments_about(c, at, rows, ends)
 
     monkeypatch.setattr(adaptive, "_moments_about", counting)
     scenario = SimScenario(
@@ -305,6 +307,36 @@ def test_engine_chunking_is_bit_identical(monkeypatch):
         whole = simulate_stopping_times(scenario, cap=120)
         assert np.isfinite(whole).any()
         assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=120))
+
+
+def test_plugin_rows_split_over_solver_calls_keep_their_stopping_times(monkeypatch):
+    # with the chunks shrunk, the rows that one call of the plug-in solver
+    # takes at a position are taken by several calls, a row at a time, each
+    # over the same spans; no stopping time moves
+    import safelogrank.simulate as simulate
+
+    calls = {}
+    solve = simulate._plugin_betas
+
+    def counting(fit, rows, *columns):
+        calls.setdefault(int(fit.taken[rows[0]]), []).append(rows.size)
+        return solve(fit, rows, *columns)
+
+    monkeypatch.setattr(simulate, "_plugin_betas", counting)
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.75, design=DesignSpec(theta1=0.7, test_kind="plugin"),
+        replications=24, seed=5,
+    )
+    whole = simulate_stopping_times(scenario, cap=400)
+    together, calls = calls, {}
+    chunked = small_chunks(monkeypatch, scenario, cap=400)
+    assert np.array_equal(whole, chunked)
+    assert ((whole > _BLOCK) & np.isfinite(whole)).any() and np.isinf(whole).any()
+    assert calls.keys() == together.keys()
+    for position, sizes in together.items():
+        assert sum(calls[position]) == sum(sizes)
+        assert max(calls[position]) == 1
+    assert max(max(sizes) for sizes in together.values()) > 1
 
 
 def test_kinds_scored_together_keep_their_own_stopping_times(monkeypatch):
