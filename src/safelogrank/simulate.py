@@ -402,7 +402,7 @@ def _stopping_times(
     a longer prefix repeats the shorter one and a row first crosses where it
     would on the whole stream.  On single-event streams the plug-in goes on
     from the prefix before: ``_plugin_crossings`` solves and scores each
-    prefix's new events only, for chunks of ``_CELLS // (limit + 2)``
+    prefix's new events only, for chunks of ``_CELLS // (limit + 2 + _SPAN)``
     replications whose fits (``_PluginFit``) carry from one prefix to the
     next.  Replications are keyed individually, so any chunking gives
     bit-identical results.
@@ -412,7 +412,7 @@ def _stopping_times(
     limit = _event_limit(scenario, cap)
     taus = {k: np.full(reps, np.inf) for k in kinds}
     stepped = "plugin" in kinds and scenario.tie_h0 is None
-    chunk = max(1, _CELLS // (limit + 2)) if stepped else reps
+    chunk = max(1, _CELLS // (limit + 2 + _SPAN)) if stepped else reps
     for lo in range(0, reps, chunk):
         rows = np.arange(lo, min(lo + chunk, reps))
         if stepped:
