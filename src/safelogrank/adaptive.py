@@ -400,12 +400,12 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
         if fit.offsets.shape[0] > 1:
             raise ValueError("tied batches are fitted one row at a time")
         fit.tied = np.concatenate([fit.tied, np.stack([y1[tied], y0[tied], o[tied]])], axis=1)
+    if fit.tied.size:  # one support table of every tied batch the row holds
         t_u, t_lw = (table.astype(float) for table in _support_table(*fit.tied))
 
-    def history(r, i, at, width, shift=0):
+    def history(r, i, at, width):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
-        first ``shift + i`` new batches; single events read ``width`` wide."""
-        i = i + shift
+        first ``i`` new batches; single events read ``width`` wide."""
         series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
         if not fit.tied.size:
             return series, np.full(at.size, _RADIUS)
@@ -434,7 +434,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
         count = hi - lo + 1 - first
         term = _SeriesTerm(
             step[:, first:].reshape(-1, 2, _ORDER + 1), centre.repeat(count), radius[:, first:].ravel(),
-            lambda f, at: history(*np.divmod(f, count), at, start + _BLOCK, lo + first),
+            lambda f, at: history(f // count, lo + first + f % count, at, start + _BLOCK),
         )
         b = plugin_newton(beta.repeat(count), o1_sum[:, lo + first : hi + 1].ravel(), term)
         betas[:, lo + first : hi + 1] = b.reshape(rows.size, count)
