@@ -22,6 +22,7 @@ does not grow with the table.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -174,11 +175,12 @@ _CHUNK_ROWS = 512
 _NONFINITE = ("nan", "inf", "-inf")  # what float.__repr__ and %g make of them
 _BOOL = {True: "true", False: "false"}
 # One C-level formatter per cell type, applied to a whole column chunk:
-# (JSON text, CSV text).  JSON text is exactly what ``json.dump`` writes.
+# (JSON text, CSV text), where None means the CSV text is the JSON text.
+# JSON text is exactly what ``json.dump`` writes.
 _FORMAT = {
     float: (float.__repr__, "%.10g".__mod__),
-    int: (int.__repr__, int.__repr__),
-    bool: (_BOOL.__getitem__, _BOOL.__getitem__),
+    int: (int.__repr__, None),
+    bool: (_BOOL.__getitem__, None),
     str: (json.encoder.encode_basestring_ascii, str),
 }
 
@@ -200,17 +202,24 @@ def _cell(value) -> tuple[str, str]:
     raise TypeError(f"a report cell cannot hold {type(value).__name__}: {value!r}")
 
 
-def _format_chunk(values: list) -> tuple[list[str], list[str]]:
-    """JSON and CSV text of one column chunk; a non-finite float is null
-    in JSON and an empty CSV cell."""
-    kinds = set(map(type, values))
+def _format_chunk(chunk) -> tuple[list[str], list[str]]:
+    """JSON and CSV text of one column chunk (a list, range or 1-d array); a
+    non-finite float is null in JSON and an empty CSV cell.  An array chunk
+    that repeats one value, bit for bit, has its text made once."""
+    if isinstance(chunk, np.ndarray):
+        if chunk.size > 1 and chunk.tobytes() == chunk[:1].tobytes() * chunk.size:
+            json_cells, csv_cells = _format_chunk(chunk[:1].tolist())
+            return json_cells * chunk.size, csv_cells * chunk.size
+        chunk = chunk.tolist()
+    kinds = set(map(type, chunk))
     if len(kinds) > 1 or kinds.isdisjoint(_FORMAT):
-        json_cells, csv_cells = zip(*map(_cell, values))
+        json_cells, csv_cells = zip(*map(_cell, chunk))
         return list(json_cells), list(csv_cells)
     kind = kinds.pop()
     to_json, to_csv = _FORMAT[kind]
-    json_cells, csv_cells = list(map(to_json, values)), list(map(to_csv, values))
-    if kind is float and not math.isfinite(sum(values)):  # a NaN or inf is in the chunk
+    json_cells = list(map(to_json, chunk))
+    csv_cells = json_cells if to_csv is None else list(map(to_csv, chunk))
+    if kind is float and not math.isfinite(sum(chunk)):  # a NaN or inf is in the chunk
         json_cells = ["null" if c in _NONFINITE else c for c in json_cells]
         csv_cells = ["" if c in _NONFINITE else c for c in csv_cells]
     return json_cells, csv_cells
@@ -246,10 +255,7 @@ def emit_report(
         for lo in range(0, n_rows, _CHUNK_ROWS):
             cells = {}  # name -> (JSON texts, CSV texts) of this chunk
             for name in names:
-                chunk = table[name][lo:lo + _CHUNK_ROWS]
-                cells[name] = _format_chunk(
-                    chunk.tolist() if isinstance(chunk, np.ndarray) else list(chunk)
-                )
+                cells[name] = _format_chunk(table[name][lo:lo + _CHUNK_ROWS])
             csv_fh.write("\n".join(map(",".join, zip(*(cells[c][1] for c in columns)))) + "\n")
             json_fh.write(("" if lo == 0 else ",\n") + ",\n".join(
                 map(row_template.__mod__, zip(*(cells[name][0] for name in names)))
@@ -695,7 +701,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write OUT.csv and OUT.json reports")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process (parsing does not
+    change it)."""
     parser = _Parser(
         prog="safelogrank",
         description="Anytime-valid logrank tests: analyze trials, size designs, "
@@ -791,20 +800,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _option_names() -> set[str]:
+@functools.cache
+def _option_names() -> frozenset[str]:
     """The long options of every command, by their config-file names."""
-    return {
+    return frozenset(
         action.dest
         for command in build_parser().commands.values()
         for action in command._actions
         if action.option_strings and action.dest not in ("help", "config")
-    }
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,6 +13,8 @@ number of records), which is what every analysis reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import itemgetter, methodcaller
 from typing import TextIO
 
 import numpy as np
@@ -139,10 +141,66 @@ class TrialDataset:
 _EXIT_NAMES = ("exit", "time")
 
 
-def _split(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is None:
-        return line.split()
-    return [f.strip() for f in line.split(delimiter)]
+# How each column's fields become values, in the order a line's fields are
+# checked: (column, the C-level steps that convert a whole column, dtype,
+# and, for a lookup, the message for a text it does not know).
+_FIELDS = (
+    ("exit", (float,), float, None),
+    ("entry", (float,), float, None),
+    ("group", (_GROUP_NAMES.__getitem__,), np.int64, "group must be 0 or 1, got {!r}"),
+    ("status", (str.lower, _STATUS_NAMES.__getitem__), np.int64,
+     "status must be one of 1/0/event/censored, got {!r}"),
+)
+
+
+def _line_number(lines: list[str], k: int) -> int:
+    """The 1-based number of the k-th non-blank line."""
+    return next(islice(compress(count(1), map(str.strip, lines)), k, None))
+
+
+def _columns(rows: list[list[str]], width: int, at: dict[str, int]) -> list[np.ndarray]:
+    """The entry, exit, group and status columns of the split rows, each
+    taken, stripped and converted whole.  Raises ValueError if any row is
+    refused; on one row, its message is that of the first check the row
+    fails: field count, then exit, entry, group and status."""
+    fewest = min(map(len, rows), default=width)
+    if fewest < width:
+        raise ValueError(f"expected {width} fields, got {fewest}")
+    columns = {"entry": np.zeros(len(rows))}  # when the header names no entry
+    for name, steps, dtype, unknown in _FIELDS:
+        if name not in at:
+            continue
+        values = map(str.strip, map(itemgetter(at[name]), rows))
+        for step in steps:
+            values = map(step, values)
+        try:
+            columns[name] = np.fromiter(values, dtype, len(rows))
+        except KeyError as err:
+            raise ValueError(unknown.format(err.args[0])) from None
+    return [columns[name] for name in ("entry", "exit", "group", "status")]
+
+
+def _refusal(rows: list[list[str]], width: int, at: dict[str, int]) -> str | None:
+    """Why ``_columns`` refuses these rows, or None if it reads them."""
+    try:
+        _columns(rows, width, at)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _first_refused(rows: list[list[str]], width: int, at: dict[str, int]) -> tuple[int, str]:
+    """The first of ``rows`` that ``_columns`` refuses, and why (some row
+    must be).  Each step reads the first half of a range that holds a
+    refused row, so the search converts about as many rows as there are."""
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _refusal(rows[lo:mid], width, at) is None:
+            lo = mid
+        else:
+            hi = mid
+    return lo, _refusal(rows[lo:hi], width, at)
 
 
 def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
@@ -153,92 +211,74 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     forced, the delimiter is read once, from the header with its leading
     and trailing whitespace stripped: a tab if it has one, else a comma if
     it has one, else runs of whitespace; every row is split with it, so a
-    row separated otherwise than its header is refused.  Status accepts 1/0
-    or event/censored.  Errors carry 1-based line numbers.
+    row separated otherwise than its header is refused.  Fields beyond the
+    header's are ignored.  Status accepts 1/0 or event/censored, in any case.
+
+    The body is read by column: the non-blank lines are split, and each
+    column taken and converted whole (``float`` for the times, the name
+    tables for group and status).  Errors carry 1-based line numbers: the
+    first line refused, either for its text (field count, then exit, entry,
+    group and status) or for a record rule that its record breaks.
     """
-    rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
-    if not rows:
+    lines = text.splitlines()
+    body = list(filter(str.strip, lines))
+    if not body:
         raise DatasetError("empty input: expected a header row and at least one record")
-    header_no, header = rows[0]
+    header, rows = body[0], body[1:]
     if delimiter is None:
         delimiter = next((d for d in ("\t", ",") if d in header.strip()), None)
-    names = [f.lower() for f in _split(header, delimiter)]
-    columns: dict[str, int] = {}
+    split = str.split if delimiter is None else methodcaller("split", delimiter)
+    names = [f.strip().lower() for f in split(header)]
+    at: dict[str, int] = {}
     for idx, name in enumerate(names):
         key = "exit" if name in _EXIT_NAMES else name
-        if key in columns:
-            raise DatasetError(f"line {header_no}: duplicate column {name!r}")
-        columns[key] = idx
-    missing = [c for c in ("exit", "group", "status") if c not in columns]
+        if key in at:
+            raise DatasetError(f"line {_line_number(lines, 0)}: duplicate column {name!r}")
+        at[key] = idx
+    missing = [c for c in ("exit", "group", "status") if c not in at]
     if missing:
         raise DatasetError(
-            f"line {header_no}: header must name columns {missing} "
+            f"line {_line_number(lines, 0)}: header must name columns {missing} "
             f"(got {names!r}); one of 'exit'/'time' supplies the exit column"
         )
-    if len(rows) == 1:
+    if not rows:
         raise DatasetError("no records after the header row")
 
+    rows = list(map(split, rows))
     width = len(names)
-    exit_at, group_at, status_at = columns["exit"], columns["group"], columns["status"]
-    entry_at = columns.get("entry")
-    body = rows[1:]
-    parsed = entry, exit_, group, status = [], [], [], []
     try:
-        for line_no, line in body:
-            fields = _split(line, delimiter)
-            if len(fields) < width:
-                raise DatasetError(f"line {line_no}: expected {width} fields, got {len(fields)}")
-            try:
-                x = float(fields[exit_at])
-                e = float(fields[entry_at]) if entry_at is not None else 0.0
-            except ValueError as err:
-                raise DatasetError(f"line {line_no}: {err}") from None
-            g = _GROUP_NAMES.get(fields[group_at])
-            if g is None:
-                raise DatasetError(
-                    f"line {line_no}: group must be 0 or 1, got {fields[group_at]!r}"
-                )
-            status_text = fields[status_at].lower()
-            s = _STATUS_NAMES.get(status_text)
-            if s is None:
-                raise DatasetError(
-                    f"line {line_no}: status must be one of 1/0/event/censored, got {status_text!r}"
-                )
-            entry.append(e)
-            exit_.append(x)
-            group.append(g)
-            status.append(s)
-    except DatasetError:
-        # a record rule broken on an earlier line is the first error
-        _refuse_first_fault(parsed, body)
-        raise
-    _refuse_first_fault(parsed, body)
-    return TrialDataset(*parsed)
-
-
-def _refuse_first_fault(columns, body: list[tuple[int, str]]) -> None:
-    """Raise a DatasetError at the input line of the first record that
-    breaks a record rule, if any does; record i was parsed from body[i]."""
-    fault = _first_fault(*columns)
+        columns, text_fault = _columns(rows, width, at), None
+    except ValueError:
+        text_fault = _first_refused(rows, width, at)
+        # the records before it are read; a rule one of them breaks comes first
+        columns = _columns(rows[: text_fault[0]], width, at)
+    fault = _first_fault(*columns) or text_fault
     if fault is not None:
-        raise DatasetError(f"line {body[fault[0]][0]}: {fault[1]}") from None
+        raise DatasetError(f"line {_line_number(lines, fault[0] + 1)}: {fault[1]}")
+    return TrialDataset(*columns)
 
 
 def read_dataset(path: str, delimiter: str | None = None) -> TrialDataset:
     # utf-8-sig drops the byte-order mark that spreadsheets write
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_dataset(fh.read(), delimiter=delimiter)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise DatasetError(f"{path} is not UTF-8 text: {err}") from None
+    return parse_dataset(text, delimiter=delimiter)
 
 
 def write_dataset(dataset: TrialDataset, target: str | TextIO) -> None:
-    """Write records as comma-separated text that parse_dataset round-trips."""
+    """Write records as comma-separated text that parse_dataset round-trips:
+    each time is written as its shortest repr, which reads back as the same
+    double."""
     own = isinstance(target, str)
     fh: TextIO = open(target, "w", encoding="utf-8") if own else target
     try:
         fh.write("entry,exit,group,status\n")
-        columns = (dataset.entry, dataset.exit, dataset.group, dataset.status)
-        for e, x, g, s in zip(*(c.tolist() for c in columns)):
-            fh.write(f"{e:.10g},{x:.10g},{g},{'event' if s == EVENT else 'censored'}\n")
+        status = np.where(dataset.status == EVENT, "event", "censored").tolist()
+        columns = (dataset.entry.tolist(), dataset.exit.tolist(), dataset.group.tolist(), status)
+        fh.writelines(map("%r,%r,%d,%s\n".__mod__, zip(*columns)))
     finally:
         if own:
             fh.close()

@@ -69,6 +69,88 @@ def dataset_of(records):
     return TrialDataset(*(list(zip(*records)) or [(), (), (), ()]))
 
 
+def parse_dataset_reference(text: str, delimiter: str | None = None):
+    """``parse_dataset`` one line at a time: the row loop that the columnar
+    parse replaced, kept as the spec for its columns and its messages.
+
+    Each non-blank body line is split, its field count checked, then its
+    exit and entry converted by ``float``, its group and status looked up;
+    the first line refused ends the parse, unless a record read before it
+    breaks a record rule, which is then named instead.
+    """
+    from safelogrank.data import (
+        _GROUP_NAMES, _STATUS_NAMES, DatasetError, TrialDataset, _first_fault,
+    )
+
+    def split(line):
+        if delimiter is None:
+            return line.split()
+        return [f.strip() for f in line.split(delimiter)]
+
+    rows = [(i + 1, ln) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    if not rows:
+        raise DatasetError("empty input: expected a header row and at least one record")
+    header_no, header = rows[0]
+    if delimiter is None:
+        delimiter = next((d for d in ("\t", ",") if d in header.strip()), None)
+    names = [f.lower() for f in split(header)]
+    columns: dict[str, int] = {}
+    for idx, name in enumerate(names):
+        key = "exit" if name in ("exit", "time") else name
+        if key in columns:
+            raise DatasetError(f"line {header_no}: duplicate column {name!r}")
+        columns[key] = idx
+    missing = [c for c in ("exit", "group", "status") if c not in columns]
+    if missing:
+        raise DatasetError(
+            f"line {header_no}: header must name columns {missing} "
+            f"(got {names!r}); one of 'exit'/'time' supplies the exit column"
+        )
+    if len(rows) == 1:
+        raise DatasetError("no records after the header row")
+
+    width = len(names)
+    entry_at = columns.get("entry")
+    body = rows[1:]
+    parsed = entry, exit_, group, status = [], [], [], []
+
+    def refuse_first_fault():
+        fault = _first_fault(*parsed)
+        if fault is not None:
+            raise DatasetError(f"line {body[fault[0]][0]}: {fault[1]}") from None
+
+    try:
+        for line_no, line in body:
+            fields = split(line)
+            if len(fields) < width:
+                raise DatasetError(f"line {line_no}: expected {width} fields, got {len(fields)}")
+            try:
+                x = float(fields[columns["exit"]])
+                e = float(fields[entry_at]) if entry_at is not None else 0.0
+            except ValueError as err:
+                raise DatasetError(f"line {line_no}: {err}") from None
+            g = _GROUP_NAMES.get(fields[columns["group"]])
+            if g is None:
+                raise DatasetError(
+                    f"line {line_no}: group must be 0 or 1, got {fields[columns['group']]!r}"
+                )
+            status_text = fields[columns["status"]].lower()
+            s = _STATUS_NAMES.get(status_text)
+            if s is None:
+                raise DatasetError(
+                    f"line {line_no}: status must be one of 1/0/event/censored, got {status_text!r}"
+                )
+            entry.append(e)
+            exit_.append(x)
+            group.append(g)
+            status.append(s)
+    except DatasetError:
+        refuse_first_fault()  # a record rule broken on an earlier line is the first error
+        raise
+    refuse_first_fault()
+    return TrialDataset(*parsed)
+
+
 def event_batches_reference(records) -> tuple[tuple[float, ...], tuple]:
     """Event times and ``(y1, y0, o, o1)`` batches of ``(entry, exit, group,
     status)`` records, one event time at a time.

@@ -91,6 +91,15 @@ def test_analyze_malformed_file_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("time,group,status\n1,0,censor\xe9\n".encode("latin-1"))
+    assert main(["analyze", str(path), "--theta1", "0.7"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"safelogrank: data error: {path} is not UTF-8 text: ")
+    assert "0xe9" in err
+
+
 def test_analyze_refuses_an_infinite_exit_time(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("time,group,status\n1,0,event\ninf,0,event\n2,1,censored\n")

@@ -24,7 +24,14 @@ from safelogrank.data import (
 )
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 
-from oracles import dataset_of, event_batches_reference, exact_increment, rows_of, stream_of
+from oracles import (
+    dataset_of,
+    event_batches_reference,
+    exact_increment,
+    parse_dataset_reference,
+    rows_of,
+    stream_of,
+)
 
 CSV_BASIC = """\
 time,group,status
@@ -180,23 +187,26 @@ entry,time,group,status
 """
 
 
+# Times are written as their shortest repr, so they read back as the same
+# doubles; the digests were re-pinned when that replaced %.10g, which wrote
+# 0.1234567890123 as 0.123456789 and every whole time without its ".0".
 @pytest.mark.parametrize(
     "make,digest",
     [
         (
             lambda: dataset_from_stream(sample_single_event_stream(12, 9, 0.6, stream_rng(44, 0))),
-            "b67a50ff80ec34b50935df79fd1eab947ee2a0a9849d88d90e6b6b0d3911e727",
+            "bcddd6152d95fc67b9320871f88a8f4c9a3cdcc881e79801fb27da7513d368d2",
         ),
         (
             # the horizon leaves 9 + 6 at risk, written as a censored tail
             lambda: dataset_from_stream(
                 sample_tied_stream(20, 20, 0.8, 0.1, stream_rng(45, 1), horizon=8)
             ),
-            "a4b734eb8f496dd2582a2980a21bb293293b11d10cb1de53056d4a70d085a670",
+            "762b645f269a7d061bb6cca0e1abc0181640e76a9e71bb9c190fea51a860af4f",
         ),
         (
             lambda: parse_dataset(_LATE_ENTRIES),
-            "a99b7475a92be8898e948eee291135a00099ecb304a04f6b142e35dfd6df8f8d",
+            "6444f8b6372c87dc5f72c307beab8eda5c5401f0b22549c9ba8882397bdb55bb",
         ),
     ],
     ids=["single-event-stream", "tied-stream-censored-tail", "parsed-late-entries"],
@@ -205,6 +215,16 @@ def test_written_datasets_are_pinned(make, digest):
     buf = io.StringIO()
     write_dataset(make(), buf)
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def test_written_times_read_back_as_the_same_doubles():
+    # %.10g wrote both exits as 0.123456789: one tied batch of two events
+    ds = TrialDataset([0.0, 0.0], [0.12345678901, 0.12345678904], [1, 0], [EVENT, EVENT])
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    back = parse_dataset(buf.getvalue())
+    assert back.exit.tolist() == [0.12345678901, 0.12345678904]
+    assert back.stream.o.tolist() == [1, 1]
 
 
 @pytest.mark.parametrize(
@@ -287,6 +307,83 @@ _MIXED = (
 def test_event_stream_equals_reference_derivation(records):
     stream = dataset_of(records).stream
     assert (tuple(stream.times.tolist()), tuple(rows_of(stream))) == event_batches_reference(records)
+
+
+# Field texts by column: valid ones, ones refused as text, and ones that
+# break a record rule (a negative entry, a NaN or infinite exit, an exit not
+# after its entry).
+_VALID = {
+    "entry": ["0", "0", "0.5", "1", " 0 ", "1e-3", "0_1"],
+    "time": ["2", "2", "2.5", "3", " 4 ", "1_0", "7e1"],
+    "group": ["0", "1"],
+    "status": ["1", "0", "event", "censored", "Event", "CENSORED", "eVeNt"],
+    "note": ["a", "b c", ""],
+}
+_REFUSED = {
+    "entry": ["soon", "", "1..2"],
+    "time": ["x", "", "1..2", "--1"],
+    "group": ["2", "01", "x", ""],
+    "status": ["maybe", "2", "", "events"],
+}
+_RULE_BREAKING = {"entry": ["-0.5", "nan", "5"], "time": ["inf", "nan", "0", "-1"]}
+
+
+@st.composite
+def _dataset_texts(draw):
+    """A delimited text and the delimiter to force, or None: any column
+    order, ``time`` or ``exit``, with or without ``entry`` and an extra
+    column; a byte-order mark, CRLF and blank lines; rows with too few
+    fields, extra fields, refused texts or broken record rules."""
+    extra = draw(st.sampled_from([[], ["entry"], ["entry", "note"], ["note"]]))
+    names = draw(st.permutations(["time", "group", "status"] + extra))
+    delimiter, forced = draw(st.sampled_from([("\t", False), (",", False), (";", True), (" ", False)]))
+    exit_name = draw(st.sampled_from(["time", "exit", "Time"]))
+    lines = [delimiter.join(exit_name if n == "time" else n for n in names)]
+    for _ in range(draw(st.integers(1, 8))):
+        fields = [draw(st.sampled_from(_VALID[n])) for n in names]
+        fault = draw(st.sampled_from([None] * 8 + ["short", "long", "refused", "refused", "rule"]))
+        if fault == "short":
+            fields.pop(draw(st.integers(0, len(fields) - 1)))
+        elif fault == "long":
+            fields.append("x")
+        elif fault is not None:
+            pool = _REFUSED if fault == "refused" else _RULE_BREAKING
+            at = draw(st.sampled_from([i for i, n in enumerate(names) if n in pool]))
+            fields[at] = draw(st.sampled_from(pool[names[at]]))
+        lines.append(delimiter.join(fields))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    bom = draw(st.sampled_from(["", "", "", "", "", "\ufeff"]))
+    text = bom + "".join(line + end for line, end in zip(lines, ends))
+    return text, delimiter if forced else None
+
+
+def _parsed(parse, text, delimiter):
+    try:
+        ds = parse(text, delimiter=delimiter)
+    except DatasetError as err:
+        return str(err)
+    return [ds.entry, ds.exit, ds.group, ds.status]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_dataset_texts())
+@example(case=("entry,time,group,status\n3,1,0,event\n0,x,0,event\n", None))  # record fault first
+@example(case=("entry,time,group,status\n0,x,0,event\n3,1,0,event\n", None))  # text fault first
+@example(case=("entry,time,group,status\n0,1,0,event\n0,1,9\n", None))  # short row, bad group
+@example(case=("entry,time,group,status\nx,y,9,maybe\n", None))  # exit is checked before entry
+@example(case=("time;group;status;\r\n\r\n1;1;Event;;\n", ";"))
+def test_parse_matches_the_row_by_row_reference(case):
+    text, delimiter = case
+    got = _parsed(parse_dataset, text, delimiter)
+    want = _parsed(parse_dataset_reference, text, delimiter)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def _log(value: Fraction) -> float:

@@ -68,6 +68,11 @@ def mixed_table(n: int) -> dict:
         "any": cycle([None, True, 3, 0.5, "x", False, math.inf], n),
         "100% \"quoted\" é": cycle([1, 2], n),
         "dataset": np.full(n, 4),
+        # the first chunk mixes zeros of both signs, equal under == but not in text
+        "signed zero": np.where(np.arange(n) == 1, -0.0, 0.0),
+        "constant": np.full(n, 1.959963984540054),
+        "constant flag": np.full(n, True),
+        "constant text": np.full(n, "100% \"sure\""),
     }
 
 
