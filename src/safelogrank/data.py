@@ -224,7 +224,7 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     body = list(filter(str.strip, lines))
     if not body:
         raise DatasetError("empty input: expected a header row and at least one record")
-    header, rows = body[0], body[1:]
+    header = body[0]
     if delimiter is None:
         delimiter = next((d for d in ("\t", ",") if d in header.strip()), None)
     split = str.split if delimiter is None else methodcaller("split", delimiter)
@@ -241,10 +241,10 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
             f"line {_line_number(lines, 0)}: header must name columns {missing} "
             f"(got {names!r}); one of 'exit'/'time' supplies the exit column"
         )
-    if not rows:
+    if len(body) == 1:
         raise DatasetError("no records after the header row")
 
-    rows = list(map(split, rows))
+    rows = list(map(split, body[1:]))
     width = len(names)
     try:
         columns, text_fault = _columns(rows, width, at), None
