@@ -172,9 +172,12 @@ def _taylor_table(order: int) -> np.ndarray:
 
 
 # the coefficients of h**k, k = 0.._ORDER, in the series of the sigmoid sum
-# (row 0) and of its derivative (row 1), as maps from power moments
+# (columns 0.._ORDER) and of its derivative (the next _ORDER + 1), as one
+# map from power moments: a (_ORDER + 2, 2 (_ORDER + 1)) matrix
 _TAYLOR = _taylor_table(_ORDER)
-_SERIES = np.stack([_TAYLOR[:-1], _TAYLOR[1:] * np.arange(1.0, _ORDER + 2)[:, None]])
+_SERIES = np.ascontiguousarray(
+    np.concatenate([_TAYLOR[:-1], _TAYLOR[1:] * np.arange(1.0, _ORDER + 2)[:, None]]).T
+)
 
 
 def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +213,12 @@ def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.nd
 
 def _series(moments: np.ndarray) -> np.ndarray:
     """Coefficients ``(R, 2, _ORDER + 1)`` of the sigmoid sum's series and
-    of its derivative's, from rows of power moments."""
-    return np.einsum("rd,jkd->rjk", moments, _SERIES)
+    of its derivative's, from rows of power moments, by one matrix product.
+    A row gets the same bits whatever the rows beside it: BLAS takes a
+    single row down its matrix-vector path, which sums in another order, so
+    one row is multiplied as two."""
+    rows = moments if moments.shape[0] != 1 else np.repeat(moments, 2, axis=0)
+    return (rows @ _SERIES)[: moments.shape[0]].reshape(-1, 2, _ORDER + 1)
 
 
 # A tied batch's series comes from its cumulants, which the moment-to-
@@ -561,46 +568,72 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return m + np.log(a.sum(axis=1))
 
 
+def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, float]:
+    """The log prior, which is the log posterior before any event, and its
+    log-sum-exp."""
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior.weights)
+    return log_prior, float(_logsumexp_rows(log_prior[None, :].copy())[0])
+
+
+def _bayes_log_numerators(
+    stream: EventStream, log_grid: np.ndarray, log_post: np.ndarray, norm: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Log predictive of each event time of ``stream`` on the nodes
+    ``log_grid`` (``(1, G)``), going on from the unnormalized log posterior
+    ``log_post`` and its log-sum-exp ``norm``; returns them with the log
+    posterior after the stream and its log-sum-exp, so a stream read in
+    parts gets the bits of one pass.
+
+    With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
+    the log posterior before event time i is ``log_post + sum_{k<i} K[k]``
+    and the log predictive is ``logsumexp(posterior + K[i]) -
+    logsumexp(posterior)``.  The first term of row i - 1 is the second of
+    row i (the same sums of the same operands), so one log-sum-exp a row
+    serves both.  The table is read in chunks of event-time rows,
+    ``_FAMILY_CELLS`` cells at a time, with the running posterior and its
+    log-sum-exp carried into each chunk's first row, as
+    ``confidence_sequence`` reads its family.
+    """
+    n = stream.o.size
+    log_num = np.empty(n)
+    step = max(1, _FAMILY_CELLS // log_grid.size)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
+        table = log_kernel(rows, log_grid)
+        posterior = np.empty_like(table)
+        posterior[0], posterior[1:] = log_post, table[:-1]
+        np.cumsum(posterior, axis=0, out=posterior)
+        log_post = posterior[-1] + table[-1]
+        table += posterior
+        numerator = _logsumexp_rows(table)
+        log_num[part] = numerator
+        log_num[lo] -= norm
+        log_num[lo + 1 : lo + numerator.size] -= numerator[:-1]
+        norm = numerator[-1]
+    if not np.isfinite(log_num).all():
+        raise ValueError(
+            "posterior predictive underflowed to zero; the prior grid puts "
+            "no usable mass near the data"
+        )
+    return log_num, log_post, norm
+
+
 def bayes_log_trace(
     stream: EventStream,
     prior: PriorSpec,
     theta0: float = 1.0,
     return_numerator: bool = False,
 ):
-    """Cumulative Bayes-predictive log e-value after each event time.
-
-    With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
-    the unnormalized log posterior before event time i is
-    ``log prior + sum_{k<i} K[k]`` and the log predictive is
-    ``logsumexp(posterior + K[i]) - logsumexp(posterior)``.  The table is
-    read in chunks of event-time rows, ``_FAMILY_CELLS`` cells at a time,
-    with the running posterior carried into each chunk's first row, as
-    ``confidence_sequence`` reads its family.
-    """
+    """Cumulative Bayes-predictive log e-value after each event time: the
+    log predictives of ``_bayes_log_numerators`` from the log prior, less
+    the ``log_kernel`` at ``theta0``, summed."""
     theta0 = validate_theta(theta0, "theta0")
     if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    log_grid, n = np.log(prior.thetas)[None, :], stream.o.size
-    log_num = np.empty(n)
-    with np.errstate(divide="ignore"):
-        carry = np.log(prior.weights)  # the log posterior before the chunk
-    step = max(1, _FAMILY_CELLS // prior.thetas.size)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
-        table = log_kernel(rows, log_grid)
-        log_post = np.empty_like(table)
-        log_post[0], log_post[1:] = carry, table[:-1]
-        np.cumsum(log_post, axis=0, out=log_post)
-        carry = log_post[-1] + table[-1]
-        table += log_post
-        log_num[part] = _logsumexp_rows(table) - _logsumexp_rows(log_post)
-    if not np.isfinite(log_num).all():
-        raise ValueError(
-            "posterior predictive underflowed to zero; the prior grid puts "
-            "no usable mass near the data"
-        )
+    log_num, _, _ = _bayes_log_numerators(stream, np.log(prior.thetas)[None, :], *_bayes_prior(prior))
     trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
     return (trace, log_num) if return_numerator else trace
 

@@ -510,8 +510,11 @@ def cmd_design(args: argparse.Namespace) -> int:
     theta = opt.get("true_theta", theta1, float)
     reps = opt.get("reps", 1000, int)
     seed = opt.get("seed", None, int)
+    source = "--seed" if args.seed is not None else f"seed in {args.config}"
     if seed is None:
-        seed = _env_seed()
+        seed, source = _env_seed(), "SAFELOGRANK_SEED"
+    if seed < 0:
+        raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
     cap = opt.get("cap", None, int)
     tie_h0 = opt.get("tie_h0", None, float)
     tests = [t.strip() for t in opt.get("test", "exact").split(",")]

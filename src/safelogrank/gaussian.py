@@ -61,7 +61,12 @@ def logrank_z(stream: EventStream) -> np.ndarray:
     after each event time (see ``logrank_increments``), running along the
     last axis, so ``(replications, L)`` columns give one path per row; NaN
     until the cumulative variance is positive."""
-    score, variance = (np.cumsum(x, axis=-1) for x in logrank_increments(stream))
+    return _z_of_sums(*(np.cumsum(x, axis=-1) for x in logrank_increments(stream)))
+
+
+def _z_of_sums(score: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """``logrank_z`` from running sums of the score and variance terms,
+    however they were summed; NaN where the variance is not positive."""
     return np.divide(score, np.sqrt(variance), out=np.full(score.shape, np.nan), where=variance > 0)
 
 

@@ -16,21 +16,23 @@ however replications are chunked or distributed.
 One sampler draws every single-event stream: each replication draws one
 uniform per event from its generator, and one step per event compares it
 with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes every design.
-``_sample_block`` draws replications' streams as one ``EventStream`` whose
-columns are ``(replications, L)`` arrays, one stream per row in event
-order, tied rows padded with empty batches that add exactly 0 to every sum.
-``core.log_kernel`` and ``gaussian.logrank_z`` (or the learned numerators)
-run over the block, and running sums along each row give the first
-crossing.  The engine scores growing prefixes, the first 256 events, then
-512 and so on up to the limit, each for the replications that some
-requested test has not yet stopped; a single-event plug-in goes on from
-its fits on the prefix before.  The samplers are prefix-consistent, so
-every prefix gives the stopping times of the whole stream, and a
-replication is sampled to at most about twice the events its decisions
-need.  O'Brien-Fleming sizing scans growing prefixes of single-event
-blocks for the shortest horizon with the design's power, from the running
-extremes of ``Z_n * sqrt(n)``.  Replications are taken in chunks, so
-memory stays bounded however many there are.
+It reads growing prefixes, the first 256 events, then 512 and so on up to
+the limit, for the replications that some requested test has not yet
+stopped, and each prefix goes on from where the one before ended: a
+replication's generator is built once and its risk set carried, a tied
+stream is drawn once and kept, and each test's running statistic is
+carried from prefix to prefix, so each event is drawn and scored once.
+``_Streams`` hands out the new events of a block of replications as one
+``EventStream`` whose columns are ``(replications, L)`` arrays, tied rows
+padded with empty batches that add exactly 0 to every sum;
+``core.log_kernel`` and ``gaussian.logrank_increments`` (or the learned
+numerators) score them, and running sums carried along each row give the
+first crossing, the one a pass over the whole stream finds.
+O'Brien-Fleming sizing scans growing prefixes the same way for the
+shortest horizon with the design's power, from the running extremes of
+``Z_n * sqrt(n)``.  The engine takes replications in chunks, so its memory
+stays bounded however many there are; the O'Brien-Fleming scan keeps
+every replication's generator and running statistics, about 2 KB each.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -50,7 +52,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .adaptive import _BLOCK as _SPAN, _ORDER, PriorSpec, _PluginFit, _plugin_betas
-from .adaptive import bayes_log_trace, plugin_log_trace
+from .adaptive import _bayes_log_numerators, _bayes_prior
 from .core import (
     EventStream,
     log_kernel,
@@ -59,8 +61,9 @@ from .core import (
 )
 from .gaussian import (
     fixed_sample_boundary,
+    _z_of_sums,
     log_gaussian_evalue,
-    logrank_z,
+    logrank_increments,
     normal_quantile,
     obf_boundary,
     schoenfeld_mu,
@@ -184,29 +187,33 @@ def stream_rng(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def _single_event_columns(
-    m1: int, m0: int, theta: float, rngs: list[np.random.Generator], limit: int
+    theta: float, rngs: list[np.random.Generator], y1: np.ndarray, at_risk: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``y1``, ``y0`` and ``o1`` of the first ``limit`` events of one
-    single-event stream per generator, as ``(len(rngs), limit)`` arrays.
-    Generator r draws ``limit`` uniforms, one per event in order, and an
-    event falls in the treatment group where its uniform is below
-    ``theta * y1 / (y0 + theta * y1)``, so a stream's first events are the
-    same whatever the limit."""
-    uniforms = np.empty((limit, len(rngs)))
+    """``y1``, ``y0`` and ``o1`` of the next ``count`` events of one
+    single-event stream per generator, as ``(len(rngs), count)`` arrays,
+    from ``at_risk`` participants of whom ``y1`` (a float array, one entry
+    per generator, updated in place) are in the treatment group.  Generator
+    r draws ``count`` uniforms, one per event in order, and an event falls
+    in the treatment group where its uniform is below ``theta * y1 / (y0 +
+    theta * y1)``.  Continued draws of a generator equal one long draw, so
+    a stream drawn in parts has the events of one draw."""
+    uniforms = np.empty((count, len(rngs)))
     for r, rng in enumerate(rngs):
-        uniforms[:, r] = rng.random(limit)
-    o1 = np.empty((limit, len(rngs)), dtype=bool)
-    y1 = np.full(len(rngs), float(m1))  # risk sets, exact in floats
-    y0 = np.full(len(rngs), float(m0))
-    for i in range(limit):
-        t1 = theta * y1
-        np.less(uniforms[i], t1 / (y0 + t1), out=o1[i])
-        y1 -= o1[i]
-        np.subtract(m1 + m0 - i - 1, y1, out=y0)
+        uniforms[:, r] = rng.random(count)
+    o1 = np.empty((count, len(rngs)), dtype=bool)
+    first = y1.astype(np.int64)
+    y0 = at_risk - y1  # risk sets, exact in floats
+    t1, p = np.empty((2, len(rngs)))
+    for i in range(count):
+        np.multiply(theta, y1, out=t1)
+        np.divide(t1, np.add(y0, t1, out=p), out=p)
+        np.less(uniforms[i], p, out=o1[i])
+        np.subtract(y1, o1[i], out=y1)
+        np.subtract(at_risk - i - 1, y1, out=y0)
     del uniforms
     o1 = o1.T.astype(np.int64)
     before = np.cumsum(o1, axis=1) - o1  # treatment events before each event
-    return m1 - before, m0 - np.arange(limit) + before, o1
+    return first[:, None] - before, (at_risk - first)[:, None] - np.arange(count) + before, o1
 
 
 def sample_single_event_stream(
@@ -220,7 +227,7 @@ def sample_single_event_stream(
     at event times 1, 2, ...: the one-row view of the column sampler."""
     validate_theta(theta)
     n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
-    (y1,), (y0,), (o1,) = _single_event_columns(m1, m0, theta, [rng], n)
+    (y1,), (y0,), (o1,) = _single_event_columns(theta, [rng], np.array([float(m1)]), m1 + m0, n)
     return EventStream(np.arange(1.0, n + 1.0), y1, y0, np.ones(n, dtype=np.int64), o1)
 
 
@@ -270,120 +277,248 @@ def _event_limit(scenario: SimScenario, cap: int | None) -> int:
     return scenario.m1 + scenario.m0 if cap is None else min(cap, scenario.m1 + scenario.m0)
 
 
-# Events of the first prefix the engine samples; each later prefix doubles it.
+# Events of the first prefix the engine reads; each later prefix doubles it.
 _BLOCK = 256
 
-# Replications x events per array: 2^20 cells keep each array at 8 MB.  The
-# plug-in fits of a chunk of replications hold their histories in about
-# _CELLS cells, and the O'Brien-Fleming scan samples chunks whose blocks
-# fill _CELLS cells.  A block that is only scored holds about 16 arrays of
-# its size at once, so the engine samples and scores _CELLS // 16 cells at
-# a time.
+# Replications x events per array: 2^20 cells keep each array at 8 MB.  A
+# block of new events that is scored holds about 16 arrays of its size at
+# once, so the engine and the O'Brien-Fleming scan sample and score
+# _CELLS // 16 cells at a time.  A replication carries about _BLOCK cells
+# from prefix to prefix (its generator, about 2 KB, above all), and a
+# plug-in or Bayes fit or a tied stream up to limit + 2 + _SPAN cells more,
+# so the engine takes _CELLS cells' worth of replications at a time.
 _CELLS = 1 << 20
 
 
-def _sample_block(scenario: SimScenario, limit: int, replications) -> EventStream:
-    """Event streams of the given replications as ``(replications, L)``
-    columns, one stream per row in event order, each ended after ``limit``
-    cumulative events (a tied one at its last batch within them).  Single
-    events fill ``L = limit`` columns.  A tied row shorter than the longest
-    is padded with empty batches at risk sets ``(1, 1)``: they add exactly 0
+class _Streams:
+    """The event streams of some replications, read a block of new events
+    at a time.
+
+    ``take(rows, length)`` returns the events of rows ``rows`` (indices
+    into ``replications``) after those they have taken, up to ``length``
+    cumulative events, as an ``EventStream`` of ``(rows, L)`` columns
+    (``times`` is None; nothing that scores a block reads it), with the
+    cumulative event count at each.  A row's first take builds its
+    generator: a single-event stream keeps it and its treatment risk set
+    and draws each block's events from them, ``L = length - done``
+    columns; a tied stream is drawn whole then, cut after ``limit``
+    cumulative events and kept.  A tied row shorter than the longest is
+    padded with empty batches at risk sets ``(1, 1)``: they add exactly 0
     to every kernel and logrank sum and to the event count, so a row's
-    running statistics stay flat past its last batch.  ``times`` is None;
-    nothing that scores a block reads it."""
-    m1, m0, theta = scenario.m1, scenario.m0, scenario.theta
-    rngs = [stream_rng(scenario.seed, r) for r in replications]
-    if scenario.tie_h0 is None:
-        y1, y0, o1 = _single_event_columns(m1, m0, theta, rngs, limit)
-        return EventStream(None, y1, y0, np.ones_like(o1), o1)
-    streams = [_tied_columns(m1, m0, theta, scenario.tie_h0, rng)[1:] for rng in rngs]
-    ends = [int(np.searchsorted(np.cumsum(o), limit, "right")) for _, _, o, _ in streams]
-    block = np.zeros((4, len(rngs), max(ends, default=0)), dtype=np.int64)
-    block[:2] = 1
-    for row, (cols, end) in enumerate(zip(streams, ends)):
-        for column, values in zip(block, cols):
-            column[row, :end] = values[:end]
-    return EventStream(None, *block)
+    running statistics stay flat through its padding.  ``drop(rows)`` lets
+    the generators and streams of rows that are not read again go.
+    """
+
+    def __init__(self, scenario: SimScenario, replications, limit: int):
+        self.scenario, self.replications, self.limit = scenario, replications, limit
+        self.size = len(replications)
+        self.source = [None] * self.size  # each row's generator, or its tied stream
+        self.events = np.zeros(self.size, dtype=np.int64)  # taken by each row
+        self.y1 = np.full(self.size, float(scenario.m1))  # single events: treatment at risk
+        self.taken = np.zeros(self.size, dtype=np.int64)  # tied streams: batches taken
+
+    def _open(self, r: int):
+        """Row ``r``'s generator, or its tied stream: ``y1``, ``y0``, ``o``,
+        ``o1`` and the cumulative event count of its batches within the
+        limit; built at its first take."""
+        if self.source[r] is None:
+            s = self.scenario
+            rng = stream_rng(s.seed, self.replications[r])
+            if s.tie_h0 is None:
+                self.source[r] = rng
+            else:
+                _, *columns = _tied_columns(s.m1, s.m0, s.theta, s.tie_h0, rng)
+                n = np.cumsum(columns[2])
+                end = int(np.searchsorted(n, self.limit, "right"))
+                self.source[r] = [c[:end] for c in (*columns, n)]
+        return self.source[r]
+
+    def take(self, rows: np.ndarray, length: int) -> tuple[EventStream, np.ndarray]:
+        sources = [self._open(r) for r in rows]
+        if self.scenario.tie_h0 is None:
+            done = int(self.events[rows[0]])  # the rows read together stand at one event
+            y1 = self.y1[rows]
+            at_risk = self.scenario.m1 + self.scenario.m0 - done
+            y1s, y0s, o1 = _single_event_columns(self.scenario.theta, sources, y1, at_risk, length - done)
+            self.y1[rows] = y1
+            block = EventStream(None, y1s, y0s, np.ones_like(o1), o1)
+        else:
+            starts = self.taken[rows]
+            ends = np.array([np.searchsorted(t[4], length, "right") for t in sources], dtype=np.int64)
+            columns = np.zeros((4, rows.size, max(0, (ends - starts).max())), dtype=np.int64)
+            columns[:2] = 1
+            for i, (stream, start, end) in enumerate(zip(sources, starts, ends)):
+                for column, values in zip(columns, stream[:4]):
+                    column[i, : end - start] = values[start:end]
+            self.taken[rows] = ends
+            block = EventStream(None, *columns)
+        n = self.events[rows, None] + np.cumsum(block.o, axis=1)
+        if n.shape[1]:
+            self.events[rows] = n[:, -1]
+        return block, n
+
+    def drop(self, rows: np.ndarray) -> None:
+        for r in rows:
+            self.source[r] = None
 
 
-def _stream_taus(block: EventStream, scenario: SimScenario, kind: str) -> np.ndarray:
-    """First cumulative event count at which test ``kind`` crosses on each
-    row of a ``_sample_block``, ``inf`` if it never does.  The kernels and
-    ``logrank_z`` run over the whole block, the learned numerators row by
-    row, and running sums go along each row; the first crossing of a row is
-    never in its padding, which repeats the row's last statistic."""
-    design = scenario.design
-    n = np.cumsum(block.o, axis=1)
-    if kind == "exact":
-        # one kernel call scores every cell at each alternative, theta1 (and
-        # 1/theta1 when two-sided), then at the null
-        alternatives = [math.log(design.theta1)]
-        if design.two_sided:
-            alternatives.append(math.log(1.0 / design.theta1))
-        cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
-        table = log_kernel(cells, np.array([alternatives + [math.log(design.theta0)]]))
-        traces = np.cumsum((table[:, :-1] - table[:, -1:]).reshape(n.shape + (len(alternatives),)), axis=1)
-        stat = two_sided_log_evalue(traces[..., 0], traces[..., 1]) if design.two_sided else traces[..., 0]
-        hit = stat >= design.log_threshold
-    elif kind in ("plugin", "bayes"):
-        prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-        rows = zip(block.y1, block.y0, block.o, block.o1)
-        stat = np.array([
-            plugin_log_trace(EventStream(None, *row), scenario.m1, scenario.m0, design.theta0)
-            if kind == "plugin"
-            else bayes_log_trace(EventStream(None, *row), prior, design.theta0)
-            for row in rows
-        ])
-        hit = stat >= design.log_threshold
-    elif kind in ("gaussian", "obf", "fixed"):
-        z = logrank_z(block)  # NaN, which crosses nothing, until the variance is positive
-        left = design.side == "left"
-        if kind == "gaussian":
-            mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
-            hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
-        elif kind == "obf":
-            bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
-            hit = (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
-        else:  # fixed: one look, at the first event time reaching the horizon
-            look = ~np.isnan(z) & (n >= design.n_max)
-            bound = fixed_sample_boundary(design.alpha, design.side)
-            hit = look & (np.cumsum(look, axis=1) == 1) & ((z <= bound) if left else (z >= bound))
-    else:
-        raise ValueError(f"unsupported test kind {kind!r}")
-    if not hit.shape[1]:  # every stream ended before its first batch
-        return np.full(hit.shape[0], np.inf)
-    first = hit.argmax(axis=1)
-    return np.where(hit.any(axis=1), n[np.arange(hit.shape[0]), first], np.inf)
+def _carried(ufunc: np.ufunc, carry: np.ndarray, rows, steps: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` of ``steps`` along each row (axis 1), going on
+    from ``carry[rows]``, which then holds each row's last value: a row
+    accumulated block by block gets the bits of one accumulation."""
+    out = np.concatenate([carry[rows][:, None], steps], axis=1)
+    ufunc.accumulate(out, axis=1, out=out)
+    carry[rows] = out[:, -1]
+    return out[:, 1:]
+
+
+def _running_z(block: EventStream, sums: np.ndarray, rows) -> np.ndarray:
+    """``logrank_z`` over the new events ``block`` of rows ``rows``, going
+    on from their logrank score and variance sums ``sums[:2, rows]``; NaN,
+    which crosses nothing, until the variance is positive."""
+    score, variance = logrank_increments(block)
+    return _z_of_sums(_carried(np.add, sums[0], rows, score), _carried(np.add, sums[1], rows, variance))
+
+
+class _Running:
+    """Test ``kind``'s running statistic on each of ``size`` replications,
+    carried from one block of new events to the next.
+
+    ``crossings(rows, block, n)`` scores the new events ``block``
+    (``(rows, L)`` columns from ``_Streams.take``, ``n`` the cumulative
+    event count at each) of rows ``rows``, carries their statistics past
+    them, and returns each row's first crossing column, -1 where there is
+    none; the first crossing of a row is never in its padding, which
+    repeats the row's last statistic.  The exact log e-values (one
+    ``log_kernel`` call over every cell) and the logrank score and variance
+    are running sums (``_carried``); the plug-in carries its fits and log
+    e-value (``_plugin_crossings``), one ``_PluginFit`` of every row for
+    single events and one a row for tied batches; Bayes carries each row's
+    log posterior, its log-sum-exp and the log e-value.
+    """
+
+    def __init__(self, scenario: SimScenario, kind: str, size: int, limit: int):
+        design = scenario.design
+        self.kind, self.scenario, self.limit = kind, scenario, limit
+        if kind == "exact":
+            # one kernel call scores every cell at each alternative, theta1
+            # (and 1/theta1 when two-sided), then at the null
+            alternatives = [math.log(design.theta1)]
+            if design.two_sided:
+                alternatives.append(math.log(1.0 / design.theta1))
+            self.grid = np.array([alternatives + [math.log(design.theta0)]])
+            self.sums = np.zeros((size, len(alternatives)))
+        elif kind in ("gaussian", "obf", "fixed"):
+            self.sums = np.zeros((2, size))  # logrank score and variance
+            self.looked = np.zeros(size, dtype=bool)  # fixed: the one look is past
+        elif kind == "plugin":
+            self.log_m = np.zeros(size)
+            self.at = np.zeros(size, dtype=np.int64)  # batches each row's fit has taken
+            single = scenario.tie_h0 is None
+            self.fits = _PluginFit(size, scenario.m1, scenario.m0, limit) if single else [None] * size
+        elif kind == "bayes":
+            self.log_m = np.zeros(size)
+            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
+            self.log_grid = np.log(prior.thetas)[None, :]
+            log_prior, norm = _bayes_prior(prior)
+            self.log_post, self.norm = np.tile(log_prior, (size, 1)), np.full(size, norm)
+        else:
+            raise ValueError(f"unsupported test kind {kind!r}")
+
+    def crossings(self, rows: np.ndarray, block: EventStream, n: np.ndarray) -> np.ndarray:
+        design = self.scenario.design
+        if self.kind == "exact":
+            cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
+            table = log_kernel(cells, self.grid)
+            steps = (table[:, :-1] - table[:, -1:]).reshape(n.shape + (self.sums.shape[1],))
+            traces = _carried(np.add, self.sums, rows, steps)
+            stat = traces[..., 0]
+            if design.two_sided:
+                stat = two_sided_log_evalue(stat, traces[..., 1])
+            hit = stat >= design.log_threshold
+        elif self.kind in ("gaussian", "obf", "fixed"):
+            z = _running_z(block, self.sums, rows)
+            left = design.side == "left"
+            if self.kind == "gaussian":
+                mu1 = schoenfeld_mu(design.theta1, self.scenario.m1, self.scenario.m0)
+                hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
+            elif self.kind == "obf":
+                bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
+                hit = (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
+            else:  # fixed: one look, at the first event time reaching the horizon
+                look = ~np.isnan(z) & (n >= design.n_max)
+                first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.looked[rows, None]
+                self.looked[rows] |= look.any(axis=1)
+                bound = fixed_sample_boundary(design.alpha, design.side)
+                hit = first_look & ((z <= bound) if left else (z >= bound))
+        elif self.kind == "plugin" and self.scenario.tie_h0 is None:
+            first = _plugin_crossings(self.fits, self.log_m, rows, block, int(self.at[rows[0]]), design)
+            self.at[rows] += n.shape[1]
+            return first
+        else:
+            return self._row_by_row(rows, block)
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    def _row_by_row(self, rows: np.ndarray, block: EventStream) -> np.ndarray:
+        """``crossings`` of the learned numerators that fit one row at a
+        time: a tied plug-in and Bayes, each row on its own new batches."""
+        design = self.scenario.design
+        first = np.full(rows.size, -1)
+        for i, r in enumerate(rows):
+            width = int(np.count_nonzero(block.o[i]))  # the rest is padding
+            if not width:
+                continue
+            columns = [c[i : i + 1, :width] for c in (block.y1, block.y0, block.o, block.o1)]
+            if self.kind == "plugin":
+                if self.fits[r] is None:
+                    self.fits[r] = _PluginFit(1, self.scenario.m1, self.scenario.m0, self.limit)
+                first[i] = _plugin_crossings(
+                    self.fits[r], self.log_m[r : r + 1], np.zeros(1, dtype=np.int64),
+                    EventStream(None, *columns), int(self.at[r]), design,
+                )[0]
+                self.at[r] += width
+                if first[i] >= 0:
+                    self.fits[r] = None
+                continue
+            stream = EventStream(None, *(c[0] for c in columns))
+            log_num, self.log_post[r], self.norm[r] = _bayes_log_numerators(
+                stream, self.log_grid, self.log_post[r], self.norm[r]
+            )
+            steps = log_num - log_kernel(stream, math.log(design.theta0))
+            hits = np.flatnonzero(_carried(np.add, self.log_m, [r], steps[None])[0] >= design.log_threshold)
+            first[i] = hits[0] if hits.size else -1
+        return first
 
 
 def _plugin_crossings(
-    fit: _PluginFit, log_m: np.ndarray, rows: np.ndarray, block: EventStream, done: int, design: DesignSpec
+    fit: _PluginFit, log_m: np.ndarray, rows: np.ndarray, block: EventStream, at: int, design: DesignSpec
 ) -> np.ndarray:
-    """Plug-in stopping times of rows ``rows`` of ``fit``, whose single-event
-    streams ``block`` (``(rows, L)`` columns) are solved and scored up to
-    event ``done``.  Chunks of rows holding about ``_CELLS // 8`` cells of
-    series go on in spans as long as the events before them, a quarter of
+    """First column at which the plug-in log e-value crosses on each row
+    ``rows`` of ``fit`` over its new batches ``block`` (``(rows, L)``
+    columns), -1 where it does not.  ``fit`` and the log e-values ``log_m``
+    stand after the first ``at`` batches of each row and are carried past
+    the block.  Chunks of rows holding about ``_CELLS // 8`` cells of
+    series go on in spans as long as the batches before them, a quarter of
     ``_SPAN`` to ``_SPAN``: ``_plugin_betas`` solves a span for the rows
     still open, one ``log_kernel`` call scores it at the estimates before
-    each event less the null, and a row drops out at its first crossing."""
-    taus = np.full(rows.size, np.inf)
+    each batch less the null, and a row drops out at its first crossing."""
+    first = np.full(rows.size, -1)
+    width = block.o.shape[1]
     size = max(1, _CELLS // (16 * (_ORDER + 1) * (_SPAN + 1)))
     for lo in range(0, rows.size, size):
-        keep, pos = np.arange(lo, min(lo + size, rows.size)), done  # the chunk's open rows
-        while keep.size and pos < block.o.shape[1]:
-            stop = min(block.o.shape[1], pos + min(_SPAN, max(_SPAN // 4, pos)))
+        keep, pos = np.arange(lo, min(lo + size, rows.size)), 0  # the chunk's open rows
+        while keep.size and pos < width:
+            stop = min(width, pos + min(_SPAN, max(_SPAN // 4, at + pos)))
             span = [c[keep, pos:stop] for c in (block.y1, block.y0, block.o, block.o1)]
             betas = _plugin_betas(fit, rows[keep], *span)[:, :-1]
             grid = np.stack([betas.ravel(), np.full(betas.size, math.log(design.theta0))], axis=1)
             k = log_kernel(EventStream(None, *(c.ravel() for c in span)), grid)
             steps = (k[:, 0] - k[:, 1]).reshape(betas.shape)
-            trace = np.cumsum(np.concatenate([log_m[rows[keep], None], steps], axis=1), axis=1)
-            hit = trace[:, 1:] >= design.log_threshold
+            hit = _carried(np.add, log_m, rows[keep], steps) >= design.log_threshold
             crossed = hit.any(axis=1)
-            taus[keep[crossed]] = pos + hit[crossed].argmax(axis=1) + 1
-            log_m[rows[keep]] = trace[:, -1]
+            first[keep[crossed]] = pos + hit[crossed].argmax(axis=1)
             keep, pos = keep[~crossed], stop
-    return taus
+    return first
 
 
 def _stopping_times(
@@ -392,48 +527,48 @@ def _stopping_times(
     """Stopping times of every replication for each test kind, every kind on
     the same streams.
 
-    Replications run over growing prefixes: ``_sample_block`` draws the
-    first ``_BLOCK`` events of the replications still running, then twice
-    as many, and so on up to the limit, in blocks of at most
-    ``_CELLS // 16`` cells, and ``_stream_taus`` scores each kind on the
-    rows that have not crossed for it.  A replication stops running once
-    every kind has crossed on it, so it is sampled to at most about twice
-    the events its decisions need.  The samplers are prefix-consistent, so
-    a longer prefix repeats the shorter one and a row first crosses where it
-    would on the whole stream.  On single-event streams the plug-in goes on
-    from the prefix before: ``_plugin_crossings`` solves and scores each
-    prefix's new events only, for chunks of ``_CELLS // (limit + 2 + _SPAN)``
-    replications whose fits (``_PluginFit``) carry from one prefix to the
-    next.  Replications are keyed individually, so any chunking gives
+    Replications run in chunks of ``_CELLS // (_BLOCK + history)``, the
+    history being ``limit + 2 + _SPAN`` cells for plug-in and Bayes designs
+    and tied streams and 0 otherwise, over growing prefixes: the first
+    ``_BLOCK`` events of the replications still running, then twice as
+    many, and so on up to the limit.  Each prefix goes on from where the
+    one before ended: ``_Streams`` draws only the new events of the open
+    rows, in blocks of at most ``_CELLS // 16`` cells, from generators built
+    once and risk sets carried (tied streams are drawn once and kept), and
+    ``_Running`` scores each kind on the rows that have not crossed for it,
+    from their carried statistics.  So each event is drawn and scored once,
+    and a row first crosses where it would on the whole stream.  A
+    replication stops running once every kind has crossed on it.
+    Replications are keyed individually, so any chunking gives
     bit-identical results.
     """
     kinds = list(dict.fromkeys(kinds))
     reps = scenario.replications
     limit = _event_limit(scenario, cap)
     taus = {k: np.full(reps, np.inf) for k in kinds}
-    stepped = "plugin" in kinds and scenario.tie_h0 is None
-    chunk = max(1, _CELLS // (limit + 2 + _SPAN)) if stepped else reps
-    for lo in range(0, reps, chunk):
-        rows = np.arange(lo, min(lo + chunk, reps))
-        if stepped:
-            fit = _PluginFit(rows.size, scenario.m1, scenario.m0, limit)
-            log_m = np.zeros(rows.size)
-        length = 0
-        while kinds and rows.size and length < limit:
+    history = scenario.tie_h0 is not None or not {"plugin", "bayes"}.isdisjoint(kinds)
+    chunk = max(1, _CELLS // (_BLOCK + (limit + 2 + _SPAN if history else 0)))
+    for lo in range(0, reps if kinds else 0, chunk):
+        streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), limit)
+        running = {k: _Running(scenario, k, streams.size, limit) for k in kinds}
+        ours = {k: taus[k][lo : lo + streams.size] for k in kinds}
+        rows, length = np.arange(streams.size), 0
+        while rows.size and length < limit:
             done, length = length, min(max(2 * length, _BLOCK), limit)
-            size = max(1, _CELLS // (16 * length))
+            size = max(1, _CELLS // (16 * (length - done)))
             for start in range(0, rows.size, size):
                 part = rows[start : start + size]
-                block = _sample_block(scenario, length, part)
-                for kind in kinds:
-                    open_ = np.isinf(taus[kind][part])
+                block, n = streams.take(part, length)
+                for kind in kinds if n.shape[1] else ():  # a tied block may hold no batch
+                    open_ = np.isinf(ours[kind][part])
                     if open_.any():
-                        on = EventStream(None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
-                        taus[kind][part[open_]] = (
-                            _plugin_crossings(fit, log_m, part[open_] - lo, on, done, scenario.design)
-                            if kind == "plugin" and stepped else _stream_taus(on, scenario, kind)
-                        )
-            rows = rows[np.isinf([taus[k][rows] for k in kinds]).any(axis=0)]
+                        on = block if open_.all() else EventStream(
+                            None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
+                        first = running[kind].crossings(part[open_], on, n[open_])
+                        hit = np.flatnonzero(first >= 0)
+                        ours[kind][part[open_][hit]] = n[open_][hit, first[hit]]
+                streams.drop(part[~np.isinf([ours[k][part] for k in kinds]).any(axis=0)])
+            rows = rows[np.isinf([ours[k][rows] for k in kinds]).any(axis=0)]
     return taus
 
 
@@ -500,14 +635,19 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     A stream crosses the boundary of horizon ``h`` iff
     ``min_{n <= h} Z_n * sqrt(n) <= -z_{1-alpha/2} * sqrt(h)`` (left side;
     the maximum and ``>=`` on the right), so one running extreme per stream
-    answers every candidate horizon at once.  ``Z_n`` is ``logrank_z`` of
-    single-event blocks from ``_sample_block``, in chunks of replications.
-    The scan reads growing prefixes, the first ``_BLOCK`` events, then
-    twice as many and so on up to ``cap``, and stops at the first prefix
-    that holds a horizon with the power: the samplers are
-    prefix-consistent, so that horizon is the one a scan to ``cap`` finds.
-    A second pass over the first ``h`` events of the same streams gives the
-    stopping times, by the same comparison.
+    answers every candidate horizon at once.  The scan reads growing
+    prefixes of every replication's single-event stream, the first
+    ``_BLOCK`` events, then twice as many and so on up to ``cap``, the way
+    the engine does: each prefix draws and scores only its new events
+    (``_Streams``), in blocks of at most ``_CELLS // 16`` cells, going on
+    from each replication's generator, risk set, logrank sums and running
+    extreme, and counts the crossings of its new horizons.  It stops at the
+    first prefix that holds a horizon with the power: a longer prefix
+    changes no count of a shorter horizon, so that horizon is the one a
+    scan to ``cap`` finds.  Every replication's generator and sums stay
+    open until then, about 2 KB a replication.  A second pass builds the
+    generators again, draws the first ``h`` events of the same streams and
+    gives the stopping times by the same comparison.
     """
     if scenario.tie_h0 is not None:
         raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
@@ -517,28 +657,40 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     sign = -1.0 if design.side == "left" else 1.0
     crit = normal_quantile(1.0 - design.alpha / 2.0)
 
-    def extremes(steps: int):
-        """Running maximum of ``sign * Z_n * sqrt(n)``, n = 1..steps, of
-        each chunk of replications."""
-        chunk = max(1, _CELLS // steps)
-        root_n = np.sqrt(np.arange(1.0, steps + 1.0))
-        for lo in range(0, reps, chunk):
-            z = logrank_z(_sample_block(scenario, steps, range(lo, min(lo + chunk, reps))))
-            yield np.fmax.accumulate(sign * (z * root_n), axis=1)
+    def extremes(streams: _Streams, sums: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
+        """Running maximum of ``sign * Z_n * sqrt(n)`` over the next events
+        of rows ``rows`` up to ``length``, going on from their logrank
+        score, variance and extreme in ``sums``."""
+        block, n = streams.take(rows, length)
+        return _carried(np.fmax, sums[2], rows, sign * (_running_z(block, sums, rows) * np.sqrt(n)))
 
-    length = 0
+    def start(size: int) -> np.ndarray:
+        sums = np.zeros((3, size))
+        sums[2] = np.nan  # no extreme yet: fmax takes the first value
+        return sums
+
+    streams, sums, rows, length = _Streams(scenario, range(reps), limit), start(reps), np.arange(reps), 0
     while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
-        length = min(max(2 * length, _BLOCK), limit)
-        bounds = crit * np.sqrt(np.arange(1.0, length + 1.0))
-        crossed = sum((e >= bounds).sum(axis=0) for e in extremes(length))
+        done, length = length, min(max(2 * length, _BLOCK), limit)
+        bounds = crit * np.sqrt(np.arange(done + 1.0, length + 1.0))
+        size = max(1, _CELLS // (16 * (length - done)))
+        crossed = sum(
+            (extremes(streams, sums, rows[lo : lo + size], length) >= bounds).sum(axis=0)
+            for lo in range(0, reps, size)
+        )
         reached = np.flatnonzero(crossed / reps >= design.power)
         if reached.size:
             break
     else:
         raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
-    h = int(reached[0]) + 1
-    hits = [e >= bounds[h - 1] for e in extremes(h)]
-    return h, np.concatenate([np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf) for hit in hits])
+    del streams
+    h = done + int(reached[0]) + 1
+    size, taus = max(1, _CELLS // (16 * h)), []
+    for lo in range(0, reps, size):
+        replay = _Streams(scenario, range(lo, min(lo + size, reps)), h)
+        hit = extremes(replay, start(replay.size), np.arange(replay.size), h) >= bounds[h - done - 1]
+        taus.append(np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf))
+    return h, np.concatenate(taus)
 
 
 def schoenfeld_sample_size(theta1: float, alpha: float = 0.05, beta: float = 0.2) -> int:
@@ -634,11 +786,11 @@ def design_table(
     _check_cap(cap)
     _check_cap(obf_cap, "obf_cap")
     theta = theta1 if theta is None else theta
+    design = DesignSpec(theta1=theta1, alpha=alpha, power=power)  # names a bad alpha or power
     n_fixed = schoenfeld_sample_size(theta1, alpha, 1.0 - power)
     rows: list[DesignRow] = []
     unattained: list[dict] = []
 
-    design = DesignSpec(theta1=theta1, alpha=alpha, power=power)
     scenario = SimScenario(
         m1=m1,
         m0=m0,

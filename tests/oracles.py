@@ -700,14 +700,16 @@ def compare_exact_gaussian(scenario, cap=None) -> ExactGaussianComparison:
     from safelogrank.simulate import _single_event_columns, stream_rng
 
     design = scenario.design
+    reps = scenario.replications
     limit = min(scenario.m1 + scenario.m0, cap or scenario.m1 + scenario.m0)
-    rngs = [stream_rng(scenario.seed, r) for r in range(scenario.replications)]
-    columns = _single_event_columns(scenario.m1, scenario.m0, scenario.theta, rngs, limit)
+    rngs = [stream_rng(scenario.seed, r) for r in range(reps)]
+    y1 = np.full(reps, float(scenario.m1))
+    columns = _single_event_columns(scenario.theta, rngs, y1, scenario.m1 + scenario.m0, limit)
     mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
     n = np.arange(1, limit + 1)
-    tau_exact = np.full(scenario.replications, np.inf)
-    tau_gaussian = np.full(scenario.replications, np.inf)
-    dlog = np.full(scenario.replications, np.nan)
+    tau_exact = np.full(reps, np.inf)
+    tau_gaussian = np.full(reps, np.inf)
+    dlog = np.full(reps, np.nan)
     for r, (y1, y0, o1) in enumerate(zip(*columns)):
         stream = EventStream(n.astype(float), y1, y0, np.ones(limit, dtype=np.int64), o1)
         exact = log_evalue_trace(stream, design.theta1, design.theta0)

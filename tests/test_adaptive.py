@@ -372,6 +372,26 @@ def test_plugin_rows_grown_over_uneven_spans_match_exact_estimates():
         assert np.allclose(got[r], reference, rtol=0, atol=1e-12)
 
 
+def test_series_rows_keep_their_bits_alone_and_in_batches():
+    # the per-event series is one matrix product; a row must get the same
+    # bits alone as among 63 or 4,096 rows, or rows fitted together would
+    # not match rows fitted alone
+    rng = np.random.default_rng(7)
+    offsets = rng.uniform(-4.0, 4.0, (4096, 1))
+    moments = _moments_about(offsets, rng.uniform(-1.0, 1.0, 4096))
+    whole = _series(moments)
+    assert whole.shape == (4096, 2, adaptive._ORDER + 1)
+    for lo in range(0, 4096, 63):
+        assert np.array_equal(_series(moments[lo : lo + 63]), whole[lo : lo + 63])
+    assert all(np.array_equal(_series(moments[r : r + 1]), whole[r : r + 1]) for r in range(4096))
+    # the coefficients of the sum (the Taylor table's rows) and of its
+    # derivative (the next rows, times the power they come from)
+    taylor = adaptive._TAYLOR
+    assert np.allclose(whole[:, 0], moments @ taylor[:-1].T, rtol=1e-12, atol=1e-15)
+    derivative = taylor[1:] * np.arange(1.0, adaptive._ORDER + 2)[:, None]
+    assert np.allclose(whole[:, 1], moments @ derivative.T, rtol=1e-12, atol=1e-15)
+
+
 def test_plugin_rows_solved_together_match_each_row_alone():
     # rows fitted together, leaving after different spans as the engine's
     # rows leave at their first crossings, get the bits each row gets when

@@ -356,6 +356,38 @@ def test_env_seed_is_read_only_when_no_seed_is_set(tmp_path, monkeypatch, capsys
     assert "SAFELOGRANK_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--seed", "config", "SAFELOGRANK_SEED"])
+def test_a_negative_seed_is_refused_naming_its_source(source, tmp_path, monkeypatch, capsys):
+    argv = ["design", "--theta1", "0.7", "--m1", "50", "--m0", "50", "--reps", "20"]
+    if source == "--seed":
+        argv += ["--seed", "-2"]
+        want = "--seed must be a nonnegative integer, got -2"
+    elif source == "config":
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -2\n")
+        argv += ["--config", str(cfg)]
+        want = f"seed in {cfg} must be a nonnegative integer, got -2"
+    else:
+        monkeypatch.setenv("SAFELOGRANK_SEED", "-2")
+        want = "SAFELOGRANK_SEED must be a nonnegative integer, got -2"
+    assert main(argv + ["--out", str(tmp_path / "a")]) == EXIT_USAGE
+    assert want in capsys.readouterr().err
+    assert not list(tmp_path.glob("a.*"))
+
+
+@pytest.mark.parametrize(
+    "flags,want",
+    [
+        (["--power", "1.5"], "power must be in (alpha, 1) so that alpha + beta < 1, got 1.5"),
+        (["--power", "0.01"], "power must be in (alpha, 1) so that alpha + beta < 1, got 0.01"),
+        (["--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    ],
+)
+def test_design_names_a_bad_alpha_or_power(flags, want, capsys):
+    assert main(["design", "--theta1", "0.7", "--reps", "5"] + flags) == EXIT_USAGE
+    assert want in capsys.readouterr().err
+
+
 def test_design_deterministic_under_seed(tmp_path):
     args = [
         "design", "--theta1", "0.6", "--m1", "200", "--m0", "200",

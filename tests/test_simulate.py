@@ -16,9 +16,7 @@ from safelogrank.simulate import (
     SimScenario,
     UnattainablePowerError,
     _BLOCK,
-    _sample_block,
     _stopping_times,
-    _stream_taus,
     design_table,
     estimate_nmax,
     estimate_obf_nmax,
@@ -266,17 +264,38 @@ def test_plugin_design_recentres_and_matches_per_stream(monkeypatch):
     assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=600))
 
 
-def small_chunks(monkeypatch, scenario, cap):
-    """Stopping times of ``scenario`` with the engine's chunks shrunk to a
-    few replications each: 2000 cells make plug-in chunks of 3 replications
-    at a limit of 549 events and sample other blocks one replication at a
-    time, so the replications still running at 512 events span several
-    chunks."""
+def small_chunks(monkeypatch, scenario, cap, kinds=None):
+    """Stopping times of ``scenario`` (by kind when ``kinds`` is given) with
+    ``_CELLS`` shrunk to 3000 cells.  The engine then takes replications in
+    several chunks for every kind (11 a chunk when no fit or tied stream is
+    carried, 3 to 6 when one is) and reads a prefix of a chunk in several
+    blocks (one replication a block for 94 new events or more, several for
+    fewer), every block going on from the statistics its rows carried out
+    of the prefix before; fails unless both happen."""
     import safelogrank.simulate as simulate
 
+    chunks, blocks = [], []
+    streams = simulate._Streams
+
+    class Counting(streams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            chunks.append(self)
+
+        def take(self, rows, length):
+            blocks.append((len(chunks), length))
+            return super().take(rows, length)
+
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_CELLS", 2000)
-        return simulate_stopping_times(scenario, cap=cap)
+        patch.setattr(simulate, "_CELLS", 3000)
+        patch.setattr(simulate, "_Streams", Counting)
+        if kinds is None:
+            taus = simulate_stopping_times(scenario, cap=cap)
+        else:
+            taus = _stopping_times(scenario, kinds, cap=cap)
+    assert len(chunks) > 1
+    assert max(blocks.count(b) for b in blocks) > 1  # a prefix of a chunk read in several blocks
+    return taus
 
 
 def test_engine_chunking_is_bit_identical(monkeypatch):
@@ -307,6 +326,18 @@ def test_engine_chunking_is_bit_identical(monkeypatch):
         whole = simulate_stopping_times(scenario, cap=120)
         assert np.isfinite(whole).any()
         assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=120))
+    # every kind on single-event and tied streams, over three prefixes
+    for tie_h0 in (None, 0.01):
+        for kind, n_max in (
+            ("gaussian", None), ("plugin", None), ("bayes", None), ("obf", 400), ("fixed", 300)
+        ):
+            alone = SimScenario(
+                m1=300, m0=300, theta=0.75, design=DesignSpec(theta1=0.7, test_kind=kind, n_max=n_max),
+                replications=15, seed=10, tie_h0=tie_h0,
+            )
+            whole = simulate_stopping_times(alone, cap=cap)
+            assert np.isfinite(whole).any(), kind
+            assert np.array_equal(whole, small_chunks(monkeypatch, alone, cap=cap)), (kind, tie_h0)
 
 
 def test_plugin_rows_split_over_solver_calls_keep_their_stopping_times(monkeypatch):
@@ -362,11 +393,7 @@ def test_kinds_scored_together_keep_their_own_stopping_times(monkeypatch):
         )
         assert np.array_equal(together[kind], simulate_stopping_times(alone, cap=600)), kind
         assert np.array_equal(together[kind], stopping_times_per_stream(alone, cap=600)), kind
-    import safelogrank.simulate as simulate
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_CELLS", 2000)
-        chunked = _stopping_times(scenario, kinds, cap=600)
+    chunked = small_chunks(monkeypatch, scenario, 600, kinds)
     for kind in kinds:
         assert np.array_equal(together[kind], chunked[kind]), kind
 
@@ -386,15 +413,29 @@ def test_tied_bayes_crossings_straddle_a_prefix():
     "kind,n_max", [("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None),
                    ("obf", 400), ("fixed", 300)],
 )
-def test_growing_prefixes_match_one_block_at_the_full_cap(kind, n_max, tie_h0):
+def test_growing_prefixes_match_one_block_at_the_full_cap(kind, n_max, tie_h0, monkeypatch):
     # scoring every replication's whole stream in one block gives the same
-    # stopping times as the engine's growing prefixes, at cap = m1 + m0
+    # stopping times as the engine's growing prefixes, each going on from
+    # the statistics the one before carried, at cap = m1 + m0
+    import safelogrank.simulate as simulate
+
     design = DesignSpec(theta1=0.7, test_kind=kind, n_max=n_max)
     scenario = SimScenario(
         m1=300, m0=300, theta=0.75, design=design, replications=16, seed=2, tie_h0=tie_h0
     )
     fast = simulate_stopping_times(scenario, cap=600)
-    whole = _stream_taus(_sample_block(scenario, 600, range(16)), scenario, kind)
+    blocks = []
+    take = simulate._Streams.take
+
+    def counting(self, rows, length):
+        blocks.append((rows.size, length))
+        return take(self, rows, length)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_BLOCK", 600)  # the first prefix is the whole stream
+        patch.setattr(simulate._Streams, "take", counting)
+        whole = simulate_stopping_times(scenario, cap=600)
+    assert blocks == [(16, 600)]
     assert np.isfinite(fast).any() and (fast[np.isfinite(fast)] > _BLOCK).any()
     assert np.array_equal(fast, whole)
 
@@ -599,6 +640,28 @@ def test_estimate_obf_nmax_matches_its_own_paths():
         assert power_below < 0.8
 
 
+@pytest.mark.parametrize(
+    "theta,theta1,h",
+    [(0.7, 0.7, 186), (1.4, 1.5, 227), (0.78, 0.7, 407), (0.82, 0.7, 585)],
+)
+def test_obf_scan_over_carried_prefixes_matches_one_whole_cap_scan(theta, theta1, h):
+    # the scan reads 256 events, then 512, then the cap, each prefix going
+    # on from the sums and running extremes the one before carried; the
+    # oracle scans every horizon up to the cap on whole paths, on both
+    # sides of 256 and 512 events
+    scenario = SimScenario(
+        m1=500, m0=500, theta=theta, design=DesignSpec(theta1=theta1), replications=80, seed=5
+    )
+    got_h, taus = estimate_obf_nmax(scenario, cap=900)
+    z_scaled = obf_z_paths(scenario, cap=900)
+    side = scenario.design.side
+    want_h = next(
+        n for n in range(1, 901) if np.isfinite(obf_stopping_times(z_scaled, n, 0.05, side)).mean() >= 0.8
+    )
+    assert got_h == want_h == h
+    assert np.array_equal(taus, obf_stopping_times(z_scaled, h, 0.05, side))
+
+
 def test_estimate_obf_nmax_refuses_tied_streams():
     # its scan counts one event per step, which a tied stream does not have
     design = DesignSpec(theta1=0.5)
@@ -690,18 +753,56 @@ def test_stopping_distribution_insensitive_to_tie_coarseness():
 # ---------------------------------------------------------------------------
 
 def test_design_table_at_cli_defaults_keeps_memory_bounded():
-    # the engine samples and scores growing prefixes 2^16 cells at a time,
-    # not the (replications, cap) array of 80 MB at these settings
+    # the engine and the O'Brien-Fleming scan sample and score the new
+    # events of growing prefixes 2^16 cells at a time, not the
+    # (replications, cap) array of 80 MB at these settings
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        table = design_table(0.7, 5000, 5000, replications=1000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [row.test_kind for row in table["rows"]] == ["exact", "fixed-classical"]
-    assert peak < 16 * 2**20, peak
+    for include_obf in (False, True):
+        tracemalloc.start()
+        try:
+            table = design_table(0.7, 5000, 5000, replications=1000, seed=0, include_obf=include_obf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kinds = ["exact"] + ["obrien-fleming"] * include_obf + ["fixed-classical"]
+        assert [row.test_kind for row in table["rows"]] == kinds
+        assert peak < 16 * 2**20, (include_obf, peak)
+
+
+@pytest.mark.parametrize("include_obf,tie_h0", [(False, None), (True, None), (False, 0.01)])
+def test_design_table_builds_each_generator_once_a_pass(include_obf, tie_h0, monkeypatch):
+    # replications run over 256, 512, 1024 and 1100 events here, and each
+    # prefix goes on from the generator its replication built at its first
+    # take: one stream_rng call a replication.  With the O'Brien-Fleming
+    # comparator the scan is a second pass over the same streams, with its
+    # own generators, and its second pass builds them once more to replay
+    # the first h events: three calls a replication.
+    import collections
+
+    import safelogrank.simulate as simulate
+
+    calls, lengths = collections.Counter(), set()
+    build, take = simulate.stream_rng, simulate._Streams.take
+
+    def counting(seed, replication):
+        calls[replication] += 1
+        return build(seed, replication)
+
+    def reading(self, rows, length):
+        lengths.add(length)
+        return take(self, rows, length)
+
+    monkeypatch.setattr(simulate, "stream_rng", counting)
+    monkeypatch.setattr(simulate._Streams, "take", reading)
+    table = design_table(
+        0.7, 600, 600, theta=0.8, replications=40, seed=4, kinds=("exact", "gaussian", "plugin"),
+        cap=1100, include_obf=include_obf, tie_h0=tie_h0,
+    )
+    assert {256, 512, 1024, 1100} <= lengths
+    assert "obrien-fleming" in [row.test_kind for row in table["rows"]] or not include_obf
+    assert sorted(calls) == list(range(40))
+    assert set(calls.values()) == {3 if include_obf else 1}
 
 
 @pytest.mark.parametrize("kind", ["bayes", "nonsense"])
