@@ -212,8 +212,15 @@ def _single_event_columns(
         np.subtract(at_risk - i - 1, y1, out=y0)
     del uniforms
     o1 = o1.T.astype(np.int64)
+    return (*_single_event_risk_sets(o1, first, at_risk), o1)
+
+
+def _single_event_risk_sets(o1: np.ndarray, y1: np.ndarray, at_risk: int) -> tuple[np.ndarray, np.ndarray]:
+    """``y1`` and ``y0`` before each of the single events ``o1`` (``(rows,
+    L)`` columns), from ``at_risk`` participants, ``y1`` of them (one per
+    row) in the treatment group, before the first."""
     before = np.cumsum(o1, axis=1) - o1  # treatment events before each event
-    return first[:, None] - before, (at_risk - first)[:, None] - np.arange(count) + before, o1
+    return y1[:, None] - before, (at_risk - y1)[:, None] - np.arange(o1.shape[1]) + before
 
 
 def sample_single_event_stream(
@@ -645,9 +652,9 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     first prefix that holds a horizon with the power: a longer prefix
     changes no count of a shorter horizon, so that horizon is the one a
     scan to ``cap`` finds.  Every replication's generator and sums stay
-    open until then, about 2 KB a replication.  A second pass builds the
-    generators again, draws the first ``h`` events of the same streams and
-    gives the stopping times by the same comparison.
+    open until then, about 2 KB a replication, and its treatment events
+    are kept as bits.  A second pass reads the first ``h`` events back from
+    the bits and gives the stopping times by the same comparison.
     """
     if scenario.tie_h0 is not None:
         raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
@@ -657,11 +664,10 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     sign = -1.0 if design.side == "left" else 1.0
     crit = normal_quantile(1.0 - design.alpha / 2.0)
 
-    def extremes(streams: _Streams, sums: np.ndarray, rows: np.ndarray, length: int) -> np.ndarray:
-        """Running maximum of ``sign * Z_n * sqrt(n)`` over the next events
-        of rows ``rows`` up to ``length``, going on from their logrank
-        score, variance and extreme in ``sums``."""
-        block, n = streams.take(rows, length)
+    def extremes(block: EventStream, n: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Running maximum of ``sign * Z_n * sqrt(n)`` over the new events
+        ``block`` of rows ``rows``, going on from their logrank score,
+        variance and extreme in ``sums``."""
         return _carried(np.fmax, sums[2], rows, sign * (_running_z(block, sums, rows) * np.sqrt(n)))
 
     def start(size: int) -> np.ndarray:
@@ -670,14 +676,17 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
         return sums
 
     streams, sums, rows, length = _Streams(scenario, range(reps), limit), start(reps), np.arange(reps), 0
+    bits = []  # each prefix's treatment events, eight a byte
     while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
         done, length = length, min(max(2 * length, _BLOCK), limit)
         bounds = crit * np.sqrt(np.arange(done + 1.0, length + 1.0))
-        size = max(1, _CELLS // (16 * (length - done)))
-        crossed = sum(
-            (extremes(streams, sums, rows[lo : lo + size], length) >= bounds).sum(axis=0)
-            for lo in range(0, reps, size)
-        )
+        size, crossed = max(1, _CELLS // (16 * (length - done))), 0
+        bits.append(np.empty((reps, -(-(length - done) // 8)), dtype=np.uint8))
+        for lo in range(0, reps, size):
+            part = rows[lo : lo + size]
+            block, n = streams.take(part, length)
+            bits[-1][part] = np.packbits(block.o1, axis=1)  # padded to whole bytes
+            crossed = crossed + (extremes(block, n, sums, part) >= bounds).sum(axis=0)
         reached = np.flatnonzero(crossed / reps >= design.power)
         if reached.size:
             break
@@ -687,8 +696,13 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     h = done + int(reached[0]) + 1
     size, taus = max(1, _CELLS // (16 * h)), []
     for lo in range(0, reps, size):
-        replay = _Streams(scenario, range(lo, min(lo + size, reps)), h)
-        hit = extremes(replay, start(replay.size), np.arange(replay.size), h) >= bounds[h - done - 1]
+        part = np.arange(lo, min(lo + size, reps))
+        # every prefix but the last holds a multiple of _BLOCK events, so
+        # only the last one's bytes end in padding, past the events read
+        o1 = np.concatenate([np.unpackbits(b[part], axis=1) for b in bits], axis=1)[:, :h].astype(np.int64)
+        y1, y0 = _single_event_risk_sets(o1, np.full(part.size, scenario.m1), scenario.m1 + scenario.m0)
+        block, n = EventStream(None, y1, y0, np.ones_like(o1), o1), np.arange(1, h + 1)
+        hit = extremes(block, n, start(part.size), np.arange(part.size)) >= bounds[h - done - 1]
         taus.append(np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf))
     return h, np.concatenate(taus)
 

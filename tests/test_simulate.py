@@ -776,8 +776,8 @@ def test_design_table_builds_each_generator_once_a_pass(include_obf, tie_h0, mon
     # prefix goes on from the generator its replication built at its first
     # take: one stream_rng call a replication.  With the O'Brien-Fleming
     # comparator the scan is a second pass over the same streams, with its
-    # own generators, and its second pass builds them once more to replay
-    # the first h events: three calls a replication.
+    # own generators, and it reads the first h events back from the bits it
+    # kept: two calls a replication.
     import collections
 
     import safelogrank.simulate as simulate
@@ -802,7 +802,7 @@ def test_design_table_builds_each_generator_once_a_pass(include_obf, tie_h0, mon
     assert {256, 512, 1024, 1100} <= lengths
     assert "obrien-fleming" in [row.test_kind for row in table["rows"]] or not include_obf
     assert sorted(calls) == list(range(40))
-    assert set(calls.values()) == {3 if include_obf else 1}
+    assert set(calls.values()) == {2 if include_obf else 1}
 
 
 @pytest.mark.parametrize("kind", ["bayes", "nonsense"])
