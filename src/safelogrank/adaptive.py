@@ -686,9 +686,82 @@ class ConfidenceSequence:
         return (self.lower <= theta) & (theta <= self.upper)
 
 
-# Cells of the (event times, grid) family that confidence_sequence holds at
-# a time: 64k cells, 512 KB, about 160 event times at the default grid.
+# Cells of an (event times, grid or prior nodes) kernel table held at a
+# time: 64k cells, 512 KB.  bayes_log_trace reads its table in chunks of
+# them, and a column joining a confidence sequence's band catches up in
+# blocks of them.  confidence_sequence reads its first chunk of event times
+# on every grid column, _FIRST_CELLS cells, and each later chunk on a band
+# of columns, _BAND_CELLS cells: those within _MARGIN of the two hull ends
+# at the end of the chunk before, widened where a hull end leaves them.
 _FAMILY_CELLS = 1 << 16
+_FIRST_CELLS = _FAMILY_CELLS // 4
+_BAND_CELLS = _FAMILY_CELLS // 16
+_MARGIN = 4
+
+
+class _Family:
+    """The denominators of a confidence sequence's e-process family,
+    ``sum_{k<=i} log q_theta(o1_k | batch_k)`` for event time ``i`` and
+    grid column ``theta``, on the columns asked for.  ``run[g]`` holds
+    column g's sum over its first ``upto[g]`` event times, so a column
+    that leaves the band and joins it again is summed on from there."""
+
+    def __init__(self, stream: EventStream, grid: np.ndarray):
+        self.stream, self.log_grid = stream, np.log(grid)
+        self.run, self.upto = np.zeros(grid.size), np.zeros(grid.size, dtype=np.int64)
+
+    def _summed(self, cols: np.ndarray, lo: int, hi: int, start) -> np.ndarray:
+        """``log_kernel`` of event times ``lo..hi-1`` on columns ``cols``,
+        summed down each column from ``start``, the sum of the rows before:
+        one sequential sum, however the rows are split."""
+        s = self.stream
+        rows = EventStream(None, s.y1[lo:hi], s.y0[lo:hi], s.o[lo:hi], s.o1[lo:hi])
+        table = log_kernel(rows, self.log_grid[None, cols])
+        table[0] += start
+        return np.cumsum(table, axis=0, out=table)
+
+    def rows(self, cols: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The summed denominators of event times ``lo..hi-1`` on columns
+        ``cols``, bringing any column behind ``lo`` up to it first, in
+        blocks of at most ``_FAMILY_CELLS`` cells."""
+        behind = cols[self.upto[cols] < lo]
+        for start in np.unique(self.upto[behind]):
+            c = behind[self.upto[behind] == start]
+            step = max(1, _FAMILY_CELLS // c.size)
+            for a in range(start, lo, step):
+                self.run[c] = self._summed(c, a, min(a + step, lo), self.run[c])[-1]
+            self.upto[c] = lo
+        return self._summed(cols, lo, hi, self.run[cols])
+
+    def carry(self, cols: np.ndarray, last: np.ndarray, hi: int) -> None:
+        """Record ``last``, the sums of columns ``cols`` through event
+        time ``hi - 1``."""
+        self.run[cols], self.upto[cols] = last, hi
+
+
+def _hull(cols: np.ndarray, f: np.ndarray, log_bound: float, size: int):
+    """Each row's first and last kept column of the tracked columns
+    ``cols`` (sorted) with log e-values ``f``, or its smallest ``f`` twice
+    when it keeps none; whether it keeps any; and whether the lower and
+    upper end may lie in columns not tracked.
+
+    The non-rejected set is one run of columns, ``f`` being convex in
+    ``log theta``.  So a row's first kept tracked column is its lower end
+    if the tracked run holding it starts at column 0 or at a rejected
+    column, and the upper end likewise; a row that keeps no tracked column
+    keeps none at all if its smallest tracked ``f`` has tracked columns on
+    both sides (or the grid's edge), since the samples of a convex
+    function fall, then rise.
+    """
+    keep = f < log_bound
+    some = keep.any(axis=1)
+    least = f.argmin(axis=1)
+    first = np.where(some, keep.argmax(axis=1), least)
+    last = np.where(some, cols.size - 1 - keep[:, ::-1].argmax(axis=1), least)
+    gap = np.diff(cols) != 1
+    starts = np.concatenate([[True], gap]) & (cols > 0)
+    ends = np.concatenate([gap, [True]]) & (cols < size - 1)
+    return cols[first], cols[last], some, starts[first], ends[last]
 
 
 def confidence_sequence(
@@ -717,16 +790,24 @@ def confidence_sequence(
     what the coverage guarantee speaks about, intersection is a reporting
     convenience.
 
-    The family is read in chunks of event-time rows, ``_FAMILY_CELLS``
-    ``(event times, grid)`` cells at a time: the ``log_kernel``
-    denominators, summed over event times with the running sum of the rows
-    before carried into the chunk's first row, and subtracted from the
-    summed numerator in place.  Memory does not grow with the number of
-    event times.  The carried sum adds in the order of one whole-array
-    sum, so a single event's cells keep their bits; a tied batch's
-    ``log_kernel`` pads its support to the widest in its block of rows,
-    and chunking can change that width and with it the last bits of a
-    cell (about 1e-13 in the log e-value).
+    The family's denominators, ``log_kernel`` summed down each grid
+    column, are read in chunks of event times.  The first chunk holds every
+    column for ``_FIRST_CELLS`` cells; each later chunk holds
+    ``_BAND_CELLS`` cells of a band of columns, those within ``_MARGIN`` of
+    the two hull ends at the chunk before's last event time.  The
+    non-rejected set is one run of columns (the log e-value is convex in
+    ``log theta``), so the band's edge columns, rejected, show that a hull
+    end lies inside it; where a row's end may lie beyond the band, the band
+    widens toward it, doubling, on the rows of the chunk (``_hull``).  A
+    column joining the band is first summed over the event times before
+    it, from where it last left the band.  The cost is O(n x band) plus
+    those catch-ups, and memory does not grow with the number of event
+    times.  Each column is one sequential sum, however it is split, so a
+    single event's cells keep the bits of a whole-table pass.  A tied
+    batch's ``log_kernel`` pads its support to the widest in its block of
+    rows, which the chunks and the band's columns can change, so tied cells
+    may differ from a whole-table pass in their last bits (about 1e-13 in
+    the log e-value), as they do between chunkings.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -745,32 +826,44 @@ def confidence_sequence(
     else:
         raise ValueError(f"unknown numerator strategy {numerator!r}")
 
-    n = stream.o.size
+    n, size = stream.o.size, grid.size
     cum_num = np.cumsum(log_num)
-    log_grid, log_bound = np.log(grid)[None, :], math.log(1.0 / alpha)
-    lower, upper = np.empty(n), np.empty(n)
-    lower_bracketed, upper_bracketed = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    denominator = np.zeros(grid.size)
-    step = max(1, _FAMILY_CELLS // grid.size)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
-        log_mart = log_kernel(rows, log_grid)
-        log_mart[0] += denominator
-        np.cumsum(log_mart, axis=0, out=log_mart)
-        denominator = log_mart[-1].copy()
-        np.subtract(cum_num[part, None], log_mart, out=log_mart)
-        keep = log_mart < log_bound
+    log_bound = math.log(1.0 / alpha)
+    lower_col, upper_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    some = np.empty(n, dtype=bool)
+    family = _Family(stream, grid)
+    cols, lo = np.arange(size), 0
+    while lo < n:
+        hi = min(n, lo + max(1, (_BAND_CELLS if lo else _FIRST_CELLS) // cols.size))
+        den, reach = family.rows(cols, lo, hi), 2 * _MARGIN
+        while True:
+            first, last, kept, down, up = _hull(cols, cum_num[lo:hi, None] - den, log_bound, size)
+            if not (down.any() or up.any()):
+                break
+            join = np.zeros(size, dtype=bool)
+            for end in np.unique(first[down]):
+                join[max(0, end - reach) : end] = True
+            for end in np.unique(last[up]):
+                join[end + 1 : end + 1 + reach] = True
+            join[cols] = False
+            new = np.flatnonzero(join)
+            # a widened chunk holds no more cells than the first
+            hi = min(hi, lo + max(1, _FIRST_CELLS // (cols.size + new.size)))
+            order = np.argsort(np.concatenate([cols, new]))
+            den = np.concatenate([den[: hi - lo], family.rows(new, lo, hi)], axis=1)[:, order]
+            cols, reach = np.concatenate([cols, new])[order], 2 * reach
+        family.carry(cols, den[-1], hi)
+        lower_col[lo:hi], upper_col[lo:hi], some[lo:hi] = first, last, kept
+        band = np.zeros(size, dtype=bool)
+        for end in (first[-1], last[-1]):
+            band[max(0, end - _MARGIN) : end + _MARGIN + 1] = True
+        cols, lo = np.flatnonzero(band), hi
 
-        # hull of the kept grid points; NaN when the grid is too coarse and
-        # every candidate is rejected
-        first = keep.argmax(axis=1)
-        last = grid.size - 1 - keep[:, ::-1].argmax(axis=1)
-        some = keep[np.arange(keep.shape[0]), first]
-        lower[part] = np.where(some, grid[first], math.nan)
-        upper[part] = np.where(some, grid[last], math.nan)
-        lower_bracketed[part] = ~keep[:, 0]
-        upper_bracketed[part] = ~keep[:, -1]
+    # NaN where the grid is too coarse and every column is rejected
+    lower = np.where(some, grid[lower_col], math.nan)
+    upper = np.where(some, grid[upper_col], math.nan)
+    lower_bracketed = ~(some & (lower_col == 0))
+    upper_bracketed = ~(some & (upper_col == size - 1))
 
     if running_intersection and n:
         lower = np.maximum.accumulate(lower)

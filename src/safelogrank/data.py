@@ -153,6 +153,11 @@ _FIELDS = (
 )
 
 
+# Lines of the body that parse_dataset splits and converts at a time, so
+# the split fields of only one block are held at once.
+_BLOCK_LINES = 1 << 10
+
+
 def _line_number(lines: list[str], k: int) -> int:
     """The 1-based number of the k-th non-blank line."""
     return next(islice(compress(count(1), map(str.strip, lines)), k, None))
@@ -214,11 +219,13 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     row separated otherwise than its header is refused.  Fields beyond the
     header's are ignored.  Status accepts 1/0 or event/censored, in any case.
 
-    The body is read by column: the non-blank lines are split, and each
-    column taken and converted whole (``float`` for the times, the name
-    tables for group and status).  Errors carry 1-based line numbers: the
-    first line refused, either for its text (field count, then exit, entry,
-    group and status) or for a record rule that its record breaks.
+    The body is read by column, in blocks of ``_BLOCK_LINES`` non-blank
+    lines: a block's lines are split, each of its columns taken and
+    converted whole (``float`` for the times, the name tables for group and
+    status), and the blocks' columns joined.  Errors carry 1-based line
+    numbers: the first line refused, either for its text (field count, then
+    exit, entry, group and status) or for a record rule that its record
+    breaks.
     """
     lines = text.splitlines()
     body = list(filter(str.strip, lines))
@@ -244,14 +251,18 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     if len(body) == 1:
         raise DatasetError("no records after the header row")
 
-    rows = list(map(split, body[1:]))
-    width = len(names)
-    try:
-        columns, text_fault = _columns(rows, width, at), None
-    except ValueError:
-        text_fault = _first_refused(rows, width, at)
-        # the records before it are read; a rule one of them breaks comes first
-        columns = _columns(rows[: text_fault[0]], width, at)
+    width, blocks, text_fault = len(names), [], None
+    for start in range(1, len(body), _BLOCK_LINES):
+        rows = list(map(split, body[start : start + _BLOCK_LINES]))
+        try:
+            blocks.append(_columns(rows, width, at))
+        except ValueError:
+            k, why = _first_refused(rows, width, at)
+            text_fault = (start - 1 + k, why)
+            # the records before it are read; a rule one of them breaks comes first
+            blocks.append(_columns(rows[:k], width, at))
+            break
+    columns = [np.concatenate(block) for block in zip(*blocks)]
     fault = _first_fault(*columns) or text_fault
     if fault is not None:
         raise DatasetError(f"line {_line_number(lines, fault[0] + 1)}: {fault[1]}")

@@ -401,12 +401,17 @@ class _Running:
     are running sums (``_carried``); the plug-in carries its fits and log
     e-value (``_plugin_crossings``), one ``_PluginFit`` of every row for
     single events and one a row for tied batches; Bayes carries each row's
-    log posterior, its log-sum-exp and the log e-value.
+    log posterior, its log-sum-exp and the log e-value.  A ``fixed`` row
+    is settled once its one look has passed without a crossing, and an
+    ``obf`` row once its event count reaches ``n_max``: no later event can
+    cross on it, so the engine reads it no further, and its stopping time
+    stays infinite.
     """
 
     def __init__(self, scenario: SimScenario, kind: str, size: int, limit: int):
         design = scenario.design
         self.kind, self.scenario, self.limit = kind, scenario, limit
+        self.settled = np.zeros(size, dtype=bool)  # rows no later event can cross
         if kind == "exact":
             # one kernel call scores every cell at each alternative, theta1
             # (and 1/theta1 when two-sided), then at the null
@@ -417,7 +422,6 @@ class _Running:
             self.sums = np.zeros((size, len(alternatives)))
         elif kind in ("gaussian", "obf", "fixed"):
             self.sums = np.zeros((2, size))  # logrank score and variance
-            self.looked = np.zeros(size, dtype=bool)  # fixed: the one look is past
         elif kind == "plugin":
             self.log_m = np.zeros(size)
             self.at = np.zeros(size, dtype=np.int64)  # batches each row's fit has taken
@@ -452,10 +456,11 @@ class _Running:
             elif self.kind == "obf":
                 bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
                 hit = (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
+                self.settled[rows] |= n[:, -1] >= design.n_max
             else:  # fixed: one look, at the first event time reaching the horizon
                 look = ~np.isnan(z) & (n >= design.n_max)
-                first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.looked[rows, None]
-                self.looked[rows] |= look.any(axis=1)
+                first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.settled[rows, None]
+                self.settled[rows] |= look.any(axis=1)
                 bound = fixed_sample_boundary(design.alpha, design.side)
                 hit = first_look & ((z <= bound) if left else (z >= bound))
         elif self.kind == "plugin" and self.scenario.tie_h0 is None:
@@ -465,6 +470,11 @@ class _Running:
         else:
             return self._row_by_row(rows, block)
         return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+    def open(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Which of rows ``rows``, with stopping times ``taus``, have neither
+        crossed nor settled."""
+        return np.isinf(taus[rows]) & ~self.settled[rows]
 
     def _row_by_row(self, rows: np.ndarray, block: EventStream) -> np.ndarray:
         """``crossings`` of the learned numerators that fit one row at a
@@ -542,12 +552,12 @@ def _stopping_times(
     one before ended: ``_Streams`` draws only the new events of the open
     rows, in blocks of at most ``_CELLS // 16`` cells, from generators built
     once and risk sets carried (tied streams are drawn once and kept), and
-    ``_Running`` scores each kind on the rows that have not crossed for it,
-    from their carried statistics.  So each event is drawn and scored once,
-    and a row first crosses where it would on the whole stream.  A
-    replication stops running once every kind has crossed on it.
-    Replications are keyed individually, so any chunking gives
-    bit-identical results.
+    ``_Running`` scores each kind on the rows that have neither crossed nor
+    settled for it, from their carried statistics.  So each event is drawn
+    and scored once, and a row first crosses where it would on the whole
+    stream.  A replication stops running once every kind has crossed or
+    settled on it.  Replications are keyed individually, so any chunking
+    gives bit-identical results.
     """
     kinds = list(dict.fromkeys(kinds))
     reps = scenario.replications
@@ -567,15 +577,15 @@ def _stopping_times(
                 part = rows[start : start + size]
                 block, n = streams.take(part, length)
                 for kind in kinds if n.shape[1] else ():  # a tied block may hold no batch
-                    open_ = np.isinf(ours[kind][part])
+                    open_ = running[kind].open(part, ours[kind])
                     if open_.any():
                         on = block if open_.all() else EventStream(
                             None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
                         first = running[kind].crossings(part[open_], on, n[open_])
                         hit = np.flatnonzero(first >= 0)
                         ours[kind][part[open_][hit]] = n[open_][hit, first[hit]]
-                streams.drop(part[~np.isinf([ours[k][part] for k in kinds]).any(axis=0)])
-            rows = rows[np.isinf([ours[k][rows] for k in kinds]).any(axis=0)]
+                streams.drop(part[~np.any([running[k].open(part, ours[k]) for k in kinds], axis=0)])
+            rows = rows[np.any([running[k].open(rows, ours[k]) for k in kinds], axis=0)]
     return taus
 
 

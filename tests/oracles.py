@@ -499,6 +499,47 @@ def confidence_bounds_reference(stream, log_num, grid, alpha: float):
     return out
 
 
+def family_table_bounds(stream, log_num, grid, alpha: float, running_intersection=False, cells=1 << 16):
+    """The confidence sequence's bounds from the whole ``(event times,
+    grid)`` family table, read ``cells`` cells of event-time rows at a time
+    with the running denominators carried into each chunk: (lower, upper,
+    lower_bracketed, upper_bracketed) arrays, as ``confidence_sequence``
+    returns them."""
+    import numpy as np
+
+    from safelogrank.core import EventStream, log_kernel
+
+    n = stream.o.size
+    cum_num = np.cumsum(log_num)
+    log_grid, log_bound = np.log(grid)[None, :], math.log(1.0 / alpha)
+    lower, upper = np.empty(n), np.empty(n)
+    lower_bracketed, upper_bracketed = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    denominator = np.zeros(grid.size)
+    step = max(1, cells // grid.size)
+    for lo in range(0, n, step):
+        part = slice(lo, lo + step)
+        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
+        log_mart = log_kernel(rows, log_grid)
+        log_mart[0] += denominator
+        np.cumsum(log_mart, axis=0, out=log_mart)
+        denominator = log_mart[-1].copy()
+        np.subtract(cum_num[part, None], log_mart, out=log_mart)
+        keep = log_mart < log_bound
+        first = keep.argmax(axis=1)
+        last = grid.size - 1 - keep[:, ::-1].argmax(axis=1)
+        some = keep[np.arange(keep.shape[0]), first]
+        lower[part] = np.where(some, grid[first], math.nan)
+        upper[part] = np.where(some, grid[last], math.nan)
+        lower_bracketed[part] = ~keep[:, 0]
+        upper_bracketed[part] = ~keep[:, -1]
+    if running_intersection and n:
+        lower = np.maximum.accumulate(lower)
+        upper = np.minimum.accumulate(upper)
+        lower_bracketed = np.maximum.accumulate(lower_bracketed)
+        upper_bracketed = np.maximum.accumulate(upper_bracketed)
+    return lower, upper, lower_bracketed, upper_bracketed
+
+
 # ---------------------------------------------------------------------------
 # per-stream simulation: the walker, tied sampler and summaries that the
 # package's engine replaced

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -432,6 +434,22 @@ def test_bayes_trace_matches_per_batch_reference(stream, center, theta0):
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-12)
 
 
+def _band_chunks(first_cells, band_cells, family_cells=None):
+    """Patch the confidence sequence's chunk sizes: the first chunk's cells
+    on every grid column, each later chunk's cells on its band, and the
+    blocks in which a joining column catches up (unchanged if None)."""
+    patches = [
+        mock.patch.object(adaptive, "_FIRST_CELLS", first_cells),
+        mock.patch.object(adaptive, "_BAND_CELLS", band_cells),
+    ]
+    if family_cells is not None:
+        patches.append(mock.patch.object(adaptive, "_FAMILY_CELLS", family_cells))
+    stack = contextlib.ExitStack()
+    for patch in patches:
+        stack.enter_context(patch)
+    return stack
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     stream=_small_streams(),
@@ -445,7 +463,7 @@ def test_confidence_bounds_match_per_batch_reference(stream, numerator, alpha, c
     # more than chunk_rows event times carries its denominators across chunks
     grid = default_theta_grid(60, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
-    with mock.patch.object(adaptive, "_FAMILY_CELLS", chunk_rows * grid.size):
+    with _band_chunks(chunk_rows * grid.size, chunk_rows):
         cs = confidence_sequence(stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior)
     if numerator == "plugin":
         ref_num = oracles.plugin_reference(stream)[1]
@@ -571,22 +589,131 @@ def test_confidence_sequence_narrows_and_covers_truth():
     ids=["single", "tied"],
 )
 def test_confidence_sequence_chunks_match_one_pass(stream):
-    # reading the family in chunks of event times, with the running
-    # denominators carried, gives the bounds of one whole-array pass; the
-    # tied kernel's cells differ from that pass in the last bits here
+    # reading the family in chunks of event times, the first on every
+    # column and the rest on a band, with the running denominators carried,
+    # gives the bounds of one whole-table pass; the tied kernel's cells
+    # differ from that pass in the last bits here
     grid = default_theta_grid()
     fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
+    _, log_num = plugin_log_trace(stream, return_numerator=True)
 
-    def bounds(rows, intersect):
-        with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * grid.size):
+    def bounds(first_rows, band_rows, intersect):
+        with _band_chunks(first_rows * grid.size, band_rows * (2 * adaptive._MARGIN + 1)):
             cs = confidence_sequence(stream, grid=grid, running_intersection=intersect)
         return [getattr(cs, f) for f in fields]
 
     for intersect in (False, True):
-        whole = bounds(stream.o.size, intersect)
-        for rows in (1, 7, 163):
-            for got, want in zip(bounds(rows, intersect), whole):
+        whole = oracles.family_table_bounds(
+            stream, log_num, grid, 0.05, intersect, cells=stream.o.size * grid.size
+        )
+        for first_rows, band_rows in ((1, 1), (1, 7), (7, 1), (7, 163), (163, 7), (stream.o.size, 1)):
+            for got, want in zip(bounds(first_rows, band_rows, intersect), whole):
                 assert np.array_equal(got, want, equal_nan=True)
+
+
+@st.composite
+def _band_streams(draw):
+    """Single-event and tied streams of up to a few hundred event times at
+    hazard ratios 0.2-5, and ``_small_streams`` with forced batches."""
+    kind = draw(st.sampled_from(["single", "tied", "small"]))
+    if kind == "small":
+        return draw(_small_streams())
+    theta = draw(st.floats(0.2, 5.0))
+    m1, m0 = draw(st.integers(5, 200)), draw(st.integers(5, 200))
+    rng = stream_rng(draw(st.integers(0, 2**16)), 0)
+    if kind == "single":
+        return sample_single_event_stream(m1, m0, theta, rng, max_events=draw(st.integers(1, 300)))
+    return sample_tied_stream(m1, m0, theta, draw(st.sampled_from([0.01, 0.05, 0.2])), rng)
+
+
+def _cs_fields(cs):
+    return cs.lower, cs.upper, cs.lower_bracketed, cs.upper_bracketed
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    stream=_band_streams(),
+    size=st.sampled_from([3, 60, 400, 1000]),
+    alpha=st.sampled_from([0.05, 0.3]),
+    numerator=st.sampled_from(["plugin", "bayes"]),
+    chunks=st.sampled_from([(1, 1, None), (5, 40, 64), (20, 300, None), (None, None, None)]),
+    intersect=st.booleans(),
+)
+def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, intersect):
+    # the band scores the columns near the hull's two ends, widening where
+    # an end leaves it; its bounds and bracketed flags are those of the
+    # whole (event times, grid) table, with and without running
+    # intersection.  ``chunks`` holds the first chunk's rows, the band's
+    # cells and the catch-up blocks' cells (None: the package's sizes)
+    grid = default_theta_grid(size, lo=0.05, hi=20.0)
+    prior = PriorSpec.lognormal(0.0, 0.7, n=41)
+    if numerator == "plugin":
+        _, log_num = plugin_log_trace(stream, return_numerator=True)
+    else:
+        _, log_num = bayes_log_trace(stream, prior, return_numerator=True)
+    first_rows, band_cells, family_cells = chunks
+    sizes = (adaptive._FIRST_CELLS, adaptive._BAND_CELLS) if first_rows is None else (first_rows * size, band_cells)
+    with _band_chunks(*sizes, family_cells):
+        cs = confidence_sequence(
+            stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior,
+            running_intersection=intersect,
+        )
+    want = oracles.family_table_bounds(stream, log_num, grid, alpha, intersect)
+    for got, w in zip(_cs_fields(cs), want):
+        assert np.array_equal(got, w, equal_nan=True)
+
+
+def _family_reads(stream, grid, alpha=0.05, first_rows=1, band_cells=1):
+    """The confidence sequence with the given chunk sizes, and the first
+    event time of each ``_Family.rows`` read: a chunk's first read, then
+    one more for each widening."""
+    reads, rows = [], adaptive._Family.rows
+
+    def reading(self, cols, lo, hi):
+        reads.append(lo)
+        return rows(self, cols, lo, hi)
+
+    with _band_chunks(first_rows * grid.size, band_cells), mock.patch.object(adaptive._Family, "rows", reading):
+        cs = confidence_sequence(stream, alpha=alpha, grid=grid)
+    return cs, reads
+
+
+def _table_fields(stream, grid, alpha=0.05):
+    _, log_num = plugin_log_trace(stream, return_numerator=True)
+    return oracles.family_table_bounds(stream, log_num, grid, alpha)
+
+
+def test_band_zero_events_holds_no_rows():
+    grid = default_theta_grid(60)
+    cs, reads = _family_reads(stream_of([]), grid)
+    assert reads == [] and all(field.size == 0 for field in _cs_fields(cs))
+
+
+def test_band_reads_rows_that_keep_no_column_without_widening():
+    # a 30-point grid is too coarse for 1,500 events here: the non-rejected
+    # set falls between two columns on 340 rows.  Their smallest log
+    # e-value has band columns on both sides, so they keep no column at
+    # all, and no chunk widens to find that out
+    stream = sample_single_event_stream(1000, 1000, 0.7, stream_rng(1, 0), max_events=1500)
+    grid = default_theta_grid(30)
+    cs, reads = _family_reads(stream, grid, alpha=0.3, first_rows=40, band_cells=400)
+    assert np.isnan(cs.lower[40:]).sum() == 340
+    assert len(reads) == len(set(reads))
+    for got, want in zip(_cs_fields(cs), _table_fields(stream, grid, alpha=0.3)):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_band_widens_where_a_hull_end_moves_past_it():
+    # on a 1,000-point grid the hull ends of the first event times move by
+    # many columns within one chunk of 40 rows, beyond the band's margin
+    # of 4, so chunks widen the band toward them, some several times
+    stream = _single_event_stream(0.7, 300, 300, 400, seed=7)
+    grid = default_theta_grid(1000, lo=0.05, hi=20.0)
+    cs, reads = _family_reads(stream, grid, first_rows=5, band_cells=40 * 18)
+    widened = collections.Counter(reads)
+    assert len(widened) > 1 and max(widened.values()) > 2
+    for got, want in zip(_cs_fields(cs), _table_fields(stream, grid)):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize(

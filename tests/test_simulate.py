@@ -298,6 +298,33 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None):
     return taus
 
 
+@pytest.mark.parametrize("kind", ["fixed", "obf"])
+def test_settled_rows_are_read_no_further(kind, monkeypatch):
+    # at the null, a fixed row's one look at 300 events, and an O'Brien-
+    # Fleming row's horizon of 300, settle every row that has not crossed
+    # there: no later event can cross on it.  So the engine reads no row
+    # past the prefix of 512 events that holds them; read on to the cap,
+    # 194 fixed rows took 2,000 events each.  Their stopping times are
+    # those of a run that reads every open row to the cap.
+    import safelogrank.simulate as simulate
+
+    design = DesignSpec(theta1=0.7, test_kind=kind, n_max=300)
+    scenario = SimScenario(m1=1000, m0=1000, theta=1.0, design=design, replications=200, seed=1)
+    reads, take = [], simulate._Streams.take
+
+    def reading(self, rows, length):
+        reads.append((rows.size, length))
+        return take(self, rows, length)
+
+    monkeypatch.setattr(simulate._Streams, "take", reading)
+    taus = simulate_stopping_times(scenario, cap=2000)
+    assert max(length for _, length in reads) == 512
+    reads.clear()
+    monkeypatch.setattr(simulate._Running, "open", lambda self, rows, taus: np.isinf(taus[rows]))
+    assert np.array_equal(simulate_stopping_times(scenario, cap=2000), taus)
+    assert sum(rows for rows, length in reads if length == 2000) == (194 if kind == "fixed" else 196)
+
+
 def test_engine_chunking_is_bit_identical(monkeypatch):
     design = DesignSpec(theta1=0.7)
     scenario = SimScenario(
