@@ -849,9 +849,10 @@ def confidence_sequence(
             new = np.flatnonzero(join)
             # a widened chunk holds no more cells than the first
             hi = min(hi, lo + max(1, _FIRST_CELLS // (cols.size + new.size)))
-            order = np.argsort(np.concatenate([cols, new]))
+            merged = np.concatenate([cols, new])
+            order = np.argsort(merged)
             den = np.concatenate([den[: hi - lo], family.rows(new, lo, hi)], axis=1)[:, order]
-            cols, reach = np.concatenate([cols, new])[order], 2 * reach
+            cols, reach = merged[order], 2 * reach
         family.carry(cols, den[-1], hi)
         lower_col[lo:hi], upper_col[lo:hi], some[lo:hi] = first, last, kept
         band = np.zeros(size, dtype=bool)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
@@ -438,16 +437,10 @@ def _band_chunks(first_cells, band_cells, family_cells=None):
     """Patch the confidence sequence's chunk sizes: the first chunk's cells
     on every grid column, each later chunk's cells on its band, and the
     blocks in which a joining column catches up (unchanged if None)."""
-    patches = [
-        mock.patch.object(adaptive, "_FIRST_CELLS", first_cells),
-        mock.patch.object(adaptive, "_BAND_CELLS", band_cells),
-    ]
-    if family_cells is not None:
-        patches.append(mock.patch.object(adaptive, "_FAMILY_CELLS", family_cells))
-    stack = contextlib.ExitStack()
-    for patch in patches:
-        stack.enter_context(patch)
-    return stack
+    return mock.patch.multiple(
+        adaptive, _FIRST_CELLS=first_cells, _BAND_CELLS=band_cells,
+        _FAMILY_CELLS=family_cells or adaptive._FAMILY_CELLS,
+    )
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -639,6 +632,7 @@ def _cs_fields(cs):
     chunks=st.sampled_from([(1, 1, None), (5, 40, 64), (20, 300, None), (None, None, None)]),
     intersect=st.booleans(),
 )
+@example(stream=stream_of([]), size=60, alpha=0.05, numerator="plugin", chunks=(1, 1, None), intersect=True)
 def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, intersect):
     # the band scores the columns near the hull's two ends, widening where
     # an end leaves it; its bounds and bracketed flags are those of the
@@ -683,12 +677,6 @@ def _table_fields(stream, grid, alpha=0.05):
     return oracles.family_table_bounds(stream, log_num, grid, alpha)
 
 
-def test_band_zero_events_holds_no_rows():
-    grid = default_theta_grid(60)
-    cs, reads = _family_reads(stream_of([]), grid)
-    assert reads == [] and all(field.size == 0 for field in _cs_fields(cs))
-
-
 def test_band_reads_rows_that_keep_no_column_without_widening():
     # a 30-point grid is too coarse for 1,500 events here: the non-rejected
     # set falls between two columns on 340 rows.  Their smallest log
@@ -705,8 +693,8 @@ def test_band_reads_rows_that_keep_no_column_without_widening():
 
 def test_band_widens_where_a_hull_end_moves_past_it():
     # on a 1,000-point grid the hull ends of the first event times move by
-    # many columns within one chunk of 40 rows, beyond the band's margin
-    # of 4, so chunks widen the band toward them, some several times
+    # many columns within a chunk of about 40 of them, beyond the band's
+    # margin of 4, so chunks widen the band toward them, some several times
     stream = _single_event_stream(0.7, 300, 300, 400, seed=7)
     grid = default_theta_grid(1000, lo=0.05, hi=20.0)
     cs, reads = _family_reads(stream, grid, first_rows=5, band_cells=40 * 18)
