@@ -758,10 +758,11 @@ def _hull(cols: np.ndarray, f: np.ndarray, log_bound: float, size: int):
     least = f.argmin(axis=1)
     first = np.where(some, keep.argmax(axis=1), least)
     last = np.where(some, cols.size - 1 - keep[:, ::-1].argmax(axis=1), least)
+    # tracked columns that start (end) a run with an untracked column below (above)
     gap = np.diff(cols) != 1
-    starts = np.concatenate([[True], gap]) & (cols > 0)
-    ends = np.concatenate([gap, [True]]) & (cols < size - 1)
-    return cols[first], cols[last], some, starts[first], ends[last]
+    open_below = np.concatenate([[True], gap]) & (cols > 0)
+    open_above = np.concatenate([gap, [True]]) & (cols < size - 1)
+    return cols[first], cols[last], some, open_below[first], open_above[last]
 
 
 def confidence_sequence(
