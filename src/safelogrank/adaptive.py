@@ -276,11 +276,11 @@ def _tied_series(u: np.ndarray, log_w: np.ndarray, at: np.ndarray) -> tuple[np.n
     return coef.transpose(1, 2, 0), np.sqrt(kappa[2])
 
 
-def _tied_sums(u: np.ndarray, log_w: np.ndarray, counts: np.ndarray, at: np.ndarray):
-    """Row r's summed series (``_tied_series``) of the first ``counts[r]``
-    batches of a support table about ``at[r]``, and the largest sd among
-    them (0 where the row holds none).  Whole rows are read together, about
-    ``_CELLS`` support cells at a time."""
+def _tied_sums(u: np.ndarray, log_w: np.ndarray, starts: np.ndarray, counts: np.ndarray, at: np.ndarray):
+    """Row r's summed series (``_tied_series``) of the ``counts[r]``
+    batches of a support table from row ``starts[r]`` on, about ``at[r]``,
+    and the largest sd among them (0 where the row holds none).  Whole rows
+    are read together, about ``_CELLS`` support cells at a time."""
     out = np.zeros((at.size, 2, _ORDER + 1))
     sd = np.zeros(at.size)
     rows = np.flatnonzero(counts)
@@ -292,7 +292,7 @@ def _tied_sums(u: np.ndarray, log_w: np.ndarray, counts: np.ndarray, at: np.ndar
         lo += part.size
         k = counts[part]
         first = np.cumsum(k) - k
-        batch = np.arange(k.sum()) - np.repeat(first, k)
+        batch = np.arange(k.sum()) + np.repeat(starts[part] - first, k)
         coef, s = _tied_series(u[batch], log_w[batch], np.repeat(at[part], k))
         out[part] = np.add.reduceat(coef, first, axis=0)
         sd[part] = np.maximum.reduceat(s, first)
@@ -344,9 +344,10 @@ _BLOCK = 64
 class _PluginFit:
     """What ``_plugin_betas`` carries for each row from call to call: the
     estimate, treatment count, centre, radius and series (``state``), the
-    batches taken, virtual events included, and the history: the offsets
-    ``log(y1/y0)`` of its informative single events in order, and the
-    ``(y1, y0, o)`` of its informative tied batches (one-row fits only)."""
+    batches taken, virtual and empty ones included, and the history: the
+    offsets ``log(y1/y0)`` of its informative single events in order
+    (``held`` of them) and the ``(y1, y0, o)`` of its informative tied
+    batches in order (``held_tied`` of them)."""
 
     def __init__(self, rows: int, m1: int, m0: int, batches: int):
         if m1 < 1 or m0 < 1:
@@ -354,17 +355,19 @@ class _PluginFit:
         self.m1, self.m0 = m1, m0
         self.state = np.zeros((rows, 4 + 2 * (_ORDER + 1)))
         self.state[:, 3] = _RADIUS
-        self.taken, self.held = np.zeros((2, rows), dtype=np.int64)
+        self.taken, self.held, self.held_tied = np.zeros((3, rows), dtype=np.int64)
         self.offsets = np.full((rows, batches + 2 + _BLOCK), -np.inf)
-        self.tied = np.zeros((3, 0), dtype=np.int64)
+        self.tied = np.zeros((3, rows, 0), dtype=np.int64)  # grown as rows take tied batches
 
 
 def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarray:
     """``log(theta_hat)`` of rows ``rows`` of ``fit``, fitted on their
     history and the first j of the new batches ``y1, y0, o, o1`` (``(rows,
-    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  The rows must have taken
-    the same number of batches; a new fit takes the two virtual events
-    first, as batches of their own.
+    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  The rows may have taken
+    different numbers of batches, and a row's new batches may end in empty
+    ones (``o = 0``), which change nothing.  A new fit takes the two virtual
+    events first, as batches of their own, while the other rows of its call
+    take two empty batches.
 
     Blocks of at most ``_BLOCK`` prefixes of every row, from where the rows
     stand, are solved together by ``plugin_newton``, warm-started from each
@@ -373,16 +376,18 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
     sums of one series per new batch, power moments for a single event and
     cumulants for a tied batch.  A prefix whose iterate leaves the radius
     re-centres on its own history, read as a row as wide as the block's
-    start plus ``_BLOCK``.  The next block starts from the series each
-    row's last prefix ended with, read again about the warm start only when
-    that centre is more than half the radius from it.  Forced batches leave
-    the fit unchanged.
+    start plus ``_BLOCK``, and on one support table of the rows' tied
+    batches.  The next block starts from the series each row's last prefix
+    ended with, read again about the warm start only when that centre is
+    more than half the radius from it.  Forced batches leave the fit
+    unchanged.
     """
-    taken = int(fit.taken[rows[0]])
-    lead = 0 if taken else 2
+    taken = fit.taken[rows]
+    lead = 0 if taken.all() else 2
     if lead:  # a virtual treatment event at (m1+1, m0), a virtual control event at (m1, m0+1)
-        columns = np.empty((4, rows.size, 2 + o.shape[1]), dtype=np.int64)
-        columns[:, :, :2] = [[[fit.m1 + 1, fit.m1]], [[fit.m0, fit.m0 + 1]], [[1, 1]], [[1, 0]]]
+        columns = np.zeros((4, rows.size, 2 + o.shape[1]), dtype=np.int64)
+        columns[:2, :, :2] = 1  # empty batches, at risk sets (1, 1), for the rows that have taken some
+        columns[:, taken == 0, :2] = [[[fit.m1 + 1, fit.m1]], [[fit.m0, fit.m0 + 1]], [[1, 1]], [[1, 0]]]
         columns[:, :, 2:] = y1, y0, o, o1
         y1, y0, o, o1 = columns
     n = o.shape[1]
@@ -398,46 +403,52 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
     state = fit.state[rows]
     beta, o1_sum, centre, base_radius = state[:, :4].T
     base = state[:, 4:].reshape(-1, 2, _ORDER + 1)
-    ends, n_tied = fit.held[rows, None] + counts[0], fit.tied.shape[1] + counts[1]
+    ends, n_tied = fit.held[rows, None] + counts[0], fit.held_tied[rows, None] + counts[1]
     o1_sum = o1_sum[:, None] + counts[2]
     r, j = np.nonzero(single)
     fit.offsets[rows[r], ends[r, j]] = gap[single]
-    has_tied = tied.any()
-    if has_tied:
-        if fit.offsets.shape[0] > 1:
-            raise ValueError("tied batches are fitted one row at a time")
-        fit.tied = np.concatenate([fit.tied, np.stack([y1[tied], y0[tied], o[tied]])], axis=1)
-    if fit.tied.size:  # one support table of every tied batch the row holds
-        t_u, t_lw = (table.astype(float) for table in _support_table(*fit.tied))
+    held = n_tied[:, -1]
+    if tied.any():
+        if held.max() > fit.tied.shape[2]:  # at least twice the room
+            fit.tied = np.pad(fit.tied, ((0, 0), (0, 0), (0, held.max())))
+        r, j = np.nonzero(tied)
+        fit.tied[:, rows[r], n_tied[r, j]] = y1[tied], y0[tied], o[tied]
+    if held.any():  # one support table of the rows' tied batches, row r's from starts[r] on
+        starts = np.cumsum(held) - held
+        r = np.repeat(np.arange(rows.size), held)
+        batches = fit.tied[:, rows[r], np.arange(r.size) - starts[r]]
+        t_u, t_lw = (table.astype(float) for table in _support_table(*batches))
 
     def history(r, i, at, width):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
         first ``i`` new batches; single events read ``width`` wide."""
         series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
-        if not fit.tied.size:
+        if not held.any():
             return series, np.full(at.size, _RADIUS)
-        tied_series, sd = _tied_sums(t_u, t_lw, n_tied[r, i], at)
+        tied_series, sd = _tied_sums(t_u, t_lw, starts[r], n_tied[r, i], at)
         return series + tied_series, _radius(sd)
 
     betas = np.empty((rows.size, n + 1))
     betas[:, 0] = beta
     for lo in range(0, n, _BLOCK):
         # the fits on the new batches lo..hi: one series per batch, summed
-        # onto the fit before; a prefix's radius is its batches' least
-        hi, start = min(lo + _BLOCK, n), taken + lo
+        # onto the fit before; a prefix's radius is its batches' least; no
+        # row's history reaches past start + _BLOCK
+        hi, start = min(lo + _BLOCK, n), int(taken.max()) + lo
         step = np.zeros((rows.size, 1 + hi - lo, 2, _ORDER + 1))
         radius = np.full(step.shape[:2], _RADIUS)
         step[:, 0], radius[:, 0] = base, base_radius
         s, t = single[:, lo:hi], tied[:, lo:hi]
         step[:, 1:][s] = _series(_moments_about(gap[:, lo:hi][s][:, None], centre.repeat(s.sum(axis=1))))
-        if has_tied and t.any():
-            part = slice(n_tied[0, lo], n_tied[0, hi])
-            step[:, 1:][t], sd = _tied_series(t_u[part], t_lw[part], np.full(t.sum(), centre[0]))
+        if t.any():
+            r, j = np.nonzero(t)
+            k = starts[r] + n_tied[r, lo + j]
+            step[:, 1:][t], sd = _tied_series(t_u[k], t_lw[k], centre[r])
             radius[:, 1:][t] = _radius(sd)
         np.cumsum(step, axis=1, out=step)
         np.minimum.accumulate(radius, axis=1, out=radius)
 
-        first = max(1, 2 - start)  # a fit holds both virtual events
+        first = max(1, lead - lo)  # a fit holds both virtual events
         count = hi - lo + 1 - first
         term = _SeriesTerm(
             step[:, first:].reshape(-1, 2, _ORDER + 1), centre.repeat(count), radius[:, first:].ravel(),
@@ -454,7 +465,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
             centre[far] = beta[far]
             base[far], base_radius[far] = history(far, np.full(far.size, hi), centre[far], start + _BLOCK)
     state[:, 1] = o1_sum[:, -1]
-    fit.state[rows], fit.held[rows] = state, ends[:, -1]
+    fit.state[rows], fit.held[rows], fit.held_tied[rows] = state, ends[:, -1], held
     fit.taken[rows] += n
     return betas[:, lead:]
 
@@ -568,50 +579,56 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return m + np.log(a.sum(axis=1))
 
 
-def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, float]:
-    """The log prior, which is the log posterior before any event, and its
-    log-sum-exp."""
+def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The log prior, which is the log posterior before any event, as one
+    row ``(1, G)``, and its log-sum-exp ``(1,)``."""
     with np.errstate(divide="ignore"):
-        log_prior = np.log(prior.weights)
-    return log_prior, float(_logsumexp_rows(log_prior[None, :].copy())[0])
+        log_prior = np.log(prior.weights)[None, :]
+    return log_prior, _logsumexp_rows(log_prior.copy())
 
 
 def _bayes_log_numerators(
-    stream: EventStream, log_grid: np.ndarray, log_post: np.ndarray, norm: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Log predictive of each event time of ``stream`` on the nodes
-    ``log_grid`` (``(1, G)``), going on from the unnormalized log posterior
-    ``log_post`` and its log-sum-exp ``norm``; returns them with the log
-    posterior after the stream and its log-sum-exp, so a stream read in
-    parts gets the bits of one pass.
+    block: EventStream, log_grid: np.ndarray, log_post: np.ndarray, norm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log predictive of each event time of the streams ``block`` (``(rows,
+    L)`` columns) on the nodes ``log_grid`` (``(1, G)``), going on from each
+    row's unnormalized log posterior ``log_post`` (``(rows, G)``) and its
+    log-sum-exp ``norm`` (``(rows,)``); returns them with the log posteriors
+    after the block and their log-sum-exps, so a stream read in parts gets
+    the bits of one pass.  An empty batch (``o = 0``) leaves the posterior
+    as it is, and its log predictive is exactly 0.
 
     With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
     the log posterior before event time i is ``log_post + sum_{k<i} K[k]``
     and the log predictive is ``logsumexp(posterior + K[i]) -
-    logsumexp(posterior)``.  The first term of row i - 1 is the second of
-    row i (the same sums of the same operands), so one log-sum-exp a row
-    serves both.  The table is read in chunks of event-time rows,
-    ``_FAMILY_CELLS`` cells at a time, with the running posterior and its
-    log-sum-exp carried into each chunk's first row, as
-    ``confidence_sequence`` reads its family.
+    logsumexp(posterior)``.  The first term of event time i - 1 is the
+    second of event time i (the same sums of the same operands), so one
+    log-sum-exp serves both.  The table is read in chunks of
+    ``_FAMILY_CELLS`` cells, each row's running posterior and log-sum-exp
+    carried into a chunk's first event time, as ``confidence_sequence``
+    reads its family.
     """
-    n = stream.o.size
-    log_num = np.empty(n)
-    step = max(1, _FAMILY_CELLS // log_grid.size)
-    for lo in range(0, n, step):
-        part = slice(lo, lo + step)
-        rows = EventStream(None, stream.y1[part], stream.y0[part], stream.o[part], stream.o1[part])
-        table = log_kernel(rows, log_grid)
-        posterior = np.empty_like(table)
-        posterior[0], posterior[1:] = log_post, table[:-1]
-        np.cumsum(posterior, axis=0, out=posterior)
-        log_post = posterior[-1] + table[-1]
-        table += posterior
-        numerator = _logsumexp_rows(table)
-        log_num[part] = numerator
-        log_num[lo] -= norm
-        log_num[lo + 1 : lo + numerator.size] -= numerator[:-1]
-        norm = numerator[-1]
+    size, n = block.o.shape
+    log_num, log_post, norm = np.empty((size, n)), log_post.copy(), norm.copy()
+    cells = max(1, _FAMILY_CELLS // log_grid.size)  # (rows, event times) cells a chunk
+    height = max(1, cells // max(n, 1))
+    for r in range(0, size, height):
+        rows = slice(r, r + height)
+        for lo in range(0, n, cells // height):
+            part = (rows, slice(lo, lo + cells // height))
+            shape = block.o[part].shape
+            cols = (c[part].ravel() for c in (block.y1, block.y0, block.o, block.o1))
+            table = log_kernel(EventStream(None, *cols), log_grid).reshape(shape + (-1,))
+            posterior = np.empty_like(table)
+            posterior[:, 0], posterior[:, 1:] = log_post[rows], table[:, :-1]
+            np.cumsum(posterior, axis=1, out=posterior)
+            log_post[rows] = posterior[:, -1] + table[:, -1]
+            table += posterior
+            numerator = _logsumexp_rows(table.reshape(-1, log_grid.size)).reshape(shape)
+            log_num[part] = numerator
+            log_num[rows, lo] -= norm[rows]
+            log_num[rows, lo + 1 : lo + numerator.shape[1]] -= numerator[:, :-1]
+            norm[rows] = numerator[:, -1]
     if not np.isfinite(log_num).all():
         raise ValueError(
             "posterior predictive underflowed to zero; the prior grid puts "
@@ -633,7 +650,8 @@ def bayes_log_trace(
     if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    log_num, _, _ = _bayes_log_numerators(stream, np.log(prior.thetas)[None, :], *_bayes_prior(prior))
+    row = EventStream(None, *(c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1)))
+    (log_num,), _, _ = _bayes_log_numerators(row, np.log(prior.thetas)[None, :], *_bayes_prior(prior))
     trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
     return (trace, log_num) if return_numerator else trace
 

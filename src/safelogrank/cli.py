@@ -582,8 +582,8 @@ def cmd_boundary(args: argparse.Namespace) -> int:
         raise UsageError("--theta1 is required (it sets the gaussian-safe drift)")
     alpha = opt.get("alpha", 0.05, float)
     n_max = opt.get("nmax", None, int)
-    if n_max is None:
-        raise UsageError("--nmax is required (it anchors the O'Brien-Fleming column)")
+    if n_max is None or n_max < 1:
+        raise UsageError("--nmax is required and must be >= 1 (it anchors the O'Brien-Fleming column)")
     m1 = opt.get("m1", 1, int)
     m0 = opt.get("m0", 1, int)
     side = opt.get("side", "left" if theta1 < 1.0 else "right")

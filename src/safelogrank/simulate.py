@@ -25,14 +25,16 @@ carried from prefix to prefix, so each event is drawn and scored once.
 ``_Streams`` hands out the new events of a block of replications as one
 ``EventStream`` whose columns are ``(replications, L)`` arrays, tied rows
 padded with empty batches that add exactly 0 to every sum;
-``core.log_kernel`` and ``gaussian.logrank_increments`` (or the learned
-numerators) score them, and running sums carried along each row give the
-first crossing, the one a pass over the whole stream finds.
-O'Brien-Fleming sizing scans growing prefixes the same way for the
-shortest horizon with the design's power, from the running extremes of
-``Z_n * sqrt(n)``.  The engine takes replications in chunks, so its memory
-stays bounded however many there are; the O'Brien-Fleming scan keeps
-every replication's generator and running statistics, about 2 KB each.
+``core.log_kernel`` and ``gaussian.logrank_increments`` (or the plug-in
+and Bayes numerators) score all the rows of a block together, and running
+sums carried along each row give the first crossing, the one a pass over
+the whole stream finds.  O'Brien-Fleming sizing scans growing prefixes the
+same way for the shortest horizon with the design's power, from the
+running maxima of ``Z_n * sqrt(n)``, and scores that horizon's stopping
+times as the engine's ``obf`` kind, by the same crossing rule.  The engine
+takes replications in chunks, so its memory stays bounded however many
+there are; the O'Brien-Fleming scan keeps every replication's generator
+and running statistics, about 2 KB each.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -46,7 +48,7 @@ early-stopping benefit is the mean of ``tau`` conditional on ``tau < n_max``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -65,7 +67,6 @@ from .gaussian import (
     log_gaussian_evalue,
     logrank_increments,
     normal_quantile,
-    obf_boundary,
     schoenfeld_mu,
 )
 
@@ -387,6 +388,19 @@ def _running_z(block: EventStream, sums: np.ndarray, rows) -> np.ndarray:
     return _z_of_sums(_carried(np.add, sums[0], rows, score), _carried(np.add, sums[1], rows, variance))
 
 
+def _obf_scaled(z: np.ndarray, n: np.ndarray, design: DesignSpec) -> np.ndarray:
+    """``Z_n * sqrt(n)`` on the design's side: negated when it is left."""
+    return (-1.0 if design.side == "left" else 1.0) * (z * np.sqrt(n))
+
+
+def _obf_reaches(scaled: np.ndarray, design: DesignSpec, horizon) -> np.ndarray:
+    """The one O'Brien-Fleming crossing rule: whether ``scaled``
+    (``_obf_scaled``, or its running maximum) reaches ``z_{1-alpha/2} *
+    sqrt(horizon)``.  A stream crosses the boundary of horizon h at the
+    first n <= h where its ``_obf_scaled`` does; NaN reaches nothing."""
+    return scaled >= normal_quantile(1.0 - design.alpha / 2.0) * np.sqrt(horizon)
+
+
 class _Running:
     """Test ``kind``'s running statistic on each of ``size`` replications,
     carried from one block of new events to the next.
@@ -396,21 +410,21 @@ class _Running:
     event count at each) of rows ``rows``, carries their statistics past
     them, and returns each row's first crossing column, -1 where there is
     none; the first crossing of a row is never in its padding, which
-    repeats the row's last statistic.  The exact log e-values (one
-    ``log_kernel`` call over every cell) and the logrank score and variance
-    are running sums (``_carried``); the plug-in carries its fits and log
-    e-value (``_plugin_crossings``), one ``_PluginFit`` of every row for
-    single events and one a row for tied batches; Bayes carries each row's
-    log posterior, its log-sum-exp and the log e-value.  A ``fixed`` row
-    is settled once its one look has passed without a crossing, and an
-    ``obf`` row once its event count reaches ``n_max``: no later event can
-    cross on it, so the engine reads it no further, and its stopping time
-    stays infinite.
+    repeats the row's last statistic.  Every kind scores the rows of a
+    block together.  The exact log e-values (one ``log_kernel`` call over
+    every cell) and the logrank score and variance are running sums
+    (``_carried``); the plug-in carries one ``_PluginFit`` of every row and
+    the log e-values (``_plugin_crossings``); Bayes carries each row's log
+    posterior, its log-sum-exp and the log e-value.  A ``fixed`` row is
+    settled once its one look has passed without a crossing, and an ``obf``
+    row once its event count reaches ``n_max``: no later event can cross on
+    it, so the engine reads it no further, and its stopping time stays
+    infinite.
     """
 
     def __init__(self, scenario: SimScenario, kind: str, size: int, limit: int):
         design = scenario.design
-        self.kind, self.scenario, self.limit = kind, scenario, limit
+        self.kind, self.scenario = kind, scenario
         self.settled = np.zeros(size, dtype=bool)  # rows no later event can cross
         if kind == "exact":
             # one kernel call scores every cell at each alternative, theta1
@@ -424,15 +438,12 @@ class _Running:
             self.sums = np.zeros((2, size))  # logrank score and variance
         elif kind == "plugin":
             self.log_m = np.zeros(size)
-            self.at = np.zeros(size, dtype=np.int64)  # batches each row's fit has taken
-            single = scenario.tie_h0 is None
-            self.fits = _PluginFit(size, scenario.m1, scenario.m0, limit) if single else [None] * size
+            self.fit = _PluginFit(size, scenario.m1, scenario.m0, limit)
         elif kind == "bayes":
             self.log_m = np.zeros(size)
             prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
             self.log_grid = np.log(prior.thetas)[None, :]
-            log_prior, norm = _bayes_prior(prior)
-            self.log_post, self.norm = np.tile(log_prior, (size, 1)), np.full(size, norm)
+            self.log_post, self.norm = (np.repeat(a, size, axis=0) for a in _bayes_prior(prior))
         else:
             raise ValueError(f"unsupported test kind {kind!r}")
 
@@ -449,26 +460,26 @@ class _Running:
             hit = stat >= design.log_threshold
         elif self.kind in ("gaussian", "obf", "fixed"):
             z = _running_z(block, self.sums, rows)
-            left = design.side == "left"
             if self.kind == "gaussian":
                 mu1 = schoenfeld_mu(design.theta1, self.scenario.m1, self.scenario.m0)
                 hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
             elif self.kind == "obf":
-                bound = obf_boundary(np.clip(n, 1, design.n_max), design.n_max, design.alpha, design.side)
-                hit = (n <= design.n_max) & ((z <= bound) if left else (z >= bound))
+                hit = (n <= design.n_max) & _obf_reaches(_obf_scaled(z, n, design), design, design.n_max)
                 self.settled[rows] |= n[:, -1] >= design.n_max
             else:  # fixed: one look, at the first event time reaching the horizon
                 look = ~np.isnan(z) & (n >= design.n_max)
                 first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.settled[rows, None]
                 self.settled[rows] |= look.any(axis=1)
                 bound = fixed_sample_boundary(design.alpha, design.side)
-                hit = first_look & ((z <= bound) if left else (z >= bound))
-        elif self.kind == "plugin" and self.scenario.tie_h0 is None:
-            first = _plugin_crossings(self.fits, self.log_m, rows, block, int(self.at[rows[0]]), design)
-            self.at[rows] += n.shape[1]
-            return first
+                hit = first_look & ((z <= bound) if design.side == "left" else (z >= bound))
+        elif self.kind == "plugin":
+            return _plugin_crossings(self.fit, self.log_m, rows, block, design)
         else:
-            return self._row_by_row(rows, block)
+            log_num, self.log_post[rows], self.norm[rows] = _bayes_log_numerators(
+                block, self.log_grid, self.log_post[rows], self.norm[rows]
+            )
+            steps = log_num - log_kernel(block, math.log(design.theta0))
+            hit = _carried(np.add, self.log_m, rows, steps) >= design.log_threshold
         return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
     def open(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -476,56 +487,28 @@ class _Running:
         crossed nor settled."""
         return np.isinf(taus[rows]) & ~self.settled[rows]
 
-    def _row_by_row(self, rows: np.ndarray, block: EventStream) -> np.ndarray:
-        """``crossings`` of the learned numerators that fit one row at a
-        time: a tied plug-in and Bayes, each row on its own new batches."""
-        design = self.scenario.design
-        first = np.full(rows.size, -1)
-        for i, r in enumerate(rows):
-            width = int(np.count_nonzero(block.o[i]))  # the rest is padding
-            if not width:
-                continue
-            columns = [c[i : i + 1, :width] for c in (block.y1, block.y0, block.o, block.o1)]
-            if self.kind == "plugin":
-                if self.fits[r] is None:
-                    self.fits[r] = _PluginFit(1, self.scenario.m1, self.scenario.m0, self.limit)
-                first[i] = _plugin_crossings(
-                    self.fits[r], self.log_m[r : r + 1], np.zeros(1, dtype=np.int64),
-                    EventStream(None, *columns), int(self.at[r]), design,
-                )[0]
-                self.at[r] += width
-                if first[i] >= 0:
-                    self.fits[r] = None
-                continue
-            stream = EventStream(None, *(c[0] for c in columns))
-            log_num, self.log_post[r], self.norm[r] = _bayes_log_numerators(
-                stream, self.log_grid, self.log_post[r], self.norm[r]
-            )
-            steps = log_num - log_kernel(stream, math.log(design.theta0))
-            hits = np.flatnonzero(_carried(np.add, self.log_m, [r], steps[None])[0] >= design.log_threshold)
-            first[i] = hits[0] if hits.size else -1
-        return first
-
 
 def _plugin_crossings(
-    fit: _PluginFit, log_m: np.ndarray, rows: np.ndarray, block: EventStream, at: int, design: DesignSpec
+    fit: _PluginFit, log_m: np.ndarray, rows: np.ndarray, block: EventStream, design: DesignSpec
 ) -> np.ndarray:
     """First column at which the plug-in log e-value crosses on each row
     ``rows`` of ``fit`` over its new batches ``block`` (``(rows, L)``
-    columns), -1 where it does not.  ``fit`` and the log e-values ``log_m``
-    stand after the first ``at`` batches of each row and are carried past
-    the block.  Chunks of rows holding about ``_CELLS // 8`` cells of
-    series go on in spans as long as the batches before them, a quarter of
-    ``_SPAN`` to ``_SPAN``: ``_plugin_betas`` solves a span for the rows
-    still open, one ``log_kernel`` call scores it at the estimates before
-    each batch less the null, and a row drops out at its first crossing."""
+    columns, a row's empty batches last), -1 where it does not; ``fit`` and
+    the log e-values ``log_m`` are carried past the block.  Chunks of rows
+    holding about ``_CELLS // 8`` cells of series go on in spans as long as
+    the fewest batches a row had taken, a quarter of ``_SPAN`` to
+    ``_SPAN``: ``_plugin_betas`` solves a span for the open rows with
+    batches in it, one ``log_kernel`` call scores it at the estimates
+    before each batch less the null, and a row drops out at its first
+    crossing."""
     first = np.full(rows.size, -1)
-    width = block.o.shape[1]
+    width = np.count_nonzero(block.o, axis=1)  # each row's batches before its empty ones
     size = max(1, _CELLS // (16 * (_ORDER + 1) * (_SPAN + 1)))
     for lo in range(0, rows.size, size):
         keep, pos = np.arange(lo, min(lo + size, rows.size)), 0  # the chunk's open rows
-        while keep.size and pos < width:
-            stop = min(width, pos + min(_SPAN, max(_SPAN // 4, at + pos)))
+        at = int(np.maximum(fit.taken[rows[keep]] - 2, 0).min())  # batches taken, virtual events not
+        while (keep := keep[width[keep] > pos]).size:
+            stop = min(block.o.shape[1], pos + min(_SPAN, max(_SPAN // 4, at + pos)))
             span = [c[keep, pos:stop] for c in (block.y1, block.y0, block.o, block.o1)]
             betas = _plugin_betas(fit, rows[keep], *span)[:, :-1]
             grid = np.stack([betas.ravel(), np.full(betas.size, math.log(design.theta0))], axis=1)
@@ -649,54 +632,46 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
     design's power, and each replication's stopping time at that horizon.
 
-    A stream crosses the boundary of horizon ``h`` iff
-    ``min_{n <= h} Z_n * sqrt(n) <= -z_{1-alpha/2} * sqrt(h)`` (left side;
-    the maximum and ``>=`` on the right), so one running extreme per stream
-    answers every candidate horizon at once.  The scan reads growing
+    A stream crosses the boundary of horizon ``h`` iff the running maximum
+    of ``Z_n * sqrt(n)`` on the design's side reaches ``z_{1-alpha/2} *
+    sqrt(h)`` by n = h (``_obf_reaches``), so one running maximum per
+    stream answers every candidate horizon at once.  The scan reads growing
     prefixes of every replication's single-event stream, the first
     ``_BLOCK`` events, then twice as many and so on up to ``cap``, the way
     the engine does: each prefix draws and scores only its new events
     (``_Streams``), in blocks of at most ``_CELLS // 16`` cells, going on
     from each replication's generator, risk set, logrank sums and running
-    extreme, and counts the crossings of its new horizons.  It stops at the
+    maximum, and counts the crossings of its new horizons.  It stops at the
     first prefix that holds a horizon with the power: a longer prefix
     changes no count of a shorter horizon, so that horizon is the one a
     scan to ``cap`` finds.  Every replication's generator and sums stay
     open until then, about 2 KB a replication, and its treatment events
     are kept as bits.  A second pass reads the first ``h`` events back from
-    the bits and gives the stopping times by the same comparison.
+    the bits and scores them as the engine's ``obf`` kind at ``n_max = h``,
+    by the same rule, so the stopping times it gives have the power that
+    chose ``h``.
     """
     if scenario.tie_h0 is not None:
         raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
     design = scenario.design
     limit = _event_limit(scenario, cap)
+    obf_design = replace(design, test_kind="obf", n_max=limit)  # refuses a design with no side
     reps = scenario.replications
-    sign = -1.0 if design.side == "left" else 1.0
-    crit = normal_quantile(1.0 - design.alpha / 2.0)
-
-    def extremes(block: EventStream, n: np.ndarray, sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Running maximum of ``sign * Z_n * sqrt(n)`` over the new events
-        ``block`` of rows ``rows``, going on from their logrank score,
-        variance and extreme in ``sums``."""
-        return _carried(np.fmax, sums[2], rows, sign * (_running_z(block, sums, rows) * np.sqrt(n)))
-
-    def start(size: int) -> np.ndarray:
-        sums = np.zeros((3, size))
-        sums[2] = np.nan  # no extreme yet: fmax takes the first value
-        return sums
-
-    streams, sums, rows, length = _Streams(scenario, range(reps), limit), start(reps), np.arange(reps), 0
+    sums = np.zeros((3, reps))  # logrank score and variance, running maximum of _obf_scaled
+    sums[2] = np.nan  # no maximum yet: fmax takes the first value
+    streams, rows, length = _Streams(scenario, range(reps), limit), np.arange(reps), 0
     bits = []  # each prefix's treatment events, eight a byte
     while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
         done, length = length, min(max(2 * length, _BLOCK), limit)
-        bounds = crit * np.sqrt(np.arange(done + 1.0, length + 1.0))
+        horizons = np.arange(done + 1, length + 1)
         size, crossed = max(1, _CELLS // (16 * (length - done))), 0
         bits.append(np.empty((reps, -(-(length - done) // 8)), dtype=np.uint8))
         for lo in range(0, reps, size):
             part = rows[lo : lo + size]
             block, n = streams.take(part, length)
             bits[-1][part] = np.packbits(block.o1, axis=1)  # padded to whole bytes
-            crossed = crossed + (extremes(block, n, sums, part) >= bounds).sum(axis=0)
+            maxima = _carried(np.fmax, sums[2], part, _obf_scaled(_running_z(block, sums, part), n, design))
+            crossed = crossed + _obf_reaches(maxima, design, horizons).sum(axis=0)
         reached = np.flatnonzero(crossed / reps >= design.power)
         if reached.size:
             break
@@ -704,6 +679,7 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
         raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
     del streams
     h = done + int(reached[0]) + 1
+    obf = replace(scenario, design=replace(obf_design, n_max=h))
     size, taus = max(1, _CELLS // (16 * h)), []
     for lo in range(0, reps, size):
         part = np.arange(lo, min(lo + size, reps))
@@ -711,9 +687,11 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
         # only the last one's bytes end in padding, past the events read
         o1 = np.concatenate([np.unpackbits(b[part], axis=1) for b in bits], axis=1)[:, :h].astype(np.int64)
         y1, y0 = _single_event_risk_sets(o1, np.full(part.size, scenario.m1), scenario.m1 + scenario.m0)
-        block, n = EventStream(None, y1, y0, np.ones_like(o1), o1), np.arange(1, h + 1)
-        hit = extremes(block, n, start(part.size), np.arange(part.size)) >= bounds[h - done - 1]
-        taus.append(np.where(hit[:, -1], hit.argmax(axis=1) + 1.0, np.inf))
+        n = np.broadcast_to(np.arange(1, h + 1), o1.shape)
+        first = _Running(obf, "obf", part.size, h).crossings(
+            np.arange(part.size), EventStream(None, y1, y0, np.ones_like(o1), o1), n
+        )
+        taus.append(np.where(first >= 0, first + 1.0, np.inf))
     return h, np.concatenate(taus)
 
 

@@ -565,6 +565,26 @@ def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, 
     return stream_of(rows, times)
 
 
+def enumerate_paths(m: int):
+    """Every order of the 2m uncensored events of m treatment and m control
+    participants, one row each: an ``EventStream`` of ``(C(2m, m), 2m)``
+    single-event columns.  Under the null hazard ratio 1 each order has
+    probability ``1 / C(2m, m)``, so a mean over the rows is an exact null
+    expectation."""
+    import itertools
+
+    import numpy as np
+
+    from safelogrank.core import EventStream
+
+    n = 2 * m
+    o1 = np.zeros((math.comb(n, m), n), dtype=np.int64)
+    for row, treated in enumerate(itertools.combinations(range(n), m)):
+        o1[row, treated] = 1
+    before = np.cumsum(o1, axis=1) - o1  # treatment events before each event
+    return EventStream(None, m - before, m - np.arange(n) + before, np.ones_like(o1), o1)
+
+
 def logrank_moments(stream):
     """Cumulative logrank score sum(o1 - E1) and ties-corrected variance
     sum(V1) after each event time, from the package's per-event

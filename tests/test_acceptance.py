@@ -13,8 +13,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from safelogrank.adaptive import confidence_sequence
-from safelogrank.core import log_evalue_trace, log_kernel
+from safelogrank.adaptive import (
+    PriorSpec,
+    _bayes_log_numerators,
+    _bayes_prior,
+    _plugin_betas,
+    _PluginFit,
+    bayes_log_trace,
+    confidence_sequence,
+    plugin_log_trace,
+)
+from safelogrank.core import EventStream, log_evalue_trace, log_kernel, two_sided_log_evalue
 from safelogrank.gaussian import null_expectation_audit
 from safelogrank.simulate import (
     DesignSpec,
@@ -29,6 +38,7 @@ from safelogrank.simulate import (
 
 from oracles import (
     compare_exact_gaussian,
+    enumerate_paths,
     exact_hypergeom_pmf,
     logrank_moments,
     sample_tied_stream_binomial,
@@ -338,3 +348,50 @@ def test_12_meta_analysis_keeps_type_one_error():
         rate <= limit,
         f"pooled null rejected in {rate:.4f} of replications (<= {limit:.4f})",
     )
+
+
+def test_13_exact_null_expectation_and_level_by_path_enumeration():
+    """Every order of 7 + 7 uncensored events (3,432 equally likely paths
+    under the null), scored as the rows of one call per numerator: the
+    plug-in through one ``_PluginFit``, Bayes through the row-batched
+    numerator.  Each gives ``E[M_n] = 1`` to 1e-12 at every n and an exact
+    ``P(sup_n M_n >= 1/alpha) <= alpha``, and a row gets the log e-values
+    of its one-row trace to 1e-12 (checked on every 34th path).  A plug-in
+    or Bayes step that peeked at the current event would break the
+    expectation at once; a Monte Carlo band would not show it here."""
+    m, alpha, theta1 = 7, 0.05, 0.7
+    paths = enumerate_paths(m)
+    size, n = paths.o.shape
+    assert size == math.comb(2 * m, m)
+    columns = (paths.y1, paths.y0, paths.o, paths.o1)
+    cells = EventStream(None, *(c.ravel() for c in columns))
+    null = log_kernel(paths, 0.0)
+    betas = _plugin_betas(_PluginFit(size, m, m, n), np.arange(size), *columns)
+    prior = PriorSpec.lognormal(math.log(theta1), n=41)
+    log_num, _, _ = _bayes_log_numerators(
+        paths, np.log(prior.thetas)[None, :], *(np.repeat(a, size, axis=0) for a in _bayes_prior(prior))
+    )
+    left, right = (np.cumsum(log_kernel(paths, math.log(t)) - null, axis=1) for t in (theta1, 1 / theta1))
+    traces = {
+        "exact": left,
+        "two-sided": two_sided_log_evalue(left, right),
+        "plug-in": np.cumsum(log_kernel(cells, betas[:, :-1].ravel()).reshape(size, n) - null, axis=1),
+        "Bayes": np.cumsum(log_num - null, axis=1),
+    }
+    one_row = {
+        "exact": lambda s: log_evalue_trace(s, theta1),
+        "two-sided": lambda s: log_evalue_trace(s, theta1, two_sided=True),
+        "plug-in": plugin_log_trace,
+        "Bayes": lambda s: bayes_log_trace(s, prior),
+    }
+    checked = {p: EventStream(None, *(c[p] for c in columns)) for p in range(0, size, 34)}
+    for name, trace in traces.items():
+        drift = np.abs(np.exp(trace).mean(axis=0) - 1.0).max()
+        level = float(np.mean(trace.max(axis=1) >= math.log(1.0 / alpha)))
+        apart = max(np.abs(one_row[name](stream) - trace[p]).max() for p, stream in checked.items())
+        _verdict(
+            f"exact null of the {name} numerator ({size} paths)",
+            drift <= 1e-12 and level <= alpha and apart <= 1e-12,
+            f"max_n |E[M_n] - 1| = {drift:.1e}, P(sup M >= 1/alpha) = {level:.5f}, "
+            f"rows vs one-row traces {apart:.1e}",
+        )

@@ -281,7 +281,8 @@ def _series_term(c, table, centre):
         series = _series(_moments_about(c[r], at))
         if table is None:
             return series, _RADIUS
-        tied, sd = _tied_sums(*table, np.full(r.size, table[0].shape[0]), at)
+        every = np.full(r.size, table[0].shape[0])
+        tied, sd = _tied_sums(*table, np.zeros(r.size, dtype=np.int64), every, at)
         return series + tied, _radius(sd)
 
     series, radius = history(np.arange(centre.size), centre)

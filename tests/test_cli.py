@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +495,17 @@ def test_boundary_past_the_horizon_and_without_one(tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_boundary_names_nmax_when_it_is_below_one(nmax, tmp_path, capsys):
+    # --n-to defaults to --nmax, so the range check would name flags that
+    # were never given
+    argv = ["boundary", "--theta1", "0.7", "--nmax", nmax, "--out", str(tmp_path / "b")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--nmax" in err and ">= 1" in err and "n-from" not in err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_confseq_rows_and_intersection(tmp_path, capsys):
     stream = sample_single_event_stream(60, 60, 0.7, stream_rng(12, 0))
     data_path = tmp_path / "trial.csv"
@@ -568,7 +580,7 @@ def test_boundary_z_balanced_is_the_balanced_boundary(strong_dataset, tmp_path, 
 
 
 def test_out_refuses_to_overwrite_an_input(null_dataset, tmp_path, capsys):
-    original = open(null_dataset, "rb").read()
+    original = Path(null_dataset).read_bytes()
     other = tmp_path / "other.csv"
     other.write_bytes(original)
     link = tmp_path / "link.csv"
@@ -583,7 +595,7 @@ def test_out_refuses_to_overwrite_an_input(null_dataset, tmp_path, capsys):
     ):
         assert main(argv) == EXIT_USAGE
         assert "overwrite" in capsys.readouterr().err
-    assert open(null_dataset, "rb").read() == original
+    assert Path(null_dataset).read_bytes() == original
     assert not os.path.exists(base + ".json")
 
 

@@ -6,6 +6,7 @@ layout of either file shows here."""
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +118,7 @@ def inputs(tmp_path_factory):
 def report_digests(name: str) -> tuple[str, str]:
     assert main(RUNS[name] + ["--out", name]) in (EXIT_CONTINUE, EXIT_REJECT)
     return tuple(
-        hashlib.sha256(open(name + ext, "rb").read()).hexdigest() for ext in (".csv", ".json")
+        hashlib.sha256(Path(name + ext).read_bytes()).hexdigest() for ext in (".csv", ".json")
     )
 
 

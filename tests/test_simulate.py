@@ -435,6 +435,42 @@ def test_tied_bayes_crossings_straddle_a_prefix():
     assert np.array_equal(fast, stopping_times_per_stream(scenario))
 
 
+@pytest.mark.parametrize("kind,tie_h0", [("plugin", 0.02), ("bayes", 0.02), ("bayes", None)])
+def test_open_rows_of_a_block_share_each_solver_call(kind, tie_h0, monkeypatch):
+    # tied rows stand at different batch counts and end in empty batches,
+    # yet the open rows of a block share one _plugin_betas call a span (a
+    # span holds at least _SPAN // 4 batches) or one _bayes_log_numerators
+    # call; scoring a row at a time made a call per row and span
+    import safelogrank.simulate as simulate
+
+    log = []
+    name = "_plugin_betas" if kind == "plugin" else "_bayes_log_numerators"
+    solve = getattr(simulate, name)
+    take = simulate._Streams.take
+
+    def counting(*args):
+        rows = args[1] if kind == "plugin" else args[0].o
+        log[-1].append(len(rows))
+        return solve(*args)
+
+    def reading(self, rows, length):
+        block, n = take(self, rows, length)
+        log.append([int(np.count_nonzero(block.o, axis=1).max(initial=0))])
+        return block, n
+
+    monkeypatch.setattr(simulate, name, counting)
+    monkeypatch.setattr(simulate._Streams, "take", reading)
+    design = DesignSpec(theta1=0.7, test_kind=kind)
+    scenario = SimScenario(
+        m1=300, m0=300, theta=0.6, design=design, replications=40, seed=3, tie_h0=tie_h0
+    )
+    taus = simulate_stopping_times(scenario)
+    assert np.isfinite(taus).any() and len(log) > 1
+    for width, *calls in log:
+        assert len(calls) <= (-(-width // (simulate._SPAN // 4)) if kind == "plugin" else 1)
+    assert max(max(calls, default=0) for _, *calls in log) > 1
+
+
 @pytest.mark.parametrize("tie_h0", [None, 0.02])
 @pytest.mark.parametrize(
     "kind,n_max", [("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None),
@@ -694,6 +730,16 @@ def test_estimate_obf_nmax_refuses_tied_streams():
     design = DesignSpec(theta1=0.5)
     scenario = SimScenario(m1=100, m0=100, theta=0.5, design=design, replications=10, tie_h0=0.02)
     with pytest.raises(ValueError, match="single-event"):
+        estimate_obf_nmax(scenario, cap=60)
+
+
+def test_estimate_obf_nmax_refuses_a_design_with_no_side():
+    # the boundary needs theta1 on one side of theta0; a plug-in design may
+    # set theta1 = theta0, and is refused before the scan, by the engine's
+    # own O'Brien-Fleming design check
+    design = DesignSpec(theta1=1.0, test_kind="plugin")
+    scenario = SimScenario(m1=100, m0=100, theta=0.5, design=design, replications=10)
+    with pytest.raises(ValueError, match="theta1 must differ"):
         estimate_obf_nmax(scenario, cap=60)
 
 
