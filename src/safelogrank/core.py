@@ -26,10 +26,13 @@ the type-I error.
 All arithmetic is in natural-log space.  ``log_kernel`` is the one
 vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, with
 ``theta`` a scalar, one value per event time, or a grid: single events use
-the logistic closed form, forced batches give exactly 0, and tied batches
-are evaluated together over a padded support table whose log-binomials come
-from one log-factorial table (built with ``math.lgamma``), normalized by
-log-sum-exp: the package's one Fisher noncentral hypergeometric formula.
+the logistic closed form, as a softplus ``-(max(x, 0) + log1p(exp(-|x|)))``
+on numpy's vectorized ufuncs, forced batches give exactly 0, and tied
+batches are evaluated together over a padded support table whose
+log-binomials come from one log-factorial table (built with
+``math.lgamma``), normalized by log-sum-exp over blocks laid out as
+``(rows, support, grid)``, so the grid is the innermost axis: the package's
+one Fisher noncentral hypergeometric formula.
 The exact traces, the learned numerators, the confidence sequence
 denominators and the simulation engine all read it.
 """
@@ -121,22 +124,32 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result.
     With a scalar ``log_theta`` the columns may have any shape, such as
     ``(replications, L)``, and the result has theirs.
-    Single events use the logistic closed form ``-log(1 + exp(-/+d))`` with
-    ``d = log(y1/y0) + log_theta``; forced batches give exactly 0; tied
-    batches evaluate the Fisher noncentral hypergeometric log-pmf together,
-    in blocks of rows of similar support size, so no block holds more than
-    ``_TIE_CELLS`` (rows, grid, support) cells.
+    Single events use the logistic closed form ``-softplus(x)`` with
+    ``x = -/+(log(y1/y0) + log_theta)``, computed elementwise as
+    ``-(max(x, 0) + log1p(exp(-|x|)))`` through numpy's vectorized ``exp``
+    and ``log1p`` with one buffer besides the result, so a row's bits do
+    not depend on the rows scored with it; forced batches give exactly 0;
+    tied batches evaluate the Fisher noncentral hypergeometric log-pmf
+    together, in blocks of rows of similar support size and, for wide
+    supports, slices of the grid, so no block holds more than
+    ``_TIE_CELLS`` (rows, support, grid) cells, or one support row where
+    that is larger.
     """
     log_theta = np.asarray(log_theta, dtype=float)
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.log(y1) - np.log(y0)  # +-inf on forced rows, overwritten below
+        c = np.log(y1 / y0)  # +-inf or nan on forced rows, overwritten below
     sign = np.where(o1 == 1, -1.0, 1.0)
     if log_theta.ndim == 2:
         c, sign = c[:, None], sign[:, None]
     out = c + log_theta
     out *= sign
-    np.logaddexp(0.0, out, out=out)
+    soft = np.abs(out)  # log q = -softplus(x) = -(max(x, 0) + log1p(exp(-|x|)))
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    np.maximum(out, 0.0, out=out)
+    out += soft
     np.negative(out, out=out)
     forced = np.maximum(0, o - y0) == np.minimum(o, y1)
     out[forced] = 0.0
@@ -147,32 +160,39 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     return out
 
 
-# Rows x grid x support cells of one block of tied batches in ``log_kernel``.
+# Rows x support x grid cells of one block of tied batches in ``log_kernel``.
 _TIE_CELLS = 1 << 14
 
 
 def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     """``log_kernel`` of informative tied batches, ``log_theta`` of shape
     ``(k,)`` or ``(k, G)``: log weight of the observed split minus the
-    log-sum-exp over the padded support, in blocks of rows sorted by
-    support size."""
+    log-sum-exp over the padded support.  Each block is laid out as
+    ``(rows, support, grid)``, so the max, the exp and the sum over the
+    support run along whole grid vectors.  Blocks take rows sorted by
+    support size and, where a row's support times the grid exceeds
+    ``_TIE_CELLS``, a slice of the grid, so no block holds more than
+    ``_TIE_CELLS`` cells, or one support row where that is larger."""
     grid = log_theta.reshape(o.size, -1)
     size = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
     order = np.argsort(size, kind="stable")
     out = np.empty(grid.shape)
     start = 0
     while start < order.size:
-        cells = np.arange(1, order.size - start + 1) * size[order[start:]] * grid.shape[1]
+        width = max(1, min(grid.shape[1], _TIE_CELLS // int(size[order[start]])))
+        cells = np.arange(1, order.size - start + 1) * size[order[start:]] * width
         rows = order[start : start + max(1, int(np.searchsorted(cells, _TIE_CELLS, "right")))]
         start += rows.size
         u, log_w = _support_table(y1[rows], y0[rows], o[rows])
-        lt = grid[rows]
-        table = log_w[:, None, :] + lt[:, :, None] * u[:, None, :]
-        m = table.max(axis=-1)
-        table -= m[..., None]
-        np.exp(table, out=table)
         seen = log_w[np.arange(rows.size), o1[rows] - u[:, 0]]
-        out[rows] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=-1)))
+        for lo in range(0, grid.shape[1], width):
+            lt = grid[rows, lo : lo + width]
+            table = u[:, :, None] * lt[:, None, :]
+            table += log_w[:, :, None]
+            m = table.max(axis=1)
+            table -= m[:, None, :]
+            np.exp(table, out=table)
+            out[rows, lo : lo + width] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=1)))
     return out.reshape(log_theta.shape)
 
 

@@ -420,6 +420,22 @@ def exact_plugin_log_trace(stream, theta0: float = 1.0):
     return np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
 
 
+def single_event_log_q(y1: int, y0: int, o1: int, log_theta: float) -> float:
+    """log q of one single-event batch ``(y1, y0, 1, o1)``, correctly
+    rounded: ``-softplus(x)`` with ``x = -/+(log(y1/y0) + log_theta)``, in
+    60-digit decimal arithmetic from the exact value of the binary
+    ``log_theta``; ``log(1 + t)`` of a tiny ``t = exp(-|x|)`` is its series."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(y1).ln() - Decimal(y0).ln() + Decimal(log_theta)
+        x = -d if o1 == 1 else d
+        t = (-abs(x)).exp()
+        log1p_t = t - t * t / 2 + t * t * t / 3 if t < Decimal("1e-20") else (1 + t).ln()
+        return float(-(max(x, 0) + log1p_t))
+
+
 def log_kernel_on_nodes(log_thetas, row):
     """log q_theta(o1 | batch) at every node, for one ``(y1, y0, o, o1)``
     batch."""

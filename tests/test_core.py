@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     exact_increment,
     log_kernel_on_nodes,
     logrank_moments,
+    single_event_log_q,
     stream_of,
     two_sided_state,
 )
@@ -239,6 +241,74 @@ def test_extreme_theta_stays_finite():
     for theta in (1e-8, 1e8):
         val = log_evalue_trace(stream, theta, 1.0)[0]
         assert math.isfinite(val)
+
+
+# Risk sets of single events: y1/y0 from 1e-4 to 1e4.
+SINGLE_RISK_SETS = [
+    (1, 1), (1, 2), (2, 1), (3, 7), (7, 3), (1, 10), (10, 1), (999, 1000), (1234, 567),
+    (1, 100), (100, 1), (1, 1000), (1000, 1), (37, 10000), (10000, 37), (1, 10000), (10000, 1),
+]
+
+
+def test_single_event_kernel_is_accurate_in_log_space():
+    """Single events against the correctly rounded log q, at the admissible
+    extremes and past |log(y1/y0) + log theta| = 36, where exp(-|x|) falls
+    below the last bit of 1 (and past 745, where it underflows): within 4
+    ulp of max(1, |log q|), on a grid, per row and at a scalar theta.
+    Forced rows stay exactly 0."""
+    thetas = [1e-8, 1e-3, 0.7, 1.0, 1e3, 1e8]
+    log_t = np.array([math.log(t) for t in thetas] + [-40.0, 30.0, 45.0, -800.0, 800.0])
+    rows = [(y1, y0, 1, o1) for y1, y0 in SINGLE_RISK_SETS for o1 in (0, 1)]
+    stream = stream_of(rows + [(5, 0, 1, 1), (0, 4, 1, 0)])
+    want = np.array([[single_event_log_q(y1, y0, o1, lt) for lt in log_t] for y1, y0, _, o1 in rows])
+    assert np.any(np.abs(np.log([r[0] / r[1] for r in rows])[:, None] + log_t) > 36)
+    grid = log_kernel(stream, log_t[None, :])
+    tol = 4 * np.spacing(np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(grid[: len(rows)] - want) <= tol)
+    assert np.all(grid[len(rows):] == 0.0) and not np.signbit(grid[len(rows):]).any()
+    for j, lt in enumerate(log_t):
+        assert np.array_equal(log_kernel(stream, lt), grid[:, j])
+        assert np.array_equal(log_kernel(stream, np.full(stream.o.size, lt)), grid[:, j])
+
+
+def test_kernel_rows_keep_their_bits_in_any_block():
+    """A single-event or forced row's kernel values are the same bits alone,
+    inside a 326-row chunk on a 201-node grid (a Bayes chunk) and inside a
+    ``(replications, L)`` block at a scalar theta, wherever the row falls
+    in the vectorized loops."""
+    rng = np.random.default_rng(326)
+    y1, y0 = rng.integers(0, 400, 326), rng.integers(1, 400, 326)
+    rows = [(a, b, 1, int(rng.random() < 0.5) if a else 0) for a, b in zip(y1.tolist(), y0.tolist())]
+    grid = np.log(np.geomspace(0.05, 20.0, 201))[None, :]
+    chunk = log_kernel(stream_of(rows), grid)
+    for i, row in enumerate(rows):
+        assert np.array_equal(log_kernel(stream_of([row]), grid), chunk[i : i + 1]), row
+    log_theta = math.log(0.7)
+    alone = np.array([log_kernel(stream_of([row]), log_theta)[0] for row in rows])
+    picks = rng.integers(0, len(rows), size=(37, 53))
+    columns = np.array(rows)[picks]
+    block = core.EventStream(np.zeros(picks.shape), *np.moveaxis(columns, -1, 0))
+    assert np.array_equal(log_kernel(block, log_theta), alone[picks])
+
+
+def test_tied_kernel_memory_is_bounded_by_the_cell_budget():
+    """A batch of 32,698 tied events (a coarse event time of 100k records)
+    on a 400-point grid is scored a slice of the grid at a time: its traced
+    peak stays under 8 MiB, where one (grid, support) table of 400 x 32,699
+    cells takes 105 MB, and each column equals its own scalar call."""
+    stream = stream_of([(50_000, 50_000, 32_698, 16_000), (33_000, 34_000, 2, 1)])
+    log_t = np.log(np.geomspace(1e-3, 1e3, 400))
+    log_kernel(stream, log_t[:2])  # the log-factorial table is built outside the trace
+    tracemalloc.start()
+    try:
+        got = log_kernel(stream, log_t[None, :])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak / 2**20
+    assert got.shape == (2, 400) and np.all(got <= 0.0)
+    for j in (0, 199, 399):
+        assert np.allclose(got[:, j], log_kernel(stream, log_t[j]), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,16 @@ def cycle(values, n):
     return [values[i % len(values)] for i in range(n)]
 
 
+def runs(values, lengths, n, dtype=None) -> np.ndarray:
+    """The first ``n`` cells of runs of ``values``, run i holding
+    ``lengths[i % len(lengths)]`` cells, values taken cyclically."""
+    k = n + 1  # enough runs: each holds at least one cell
+    return np.repeat(np.array(cycle(values, k), dtype=dtype), cycle(lengths, k))[:n]
+
+
 def mixed_table(n: int) -> dict:
     rng = np.random.default_rng(n)
+    grid = np.geomspace(1e-3, 1e3, 400)
     return {
         "index": range(1, n + 1),
         "int": cycle([0, -7, 2**70, 3], n),
@@ -73,6 +81,16 @@ def mixed_table(n: int) -> dict:
         "constant": np.full(n, 1.959963984540054),
         "constant flag": np.full(n, True),
         "constant text": np.full(n, "100% \"sure\""),
+        # runs of equal cells, as confidence-sequence bounds on a grid hold them:
+        # the run of 300 cells from row 353 crosses the chunk edge at row 512
+        "grid runs": runs(grid[rng.permutation(400)], [5, 1, 17, 2, 300, 3], n),
+        "signed zero runs": runs([0.0, -0.0], [3, 4, 1], n),
+        "nonfinite runs": runs([math.nan, -math.nan, math.inf, 1.5, -math.inf, math.nan], [2, 3, 1], n),
+        "flag runs": runs([True, False], [5, 1, 600], n),
+        "int runs": runs([0, -7, 2**62, 3], [7, 1, 2], n),
+        "small int runs": runs([1, 2, 255], [4, 4, 1], n, dtype=np.uint8),
+        "text runs": runs(STRINGS, [2, 1], n),
+        "alternating": np.where(np.arange(n) % 2 == 0, grid[7], grid[8]),
     }
 
 
