@@ -31,8 +31,9 @@ on numpy's vectorized ufuncs, forced batches give exactly 0, and tied
 batches are evaluated together over a padded support table whose
 log-binomials come from one log-factorial table (built with
 ``math.lgamma``), normalized by log-sum-exp over blocks laid out as
-``(rows, support, grid)``, so the grid is the innermost axis: the package's
-one Fisher noncentral hypergeometric formula.
+``(rows, support, grid)``, the grid innermost, wherever the grid is at
+least as wide as the support: the package's one Fisher noncentral
+hypergeometric formula.
 The exact traces, the learned numerators, the confidence sequence
 denominators and the simulation engine all read it.
 """
@@ -167,12 +168,15 @@ _TIE_CELLS = 1 << 14
 def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     """``log_kernel`` of informative tied batches, ``log_theta`` of shape
     ``(k,)`` or ``(k, G)``: log weight of the observed split minus the
-    log-sum-exp over the padded support.  Each block is laid out as
-    ``(rows, support, grid)``, so the max, the exp and the sum over the
-    support run along whole grid vectors.  Blocks take rows sorted by
-    support size and, where a row's support times the grid exceeds
-    ``_TIE_CELLS``, a slice of the grid, so no block holds more than
-    ``_TIE_CELLS`` cells, or one support row where that is larger."""
+    log-sum-exp over the padded support.  A block whose grid slice is at
+    least as wide as its support is laid out as ``(rows, support, grid)``,
+    so the max, the exp and the sum over the support run along whole grid
+    vectors; a narrower grid, such as the two values the simulation engine
+    scores at once, runs the support innermost, ``(rows, grid, support)``.
+    Blocks take rows sorted by support size and, where a row's support
+    times the grid exceeds ``_TIE_CELLS``, a slice of the grid, so no block
+    holds more than ``_TIE_CELLS`` cells, or one support row where that is
+    larger."""
     grid = log_theta.reshape(o.size, -1)
     size = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
     order = np.argsort(size, kind="stable")
@@ -185,14 +189,16 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
         start += rows.size
         u, log_w = _support_table(y1[rows], y0[rows], o[rows])
         seen = log_w[np.arange(rows.size), o1[rows] - u[:, 0]]
+        ax = 1 if width >= u.shape[1] else 2  # the support's axis: the longer one runs innermost
+        u, log_w = np.expand_dims(u, 3 - ax), np.expand_dims(log_w, 3 - ax)
         for lo in range(0, grid.shape[1], width):
             lt = grid[rows, lo : lo + width]
-            table = u[:, :, None] * lt[:, None, :]
-            table += log_w[:, :, None]
-            m = table.max(axis=1)
-            table -= m[:, None, :]
+            table = u * np.expand_dims(lt, ax)
+            table += log_w
+            m = table.max(axis=ax)
+            table -= np.expand_dims(m, ax)
             np.exp(table, out=table)
-            out[rows, lo : lo + width] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=1)))
+            out[rows, lo : lo + width] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=ax)))
     return out.reshape(log_theta.shape)
 
 
