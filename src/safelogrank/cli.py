@@ -205,29 +205,24 @@ def _cell(value) -> tuple[str, str]:
 def _format_chunk(chunk) -> tuple[list[str], list[str]]:
     """JSON and CSV text of one column chunk (a list, range or 1-d array); a
     non-finite float is null in JSON and an empty CSV cell.  An array chunk
-    of numbers or text has the text of each run of bit-identical adjacent
-    cells made once, from one vectorized compare of neighbours: a chunk of
-    one run repeats its first cell's text, a chunk of several runs spreads
-    each run's text over its cells, and a chunk with no two equal
-    neighbours is formatted cell by cell."""
+    that repeats one value, bit for bit, has its text made once.  A float
+    array chunk in which at least half the cells repeat their neighbour bit
+    for bit, as confidence-sequence bounds on a grid do, has the text of
+    each such run made once; formatting a float costs far more than
+    spreading its text, while a run of ints or bools does not repay it."""
     if isinstance(chunk, np.ndarray):
-        if chunk.size > 1 and chunk.dtype.kind in "biufUS":
-            # numbers compare by their bits, so 0.0 and -0.0 differ and a NaN
-            # matches only its own bits
-            cells = chunk.view(f"u{chunk.itemsize}") if chunk.dtype.kind in "biuf" else chunk
-            new = cells[1:] != cells[:-1]  # where a run starts, past cell 0
-            runs = 1 + np.count_nonzero(new)
-            if runs == 1:
-                json_cells, csv_cells = _format_chunk(chunk[:1].tolist())
-                return json_cells * chunk.size, csv_cells * chunk.size
-            if runs < chunk.size:
-                start = np.concatenate(([True], new))
+        if chunk.size > 1 and chunk.tobytes() == chunk[:1].tobytes() * chunk.size:
+            json_cells, csv_cells = _format_chunk(chunk[:1].tolist())
+            return json_cells * chunk.size, csv_cells * chunk.size
+        if chunk.size > 1 and chunk.dtype.kind == "f":
+            # by their bits, so 0.0 and -0.0 differ and a NaN matches only its own
+            bits = chunk.view(f"u{chunk.itemsize}")
+            start = np.concatenate(([True], bits[1:] != bits[:-1]))
+            if 2 * np.count_nonzero(start) <= chunk.size:
                 json_runs, csv_runs = _format_chunk(chunk[start].tolist())
                 run = np.cumsum(start) - 1  # each cell's run
-                json_cells = np.array(json_runs, dtype=object)[run].tolist()
-                if csv_runs is json_runs:
-                    return json_cells, json_cells
-                return json_cells, np.array(csv_runs, dtype=object)[run].tolist()
+                return (np.array(json_runs, dtype=object)[run].tolist(),
+                        np.array(csv_runs, dtype=object)[run].tolist())
         chunk = chunk.tolist()
     kinds = set(map(type, chunk))
     if len(kinds) > 1 or kinds.isdisjoint(_FORMAT):

@@ -189,14 +189,18 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
         start += rows.size
         u, log_w = _support_table(y1[rows], y0[rows], o[rows])
         seen = log_w[np.arange(rows.size), o1[rows] - u[:, 0]]
-        ax = 1 if width >= u.shape[1] else 2  # the support's axis: the longer one runs innermost
-        u, log_w = np.expand_dims(u, 3 - ax), np.expand_dims(log_w, 3 - ax)
+        if width >= u.shape[1]:  # the support's axis is 1, the grid innermost
+            ax, at = 1, np.s_[:, None]
+            u, log_w = u[..., None], log_w[..., None]
+        else:  # the support's axis is 2, innermost
+            ax, at = 2, np.s_[..., None]
+            u, log_w = u[:, None], log_w[:, None]
         for lo in range(0, grid.shape[1], width):
             lt = grid[rows, lo : lo + width]
-            table = u * np.expand_dims(lt, ax)
+            table = u * lt[at]
             table += log_w
             m = table.max(axis=ax)
-            table -= np.expand_dims(m, ax)
+            table -= m[at]
             np.exp(table, out=table)
             out[rows, lo : lo + width] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=ax)))
     return out.reshape(log_theta.shape)

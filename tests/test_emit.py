@@ -84,6 +84,8 @@ def mixed_table(n: int) -> dict:
         # runs of equal cells, as confidence-sequence bounds on a grid hold them:
         # the run of 300 cells from row 353 crosses the chunk edge at row 512
         "grid runs": runs(grid[rng.permutation(400)], [5, 1, 17, 2, 300, 3], n),
+        # three runs in four cells: too few repeats to format by runs
+        "sparse runs": runs(grid, [1, 1, 2], n),
         "signed zero runs": runs([0.0, -0.0], [3, 4, 1], n),
         "nonfinite runs": runs([math.nan, -math.nan, math.inf, 1.5, -math.inf, math.nan], [2, 3, 1], n),
         "flag runs": runs([True, False], [5, 1, 600], n),
