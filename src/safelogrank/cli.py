@@ -208,8 +208,8 @@ def _format_chunk(chunk) -> tuple[list[str], list[str]]:
     that repeats one value, bit for bit, has its text made once.  A float
     array chunk in which at least half the cells repeat their neighbour bit
     for bit, as confidence-sequence bounds on a grid do, has the text of
-    each such run made once; formatting a float costs far more than
-    spreading its text, while a run of ints or bools does not repay it."""
+    each such run made once.  Formatting a float costs far more than
+    spreading its text over a run; formatting an int or a bool does not."""
     if isinstance(chunk, np.ndarray):
         if chunk.size > 1 and chunk.tobytes() == chunk[:1].tobytes() * chunk.size:
             json_cells, csv_cells = _format_chunk(chunk[:1].tolist())

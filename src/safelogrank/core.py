@@ -172,7 +172,10 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     least as wide as its support is laid out as ``(rows, support, grid)``,
     so the max, the exp and the sum over the support run along whole grid
     vectors; a narrower grid, such as the two values the simulation engine
-    scores at once, runs the support innermost, ``(rows, grid, support)``.
+    scores at once, runs the support innermost, ``(rows, grid, support)``,
+    which measured faster there.  The two layouts may sum a support in a
+    different order, so a tied row's grid column may differ from its
+    scalar call in the last bits.
     Blocks take rows sorted by support size and, where a row's support
     times the grid exceeds ``_TIE_CELLS``, a slice of the grid, so no block
     holds more than ``_TIE_CELLS`` cells, or one support row where that is
