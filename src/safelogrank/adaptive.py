@@ -211,6 +211,23 @@ def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.nd
     return out
 
 
+def _summed_width(k: int, n: int) -> int:
+    """The fewest leading columns of an ``n``-wide row, whose cells past
+    the first ``k`` are 0, that numpy sums to the whole row's sum bit for
+    bit.  numpy sums a row pairwise: a row of more than 128 cells as two
+    parts split at a multiple of 8 below its middle, and a shorter one of 8
+    or more by eight running sums over its first multiple-of-8 cells, then
+    the rest one by one."""
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if k > half:
+            return n
+        n = half
+    if n < 8 or k > n - n % 8:
+        return n
+    return max(8, -(-k // 8) * 8)
+
+
 def _series(moments: np.ndarray) -> np.ndarray:
     """Coefficients ``(R, 2, _ORDER + 1)`` of the sigmoid sum's series and
     of its derivative's, from rows of power moments, by one matrix product.
@@ -422,6 +439,9 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
     def history(r, i, at, width):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
         first ``i`` new batches; single events read ``width`` wide."""
+        # offsets past a row's end add exact zeros: read no more of them
+        # than the sum's order needs
+        width = _summed_width(int(ends[r, i].max()), width)
         series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
         if not held.any():
             return series, np.full(at.size, _RADIUS)

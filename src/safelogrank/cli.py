@@ -172,17 +172,27 @@ def _report_base(out: str | None, inputs: Sequence[str] = ()) -> str | None:
 # Rows formatted and written at a time; bounds the text held.  Larger chunks
 # were no faster, and 4096 rows raised the peak memory of a 4k-row report.
 _CHUNK_ROWS = 512
-_NONFINITE = ("nan", "inf", "-inf")  # what float.__repr__ and %g make of them
 _BOOL = {True: "true", False: "false"}
 # One C-level formatter per cell type, applied to a whole column chunk:
-# (JSON text, CSV text), where None means the CSV text is the JSON text.
-# JSON text is exactly what ``json.dump`` writes.
+# (JSON text, CSV text), where None means the CSV text is the JSON text.  A
+# formatter is a function mapped over the cells, or a %-format applied to
+# all of them at once.  JSON text is exactly what ``json.dump`` writes.
 _FORMAT = {
-    float: (float.__repr__, "%.10g".__mod__),
-    int: (int.__repr__, None),
+    float: (float.__repr__, "%.10g"),
+    int: ("%d", None),
     bool: (_BOOL.__getitem__, None),
     str: (json.encoder.encode_basestring_ascii, str),
 }
+# The cell type of a numeric array's ``tolist``, by dtype kind
+_KIND = {"b": bool, "i": int, "u": int, "f": float}
+
+
+def _texts(form, values: list) -> list[str]:
+    """The text of each value by ``form``: a %-format fills one string for
+    all of them, split at the line breaks it puts between them."""
+    if not isinstance(form, str):
+        return list(map(form, values))
+    return ("\n".join([form] * len(values)) % tuple(values)).split("\n") if values else []
 
 
 def _cell(value) -> tuple[str, str]:
@@ -204,37 +214,48 @@ def _cell(value) -> tuple[str, str]:
 
 def _format_chunk(chunk) -> tuple[list[str], list[str]]:
     """JSON and CSV text of one column chunk (a list, range or 1-d array); a
-    non-finite float is null in JSON and an empty CSV cell.  An array chunk
-    that repeats one value, bit for bit, has its text made once.  A float
-    array chunk in which at least half the cells repeat their neighbour bit
-    for bit, as confidence-sequence bounds on a grid do, has the text of
-    each such run made once.  Formatting a float costs far more than
-    spreading its text over a run; formatting an int or a bool does not."""
+    non-finite float is null in JSON and an empty CSV cell.
+
+    An array chunk that repeats one value, bit for bit, has its text made
+    once.  A bool, int or float array (of at most 64 bits) takes its cell
+    type from its dtype, so its cells are not scanned for their types.  A
+    float array chunk in which at least half the cells repeat their
+    neighbour bit for bit, as confidence-sequence bounds on a grid do, has
+    the text of each such run made once: formatting a float costs far more
+    than spreading its text over a run, formatting an int or a bool does
+    not.  Ints and CSV floats are formatted by one %-format over the whole
+    chunk, JSON floats by ``float.__repr__``; the non-finite cells of a
+    float chunk are found by ``np.isfinite``.
+    """
     if isinstance(chunk, np.ndarray):
         if chunk.size > 1 and chunk.tobytes() == chunk[:1].tobytes() * chunk.size:
-            json_cells, csv_cells = _format_chunk(chunk[:1].tolist())
+            json_cells, csv_cells = _format_chunk(chunk[:1])
             return json_cells * chunk.size, csv_cells * chunk.size
-        if chunk.size > 1 and chunk.dtype.kind == "f":
+        kind = _KIND.get(chunk.dtype.kind) if chunk.itemsize <= 8 else None
+        if kind is float and chunk.size > 1:
             # by their bits, so 0.0 and -0.0 differ and a NaN matches only its own
             bits = chunk.view(f"u{chunk.itemsize}")
             start = np.concatenate(([True], bits[1:] != bits[:-1]))
             if 2 * np.count_nonzero(start) <= chunk.size:
-                json_runs, csv_runs = _format_chunk(chunk[start].tolist())
+                json_runs, csv_runs = _format_chunk(chunk[start])
                 run = np.cumsum(start) - 1  # each cell's run
                 return (np.array(json_runs, dtype=object)[run].tolist(),
                         np.array(csv_runs, dtype=object)[run].tolist())
-        chunk = chunk.tolist()
-    kinds = set(map(type, chunk))
-    if len(kinds) > 1 or kinds.isdisjoint(_FORMAT):
-        json_cells, csv_cells = zip(*map(_cell, chunk))
-        return list(json_cells), list(csv_cells)
-    kind = kinds.pop()
+        values = chunk.tolist()
+    else:
+        kind, values = None, chunk
+    if kind is None:
+        kinds = set(map(type, values))
+        if len(kinds) > 1 or kinds.isdisjoint(_FORMAT):
+            json_cells, csv_cells = zip(*map(_cell, values))
+            return list(json_cells), list(csv_cells)
+        kind = kinds.pop()
     to_json, to_csv = _FORMAT[kind]
-    json_cells = list(map(to_json, chunk))
-    csv_cells = json_cells if to_csv is None else list(map(to_csv, chunk))
-    if kind is float and not math.isfinite(sum(chunk)):  # a NaN or inf is in the chunk
-        json_cells = ["null" if c in _NONFINITE else c for c in json_cells]
-        csv_cells = ["" if c in _NONFINITE else c for c in csv_cells]
+    json_cells = _texts(to_json, values)
+    csv_cells = json_cells if to_csv is None else _texts(to_csv, values)
+    if kind is float:
+        for i in np.flatnonzero(~np.isfinite(chunk)).tolist():
+            json_cells[i], csv_cells[i] = "null", ""
     return json_cells, csv_cells
 
 
@@ -249,7 +270,10 @@ def emit_report(
     order is the key order of each JSON row, and ``columns`` is the CSV and
     header order.  Cells are None, bool, int, float or str; a float that is
     not finite is written as null.  Rows are formatted and written
-    ``_CHUNK_ROWS`` at a time, one column chunk per formatter call.
+    ``_CHUNK_ROWS`` at a time, one column chunk per formatter call.  Each
+    file's text of a chunk is one ``"".join`` over a list that holds a row's
+    fixed pieces (key texts, separators, line ends), made from the names
+    once, with the cell texts set between them by slice assignment.
     """
     if out is None:
         return
@@ -257,10 +281,17 @@ def emit_report(
     n_rows = len(table[names[0]]) if names else 0
     payload = {"summary": summary, "columns": list(columns), "rows": []}
     head, _, tail = json.dumps(payload, indent=1, allow_nan=False).rpartition("[]")
-    encode = json.encoder.encode_basestring_ascii
-    row_template = "  {\n" + ",\n".join(
-        f"   {encode(name).replace('%', '%%')}: %s" for name in names
-    ) + "\n  }"
+    keys = [f"   {json.encoder.encode_basestring_ascii(name)}: " for name in names]
+    # The pieces of _CHUNK_ROWS rows: in JSON, a piece before each cell, and
+    # a row after the first opens by closing the one before; in CSV, a
+    # piece after each cell.  None marks a cell's place.
+    json_row = [None] * (2 * len(names))
+    json_row[::2] = [",\n" + key for key in keys]
+    if names:
+        json_row[0] = "\n  },\n  {\n" + keys[0]
+    csv_row = [None, ","] * len(columns)
+    csv_row[-1:] = ["\n"]
+    json_parts, csv_parts = json_row * _CHUNK_ROWS, csv_row * _CHUNK_ROWS
     with open(out + ".csv", "w", encoding="utf-8") as csv_fh, \
             open(out + ".json", "w", encoding="utf-8") as json_fh:
         csv_fh.write(",".join(columns) + "\n")
@@ -269,10 +300,16 @@ def emit_report(
             cells = {}  # name -> (JSON texts, CSV texts) of this chunk
             for name in names:
                 cells[name] = _format_chunk(table[name][lo:lo + _CHUNK_ROWS])
-            csv_fh.write("\n".join(map(",".join, zip(*(cells[c][1] for c in columns)))) + "\n")
-            json_fh.write(("" if lo == 0 else ",\n") + ",\n".join(
-                map(row_template.__mod__, zip(*(cells[name][0] for name in names)))
-            ))
+            rows = min(_CHUNK_ROWS, n_rows - lo)
+            parts = json_parts[: len(json_row) * rows]
+            for i, name in enumerate(names):
+                parts[2 * i + 1 :: len(json_row)] = cells[name][0]
+            parts[0] = ("  {\n" if lo == 0 else ",\n  {\n") + keys[0]
+            json_fh.write("".join(parts) + "\n  }")
+            parts = csv_parts[: len(csv_row) * rows]
+            for i, name in enumerate(columns):
+                parts[2 * i :: len(csv_row)] = cells[name][1]
+            csv_fh.write("".join(parts))
         json_fh.write(("\n ]" if n_rows else "") + tail + "\n")
 
 

@@ -157,55 +157,85 @@ _FIELDS = (
 # the split fields of only one block are held at once.
 _BLOCK_LINES = 1 << 10
 
+# The ASCII characters that str.strip removes and str.splitlines leaves
+# inside a line
+_LINE_SPACES = " \t\x1f"
+
 
 def _line_number(lines: list[str], k: int) -> int:
     """The 1-based number of the k-th non-blank line."""
     return next(islice(compress(count(1), map(str.strip, lines)), k, None))
 
 
-def _columns(rows: list[list[str]], width: int, at: dict[str, int]) -> list[np.ndarray]:
-    """The entry, exit, group and status columns of the split rows, each
-    taken, stripped and converted whole.  Raises ValueError if any row is
-    refused; on one row, its message is that of the first check the row
-    fails: field count, then exit, entry, group and status."""
-    fewest = min(map(len, rows), default=width)
-    if fewest < width:
-        raise ValueError(f"expected {width} fields, got {fewest}")
-    columns = {"entry": np.zeros(len(rows))}  # when the header names no entry
+def _columns(fields, n: int, at: dict[str, int], strip: bool) -> list[np.ndarray]:
+    """The entry, exit, group and status columns of ``n`` records, column
+    i's field texts given by ``fields(i)``, each taken, stripped (unless
+    ``strip`` is false) and converted whole.  Raises ValueError if any is
+    refused, with the message of the first check it fails: exit, entry,
+    group and status."""
+    columns = {"entry": np.zeros(n)}  # when the header names no entry
     for name, steps, dtype, unknown in _FIELDS:
         if name not in at:
             continue
-        values = map(str.strip, map(itemgetter(at[name]), rows))
+        values = fields(at[name])
+        if strip:
+            values = map(str.strip, values)
         for step in steps:
             values = map(step, values)
         try:
-            columns[name] = np.fromiter(values, dtype, len(rows))
+            columns[name] = np.fromiter(values, dtype, n)
         except KeyError as err:
             raise ValueError(unknown.format(err.args[0])) from None
     return [columns[name] for name in ("entry", "exit", "group", "status")]
 
 
-def _refusal(rows: list[list[str]], width: int, at: dict[str, int]) -> str | None:
-    """Why ``_columns`` refuses these rows, or None if it reads them."""
+def _row_columns(rows: list[list[str]], width: int, at: dict[str, int], strip: bool) -> list[np.ndarray]:
+    """``_columns`` of split rows, each of which must hold ``width`` fields
+    or more; on one row, the message is that of the first check it fails:
+    field count, then exit, entry, group and status."""
+    fewest = min(map(len, rows), default=width)
+    if fewest < width:
+        raise ValueError(f"expected {width} fields, got {fewest}")
+    return _columns(lambda i: map(itemgetter(i), rows), len(rows), at, strip)
+
+
+def _block_columns(lines: list[str], split, delimiter: str | None, width: int, at: dict[str, int],
+                   strip: bool) -> list[np.ndarray]:
+    """``_columns`` of a block of lines.  When each line splits on the
+    delimiter into ``width`` fields exactly, the lines are split as one
+    string, joined by a delimiter, a line break and a delimiter: the
+    fields of line k fill ``width`` places from ``k * (width + 1)`` and a
+    line break, which no field holds, the place after them, so each column
+    is one slice.  Other blocks are split line by line."""
+    if delimiter is not None:
+        fields = (delimiter + "\n" + delimiter).join(lines).split(delimiter)
+        stride = width + 1
+        if len(fields) == stride * len(lines) - 1 and fields[width::stride].count("\n") == len(lines) - 1:
+            return _columns(lambda i: fields[i::stride], len(lines), at, strip)
+    return _row_columns(list(map(split, lines)), width, at, strip)
+
+
+def _refusal(rows: list[list[str]], width: int, at: dict[str, int], strip: bool) -> str | None:
+    """Why ``_row_columns`` refuses these rows, or None if it reads them."""
     try:
-        _columns(rows, width, at)
+        _row_columns(rows, width, at, strip)
     except ValueError as err:
         return str(err)
     return None
 
 
-def _first_refused(rows: list[list[str]], width: int, at: dict[str, int]) -> tuple[int, str]:
-    """The first of ``rows`` that ``_columns`` refuses, and why (some row
-    must be).  Each step reads the first half of a range that holds a
+def _first_refused(rows: list[list[str]], width: int, at: dict[str, int], strip: bool) -> tuple[int, str]:
+    """The first of ``rows`` that ``_row_columns`` refuses, and why (some
+    row must be).  Each step reads the first half of a range that holds a
     refused row, so the search converts about as many rows as there are."""
     lo, hi = 0, len(rows)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _refusal(rows[lo:mid], width, at) is None:
+        if _refusal(rows[lo:mid], width, at, strip) is None:
             lo = mid
         else:
             hi = mid
-    return lo, _refusal(rows[lo:hi], width, at)
+    return lo, _refusal(rows[lo:hi], width, at, strip)
 
 
 def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
@@ -251,16 +281,22 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     if len(body) == 1:
         raise DatasetError("no records after the header row")
 
+    # fields split on whitespace hold none; otherwise only a text with
+    # whitespace besides line ends and the delimiter may have fields to strip
+    strip = delimiter is not None and not (
+        text.isascii() and not any(c in text for c in _LINE_SPACES if c != delimiter)
+    )
     width, blocks, text_fault = len(names), [], None
     for start in range(1, len(body), _BLOCK_LINES):
-        rows = list(map(split, body[start : start + _BLOCK_LINES]))
+        block = body[start : start + _BLOCK_LINES]
         try:
-            blocks.append(_columns(rows, width, at))
+            blocks.append(_block_columns(block, split, delimiter, width, at, strip))
         except ValueError:
-            k, why = _first_refused(rows, width, at)
+            rows = list(map(split, block))
+            k, why = _first_refused(rows, width, at, strip)
             text_fault = (start - 1 + k, why)
             # the records before it are read; a rule one of them breaks comes first
-            blocks.append(_columns(rows[:k], width, at))
+            blocks.append(_row_columns(rows[:k], width, at, strip))
             break
     columns = [np.concatenate(block) for block in zip(*blocks)]
     fault = _first_fault(*columns) or text_fault

@@ -394,6 +394,28 @@ def test_series_rows_keep_their_bits_alone_and_in_batches():
     assert np.allclose(whole[:, 1], moments @ derivative.T, rtol=1e-12, atol=1e-15)
 
 
+def test_history_reads_narrowed_to_their_ends_keep_their_bits():
+    # a re-centring read keeps only the columns that the moment sums add:
+    # rows whose cells past the first k are 0 sum to the same bits over
+    # _summed_width(k, n) columns as over all n, in _moments_about's layout
+    rng = np.random.default_rng(11)
+    for n in range(1, 300):
+        for k in sorted({0, 1, 2, 3, 4, 5, 8, 9, 15, 17, 63, 64, 65, 100, 129, n // 2, n - 1, n}):
+            if not 0 <= k <= n:
+                continue
+            cells = np.zeros((adaptive._ORDER + 2, 3, n))
+            cells[..., :k] = rng.random((adaptive._ORDER + 2, 3, k)) * 10.0 ** rng.integers(-8, 8, k)
+            width = adaptive._summed_width(k, n)
+            assert k <= width <= n
+            assert np.array_equal(cells[..., :width].sum(axis=2), cells.sum(axis=2)), (k, n)
+    # the two virtual events of a tied row's history read 8 columns, not 64
+    assert adaptive._summed_width(2, 64) == 8 and adaptive._summed_width(2, 1266) == 8
+    offsets = np.full((2, 64), -np.inf)
+    offsets[:, :2] = rng.uniform(-3.0, 3.0, (2, 2))
+    at, rows, ends = np.array([0.1, -0.2, 0.3]), np.array([0, 1, 1]), np.array([2, 1, 2])
+    assert np.array_equal(_moments_about(offsets[:, :8], at, rows, ends), _moments_about(offsets, at, rows, ends))
+
+
 def test_plugin_rows_solved_together_match_each_row_alone():
     # rows fitted together, leaving after different spans as the engine's
     # rows leave at their first crossings, get the bits each row gets when

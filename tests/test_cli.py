@@ -441,13 +441,21 @@ def test_design_refuses_caps_below_one(flags, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # the package needs numpy and nothing else: importing the CLI into a
+    # fresh interpreter adds no top-level package but numpy, safelogrank
+    # and the standard library's (so no scipy, and no new import-time work
+    # from elsewhere)
     import subprocess
     import sys
 
     import safelogrank
 
-    code = "import sys, safelogrank.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys; startup = set(sys.modules); import safelogrank.cli; "
+        "added = {m.split('.')[0] for m in set(sys.modules) - startup}; "
+        "print(sorted(added - {'numpy', 'safelogrank'} - set(sys.stdlib_module_names)))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(safelogrank.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -315,12 +315,14 @@ def test_event_stream_equals_reference_derivation(records):
 
 # Field texts by column: valid ones, ones refused as text, and ones that
 # break a record rule (a negative entry, a NaN or infinite exit, an exit not
-# after its entry).
+# after its entry).  Some valid texts hold whitespace that only str.strip
+# removes: a unit separator, a no-break space, an ideographic space.
 _VALID = {
-    "entry": ["0", "0", "0.5", "1", " 0 ", "1e-3", "0_1"],
-    "time": ["2", "2", "2.5", "3", " 4 ", "1_0", "7e1"],
-    "group": ["0", "1"],
-    "status": ["1", "0", "event", "censored", "Event", "CENSORED", "eVeNt"],
+    "entry": ["0", "0", "0.5", "1", " 0 ", "1e-3", "0_1", "\u3000" + "0"],
+    "time": ["2", "2", "2.5", "3", " 4 ", "1_0", "7e1", "\x1f" + "2", "3\xa0"],
+    "group": ["0", "1", "\x1f" + "1", "1\xa0", "\u3000" + "0"],
+    "status": ["1", "0", "event", "censored", "Event", "CENSORED", "eVeNt", "\x1f" + "1", "0\xa0",
+               "\u3000" + "event"],
     "note": ["a", "b c", ""],
 }
 _REFUSED = {
@@ -394,6 +396,16 @@ def test_parse_matches_the_row_by_row_reference(case):
 @given(case=_dataset_texts(), block=st.sampled_from([1, 2, 3]))
 @example(case=("entry,time,group,status\n3,1,0,event\n0,x,0,event\n", None), block=1)
 @example(case=("entry,time,group,status\n0,1,0,event\n\n0,1,9\n", None), block=1)
+# one line of a block with an extra field: the block is split line by line
+@example(case=("time,group,status\n1,0,event\n2,1,censored,x\n3,0,1\n", None), block=1)
+@example(case=("time,group,status\n1,0,event\n2,1,censored,x\n3,0,1\n", None), block=2)
+@example(case=("time\tgroup\tstatus\n1\t0\tevent\n2\t1\tcensored\n3\t0\t1\t\n", None), block=3)
+# an extra field, then a missing one: the block holds as many fields as
+# lines of the header's width would
+@example(case=("time,group,status\n1,0,event,x\n2,1\n3,0,1\n", None), block=2)
+@example(case=("time;group;status\n1;0;1\n1;0;event;;\n2;1\n", ";"), block=3)
+# the same, where the shifted fields would all convert
+@example(case=("note,time,group,status\na,1,0,event,x\n1,0,event\n", None), block=2)
 def test_parse_in_blocks_matches_the_row_by_row_reference(case, block):
     # a body read a few lines at a time gives the columns and the error,
     # line number included, of one whole read: a record rule broken in a

@@ -93,18 +93,68 @@ def mixed_table(n: int) -> dict:
         "small int runs": runs([1, 2, 255], [4, 4, 1], n, dtype=np.uint8),
         "text runs": runs(STRINGS, [2, 1], n),
         "alternating": np.where(np.arange(n) % 2 == 0, grid[7], grid[8]),
+        # names that a %-template or a JSON key must not change
+        "%s": cycle([1.5, 2.5], n),
+        "%%d": cycle([3, 4], n),
+        "50%": cycle(["a", "b"], n),
+        'say "hi"': cycle([True, False], n),
+        "back\\slash": cycle([0.5], n),
+        "naïve ≥ 1 ✓": cycle([None, 7], n),
     }
 
 
-@pytest.mark.parametrize("n", [0, 1, 2 * _CHUNK_ROWS + 1])
-def test_emit_matches_json_dump_and_the_per_row_csv(n, tmp_path):
-    table = mixed_table(n)
-    columns = ["dataset"] + [c for c in table if c != "dataset"]  # CSV order differs from JSON order
-    summary = {"n": n, "final": 0.1 + 0.2, "none": None, "nested": [{"a": []}], "empty": []}
+ROWS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+
+
+def check_report(table, columns, tmp_path) -> None:
+    summary = {"n": len(next(iter(table.values()))), "final": 0.1 + 0.2, "none": None,
+               "nested": [{"a": []}], "empty": []}
     emit_report(str(tmp_path / "r"), columns, table, summary)
     want_csv, want_json = reference_report(columns, table, summary)
     assert_same_text((tmp_path / "r.csv").read_text(encoding="utf-8"), want_csv)
     assert_same_text((tmp_path / "r.json").read_text(encoding="utf-8"), want_json)
+
+
+@pytest.mark.parametrize("n", ROWS)
+def test_emit_matches_json_dump_and_the_per_row_csv(n, tmp_path):
+    table = mixed_table(n)
+    columns = ["dataset"] + [c for c in table if c != "dataset"]  # CSV order differs from JSON order
+    check_report(table, columns, tmp_path)
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1 / 3, -2.5, 1e-5, 65504.0, 0.1]
+INT_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def typed_table(n: int) -> dict:
+    """Columns of each float, int and bool dtype: constant, in runs, with
+    no runs, and constant over the first chunk only."""
+    first = np.arange(n) < _CHUNK_ROWS
+    table = {}
+    for dtype in (np.float16, np.float32, np.float64):
+        name = np.dtype(dtype).name
+        table[f"{name} constant"] = np.full(n, 1 / 3, dtype=dtype)
+        table[f"{name} nan"] = np.full(n, math.nan, dtype=dtype)
+        table[f"{name} runs"] = runs(SPECIAL_FLOATS, [3, 1, 5, 2], n, dtype=dtype)
+        table[f"{name} cycle"] = np.array(cycle(SPECIAL_FLOATS, n), dtype=dtype)
+        table[f"{name} first chunk"] = np.where(first, dtype(-0.0), np.array(cycle(SPECIAL_FLOATS, n), dtype))
+    for dtype in INT_TYPES:
+        info = np.iinfo(dtype)
+        values = [info.min, info.max, 0, 1, info.max // 3]
+        name = np.dtype(dtype).name
+        table[f"{name} constant"] = np.full(n, info.max, dtype=dtype)
+        table[f"{name} runs"] = runs(values, [4, 1, 2], n, dtype=dtype)
+        table[f"{name} cycle"] = np.array(cycle(values, n), dtype=dtype)
+    table["bool constant"] = np.zeros(n, dtype=bool)
+    table["bool runs"] = runs([True, False], [5, 1, 2], n, dtype=bool)
+    table["bool cycle"] = np.arange(n) % 3 == 1
+    return table
+
+
+@pytest.mark.parametrize("n", ROWS)
+def test_typed_columns_match_json_dump_and_the_per_row_csv(n, tmp_path):
+    table = typed_table(n)
+    check_report(table, list(table)[::-1], tmp_path)
 
 
 def test_nonfinite_cells_are_null_and_empty(tmp_path):
@@ -124,8 +174,9 @@ def test_no_files_without_a_base(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "column",
-    [[object()], [1, object()], np.array([b"a", b"b"], dtype=object), [np.int64(3)], [[1, 2]]],
+    [[object()], [1, object()], np.array([b"a", b"b"], dtype=object), [np.int64(3)], [[1, 2]],
+     np.array([0.5, 1 / 3], dtype=np.longdouble), np.array([1j, 2.0])],
 )
 def test_unsupported_cells_raise_type_error(column, tmp_path):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="a report cell cannot hold"):
         emit_report(str(tmp_path / "r"), ["x"], {"x": column}, {})
