@@ -179,7 +179,7 @@ _BOOL = {True: "true", False: "false"}
 # all of them at once.  JSON text is exactly what ``json.dump`` writes.
 _FORMAT = {
     float: (float.__repr__, "%.10g"),
-    int: ("%d", None),
+    int: (int.__repr__, None),
     bool: (_BOOL.__getitem__, None),
     str: (json.encoder.encode_basestring_ascii, str),
 }
@@ -223,9 +223,9 @@ def _format_chunk(chunk) -> tuple[list[str], list[str]]:
     neighbour bit for bit, as confidence-sequence bounds on a grid do, has
     the text of each such run made once: formatting a float costs far more
     than spreading its text over a run, formatting an int or a bool does
-    not.  Ints and CSV floats are formatted by one %-format over the whole
-    chunk, JSON floats by ``float.__repr__``; the non-finite cells of a
-    float chunk are found by ``np.isfinite``.
+    not.  CSV floats are formatted by one %-format over the whole chunk,
+    JSON floats by ``float.__repr__``; the non-finite cells of a float
+    chunk are found by ``np.isfinite``.
     """
     if isinstance(chunk, np.ndarray):
         if chunk.size > 1 and chunk.tobytes() == chunk[:1].tobytes() * chunk.size:
