@@ -212,12 +212,13 @@ def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.nd
 
 
 def _summed_width(k: int, n: int) -> int:
-    """The fewest leading columns of an ``n``-wide row, whose cells past
-    the first ``k`` are 0, that numpy sums to the whole row's sum bit for
-    bit.  numpy sums a row pairwise: a row of more than 128 cells as two
-    parts split at a multiple of 8 below its middle, and a shorter one of 8
-    or more by eight running sums over its first multiple-of-8 cells, then
-    the rest one by one."""
+    """A width from ``k`` to ``n`` whose leading columns numpy sums to the
+    bits of the whole row, for an ``n``-wide row whose cells past the first
+    ``k`` are 0.  numpy sums a row pairwise: a row of more than 128 cells
+    as two parts split at a multiple of 8 below its middle, and a shorter
+    one of 8 or more by eight running sums over its first multiple-of-8
+    cells, then the rest one by one; so the width keeps the part, and the
+    running sums, that hold the first ``k`` cells."""
     while n > 128:
         half = n // 2 - n // 2 % 8
         if k > half:
