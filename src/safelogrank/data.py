@@ -250,12 +250,15 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     header's are ignored.  Status accepts 1/0 or event/censored, in any case.
 
     The body is read by column, in blocks of ``_BLOCK_LINES`` non-blank
-    lines: a block's lines are split, each of its columns taken and
-    converted whole (``float`` for the times, the name tables for group and
-    status), and the blocks' columns joined.  Errors carry 1-based line
-    numbers: the first line refused, either for its text (field count, then
-    exit, entry, group and status) or for a record rule that its record
-    breaks.
+    lines: a block's lines are split (as one string when each holds the
+    header's field count, see ``_block_columns``), each of its columns
+    taken and converted whole (``float`` for the times, the name tables for
+    group and status), and the blocks' columns joined.  Fields are stripped
+    only when the text is not ASCII or holds a space, tab or unit separator
+    besides its delimiter; a field split on whitespace holds none.  Errors
+    carry 1-based line numbers: the first line refused, either for its text
+    (field count, then exit, entry, group and status) or for a record rule
+    that its record breaks.
     """
     lines = text.splitlines()
     body = list(filter(str.strip, lines))
