@@ -43,7 +43,6 @@ from .data import (
 from .simulate import (
     DesignSpec,
     SimScenario,
-    StoppingReport,
     design_table,
     estimate_nmax,
     sample_single_event_stream,
@@ -51,7 +50,6 @@ from .simulate import (
     schoenfeld_sample_size,
     simulate_stopping_times,
     stream_rng,
-    summarize_stopping,
     wald_expected_stopping,
 )
 
@@ -84,13 +82,11 @@ __all__ = [
     # simulate
     "DesignSpec",
     "SimScenario",
-    "StoppingReport",
     "stream_rng",
     "sample_single_event_stream",
     "sample_tied_stream",
     "simulate_stopping_times",
     "estimate_nmax",
-    "summarize_stopping",
     "schoenfeld_sample_size",
     "wald_expected_stopping",
     "design_table",

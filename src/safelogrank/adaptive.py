@@ -435,7 +435,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
         starts = np.cumsum(held) - held
         r = np.repeat(np.arange(rows.size), held)
         batches = fit.tied[:, rows[r], np.arange(r.size) - starts[r]]
-        t_u, t_lw = (table.astype(float) for table in _support_table(*batches))
+        t_u, t_lw = (np.ascontiguousarray(table.T, dtype=float) for table in _support_table(*batches))
 
     def history(r, i, at, width):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
@@ -842,12 +842,9 @@ def confidence_sequence(
     column joining the band is first summed over the event times before
     it, from where it last left the band.  The cost is O(n x band) plus
     those catch-ups, and memory does not grow with the number of event
-    times.  Each column is one sequential sum, however it is split, so a
-    single event's cells keep the bits of a whole-table pass.  A tied
-    batch's ``log_kernel`` pads its support to the widest in its block of
-    rows, which the chunks and the band's columns can change, so tied cells
-    may differ from a whole-table pass in their last bits (about 1e-13 in
-    the log e-value), as they do between chunkings.
+    times.  Each column is one sequential sum, however it is split, and a
+    ``log_kernel`` cell does not depend on the rows or columns read with
+    it, so every sum keeps the bits of a whole-table pass.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -856,6 +853,8 @@ def confidence_sequence(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly increasing 1-d array")
+    if not np.all((THETA_LOWER <= grid) & (grid <= THETA_UPPER)):
+        raise ValueError(f"grid must hold hazard ratios in [{THETA_LOWER:g}, {THETA_UPPER:g}]")
 
     if numerator == "plugin":
         _, log_num = plugin_log_trace(stream, m1=m1, m0=m0, return_numerator=True)

@@ -30,12 +30,11 @@ the logistic closed form, as a softplus ``-(max(x, 0) + log1p(exp(-|x|)))``
 on numpy's vectorized ufuncs, forced batches give exactly 0, and tied
 batches are evaluated together over a padded support table whose
 log-binomials come from one log-factorial table (built with
-``math.lgamma``), normalized by log-sum-exp over blocks laid out as
-``(rows, support, grid)``, the grid innermost, wherever the grid is at
-least as wide as the support: the package's one Fisher noncentral
-hypergeometric formula.
-The exact traces, the learned numerators, the confidence sequence
-denominators and the simulation engine all read it.
+``math.lgamma``), normalized by log-sum-exp in ascending support order:
+the package's one Fisher noncentral hypergeometric formula, a cell's bits
+depending on its batch and theta alone.  The exact traces, the learned
+numerators, the confidence sequence denominators and the simulation
+engine all read it.
 """
 
 from __future__ import annotations
@@ -85,16 +84,16 @@ def _log_factorial(n: int) -> np.ndarray:
 
 
 def _support_table(y1: np.ndarray, y0: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded supports of batches, one row each: ``u[k, j] = lo_k + j`` with
-    ``lo_k = max(0, o_k - y0_k)``, and the log weights
+    """Padded supports of batches, one column each: ``u[j, k] = lo_k + j``
+    with ``lo_k = max(0, o_k - y0_k)``, and the log weights
     ``log C(y1, u) + log C(y0, o - u)`` from one log-factorial table,
-    ``-inf`` past the row's support."""
+    ``-inf`` past the column's support."""
     lo = np.maximum(0, o - y0)
     size = np.minimum(o, y1) - lo + 1
-    u = lo[:, None] + np.arange(size.max(initial=1))
-    inside = u < (lo + size)[:, None]
+    u = lo + np.arange(size.max(initial=1))[:, None]
+    inside = u < lo + size
     lf = _log_factorial(int(max(y1.max(initial=0), y0.max(initial=0))))
-    y1, y0, o, v = y1[:, None], y0[:, None], o[:, None], np.where(inside, u, lo[:, None])
+    v = np.where(inside, u, lo)
     log_w = lf[y1] - lf[v] - lf[y1 - v] + lf[y0] - lf[o - v] - lf[y0 - o + v]
     return u, np.where(inside, log_w, -np.inf)
 
@@ -128,14 +127,11 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     Single events use the logistic closed form ``-softplus(x)`` with
     ``x = -/+(log(y1/y0) + log_theta)``, computed elementwise as
     ``-(max(x, 0) + log1p(exp(-|x|)))`` through numpy's vectorized ``exp``
-    and ``log1p`` with one buffer besides the result, so a row's bits do
-    not depend on the rows scored with it; forced batches give exactly 0;
-    tied batches evaluate the Fisher noncentral hypergeometric log-pmf
-    together, in blocks of rows of similar support size and, for wide
-    supports, slices of the grid, so no block holds more than
-    ``_TIE_CELLS`` (rows, support, grid) cells, or one support row where
-    that is larger.
-    """
+    and ``log1p`` with one buffer besides the result; forced batches give
+    exactly 0; tied batches evaluate the Fisher noncentral hypergeometric
+    log-pmf together in bounded blocks (``_tied_log_kernel``).  A cell's
+    bits do not depend on the grid, chunk or rows it is scored with, so a
+    grid column equals its scalar call."""
     log_theta = np.asarray(log_theta, dtype=float)
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -161,51 +157,54 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     return out
 
 
-# Rows x support x grid cells of one block of tied batches in ``log_kernel``.
+# Cells of one (support, rows, grid) block of tied batches in ``log_kernel``.
 _TIE_CELLS = 1 << 14
 
 
 def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     """``log_kernel`` of informative tied batches, ``log_theta`` of shape
     ``(k,)`` or ``(k, G)``: log weight of the observed split minus the
-    log-sum-exp over the padded support.  A block whose grid slice is at
-    least as wide as its support is laid out as ``(rows, support, grid)``,
-    so the max, the exp and the sum over the support run along whole grid
-    vectors; a narrower grid, such as the two values the simulation engine
-    scores at once, runs the support innermost, ``(rows, grid, support)``,
-    which measured faster there.  The two layouts may sum a support in a
-    different order, so a tied row's grid column may differ from its
-    scalar call in the last bits.
-    Blocks take rows sorted by support size and, where a row's support
-    times the grid exceeds ``_TIE_CELLS``, a slice of the grid, so no block
-    holds more than ``_TIE_CELLS`` cells, or one support row where that is
-    larger."""
+    log-sum-exp over the padded support.  Blocks of rows sorted by support
+    size, and slices of the grid where a row's support times the grid
+    exceeds ``_TIE_CELLS``, hold at most ``_TIE_CELLS`` cells each, or one
+    support row; a support table serves as many rows as half that holds.
+    A block is a ``(support, rows, grid slice)`` table, u and the log
+    weights repeated along the slice; a cell is shifted by its own maximum
+    and its exponentials added in ascending u, padding adding exact zeros,
+    so its bits depend on its batch and theta alone."""
     grid = log_theta.reshape(o.size, -1)
     size = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
     order = np.argsort(size, kind="stable")
+    size = size[order]
+
+    def fit(start: int, cells: int) -> int:  # end of the rows from start on that fit in cells
+        need = np.arange(1, size.size - start + 1) * size[start:]
+        return start + max(1, int(np.searchsorted(need, cells, "right")))
+
     out = np.empty(grid.shape)
-    start = 0
-    while start < order.size:
-        width = max(1, min(grid.shape[1], _TIE_CELLS // int(size[order[start]])))
-        cells = np.arange(1, order.size - start + 1) * size[order[start:]] * width
-        rows = order[start : start + max(1, int(np.searchsorted(cells, _TIE_CELLS, "right")))]
-        start += rows.size
-        u, log_w = _support_table(y1[rows], y0[rows], o[rows])
-        seen = log_w[np.arange(rows.size), o1[rows] - u[:, 0]]
-        if width >= u.shape[1]:  # the support's axis is 1, the grid innermost
-            ax, at = 1, np.s_[:, None]
-            u, log_w = u[..., None], log_w[..., None]
-        else:  # the support's axis is 2, innermost
-            ax, at = 2, np.s_[..., None]
-            u, log_w = u[:, None], log_w[:, None]
+    start = held = 0
+    while start < size.size:
+        width = max(1, min(grid.shape[1], _TIE_CELLS // int(size[start])))
+        stop = fit(start, _TIE_CELLS // width)
+        if stop > held:  # the next support table, rows first..held-1
+            first, held = start, max(stop, fit(start, _TIE_CELLS // 2))
+            rows = order[first:held]
+            u, log_w = _support_table(y1[rows], y0[rows], o[rows])
+            seen, u = log_w[o1[rows] - u[0], np.arange(rows.size)], u.astype(float)
+        rows, part = order[start:stop], np.s_[: size[stop - 1], start - first : stop - first]
         for lo in range(0, grid.shape[1], width):
             lt = grid[rows, lo : lo + width]
-            table = u * lt[at]
-            table += log_w
-            m = table.max(axis=ax)
-            table -= m[at]
+            shape = (size[stop - 1], rows.size, lt.shape[1])
+            table = np.repeat(u[part], shape[2], axis=1).reshape(shape)
+            table *= lt
+            table += np.repeat(log_w[part], shape[2], axis=1).reshape(shape)
+            m = table.max(axis=0)
+            table -= m
             np.exp(table, out=table)
-            out[rows, lo : lo + width] = seen[:, None] + lt * o1[rows, None] - (m + np.log(table.sum(axis=ax)))
+            # numpy sums a one-cell block's support pairwise, cumsum in order
+            total = table.sum(axis=0) if m.size > 1 else np.cumsum(table, axis=0)[-1]
+            out[rows, lo : lo + width] = seen[part[1], None] + lt * o1[rows, None] - (m + np.log(total))
+        start = stop
     return out.reshape(log_theta.shape)
 
 

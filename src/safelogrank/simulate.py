@@ -73,14 +73,12 @@ from .gaussian import (
 __all__ = [
     "DesignSpec",
     "SimScenario",
-    "StoppingReport",
     "UnattainablePowerError",
     "stream_rng",
     "sample_single_event_stream",
     "sample_tied_stream",
     "simulate_stopping_times",
     "estimate_nmax",
-    "summarize_stopping",
     "estimate_obf_nmax",
     "schoenfeld_sample_size",
     "wald_expected_stopping",
@@ -600,31 +598,15 @@ def estimate_nmax(taus: np.ndarray, power: float) -> int:
     return int(finite[k - 1])
 
 
-@dataclass(frozen=True)
-class StoppingReport:
-    """Design summary at a fixed horizon: expected duration with stopping
-    truncated at n_max, mean duration of the runs that stopped early, and
-    achieved power."""
-
-    n_max: int
-    mean_capped: float
-    conditional_mean: float
-    power: float
-    replications: int
-    seed: int | None = None
-
-
-def summarize_stopping(taus: np.ndarray, n_max: int, seed: int | None = None) -> StoppingReport:
-    taus = np.asarray(taus, dtype=float)
-    capped = np.minimum(taus, n_max)
+def _stopping_summary(taus: np.ndarray, n_max: int) -> tuple[float, float, float]:
+    """A design's ``DesignRow`` figures at horizon ``n_max``: the expected
+    duration with stopping truncated at n_max, the mean duration of the
+    runs that stopped early, and the achieved power."""
     early = taus[taus < n_max]
-    return StoppingReport(
-        n_max=int(n_max),
-        mean_capped=float(capped.mean()),
-        conditional_mean=float(early.mean()) if early.size else math.nan,
-        power=float((taus <= n_max).mean()),
-        replications=taus.size,
-        seed=seed,
+    return (
+        float(np.minimum(taus, n_max).mean()),
+        float(early.mean()) if early.size else math.nan,
+        float((taus <= n_max).mean()),
     )
 
 
@@ -804,16 +786,16 @@ def design_table(
     )
 
     def add_row(kind: str, taus: np.ndarray, n_max: int) -> None:
-        rep = summarize_stopping(taus, n_max, seed=seed)
+        mean_capped, conditional_mean, achieved = _stopping_summary(taus, n_max)
         rows.append(
             DesignRow(
                 test_kind=kind,
                 n_max=n_max,
-                mean_capped=rep.mean_capped,
-                conditional_mean=rep.conditional_mean,
-                power=rep.power,
+                mean_capped=mean_capped,
+                conditional_mean=conditional_mean,
+                power=achieved,
                 ratio_n_max=n_max / n_fixed,
-                ratio_mean=rep.mean_capped / n_fixed,
+                ratio_mean=mean_capped / n_fixed,
             )
         )
 

@@ -390,7 +390,7 @@ def exact_plugin_betas(stream, m1=None, m0=None):
     with np.errstate(divide="ignore"):
         offsets = np.where(single, np.log(y1) - np.log(y0), -np.inf)
     o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(np.where(informative, o1, 0))])
-    u, log_w = _support_table(y1[tied], y0[tied], o[tied])
+    u, log_w = (np.ascontiguousarray(t.T) for t in _support_table(y1[tied], y0[tied], o[tied]))
     unused = np.where(np.arange(u.shape[1]) == 0, 0.0, -np.inf)
     betas = np.empty(n + 1)
     for start in range(0, n + 1, 64):

@@ -268,8 +268,7 @@ def _whole_stream_fit(stream):
     table = None
     if tied:
         y1, y0, o, _ = (np.array(col) for col in zip(*tied))
-        u, log_w = _support_table(y1, y0, o)
-        table = (u.astype(float), log_w)
+        table = tuple(np.ascontiguousarray(t.T, dtype=float) for t in _support_table(y1, y0, o))
     return np.array([c]), o1_sum, table
 
 
@@ -607,8 +606,7 @@ def test_confidence_sequence_narrows_and_covers_truth():
 def test_confidence_sequence_chunks_match_one_pass(stream):
     # reading the family in chunks of event times, the first on every
     # column and the rest on a band, with the running denominators carried,
-    # gives the bounds of one whole-table pass; the tied kernel's cells
-    # differ from that pass in the last bits here
+    # gives the bounds of one whole-table pass
     grid = default_theta_grid()
     fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
     _, log_num = plugin_log_trace(stream, return_numerator=True)
@@ -738,10 +736,9 @@ def test_band_widens_where_a_hull_end_moves_past_it():
 def test_bayes_trace_chunks_match_one_pass(stream):
     # reading the kernel table and the log posterior in chunks of event
     # times, with the running posterior carried, gives the trace of one
-    # whole-array pass: bit for bit on single events, within 1e-12 where
-    # the tied kernel pads its support to a chunk's widest batch
+    # whole-array pass bit for bit: a tied batch's kernel cells do not
+    # depend on the batches padded into its block
     prior = PriorSpec.lognormal(math.log(0.7), 0.5)
-    tied = bool((stream.o > 1).any())
 
     def trace(rows):
         with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * prior.thetas.size):
@@ -750,10 +747,34 @@ def test_bayes_trace_chunks_match_one_pass(stream):
     whole = trace(stream.o.size)
     for rows in (1, 7, 163):
         for got, want in zip(trace(rows), whole):
-            if tied:
-                assert np.abs(got - want).max() <= 1e-12
-            else:
-                assert np.array_equal(got, want)
+            assert np.array_equal(got, want)
+
+
+def test_family_sums_on_ties_match_one_whole_table():
+    # on a tied stream, every denominator ``_Family.rows`` returns, however
+    # the first chunk, the band and the catch-ups split the event times and
+    # columns, is the whole table's ``log_kernel`` cumsum, bit for bit
+    stream = sample_tied_stream(1000, 1000, 0.7, 0.03, stream_rng(3, 0))
+    support = np.minimum(stream.o, stream.y1) - np.maximum(0, stream.o - stream.y0) + 1
+    assert support.max() > 2 * adaptive._MARGIN + 1  # wider than a band
+    grid = default_theta_grid()
+    whole = np.cumsum(log_kernel(stream, np.log(grid)[None, :]), axis=0)
+    reads, rows = [], adaptive._Family.rows
+
+    def reading(self, cols, lo, hi):
+        den = rows(self, cols, lo, hi)
+        reads.append((cols, lo, hi, den.copy()))
+        return den
+
+    with mock.patch.object(adaptive._Family, "rows", reading):
+        for first_rows, band_cells, family_cells in ((1, 1, None), (7, 9, 64), (40, 300, None)):
+            with _band_chunks(first_rows * grid.size, band_cells, family_cells):
+                confidence_sequence(stream, grid=grid)
+        with _band_chunks(adaptive._FIRST_CELLS, adaptive._BAND_CELLS, 5):
+            confidence_sequence(stream, grid=grid)
+    assert len({lo for _, lo, _, _ in reads}) > 100
+    for cols, lo, hi, den in reads:
+        assert np.array_equal(den, whole[lo:hi, cols])
 
 
 def test_confidence_sequence_running_intersection_is_nested():
@@ -794,5 +815,11 @@ def test_confidence_sequence_bayes_numerator_runs():
 def test_confidence_sequence_rejects_bad_grid():
     with pytest.raises(ValueError):
         confidence_sequence(stream_of([]), grid=np.array([2.0, 1.0]))
+    # hazard ratios outside [THETA_LOWER, THETA_UPPER], zero among them
+    for bad in ([0.0, 1.0, 2.0], [1e-20, 1.0, 1e20], [0.5, 1.0, 1e9], [1e-9, 1.0]):
+        with pytest.raises(ValueError, match="hazard ratio"):
+            confidence_sequence(stream_of([(5, 5, 1, 1)]), grid=np.array(bad))
+    edges = confidence_sequence(stream_of([(5, 5, 1, 1)]), grid=np.array([1e-8, 1.0, 1e8]))
+    assert edges.grid[0] == 1e-8 and edges.grid[-1] == 1e8
     with pytest.raises(ValueError):
         confidence_sequence(stream_of([]), alpha=1.5)

@@ -121,6 +121,11 @@ def test_usage_errors(null_dataset, tmp_path, capsys):
     for grid in ("0.5:2:0", "0.5:2:1", "0.5:2:-3", "0.5:inf:5", "2:0.5:5"):
         assert main(["confseq", null_dataset, "--grid", grid]) == EXIT_USAGE
         assert "grid needs" in capsys.readouterr().err
+    # a grid reaching past the admissible hazard ratios is refused, and no report written
+    for grid in ("1e-20:1e20:3", "1e-9:1:5", "1:1e9:5"):
+        assert main(["confseq", null_dataset, "--grid", grid, "--out", str(tmp_path / "g")]) == EXIT_USAGE
+        assert "hazard ratios in [1e-08, 1e+08]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("g.*"))
     # a config flag that is not a boolean is refused, not read as false
     cfg = tmp_path / "flag.cfg"
     cfg.write_text("theta1 = 0.7\ntwo_sided = maybe\n")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -203,19 +206,20 @@ def _tied_batches(draw):
 def test_vectorized_tied_kernel_matches_per_row_pmf(stream, thetas):
     """``log_kernel``'s blocked padded-support evaluation equals the per-row
     Fisher noncentral hypergeometric log-pmf for a scalar, a per-row and an
-    ``(n, G)`` theta, forced batches and the admissible extremes included."""
+    ``(n, G)`` theta, forced batches and the admissible extremes included,
+    and every way of asking gives the same bits."""
     log_t = np.log(thetas)
     rows = zip(*(c.tolist() for c in (stream.y1, stream.y0, stream.o, stream.o1)))
     want = np.stack([log_kernel_on_nodes(log_t, row) for row in rows])
     grid = log_kernel(stream, np.broadcast_to(log_t, (stream.o.size, log_t.size)))
     assert grid.shape == want.shape
     assert np.allclose(grid, want, rtol=0, atol=1e-12)
-    assert np.allclose(log_kernel(stream, log_t[None, :]), want, rtol=0, atol=1e-12)
-    assert np.allclose(log_kernel(stream, log_t[0]), want[:, 0], rtol=0, atol=1e-12)
+    assert np.array_equal(log_kernel(stream, log_t[None, :]), grid)
+    assert np.array_equal(log_kernel(stream, log_t[0]), grid[:, 0])
     per_row = np.resize(log_t, stream.o.size)
     got = log_kernel(stream, per_row)
     idx = np.resize(np.arange(log_t.size), stream.o.size)
-    assert np.allclose(got, want[np.arange(stream.o.size), idx], rtol=0, atol=1e-12)
+    assert np.array_equal(got, grid[np.arange(stream.o.size), idx])
     forced = np.maximum(0, stream.o - stream.y0) == np.minimum(stream.o, stream.y1)
     assert np.all(grid[forced] == 0.0)
     # blocks of a handful of cells: many blocks, each padded to its own width
@@ -224,7 +228,7 @@ def test_vectorized_tied_kernel_matches_per_row_pmf(stream, thetas):
         small = log_kernel(stream, np.broadcast_to(log_t, (stream.o.size, log_t.size)))
     finally:
         core._TIE_CELLS = cells
-    assert np.allclose(small, want, rtol=0, atol=1e-12)
+    assert np.array_equal(small, grid)
 
 
 def test_forced_batches_short_circuit_to_exactly_zero():
@@ -271,34 +275,66 @@ def test_single_event_kernel_is_accurate_in_log_space():
         assert np.array_equal(log_kernel(stream, np.full(stream.o.size, lt)), grid[:, j])
 
 
-def test_kernel_rows_keep_their_bits_in_any_block():
-    """A single-event or forced row's kernel values are the same bits alone,
-    inside a 326-row chunk on a 201-node grid (a Bayes chunk) and inside a
-    ``(replications, L)`` block at a scalar theta, wherever the row falls
-    in the vectorized loops."""
-    rng = np.random.default_rng(326)
-    y1, y0 = rng.integers(0, 400, 326), rng.integers(1, 400, 326)
-    rows = [(a, b, 1, int(rng.random() < 0.5) if a else 0) for a, b in zip(y1.tolist(), y0.tolist())]
+def _rows_keep_their_bits(rows):
+    """Each ``(y1, y0, o, o1)`` row's kernel values are the same bits alone
+    and inside a chunk of every row on a 201-node grid, and alone at a
+    scalar theta on that grid, inside a ``(replications, L)`` block of the
+    rows at that theta and in the chunk's column."""
+    rng = np.random.default_rng(len(rows))
     grid = np.log(np.geomspace(0.05, 20.0, 201))[None, :]
     chunk = log_kernel(stream_of(rows), grid)
     for i, row in enumerate(rows):
         assert np.array_equal(log_kernel(stream_of([row]), grid), chunk[i : i + 1]), row
-    log_theta = math.log(0.7)
-    alone = np.array([log_kernel(stream_of([row]), log_theta)[0] for row in rows])
+    j = 57  # theta = 0.276
+    alone = np.array([log_kernel(stream_of([row]), grid[0, j])[0] for row in rows])
+    assert np.array_equal(alone, chunk[:, j])
     picks = rng.integers(0, len(rows), size=(37, 53))
     columns = np.array(rows)[picks]
     block = core.EventStream(np.zeros(picks.shape), *np.moveaxis(columns, -1, 0))
-    assert np.array_equal(log_kernel(block, log_theta), alone[picks])
+    assert np.array_equal(log_kernel(block, grid[0, j]), alone[picks])
+
+
+def _tied_rows(count, seed):
+    """Informative tied batches with supports of 2 to 40 points: few events
+    (``o`` = support - 1) or few survivors (``o`` = y1 + y0 - support + 1)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for support in rng.integers(2, 41, count).tolist():
+        y1, y0 = (int(a) for a in rng.integers(support, 400, 2))
+        o = support - 1 if support > 2 and rng.random() < 0.5 else y1 + y0 - support + 1
+        lo, hi = max(0, o - y0), min(o, y1)
+        rows.append((y1, y0, o, int(rng.integers(lo, hi + 1))))
+    return rows
+
+
+def test_kernel_rows_keep_their_bits_in_any_block():
+    """A single-event, forced or tied row's kernel values are the same bits
+    alone, inside a 326-row chunk on a 201-node grid (a Bayes chunk), in
+    that chunk's column as a one-row scalar call, and inside a
+    ``(replications, L)`` block at that scalar theta, wherever the row falls
+    in the vectorized loops: a tied batch's support is summed in ascending
+    order in every block, its padding adding exact zeros."""
+    rng = np.random.default_rng(326)
+    y1, y0 = rng.integers(0, 400, 326), rng.integers(1, 400, 326)
+    single = [(a, b, 1, int(rng.random() < 0.5) if a else 0) for a, b in zip(y1.tolist(), y0.tolist())]
+    _rows_keep_their_bits(single)
+    tied = _tied_rows(326, 40)
+    sizes = [min(o, a) - max(0, o - b) + 1 for a, b, o, _ in tied]
+    assert min(sizes) == 2 and max(sizes) == 40 and sum(s >= 9 for s in sizes) > 200
+    assert min(o for _, _, o, _ in tied) > 1
+    _rows_keep_their_bits(tied)
 
 
 def test_tied_kernel_memory_is_bounded_by_the_cell_budget():
     """A batch of 32,698 tied events (a coarse event time of 100k records)
     on a 400-point grid is scored a slice of the grid at a time: its traced
     peak stays under 8 MiB, where one (grid, support) table of 400 x 32,699
-    cells takes 105 MB, and each column equals its own scalar call."""
-    stream = stream_of([(50_000, 50_000, 32_698, 16_000), (33_000, 34_000, 2, 1)])
+    cells takes 105 MB, and each column equals its own scalar call, bit for
+    bit, as do the columns of 40 batches of 2 to 40 support points."""
+    tied = _tied_rows(40, 294)
+    stream = stream_of([(50_000, 50_000, 32_698, 16_000), (33_000, 34_000, 2, 1)] + tied)
     log_t = np.log(np.geomspace(1e-3, 1e3, 400))
-    log_kernel(stream, log_t[:2])  # the log-factorial table is built outside the trace
+    log_kernel(stream, 0.0)  # the log-factorial table is built outside the trace
     tracemalloc.start()
     try:
         got = log_kernel(stream, log_t[None, :])
@@ -306,9 +342,29 @@ def test_tied_kernel_memory_is_bounded_by_the_cell_budget():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak / 2**20
-    assert got.shape == (2, 400) and np.all(got <= 0.0)
+    assert got.shape == (42, 400) and np.all(got <= 0.0)
     for j in (0, 199, 399):
-        assert np.allclose(got[:, j], log_kernel(stream, log_t[j]), rtol=0, atol=1e-12)
+        assert np.array_equal(got[:, j], log_kernel(stream, log_t[j]))
+    scalar = np.stack([log_kernel(stream_of(tied), lt) for lt in log_t], axis=1)
+    assert np.array_equal(got[2:], scalar)
+
+
+def test_cell_bits_hold_on_the_dispatch_path_without_avx512():
+    """The per-cell bit checks pass again in a child interpreter whose numpy
+    dispatch stops below AVX-512, the path of machines without it."""
+    code = (
+        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+        "assert not f.get('AVX512_SKX')\n"
+        "import test_core\n"
+        "test_core.test_kernel_rows_keep_their_bits_in_any_block()\n"
+        "test_core.test_tied_kernel_memory_is_bounded_by_the_cell_budget()\n"
+    )
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(core.__file__))]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from safelogrank.simulate import (
     SimScenario,
     UnattainablePowerError,
     _BLOCK,
+    _stopping_summary,
     _stopping_times,
     design_table,
     estimate_nmax,
@@ -25,7 +26,6 @@ from safelogrank.simulate import (
     schoenfeld_sample_size,
     simulate_stopping_times,
     stream_rng,
-    summarize_stopping,
     wald_expected_stopping,
 )
 
@@ -610,12 +610,11 @@ def test_estimate_nmax_unattainable():
 
 
 def test_summarize_stopping_truncates_at_horizon():
-    report = summarize_stopping(np.array([10.0, 20.0, math.inf]), 30)
-    assert report.mean_capped == pytest.approx(20.0)
-    assert report.conditional_mean == pytest.approx(15.0)
-    assert report.power == pytest.approx(2.0 / 3.0)
-    assert report.n_max == 30
-    assert report.replications == 3
+    mean_capped, conditional_mean, power = _stopping_summary(np.array([10.0, 20.0, math.inf]), 30)
+    assert mean_capped == pytest.approx(20.0)
+    assert conditional_mean == pytest.approx(15.0)
+    assert power == pytest.approx(2.0 / 3.0)
+    assert math.isnan(_stopping_summary(np.array([30.0, math.inf]), 30)[1])
 
 
 def test_bootstrap_nmax_brackets_the_point_estimate():
