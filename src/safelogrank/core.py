@@ -194,10 +194,10 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
         rows, part = order[start:stop], np.s_[: size[stop - 1], start - first : stop - first]
         for lo in range(0, grid.shape[1], width):
             lt = grid[rows, lo : lo + width]
-            shape = (size[stop - 1], rows.size, lt.shape[1])
-            table = np.repeat(u[part], shape[2], axis=1).reshape(shape)
+            k = lt.shape[1]  # np.repeat copies slowly where k is 1
+            table = (np.repeat(u[part], k, axis=1) if k > 1 else u[part].copy()).reshape(-1, rows.size, k)
             table *= lt
-            table += np.repeat(log_w[part], shape[2], axis=1).reshape(shape)
+            table += (np.repeat(log_w[part], k, axis=1) if k > 1 else log_w[part]).reshape(table.shape)
             m = table.max(axis=0)
             table -= m
             np.exp(table, out=table)
