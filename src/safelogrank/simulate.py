@@ -14,27 +14,32 @@ draws from a Philox stream keyed by ``(s, r)``, so results are bit-identical
 however replications are chunked or distributed.
 
 One sampler draws every single-event stream: each replication draws one
-uniform per event from its generator, and one step per event compares it
+uniform per event from its stream, and one step per event compares it
 with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes every design.
 It reads growing prefixes, the first 256 events, then 512 and so on up to
 the limit, for the replications that some requested test has not yet
 stopped, and each prefix goes on from where the one before ended: a
-replication's generator is built once and its risk set carried, a tied
-stream is drawn once and kept, and each test's running statistic is
-carried from prefix to prefix, so each event is drawn and scored once.
+replication keeps only its Philox key and draw count, from which one
+generator resumes its stream, and its risk set; a tied stream is drawn
+once and kept, and each test's running statistic is carried from prefix
+to prefix, so each event is drawn and scored once.
 ``_Streams`` hands out the new events of a block of replications as one
 ``EventStream`` whose columns are ``(replications, L)`` arrays, tied rows
 padded with empty batches that add exactly 0 to every sum;
 ``core.log_kernel`` and ``gaussian.logrank_increments`` (or the plug-in
 and Bayes numerators) score all the rows of a block together, and running
 sums carried along each row give the first crossing, the one a pass over
-the whole stream finds.  O'Brien-Fleming sizing scans growing prefixes the
-same way for the shortest horizon with the design's power, from the
-running maxima of ``Z_n * sqrt(n)``, and scores that horizon's stopping
-times as the engine's ``obf`` kind, by the same crossing rule.  The engine
-takes replications in chunks, so its memory stays bounded however many
-there are; the O'Brien-Fleming scan keeps every replication's generator
-and running statistics, about 2 KB each.
+the whole stream finds.  Design tables stop reading a test once its
+horizon is settled: once enough stopping times lie within a prefix for
+``n_max`` to lie within it too, no row still open can change ``n_max`` or
+any figure of the design's row.  O'Brien-Fleming sizing scans growing
+prefixes the same way for the shortest horizon with the design's power,
+from the running maxima of ``Z_n * sqrt(n)``, and scores that horizon's
+stopping times as the engine's ``obf`` kind, by the same crossing rule.
+The engine takes replications in chunks, so its memory stays bounded
+however many there are; the O'Brien-Fleming scan keeps every
+replication's key, counts and running statistics, about 60 bytes each, and
+its treatment events as bits.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -48,6 +53,7 @@ early-stopping benefit is the mean of ``tau`` conditional on ``tau < n_max``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
@@ -177,8 +183,73 @@ def _check_cap(cap: int | None, name: str = "cap") -> None:
 
 
 def stream_rng(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based per-replication generator keyed by (seed, replication)."""
+    """Counter-based per-replication generator keyed by (seed, replication):
+    the reference whose draws the engine reads through ``_stream_keys``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, replication))))
+
+
+_WORD = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, replications) -> np.ndarray:
+    """The Philox key of ``stream_rng(seed, r)`` for every ``r`` in
+    ``replications``, as ``(len(replications), 2)`` uint64 rows: numpy's
+    ``SeedSequence((seed, r)).generate_state(2, np.uint64)``, its entropy
+    hash run on uint32 columns, one column per entropy word.  Rows whose
+    replication needs a second 32-bit word are hashed apart, since their
+    hash runs one word longer."""
+    seed = operator.index(seed)
+    reps = np.asarray(replications, dtype=np.int64).reshape(-1)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = []  # the seed's 32-bit words, least significant first, at least one
+    while not words or seed:
+        words.append(seed & _WORD)
+        seed >>= 32
+    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    for wide in (False, True):
+        rows = (reps > _WORD) == wide
+        if rows.any():
+            r = reps[rows].astype(np.uint64)
+            entropy = [np.full(r.size, w, dtype=np.uint32) for w in words] + [(r & _WORD).astype(np.uint32)]
+            if wide:
+                entropy.append((r >> 32).astype(np.uint32))
+            keys[rows] = _seed_sequence_state(entropy)
+    return keys
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of a ``SeedSequence`` whose entropy
+    words are the uint32 columns ``entropy``, with a pool of 4 words: the
+    hash of ``numpy.random.bit_generator``, wrapping in uint32 columns."""
+    const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * 0x931E8875 & _WORD
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return result ^ result >> np.uint32(16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = 0x8B51F9DD, []
+    for value in pool:
+        value = value ^ np.uint32(const)
+        const = const * 0x58F38DED & _WORD
+        value = value * np.uint32(const)
+        state.append((value ^ value >> np.uint32(16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +257,21 @@ def stream_rng(seed: int, replication: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def _single_event_columns(
-    theta: float, rngs: list[np.random.Generator], y1: np.ndarray, at_risk: int, count: int
+    theta: float, uniforms: np.ndarray, y1: np.ndarray, at_risk: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``y1``, ``y0`` and ``o1`` of the next ``count`` events of one
-    single-event stream per generator, as ``(len(rngs), count)`` arrays,
-    from ``at_risk`` participants of whom ``y1`` (a float array, one entry
-    per generator, updated in place) are in the treatment group.  Generator
-    r draws ``count`` uniforms, one per event in order, and an event falls
-    in the treatment group where its uniform is below ``theta * y1 / (y0 +
-    theta * y1)``.  Continued draws of a generator equal one long draw, so
-    a stream drawn in parts has the events of one draw."""
-    uniforms = np.empty((count, len(rngs)))
-    for r, rng in enumerate(rngs):
-        uniforms[:, r] = rng.random(count)
-    o1 = np.empty((count, len(rngs)), dtype=bool)
+    single-event stream per column of ``uniforms``, a ``(count, streams)``
+    array, as ``(streams, count)`` arrays, from ``at_risk`` participants of
+    whom ``y1`` (a float array, one entry per stream, updated in place) are
+    in the treatment group.  Stream r's event i falls in the treatment group
+    where ``uniforms[i, r]`` is below ``theta * y1 / (y0 + theta * y1)``.
+    Each stream's uniforms are its generator's draws in order, one per
+    event, so a stream drawn in parts has the events of one draw."""
+    count, size = uniforms.shape
+    o1 = np.empty((count, size), dtype=bool)
     first = y1.astype(np.int64)
     y0 = at_risk - y1  # risk sets, exact in floats
-    t1, p = np.empty((2, len(rngs)))
+    t1, p = np.empty((2, size))
     for i in range(count):
         np.multiply(theta, y1, out=t1)
         np.divide(t1, np.add(y0, t1, out=p), out=p)
@@ -233,7 +302,7 @@ def sample_single_event_stream(
     at event times 1, 2, ...: the one-row view of the column sampler."""
     validate_theta(theta)
     n = m1 + m0 if max_events is None else min(max_events, m1 + m0)
-    (y1,), (y0,), (o1,) = _single_event_columns(theta, [rng], np.array([float(m1)]), m1 + m0, n)
+    (y1,), (y0,), (o1,) = _single_event_columns(theta, rng.random((n, 1)), np.array([float(m1)]), m1 + m0)
     return EventStream(np.arange(1.0, n + 1.0), y1, y0, np.ones(n, dtype=np.int64), o1)
 
 
@@ -289,10 +358,11 @@ _BLOCK = 256
 # Replications x events per array: 2^20 cells keep each array at 8 MB.  A
 # block of new events that is scored holds about 16 arrays of its size at
 # once, so the engine and the O'Brien-Fleming scan sample and score
-# _CELLS // 16 cells at a time.  A replication carries about _BLOCK cells
-# from prefix to prefix (its generator, about 2 KB, above all), and a
-# plug-in or Bayes fit or a tied stream up to limit + 2 + _SPAN cells more,
-# so the engine takes _CELLS cells' worth of replications at a time.
+# _CELLS // 16 cells at a time.  A replication carries up to _BLOCK cells
+# from prefix to prefix (its key, counts, risk set and running sums take a
+# few), and a plug-in or Bayes fit or a tied stream up to limit + 2 + _SPAN
+# cells more, so the engine takes _CELLS cells' worth of replications at a
+# time.
 _CELLS = 1 << 20
 
 
@@ -304,51 +374,81 @@ class _Streams:
     into ``replications``) after those they have taken, up to ``length``
     cumulative events, as an ``EventStream`` of ``(rows, L)`` columns
     (``times`` is None; nothing that scores a block reads it), with the
-    cumulative event count at each.  A row's first take builds its
-    generator: a single-event stream keeps it and its treatment risk set
-    and draws each block's events from them, ``L = length - done``
-    columns; a tied stream is drawn whole then, cut after ``limit``
-    cumulative events and kept.  A tied row shorter than the longest is
-    padded with empty batches at risk sets ``(1, 1)``: they add exactly 0
-    to every kernel and logrank sum and to the event count, so a row's
-    running statistics stay flat through its padding.  ``drop(rows)`` lets
-    the generators and streams of rows that are not read again go.
+    cumulative event count at each.  A row holds its Philox key
+    (``_stream_keys``, 16 bytes) and no generator: one ``Philox`` and
+    ``Generator`` pair, built at the first take, is set to a row's key and
+    draw count before each of its reads (``_seek``), and Philox, being
+    counter-based, then goes on with the draws of ``stream_rng(seed, r)``.
+    A single-event row draws one uniform an event, so its draw count is
+    its event count, and it carries its treatment risk set; each take
+    draws ``L = length - done`` columns.  A tied stream is drawn whole at
+    its row's first take, cut after ``limit`` cumulative events and kept.
+    A tied row shorter than the longest is padded with empty batches at
+    risk sets ``(1, 1)``: they add exactly 0 to every kernel and logrank
+    sum and to the event count, so a row's running statistics stay flat
+    through its padding.  ``drop(rows)`` lets the tied streams of rows
+    that are not read again go.
     """
 
     def __init__(self, scenario: SimScenario, replications, limit: int):
-        self.scenario, self.replications, self.limit = scenario, replications, limit
-        self.size = len(replications)
-        self.source = [None] * self.size  # each row's generator, or its tied stream
+        self.scenario, self.limit = scenario, limit
+        self.keys = _stream_keys(scenario.seed, replications)  # each row's Philox key
+        self.size = len(self.keys)
+        self.rng: np.random.Generator | None = None  # set to a row's stream by _seek
+        self.tied: dict[int, list[np.ndarray]] = {}  # tied streams: each drawn row's
         self.events = np.zeros(self.size, dtype=np.int64)  # taken by each row
         self.y1 = np.full(self.size, float(scenario.m1))  # single events: treatment at risk
         self.taken = np.zeros(self.size, dtype=np.int64)  # tied streams: batches taken
 
-    def _open(self, r: int):
-        """Row ``r``'s generator, or its tied stream: ``y1``, ``y0``, ``o``,
-        ``o1`` and the cumulative event count of its batches within the
-        limit; built at its first take."""
-        if self.source[r] is None:
+    def _seek(self, r: int, drawn: int) -> np.random.Generator:
+        """The generator, set to row ``r``'s stream after ``drawn`` raw
+        64-bit draws: Philox draws four at a counter, so the counter is
+        ``drawn // 4`` with its buffer spent, and ``drawn % 4`` draws are
+        discarded."""
+        if self.rng is None:
+            self.rng = np.random.Generator(np.random.Philox(key=self.keys[r]))
+        bits = self.rng.bit_generator
+        bits.state = {
+            "bit_generator": "Philox", "state": {"counter": [drawn // 4, 0, 0, 0], "key": self.keys[r]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        if drawn % 4:
+            bits.random_raw(drawn % 4)
+        return self.rng
+
+    def _tied(self, r: int) -> list[np.ndarray]:
+        """Row ``r``'s tied stream: ``y1``, ``y0``, ``o``, ``o1`` and the
+        cumulative event count of its batches within the limit; drawn at its
+        first take."""
+        if r not in self.tied:
             s = self.scenario
-            rng = stream_rng(s.seed, self.replications[r])
-            if s.tie_h0 is None:
-                self.source[r] = rng
-            else:
-                _, *columns = _tied_columns(s.m1, s.m0, s.theta, s.tie_h0, rng)
-                n = np.cumsum(columns[2])
-                end = int(np.searchsorted(n, self.limit, "right"))
-                self.source[r] = [c[:end] for c in (*columns, n)]
-        return self.source[r]
+            _, *columns = _tied_columns(s.m1, s.m0, s.theta, s.tie_h0, self._seek(r, 0))
+            n = np.cumsum(columns[2])
+            end = int(np.searchsorted(n, self.limit, "right"))
+            self.tied[r] = [c[:end] for c in (*columns, n)]
+        return self.tied[r]
+
+    def _uniforms(self, rows: np.ndarray, done: int, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of rows ``rows``, each of which has
+        drawn ``done``, as a ``(count, rows)`` view of one row's draws a
+        row."""
+        uniforms = np.empty((rows.size, count))
+        for r, out in zip(rows, uniforms):
+            self._seek(r, done).random(out=out)
+        return uniforms.T
 
     def take(self, rows: np.ndarray, length: int) -> tuple[EventStream, np.ndarray]:
-        sources = [self._open(r) for r in rows]
         if self.scenario.tie_h0 is None:
             done = int(self.events[rows[0]])  # the rows read together stand at one event
             y1 = self.y1[rows]
             at_risk = self.scenario.m1 + self.scenario.m0 - done
-            y1s, y0s, o1 = _single_event_columns(self.scenario.theta, sources, y1, at_risk, length - done)
+            y1s, y0s, o1 = _single_event_columns(
+                self.scenario.theta, self._uniforms(rows, done, length - done), y1, at_risk
+            )
             self.y1[rows] = y1
             block = EventStream(None, y1s, y0s, np.ones_like(o1), o1)
         else:
+            sources = [self._tied(r) for r in rows]
             starts = self.taken[rows]
             ends = np.array([np.searchsorted(t[4], length, "right") for t in sources], dtype=np.int64)
             columns = np.zeros((4, rows.size, max(0, (ends - starts).max())), dtype=np.int64)
@@ -364,8 +464,9 @@ class _Streams:
         return block, n
 
     def drop(self, rows: np.ndarray) -> None:
-        for r in rows:
-            self.source[r] = None
+        if self.tied:
+            for r in rows:
+                self.tied.pop(r, None)
 
 
 def _carried(ufunc: np.ufunc, carry: np.ndarray, rows, steps: np.ndarray) -> np.ndarray:
@@ -520,7 +621,7 @@ def _plugin_crossings(
 
 
 def _stopping_times(
-    scenario: SimScenario, kinds: Sequence[str], cap: int | None = None
+    scenario: SimScenario, kinds: Sequence[str], cap: int | None = None, power: float | None = None
 ) -> dict[str, np.ndarray]:
     """Stopping times of every replication for each test kind, every kind on
     the same streams.
@@ -531,18 +632,29 @@ def _stopping_times(
     ``_BLOCK`` events of the replications still running, then twice as
     many, and so on up to the limit.  Each prefix goes on from where the
     one before ended: ``_Streams`` draws only the new events of the open
-    rows, in blocks of at most ``_CELLS // 16`` cells, from generators built
-    once and risk sets carried (tied streams are drawn once and kept), and
-    ``_Running`` scores each kind on the rows that have neither crossed nor
-    settled for it, from their carried statistics.  So each event is drawn
-    and scored once, and a row first crosses where it would on the whole
-    stream.  A replication stops running once every kind has crossed or
-    settled on it.  Replications are keyed individually, so any chunking
-    gives bit-identical results.
+    rows, in blocks of at most ``_CELLS // 16`` cells, from each row's key
+    and draw count and its carried risk set (tied streams are drawn once
+    and kept), and ``_Running`` scores each kind on the rows that have
+    neither crossed nor settled for it, from their carried statistics.  So
+    each event is drawn and scored once, and a row first crosses where it
+    would on the whole stream.  A replication stops running once every kind
+    has crossed or settled on it.  Replications are keyed individually, so
+    any chunking gives bit-identical results.
+
+    With ``power``, a kind's horizon is settled once ``_required_count(power,
+    replications)`` of its stopping times, over every replication scored so
+    far, lie within the prefix just read: its ``n_max`` (``estimate_nmax``)
+    is then at most that prefix's length, so every row still open for it
+    settles, its stopping time left infinite.  Those rows stop past
+    ``n_max``, so ``n_max``, the capped and conditional means and the power
+    of ``_stopping_summary`` are those of a run to the limit; the stopping
+    times themselves are not, which is why ``simulate_stopping_times``
+    passes no power.
     """
     kinds = list(dict.fromkeys(kinds))
     reps = scenario.replications
     limit = _event_limit(scenario, cap)
+    need = math.inf if power is None else _required_count(power, reps)
     taus = {k: np.full(reps, np.inf) for k in kinds}
     history = scenario.tie_h0 is not None or not {"plugin", "bayes"}.isdisjoint(kinds)
     chunk = max(1, _CELLS // (_BLOCK + (limit + 2 + _SPAN if history else 0)))
@@ -566,7 +678,12 @@ def _stopping_times(
                         hit = np.flatnonzero(first >= 0)
                         ours[kind][part[open_][hit]] = n[open_][hit, first[hit]]
                 streams.drop(part[~np.any([running[k].open(part, ours[k]) for k in kinds], axis=0)])
-            rows = rows[np.any([running[k].open(rows, ours[k]) for k in kinds], axis=0)]
+            for kind in kinds:
+                if np.count_nonzero(taus[kind] <= length) >= need:  # n_max <= length
+                    running[kind].settled[rows] = True
+            still = np.any([running[k].open(rows, ours[k]) for k in kinds], axis=0)
+            streams.drop(rows[~still])
+            rows = rows[still]
     return taus
 
 
@@ -585,13 +702,27 @@ def simulate_stopping_times(scenario: SimScenario, cap: int | None = None) -> np
 # design summaries
 # ---------------------------------------------------------------------------
 
+def _required_count(power: float, n: int) -> int:
+    """The least count k of n replications with ``k / n >= power``: how
+    many must stop within a horizon for it to have the power.  ``ceil(power
+    * n)`` can be one more, where the product rounds up past an integer
+    (0.55 * 100 is 55.00000000000001)."""
+    k = math.ceil(power * n)
+    while k > 0 and (k - 1) / n >= power:
+        k -= 1
+    while k / n < power:
+        k += 1
+    return k
+
+
 def estimate_nmax(taus: np.ndarray, power: float) -> int:
     """Smallest horizon n_max with P(tau <= n_max) >= power, empirically:
-    the ceil(power * N)-th order statistic of the stopping times."""
+    the k-th order statistic of the N stopping times, k the least count
+    with k / N >= power (``_required_count``)."""
     if not (0.0 < power < 1.0):
         raise ValueError(f"power must be in (0, 1), got {power}")
     taus = np.asarray(taus, dtype=float)
-    k = math.ceil(power * taus.size)
+    k = _required_count(power, taus.size)
     finite = np.sort(taus[np.isfinite(taus)])
     if finite.size < k:
         raise UnattainablePowerError(power, finite.size / taus.size)
@@ -626,8 +757,8 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     maximum, and counts the crossings of its new horizons.  It stops at the
     first prefix that holds a horizon with the power: a longer prefix
     changes no count of a shorter horizon, so that horizon is the one a
-    scan to ``cap`` finds.  Every replication's generator and sums stay
-    open until then, about 2 KB a replication, and its treatment events
+    scan to ``cap`` finds.  Every replication's key, counts and sums stay
+    open until then, about 60 bytes a replication, and its treatment events
     are kept as bits.  A second pass reads the first ``h`` events back from
     the bits and scores them as the engine's ``obf`` kind at ``n_max = h``,
     by the same rule, so the stopping times it gives have the power that
@@ -639,6 +770,7 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     limit = _event_limit(scenario, cap)
     obf_design = replace(design, test_kind="obf", n_max=limit)  # refuses a design with no side
     reps = scenario.replications
+    need = _required_count(design.power, reps)
     sums = np.zeros((3, reps))  # logrank score and variance, running maximum of _obf_scaled
     sums[2] = np.nan  # no maximum yet: fmax takes the first value
     streams, rows, length = _Streams(scenario, range(reps), limit), np.arange(reps), 0
@@ -654,7 +786,7 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
             bits[-1][part] = np.packbits(block.o1, axis=1)  # padded to whole bytes
             maxima = _carried(np.fmax, sums[2], part, _obf_scaled(_running_z(block, sums, part), n, design))
             crossed = crossed + _obf_reaches(maxima, design, horizons).sum(axis=0)
-        reached = np.flatnonzero(crossed / reps >= design.power)
+        reached = np.flatnonzero(crossed >= need)
         if reached.size:
             break
     else:
@@ -802,7 +934,7 @@ def design_table(
     def unattainable(kind: str, err: UnattainablePowerError) -> None:
         unattained.append({"test_kind": kind, "requested": err.requested, "achieved": err.achieved})
 
-    for kind, taus in _stopping_times(scenario, kinds, cap).items():
+    for kind, taus in _stopping_times(scenario, kinds, cap, power).items():
         try:
             n_max = estimate_nmax(taus, power)
         except UnattainablePowerError as err:

@@ -779,9 +779,9 @@ def compare_exact_gaussian(scenario, cap=None) -> ExactGaussianComparison:
     design = scenario.design
     reps = scenario.replications
     limit = min(scenario.m1 + scenario.m0, cap or scenario.m1 + scenario.m0)
-    rngs = [stream_rng(scenario.seed, r) for r in range(reps)]
+    uniforms = np.stack([stream_rng(scenario.seed, r).random(limit) for r in range(reps)], axis=1)
     y1 = np.full(reps, float(scenario.m1))
-    columns = _single_event_columns(scenario.theta, rngs, y1, scenario.m1 + scenario.m0, limit)
+    columns = _single_event_columns(scenario.theta, uniforms, y1, scenario.m1 + scenario.m0)
     mu1 = schoenfeld_mu(design.theta1, scenario.m1, scenario.m0)
     n = np.arange(1, limit + 1)
     tau_exact = np.full(reps, np.inf)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safelogrank.core import log_evalue_trace
@@ -93,6 +93,65 @@ def test_stream_rng_is_keyed_per_replication():
     )
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_stream_keys_equal_numpys_seed_sequence(seed):
+    # one vectorized hash gives every replication's Philox key bit for bit,
+    # for seeds of one to three 32-bit words and replications of one word
+    # and of two
+    import safelogrank.simulate as simulate
+
+    reps = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]
+    want = [np.random.SeedSequence((seed, r)).generate_state(2, np.uint64) for r in reps]
+    assert np.array_equal(simulate._stream_keys(seed, reps), np.array(want))
+    assert simulate._stream_keys(seed, []).shape == (0, 2)
+
+
+@pytest.mark.parametrize("size", [1, 3, 5, 256])
+def test_resumed_draws_equal_one_draw(size):
+    # a row's stream resumed from its key and draw count, in blocks of any
+    # size and with other rows read between its blocks, gives the draws of
+    # one stream_rng draw
+    import safelogrank.simulate as simulate
+
+    scenario = SimScenario(m1=10, m0=10, theta=0.7, design=DesignSpec(theta1=0.7), seed=9)
+    streams = simulate._Streams(scenario, range(3), 20)
+    want = [stream_rng(9, r).random(700) for r in range(3)]
+    got = [[] for _ in range(3)]
+    for done in range(0, 700, size):
+        for r in (2, 0, 1):
+            got[r].append(streams._seek(r, done).random(min(size, 700 - done)))
+    for r in range(3):
+        assert np.array_equal(np.concatenate(got[r]), want[r])
+
+
+def test_tied_streams_drawn_from_keys_equal_stream_rngs():
+    # a tied stream draws its geometric event intervals from its row's
+    # stream, set to the start whatever row the generator read before
+    import safelogrank.simulate as simulate
+    from safelogrank.simulate import _tied_columns
+
+    scenario = SimScenario(
+        m1=300, m0=200, theta=0.6, design=DesignSpec(theta1=0.7), seed=12, tie_h0=0.02
+    )
+    streams = simulate._Streams(scenario, range(4), 500)
+    streams._seek(3, 77).random(5)
+    for r in (1, 0, 3, 2):
+        got = _tied_columns(300, 200, 0.6, 0.02, streams._seek(r, 0))
+        want = _tied_columns(300, 200, 0.6, 0.02, stream_rng(12, r))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_negative_library_seed_is_refused():
+    design = DesignSpec(theta1=0.7)
+    scenario = SimScenario(m1=20, m0=20, theta=0.7, design=design, replications=5, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate_stopping_times(scenario)
+    with pytest.raises(ValueError, match="non-negative"):
+        estimate_obf_nmax(scenario, cap=30)
+    with pytest.raises(ValueError, match="non-negative"):
+        design_table(0.7, 20, 20, replications=5, seed=-1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -603,6 +662,35 @@ def test_estimate_nmax_is_an_order_statistic():
     assert estimate_nmax(taus, 0.999) == 100
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10_000).flatmap(lambda n: st.tuples(st.integers(1, n - 1), st.just(n))))
+@example(count_n=(55, 100))
+def test_estimate_nmax_takes_the_least_count_with_the_power(count_n):
+    # at power k / n the k-th order statistic has the power exactly;
+    # ceil(power * n) takes the (k+1)-th wherever the product rounds past k
+    # (0.55 * 100 is 55.00000000000001)
+    k, n = count_n
+    assert estimate_nmax(np.arange(1.0, n + 1.0), k / n) == k
+
+
+def test_the_required_count_at_power_0_8_is_ceil():
+    # why no golden or pinned design moved when the count got its own
+    # helper: at power 0.8 ceil(0.8 * n) is already the least count
+    from safelogrank.simulate import _required_count
+
+    assert all(_required_count(0.8, n) == math.ceil(0.8 * n) for n in range(1, 10_001))
+
+
+def test_design_table_sizes_to_the_least_count_with_the_power():
+    # 100 replications at power 0.55: the 55th stopping time, 157, has
+    # power 0.55; ceil(0.55 * 100) = 56 gave 159 at power 0.56.  The
+    # O'Brien-Fleming row counted crossings by the same rule all along.
+    table = design_table(0.7, 2000, 2000, power=0.55, replications=100, seed=1, include_obf=True)
+    exact, obf = table["rows"][:2]
+    assert (exact.test_kind, exact.n_max, exact.power) == ("exact", 157, 0.55)
+    assert obf.test_kind == "obrien-fleming" and obf.power >= 0.55
+
+
 def test_estimate_nmax_unattainable():
     taus = np.array([10.0, 20.0, math.inf])
     with pytest.raises(UnattainablePowerError):
@@ -724,6 +812,28 @@ def test_obf_scan_over_carried_prefixes_matches_one_whole_cap_scan(theta, theta1
     assert np.array_equal(taus, obf_stopping_times(z_scaled, h, 0.05, side))
 
 
+def test_obf_scan_memory_does_not_grow_with_replications():
+    # the scan keeps a replication's key, counts and sums, about 60 bytes,
+    # and its treatment events as bits, eight a byte; with a generator a
+    # replication, about 1.7 KB, its traced peak rose from 7.5 to 10.0 MiB
+    # between these counts
+    import tracemalloc
+
+    peaks = []
+    for reps in (1000, 4000):
+        scenario = SimScenario(
+            m1=500, m0=500, theta=0.7, design=DesignSpec(theta1=0.7), replications=reps, seed=5
+        )
+        tracemalloc.start()
+        try:
+            h, taus = estimate_obf_nmax(scenario, cap=600)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert 200 < h < 240 and taus.size == reps
+    assert peaks[1] - peaks[0] < 2**19, peaks
+
+
 def test_estimate_obf_nmax_refuses_tied_streams():
     # its scan counts one event per step, which a tied stream does not have
     design = DesignSpec(theta1=0.5)
@@ -843,38 +953,117 @@ def test_design_table_at_cli_defaults_keeps_memory_bounded():
 
 
 @pytest.mark.parametrize("include_obf,tie_h0", [(False, None), (True, None), (False, 0.01)])
-def test_design_table_builds_each_generator_once_a_pass(include_obf, tie_h0, monkeypatch):
+def test_design_table_derives_each_key_once_a_pass(include_obf, tie_h0, monkeypatch):
     # replications run over 256, 512, 1024 and 1100 events here, and each
-    # prefix goes on from the generator its replication built at its first
-    # take: one stream_rng call a replication.  With the O'Brien-Fleming
-    # comparator the scan is a second pass over the same streams, with its
-    # own generators, and it reads the first h events back from the bits it
-    # kept: two calls a replication.
+    # prefix resumes a replication's stream from its key and draw count;
+    # each _Streams derives the keys of all its rows in one call, and no
+    # generator is built a replication (stream_rng is never called).  With
+    # the O'Brien-Fleming comparator the scan is a second pass over the
+    # same streams, with its own keys, and it reads the first h events back
+    # from the bits it kept: two keys a replication.
     import collections
 
     import safelogrank.simulate as simulate
 
-    calls, lengths = collections.Counter(), set()
-    build, take = simulate.stream_rng, simulate._Streams.take
+    keys, derivations, lengths, instances = collections.Counter(), [], set(), []
+    derive = simulate._stream_keys
 
-    def counting(seed, replication):
-        calls[replication] += 1
-        return build(seed, replication)
+    class Counting(simulate._Streams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            instances.append(self)
 
-    def reading(self, rows, length):
-        lengths.add(length)
-        return take(self, rows, length)
+        def take(self, rows, length):
+            lengths.add(length)
+            return super().take(rows, length)
 
-    monkeypatch.setattr(simulate, "stream_rng", counting)
-    monkeypatch.setattr(simulate._Streams, "take", reading)
+    def deriving(seed, replications):
+        derivations.append(len(replications))
+        keys.update(replications)
+        return derive(seed, replications)
+
+    def building(seed, replication):
+        raise AssertionError("the engine builds no generator a replication")
+
+    monkeypatch.setattr(simulate, "_stream_keys", deriving)
+    monkeypatch.setattr(simulate, "stream_rng", building)
+    monkeypatch.setattr(simulate, "_Streams", Counting)
     table = design_table(
         0.7, 600, 600, theta=0.8, replications=40, seed=4, kinds=("exact", "gaussian", "plugin"),
         cap=1100, include_obf=include_obf, tie_h0=tie_h0,
     )
     assert {256, 512, 1024, 1100} <= lengths
     assert "obrien-fleming" in [row.test_kind for row in table["rows"]] or not include_obf
-    assert sorted(calls) == list(range(40))
-    assert set(calls.values()) == {2 if include_obf else 1}
+    assert sorted(keys) == list(range(40))
+    assert set(keys.values()) == {2 if include_obf else 1}
+    assert len(derivations) == len(instances) == (2 if include_obf else 1)
+
+
+def _tables_with_and_without_settling(monkeypatch, **kw):
+    """``design_table(**kw)`` as it runs, settling a test once its horizon
+    is known, and with the engine run to the cap on every row; with, for
+    each of the two runs, the cells that each ``_Streams`` (a chunk of
+    replications, or the O'Brien-Fleming scan) read at each prefix length."""
+    import safelogrank.simulate as simulate
+
+    reads, run = [], simulate._stopping_times
+
+    class Counting(simulate._Streams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.read = {}
+            reads[-1].append(self.read)
+
+        def take(self, rows, length):
+            block, n = super().take(rows, length)
+            self.read[length] = self.read.get(length, 0) + block.o.size
+            return block, n
+
+    monkeypatch.setattr(simulate, "_Streams", Counting)
+    reads.append([])
+    settled = design_table(**kw)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_stopping_times", lambda scenario, kinds, cap, power: run(scenario, kinds, cap))
+        reads.append([])
+        whole = design_table(**kw)
+    return settled, whole, reads
+
+
+@pytest.mark.parametrize("tie_h0", [None, 0.01])
+@pytest.mark.parametrize("theta,power,fewer", [(0.7, 0.5, True), (0.7, 0.95, False), (1.0, 0.8, False),
+                                               (0.8, 0.8, False)])
+def test_settled_horizons_give_the_tables_of_runs_to_the_cap(tie_h0, theta, power, fewer, monkeypatch):
+    # once k stopping times lie within a prefix, k the least count with the
+    # power, every row still open stops past n_max: no figure of its row
+    # moves.  At power 0.5 the rows open after the prefix holding n_max are
+    # read no further; at the null no test reaches the power and at 0.8
+    # the plug-in test does not, so those run to the cap as before.
+    kw = dict(theta1=0.7, m1=600, m0=600, theta=theta, power=power, replications=40, seed=4,
+              kinds=("exact", "gaussian", "plugin"), cap=1100, tie_h0=tie_h0, include_obf=tie_h0 is None)
+    settled, whole, reads = _tables_with_and_without_settling(monkeypatch, **kw)
+    assert repr(settled) == repr(whole)
+    assert bool(settled["unattained"]) == (theta != 0.7)
+    read, read_whole = (sum(sum(chunk.values()) for chunk in run) for run in reads)
+    assert read < read_whole if fewer else read == read_whole
+
+
+@pytest.mark.parametrize("tie_h0", [None, 0.01])
+def test_settling_counts_the_stopping_times_of_earlier_chunks(tie_h0, monkeypatch):
+    # with _CELLS shrunk to 3000 cells the engine takes 3 (tied) or 11
+    # replications a chunk, fewer than the 20 stopping times power 0.5
+    # needs of 40; so a chunk that settles after its first prefix where a
+    # run to the cap reads on has counted the chunks before it.  Its table
+    # is that of one chunk run to the cap.
+    import safelogrank.simulate as simulate
+
+    kw = dict(theta1=0.7, m1=300, m0=300, theta=0.7, power=0.5, replications=40, seed=6,
+              kinds=("exact", "gaussian"), cap=600, tie_h0=tie_h0)
+    one_chunk = design_table(**kw)
+    monkeypatch.setattr(simulate, "_CELLS", 3000)
+    settled, whole, (chunks, chunks_whole) = _tables_with_and_without_settling(monkeypatch, **kw)
+    assert repr(settled) == repr(whole) == repr(one_chunk)
+    assert len(chunks) == len(chunks_whole) > 3
+    assert any(max(a) == _BLOCK < max(b) for a, b in zip(chunks[1:], chunks_whole[1:]))
 
 
 @pytest.mark.parametrize("kind", ["bayes", "nonsense"])
