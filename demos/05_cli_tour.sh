@@ -5,6 +5,8 @@
 # 64 = usage error, 65 = data error.
 set -u
 cd "$(dirname "$0")"
+# the installed console script, or the module where it is not installed
+command -v safelogrank > /dev/null || safelogrank() { python3 -m safelogrank.cli "$@"; }
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 

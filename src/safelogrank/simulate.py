@@ -32,14 +32,14 @@ sums carried along each row give the first crossing, the one a pass over
 the whole stream finds.  Design tables stop reading a test once its
 horizon is settled: once enough stopping times lie within a prefix for
 ``n_max`` to lie within it too, no row still open can change ``n_max`` or
-any figure of the design's row.  O'Brien-Fleming sizing scans growing
-prefixes the same way for the shortest horizon with the design's power,
-from the running maxima of ``Z_n * sqrt(n)``, and scores that horizon's
-stopping times as the engine's ``obf`` kind, by the same crossing rule.
-The engine takes replications in chunks, so its memory stays bounded
-however many there are; the O'Brien-Fleming scan keeps every
-replication's key, counts and running statistics, about 60 bytes each, and
-its treatment events as bits.
+any figure of the design's row.  Each test reads up to its own event
+limit: the cap, or the O'Brien-Fleming comparator's horizon, the shortest
+with the design's power, which a scan of growing prefixes finds from the
+running maxima of ``Z_n * sqrt(n)``; the engine scores the comparator as
+its ``obf`` kind in the same pass as the other tests.  The engine takes
+replications in chunks, so its memory stays bounded however many there
+are; the scan keeps every replication's key, counts and running
+statistics, about 60 bytes each.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -115,6 +115,8 @@ class DesignSpec:
     hazard ratio for two-sided tests); learning tests (``plugin``/``bayes``)
     ignore it for their numerator but keep it for reference sample sizes.
     ``n_max`` is the planning horizon required by ``obf`` and ``fixed``.
+    ``two_sided`` (``exact``), ``prior`` (``bayes``) and ``n_max`` are
+    refused with any other kind, which would ignore them.
     """
 
     theta1: float
@@ -139,6 +141,10 @@ class DesignSpec:
             raise ValueError(f"unknown test kind {self.test_kind!r}")
         if self.test_kind in ("obf", "fixed") and self.n_max is None:
             raise ValueError(f"{self.test_kind!r} design needs an n_max horizon")
+        given = {"two_sided": self.two_sided, "prior": self.prior is not None, "n_max": self.n_max is not None}
+        for name, kinds in (("two_sided", ("exact",)), ("prior", ("bayes",)), ("n_max", ("obf", "fixed"))):
+            if given[name] and self.test_kind not in kinds:
+                raise ValueError(f"{name} applies to {'/'.join(kinds)} designs, not {self.test_kind!r}")
         if self.test_kind in ("exact", "gaussian", "obf") and self.theta1 == self.theta0:
             raise ValueError("theta1 must differ from theta0")
 
@@ -280,15 +286,8 @@ def _single_event_columns(
         np.subtract(at_risk - i - 1, y1, out=y0)
     del uniforms
     o1 = o1.T.astype(np.int64)
-    return (*_single_event_risk_sets(o1, first, at_risk), o1)
-
-
-def _single_event_risk_sets(o1: np.ndarray, y1: np.ndarray, at_risk: int) -> tuple[np.ndarray, np.ndarray]:
-    """``y1`` and ``y0`` before each of the single events ``o1`` (``(rows,
-    L)`` columns), from ``at_risk`` participants, ``y1`` of them (one per
-    row) in the treatment group, before the first."""
     before = np.cumsum(o1, axis=1) - o1  # treatment events before each event
-    return y1[:, None] - before, (at_risk - y1)[:, None] - np.arange(o1.shape[1]) + before
+    return first[:, None] - before, (at_risk - first)[:, None] - np.arange(count) + before, o1
 
 
 def sample_single_event_stream(
@@ -361,8 +360,8 @@ _BLOCK = 256
 # _CELLS // 16 cells at a time.  A replication carries up to _BLOCK cells
 # from prefix to prefix (its key, counts, risk set and running sums take a
 # few), and a plug-in or Bayes fit or a tied stream up to limit + 2 + _SPAN
-# cells more, so the engine takes _CELLS cells' worth of replications at a
-# time.
+# cells more, limit the furthest any test reads, so the engine takes _CELLS
+# cells' worth of replications at a time.
 _CELLS = 1 << 20
 
 
@@ -504,26 +503,27 @@ class _Running:
     """Test ``kind``'s running statistic on each of ``size`` replications,
     carried from one block of new events to the next.
 
-    ``crossings(rows, block, n)`` scores the new events ``block``
-    (``(rows, L)`` columns from ``_Streams.take``, ``n`` the cumulative
-    event count at each) of rows ``rows``, carries their statistics past
-    them, and returns each row's first crossing column, -1 where there is
-    none; the first crossing of a row is never in its padding, which
-    repeats the row's last statistic.  Every kind scores the rows of a
-    block together.  The exact log e-values (one ``log_kernel`` call over
-    every cell) and the logrank score and variance are running sums
-    (``_carried``); the plug-in carries one ``_PluginFit`` of every row and
-    the log e-values (``_plugin_crossings``); Bayes carries each row's log
-    posterior, its log-sum-exp and the log e-value.  A ``fixed`` row is
-    settled once its one look has passed without a crossing, and an ``obf``
-    row once its event count reaches ``n_max``: no later event can cross on
-    it, so the engine reads it no further, and its stopping time stays
-    infinite.
+    ``read(rows, block, n, taus)`` scores the new events ``block`` (``(rows,
+    L)`` columns from ``_Streams.take``, ``n`` the cumulative event count at
+    each) of rows ``rows`` up to the test's event ``limit``, the cap or an
+    ``obf`` test's horizon ``n_max``, carries their statistics past them, and
+    sets ``taus`` at each row's first crossing (``crossings``), which is never
+    in its padding, where the row's last statistic repeats.  A crossing past
+    the limit does not count, and a row settles once its event count reaches
+    the limit.  Every kind scores the rows of a block together.  The exact log
+    e-values (one ``log_kernel`` call over every cell) and the logrank score
+    and variance are running sums (``_carried``); the plug-in carries one
+    ``_PluginFit`` of every row and the log e-values (``_plugin_crossings``);
+    Bayes carries each row's log posterior, its log-sum-exp and the log
+    e-value.  A ``fixed`` row is settled once its one look has passed without a
+    crossing.  No later event can cross on a settled row, so the engine reads
+    it no further, and its stopping time stays infinite.
     """
 
     def __init__(self, scenario: SimScenario, kind: str, size: int, limit: int):
         design = scenario.design
         self.kind, self.scenario = kind, scenario
+        self.limit = min(limit, design.n_max) if kind == "obf" else limit  # or the horizon, if sooner
         self.settled = np.zeros(size, dtype=bool)  # rows no later event can cross
         if kind == "exact":
             # one kernel call scores every cell at each alternative, theta1
@@ -546,6 +546,18 @@ class _Running:
         else:
             raise ValueError(f"unsupported test kind {kind!r}")
 
+    def read(self, rows: np.ndarray, block: EventStream, n: np.ndarray, taus: np.ndarray) -> None:
+        width = n.shape[1]  # n grows along a row, so a row within the limit at its end is within it
+        if n[:, -1].min() > self.limit:
+            width = int(np.count_nonzero(n <= self.limit, axis=1).max())
+        if width:
+            within = EventStream(None, *(c[:, :width] for c in (block.y1, block.y0, block.o, block.o1)))
+            first = self.crossings(rows, within, n[:, :width])
+            hit = np.flatnonzero(first >= 0)
+            hit = hit[n[hit, first[hit]] <= self.limit]  # a tied row may pass the limit sooner
+            taus[rows[hit]] = n[hit, first[hit]]
+        self.settled[rows] |= n[:, -1] >= self.limit
+
     def crossings(self, rows: np.ndarray, block: EventStream, n: np.ndarray) -> np.ndarray:
         design = self.scenario.design
         if self.kind == "exact":
@@ -563,8 +575,7 @@ class _Running:
                 mu1 = schoenfeld_mu(design.theta1, self.scenario.m1, self.scenario.m0)
                 hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
             elif self.kind == "obf":
-                hit = (n <= design.n_max) & _obf_reaches(_obf_scaled(z, n, design), design, design.n_max)
-                self.settled[rows] |= n[:, -1] >= design.n_max
+                hit = _obf_reaches(_obf_scaled(z, n, design), design, design.n_max)
             else:  # fixed: one look, at the first event time reaching the horizon
                 look = ~np.isnan(z) & (n >= design.n_max)
                 first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.settled[rows, None]
@@ -621,25 +632,28 @@ def _plugin_crossings(
 
 
 def _stopping_times(
-    scenario: SimScenario, kinds: Sequence[str], cap: int | None = None, power: float | None = None
+    scenario: SimScenario, kinds: Sequence[str] | dict[str, int], cap: int | None = None,
+    power: float | None = None,
 ) -> dict[str, np.ndarray]:
     """Stopping times of every replication for each test kind, every kind on
     the same streams.
 
-    Replications run in chunks of ``_CELLS // (_BLOCK + history)``, the
-    history being ``limit + 2 + _SPAN`` cells for plug-in and Bayes designs
-    and tied streams and 0 otherwise, over growing prefixes: the first
-    ``_BLOCK`` events of the replications still running, then twice as
-    many, and so on up to the limit.  Each prefix goes on from where the
-    one before ended: ``_Streams`` draws only the new events of the open
-    rows, in blocks of at most ``_CELLS // 16`` cells, from each row's key
-    and draw count and its carried risk set (tied streams are drawn once
-    and kept), and ``_Running`` scores each kind on the rows that have
-    neither crossed nor settled for it, from their carried statistics.  So
-    each event is drawn and scored once, and a row first crosses where it
-    would on the whole stream.  A replication stops running once every kind
-    has crossed or settled on it.  Replications are keyed individually, so
-    any chunking gives bit-identical results.
+    Each kind reads up to the cap, or to the event limit ``kinds`` maps it
+    to, which may lie past the cap (``_Running.read``).  Replications run
+    in chunks of ``_CELLS // (_BLOCK + history)``, the history being
+    ``limit + 2 + _SPAN`` cells (``limit`` the furthest) for plug-in and
+    Bayes designs and tied streams and 0 otherwise, over growing prefixes:
+    the first ``_BLOCK`` events of the replications still running, then
+    twice as many, and so on up to the limit.  Each prefix goes on from
+    where the one before ended: ``_Streams`` draws only the new events of
+    the open rows, in blocks of at most ``_CELLS // 16`` cells, from each
+    row's key and draw count and its carried risk set (tied streams are
+    drawn once and kept), and ``_Running`` scores each kind on the rows
+    that have neither crossed nor settled for it, from their carried
+    statistics.  So each event is drawn and scored once, and a row first
+    crosses where it would on the whole stream.  A replication stops
+    running once every kind has crossed or settled on it.  Replications
+    are keyed individually, so any chunking gives bit-identical results.
 
     With ``power``, a kind's horizon is settled once ``_required_count(power,
     replications)`` of its stopping times, over every replication scored so
@@ -651,37 +665,36 @@ def _stopping_times(
     times themselves are not, which is why ``simulate_stopping_times``
     passes no power.
     """
-    kinds = list(dict.fromkeys(kinds))
     reps = scenario.replications
     limit = _event_limit(scenario, cap)
+    limits = kinds if isinstance(kinds, dict) else dict.fromkeys(kinds, limit)
+    end = max([limit, *limits.values()])
     need = math.inf if power is None else _required_count(power, reps)
-    taus = {k: np.full(reps, np.inf) for k in kinds}
-    history = scenario.tie_h0 is not None or not {"plugin", "bayes"}.isdisjoint(kinds)
-    chunk = max(1, _CELLS // (_BLOCK + (limit + 2 + _SPAN if history else 0)))
-    for lo in range(0, reps if kinds else 0, chunk):
-        streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), limit)
-        running = {k: _Running(scenario, k, streams.size, limit) for k in kinds}
-        ours = {k: taus[k][lo : lo + streams.size] for k in kinds}
+    taus = {k: np.full(reps, np.inf) for k in limits}
+    history = scenario.tie_h0 is not None or not {"plugin", "bayes"}.isdisjoint(limits)
+    chunk = max(1, _CELLS // (_BLOCK + (end + 2 + _SPAN if history else 0)))
+    for lo in range(0, reps if limits else 0, chunk):
+        streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), end)
+        running = {k: _Running(scenario, k, streams.size, limits[k]) for k in limits}
+        ours = {k: taus[k][lo : lo + streams.size] for k in limits}
         rows, length = np.arange(streams.size), 0
-        while rows.size and length < limit:
-            done, length = length, min(max(2 * length, _BLOCK), limit)
+        while rows.size and length < end:
+            done, length = length, min(max(2 * length, _BLOCK), end)
             size = max(1, _CELLS // (16 * (length - done)))
             for start in range(0, rows.size, size):
                 part = rows[start : start + size]
                 block, n = streams.take(part, length)
-                for kind in kinds if n.shape[1] else ():  # a tied block may hold no batch
+                for kind in limits if n.shape[1] else ():  # a tied block may hold no batch
                     open_ = running[kind].open(part, ours[kind])
                     if open_.any():
                         on = block if open_.all() else EventStream(
                             None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
-                        first = running[kind].crossings(part[open_], on, n[open_])
-                        hit = np.flatnonzero(first >= 0)
-                        ours[kind][part[open_][hit]] = n[open_][hit, first[hit]]
-                streams.drop(part[~np.any([running[k].open(part, ours[k]) for k in kinds], axis=0)])
-            for kind in kinds:
+                        running[kind].read(part[open_], on, n[open_], ours[kind])
+                streams.drop(part[~np.any([running[k].open(part, ours[k]) for k in limits], axis=0)])
+            for kind in limits:
                 if np.count_nonzero(taus[kind] <= length) >= need:  # n_max <= length
                     running[kind].settled[rows] = True
-            still = np.any([running[k].open(rows, ours[k]) for k in kinds], axis=0)
+            still = np.any([running[k].open(rows, ours[k]) for k in limits], axis=0)
             streams.drop(rows[~still])
             rows = rows[still]
     return taus
@@ -718,10 +731,13 @@ def _required_count(power: float, n: int) -> int:
 def estimate_nmax(taus: np.ndarray, power: float) -> int:
     """Smallest horizon n_max with P(tau <= n_max) >= power, empirically:
     the k-th order statistic of the N stopping times, k the least count
-    with k / N >= power (``_required_count``)."""
+    with k / N >= power (``_required_count``); refuses no stopping times
+    and NaN ones."""
     if not (0.0 < power < 1.0):
         raise ValueError(f"power must be in (0, 1), got {power}")
     taus = np.asarray(taus, dtype=float)
+    if taus.size == 0 or np.isnan(taus).any():
+        raise ValueError("estimate_nmax needs at least one stopping time and no NaN")
     k = _required_count(power, taus.size)
     finite = np.sort(taus[np.isfinite(taus)])
     if finite.size < k:
@@ -741,9 +757,9 @@ def _stopping_summary(taus: np.ndarray, n_max: int) -> tuple[float, float, float
     )
 
 
-def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
+def _obf_horizon(scenario: SimScenario, cap: int) -> int:
     """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
-    design's power, and each replication's stopping time at that horizon.
+    design's power, or ``UnattainablePowerError``.
 
     A stream crosses the boundary of horizon ``h`` iff the running maximum
     of ``Z_n * sqrt(n)`` on the design's side reaches ``z_{1-alpha/2} *
@@ -753,60 +769,49 @@ def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]
     ``_BLOCK`` events, then twice as many and so on up to ``cap``, the way
     the engine does: each prefix draws and scores only its new events
     (``_Streams``), in blocks of at most ``_CELLS // 16`` cells, going on
-    from each replication's generator, risk set, logrank sums and running
+    from each replication's key, risk set, logrank sums and running
     maximum, and counts the crossings of its new horizons.  It stops at the
     first prefix that holds a horizon with the power: a longer prefix
     changes no count of a shorter horizon, so that horizon is the one a
     scan to ``cap`` finds.  Every replication's key, counts and sums stay
-    open until then, about 60 bytes a replication, and its treatment events
-    are kept as bits.  A second pass reads the first ``h`` events back from
-    the bits and scores them as the engine's ``obf`` kind at ``n_max = h``,
-    by the same rule, so the stopping times it gives have the power that
-    chose ``h``.
+    open until then, about 60 bytes a replication.  The scan is its own
+    pass over every replication, not the engine's: the engine's chunks
+    cannot count crossings over all replications before the first ends.
     """
     if scenario.tie_h0 is not None:
         raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
     design = scenario.design
     limit = _event_limit(scenario, cap)
-    obf_design = replace(design, test_kind="obf", n_max=limit)  # refuses a design with no side
     reps = scenario.replications
     need = _required_count(design.power, reps)
     sums = np.zeros((3, reps))  # logrank score and variance, running maximum of _obf_scaled
     sums[2] = np.nan  # no maximum yet: fmax takes the first value
     streams, rows, length = _Streams(scenario, range(reps), limit), np.arange(reps), 0
-    bits = []  # each prefix's treatment events, eight a byte
     while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
         done, length = length, min(max(2 * length, _BLOCK), limit)
         horizons = np.arange(done + 1, length + 1)
         size, crossed = max(1, _CELLS // (16 * (length - done))), 0
-        bits.append(np.empty((reps, -(-(length - done) // 8)), dtype=np.uint8))
         for lo in range(0, reps, size):
             part = rows[lo : lo + size]
             block, n = streams.take(part, length)
-            bits[-1][part] = np.packbits(block.o1, axis=1)  # padded to whole bytes
             maxima = _carried(np.fmax, sums[2], part, _obf_scaled(_running_z(block, sums, part), n, design))
             crossed = crossed + _obf_reaches(maxima, design, horizons).sum(axis=0)
         reached = np.flatnonzero(crossed >= need)
         if reached.size:
-            break
-    else:
-        raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
-    del streams
-    h = done + int(reached[0]) + 1
-    obf = replace(scenario, design=replace(obf_design, n_max=h))
-    size, taus = max(1, _CELLS // (16 * h)), []
-    for lo in range(0, reps, size):
-        part = np.arange(lo, min(lo + size, reps))
-        # every prefix but the last holds a multiple of _BLOCK events, so
-        # only the last one's bytes end in padding, past the events read
-        o1 = np.concatenate([np.unpackbits(b[part], axis=1) for b in bits], axis=1)[:, :h].astype(np.int64)
-        y1, y0 = _single_event_risk_sets(o1, np.full(part.size, scenario.m1), scenario.m1 + scenario.m0)
-        n = np.broadcast_to(np.arange(1, h + 1), o1.shape)
-        first = _Running(obf, "obf", part.size, h).crossings(
-            np.arange(part.size), EventStream(None, y1, y0, np.ones_like(o1), o1), n
-        )
-        taus.append(np.where(first >= 0, first + 1.0, np.inf))
-    return h, np.concatenate(taus)
+            return done + int(reached[0]) + 1
+    raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
+
+
+def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
+    """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
+    design's power (``_obf_horizon``), and each replication's stopping
+    time at that horizon: the engine's ``obf`` kind at ``n_max = h``, by the
+    same crossing rule, so the stopping times it gives have the power that
+    chose ``h``."""
+    # the scenario's alternative and rates as an O'Brien-Fleming design: refuses one with no side
+    obf = replace(scenario.design, test_kind="obf", n_max=cap, two_sided=False, prior=None)
+    h = _obf_horizon(scenario, cap)
+    return h, simulate_stopping_times(replace(scenario, design=replace(obf, n_max=h)), h)
 
 
 def schoenfeld_sample_size(theta1: float, alpha: float = 0.05, beta: float = 0.2) -> int:
@@ -904,9 +909,6 @@ def design_table(
     theta = theta1 if theta is None else theta
     design = DesignSpec(theta1=theta1, alpha=alpha, power=power)  # names a bad alpha or power
     n_fixed = schoenfeld_sample_size(theta1, alpha, 1.0 - power)
-    rows: list[DesignRow] = []
-    unattained: list[dict] = []
-
     scenario = SimScenario(
         m1=m1,
         m0=m0,
@@ -917,11 +919,26 @@ def design_table(
         tie_h0=tie_h0,
     )
 
-    def add_row(kind: str, taus: np.ndarray, n_max: int) -> None:
+    tests = dict.fromkeys(kinds, _event_limit(scenario, cap))  # each kind's event limit
+    rows, failed, obf_failed = [], [], []
+    if include_obf:
+        try:
+            tests["obf"] = _obf_horizon(scenario, obf_cap if obf_cap is not None else (cap or m1 + m0))
+        except UnattainablePowerError as err:
+            obf_failed.append(("obrien-fleming", err))
+        else:  # scored to its horizon, past the cap if need be; the other kinds keep theta1 and alpha
+            scenario = replace(scenario, design=replace(design, test_kind="obf", n_max=tests["obf"]))
+    for kind, taus in _stopping_times(scenario, tests, cap, power).items():
+        name = "obrien-fleming" if kind == "obf" else kind
+        try:
+            n_max = tests[kind] if kind == "obf" else estimate_nmax(taus, power)
+        except UnattainablePowerError as err:
+            failed.append((name, err))
+            continue
         mean_capped, conditional_mean, achieved = _stopping_summary(taus, n_max)
         rows.append(
             DesignRow(
-                test_kind=kind,
+                test_kind=name,
                 n_max=n_max,
                 mean_capped=mean_capped,
                 conditional_mean=conditional_mean,
@@ -930,28 +947,6 @@ def design_table(
                 ratio_mean=mean_capped / n_fixed,
             )
         )
-
-    def unattainable(kind: str, err: UnattainablePowerError) -> None:
-        unattained.append({"test_kind": kind, "requested": err.requested, "achieved": err.achieved})
-
-    for kind, taus in _stopping_times(scenario, kinds, cap, power).items():
-        try:
-            n_max = estimate_nmax(taus, power)
-        except UnattainablePowerError as err:
-            unattainable(kind, err)
-        else:
-            add_row(kind, taus, n_max)
-
-    if include_obf:
-        try:
-            h, taus = estimate_obf_nmax(
-                scenario, cap=obf_cap if obf_cap is not None else (cap or m1 + m0)
-            )
-        except UnattainablePowerError as err:
-            unattainable("obrien-fleming", err)
-        else:
-            add_row("obrien-fleming", taus, h)
-
     rows.append(
         DesignRow(
             test_kind="fixed-classical",
@@ -971,5 +966,8 @@ def design_table(
         "n_fixed": n_fixed,
         "wald_expected": wald,
         "rows": rows,
-        "unattained": unattained,
+        "unattained": [
+            {"test_kind": kind, "requested": err.requested, "achieved": err.achieved}
+            for kind, err in failed + obf_failed
+        ],
     }

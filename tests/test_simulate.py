@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from safelogrank.adaptive import PriorSpec
 from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
@@ -697,6 +698,15 @@ def test_estimate_nmax_unattainable():
         estimate_nmax(taus, 0.8)
 
 
+def test_estimate_nmax_refuses_no_stopping_times_and_nan():
+    # no stopping time has no order statistic (it divided by zero), and a
+    # NaN is no stopping time (it was counted as one that never came)
+    with pytest.raises(ValueError, match="at least one stopping time"):
+        estimate_nmax(np.array([]), 0.8)
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_nmax([math.nan, 3.0], 0.5)
+
+
 def test_summarize_stopping_truncates_at_horizon():
     mean_capped, conditional_mean, power = _stopping_summary(np.array([10.0, 20.0, math.inf]), 30)
     assert mean_capped == pytest.approx(20.0)
@@ -814,9 +824,10 @@ def test_obf_scan_over_carried_prefixes_matches_one_whole_cap_scan(theta, theta1
 
 def test_obf_scan_memory_does_not_grow_with_replications():
     # the scan keeps a replication's key, counts and sums, about 60 bytes,
-    # and its treatment events as bits, eight a byte; with a generator a
-    # replication, about 1.7 KB, its traced peak rose from 7.5 to 10.0 MiB
-    # between these counts
+    # and the engine, scoring the stopping times at the horizon, about as
+    # much and a bounded block of events; with a generator a replication,
+    # about 1.7 KB, the traced peak rose from 7.5 to 10.0 MiB between
+    # these counts
     import tracemalloc
 
     peaks = []
@@ -958,9 +969,9 @@ def test_design_table_derives_each_key_once_a_pass(include_obf, tie_h0, monkeypa
     # prefix resumes a replication's stream from its key and draw count;
     # each _Streams derives the keys of all its rows in one call, and no
     # generator is built a replication (stream_rng is never called).  With
-    # the O'Brien-Fleming comparator the scan is a second pass over the
-    # same streams, with its own keys, and it reads the first h events back
-    # from the bits it kept: two keys a replication.
+    # the O'Brien-Fleming comparator its horizon scan is a second pass over
+    # the same streams, with its own keys, and the engine's pass scores the
+    # comparator with the other kinds: two keys a replication.
     import collections
 
     import safelogrank.simulate as simulate
@@ -1066,6 +1077,34 @@ def test_settling_counts_the_stopping_times_of_earlier_chunks(tie_h0, monkeypatc
     assert any(max(a) == _BLOCK < max(b) for a, b in zip(chunks[1:], chunks_whole[1:]))
 
 
+@pytest.mark.parametrize("cap,obf_cap", [(40, 300), (300, 50)])
+def test_obf_comparator_limit_on_either_side_of_the_engine_cap(cap, obf_cap):
+    # each test in the engine's pass reads up to its own limit: at cap 40
+    # the comparator's horizon, 56, lies past the cap, where the three other
+    # tests stop unattained; at cap 300 the comparator's scan ends at 50
+    # without the power, and is reported unattained after the engine rows
+    kw = dict(m1=200, m0=200, replications=150, seed=2, kinds=("exact", "gaussian", "plugin"), cap=cap)
+    table = design_table(0.5, include_obf=True, obf_cap=obf_cap, **kw)
+    alone = design_table(0.5, **kw)
+    scenario = SimScenario(m1=200, m0=200, theta=0.5, design=DesignSpec(theta1=0.5), replications=150, seed=2)
+    z_scaled = obf_z_paths(scenario, obf_cap)
+    engine = [row for row in table["rows"] if row.test_kind != "obrien-fleming"]
+    assert repr(engine) == repr(alone["rows"])
+    unattained = [(u["test_kind"], u["requested"], u["achieved"]) for u in table["unattained"]]
+    if cap < obf_cap:
+        obf = table["rows"][0]
+        assert (obf.test_kind, obf.n_max) == ("obrien-fleming", 56)
+        taus = obf_stopping_times(z_scaled, 56, 0.05, "left")
+        assert (obf.mean_capped, obf.conditional_mean, obf.power) == _stopping_summary(taus, 56)
+        assert unattained == [("exact", 0.8, 69 / 150), ("gaussian", 0.8, 68 / 150), ("plugin", 0.8, 40 / 150)]
+        assert table["unattained"] == alone["unattained"]
+    else:
+        assert [row.test_kind for row in table["rows"]] == ["exact", "gaussian", "plugin", "fixed-classical"]
+        crossed = np.isfinite(obf_stopping_times(z_scaled, 50, 0.05, "left")).mean()
+        assert unattained == [("obrien-fleming", 0.8, 113 / 150)] and crossed == 113 / 150
+        assert alone["unattained"] == []
+
+
 @pytest.mark.parametrize("kind", ["bayes", "nonsense"])
 def test_design_table_refuses_kinds_it_cannot_size(kind):
     with pytest.raises(ValueError, match=kind):
@@ -1115,6 +1154,14 @@ def test_design_spec_validation():
         DesignSpec(theta1=0.7, test_kind="obf")  # no horizon
     with pytest.raises(ValueError):
         DesignSpec(theta1=1.0)  # same as the null
+    # settings the kind would ignore: a two-sided gaussian design gave the
+    # one-sided stopping times, bit for bit
+    with pytest.raises(ValueError, match="two_sided applies to exact"):
+        DesignSpec(theta1=0.7, test_kind="gaussian", two_sided=True)
+    with pytest.raises(ValueError, match="prior applies to bayes"):
+        DesignSpec(theta1=0.7, test_kind="plugin", prior=PriorSpec.lognormal(math.log(0.7)))
+    with pytest.raises(ValueError, match="n_max applies to obf/fixed"):
+        DesignSpec(theta1=0.7, n_max=100)
 
 
 def test_scenario_validation():
