@@ -19,25 +19,14 @@ Two strategies are provided:
   conditional likelihood of the strictly-past events, smoothed by two
   virtual observations anchored at the initial risk set (one treatment
   event with an extra treatment participant, one control event with an
-  extra control participant).  The smoothing keeps the maximizer interior
-  from the first event onward.  ``plugin_newton`` is the one solver: a
-  safeguarded Newton iteration on the smoothed score, vectorized over rows.
-  The score is a sum of means, one per informative batch, and enters the
-  solver as Taylor series about a centre per row (``_SeriesTerm``; order
-  14, used within 0.25 of the centre).  A single event contributes the
-  power moments of its sigmoid, which a fixed table turns into the series
-  (radius pi); a tied batch contributes the cumulants of its Fisher
-  noncentral hypergeometric law, taken from the central moments of its
-  support table, used within ``2.2 / sd`` of the centre when its tilted sd
-  is large.  ``_plugin_betas`` fits many rows of streams at once and
-  carries each row's fit from one call to the next: it solves blocks of up
-  to 64 prefixes of every row as the rows of one call, on the series of
-  the history before them plus prefix sums of one series per new batch.  A
-  trace is one call on one row; the simulation engine calls it on the open
-  replications of each growing prefix, a span of events at a time.  A
-  solve reads a row's stored history only when its iterate leaves the
-  radius, and then re-centres there, so a stream costs work close to
-  linear in its length.
+  extra control participant), which keep the maximizer interior.
+  ``plugin_newton`` is the one solver; ``_plugin_betas`` fits blocks of
+  prefixes of many streams at once on Taylor series of the score about a
+  centre per row: power moments of the sigmoid for a single event, the
+  cumulants of a tied batch's law over its window about the mode.  A trace
+  is one call on one row, the simulation engine one on the open
+  replications of each prefix.  A solve re-reads a row's history only when
+  its iterate leaves the series' radius, so work is close to linear.
 
 * **Bayes predictive**: ``r_i`` is the posterior predictive under a prior on
   ``theta``, discretized on a fixed log-spaced quadrature grid.  The log
@@ -63,7 +52,8 @@ from .core import (
     THETA_LOWER,
     THETA_UPPER,
     EventStream,
-    _support_table,
+    _ascending_sum,
+    _window_blocks,
     log_kernel,
     validate_theta,
 )
@@ -259,61 +249,52 @@ def _radius(sd: np.ndarray) -> np.ndarray:
     return np.minimum(_RADIUS, _TIED_REACH / np.maximum(sd, 1.0))
 
 
-def _tied_series(u: np.ndarray, log_w: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients ``(k, 2, _ORDER + 1)`` of the Taylor series of k tied
-    batches' means (row 0) and variances (row 1) about the centres ``at``,
-    and the batches' standard deviations there, from their support tables
-    (``core._support_table``).
-
-    Tilted to ``at``, a batch's treatment count u has the law proportional
-    to ``w(u) exp(at u)``, with cumulants ``kappa_n``; at ``at + h`` its
-    mean is ``sum_j kappa_{j+1} h^j / j!`` and its variance
-    ``sum_j kappa_{j+2} h^j / j!``.  The cumulants come from the central
-    moments ``m_n`` by ``kappa_n = m_n - sum_{j=2}^{n-2} C(n-1, j-1)
-    kappa_j m_{n-j}``, since ``m_1 = 0``."""
-    kappa = np.empty((_ORDER + 3, at.size))
-    step = max(1, _CELLS // ((_ORDER + 3) * u.shape[1]))
-    for lo in range(0, at.size, step):
-        part = slice(lo, lo + step)
-        p = log_w[part] + at[part, None] * u[part]
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        kappa[1, part] = (p * u[part]).sum(axis=1)
-        d = u[part] - kappa[1, part, None]
-        p *= d
-        for n in range(2, _ORDER + 3):
-            p *= d
-            kappa[n, part] = p.sum(axis=1)
-    m = kappa.copy()  # central moments from order 2
-    for n in range(4, _ORDER + 3):
-        kappa[n] -= np.einsum(
-            "j,jk,jk->k", _CUMULANT_BINOMIALS[n, 2 : n - 1], kappa[2 : n - 1], m[n - 2 : 1 : -1]
-        )
-    coef = np.stack([kappa[1 : _ORDER + 2], kappa[2:]], axis=-1) / _FACTORIALS[:, None, None]
-    return coef.transpose(1, 2, 0), np.sqrt(kappa[2])
-
-
-def _tied_sums(u: np.ndarray, log_w: np.ndarray, starts: np.ndarray, counts: np.ndarray, at: np.ndarray):
-    """Row r's summed series (``_tied_series``) of the ``counts[r]``
-    batches of a support table from row ``starts[r]`` on, about ``at[r]``,
-    and the largest sd among them (0 where the row holds none).  Whole rows
-    are read together, about ``_CELLS`` support cells at a time."""
-    out = np.zeros((at.size, 2, _ORDER + 1))
-    sd = np.zeros(at.size)
+def _tied_series(batches: np.ndarray, starts: np.ndarray, counts: np.ndarray, at: np.ndarray):
+    """Coefficients ``(R, 2, _ORDER + 1)`` of the Taylor series about
+    ``at[r]`` of the summed means (row 0) and variances (row 1) of row r's
+    ``counts[r]`` tied batches, columns ``starts[r]`` on of ``batches``
+    (rows ``(y1, y0, o)``), and the largest of their sds (0 for none).
+    Tilted to ``at``, a batch's treatment count has cumulants ``kappa_n``;
+    at ``at + h`` its mean is ``sum_j kappa_{j+1} h^j / j!`` and its
+    variance ``sum_j kappa_{j+2} h^j / j!``, with ``kappa_n = m_n -
+    sum_{j=2}^{n-2} C(n-1, j-1) kappa_j m_{n-j}`` from the central moments
+    ``m_n``.  These are summed in ascending u over the batch's window about
+    its mode (``core._window_blocks``) taken at the highest order read,
+    which leaves out at most ``2^-60`` of that moment's scale, so a batch's
+    series depends on it and its centre alone.  Rows are read about
+    ``_CELLS / 16`` batches at a time."""
+    out, sd = np.zeros((at.size, 2, _ORDER + 1)), np.zeros(at.size)
     rows = np.flatnonzero(counts)
-    cells = np.cumsum(counts[rows]) * u.shape[1]
-    lo = 0
+    cells, lo = np.cumsum(counts[rows]), 0
     while lo < rows.size:
-        reach = (cells[lo - 1] if lo else 0) + _CELLS
+        reach = (cells[lo - 1] if lo else 0) + _CELLS // 16
         part = rows[lo : max(lo + 1, int(np.searchsorted(cells, reach, "right")))]
         lo += part.size
         k = counts[part]
-        first = np.cumsum(k) - k
-        batch = np.arange(k.sum()) + np.repeat(starts[part] - first, k)
-        coef, s = _tied_series(u[batch], log_w[batch], np.repeat(at[part], k))
-        out[part] = np.add.reduceat(coef, first, axis=0)
-        sd[part] = np.maximum.reduceat(s, first)
+        heads = np.cumsum(k) - k  # each row's first batch among those read
+        batch = np.arange(k.sum()) + np.repeat(starts[part] - heads, k)
+        centre = np.repeat(at[part], k)
+        kappa = np.empty((centre.size, 1, _ORDER + 3))  # a batch's total, mean and central moments 2.._ORDER + 2
+        for where, first, p in _window_blocks(*batches[:, batch], centre[:, None], _ORDER + 2, _CELLS // (_ORDER + 3)):
+            p -= p.max(axis=0)
+            np.exp(p, out=p)
+            d = first + np.arange(p.shape[0], dtype=float)[:, None]
+            sums = np.empty((_ORDER + 3, first.size))
+            sums[0] = _ascending_sum(p)
+            sums[1] = _ascending_sum(p * d) / sums[0]
+            d -= sums[1]
+            p *= d
+            for n in range(2, _ORDER + 3):
+                p *= d
+                sums[n] = _ascending_sum(p) / sums[0]
+            kappa[where] = sums.T[:, None]
+        kappa = np.ascontiguousarray(kappa[:, 0].T)  # rows 2 on: the central moments, then the cumulants
+        m = kappa.copy()
+        for n in range(4, _ORDER + 3):
+            kappa[n] -= np.einsum("j,jk,jk->k", _CUMULANT_BINOMIALS[n, 2 : n - 1], kappa[2 : n - 1], m[n - 2 : 1 : -1])
+        coef = np.stack([kappa[1 : _ORDER + 2].T, kappa[2:].T], axis=1) / _FACTORIALS
+        out[part] = coef if part.size == k.sum() else np.add.reduceat(coef, heads, axis=0)
+        sd[part] = np.sqrt(kappa[2]) if part.size == k.sum() else np.maximum.reduceat(np.sqrt(kappa[2]), heads)
     return out, sd
 
 
@@ -381,24 +362,20 @@ class _PluginFit:
 def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarray:
     """``log(theta_hat)`` of rows ``rows`` of ``fit``, fitted on their
     history and the first j of the new batches ``y1, y0, o, o1`` (``(rows,
-    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  The rows may have taken
-    different numbers of batches, and a row's new batches may end in empty
-    ones (``o = 0``), which change nothing.  A new fit takes the two virtual
-    events first, as batches of their own, while the other rows of its call
-    take two empty batches.
+    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  Rows may have taken
+    different numbers of batches and end in empty ones (``o = 0``); a new
+    fit takes the two virtual events first, as batches of their own, while
+    the other rows take two empty batches.  Forced batches change nothing.
 
-    Blocks of at most ``_BLOCK`` prefixes of every row, from where the rows
-    stand, are solved together by ``plugin_newton``, warm-started from each
-    row's last estimate, on Taylor series about the row's centre
-    (``_SeriesTerm``): the series of the fit before the block plus prefix
-    sums of one series per new batch, power moments for a single event and
-    cumulants for a tied batch.  A prefix whose iterate leaves the radius
-    re-centres on its own history, read as a row as wide as the block's
-    start plus ``_BLOCK``, and on one support table of the rows' tied
-    batches.  The next block starts from the series each row's last prefix
-    ended with, read again about the warm start only when that centre is
-    more than half the radius from it.  Forced batches leave the fit
-    unchanged.
+    Blocks of at most ``_BLOCK`` prefixes of every row are solved together
+    by ``plugin_newton``, warm-started from each row's last estimate, on
+    Taylor series about the row's centre (``_SeriesTerm``): the series of
+    the fit before the block plus prefix sums of one series per new batch.
+    A prefix whose iterate leaves the radius re-centres on its own history,
+    read as a row as wide as the block's start plus ``_BLOCK``, and on the
+    windows of its tied batches.  The next block starts from each row's
+    last series, read again about the warm start only when that centre is
+    more than half the radius from it.
     """
     taken = fit.taken[rows]
     lead = 0 if taken.all() else 2
@@ -431,11 +408,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
             fit.tied = np.pad(fit.tied, ((0, 0), (0, 0), (0, held.max())))
         r, j = np.nonzero(tied)
         fit.tied[:, rows[r], n_tied[r, j]] = y1[tied], y0[tied], o[tied]
-    if held.any():  # one support table of the rows' tied batches, row r's from starts[r] on
-        starts = np.cumsum(held) - held
-        r = np.repeat(np.arange(rows.size), held)
-        batches = fit.tied[:, rows[r], np.arange(r.size) - starts[r]]
-        t_u, t_lw = (np.ascontiguousarray(table.T, dtype=float) for table in _support_table(*batches))
+    batches, starts = fit.tied.reshape(3, -1), rows * fit.tied.shape[2]  # row r's tied batches from starts[r] on
 
     def history(r, i, at, width):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
@@ -446,7 +419,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
         series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
         if not held.any():
             return series, np.full(at.size, _RADIUS)
-        tied_series, sd = _tied_sums(t_u, t_lw, starts[r], n_tied[r, i], at)
+        tied_series, sd = _tied_series(batches, starts[r], n_tied[r, i], at)
         return series + tied_series, _radius(sd)
 
     betas = np.empty((rows.size, n + 1))
@@ -464,7 +437,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
         if t.any():
             r, j = np.nonzero(t)
             k = starts[r] + n_tied[r, lo + j]
-            step[:, 1:][t], sd = _tied_series(t_u[k], t_lw[k], centre[r])
+            step[:, 1:][t], sd = _tied_series(batches, k, np.ones_like(k), centre[r])
             radius[:, 1:][t] = _radius(sd)
         np.cumsum(step, axis=1, out=step)
         np.minimum.accumulate(radius, axis=1, out=radius)
@@ -535,8 +508,9 @@ def plugin_log_trace(
     if not stream.o.size:
         empty = np.zeros(0)
         return (empty, empty) if return_numerator else empty
-    log_num = log_kernel(stream, _stream_betas(stream, m1, m0)[:-1])
-    trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
+    betas = _stream_betas(stream, m1, m0)[:-1]  # scored with theta0 as one grid
+    log_num, log_null = log_kernel(stream, np.stack([betas, np.full(betas.size, math.log(theta0))], axis=1)).T
+    trace = np.cumsum(log_num - log_null)
     return (trace, log_num) if return_numerator else trace
 
 

@@ -15,26 +15,23 @@ where ``Z`` sums the numerator over the support
 reduces to a Bernoulli draw with success probability
 ``y1 * theta / (y0 + y1 * theta)``.
 
-Evidence against a null hazard ratio ``theta0`` in favor of an alternative
-``theta1`` accumulates multiplicatively through likelihood ratios of these
-conditional distributions.  The running product is a nonnegative martingale
-with expectation 1 under the null, so by Ville's inequality the probability
-that it ever exceeds ``1/alpha`` is at most ``alpha`` — the test may be
-monitored continuously and stopped (or extended) at will without inflating
-the type-I error.
+Evidence against a null ``theta0`` for an alternative ``theta1`` multiplies
+the likelihood ratios of these conditional laws: the running product is a
+nonnegative martingale with expectation 1 under the null, so by Ville's
+inequality it ever exceeds ``1/alpha`` with probability at most ``alpha``,
+however the trial is monitored, stopped or extended.
 
 All arithmetic is in natural-log space.  ``log_kernel`` is the one
-vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, with
-``theta`` a scalar, one value per event time, or a grid: single events use
-the logistic closed form, as a softplus ``-(max(x, 0) + log1p(exp(-|x|)))``
-on numpy's vectorized ufuncs, forced batches give exactly 0, and tied
-batches are evaluated together over a padded support table whose
-log-binomials come from one log-factorial table (built with
-``math.lgamma``), normalized by log-sum-exp in ascending support order:
-the package's one Fisher noncentral hypergeometric formula, a cell's bits
-depending on its batch and theta alone.  The exact traces, the learned
-numerators, the confidence sequence denominators and the simulation
-engine all read it.
+vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, at
+a scalar ``theta``, one per event time, or a grid: a softplus for single
+events, exactly 0 for forced batches, and for a tied batch at each theta
+a log-sum-exp over one window about the mode of its tilted law, a root of
+a quadratic, grown until the geometric bound on the log-concave pmf's
+tail falls below 2^-60 of the sum (``_window_blocks``), with log-binomials
+from one log-factorial table.  A cell's bits depend on its batch and theta
+alone.  The exact traces, the learned numerators, the confidence sequence
+denominators and the simulation engine all read it, and the plug-in's
+tied cumulants read the same windows.
 """
 
 from __future__ import annotations
@@ -83,19 +80,106 @@ def _log_factorial(n: int) -> np.ndarray:
     return _LOG_FACTORIAL
 
 
-def _support_table(y1: np.ndarray, y0: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded supports of batches, one column each: ``u[j, k] = lo_k + j``
-    with ``lo_k = max(0, o_k - y0_k)``, and the log weights
-    ``log C(y1, u) + log C(y0, o - u)`` from one log-factorial table,
-    ``-inf`` past the column's support."""
-    lo = np.maximum(0, o - y0)
-    size = np.minimum(o, y1) - lo + 1
-    u = lo + np.arange(size.max(initial=1))[:, None]
-    inside = u < lo + size
-    lf = _log_factorial(int(max(y1.max(initial=0), y0.max(initial=0))))
-    v = np.where(inside, u, lo)
-    log_w = lf[y1] - lf[v] - lf[y1 - v] + lf[y0] - lf[o - v] - lf[y0 - o + v]
-    return u, np.where(inside, log_w, -np.inf)
+def _windows(y1, y0, o, beta, reach, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """First point and size of the windows of tied cells, batches ``(y1,
+    y0, o)`` at ``beta = log(theta)``: ``reach`` points either side of the
+    mode ``M`` of ``p(u) ~ C(y1, u) C(y0, o - u) theta^u`` (the floor of the
+    root of the quadratic ``p(u) = p(u - 1)``), or twice as far and so on,
+    until the geometric bound past each end (the pmf is log-concave) on the
+    terms ``p(u) ((|u - M| + 1) / s)^order``, ``s`` the normal sd at ``M``
+    or 1, is at most ``2^-60 p(M)``.  Elementwise on each cell alone."""
+    lo, hi = np.maximum(0, o - y0), np.minimum(o, y1)
+    theta = np.exp(beta)
+    a, b, c = theta - 1.0, theta * (y1 + o + 2) + (y0 - o), theta * ((y1 + 1.0) * (o + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(b * b - 4.0 * a * c)  # b <= 0 only where theta < 1, so a < 0
+        mode = np.where(b > 0, 2.0 * c / (b + root), (b - root) / (2.0 * a))
+    mode = np.minimum(np.maximum(np.floor(mode), lo), hi).astype(np.int64)
+    lf = _log_factorial(int(max(y1.max(), y0.max())))
+
+    def holds(i, side, d):  # the bound on the tail past distance d on side of cell i's mode
+        m, y1_, y0_, o_, beta_ = mode[i], y1[i], y0[i], o[i], beta[i]
+        e = m + side * d
+        q = e if side > 0 else e - 1  # log p(q + 1) - log p(q), outward
+        step = side * (beta_ + np.log((y1_ - q) * (o_ - q) / ((q + 1.0) * (y0_ - o_ + q + 1.0))))
+        gap = beta_ * (e - m) + (lf[m] + lf[y1_ - m] + lf[o_ - m] + lf[y0_ - o_ + m])
+        gap -= lf[e] + lf[y1_ - e] + lf[o_ - e] + lf[y0_ - o_ + e]
+        if order:
+            var = 1.0 / (1.0 / (m + 1.0) + 1.0 / (y1_ - m + 1.0) + 1.0 / (o_ - m + 1.0) + 1.0 / (y0_ - o_ + m + 1.0))
+            step += order * np.log1p(1.0 / (d + 1.0))
+            gap += order * (np.log(d + 1.0) - 0.5 * np.log(np.maximum(var, 1.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (step < 0) & (gap + step - np.log(-np.expm1(step)) <= -60.0 * math.log(2.0))
+
+    ends = []
+    for side, edge in ((-1, lo), (1, hi)):
+        last = side * (edge - mode)
+        d = np.minimum(reach, last)
+        i = np.flatnonzero(d < last)
+        while (i := i[~holds(i, side, d[i])]).size:
+            d[i] = np.minimum(2 * d[i], last[i])
+            i = i[d[i] < last[i]]
+        ends.append(mode + side * d)
+    return ends[0], ends[1] - ends[0] + 1
+
+
+def _window_blocks(y1, y0, o, beta: np.ndarray, order: int, cells: int):
+    """Blocks ``(where, first, t)`` of the windows of k tied batches ``(y1,
+    y0, o)`` at the ``(k, G)`` tilts ``beta``, of at most ``cells`` cells or
+    one window: ``where`` indexes the cells in a ``(k, G)`` array as
+    ``(windows, cells a window)``, ``first`` the windows' first points, and
+    column c of ``t`` a cell's ``beta u + log C(y1, u) + log C(y0, o - u)``
+    at ``u = first + j`` in row j, ``-inf`` past its window.  A window first
+    reaches ``(10 + order / 4) s + 15 + order`` points from its mode, ``s =
+    max(1, sqrt(n) / 2)`` at least the sd of a sum of ``n = max - min``
+    Bernoulli counts; a batch within reach of its support sums it all, its
+    cells sharing one column of log weights, and other cells have windows
+    of their own (``_windows``), going by size to blocks, as many at a time
+    as fit, with all their cells or a slice of one window's."""
+    g, lo = beta.shape[1], np.maximum(0, o - y0)
+    n = np.minimum(o, y1) - lo
+    reach = np.ceil((10.0 + order / 4) * np.sqrt(np.maximum(4.0, n)) / 2 + 15.0 + order).astype(np.int64)
+    whole, wide = np.flatnonzero(reach >= n), np.flatnonzero(reach < n)
+    units = [(whole, None, lo[whole], n[whole] + 1)]  # column None: one window for every column
+    if wide.size:
+        y1_, y0_, o_, reach_ = (np.repeat(c[wide], g) for c in (y1, y0, o, reach))
+        first, size = _windows(y1_, y0_, o_, beta[wide].ravel(), reach_, order)
+        units.append((np.repeat(wide, g)[:, None], np.tile(np.arange(g), wide.size), first, size))
+    lf = _log_factorial(int(max(y1.max(), y0.max())))
+    for row, column, first, size in units:
+        # 16-bit keys, which numpy radix-sorts; a window wider than cells has a block of its own
+        by_size = np.argsort(np.minimum(size, cells).astype(np.uint16), kind="stable")
+        row, first, size, sizes = row[by_size], first[by_size], size[by_size], size[by_size].tolist()
+        shared, lo = (g if column is None else 1), 0
+        while lo < row.size:
+            hi = min(row.size, max(lo + 1, lo + cells // sizes[min(row.size, lo + cells // sizes[lo]) - 1]))
+            j = np.arange(sizes[hi - 1])[:, None]
+            at, r, inside = first[lo:hi], row[lo:hi].ravel(), j < size[lo:hi]
+            v = np.where(inside, at + j, at)
+            c1, c0, c = y1[r], y0[r], o[r]
+            weights = np.where(inside, lf[c1] - lf[v] - lf[c1 - v] + lf[c0] - lf[c - v] - lf[c0 - c + v], -np.inf)
+            points, a = v.astype(float), lo
+            while a < hi:
+                width = sizes[min(hi, a + max(1, cells // (shared * sizes[a]))) - 1]
+                b = min(hi, a + max(1, cells // (shared * width)))
+                step = max(1, cells // (width * (b - a)))
+                for part in range(0, shared, step):
+                    where = row[a:b], slice(part, part + step) if column is None else column[by_size[a:b], None]
+                    cut = beta[where]
+                    t, w = points[:width, a - lo : b - lo], weights[:width, a - lo : b - lo]
+                    if cut.shape[1] > 1:  # a window's log weights for each of its cells
+                        t, w = t.repeat(cut.shape[1], axis=1), w.repeat(cut.shape[1], axis=1)
+                    t = np.multiply(t, cut.ravel(), out=t if cut.shape[1] > 1 else None)
+                    t += w
+                    yield where, first[a:b], t
+                a = b
+            lo = hi
+
+
+def _ascending_sum(table: np.ndarray) -> np.ndarray:
+    """Column sums of ``table``, each added down its rows in order (numpy
+    would sum a single column pairwise, so that one goes by ``cumsum``)."""
+    return table.sum(axis=0) if table.shape[1] > 1 else np.cumsum(table, axis=0)[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +205,13 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     """log q_theta(o1 | batch) at every event time of ``stream``.
 
     ``log_theta`` is a scalar, a per-row array of shape ``(n,)``, or a grid
-    of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result.
-    With a scalar ``log_theta`` the columns may have any shape, such as
-    ``(replications, L)``, and the result has theirs.
-    Single events use the logistic closed form ``-softplus(x)`` with
-    ``x = -/+(log(y1/y0) + log_theta)``, computed elementwise as
-    ``-(max(x, 0) + log1p(exp(-|x|)))`` through numpy's vectorized ``exp``
-    and ``log1p`` with one buffer besides the result; forced batches give
-    exactly 0; tied batches evaluate the Fisher noncentral hypergeometric
-    log-pmf together in bounded blocks (``_tied_log_kernel``).  A cell's
-    bits do not depend on the grid, chunk or rows it is scored with, so a
-    grid column equals its scalar call."""
+    of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result;
+    with a scalar the columns may have any shape, such as ``(replications,
+    L)``.  Single events use ``-softplus(x)``, ``x = -/+(log(y1/y0) +
+    log_theta)``, as ``-(max(x, 0) + log1p(exp(-|x|)))`` on numpy's
+    vectorized ufuncs; forced batches give exactly 0; tied batches sum over
+    windows about the mode (``_tied_log_kernel``).  A cell's bits do not
+    depend on the grid, chunk or rows it is scored with."""
     log_theta = np.asarray(log_theta, dtype=float)
     y1, y0, o, o1 = stream.y1, stream.y0, stream.o, stream.o1
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,55 +237,26 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     return out
 
 
-# Cells of one (support, rows, grid) block of tied batches in ``log_kernel``.
+# Cells of one block of tied windows in ``log_kernel``.
 _TIE_CELLS = 1 << 14
 
 
 def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
-    """``log_kernel`` of informative tied batches, ``log_theta`` of shape
-    ``(k,)`` or ``(k, G)``: log weight of the observed split minus the
-    log-sum-exp over the padded support.  Blocks of rows sorted by support
-    size, and slices of the grid where a row's support times the grid
-    exceeds ``_TIE_CELLS``, hold at most ``_TIE_CELLS`` cells each, or one
-    support row; a support table serves as many rows as half that holds.
-    A block is a ``(support, rows, grid slice)`` table, u and the log
-    weights repeated along the slice; a cell is shifted by its own maximum
-    and its exponentials added in ascending u, padding adding exact zeros,
-    so its bits depend on its batch and theta alone."""
+    """``log_kernel`` of informative tied batches at ``log_theta`` of shape
+    ``(k,)`` or ``(k, G)``: the observed split's tilted log weight less the
+    log-sum-exp over the cell's window (``_window_blocks``), shifted by its
+    maximum and added in ascending u, so its bits depend on its batch and
+    theta alone."""
     grid = log_theta.reshape(o.size, -1)
-    size = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
-    order = np.argsort(size, kind="stable")
-    size = size[order]
-
-    def fit(start: int, cells: int) -> int:  # end of the rows from start on that fit in cells
-        need = np.arange(1, size.size - start + 1) * size[start:]
-        return start + max(1, int(np.searchsorted(need, cells, "right")))
-
-    out = np.empty(grid.shape)
-    start = held = 0
-    while start < size.size:
-        width = max(1, min(grid.shape[1], _TIE_CELLS // int(size[start])))
-        stop = fit(start, _TIE_CELLS // width)
-        if stop > held:  # the next support table, rows first..held-1
-            first, held = start, max(stop, fit(start, _TIE_CELLS // 2))
-            rows = order[first:held]
-            u, log_w = _support_table(y1[rows], y0[rows], o[rows])
-            seen, u = log_w[o1[rows] - u[0], np.arange(rows.size)], u.astype(float)
-        rows, part = order[start:stop], np.s_[: size[stop - 1], start - first : stop - first]
-        for lo in range(0, grid.shape[1], width):
-            lt = grid[rows, lo : lo + width]
-            k = lt.shape[1]  # np.repeat copies slowly where k is 1
-            table = (np.repeat(u[part], k, axis=1) if k > 1 else u[part].copy()).reshape(-1, rows.size, k)
-            table *= lt
-            table += (np.repeat(log_w[part], k, axis=1) if k > 1 else log_w[part]).reshape(table.shape)
-            m = table.max(axis=0)
-            table -= m
-            np.exp(table, out=table)
-            # numpy sums a one-cell block's support pairwise, cumsum in order
-            total = table.sum(axis=0) if m.size > 1 else np.cumsum(table, axis=0)[-1]
-            out[rows, lo : lo + width] = seen[part[1], None] + lt * o1[rows, None] - (m + np.log(total))
-        start = stop
-    return out.reshape(log_theta.shape)
+    norm = np.empty(grid.shape)
+    for where, first, t in _window_blocks(y1, y0, o, grid, 0, _TIE_CELLS):
+        m = t.max(axis=0)
+        t -= m
+        np.exp(t, out=t)
+        norm[where] = (m + np.log(_ascending_sum(t))).reshape(first.size, -1)
+    lf = _log_factorial(int(max(y1.max(), y0.max())))
+    seen = lf[y1] - lf[o1] - lf[y1 - o1] + lf[y0] - lf[o - o1] - lf[y0 - o + o1]
+    return (seen[:, None] + grid * o1[:, None] - norm).reshape(log_theta.shape)
 
 
 def log_evalue_trace(

@@ -13,33 +13,20 @@ Randomness is counter-based: replication ``r`` of a run with seed ``s``
 draws from a Philox stream keyed by ``(s, r)``, so results are bit-identical
 however replications are chunked or distributed.
 
-One sampler draws every single-event stream: each replication draws one
-uniform per event from its stream, and one step per event compares it
-with ``theta * y1 / (y0 + theta * y1)``.  One engine sizes every design.
-It reads growing prefixes, the first 256 events, then 512 and so on up to
-the limit, for the replications that some requested test has not yet
-stopped, and each prefix goes on from where the one before ended: a
-replication keeps only its Philox key and draw count, from which one
-generator resumes its stream, and its risk set; a tied stream is drawn
-once and kept, and each test's running statistic is carried from prefix
-to prefix, so each event is drawn and scored once.
-``_Streams`` hands out the new events of a block of replications as one
-``EventStream`` whose columns are ``(replications, L)`` arrays, tied rows
-padded with empty batches that add exactly 0 to every sum;
-``core.log_kernel`` and ``gaussian.logrank_increments`` (or the plug-in
-and Bayes numerators) score all the rows of a block together, and running
-sums carried along each row give the first crossing, the one a pass over
-the whole stream finds.  Design tables stop reading a test once its
-horizon is settled: once enough stopping times lie within a prefix for
-``n_max`` to lie within it too, no row still open can change ``n_max`` or
-any figure of the design's row.  Each test reads up to its own event
-limit: the cap, or the O'Brien-Fleming comparator's horizon, the shortest
-with the design's power, which a scan of growing prefixes finds from the
-running maxima of ``Z_n * sqrt(n)``; the engine scores the comparator as
-its ``obf`` kind in the same pass as the other tests.  The engine takes
-replications in chunks, so its memory stays bounded however many there
-are; the scan keeps every replication's key, counts and running
-statistics, about 60 bytes each.
+One sampler draws every single-event stream, one uniform per event
+compared with ``theta * y1 / (y0 + theta * y1)``, and one engine sizes
+every design over growing prefixes (256 events, then 512 and so on up to
+the limit) of the replications still open, each prefix going on from
+where the one before ended: a replication keeps its Philox key, draw count
+and risk set, a tied stream is drawn once and kept, and each test's
+running statistic is carried along, so each event is drawn and scored
+once.  ``_Streams`` hands out a block's new events as ``(replications,
+L)`` columns, tied rows padded with empty batches that add exactly 0, and
+every row of a block is scored together.  Each test reads up to its own
+event limit: the cap, or the O'Brien-Fleming comparator's horizon, found
+by a scan of growing prefixes from the running maxima of ``Z_n *
+sqrt(n)``; design tables stop reading a test once its horizon is settled.
+Replications go in chunks; the scan keeps about 60 bytes a replication.
 
 A stopping time ``tau`` is the first cumulative event count at which the
 monitored statistic crosses its threshold (``+inf`` when it never does);
@@ -85,7 +72,6 @@ __all__ = [
     "sample_tied_stream",
     "simulate_stopping_times",
     "estimate_nmax",
-    "estimate_obf_nmax",
     "schoenfeld_sample_size",
     "wald_expected_stopping",
     "design_table",
@@ -800,18 +786,6 @@ def _obf_horizon(scenario: SimScenario, cap: int) -> int:
         if reached.size:
             return done + int(reached[0]) + 1
     raise UnattainablePowerError(design.power, float(crossed[-1] / reps))
-
-
-def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
-    """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
-    design's power (``_obf_horizon``), and each replication's stopping
-    time at that horizon: the engine's ``obf`` kind at ``n_max = h``, by the
-    same crossing rule, so the stopping times it gives have the power that
-    chose ``h``."""
-    # the scenario's alternative and rates as an O'Brien-Fleming design: refuses one with no side
-    obf = replace(scenario.design, test_kind="obf", n_max=cap, two_sided=False, prior=None)
-    h = _obf_horizon(scenario, cap)
-    return h, simulate_stopping_times(replace(scenario, design=replace(obf, n_max=h)), h)
 
 
 def schoenfeld_sample_size(theta1: float, alpha: float = 0.05, beta: float = 0.2) -> int:

@@ -340,6 +340,38 @@ def plugin_reference(stream, m1=None, m0=None, theta0: float = 1.0):
     return trace, log_num, thetas
 
 
+def support_table(y1, y0, o):
+    """Whole supports of tied batches, padded, one column each: ``u[j, k] =
+    lo_k + j`` with ``lo_k = max(0, o_k - y0_k)``, and the log weights
+    ``log C(y1, u) + log C(y0, o - u)`` from the package's log-factorial
+    table, ``-inf`` past the column's support.  The reference that the
+    package's windows about the mode (``core._windows``) are checked
+    against."""
+    import numpy as np
+
+    from safelogrank.core import _log_factorial
+
+    lo = np.maximum(0, o - y0)
+    size = np.minimum(o, y1) - lo + 1
+    u = lo + np.arange(size.max(initial=1))[:, None]
+    inside = u < lo + size
+    lf = _log_factorial(int(max(y1.max(initial=0), y0.max(initial=0))))
+    v = np.where(inside, u, lo)
+    log_w = lf[y1] - lf[v] - lf[y1 - v] + lf[y0] - lf[o - v] - lf[y0 - o + v]
+    return u, np.where(inside, log_w, -np.inf)
+
+
+def log_normalizer_reference(y1: int, y0: int, o: int, log_theta: float) -> float:
+    """``log Z(theta)`` of one tied batch, summed over its whole support
+    (``support_table``) with ``math.fsum``, shifted by the largest term."""
+    import numpy as np
+
+    u, log_w = support_table(*(np.array([v]) for v in (y1, y0, o)))
+    terms = log_w[:, 0] + u[:, 0] * log_theta
+    top = terms.max()
+    return float(top + math.log(math.fsum(np.exp(terms - top).tolist())))
+
+
 def plugin_table_term(c, ties=None):
     """The term of ``adaptive.plugin_newton`` summed afresh on every call:
     each row's sigmoids over its offsets ``c`` (``-inf`` in unused slots,
@@ -378,7 +410,6 @@ def exact_plugin_betas(stream, m1=None, m0=None):
     import numpy as np
 
     from safelogrank.adaptive import plugin_newton
-    from safelogrank.core import _support_table
 
     y1, y0, o, o1 = (np.asarray(a) for a in (stream.y1, stream.y0, stream.o, stream.o1))
     m1 = int(y1[0]) if m1 is None else m1
@@ -390,7 +421,7 @@ def exact_plugin_betas(stream, m1=None, m0=None):
     with np.errstate(divide="ignore"):
         offsets = np.where(single, np.log(y1) - np.log(y0), -np.inf)
     o1_sum = 1.0 + np.concatenate([[0.0], np.cumsum(np.where(informative, o1, 0))])
-    u, log_w = (np.ascontiguousarray(t.T) for t in _support_table(y1[tied], y0[tied], o[tied]))
+    u, log_w = (np.ascontiguousarray(t.T) for t in support_table(y1[tied], y0[tied], o[tied]))
     unused = np.where(np.arange(u.shape[1]) == 0, 0.0, -np.inf)
     betas = np.empty(n + 1)
     for start in range(0, n + 1, 64):

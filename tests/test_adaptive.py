@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safelogrank import adaptive
-from safelogrank.core import _support_table, log_kernel
+from safelogrank.core import log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
     _RADIUS,
@@ -24,7 +24,7 @@ from safelogrank.adaptive import (
     _plugin_betas,
     _radius,
     _series,
-    _tied_sums,
+    _tied_series,
     bayes_log_trace,
     confidence_sequence,
     default_theta_grid,
@@ -251,8 +251,9 @@ def _largest_tie(stream) -> int:
 def _whole_stream_fit(stream):
     """``plugin_newton``'s inputs for the fit on a whole stream: one row of
     offsets of its single events (the two virtual ones first), the
-    treatment count of its informative batches, and the support table of
-    its informative tied batches (``None`` if it has none)."""
+    treatment count of its informative batches, and its informative tied
+    batches as ``(y1, y0, o)`` columns with their whole-support table
+    (``None`` if it has none)."""
     rows = oracles.rows_of(stream)
     m1, m0 = rows[0][0], rows[0][1]
     c, o1_sum, tied = [math.log((m1 + 1) / m0), math.log(m1 / (m0 + 1))], 1.0, []
@@ -268,7 +269,8 @@ def _whole_stream_fit(stream):
     table = None
     if tied:
         y1, y0, o, _ = (np.array(col) for col in zip(*tied))
-        table = tuple(np.ascontiguousarray(t.T, dtype=float) for t in _support_table(y1, y0, o))
+        whole = oracles.support_table(y1, y0, o)
+        table = np.array([y1, y0, o]), tuple(np.ascontiguousarray(t.T, dtype=float) for t in whole)
     return np.array([c]), o1_sum, table
 
 
@@ -280,8 +282,8 @@ def _series_term(c, table, centre):
         series = _series(_moments_about(c[r], at))
         if table is None:
             return series, _RADIUS
-        every = np.full(r.size, table[0].shape[0])
-        tied, sd = _tied_sums(*table, np.zeros(r.size, dtype=np.int64), every, at)
+        every = np.full(r.size, table[0].shape[1])
+        tied, sd = _tied_series(table[0], np.zeros(r.size, dtype=np.int64), every, at)
         return series + tied, _radius(sd)
 
     series, radius = history(np.arange(centre.size), centre)
@@ -303,7 +305,7 @@ def test_moment_sums_solve_like_offset_sums(stream):
     c = np.repeat(c, warm.size, axis=0)
     ties = None
     if table is not None:
-        u, log_w = table
+        u, log_w = table[1]
         ties = (np.repeat(u[None], warm.size, axis=0), np.repeat(log_w[None], warm.size, axis=0))
     exact = oracles.plugin_table_term(c, ties)
     series = _series_term(c, table, np.zeros(warm.size))
@@ -413,6 +415,48 @@ def test_history_reads_narrowed_to_their_ends_keep_their_bits():
     offsets[:, :2] = rng.uniform(-3.0, 3.0, (2, 2))
     at, rows, ends = np.array([0.1, -0.2, 0.3]), np.array([0, 1, 1]), np.array([2, 1, 2])
     assert np.array_equal(_moments_about(offsets[:, :8], at, rows, ends), _moments_about(offsets, at, rows, ends))
+
+
+def _coarse_tied_stream():
+    """56,780 events in 13 tied batches from risk sets of 50,000 a group,
+    the first of 32,698 events: event times as coarse as 100k records with
+    exits rounded to half a unit give."""
+    rng = np.random.default_rng(7)
+    y1 = y0 = 50_000
+    rows = []
+    for o in (32_698, 12_000, 6_000, 3_000, 1_500, 800, 400, 200, 100, 50, 20, 9, 3):
+        o1 = int(rng.hypergeometric(y1, y0, o))
+        rows.append((y1, y0, o, o1))
+        y1, y0 = y1 - o1, y0 - (o - o1)
+    return stream_of(rows)
+
+
+def test_plugin_memory_on_wide_tied_batches_is_bounded():
+    # the plug-in trace and confidence sequence read each batch's window
+    # about its mode, for the kernel and for the series' cumulants alike:
+    # their traced peaks stay under 4 MiB, where whole-support tables of
+    # 32,699 points took 16.6 MiB in both
+    import tracemalloc
+
+    stream = _coarse_tied_stream()
+    assert stream.o.sum() >= 30_000
+    for run in (lambda: plugin_log_trace(stream), lambda: confidence_sequence(stream)):
+        run()  # the log-factorial table is built outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
+
+
+def test_plugin_on_wide_tied_batches_matches_exact_prefix_solve():
+    # cumulants summed over windows taken at the series' highest moment give
+    # the estimates of every prefix solved on whole-support tables
+    stream = _coarse_tied_stream()
+    got = np.log(plugin_estimates(stream))
+    assert np.abs(got - oracles.exact_plugin_betas(stream)).max() <= 1e-12
 
 
 def test_plugin_rows_solved_together_match_each_row_alone():

@@ -24,6 +24,7 @@ from safelogrank.core import (
 from safelogrank.data import EVENT, dataset_from_stream
 
 from oracles import (
+    log_normalizer_reference,
     brute_force_product,
     exact_bernoulli_prob,
     exact_hypergeom_pmf,
@@ -327,10 +328,11 @@ def test_kernel_rows_keep_their_bits_in_any_block():
 
 def test_tied_kernel_memory_is_bounded_by_the_cell_budget():
     """A batch of 32,698 tied events (a coarse event time of 100k records)
-    on a 400-point grid is scored a slice of the grid at a time: its traced
-    peak stays under 8 MiB, where one (grid, support) table of 400 x 32,699
-    cells takes 105 MB, and each column equals its own scalar call, bit for
-    bit, as do the columns of 40 batches of 2 to 40 support points."""
+    on a 400-point grid is scored over windows about its modes, a block at a
+    time: its traced peak stays under 8 MiB, where one (grid, support)
+    table of 400 x 32,699 cells takes 105 MB, and each column equals its own
+    scalar call, bit for bit, as do the columns of 40 batches of 2 to 40
+    support points."""
     tied = _tied_rows(40, 294)
     stream = stream_of([(50_000, 50_000, 32_698, 16_000), (33_000, 34_000, 2, 1)] + tied)
     log_t = np.log(np.geomspace(1e-3, 1e3, 400))
@@ -347,6 +349,50 @@ def test_tied_kernel_memory_is_bounded_by_the_cell_budget():
         assert np.array_equal(got[:, j], log_kernel(stream, log_t[j]))
     scalar = np.stack([log_kernel(stream_of(tied), lt) for lt in log_t], axis=1)
     assert np.array_equal(got[2:], scalar)
+
+
+def _window_cells(y1, y0, o, log_t):
+    """Each cell's log-normalizer over its window, as the kernel takes it,
+    and the number of support points the window sums."""
+    norm, count = np.full(log_t.shape, np.nan), np.zeros(log_t.shape, dtype=np.int64)
+    for where, first, t in core._window_blocks(y1, y0, o, log_t, 0, core._TIE_CELLS):
+        count[where] = np.isfinite(t).sum(axis=0).reshape(first.size, -1)
+        m = t.max(axis=0)
+        norm[where] = (m + np.log(np.exp(t - m).sum(axis=0))).reshape(first.size, -1)
+    return norm, count
+
+
+def test_windowed_log_normalizer_matches_the_whole_support():
+    """Summed over its window about the mode, a tied batch's log-normalizer
+    is within 1e-13 of the whole-support sum, relative to max(1, |log Z|),
+    for theta from 1e-8 to 1e8 and supports up to 32,699 points; a small
+    batch's window is its whole support."""
+    rng = np.random.default_rng(13)
+    rows = [(50_000, 50_000, 32_698), (50_000, 49_000, 2_000), (40, 3_000, 39), (3_000, 40, 2_990), (7, 9, 10)]
+    for _ in range(20):
+        y1, y0 = (int(v) for v in rng.integers(2, 20_000, 2))
+        rows.append((y1, y0, int(rng.integers(2, y1 + y0))))
+    y1, y0, o = (np.array(c) for c in zip(*rows))
+    thetas = np.concatenate([[1e-8, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e8], np.exp(rng.uniform(-18.4, 18.4, 5))])
+    log_t = np.log(np.broadcast_to(thetas, (len(rows), thetas.size)))
+    got, count = _window_cells(y1, y0, o, log_t)
+    want = np.array([[log_normalizer_reference(*row, lt) for lt in log_t[0]] for row in rows])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    support = np.minimum(o, y1) - np.maximum(0, o - y0) + 1
+    assert count[0].max() < support[0] // 10 and np.all(count[4] == support[4])
+
+
+@pytest.mark.parametrize("theta", [1.0, 1e3, 1e-3])
+def test_tied_kernel_cells_grow_as_the_root_of_the_batch(theta):
+    """The cells the tied kernel sums for one batch grow by at most 2.5
+    times when its events and both risk sets grow 4 times: its window
+    scales with the sd of its law, not with its support, which grows 4
+    times."""
+    counts = []
+    for scale in (1, 4):
+        y1, y0, o = (np.array([v * scale]) for v in (2_500, 2_500, 1_600))
+        counts.append(int(_window_cells(y1, y0, o, np.full((1, 1), math.log(theta)))[1][0, 0]))
+    assert counts[1] <= 2.5 * counts[0], counts
 
 
 def test_cell_bits_hold_on_the_dispatch_path_without_avx512():

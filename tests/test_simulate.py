@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,11 @@ from safelogrank.simulate import (
     SimScenario,
     UnattainablePowerError,
     _BLOCK,
+    _obf_horizon,
     _stopping_summary,
     _stopping_times,
     design_table,
     estimate_nmax,
-    estimate_obf_nmax,
     sample_single_event_stream,
     sample_tied_stream,
     schoenfeld_sample_size,
@@ -780,6 +781,18 @@ def test_obf_stopping_times_manual_paths():
     assert taus[0] == 3.0
     assert taus[1] == math.inf
     assert taus[2] == 1.0
+
+
+def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
+    """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
+    design's power (``_obf_horizon``), and each replication's stopping
+    time at that horizon: the engine's ``obf`` kind at ``n_max = h``, by the
+    same crossing rule, so the stopping times it gives have the power that
+    chose ``h``."""
+    # the scenario's alternative and rates as an O'Brien-Fleming design: refuses one with no side
+    obf = replace(scenario.design, test_kind="obf", n_max=cap, two_sided=False, prior=None)
+    h = _obf_horizon(scenario, cap)
+    return h, simulate_stopping_times(replace(scenario, design=replace(obf, n_max=h)), h)
 
 
 def test_estimate_obf_nmax_matches_its_own_paths():
