@@ -35,6 +35,13 @@ Two strategies are provided:
   predictive increments telescopes exactly to the (discretized) Bayes
   factor, which the tests exploit.
 
+Each strategy's log numerators come from one function, read by its trace,
+by ``confidence_sequence`` and by the simulation engine:
+``_plugin_log_numerators`` scores batches at their estimates and the null
+in one ``log_kernel`` call, and ``_bayes_log_numerators`` carries the log
+posteriors of rows of streams.  ``_plugin_stream_numerators`` and
+``_bayes_stream_numerators`` apply them to one stream.
+
 Inverting a family of such e-processes over a grid of null hazard ratios
 gives an anytime-valid confidence sequence for the hazard ratio.  Every
 likelihood here is ``core.log_kernel``.
@@ -489,29 +496,37 @@ def plugin_estimates(
     return np.exp(_stream_betas(stream, m1, m0))
 
 
-def plugin_log_trace(
-    stream: EventStream,
-    m1: int | None = None,
-    m0: int | None = None,
-    theta0: float = 1.0,
-    return_numerator: bool = False,
-):
-    """Cumulative plug-in log e-value after each event time.
+def _plugin_log_numerators(block: EventStream, betas: np.ndarray, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The plug-in's log numerators, ``log_kernel`` of each batch of
+    ``block`` (columns of any shape) at ``betas``, its estimate fitted on
+    the batches before it (``_plugin_betas``), and the null's log
+    denominators, ``log_kernel`` at ``theta0``: one kernel call on the two
+    columns, each returned in ``betas``' shape.  The numerators do not
+    depend on ``theta0``, which confidence sequences exploit."""
+    cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
+    grid = np.stack([betas.ravel(), np.full(betas.size, math.log(theta0))], axis=1)
+    log_num, log_null = log_kernel(cells, grid).T
+    return log_num.reshape(betas.shape), log_null.reshape(betas.shape)
 
-    ``m1``/``m0`` default to the risk set of the first batch.  Event time i
-    is scored by ``log_kernel`` at the estimate fitted on event times
-    before i.  With ``return_numerator`` the per-event log predictive
-    probabilities log q_thetahat_i(o1_i | batch_i) come back too (they do
-    not depend on ``theta0``, which confidence sequences exploit).
-    """
-    theta0 = validate_theta(theta0, "theta0")
+
+def _plugin_stream_numerators(
+    stream: EventStream, m1: int | None = None, m0: int | None = None, theta0: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_plugin_log_numerators`` of one stream, event time i scored at the
+    estimate fitted on event times before i (``_stream_betas``)."""
     if not stream.o.size:
-        empty = np.zeros(0)
-        return (empty, empty) if return_numerator else empty
-    betas = _stream_betas(stream, m1, m0)[:-1]  # scored with theta0 as one grid
-    log_num, log_null = log_kernel(stream, np.stack([betas, np.full(betas.size, math.log(theta0))], axis=1)).T
-    trace = np.cumsum(log_num - log_null)
-    return (trace, log_num) if return_numerator else trace
+        return np.zeros(0), np.zeros(0)
+    return _plugin_log_numerators(stream, _stream_betas(stream, m1, m0)[:-1], theta0)
+
+
+def plugin_log_trace(
+    stream: EventStream, m1: int | None = None, m0: int | None = None, theta0: float = 1.0
+) -> np.ndarray:
+    """Cumulative plug-in log e-value after each event time: the running sum
+    of the log numerators of ``_plugin_stream_numerators`` less the null's.
+    ``m1``/``m0`` default to the risk set of the first batch."""
+    log_num, log_null = _plugin_stream_numerators(stream, m1, m0, validate_theta(theta0, "theta0"))
+    return np.cumsum(log_num - log_null)
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +647,18 @@ def _bayes_log_numerators(
     return log_num, log_post, norm
 
 
-def bayes_log_trace(
-    stream: EventStream,
-    prior: PriorSpec,
-    theta0: float = 1.0,
-    return_numerator: bool = False,
-):
+def _bayes_stream_numerators(stream: EventStream, prior: PriorSpec) -> np.ndarray:
+    """``_bayes_log_numerators`` of one stream, from the log prior."""
+    row = EventStream(None, *(c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1)))
+    return _bayes_log_numerators(row, np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0][0]
+
+
+def bayes_log_trace(stream: EventStream, prior: PriorSpec, theta0: float = 1.0) -> np.ndarray:
     """Cumulative Bayes-predictive log e-value after each event time: the
     log predictives of ``_bayes_log_numerators`` from the log prior, less
     the ``log_kernel`` at ``theta0``, summed."""
-    theta0 = validate_theta(theta0, "theta0")
-    if not stream.o.size:
-        empty = np.zeros(0)
-        return (empty, empty) if return_numerator else empty
-    row = EventStream(None, *(c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1)))
-    (log_num,), _, _ = _bayes_log_numerators(row, np.log(prior.thetas)[None, :], *_bayes_prior(prior))
-    trace = np.cumsum(log_num - log_kernel(stream, math.log(theta0)))
-    return (trace, log_num) if return_numerator else trace
+    log_null = log_kernel(stream, math.log(validate_theta(theta0, "theta0")))
+    return np.cumsum(_bayes_stream_numerators(stream, prior) - log_null)
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +841,9 @@ def confidence_sequence(
         raise ValueError(f"grid must hold hazard ratios in [{THETA_LOWER:g}, {THETA_UPPER:g}]")
 
     if numerator == "plugin":
-        _, log_num = plugin_log_trace(stream, m1=m1, m0=m0, return_numerator=True)
+        log_num = _plugin_stream_numerators(stream, m1, m0)[0]
     elif numerator == "bayes":
-        if prior is None:
-            prior = PriorSpec.lognormal(mean_log=0.0)
-        _, log_num = bayes_log_trace(stream, prior, return_numerator=True)
+        log_num = _bayes_stream_numerators(stream, PriorSpec.lognormal(mean_log=0.0) if prior is None else prior)
     else:
         raise ValueError(f"unknown numerator strategy {numerator!r}")
 

@@ -31,7 +31,10 @@ tail falls below 2^-60 of the sum (``_window_blocks``), with log-binomials
 from one log-factorial table.  A cell's bits depend on its batch and theta
 alone.  The exact traces, the learned numerators, the confidence sequence
 denominators and the simulation engine all read it, and the plug-in's
-tied cumulants read the same windows.
+tied cumulants read the same windows.  ``_exact_steps`` is the one exact
+likelihood-ratio increment, scoring the alternatives and the null in one
+``log_kernel`` call; ``log_evalue_trace`` and the simulation engine's
+exact test both sum it and read it by ``_exact_log_evalue``.
 """
 
 from __future__ import annotations
@@ -259,22 +262,36 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     return (seen[:, None] + grid * o1[:, None] - norm).reshape(log_theta.shape)
 
 
+def _exact_steps(stream: EventStream, theta1: float, theta0: float, two_sided: bool) -> np.ndarray:
+    """Log likelihood ratio of each event time of ``stream`` (columns of any
+    shape) at ``theta1``, and at ``1/theta1`` when ``two_sided``, against
+    ``theta0``, as the columns' shape plus one axis for the alternatives:
+    ``log_kernel`` on one grid of the alternatives and ``theta0``, each
+    scored once in one call.  Each ratio has conditional expectation 1
+    under ``theta0`` (summing ``q_theta0 * ratio`` over the support gives
+    the total mass of ``q_theta1``), and a forced batch contributes exactly
+    0."""
+    alternatives = [math.log(theta1)] + ([math.log(1.0 / theta1)] if two_sided else [])
+    cells = EventStream(None, *(c.ravel() for c in (stream.y1, stream.y0, stream.o, stream.o1)))
+    table = log_kernel(cells, np.array([alternatives + [math.log(theta0)]]))
+    return (table[:, :-1] - table[:, -1:]).reshape(stream.o.shape + (len(alternatives),))
+
+
+def _exact_log_evalue(traces: np.ndarray) -> np.ndarray:
+    """The exact log e-value from running sums of ``_exact_steps``: the one
+    alternative's, or the two-sided half-half mixture of both
+    (``two_sided_log_evalue``), so neither side's precision decays."""
+    return traces[..., 0] if traces.shape[-1] == 1 else two_sided_log_evalue(traces[..., 0], traces[..., 1])
+
+
 def log_evalue_trace(
     stream: EventStream, theta1: float, theta0: float = 1.0, two_sided: bool = False
 ) -> np.ndarray:
-    """Cumulative log e-value after each event time: the running sum of the
-    log likelihood ratios ``log_kernel`` at ``theta1`` minus ``log_kernel``
-    at ``theta0``.  Each ratio has conditional expectation 1 under
-    ``theta0`` (summing ``q_theta0 * ratio`` over the support gives the
-    total mass of ``q_theta1``), so the running product is a test
-    martingale; a forced batch contributes exactly 0.  ``two_sided`` mixes
-    the one-sided traces of the alternatives ``theta1`` and ``1/theta1``
-    half-half at every read-out (``two_sided_log_evalue``), so neither
-    side's precision decays."""
+    """Cumulative log e-value after each event time: the running sums of
+    ``_exact_steps``, the log likelihood ratios at ``theta1`` (and
+    ``1/theta1`` when ``two_sided``) against ``theta0``, read by
+    ``_exact_log_evalue``.  The running product is a test martingale, and
+    the two-sided trace mixes the alternatives' traces at every read-out."""
     theta1 = validate_theta(theta1, "theta1")
     theta0 = validate_theta(theta0, "theta0")
-    if two_sided:
-        left, right = (log_evalue_trace(stream, t, theta0) for t in (theta1, 1.0 / theta1))
-        return two_sided_log_evalue(left, right)
-    inc = log_kernel(stream, math.log(theta1)) - log_kernel(stream, math.log(theta0))
-    return np.cumsum(inc)
+    return _exact_log_evalue(np.cumsum(_exact_steps(stream, theta1, theta0, two_sided), axis=0))

@@ -224,20 +224,6 @@ def _refusal(rows: list[list[str]], width: int, at: dict[str, int], strip: bool)
     return None
 
 
-def _first_refused(rows: list[list[str]], width: int, at: dict[str, int], strip: bool) -> tuple[int, str]:
-    """The first of ``rows`` that ``_row_columns`` refuses, and why (some
-    row must be).  Each step reads the first half of a range that holds a
-    refused row, so the search converts about as many rows as there are."""
-    lo, hi = 0, len(rows)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _refusal(rows[lo:mid], width, at, strip) is None:
-            lo = mid
-        else:
-            hi = mid
-    return lo, _refusal(rows[lo:hi], width, at, strip)
-
-
 def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
     """Parse delimited survival data with a header row.
 
@@ -296,7 +282,8 @@ def parse_dataset(text: str, delimiter: str | None = None) -> TrialDataset:
             blocks.append(_block_columns(block, split, delimiter, width, at, strip))
         except ValueError:
             rows = list(map(split, block))
-            k, why = _first_refused(rows, width, at, strip)
+            refusals = (_refusal([row], width, at, strip) for row in rows)
+            k, why = next((k, why) for k, why in enumerate(refusals) if why is not None)
             text_fault = (start - 1 + k, why)
             # the records before it are read; a rule one of them breaks comes first
             blocks.append(_row_columns(rows[:k], width, at, strip))

@@ -89,6 +89,14 @@ def log_gaussian_evalue(n, z, mu1: float):
     return -0.5 * n * mu1 * mu1 + mu1 * np.sqrt(n) * z
 
 
+def _gaussian_log_evidence(n, z, mu1: float) -> np.ndarray:
+    """The Gaussian log e-value after ``n`` events at logrank ``z``
+    (``log_gaussian_evalue``), and -inf, no evidence, where Z is NaN, as it
+    is until the variance is positive (so at ``n = 0`` too); arrays of one
+    shape."""
+    return np.where(np.isnan(z), -np.inf, log_gaussian_evalue(np.maximum(n, 1), z, mu1))
+
+
 def null_expectation_audit(theta1: float, m1: int, m0: int, y1: int, y0: int) -> float:
     """Exact null expectation of the per-event Gaussian increment.
 

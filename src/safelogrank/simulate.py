@@ -47,17 +47,12 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .adaptive import _BLOCK as _SPAN, _ORDER, PriorSpec, _PluginFit, _plugin_betas
-from .adaptive import _bayes_log_numerators, _bayes_prior
-from .core import (
-    EventStream,
-    log_kernel,
-    two_sided_log_evalue,
-    validate_theta,
-)
+from .adaptive import _bayes_log_numerators, _bayes_prior, _plugin_log_numerators
+from .core import EventStream, _exact_log_evalue, _exact_steps, log_kernel, validate_theta
 from .gaussian import (
     fixed_sample_boundary,
+    _gaussian_log_evidence,
     _z_of_sums,
-    log_gaussian_evalue,
     logrank_increments,
     normal_quantile,
     schoenfeld_mu,
@@ -496,12 +491,17 @@ class _Running:
     sets ``taus`` at each row's first crossing (``crossings``), which is never
     in its padding, where the row's last statistic repeats.  A crossing past
     the limit does not count, and a row settles once its event count reaches
-    the limit.  Every kind scores the rows of a block together.  The exact log
-    e-values (one ``log_kernel`` call over every cell) and the logrank score
-    and variance are running sums (``_carried``); the plug-in carries one
-    ``_PluginFit`` of every row and the log e-values (``_plugin_crossings``);
-    Bayes carries each row's log posterior, its log-sum-exp and the log
-    e-value.  A ``fixed`` row is settled once its one look has passed without a
+    the limit.  Every kind scores the rows of a block together, with the
+    step functions that ``analyze`` reads too.  The exact log e-values
+    (``core._exact_steps``, one ``log_kernel`` call over every cell, read by
+    ``core._exact_log_evalue``) and the logrank score and variance are
+    running sums (``_carried``); a gaussian row has no evidence until its Z
+    is defined (``gaussian._gaussian_log_evidence``), padding at n = 0
+    included.  The plug-in carries one ``_PluginFit`` of every row and the
+    log e-values, scored by ``adaptive._plugin_log_numerators``
+    (``_plugin_crossings``); Bayes carries each row's log posterior, its
+    log-sum-exp and the log e-value, its log numerators from
+    ``adaptive._bayes_log_numerators``.  A ``fixed`` row is settled once its one look has passed without a
     crossing.  No later event can cross on a settled row, so the engine reads
     it no further, and its stopping time stays infinite.
     """
@@ -512,13 +512,7 @@ class _Running:
         self.limit = min(limit, design.n_max) if kind == "obf" else limit  # or the horizon, if sooner
         self.settled = np.zeros(size, dtype=bool)  # rows no later event can cross
         if kind == "exact":
-            # one kernel call scores every cell at each alternative, theta1
-            # (and 1/theta1 when two-sided), then at the null
-            alternatives = [math.log(design.theta1)]
-            if design.two_sided:
-                alternatives.append(math.log(1.0 / design.theta1))
-            self.grid = np.array([alternatives + [math.log(design.theta0)]])
-            self.sums = np.zeros((size, len(alternatives)))
+            self.sums = np.zeros((size, 2 if design.two_sided else 1))  # each alternative's
         elif kind in ("gaussian", "obf", "fixed"):
             self.sums = np.zeros((2, size))  # logrank score and variance
         elif kind == "plugin":
@@ -547,19 +541,13 @@ class _Running:
     def crossings(self, rows: np.ndarray, block: EventStream, n: np.ndarray) -> np.ndarray:
         design = self.scenario.design
         if self.kind == "exact":
-            cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
-            table = log_kernel(cells, self.grid)
-            steps = (table[:, :-1] - table[:, -1:]).reshape(n.shape + (self.sums.shape[1],))
-            traces = _carried(np.add, self.sums, rows, steps)
-            stat = traces[..., 0]
-            if design.two_sided:
-                stat = two_sided_log_evalue(stat, traces[..., 1])
-            hit = stat >= design.log_threshold
+            steps = _exact_steps(block, design.theta1, design.theta0, design.two_sided)
+            hit = _exact_log_evalue(_carried(np.add, self.sums, rows, steps)) >= design.log_threshold
         elif self.kind in ("gaussian", "obf", "fixed"):
             z = _running_z(block, self.sums, rows)
             if self.kind == "gaussian":
                 mu1 = schoenfeld_mu(design.theta1, self.scenario.m1, self.scenario.m0)
-                hit = log_gaussian_evalue(np.maximum(n, 1), z, mu1) >= design.log_threshold
+                hit = _gaussian_log_evidence(n, z, mu1) >= design.log_threshold
             elif self.kind == "obf":
                 hit = _obf_reaches(_obf_scaled(z, n, design), design, design.n_max)
             else:  # fixed: one look, at the first event time reaching the horizon
@@ -607,10 +595,8 @@ def _plugin_crossings(
             stop = min(block.o.shape[1], pos + min(_SPAN, max(_SPAN // 4, at + pos)))
             span = [c[keep, pos:stop] for c in (block.y1, block.y0, block.o, block.o1)]
             betas = _plugin_betas(fit, rows[keep], *span)[:, :-1]
-            grid = np.stack([betas.ravel(), np.full(betas.size, math.log(design.theta0))], axis=1)
-            k = log_kernel(EventStream(None, *(c.ravel() for c in span)), grid)
-            steps = (k[:, 0] - k[:, 1]).reshape(betas.shape)
-            hit = _carried(np.add, log_m, rows[keep], steps) >= design.log_threshold
+            log_num, log_null = _plugin_log_numerators(EventStream(None, *span), betas, design.theta0)
+            hit = _carried(np.add, log_m, rows[keep], log_num - log_null) >= design.log_threshold
             crossed = hit.any(axis=1)
             first[keep[crossed]] = pos + hit[crossed].argmax(axis=1)
             keep, pos = keep[~crossed], stop
@@ -875,7 +861,7 @@ def design_table(
     """
     for kind in kinds:
         if kind not in ("exact", "gaussian", "plugin"):
-            raise ValueError(f"design_table sizes exact/gaussian/plugin designs, got {kind!r}")
+            raise ValueError(f"design sizes exact, gaussian and plugin tests, not {kind!r}")
     if include_obf and tie_h0 is not None:
         raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
     _check_cap(cap)

@@ -20,8 +20,10 @@ from safelogrank.adaptive import (
     PriorSpec,
     _PluginFit,
     _SeriesTerm,
+    _bayes_stream_numerators,
     _moments_about,
     _plugin_betas,
+    _plugin_stream_numerators,
     _radius,
     _series,
     _tied_series,
@@ -77,7 +79,7 @@ def bayes_predictive_log_increment(prior, history, row, theta0=1.0):
     history, computed afresh from the prior."""
     if forced(row):
         return 0.0
-    _, log_num = bayes_log_trace(stream_of([*history, row]), prior, return_numerator=True)
+    log_num = _bayes_stream_numerators(stream_of([*history, row]), prior)
     return float(log_num[-1]) - log_q(theta0, row)
 
 
@@ -141,9 +143,7 @@ def test_plugin_increment_uses_only_the_past():
 def test_plugin_increment_has_unit_null_expectation():
     def increment(o1):
         # the second event's factor, scored by the estimate after the first
-        _, log_num = plugin_log_trace(
-            stream_of([(12, 8, 1, 1), (11, 8, 1, o1)]), m1=12, m0=8, return_numerator=True
-        )
+        log_num, _ = _plugin_stream_numerators(stream_of([(12, 8, 1, 1), (11, 8, 1, o1)]), m1=12, m0=8)
         return log_num[1] - log_q(1.0, (11, 8, 1, o1))
 
     total = sum(math.exp(log_q(1.0, (11, 8, 1, o1)) + increment(o1)) for o1 in (0, 1))
@@ -198,7 +198,8 @@ _TIES_AND_FORCED = [(5, 5, 2, 1), (4, 4, 3, 2), (2, 2, 1, 0), (2, 1, 3, 2)]
 @example(stream=stream_of(_TIES_AND_FORCED), theta0=1.0)
 @example(stream=stream_of([(9, 2, 1, 0), (8, 2, 1, 0), (7, 2, 2, 2), (5, 2, 2, 1)]), theta0=0.7)
 def test_plugin_matches_brentq_reference(stream, theta0):
-    trace, log_num = plugin_log_trace(stream, theta0=theta0, return_numerator=True)
+    trace = plugin_log_trace(stream, theta0=theta0)
+    log_num, _ = _plugin_stream_numerators(stream, theta0=theta0)
     ref_trace, ref_num, ref_thetas = oracles.plugin_reference(stream, theta0=theta0)
     assert np.allclose(trace, ref_trace, rtol=0, atol=1e-10)
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-10)
@@ -493,7 +494,8 @@ def test_plugin_rows_solved_together_match_each_row_alone():
 @example(stream=stream_of(_TIES_AND_FORCED), center=1.0, theta0=1.0)
 def test_bayes_trace_matches_per_batch_reference(stream, center, theta0):
     prior = PriorSpec.lognormal(math.log(center), 0.7, n=41)
-    trace, log_num = bayes_log_trace(stream, prior, theta0=theta0, return_numerator=True)
+    trace = bayes_log_trace(stream, prior, theta0=theta0)
+    log_num = _bayes_stream_numerators(stream, prior)
     ref_trace, ref_num = oracles.bayes_reference(stream, prior, theta0=theta0)
     assert np.allclose(trace, ref_trace, rtol=0, atol=1e-12)
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-12)
@@ -562,7 +564,7 @@ def test_two_point_prior_first_event_numerator_is_half():
     # prior 1/2 on {0.5, 2}, balanced first event: numerator = (1/3 + 2/3)/2
     prior = PriorSpec([0.5, 2.0], [0.5, 0.5])
     for o1 in (0, 1):
-        _, log_num = bayes_log_trace(stream_of([(10, 10, 1, o1)]), prior, return_numerator=True)
+        log_num = _bayes_stream_numerators(stream_of([(10, 10, 1, o1)]), prior)
         assert math.exp(log_num[0]) == pytest.approx(0.5, abs=1e-14)
 
 
@@ -579,7 +581,7 @@ def test_bayes_product_telescopes_to_grid_bayes_factor():
 def test_incremental_posterior_matches_recompute():
     rows = _single_event_rows(1.3, 25, 25, 20, seed=5)
     prior = PriorSpec.lognormal(mean_log=0.0, sd_log=0.5, n=51)
-    _, log_num = bayes_log_trace(stream_of(rows), prior, return_numerator=True)
+    log_num = _bayes_stream_numerators(stream_of(rows), prior)
     for i, row in enumerate(rows):
         inc_incremental = log_num[i] - log_q(1.0, row)
         inc_recomputed = bayes_predictive_log_increment(prior, rows[:i], row)
@@ -653,7 +655,7 @@ def test_confidence_sequence_chunks_match_one_pass(stream):
     # gives the bounds of one whole-table pass
     grid = default_theta_grid()
     fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
-    _, log_num = plugin_log_trace(stream, return_numerator=True)
+    log_num, _ = _plugin_stream_numerators(stream)
 
     def bounds(first_rows, band_rows, intersect):
         with _band_chunks(first_rows * grid.size, band_rows * (2 * adaptive._MARGIN + 1)):
@@ -707,9 +709,9 @@ def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, i
     grid = default_theta_grid(size, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
     if numerator == "plugin":
-        _, log_num = plugin_log_trace(stream, return_numerator=True)
+        log_num, _ = _plugin_stream_numerators(stream)
     else:
-        _, log_num = bayes_log_trace(stream, prior, return_numerator=True)
+        log_num = _bayes_stream_numerators(stream, prior)
     first_rows, band_cells, family_cells = chunks
     sizes = (adaptive._FIRST_CELLS, adaptive._BAND_CELLS) if first_rows is None else (first_rows * size, band_cells)
     with _band_chunks(*sizes, family_cells):
@@ -738,8 +740,7 @@ def _family_reads(stream, grid, alpha=0.05, first_rows=1, band_cells=1):
 
 
 def _table_fields(stream, grid, alpha=0.05):
-    _, log_num = plugin_log_trace(stream, return_numerator=True)
-    return oracles.family_table_bounds(stream, log_num, grid, alpha)
+    return oracles.family_table_bounds(stream, _plugin_stream_numerators(stream)[0], grid, alpha)
 
 
 def test_band_reads_rows_that_keep_no_column_without_widening():
@@ -786,7 +787,7 @@ def test_bayes_trace_chunks_match_one_pass(stream):
 
     def trace(rows):
         with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * prior.thetas.size):
-            return bayes_log_trace(stream, prior, theta0=0.9, return_numerator=True)
+            return bayes_log_trace(stream, prior, theta0=0.9), _bayes_stream_numerators(stream, prior)
 
     whole = trace(stream.o.size)
     for rows in (1, 7, 163):
@@ -834,8 +835,7 @@ def test_confidence_sequence_hull_matches_bruteforce_inversion():
     grid = default_theta_grid(80, lo=0.05, hi=20.0)
     cs = confidence_sequence(stream_of(rows), alpha=0.1, grid=grid)
 
-    _, log_num = plugin_log_trace(stream_of(rows), return_numerator=True)
-    cum_num = np.cumsum(log_num)
+    cum_num = np.cumsum(_plugin_stream_numerators(stream_of(rows))[0])
     i = len(rows) - 1
     rejected = np.array(
         [cum_num[i] - sum(log_q(float(t), row) for row in rows) >= math.log(1 / 0.1) for t in grid]

@@ -145,6 +145,20 @@ def test_usage_errors(null_dataset, tmp_path, capsys):
         (["analyze", "DATA", "--test", "bayes", "--theta1", "0.7", "--prior", "point:0.5"], "--theta1"),
         (["confseq", "DATA", "--theta1", "0.7"], "--theta1"),
         (["confseq", "DATA", "--prior", "point:0.5"], "--prior"),
+        # values that cannot be acted on name their flag, before any input is read
+        (["analyze", "DATA", "--test", "bayes"], "--prior"),
+        (["analyze", "DATA", "--test", "bayes", "--prior", "lognormal:"], "--prior"),
+        (["analyze", "DATA", "--test", "bayes", "--prior", "lognormal:0.7,0.5,2"], "--prior"),
+        (["analyze", "DATA", "--test", "bayes", "--prior", "point:x"], "--prior"),
+        (["confseq", "DATA", "--numerator", "bayes", "--prior", "gamma:2"], "--prior"),
+        (["analyze", "DATA", "--theta1", "0.7", "--alpha", "1.5"], "--alpha"),
+        (["confseq", "DATA", "--grid", "0.5:2"], "--grid"),
+        (["design", "--test", "exact"], "--theta1"),
+        (["boundary", "--nmax", "100"], "--theta1"),
+        (["boundary", "--theta1", "0.7", "--nmax", "100", "--n-from", "50", "--n-to", "10"], "--n-from"),
+        (["audit", "--theta-from", "2", "--theta-to", "1"], "--theta-from"),
+        (["audit", "--ratios", "1-1"], "--ratios"),
+        (["audit", "--ratios", "1:1,0:1"], "--ratios"),
     ],
 )
 def test_flags_the_chosen_test_ignores_are_refused(argv, flag, null_dataset, tmp_path, capsys):
@@ -152,6 +166,64 @@ def test_flags_the_chosen_test_ignores_are_refused(argv, flag, null_dataset, tmp
     assert main(argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,text,flag",
+    [
+        (["analyze", "DATA", "--theta1", "0.7"], "alpha = abc", "'alpha'"),
+        (["analyze", "DATA", "--theta1", "0.7"], "test = zebra", "--test"),
+        (["confseq", "DATA"], "numerator = zebra", "--numerator"),
+    ],
+)
+def test_config_values_that_cannot_be_acted_on_are_refused(argv, text, flag, null_dataset, tmp_path, capsys):
+    # the values the command line's choices would refuse are checked when a config file gives them
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment line\n\n{text}\n")
+    argv = [null_dataset if a == "DATA" else a for a in argv]
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "confseq"])
+def test_bayes_priors_parse(command, strong_dataset, tmp_path, capsys):
+    test = ["--test", "bayes"] if command == "analyze" else ["--numerator", "bayes"]
+    reports = {}
+    for flags in (["--theta1", "0.7"], ["--prior", "lognormal:0.7"], ["--prior", "lognormal:0.7,0.3"],
+                  ["--prior", "point:0.7"]):
+        out = tmp_path / flags[-1].replace(":", "-")
+        assert main([command, strong_dataset, *test, *flags, "--out", str(out)]) in (EXIT_CONTINUE, EXIT_REJECT)
+        reports[flags[-1]] = (tmp_path / f"{out.name}.csv").read_bytes()
+    # a default prior centred at --theta1 is lognormal:THETA1, and the sd changes the prior
+    assert reports["0.7"] == reports["lognormal:0.7"] != reports["lognormal:0.7,0.3"]
+
+
+def test_a_point_prior_gives_the_exact_test(strong_dataset, tmp_path, capsys):
+    # a point mass's Bayes factor is the likelihood ratio at that point
+    main(["analyze", strong_dataset, "--test", "bayes", "--prior", "point:0.7", "--out", str(tmp_path / "b")])
+    main(["analyze", strong_dataset, "--test", "exact", "--theta1", "0.7", "--out", str(tmp_path / "e")])
+    bayes, exact = (json.loads((tmp_path / f"{name}.json").read_text())["rows"] for name in ("b", "e"))
+    assert len(bayes) == len(exact) > 100
+    assert max(abs(b["log10_e"] - e["log10_e"]) for b, e in zip(bayes, exact)) <= 1e-12
+
+
+def test_design_names_a_kind_it_does_not_size_before_simulating(monkeypatch, capsys):
+    import safelogrank.simulate as simulate
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated before refusing the kind")
+
+    monkeypatch.setattr(simulate, "_stopping_times", simulated)
+    assert main(["design", "--theta1", "0.7", "--test", "exact,bayes"]) == EXIT_USAGE
+    assert "'bayes'" in capsys.readouterr().err
+
+
+def test_gaussian_analyze_without_events_continues(tmp_path, capsys):
+    path = tmp_path / "censored.csv"
+    path.write_text("time,group,status\n1,0,censored\n2,1,censored\n")
+    assert main(["analyze", str(path), "--test", "gaussian", "--theta1", "0.7"]) == EXIT_CONTINUE
+    assert "final_log10_e: 0" in capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

@@ -19,6 +19,7 @@ from safelogrank.cli import pooled_decision
 from safelogrank.core import (
     log_evalue_trace,
     log_kernel,
+    two_sided_log_evalue,
     validate_theta,
 )
 from safelogrank.data import EVENT, dataset_from_stream
@@ -33,6 +34,7 @@ from oracles import (
     logrank_moments,
     single_event_log_q,
     stream_of,
+    support_table,
     two_sided_state,
 )
 
@@ -382,6 +384,44 @@ def test_windowed_log_normalizer_matches_the_whole_support():
     assert count[0].max() < support[0] // 10 and np.all(count[4] == support[4])
 
 
+@pytest.mark.parametrize("order", [0, 16])
+def test_tied_windows_double_until_the_tail_bound_holds(order):
+    """From a first reach of 2 points, too short for the 2^-60 tail bound,
+    each side of a window about the mode doubles its reach until the bound
+    holds or the support ends: a side not cut at the support's edge reaches
+    2^k points with k >= 1, the bound holds there (a first reach of that
+    many gives the same side) and not at half of it (a first reach of half
+    doubles to it).  Each window's log-normalizer is within 1e-13 of the
+    whole-support sum, relative to max(1, |log Z|)."""
+    rows = [(50_000, 50_000, 2_000), (20_000, 15_000, 5_000), (3_000, 40, 2_990), (400, 500, 300)]
+    thetas = [1e-3, 0.5, 1.0, 2.0, 1e3]
+    y1, y0, o = (np.repeat(c, len(thetas)) for c in np.array(rows).T)
+    beta = np.tile(np.log(thetas), len(rows))
+    u, log_w = support_table(y1, y0, o)
+    terms = log_w + u * beta
+    mode = u[terms.argmax(axis=0), np.arange(beta.size)]
+    edges = (mode - np.maximum(0, o - y0), np.minimum(o, y1) - mode)
+
+    def reaches(first_reach):
+        first, size = core._windows(y1, y0, o, beta, first_reach, order)
+        return mode - first, first + size - 1 - mode
+
+    start = reaches(np.full(beta.size, 2))
+    for side, (d, edge) in enumerate(zip(start, edges)):
+        grown = d < edge
+        assert np.all(d <= edge) and grown.sum() >= beta.size // 2
+        assert np.all((d[grown] > 2) & (d[grown] & (d[grown] - 1) == 0))  # 2^k points, k >= 1
+        assert np.array_equal(reaches(np.maximum(d, 2))[side][grown], d[grown])
+        assert np.array_equal(reaches(np.maximum(d // 2, 2))[side][grown], d[grown])
+
+    first, size = core._windows(y1, y0, o, beta, np.full(beta.size, 2), order)
+    for k in range(beta.size):
+        window = terms[first[k] - u[0, k] : first[k] - u[0, k] + size[k], k]
+        got = window.max() + math.log(np.exp(window - window.max()).sum())
+        want = log_normalizer_reference(int(y1[k]), int(y0[k]), int(o[k]), float(beta[k]))
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, got, want)
+
+
 @pytest.mark.parametrize("theta", [1.0, 1e3, 1e-3])
 def test_tied_kernel_cells_grow_as_the_root_of_the_batch(theta):
     """The cells the tied kernel sums for one batch grow by at most 2.5
@@ -503,6 +543,24 @@ def test_two_sided_single_control_event_is_uninformative():
     left, right = (log_evalue_trace(stream, t)[0] for t in (0.5, 2.0))
     assert math.exp(left) == pytest.approx(4 / 3, rel=1e-13)
     assert math.exp(right) == pytest.approx(2 / 3, rel=1e-13)
+
+
+def test_two_sided_trace_scores_each_theta_once_in_one_kernel_call(monkeypatch):
+    # theta1, 1/theta1 and theta0 are one grid of one log_kernel call, so
+    # the null is not scored once per side; the trace keeps its bits
+    stream = stream_of([(30, 30, 1, 1), (29, 30, 3, 2), (27, 28, 1, 0), (27, 27, 54, 27)])
+    want = two_sided_log_evalue(*(log_evalue_trace(stream, t, 0.9) for t in (0.7, 1 / 0.7)))
+    calls, kernel = [], core.log_kernel
+
+    def counting(events, log_theta):
+        calls.append(np.asarray(log_theta))
+        return kernel(events, log_theta)
+
+    monkeypatch.setattr(core, "log_kernel", counting)
+    got = log_evalue_trace(stream, 0.7, 0.9, two_sided=True)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], [[math.log(0.7), math.log(1 / 0.7), math.log(0.9)]])
+    assert np.array_equal(got, want)
 
 
 def test_two_sided_components_kept_separate_until_readout():
