@@ -36,11 +36,11 @@ Two strategies are provided:
   factor, which the tests exploit.
 
 Each strategy's log numerators come from one function, read by its trace,
-by ``confidence_sequence`` and by the simulation engine:
-``_plugin_log_numerators`` scores batches at their estimates and the null
-in one ``log_kernel`` call, and ``_bayes_log_numerators`` carries the log
-posteriors of rows of streams.  ``_plugin_stream_numerators`` and
-``_bayes_stream_numerators`` apply them to one stream.
+by ``confidence_sequence`` and by the simulation engine: the plug-in's are
+``log_kernel`` at the estimates (``_plugin_log_numerators`` scores the null
+in the same call), and ``_bayes_log_numerators`` carries the log
+posteriors of rows of streams, applied to one stream by
+``_bayes_stream_numerators``.
 
 Inverting a family of such e-processes over a grid of null hazard ratios
 gives an anytime-valid confidence sequence for the hazard ratio.  Every
@@ -64,6 +64,7 @@ from .core import (
     log_kernel,
     validate_theta,
 )
+from .gaussian import _check_alpha
 
 __all__ = [
     "PriorSpec",
@@ -366,13 +367,14 @@ class _PluginFit:
         self.tied = np.zeros((3, rows, 0), dtype=np.int64)  # grown as rows take tied batches
 
 
-def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarray:
+def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.ndarray:
     """``log(theta_hat)`` of rows ``rows`` of ``fit``, fitted on their
-    history and the first j of the new batches ``y1, y0, o, o1`` (``(rows,
-    k)`` columns), j = 0..k, as ``(rows, k + 1)``.  Rows may have taken
-    different numbers of batches and end in empty ones (``o = 0``); a new
-    fit takes the two virtual events first, as batches of their own, while
-    the other rows take two empty batches.  Forced batches change nothing.
+    history and the first j of the new batches ``block`` (an
+    ``EventStream`` of ``(rows, k)`` columns), j = 0..k, as ``(rows, k +
+    1)``.  Rows may have taken different numbers of batches and end in
+    empty ones (``o = 0``); a new fit takes the two virtual events first,
+    as batches of their own, while the other rows take two empty batches.
+    Forced batches change nothing.
 
     Blocks of at most ``_BLOCK`` prefixes of every row are solved together
     by ``plugin_newton``, warm-started from each row's last estimate, on
@@ -386,6 +388,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
     """
     taken = fit.taken[rows]
     lead = 0 if taken.all() else 2
+    y1, y0, o, o1 = block.y1, block.y0, block.o, block.o1
     if lead:  # a virtual treatment event at (m1+1, m0), a virtual control event at (m1, m0+1)
         columns = np.zeros((4, rows.size, 2 + o.shape[1]), dtype=np.int64)
         columns[:2, :, :2] = 1  # empty batches, at risk sets (1, 1), for the rows that have taken some
@@ -471,11 +474,10 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, y1, y0, o, o1) -> np.ndarra
     return betas[:, lead:]
 
 
-def _stream_betas(stream: EventStream, m1: int | None, m0: int | None) -> np.ndarray:
+def _stream_betas(stream: EventStream, m1: int | None = None, m0: int | None = None) -> np.ndarray:
     """``log(theta_hat)`` on the first i event times, i = 0..n, by one call on a one-row fit."""
     m1, m0 = int(stream.y1[0]) if m1 is None else m1, int(stream.y0[0]) if m0 is None else m0
-    columns = (c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1))
-    return _plugin_betas(_PluginFit(1, m1, m0, stream.o.size), np.zeros(1, dtype=np.int64), *columns)[0]
+    return _plugin_betas(_PluginFit(1, m1, m0, stream.o.size), np.zeros(1, dtype=np.int64), stream[None])[0]
 
 
 def plugin_estimates(
@@ -500,32 +502,21 @@ def _plugin_log_numerators(block: EventStream, betas: np.ndarray, theta0: float)
     """The plug-in's log numerators, ``log_kernel`` of each batch of
     ``block`` (columns of any shape) at ``betas``, its estimate fitted on
     the batches before it (``_plugin_betas``), and the null's log
-    denominators, ``log_kernel`` at ``theta0``: one kernel call on the two
-    columns, each returned in ``betas``' shape.  The numerators do not
-    depend on ``theta0``, which confidence sequences exploit."""
-    cells = EventStream(None, *(c.ravel() for c in (block.y1, block.y0, block.o, block.o1)))
-    grid = np.stack([betas.ravel(), np.full(betas.size, math.log(theta0))], axis=1)
-    log_num, log_null = log_kernel(cells, grid).T
-    return log_num.reshape(betas.shape), log_null.reshape(betas.shape)
+    denominators, ``log_kernel`` at ``theta0``: one kernel call on a grid of
+    the two on the trailing axis, each returned in ``betas``' shape."""
+    table = log_kernel(block, np.stack([betas, np.full(betas.shape, math.log(theta0))], axis=-1))
+    return table[..., 0], table[..., 1]
 
 
-def _plugin_stream_numerators(
-    stream: EventStream, m1: int | None = None, m0: int | None = None, theta0: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_plugin_log_numerators`` of one stream, event time i scored at the
-    estimate fitted on event times before i (``_stream_betas``)."""
-    if not stream.o.size:
-        return np.zeros(0), np.zeros(0)
-    return _plugin_log_numerators(stream, _stream_betas(stream, m1, m0)[:-1], theta0)
-
-
-def plugin_log_trace(
-    stream: EventStream, m1: int | None = None, m0: int | None = None, theta0: float = 1.0
-) -> np.ndarray:
+def plugin_log_trace(stream: EventStream, theta0: float = 1.0) -> np.ndarray:
     """Cumulative plug-in log e-value after each event time: the running sum
-    of the log numerators of ``_plugin_stream_numerators`` less the null's.
-    ``m1``/``m0`` default to the risk set of the first batch."""
-    log_num, log_null = _plugin_stream_numerators(stream, m1, m0, validate_theta(theta0, "theta0"))
+    of ``_plugin_log_numerators``, event time i scored at the estimate
+    fitted on the event times before it (``_stream_betas``, the virtual
+    events anchored at the first batch's risk set), less the null's."""
+    theta0 = validate_theta(theta0, "theta0")
+    if not stream.o.size:
+        return np.zeros(0)
+    log_num, log_null = _plugin_log_numerators(stream, _stream_betas(stream)[:-1], theta0)
     return np.cumsum(log_num - log_null)
 
 
@@ -565,14 +556,12 @@ class PriorSpec:
         object.__setattr__(self, "weights", weights / total)
 
     @classmethod
-    def lognormal(
-        cls, mean_log: float, sd_log: float = 0.5, n: int = 201, width: float = 6.0
-    ) -> "PriorSpec":
-        """Normal prior on log(theta), truncated at ``width`` standard
-        deviations and discretized on ``n`` equally log-spaced nodes."""
+    def lognormal(cls, mean_log: float, sd_log: float = 0.5, n: int = 201) -> "PriorSpec":
+        """Normal prior on log(theta), truncated at 6 standard deviations
+        and discretized on ``n`` equally log-spaced nodes."""
         if sd_log <= 0 or n < 2:
             raise ValueError("sd_log must be > 0 and n >= 2")
-        x = np.linspace(mean_log - width * sd_log, mean_log + width * sd_log, n)
+        x = np.linspace(mean_log - 6.0 * sd_log, mean_log + 6.0 * sd_log, n)
         w = np.exp(-0.5 * ((x - mean_log) / sd_log) ** 2)
         return cls(thetas=np.exp(x), weights=w / w.sum())
 
@@ -582,11 +571,11 @@ class PriorSpec:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of a 2-d array, overwriting ``a``."""
-    m = a.max(axis=1)
-    a -= m[:, None]
+    """Log-sum-exp along the last axis of ``a``, overwriting it."""
+    m = a.max(axis=-1)
+    a -= m[..., None]
     np.exp(a, out=a)
-    return m + np.log(a.sum(axis=1))
+    return m + np.log(a.sum(axis=-1))
 
 
 def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -626,15 +615,13 @@ def _bayes_log_numerators(
         rows = slice(r, r + height)
         for lo in range(0, n, cells // height):
             part = (rows, slice(lo, lo + cells // height))
-            shape = block.o[part].shape
-            cols = (c[part].ravel() for c in (block.y1, block.y0, block.o, block.o1))
-            table = log_kernel(EventStream(None, *cols), log_grid).reshape(shape + (-1,))
+            table = log_kernel(block[part], log_grid[None])
             posterior = np.empty_like(table)
             posterior[:, 0], posterior[:, 1:] = log_post[rows], table[:, :-1]
             np.cumsum(posterior, axis=1, out=posterior)
             log_post[rows] = posterior[:, -1] + table[:, -1]
             table += posterior
-            numerator = _logsumexp_rows(table.reshape(-1, log_grid.size)).reshape(shape)
+            numerator = _logsumexp_rows(table)
             log_num[part] = numerator
             log_num[rows, lo] -= norm[rows]
             log_num[rows, lo + 1 : lo + numerator.shape[1]] -= numerator[:, :-1]
@@ -649,8 +636,7 @@ def _bayes_log_numerators(
 
 def _bayes_stream_numerators(stream: EventStream, prior: PriorSpec) -> np.ndarray:
     """``_bayes_log_numerators`` of one stream, from the log prior."""
-    row = EventStream(None, *(c[None] for c in (stream.y1, stream.y0, stream.o, stream.o1)))
-    return _bayes_log_numerators(row, np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0][0]
+    return _bayes_log_numerators(stream[None], np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0][0]
 
 
 def bayes_log_trace(stream: EventStream, prior: PriorSpec, theta0: float = 1.0) -> np.ndarray:
@@ -737,9 +723,7 @@ class _Family:
         """``log_kernel`` of event times ``lo..hi-1`` on columns ``cols``,
         summed down each column from ``start``, the sum of the rows before:
         one sequential sum, however the rows are split."""
-        s = self.stream
-        rows = EventStream(None, s.y1[lo:hi], s.y0[lo:hi], s.o[lo:hi], s.o1[lo:hi])
-        table = log_kernel(rows, self.log_grid[None, cols])
+        table = log_kernel(self.stream[lo:hi], self.log_grid[None, cols])
         table[0] += start
         return np.cumsum(table, axis=0, out=table)
 
@@ -794,8 +778,6 @@ def confidence_sequence(
     numerator: Literal["plugin", "bayes"] = "plugin",
     grid: np.ndarray | None = None,
     prior: PriorSpec | None = None,
-    m1: int | None = None,
-    m0: int | None = None,
     running_intersection: bool = False,
 ) -> ConfidenceSequence:
     """Invert a learned-numerator e-process family into a confidence sequence.
@@ -814,6 +796,12 @@ def confidence_sequence(
     what the coverage guarantee speaks about, intersection is a reporting
     convenience.
 
+    The plug-in numerators are ``log_kernel`` at the estimates fitted on
+    the event times before each (``_stream_betas``, its virtual events
+    anchored at the first batch's risk set), with no null column scored;
+    the Bayes ones are the predictives under ``prior``, by default a
+    lognormal centred on 1 (``_bayes_stream_numerators``).
+
     The family's denominators, ``log_kernel`` summed down each grid
     column, are read in chunks of event times.  The first chunk holds every
     column for ``_FIRST_CELLS`` cells; each later chunk holds
@@ -830,8 +818,7 @@ def confidence_sequence(
     ``log_kernel`` cell does not depend on the rows or columns read with
     it, so every sum keeps the bits of a whole-table pass.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if grid is None:
         grid = default_theta_grid()
     grid = np.asarray(grid, dtype=float)
@@ -841,7 +828,7 @@ def confidence_sequence(
         raise ValueError(f"grid must hold hazard ratios in [{THETA_LOWER:g}, {THETA_UPPER:g}]")
 
     if numerator == "plugin":
-        log_num = _plugin_stream_numerators(stream, m1, m0)[0]
+        log_num = log_kernel(stream, _stream_betas(stream)[:-1]) if stream.o.size else np.zeros(0)
     elif numerator == "bayes":
         log_num = _bayes_stream_numerators(stream, PriorSpec.lognormal(mean_log=0.0) if prior is None else prior)
     else:

@@ -22,8 +22,9 @@ inequality it ever exceeds ``1/alpha`` with probability at most ``alpha``,
 however the trial is monitored, stopped or extended.
 
 All arithmetic is in natural-log space.  ``log_kernel`` is the one
-vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream``, at
-a scalar ``theta``, one per event time, or a grid: a softplus for single
+vectorized ``log q_theta(o1 | batch)`` over a columnar ``EventStream`` of
+any shape (indexing a stream indexes its columns), at a scalar ``theta``,
+one per cell, or a grid on a trailing axis: a softplus for single
 events, exactly 0 for forced batches, and for a tied batch at each theta
 a log-sum-exp over one window about the mode of its tilted law, a root of
 a quadratic, grown until the geometric bound on the log-concave pmf's
@@ -189,13 +190,19 @@ def _ascending_sum(table: np.ndarray) -> np.ndarray:
 class EventStream:
     """Event batches as columns, one entry per event time: ascending
     ``times`` and integer arrays ``y1``, ``y0`` (at risk just before), ``o``
-    (events) and ``o1`` (treatment events)."""
+    (events) and ``o1`` (treatment events).  The columns may have any one
+    shape, such as ``(replications, L)`` for rows of streams, with ``times``
+    None; indexing a stream applies the index to every column."""
 
-    times: np.ndarray
+    times: np.ndarray | None
     y1: np.ndarray
     y0: np.ndarray
     o: np.ndarray
     o1: np.ndarray
+
+    def __getitem__(self, index) -> "EventStream":
+        times = None if self.times is None else self.times[index]
+        return EventStream(times, self.y1[index], self.y0[index], self.o[index], self.o1[index])
 
 
 def two_sided_log_evalue(log_left, log_right):
@@ -205,12 +212,14 @@ def two_sided_log_evalue(log_left, log_right):
 
 
 def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
-    """log q_theta(o1 | batch) at every event time of ``stream``.
+    """log q_theta(o1 | batch) at every event time of ``stream``, whose
+    columns may have any shape, such as ``(replications, L)``.
 
-    ``log_theta`` is a scalar, a per-row array of shape ``(n,)``, or a grid
-    of shape ``(1, G)`` or ``(n, G)``, which gives an ``(n, G)`` result;
-    with a scalar the columns may have any shape, such as ``(replications,
-    L)``.  Single events use ``-softplus(x)``, ``x = -/+(log(y1/y0) +
+    ``log_theta`` is a scalar, an array of the columns' shape (one per
+    cell), or a grid with one more axis than the columns, placed on the
+    trailing axis and broadcast against them, such as ``(1, G)`` or ``(n,
+    G)`` for one stream: a grid gives the columns' shape plus ``(G,)``.
+    Single events use ``-softplus(x)``, ``x = -/+(log(y1/y0) +
     log_theta)``, as ``-(max(x, 0) + log1p(exp(-|x|)))`` on numpy's
     vectorized ufuncs; forced batches give exactly 0; tied batches sum over
     windows about the mode (``_tied_log_kernel``).  A cell's bits do not
@@ -220,8 +229,8 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.log(y1 / y0)  # +-inf or nan on forced rows, overwritten below
     sign = np.where(o1 == 1, -1.0, 1.0)
-    if log_theta.ndim == 2:
-        c, sign = c[:, None], sign[:, None]
+    if log_theta.ndim > o.ndim:
+        c, sign = c[..., None], sign[..., None]
     out = c + log_theta
     out *= sign
     soft = np.abs(out)  # log q = -softplus(x) = -(max(x, 0) + log1p(exp(-|x|)))
@@ -272,9 +281,8 @@ def _exact_steps(stream: EventStream, theta1: float, theta0: float, two_sided: b
     the total mass of ``q_theta1``), and a forced batch contributes exactly
     0."""
     alternatives = [math.log(theta1)] + ([math.log(1.0 / theta1)] if two_sided else [])
-    cells = EventStream(None, *(c.ravel() for c in (stream.y1, stream.y0, stream.o, stream.o1)))
-    table = log_kernel(cells, np.array([alternatives + [math.log(theta0)]]))
-    return (table[:, :-1] - table[:, -1:]).reshape(stream.o.shape + (len(alternatives),))
+    table = log_kernel(stream, np.array(alternatives + [math.log(theta0)], ndmin=stream.o.ndim + 1))
+    return table[..., :-1] - table[..., -1:]
 
 
 def _exact_log_evalue(traces: np.ndarray) -> np.ndarray:

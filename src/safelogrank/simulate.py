@@ -50,6 +50,7 @@ from .adaptive import _BLOCK as _SPAN, _ORDER, PriorSpec, _PluginFit, _plugin_be
 from .adaptive import _bayes_log_numerators, _bayes_prior, _plugin_log_numerators
 from .core import EventStream, _exact_log_evalue, _exact_steps, log_kernel, validate_theta
 from .gaussian import (
+    _check_alpha,
     fixed_sample_boundary,
     _gaussian_log_evidence,
     _z_of_sums,
@@ -112,8 +113,7 @@ class DesignSpec:
     def __post_init__(self) -> None:
         validate_theta(self.theta1, "theta1")
         validate_theta(self.theta0, "theta0")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.alpha < self.power < 1.0):
             raise ValueError(
                 f"power must be in (alpha, 1) so that alpha + beta < 1, got {self.power}"
@@ -531,8 +531,7 @@ class _Running:
         if n[:, -1].min() > self.limit:
             width = int(np.count_nonzero(n <= self.limit, axis=1).max())
         if width:
-            within = EventStream(None, *(c[:, :width] for c in (block.y1, block.y0, block.o, block.o1)))
-            first = self.crossings(rows, within, n[:, :width])
+            first = self.crossings(rows, block[:, :width], n[:, :width])
             hit = np.flatnonzero(first >= 0)
             hit = hit[n[hit, first[hit]] <= self.limit]  # a tied row may pass the limit sooner
             taus[rows[hit]] = n[hit, first[hit]]
@@ -593,9 +592,9 @@ def _plugin_crossings(
         at = int(np.maximum(fit.taken[rows[keep]] - 2, 0).min())  # batches taken, virtual events not
         while (keep := keep[width[keep] > pos]).size:
             stop = min(block.o.shape[1], pos + min(_SPAN, max(_SPAN // 4, at + pos)))
-            span = [c[keep, pos:stop] for c in (block.y1, block.y0, block.o, block.o1)]
-            betas = _plugin_betas(fit, rows[keep], *span)[:, :-1]
-            log_num, log_null = _plugin_log_numerators(EventStream(None, *span), betas, design.theta0)
+            span = block[keep, pos:stop]
+            betas = _plugin_betas(fit, rows[keep], span)[:, :-1]
+            log_num, log_null = _plugin_log_numerators(span, betas, design.theta0)
             hit = _carried(np.add, log_m, rows[keep], log_num - log_null) >= design.log_threshold
             crossed = hit.any(axis=1)
             first[keep[crossed]] = pos + hit[crossed].argmax(axis=1)
@@ -659,8 +658,7 @@ def _stopping_times(
                 for kind in limits if n.shape[1] else ():  # a tied block may hold no batch
                     open_ = running[kind].open(part, ours[kind])
                     if open_.any():
-                        on = block if open_.all() else EventStream(
-                            None, *(c[open_] for c in (block.y1, block.y0, block.o, block.o1)))
+                        on = block if open_.all() else block[open_]
                         running[kind].read(part[open_], on, n[open_], ours[kind])
                 streams.drop(part[~np.any([running[k].open(part, ours[k]) for k in limits], axis=0)])
             for kind in limits:
@@ -787,25 +785,18 @@ def schoenfeld_sample_size(theta1: float, alpha: float = 0.05, beta: float = 0.2
     return math.ceil(4.0 * (za + zb) ** 2 / math.log(theta1) ** 2)
 
 
-def wald_expected_stopping(
-    theta: float,
-    theta1: float,
-    m1: int,
-    m0: int,
-    alpha: float = 0.05,
-    theta0: float = 1.0,
-) -> float:
-    """Wald-style approximation to the expected stopping time in events:
-    log(1/alpha) divided by the expected log growth per event, computed for
-    the single-event kernel with the risk ratio frozen at m1 : m0."""
+def wald_expected_stopping(theta: float, theta1: float, m1: int, m0: int, alpha: float = 0.05) -> float:
+    """Wald-style approximation to the expected stopping time in events of
+    the exact test of ``theta1`` against 1: log(1/alpha) divided by the
+    expected log growth per event, computed for the single-event kernel
+    with the risk ratio frozen at m1 : m0."""
     validate_theta(theta)
     validate_theta(theta1, "theta1")
-    validate_theta(theta0, "theta0")
 
     def p(th: float) -> float:
         return th * m1 / (m0 + th * m1)
 
-    pt, pa, p0 = p(theta), p(theta1), p(theta0)
+    pt, pa, p0 = p(theta), p(theta1), p(1.0)
     drift = pt * math.log(pa / p0) + (1.0 - pt) * math.log((1.0 - pa) / (1.0 - p0))
     if drift <= 0.0:
         raise ValueError(

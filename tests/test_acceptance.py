@@ -366,7 +366,7 @@ def test_13_exact_null_expectation_and_level_by_path_enumeration():
     columns = (paths.y1, paths.y0, paths.o, paths.o1)
     cells = EventStream(None, *(c.ravel() for c in columns))
     null = log_kernel(paths, 0.0)
-    betas = _plugin_betas(_PluginFit(size, m, m, n), np.arange(size), *columns)
+    betas = _plugin_betas(_PluginFit(size, m, m, n), np.arange(size), paths)
     prior = PriorSpec.lognormal(math.log(theta1), n=41)
     log_num, _, _ = _bayes_log_numerators(
         paths, np.log(prior.thetas)[None, :], *(np.repeat(a, size, axis=0) for a in _bayes_prior(prior))

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safelogrank import adaptive
-from safelogrank.core import log_kernel
+from safelogrank.core import EventStream, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
     _RADIUS,
@@ -23,7 +23,8 @@ from safelogrank.adaptive import (
     _bayes_stream_numerators,
     _moments_about,
     _plugin_betas,
-    _plugin_stream_numerators,
+    _plugin_log_numerators,
+    _stream_betas,
     _radius,
     _series,
     _tied_series,
@@ -49,6 +50,13 @@ def log_q(theta, row) -> float:
 def forced(row) -> bool:
     y1, y0, o, _ = row
     return max(0, o - y0) == min(o, y1)
+
+
+def plugin_numerators(stream, theta0=1.0):
+    """The plug-in trace's log numerators and the null's log denominators."""
+    if not stream.o.size:
+        return np.zeros(0), np.zeros(0)
+    return _plugin_log_numerators(stream, _stream_betas(stream)[:-1], theta0)
 
 
 def _single_event_rows(theta, m1, m0, n, seed):
@@ -143,7 +151,7 @@ def test_plugin_increment_uses_only_the_past():
 def test_plugin_increment_has_unit_null_expectation():
     def increment(o1):
         # the second event's factor, scored by the estimate after the first
-        log_num, _ = _plugin_stream_numerators(stream_of([(12, 8, 1, 1), (11, 8, 1, o1)]), m1=12, m0=8)
+        log_num, _ = plugin_numerators(stream_of([(12, 8, 1, 1), (11, 8, 1, o1)]))
         return log_num[1] - log_q(1.0, (11, 8, 1, o1))
 
     total = sum(math.exp(log_q(1.0, (11, 8, 1, o1)) + increment(o1)) for o1 in (0, 1))
@@ -199,7 +207,7 @@ _TIES_AND_FORCED = [(5, 5, 2, 1), (4, 4, 3, 2), (2, 2, 1, 0), (2, 1, 3, 2)]
 @example(stream=stream_of([(9, 2, 1, 0), (8, 2, 1, 0), (7, 2, 2, 2), (5, 2, 2, 1)]), theta0=0.7)
 def test_plugin_matches_brentq_reference(stream, theta0):
     trace = plugin_log_trace(stream, theta0=theta0)
-    log_num, _ = _plugin_stream_numerators(stream, theta0=theta0)
+    log_num, _ = plugin_numerators(stream, theta0=theta0)
     ref_trace, ref_num, ref_thetas = oracles.plugin_reference(stream, theta0=theta0)
     assert np.allclose(trace, ref_trace, rtol=0, atol=1e-10)
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-10)
@@ -343,12 +351,12 @@ def _grow(fit, rows, streams, spans, drops=None):
     the rows of ``streams`` that are still in, span by span; ``drops[r]``
     is the number of spans after which row r leaves, as a row of the
     engine leaves at its first crossing."""
-    columns = [np.array([getattr(s, c) for s in streams]) for c in ("y1", "y0", "o", "o1")]
+    block = EventStream(None, *(np.array([getattr(s, c) for s in streams]) for c in ("y1", "y0", "o", "o1")))
     got, pos = [[] for _ in rows], 0
     for k, span in enumerate(spans):
         keep = np.array([r for r in range(len(rows)) if drops is None or k < drops[r]], dtype=np.int64)
         if keep.size:
-            betas = _plugin_betas(fit, rows[keep], *(c[keep, pos : pos + span] for c in columns))
+            betas = _plugin_betas(fit, rows[keep], block[keep, pos : pos + span])
             for r, row in zip(keep, betas):
                 got[r].extend(row if not got[r] else row[1:])
         pos += span
@@ -617,6 +625,29 @@ def test_prior_spec_validation():
         PriorSpec([0.5, 2.0], [1.1, -0.1])  # negative mass
     with pytest.raises(ValueError):
         PriorSpec.lognormal(0.0, sd_log=0.0)
+    with pytest.raises(ValueError, match="matching 1-d arrays"):
+        PriorSpec([0.5, 2.0], [1.0])
+
+
+def test_plugin_estimates_refuse_an_empty_initial_group():
+    with pytest.raises(ValueError, match="initial group sizes must be >= 1"):
+        plugin_estimates(stream_of([(5, 5, 1, 1)]), 0, 5)
+
+
+def test_bayes_numerators_refuse_a_posterior_with_no_mass():
+    # a posterior that puts no mass on any node has no predictive: the
+    # numerators refuse it rather than carry NaN into the e-value (the NaN
+    # of -inf - -inf is what they look for, so numpy's warning is muted)
+    log_grid = np.log(PriorSpec.lognormal(0.0, n=5).thetas)[None, :]
+    dead = np.full((1, 5), -np.inf)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="underflowed"):
+        adaptive._bayes_log_numerators(stream_of([(5, 5, 1, 1)])[None], log_grid, dead, dead[:, 0])
+
+
+def test_traces_of_no_events_are_empty():
+    empty = stream_of([])
+    assert plugin_log_trace(empty).shape == (0,)
+    assert bayes_log_trace(empty, PriorSpec.lognormal(0.0)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +686,7 @@ def test_confidence_sequence_chunks_match_one_pass(stream):
     # gives the bounds of one whole-table pass
     grid = default_theta_grid()
     fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
-    log_num, _ = _plugin_stream_numerators(stream)
+    log_num, _ = plugin_numerators(stream)
 
     def bounds(first_rows, band_rows, intersect):
         with _band_chunks(first_rows * grid.size, band_rows * (2 * adaptive._MARGIN + 1)):
@@ -709,7 +740,7 @@ def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, i
     grid = default_theta_grid(size, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
     if numerator == "plugin":
-        log_num, _ = _plugin_stream_numerators(stream)
+        log_num, _ = plugin_numerators(stream)
     else:
         log_num = _bayes_stream_numerators(stream, prior)
     first_rows, band_cells, family_cells = chunks
@@ -740,7 +771,7 @@ def _family_reads(stream, grid, alpha=0.05, first_rows=1, band_cells=1):
 
 
 def _table_fields(stream, grid, alpha=0.05):
-    return oracles.family_table_bounds(stream, _plugin_stream_numerators(stream)[0], grid, alpha)
+    return oracles.family_table_bounds(stream, plugin_numerators(stream)[0], grid, alpha)
 
 
 def test_band_reads_rows_that_keep_no_column_without_widening():
@@ -835,7 +866,7 @@ def test_confidence_sequence_hull_matches_bruteforce_inversion():
     grid = default_theta_grid(80, lo=0.05, hi=20.0)
     cs = confidence_sequence(stream_of(rows), alpha=0.1, grid=grid)
 
-    cum_num = np.cumsum(_plugin_stream_numerators(stream_of(rows))[0])
+    cum_num = np.cumsum(plugin_numerators(stream_of(rows))[0])
     i = len(rows) - 1
     rejected = np.array(
         [cum_num[i] - sum(log_q(float(t), row) for row in rows) >= math.log(1 / 0.1) for t in grid]
@@ -859,6 +890,9 @@ def test_confidence_sequence_bayes_numerator_runs():
 def test_confidence_sequence_rejects_bad_grid():
     with pytest.raises(ValueError):
         confidence_sequence(stream_of([]), grid=np.array([2.0, 1.0]))
+    for n, lo, hi in ((1, 0.1, 10.0), (10, 10.0, 0.1), (10, 1e-9, 10.0)):
+        with pytest.raises(ValueError, match="bad grid request"):
+            default_theta_grid(n, lo, hi)
     # hazard ratios outside [THETA_LOWER, THETA_UPPER], zero among them
     for bad in ([0.0, 1.0, 2.0], [1e-20, 1.0, 1e20], [0.5, 1.0, 1e9], [1e-9, 1.0]):
         with pytest.raises(ValueError, match="hazard ratio"):
@@ -867,3 +901,8 @@ def test_confidence_sequence_rejects_bad_grid():
     assert edges.grid[0] == 1e-8 and edges.grid[-1] == 1e8
     with pytest.raises(ValueError):
         confidence_sequence(stream_of([]), alpha=1.5)
+
+
+def test_confidence_sequence_refuses_an_unknown_numerator():
+    with pytest.raises(ValueError, match="unknown numerator strategy 'nonsense'"):
+        confidence_sequence(stream_of([(5, 5, 1, 1)]), numerator="nonsense")

@@ -262,6 +262,8 @@ def test_dataset_from_stream_rejects_inconsistent_stream():
         dataset_from_stream(bad)
     with pytest.raises(ValueError):
         dataset_from_stream(stream_of([]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        dataset_from_stream(stream_of([(2, 2, 1, 1), (1, 2, 1, 1)], times=[1.0, 1.0]))
 
 
 def test_group_sizes():

@@ -267,6 +267,21 @@ def test_boundary_defaults_and_validation():
         fixed_sample_boundary(0.05, "both")  # a side the boundaries do not have
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schoenfeld_mu(0.7, 0, 5),
+        lambda: log_gaussian_evalue(0, 1.0, MU1_07),
+        lambda: log_gaussian_evalue(np.array([1, 0]), np.array([0.5, 0.5]), MU1_07),
+        lambda: gaussian_safe_boundary(np.array([0, 1]), 0.7, 0.05),
+    ],
+    ids=["no-group", "no-events", "no-events-in-array", "boundary-at-0"],
+)
+def test_gaussian_summaries_refuse_empty_groups_and_no_events(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
 def test_boundary_shapes():
     # Left-sided boundaries stay negative and are strictest for tiny n.  The
     # OBF boundary rises monotonically to -1.96 at the horizon; the safe

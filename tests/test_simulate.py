@@ -683,6 +683,16 @@ def test_the_required_count_at_power_0_8_is_ceil():
     assert all(_required_count(0.8, n) == math.ceil(0.8 * n) for n in range(1, 10_001))
 
 
+def test_the_required_count_steps_up_where_the_product_rounds_down():
+    # just above 2/3, 3 * power rounds down to 2.0, whose ceil has too
+    # little power: 2 / 3 < power, so 3 of 3 must stop
+    from safelogrank.simulate import _required_count
+
+    power = math.nextafter(2 / 3, 1)
+    assert _required_count(power, 3) == 3
+    assert estimate_nmax(np.array([1.0, 2.0, 3.0]), power) == 3
+
+
 def test_design_table_sizes_to_the_least_count_with_the_power():
     # 100 replications at power 0.55: the 55th stopping time, 157, has
     # power 0.55; ceil(0.55 * 100) = 56 gave 159 at power 0.56.  The
@@ -706,6 +716,9 @@ def test_estimate_nmax_refuses_no_stopping_times_and_nan():
         estimate_nmax(np.array([]), 0.8)
     with pytest.raises(ValueError, match="NaN"):
         estimate_nmax([math.nan, 3.0], 0.5)
+    for power in (0.0, 1.0):
+        with pytest.raises(ValueError, match="power must be in"):
+            estimate_nmax([3.0], power)
 
 
 def test_summarize_stopping_truncates_at_horizon():
@@ -736,6 +749,8 @@ def test_schoenfeld_sample_size_frozen_values(theta1, n):
 def test_schoenfeld_sample_size_rejects_null_alternative():
     with pytest.raises(ValueError):
         schoenfeld_sample_size(1.0)
+    with pytest.raises(ValueError, match="alpha \\+ beta < 1"):
+        schoenfeld_sample_size(0.7, alpha=0.5, beta=0.6)
 
 
 def test_wald_expected_stopping_frozen_value():
@@ -1122,6 +1137,12 @@ def test_obf_comparator_limit_on_either_side_of_the_engine_cap(cap, obf_cap):
 def test_design_table_refuses_kinds_it_cannot_size(kind):
     with pytest.raises(ValueError, match=kind):
         design_table(0.7, 100, 100, replications=10, kinds=(kind,))
+
+
+def test_the_engine_refuses_a_kind_it_has_no_statistic_for():
+    scenario = SimScenario(m1=20, m0=20, theta=0.7, design=DesignSpec(theta1=0.7), replications=2)
+    with pytest.raises(ValueError, match="unsupported test kind 'nonsense'"):
+        _stopping_times(scenario, ("nonsense",), cap=10)
 
 
 def test_design_table_structure():
