@@ -35,11 +35,11 @@ Two strategies are provided:
   predictive increments telescopes exactly to the (discretized) Bayes
   factor, which the tests exploit.
 
-Each strategy's log numerators come from one function, read by its trace,
-by ``confidence_sequence`` and by the simulation engine: the plug-in's are
-``log_kernel`` at the estimates (``_plugin_log_numerators`` scores the null
-in the same call), and ``_bayes_log_numerators`` carries the log
-posteriors of rows of streams, applied to one stream by
+Each strategy's log numerators come from one function, read by its trace
+and by ``confidence_sequence``: the plug-in's are ``log_kernel`` at the
+estimates (``_plugin_log_numerators`` scores the null in the same call, and
+the simulation engine reads it too), and ``_bayes_log_numerators`` carries
+the log posteriors of rows of streams, applied to one stream by
 ``_bayes_stream_numerators``.
 
 Inverting a family of such e-processes over a grid of null hazard ratios
@@ -475,7 +475,11 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
 
 
 def _stream_betas(stream: EventStream, m1: int | None = None, m0: int | None = None) -> np.ndarray:
-    """``log(theta_hat)`` on the first i event times, i = 0..n, by one call on a one-row fit."""
+    """``log(theta_hat)`` on the first i event times, i = 0..n, by one call
+    on a one-row fit; the virtual events take the first batch's risk set
+    unless ``m1`` and ``m0`` are given, which a stream with no events needs."""
+    if not stream.o.size and (m1 is None or m0 is None):
+        raise ValueError("a stream with no events needs m1 and m0, its initial risk set")
     m1, m0 = int(stream.y1[0]) if m1 is None else m1, int(stream.y0[0]) if m0 is None else m0
     return _plugin_betas(_PluginFit(1, m1, m0, stream.o.size), np.zeros(1, dtype=np.int64), stream[None])[0]
 
@@ -588,14 +592,12 @@ def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _bayes_log_numerators(
     block: EventStream, log_grid: np.ndarray, log_post: np.ndarray, norm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Log predictive of each event time of the streams ``block`` (``(rows,
-    L)`` columns) on the nodes ``log_grid`` (``(1, G)``), going on from each
-    row's unnormalized log posterior ``log_post`` (``(rows, G)``) and its
-    log-sum-exp ``norm`` (``(rows,)``); returns them with the log posteriors
-    after the block and their log-sum-exps, so a stream read in parts gets
-    the bits of one pass.  An empty batch (``o = 0``) leaves the posterior
-    as it is, and its log predictive is exactly 0.
+    L)`` columns) on the nodes ``log_grid`` (``(1, G)``), from each row's
+    unnormalized log posterior ``log_post`` (``(rows, G)``) before the block
+    and its log-sum-exp ``norm`` (``(rows,)``).  An empty batch (``o = 0``)
+    leaves the posterior as it is, and its log predictive is exactly 0.
 
     With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
     the log posterior before event time i is ``log_post + sum_{k<i} K[k]``
@@ -631,12 +633,12 @@ def _bayes_log_numerators(
             "posterior predictive underflowed to zero; the prior grid puts "
             "no usable mass near the data"
         )
-    return log_num, log_post, norm
+    return log_num
 
 
 def _bayes_stream_numerators(stream: EventStream, prior: PriorSpec) -> np.ndarray:
     """``_bayes_log_numerators`` of one stream, from the log prior."""
-    return _bayes_log_numerators(stream[None], np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0][0]
+    return _bayes_log_numerators(stream[None], np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0]
 
 
 def bayes_log_trace(stream: EventStream, prior: PriorSpec, theta0: float = 1.0) -> np.ndarray:

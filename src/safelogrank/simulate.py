@@ -41,17 +41,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from dataclasses import dataclass
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .adaptive import _BLOCK as _SPAN, _ORDER, PriorSpec, _PluginFit, _plugin_betas
-from .adaptive import _bayes_log_numerators, _bayes_prior, _plugin_log_numerators
-from .core import EventStream, _exact_log_evalue, _exact_steps, log_kernel, validate_theta
+from .adaptive import _BLOCK as _SPAN, _ORDER, _PluginFit, _plugin_betas, _plugin_log_numerators
+from .core import EventStream, _exact_log_evalue, _exact_steps, validate_theta
 from .gaussian import (
     _check_alpha,
-    fixed_sample_boundary,
     _gaussian_log_evidence,
     _z_of_sums,
     logrank_increments,
@@ -74,7 +72,7 @@ __all__ = [
     "DesignRow",
 ]
 
-TestKind = Literal["exact", "gaussian", "plugin", "bayes", "obf", "fixed"]
+TestKind = Literal["exact", "gaussian", "plugin"]
 
 
 class UnattainablePowerError(RuntimeError):
@@ -94,11 +92,10 @@ class DesignSpec:
     """What test is monitored and at what error rates.
 
     ``theta1`` is the design alternative (the minimal clinically relevant
-    hazard ratio for two-sided tests); learning tests (``plugin``/``bayes``)
-    ignore it for their numerator but keep it for reference sample sizes.
-    ``n_max`` is the planning horizon required by ``obf`` and ``fixed``.
-    ``two_sided`` (``exact``), ``prior`` (``bayes``) and ``n_max`` are
-    refused with any other kind, which would ignore them.
+    hazard ratio for two-sided tests); the learning ``plugin`` test ignores
+    it for its numerator but keeps it for reference sample sizes.
+    ``two_sided`` is refused with any kind but ``exact``, which would
+    ignore it.
     """
 
     theta1: float
@@ -107,8 +104,6 @@ class DesignSpec:
     theta0: float = 1.0
     test_kind: TestKind = "exact"
     two_sided: bool = False
-    n_max: int | None = None
-    prior: PriorSpec | None = None
 
     def __post_init__(self) -> None:
         validate_theta(self.theta1, "theta1")
@@ -118,15 +113,11 @@ class DesignSpec:
             raise ValueError(
                 f"power must be in (alpha, 1) so that alpha + beta < 1, got {self.power}"
             )
-        if self.test_kind not in ("exact", "gaussian", "plugin", "bayes", "obf", "fixed"):
+        if self.test_kind not in get_args(TestKind):
             raise ValueError(f"unknown test kind {self.test_kind!r}")
-        if self.test_kind in ("obf", "fixed") and self.n_max is None:
-            raise ValueError(f"{self.test_kind!r} design needs an n_max horizon")
-        given = {"two_sided": self.two_sided, "prior": self.prior is not None, "n_max": self.n_max is not None}
-        for name, kinds in (("two_sided", ("exact",)), ("prior", ("bayes",)), ("n_max", ("obf", "fixed"))):
-            if given[name] and self.test_kind not in kinds:
-                raise ValueError(f"{name} applies to {'/'.join(kinds)} designs, not {self.test_kind!r}")
-        if self.test_kind in ("exact", "gaussian", "obf") and self.theta1 == self.theta0:
+        if self.two_sided and self.test_kind != "exact":
+            raise ValueError(f"two_sided applies to exact designs, not {self.test_kind!r}")
+        if self.test_kind in ("exact", "gaussian") and self.theta1 == self.theta0:
             raise ValueError("theta1 must differ from theta0")
 
     @property
@@ -340,9 +331,9 @@ _BLOCK = 256
 # once, so the engine and the O'Brien-Fleming scan sample and score
 # _CELLS // 16 cells at a time.  A replication carries up to _BLOCK cells
 # from prefix to prefix (its key, counts, risk set and running sums take a
-# few), and a plug-in or Bayes fit or a tied stream up to limit + 2 + _SPAN
-# cells more, limit the furthest any test reads, so the engine takes _CELLS
-# cells' worth of replications at a time.
+# few), and a plug-in fit or a tied stream up to limit + 2 + _SPAN cells
+# more, limit the furthest any test reads, so the engine takes _CELLS cells'
+# worth of replications at a time.
 _CELLS = 1 << 20
 
 
@@ -486,43 +477,37 @@ class _Running:
 
     ``read(rows, block, n, taus)`` scores the new events ``block`` (``(rows,
     L)`` columns from ``_Streams.take``, ``n`` the cumulative event count at
-    each) of rows ``rows`` up to the test's event ``limit``, the cap or an
-    ``obf`` test's horizon ``n_max``, carries their statistics past them, and
-    sets ``taus`` at each row's first crossing (``crossings``), which is never
-    in its padding, where the row's last statistic repeats.  A crossing past
-    the limit does not count, and a row settles once its event count reaches
-    the limit.  Every kind scores the rows of a block together, with the
-    step functions that ``analyze`` reads too.  The exact log e-values
-    (``core._exact_steps``, one ``log_kernel`` call over every cell, read by
-    ``core._exact_log_evalue``) and the logrank score and variance are
-    running sums (``_carried``); a gaussian row has no evidence until its Z
-    is defined (``gaussian._gaussian_log_evidence``), padding at n = 0
-    included.  The plug-in carries one ``_PluginFit`` of every row and the
-    log e-values, scored by ``adaptive._plugin_log_numerators``
-    (``_plugin_crossings``); Bayes carries each row's log posterior, its
-    log-sum-exp and the log e-value, its log numerators from
-    ``adaptive._bayes_log_numerators``.  A ``fixed`` row is settled once its one look has passed without a
-    crossing.  No later event can cross on a settled row, so the engine reads
-    it no further, and its stopping time stays infinite.
+    each) of rows ``rows`` up to the test's event ``limit``, carries their
+    statistics past them, and sets ``taus`` at each row's first crossing
+    (``crossings``), which is never in its padding, where the row's last
+    statistic repeats.  A crossing past the limit does not count, and a row
+    settles once its event count reaches the limit: no later event can
+    cross on it, so the engine reads it no further, and its stopping time
+    stays infinite.  The ``exact``, ``gaussian`` and ``plugin`` kinds are
+    the designs a table sizes; ``obf``, the O'Brien-Fleming comparator that
+    ``design_table`` scores with them, takes its horizon as its limit and
+    crosses the boundary of that horizon.  Every kind scores the rows of a
+    block together, with the step functions that ``analyze`` reads too.
+    The exact log e-values (``core._exact_steps``, one ``log_kernel`` call
+    over every cell, read by ``core._exact_log_evalue``) and the logrank
+    score and variance are running sums (``_carried``); a gaussian row has
+    no evidence until its Z is defined (``gaussian._gaussian_log_evidence``),
+    padding at n = 0 included.  The plug-in carries one ``_PluginFit`` of
+    every row and the log e-values, scored by
+    ``adaptive._plugin_log_numerators`` (``_plugin_crossings``).
     """
 
     def __init__(self, scenario: SimScenario, kind: str, size: int, limit: int):
         design = scenario.design
-        self.kind, self.scenario = kind, scenario
-        self.limit = min(limit, design.n_max) if kind == "obf" else limit  # or the horizon, if sooner
+        self.kind, self.scenario, self.limit = kind, scenario, limit
         self.settled = np.zeros(size, dtype=bool)  # rows no later event can cross
         if kind == "exact":
             self.sums = np.zeros((size, 2 if design.two_sided else 1))  # each alternative's
-        elif kind in ("gaussian", "obf", "fixed"):
+        elif kind in ("gaussian", "obf"):
             self.sums = np.zeros((2, size))  # logrank score and variance
         elif kind == "plugin":
             self.log_m = np.zeros(size)
             self.fit = _PluginFit(size, scenario.m1, scenario.m0, limit)
-        elif kind == "bayes":
-            self.log_m = np.zeros(size)
-            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            self.log_grid = np.log(prior.thetas)[None, :]
-            self.log_post, self.norm = (np.repeat(a, size, axis=0) for a in _bayes_prior(prior))
         else:
             raise ValueError(f"unsupported test kind {kind!r}")
 
@@ -542,27 +527,15 @@ class _Running:
         if self.kind == "exact":
             steps = _exact_steps(block, design.theta1, design.theta0, design.two_sided)
             hit = _exact_log_evalue(_carried(np.add, self.sums, rows, steps)) >= design.log_threshold
-        elif self.kind in ("gaussian", "obf", "fixed"):
+        elif self.kind == "plugin":
+            return _plugin_crossings(self.fit, self.log_m, rows, block, design)
+        else:
             z = _running_z(block, self.sums, rows)
             if self.kind == "gaussian":
                 mu1 = schoenfeld_mu(design.theta1, self.scenario.m1, self.scenario.m0)
                 hit = _gaussian_log_evidence(n, z, mu1) >= design.log_threshold
-            elif self.kind == "obf":
-                hit = _obf_reaches(_obf_scaled(z, n, design), design, design.n_max)
-            else:  # fixed: one look, at the first event time reaching the horizon
-                look = ~np.isnan(z) & (n >= design.n_max)
-                first_look = look & (np.cumsum(look, axis=1) == 1) & ~self.settled[rows, None]
-                self.settled[rows] |= look.any(axis=1)
-                bound = fixed_sample_boundary(design.alpha, design.side)
-                hit = first_look & ((z <= bound) if design.side == "left" else (z >= bound))
-        elif self.kind == "plugin":
-            return _plugin_crossings(self.fit, self.log_m, rows, block, design)
-        else:
-            log_num, self.log_post[rows], self.norm[rows] = _bayes_log_numerators(
-                block, self.log_grid, self.log_post[rows], self.norm[rows]
-            )
-            steps = log_num - log_kernel(block, math.log(design.theta0))
-            hit = _carried(np.add, self.log_m, rows, steps) >= design.log_threshold
+            else:
+                hit = _obf_reaches(_obf_scaled(z, n, design), design, self.limit)
         return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
     def open(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -610,10 +583,11 @@ def _stopping_times(
     the same streams.
 
     Each kind reads up to the cap, or to the event limit ``kinds`` maps it
-    to, which may lie past the cap (``_Running.read``).  Replications run
-    in chunks of ``_CELLS // (_BLOCK + history)``, the history being
-    ``limit + 2 + _SPAN`` cells (``limit`` the furthest) for plug-in and
-    Bayes designs and tied streams and 0 otherwise, over growing prefixes:
+    to, which may lie past the cap (``_Running.read``): ``design_table``
+    maps ``obf`` to the O'Brien-Fleming horizon.  Replications run in
+    chunks of ``_CELLS // (_BLOCK + history)``, the history being ``limit +
+    2 + _SPAN`` cells (``limit`` the furthest) for plug-in designs and tied
+    streams and 0 otherwise, over growing prefixes:
     the first ``_BLOCK`` events of the replications still running, then
     twice as many, and so on up to the limit.  Each prefix goes on from
     where the one before ended: ``_Streams`` draws only the new events of
@@ -642,7 +616,7 @@ def _stopping_times(
     end = max([limit, *limits.values()])
     need = math.inf if power is None else _required_count(power, reps)
     taus = {k: np.full(reps, np.inf) for k in limits}
-    history = scenario.tie_h0 is not None or not {"plugin", "bayes"}.isdisjoint(limits)
+    history = scenario.tie_h0 is not None or "plugin" in limits
     chunk = max(1, _CELLS // (_BLOCK + (end + 2 + _SPAN if history else 0)))
     for lo in range(0, reps if limits else 0, chunk):
         streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), end)
@@ -751,6 +725,8 @@ def _obf_horizon(scenario: SimScenario, cap: int) -> int:
     if scenario.tie_h0 is not None:
         raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
     design = scenario.design
+    if design.theta1 == design.theta0:  # the boundary needs a side
+        raise ValueError("theta1 must differ from theta0")
     limit = _event_limit(scenario, cap)
     reps = scenario.replications
     need = _required_count(design.power, reps)
@@ -851,7 +827,7 @@ def design_table(
     O'Brien-Fleming comparator needs single-event streams.
     """
     for kind in kinds:
-        if kind not in ("exact", "gaussian", "plugin"):
+        if kind not in get_args(TestKind):
             raise ValueError(f"design sizes exact, gaussian and plugin tests, not {kind!r}")
     if include_obf and tie_h0 is not None:
         raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
@@ -873,12 +849,10 @@ def design_table(
     tests = dict.fromkeys(kinds, _event_limit(scenario, cap))  # each kind's event limit
     rows, failed, obf_failed = [], [], []
     if include_obf:
-        try:
+        try:  # scored to its horizon, past the cap if need be
             tests["obf"] = _obf_horizon(scenario, obf_cap if obf_cap is not None else (cap or m1 + m0))
         except UnattainablePowerError as err:
             obf_failed.append(("obrien-fleming", err))
-        else:  # scored to its horizon, past the cap if need be; the other kinds keep theta1 and alpha
-            scenario = replace(scenario, design=replace(design, test_kind="obf", n_max=tests["obf"]))
     for kind, taus in _stopping_times(scenario, tests, cap, power).items():
         name = "obrien-fleming" if kind == "obf" else kind
         try:

@@ -660,34 +660,26 @@ def sample_single_event_stream_loop(m1: int, m0: int, theta: float, rng, max_eve
     return stream_of(rows)
 
 
-def stopping_time(stream, design) -> float:
+def stopping_time(stream, design, horizon=None) -> float:
     """First cumulative event count at which the design's statistic crosses
     its threshold, walking one explicit stream event time by event time
     (the likelihood traces come whole from the package's trace functions,
     the plug-in one from ``exact_plugin_log_trace``); ``inf`` if it never
-    does."""
+    does.  With ``horizon``, the statistic is Z against the O'Brien-Fleming
+    boundary of that horizon, on the side of the design's alternative."""
     import numpy as np
 
-    from safelogrank.adaptive import PriorSpec, bayes_log_trace
     from safelogrank.core import log_evalue_trace
-    from safelogrank.gaussian import (
-        fixed_sample_boundary,
-        log_gaussian_evalue,
-        obf_boundary,
-        schoenfeld_mu,
-    )
+    from safelogrank.gaussian import log_gaussian_evalue, obf_boundary, schoenfeld_mu
 
     rows = rows_of(stream)
     n_events = np.cumsum(stream.o)
-    kind = design.test_kind
-    if kind in ("exact", "plugin", "bayes"):
+    kind = design.test_kind if horizon is None else "obf"
+    if kind in ("exact", "plugin"):
         if kind == "exact":
             trace = log_evalue_trace(stream, design.theta1, design.theta0, design.two_sided)
-        elif kind == "plugin":
-            trace = exact_plugin_log_trace(stream, theta0=design.theta0)
         else:
-            prior = design.prior or PriorSpec.lognormal(math.log(design.theta1))
-            trace = bayes_log_trace(stream, prior, theta0=design.theta0)
+            trace = exact_plugin_log_trace(stream, theta0=design.theta0)
         hits = np.flatnonzero(trace >= design.log_threshold)
         return float(n_events[hits[0]]) if hits.size else math.inf
 
@@ -709,26 +701,21 @@ def stopping_time(stream, design) -> float:
         if kind == "gaussian":
             if log_gaussian_evalue(int(n), z, mu1) >= design.log_threshold:
                 return float(n)
-        elif kind == "obf":
-            if n > design.n_max:
-                return math.inf
-            bound = obf_boundary(int(n), design.n_max, design.alpha, design.side)
+        elif n > horizon:
+            return math.inf
+        else:
+            bound = obf_boundary(int(n), horizon, design.alpha, design.side)
             if (z <= bound) if design.side == "left" else (z >= bound):
                 return float(n)
-        else:  # fixed: one look at the horizon
-            if n >= design.n_max:
-                bound = fixed_sample_boundary(design.alpha, design.side)
-                crossed = z <= bound if design.side == "left" else z >= bound
-                return float(n) if crossed else math.inf
     return math.inf
 
 
-def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
+def stopping_times_per_stream(scenario, cap=None, tied_sampler=None, horizon=None):
     """Stopping times of a scenario, one replication at a time through
-    ``stopping_time``: single-event streams from
-    ``sample_single_event_stream_loop``, tied streams from ``tied_sampler``
-    (default: the package's), both truncated after ``cap`` cumulative
-    events when it is given."""
+    ``stopping_time`` (at the O'Brien-Fleming ``horizon`` when it is
+    given): single-event streams from ``sample_single_event_stream_loop``,
+    tied streams from ``tied_sampler`` (default: the package's), both
+    truncated after ``cap`` cumulative events when it is given."""
     import numpy as np
 
     from safelogrank.core import EventStream
@@ -747,7 +734,7 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None):
             if cap is not None:
                 keep = np.cumsum(stream.o) <= cap
                 stream = EventStream(*(c[keep] for c in (stream.times, stream.y1, stream.y0, stream.o, stream.o1)))
-        taus[r] = stopping_time(stream, scenario.design)
+        taus[r] = stopping_time(stream, scenario.design, horizon)
     return taus
 
 

@@ -368,7 +368,7 @@ def test_13_exact_null_expectation_and_level_by_path_enumeration():
     null = log_kernel(paths, 0.0)
     betas = _plugin_betas(_PluginFit(size, m, m, n), np.arange(size), paths)
     prior = PriorSpec.lognormal(math.log(theta1), n=41)
-    log_num, _, _ = _bayes_log_numerators(
+    log_num = _bayes_log_numerators(
         paths, np.log(prior.thetas)[None, :], *(np.repeat(a, size, axis=0) for a in _bayes_prior(prior))
     )
     left, right = (np.cumsum(log_kernel(paths, math.log(t)) - null, axis=1) for t in (theta1, 1 / theta1))
@@ -395,3 +395,24 @@ def test_13_exact_null_expectation_and_level_by_path_enumeration():
             f"max_n |E[M_n] - 1| = {drift:.1e}, P(sup M >= 1/alpha) = {level:.5f}, "
             f"rows vs one-row traces {apart:.1e}",
         )
+
+
+def test_14_optional_continuation_gives_power_one():
+    """The exact test sized at power 0.8 (n_max 277 events at seed 11) and
+    continued past n_max: by 4 x n_max at least 0.99 of 10^3 streams under
+    the alternative reject, while under the null the crossing fraction over
+    the same horizon respects alpha=0.05 up to binomial noise."""
+    table = design_table(0.7, 2000, 2000, replications=1000, seed=11)
+    cap = 4 * table["rows"][0].n_max
+    rates = {}
+    for theta in (0.7, 1.0):
+        scenario = SimScenario(
+            m1=2000, m0=2000, theta=theta, design=DesignSpec(theta1=0.7), replications=1000, seed=11
+        )
+        rates[theta] = float(np.isfinite(simulate_stopping_times(scenario, cap=cap)).mean())
+    limit = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 1000.0)
+    _verdict(
+        "power one by optional continuation",
+        rates[0.7] >= 0.99 and rates[1.0] <= limit,
+        f"cap {cap}: power {rates[0.7]:.3f} >= 0.99, null rejection {rates[1.0]:.4f} <= {limit:.4f}",
+    )

@@ -96,6 +96,16 @@ def test_plugin_initial_estimate_is_one_when_balanced():
         assert plugin_estimates(stream_of([]), m, m)[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_plugin_estimates_of_no_events_need_the_initial_risk_set():
+    # the virtual events are anchored at the first batch's risk set unless
+    # m1 and m0 are given; with no batch that read was an IndexError
+    with pytest.raises(ValueError, match="no events needs m1 and m0"):
+        plugin_estimates(stream_of([]))
+    with pytest.raises(ValueError, match="no events needs m1 and m0"):
+        plugin_estimates(stream_of([]), m1=12)
+    assert plugin_estimates(stream_of([]), 12, 12).tolist() == [1.0]
+
+
 def test_plugin_initial_estimate_unbalanced_is_finite_interior():
     th = plugin_estimates(stream_of([]), 30, 10)[0]
     assert 1e-8 < th < 1e8

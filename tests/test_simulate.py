@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safelogrank.adaptive import PriorSpec
+import safelogrank.simulate as simulate
 from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
@@ -54,6 +54,21 @@ def columns(stream):
 
 def rows(stream):
     return list(zip(*columns(stream)[1:]))
+
+
+def design_of(kind, **kw):
+    """A ``DesignSpec`` of test ``kind``; for ``obf``, the exact design whose
+    alternative and level the O'Brien-Fleming comparator reads."""
+    return DesignSpec(test_kind="exact" if kind == "obf" else kind, **kw)
+
+
+def engine(scenario, horizon=None, cap=None):
+    """The engine's stopping times of the scenario's design or, with
+    ``horizon``, of the O'Brien-Fleming comparator at that horizon, the
+    kind's event limit, as ``design_table`` scores it."""
+    if horizon is None:
+        return simulate_stopping_times(scenario, cap)
+    return _stopping_times(scenario, {"obf": horizon}, cap)["obf"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +117,6 @@ def test_stream_keys_equal_numpys_seed_sequence(seed):
     # one vectorized hash gives every replication's Philox key bit for bit,
     # for seeds of one to three 32-bit words and replications of one word
     # and of two
-    import safelogrank.simulate as simulate
-
     reps = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 3]
     want = [np.random.SeedSequence((seed, r)).generate_state(2, np.uint64) for r in reps]
     assert np.array_equal(simulate._stream_keys(seed, reps), np.array(want))
@@ -115,8 +128,6 @@ def test_resumed_draws_equal_one_draw(size):
     # a row's stream resumed from its key and draw count, in blocks of any
     # size and with other rows read between its blocks, gives the draws of
     # one stream_rng draw
-    import safelogrank.simulate as simulate
-
     scenario = SimScenario(m1=10, m0=10, theta=0.7, design=DesignSpec(theta1=0.7), seed=9)
     streams = simulate._Streams(scenario, range(3), 20)
     want = [stream_rng(9, r).random(700) for r in range(3)]
@@ -131,7 +142,6 @@ def test_resumed_draws_equal_one_draw(size):
 def test_tied_streams_drawn_from_keys_equal_stream_rngs():
     # a tied stream draws its geometric event intervals from its row's
     # stream, set to the start whatever row the generator read before
-    import safelogrank.simulate as simulate
     from safelogrank.simulate import _tied_columns
 
     scenario = SimScenario(
@@ -262,19 +272,10 @@ def test_stopping_time_never_crossing_is_inf():
 
 def test_stopping_time_obf_ignores_events_past_horizon():
     stream = sample_single_event_stream(40, 40, 0.3, stream_rng(9, 1))
-    capped = DesignSpec(theta1=0.5, test_kind="obf", n_max=10)
-    wide = DesignSpec(theta1=0.5, test_kind="obf", n_max=80)
-    tau_capped = stopping_time(stream, capped)
+    tau_capped = stopping_time(stream, DesignSpec(theta1=0.5), horizon=10)
     assert tau_capped == math.inf or tau_capped <= 10
-    tau_wide = stopping_time(stream, wide)
+    tau_wide = stopping_time(stream, DesignSpec(theta1=0.5), horizon=80)
     assert tau_wide <= 80
-
-
-def test_stopping_time_fixed_decides_only_at_horizon():
-    stream = sample_single_event_stream(60, 60, 0.3, stream_rng(14, 0))
-    design = DesignSpec(theta1=0.5, test_kind="fixed", n_max=40)
-    tau = stopping_time(stream, design)
-    assert tau in (40.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +326,15 @@ def test_plugin_design_recentres_and_matches_per_stream(monkeypatch):
     assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=600))
 
 
-def small_chunks(monkeypatch, scenario, cap, kinds=None):
-    """Stopping times of ``scenario`` (by kind when ``kinds`` is given) with
+def small_chunks(monkeypatch, scenario, cap, kinds=None, horizon=None):
+    """Stopping times of ``scenario`` (by kind when ``kinds`` is given, of
+    the O'Brien-Fleming comparator at ``horizon`` when that is) with
     ``_CELLS`` shrunk to 3000 cells.  The engine then takes replications in
     several chunks for every kind (11 a chunk when no fit or tied stream is
     carried, 3 to 6 when one is) and reads a prefix of a chunk in several
     blocks (one replication a block for 94 new events or more, several for
     fewer), every block going on from the statistics its rows carried out
     of the prefix before; fails unless both happen."""
-    import safelogrank.simulate as simulate
-
     chunks, blocks = [], []
     streams = simulate._Streams
 
@@ -351,7 +351,7 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None):
         patch.setattr(simulate, "_CELLS", 3000)
         patch.setattr(simulate, "_Streams", Counting)
         if kinds is None:
-            taus = simulate_stopping_times(scenario, cap=cap)
+            taus = engine(scenario, horizon, cap)
         else:
             taus = _stopping_times(scenario, kinds, cap=cap)
     assert len(chunks) > 1
@@ -359,18 +359,15 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None):
     return taus
 
 
-@pytest.mark.parametrize("kind", ["fixed", "obf"])
+@pytest.mark.parametrize("kind", ["obf"])
 def test_settled_rows_are_read_no_further(kind, monkeypatch):
-    # at the null, a fixed row's one look at 300 events, and an O'Brien-
-    # Fleming row's horizon of 300, settle every row that has not crossed
-    # there: no later event can cross on it.  So the engine reads no row
-    # past the prefix of 512 events that holds them; read on to the cap,
-    # 194 fixed rows took 2,000 events each.  Their stopping times are
-    # those of a run that reads every open row to the cap.
-    import safelogrank.simulate as simulate
-
-    design = DesignSpec(theta1=0.7, test_kind=kind, n_max=300)
-    scenario = SimScenario(m1=1000, m0=1000, theta=1.0, design=design, replications=200, seed=1)
+    # at the null, an O'Brien-Fleming row's horizon of 300 settles every
+    # row that has not crossed there: no later event can cross on it.  So
+    # the engine reads no row past the prefix of 512 events that holds
+    # them; read on to the cap, 196 rows took 2,000 events each.  Their
+    # stopping times are those of a run that reads every open row to the
+    # cap.
+    scenario = SimScenario(m1=1000, m0=1000, theta=1.0, design=design_of(kind, theta1=0.7), replications=200, seed=1)
     reads, take = [], simulate._Streams.take
 
     def reading(self, rows, length):
@@ -378,12 +375,12 @@ def test_settled_rows_are_read_no_further(kind, monkeypatch):
         return take(self, rows, length)
 
     monkeypatch.setattr(simulate._Streams, "take", reading)
-    taus = simulate_stopping_times(scenario, cap=2000)
+    taus = engine(scenario, 300, cap=2000)
     assert max(length for _, length in reads) == 512
     reads.clear()
     monkeypatch.setattr(simulate._Running, "open", lambda self, rows, taus: np.isinf(taus[rows]))
-    assert np.array_equal(simulate_stopping_times(scenario, cap=2000), taus)
-    assert sum(rows for rows, length in reads if length == 2000) == (194 if kind == "fixed" else 196)
+    assert np.array_equal(engine(scenario, 300, cap=2000), taus)
+    assert sum(rows for rows, length in reads if length == 2000) == 196
 
 
 def test_engine_chunking_is_bit_identical(monkeypatch):
@@ -416,24 +413,20 @@ def test_engine_chunking_is_bit_identical(monkeypatch):
         assert np.array_equal(whole, small_chunks(monkeypatch, scenario, cap=120))
     # every kind on single-event and tied streams, over three prefixes
     for tie_h0 in (None, 0.01):
-        for kind, n_max in (
-            ("gaussian", None), ("plugin", None), ("bayes", None), ("obf", 400), ("fixed", 300)
-        ):
+        for kind, horizon in (("gaussian", None), ("plugin", None), ("obf", 400)):
             alone = SimScenario(
-                m1=300, m0=300, theta=0.75, design=DesignSpec(theta1=0.7, test_kind=kind, n_max=n_max),
+                m1=300, m0=300, theta=0.75, design=design_of(kind, theta1=0.7),
                 replications=15, seed=10, tie_h0=tie_h0,
             )
-            whole = simulate_stopping_times(alone, cap=cap)
+            whole = engine(alone, horizon, cap)
             assert np.isfinite(whole).any(), kind
-            assert np.array_equal(whole, small_chunks(monkeypatch, alone, cap=cap)), (kind, tie_h0)
+            assert np.array_equal(whole, small_chunks(monkeypatch, alone, cap, horizon=horizon)), (kind, tie_h0)
 
 
 def test_plugin_rows_split_over_solver_calls_keep_their_stopping_times(monkeypatch):
     # with the chunks shrunk, the rows that one call of the plug-in solver
     # takes at a position are taken by several calls, a row at a time, each
     # over the same spans; no stopping time moves
-    import safelogrank.simulate as simulate
-
     calls = {}
     solve = simulate._plugin_betas
 
@@ -486,40 +479,26 @@ def test_kinds_scored_together_keep_their_own_stopping_times(monkeypatch):
         assert np.array_equal(together[kind], chunked[kind]), kind
 
 
-def test_tied_bayes_crossings_straddle_a_prefix():
-    design = DesignSpec(theta1=0.7, test_kind="bayes")
-    scenario = SimScenario(
-        m1=300, m0=300, theta=0.6, design=design, replications=20, seed=3, tie_h0=0.02
-    )
-    fast = simulate_stopping_times(scenario)
-    assert (fast <= _BLOCK).any() and (np.isfinite(fast) & (fast > _BLOCK)).any()
-    assert np.array_equal(fast, stopping_times_per_stream(scenario))
-
-
-@pytest.mark.parametrize("kind,tie_h0", [("plugin", 0.02), ("bayes", 0.02), ("bayes", None)])
+@pytest.mark.parametrize("kind,tie_h0", [("plugin", 0.02)])
 def test_open_rows_of_a_block_share_each_solver_call(kind, tie_h0, monkeypatch):
     # tied rows stand at different batch counts and end in empty batches,
     # yet the open rows of a block share one _plugin_betas call a span (a
-    # span holds at least _SPAN // 4 batches) or one _bayes_log_numerators
-    # call; scoring a row at a time made a call per row and span
-    import safelogrank.simulate as simulate
-
+    # span holds at least _SPAN // 4 batches); scoring a row at a time made
+    # a call per row and span
     log = []
-    name = "_plugin_betas" if kind == "plugin" else "_bayes_log_numerators"
-    solve = getattr(simulate, name)
+    solve = simulate._plugin_betas
     take = simulate._Streams.take
 
-    def counting(*args):
-        rows = args[1] if kind == "plugin" else args[0].o
+    def counting(fit, rows, *columns):
         log[-1].append(len(rows))
-        return solve(*args)
+        return solve(fit, rows, *columns)
 
     def reading(self, rows, length):
         block, n = take(self, rows, length)
         log.append([int(np.count_nonzero(block.o, axis=1).max(initial=0))])
         return block, n
 
-    monkeypatch.setattr(simulate, name, counting)
+    monkeypatch.setattr(simulate, "_plugin_betas", counting)
     monkeypatch.setattr(simulate._Streams, "take", reading)
     design = DesignSpec(theta1=0.7, test_kind=kind)
     scenario = SimScenario(
@@ -528,26 +507,22 @@ def test_open_rows_of_a_block_share_each_solver_call(kind, tie_h0, monkeypatch):
     taus = simulate_stopping_times(scenario)
     assert np.isfinite(taus).any() and len(log) > 1
     for width, *calls in log:
-        assert len(calls) <= (-(-width // (simulate._SPAN // 4)) if kind == "plugin" else 1)
+        assert len(calls) <= -(-width // (simulate._SPAN // 4))
     assert max(max(calls, default=0) for _, *calls in log) > 1
 
 
 @pytest.mark.parametrize("tie_h0", [None, 0.02])
 @pytest.mark.parametrize(
-    "kind,n_max", [("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None),
-                   ("obf", 400), ("fixed", 300)],
+    "kind,horizon", [("exact", None), ("gaussian", None), ("plugin", None), ("obf", 400)],
 )
-def test_growing_prefixes_match_one_block_at_the_full_cap(kind, n_max, tie_h0, monkeypatch):
+def test_growing_prefixes_match_one_block_at_the_full_cap(kind, horizon, tie_h0, monkeypatch):
     # scoring every replication's whole stream in one block gives the same
     # stopping times as the engine's growing prefixes, each going on from
     # the statistics the one before carried, at cap = m1 + m0
-    import safelogrank.simulate as simulate
-
-    design = DesignSpec(theta1=0.7, test_kind=kind, n_max=n_max)
     scenario = SimScenario(
-        m1=300, m0=300, theta=0.75, design=design, replications=16, seed=2, tie_h0=tie_h0
+        m1=300, m0=300, theta=0.75, design=design_of(kind, theta1=0.7), replications=16, seed=2, tie_h0=tie_h0
     )
-    fast = simulate_stopping_times(scenario, cap=600)
+    fast = engine(scenario, horizon, cap=600)
     blocks = []
     take = simulate._Streams.take
 
@@ -558,7 +533,7 @@ def test_growing_prefixes_match_one_block_at_the_full_cap(kind, n_max, tie_h0, m
     with monkeypatch.context() as patch:
         patch.setattr(simulate, "_BLOCK", 600)  # the first prefix is the whole stream
         patch.setattr(simulate._Streams, "take", counting)
-        whole = simulate_stopping_times(scenario, cap=600)
+        whole = engine(scenario, horizon, cap=600)
     assert blocks == [(16, 600)]
     assert np.isfinite(fast).any() and (fast[np.isfinite(fast)] > _BLOCK).any()
     assert np.array_equal(fast, whole)
@@ -579,25 +554,23 @@ def test_two_sided_engine_matches_oracle_walk(seed, theta1, theta):
 
 @pytest.mark.parametrize("tie_h0", [None, 0.03])
 @pytest.mark.parametrize(
-    "kind,two_sided,n_max",
+    "kind,two_sided,horizon",
     [
         ("exact", False, None),
         ("exact", True, None),
         ("gaussian", False, None),
         ("plugin", False, None),
-        ("bayes", False, None),
         ("obf", False, 70),
-        ("fixed", False, 50),
     ],
 )
-def test_engine_matches_oracle_walk_for_every_design(kind, two_sided, n_max, tie_h0):
-    design = DesignSpec(theta1=0.6, test_kind=kind, two_sided=two_sided, n_max=n_max)
+def test_engine_matches_oracle_walk_for_every_design(kind, two_sided, horizon, tie_h0):
     scenario = SimScenario(
-        m1=60, m0=70, theta=0.5, design=design, replications=25, seed=13, tie_h0=tie_h0
+        m1=60, m0=70, theta=0.5, design=design_of(kind, theta1=0.6, two_sided=two_sided),
+        replications=25, seed=13, tie_h0=tie_h0,
     )
-    fast = simulate_stopping_times(scenario)
+    fast = engine(scenario, horizon)
     assert 0 < np.isfinite(fast).sum() < fast.size
-    assert np.array_equal(fast, stopping_times_per_stream(scenario))
+    assert np.array_equal(fast, stopping_times_per_stream(scenario, horizon=horizon))
 
 
 def test_tied_streams_honor_cap():
@@ -612,21 +585,20 @@ def test_tied_streams_honor_cap():
     assert np.array_equal(capped, stopping_times_per_stream(scenario, cap=60))
 
 
-@pytest.mark.parametrize("kind,n_max", [
-    ("exact", None), ("gaussian", None), ("plugin", None), ("bayes", None), ("obf", 4), ("fixed", 3),
-])
+@pytest.mark.parametrize("kind,horizon", [("exact", None), ("gaussian", None), ("plugin", None), ("obf", 4)])
 @pytest.mark.parametrize("m,h0,cap", [(300, 0.5, 5), (20, 0.1, 4)])
-def test_engine_on_streams_that_end_before_their_first_batch(kind, n_max, m, h0, cap):
+def test_engine_on_streams_that_end_before_their_first_batch(kind, horizon, m, h0, cap):
     # a tied stream whose first batch exceeds the cap has no batch within
     # it: at 300+300 every stream, at 20+20 only some
-    design = DesignSpec(theta1=0.6, test_kind=kind, n_max=n_max)
-    scenario = SimScenario(m1=m, m0=m, theta=0.5, design=design, replications=30, seed=5, tie_h0=h0)
+    scenario = SimScenario(
+        m1=m, m0=m, theta=0.5, design=design_of(kind, theta1=0.6), replications=30, seed=5, tie_h0=h0
+    )
     first = [sample_tied_stream(m, m, 0.5, h0, stream_rng(5, r)).o[0] for r in range(30)]
     empty = np.greater(first, cap)
     assert empty.all() if m == 300 else 0 < empty.sum() < empty.size
-    fast = simulate_stopping_times(scenario, cap=cap)
+    fast = engine(scenario, horizon, cap)
     assert np.isinf(fast[empty]).all()
-    assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=cap))
+    assert np.array_equal(fast, stopping_times_per_stream(scenario, cap=cap, horizon=horizon))
 
 
 def test_engine_rerun_is_deterministic():
@@ -801,13 +773,11 @@ def test_obf_stopping_times_manual_paths():
 def estimate_obf_nmax(scenario: SimScenario, cap: int) -> tuple[int, np.ndarray]:
     """Smallest O'Brien-Fleming horizon within ``cap`` events reaching the
     design's power (``_obf_horizon``), and each replication's stopping
-    time at that horizon: the engine's ``obf`` kind at ``n_max = h``, by the
-    same crossing rule, so the stopping times it gives have the power that
-    chose ``h``."""
-    # the scenario's alternative and rates as an O'Brien-Fleming design: refuses one with no side
-    obf = replace(scenario.design, test_kind="obf", n_max=cap, two_sided=False, prior=None)
+    time at that horizon: the engine's ``obf`` kind with ``h`` as its event
+    limit, by the same crossing rule, so the stopping times it gives have
+    the power that chose ``h``."""
     h = _obf_horizon(scenario, cap)
-    return h, simulate_stopping_times(replace(scenario, design=replace(obf, n_max=h)), h)
+    return h, engine(scenario, h, cap=h)
 
 
 def test_estimate_obf_nmax_matches_its_own_paths():
@@ -883,8 +853,8 @@ def test_estimate_obf_nmax_refuses_tied_streams():
 
 def test_estimate_obf_nmax_refuses_a_design_with_no_side():
     # the boundary needs theta1 on one side of theta0; a plug-in design may
-    # set theta1 = theta0, and is refused before the scan, by the engine's
-    # own O'Brien-Fleming design check
+    # set theta1 = theta0, and the horizon scan refuses it before it reads
+    # a stream
     design = DesignSpec(theta1=1.0, test_kind="plugin")
     scenario = SimScenario(m1=100, m0=100, theta=0.5, design=design, replications=10)
     with pytest.raises(ValueError, match="theta1 must differ"):
@@ -1002,8 +972,6 @@ def test_design_table_derives_each_key_once_a_pass(include_obf, tie_h0, monkeypa
     # comparator with the other kinds: two keys a replication.
     import collections
 
-    import safelogrank.simulate as simulate
-
     keys, derivations, lengths, instances = collections.Counter(), [], set(), []
     derive = simulate._stream_keys
 
@@ -1043,8 +1011,6 @@ def _tables_with_and_without_settling(monkeypatch, **kw):
     is known, and with the engine run to the cap on every row; with, for
     each of the two runs, the cells that each ``_Streams`` (a chunk of
     replications, or the O'Brien-Fleming scan) read at each prefix length."""
-    import safelogrank.simulate as simulate
-
     reads, run = [], simulate._stopping_times
 
     class Counting(simulate._Streams):
@@ -1093,8 +1059,6 @@ def test_settling_counts_the_stopping_times_of_earlier_chunks(tie_h0, monkeypatc
     # needs of 40; so a chunk that settles after its first prefix where a
     # run to the cap reads on has counted the chunks before it.  Its table
     # is that of one chunk run to the cap.
-    import safelogrank.simulate as simulate
-
     kw = dict(theta1=0.7, m1=300, m0=300, theta=0.7, power=0.5, replications=40, seed=6,
               kinds=("exact", "gaussian"), cap=600, tie_h0=tie_h0)
     one_chunk = design_table(**kw)
@@ -1137,6 +1101,18 @@ def test_obf_comparator_limit_on_either_side_of_the_engine_cap(cap, obf_cap):
 def test_design_table_refuses_kinds_it_cannot_size(kind):
     with pytest.raises(ValueError, match=kind):
         design_table(0.7, 100, 100, replications=10, kinds=(kind,))
+
+
+def test_every_test_kind_is_one_a_design_table_sizes():
+    # a kind that no table sizes is reached by no command; the O'Brien-
+    # Fleming comparator is a row of the table, not a design's kind
+    refused = []
+    for kind in typing.get_args(simulate.TestKind):
+        try:
+            design_table(0.7, 20, 20, replications=5, kinds=(kind,), cap=10)
+        except ValueError:
+            refused.append(kind)
+    assert refused == []
 
 
 def test_the_engine_refuses_a_kind_it_has_no_statistic_for():
@@ -1182,20 +1158,17 @@ def test_design_spec_validation():
         DesignSpec(theta1=0.7, alpha=1.5)
     with pytest.raises(ValueError):
         DesignSpec(theta1=0.7, power=0.04)
-    with pytest.raises(ValueError):
-        DesignSpec(theta1=0.7, test_kind="sprt")
-    with pytest.raises(ValueError):
-        DesignSpec(theta1=0.7, test_kind="obf")  # no horizon
+    # a design's kind is one a table sizes; the O'Brien-Fleming comparator
+    # is a kind only design_table passes to the engine
+    for kind in ("sprt", "obf", "fixed", "bayes"):
+        with pytest.raises(ValueError, match="unknown test kind"):
+            DesignSpec(theta1=0.7, test_kind=kind)
     with pytest.raises(ValueError):
         DesignSpec(theta1=1.0)  # same as the null
     # settings the kind would ignore: a two-sided gaussian design gave the
     # one-sided stopping times, bit for bit
     with pytest.raises(ValueError, match="two_sided applies to exact"):
         DesignSpec(theta1=0.7, test_kind="gaussian", two_sided=True)
-    with pytest.raises(ValueError, match="prior applies to bayes"):
-        DesignSpec(theta1=0.7, test_kind="plugin", prior=PriorSpec.lognormal(math.log(0.7)))
-    with pytest.raises(ValueError, match="n_max applies to obf/fixed"):
-        DesignSpec(theta1=0.7, n_max=100)
 
 
 def test_scenario_validation():
