@@ -187,44 +187,28 @@ def _sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.ndarray:
     """Summed power moments ``[s, t, t*s, ..., t*s^_ORDER]`` of each row of
-    offsets ``c`` (``-inf`` where empty, which adds nothing) about the
-    centres ``at``, one row per centre: ``s`` is the sigmoid of
-    ``at + c`` and ``t = s (1 - s)``.  With ``rows`` and ``ends``, centre
-    r reads the first ``ends[r]`` offsets of row ``rows[r]``.  A row's bits
-    depend on its offsets and the width of ``c`` only."""
+    offsets ``c`` (``-inf`` where empty) about the centres ``at``, one row
+    per centre: ``s`` is the sigmoid of ``at + c`` and ``t = s (1 - s)``.
+    With ``rows`` and ``ends``, centre r reads the first ``ends[r]``
+    offsets of row ``rows[r]``.  Every power is summed in ascending offset
+    order (``_ascending_sum``), so an empty offset adds an exact 0.0
+    wherever a read stops, and a row's bits depend on its offsets alone."""
     out = np.empty((at.size, _ORDER + 2))
     step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[-1])))
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
-        x = c[part] if ends is None else np.where(
-            np.arange(c.shape[1]) < ends[part, None], c[rows[part]] if c.shape[0] > 1 else c, -np.inf)
-        s, t = _sigmoids(x + at[part, None])
-        # moment-major, one whole-array product per power: several times
-        # faster than np.cumprod across the moments, and the same products
-        p = np.empty((_ORDER + 2,) + s.shape)
-        p[0], p[1] = s, t
+        x = c[part] if ends is None else c[rows[part], : ends[part].max()]
+        if ends is not None:
+            x = np.where(np.arange(x.shape[1]) < ends[part, None], x, -np.inf)
+        s, t = _sigmoids(np.add(x.T, at[part], order="C"))
+        # one whole-array product per power: several times faster than
+        # np.cumprod across the moments, and the same products
+        p = np.empty((s.shape[0], _ORDER + 2, s.shape[1]))
+        p[:, 0], p[:, 1] = s, t
         for k in range(2, _ORDER + 2):
-            np.multiply(p[k - 1], s, out=p[k])
-        out[part] = (p.sum(axis=2) if p.shape[2] > 1 else p[:, :, 0]).T  # one offset a row: its own sum
+            np.multiply(p[:, k - 1], s, out=p[:, k])
+        out[part] = _ascending_sum(p).T
     return out
-
-
-def _summed_width(k: int, n: int) -> int:
-    """A width from ``k`` to ``n`` whose leading columns numpy sums to the
-    bits of the whole row, for an ``n``-wide row whose cells past the first
-    ``k`` are 0.  numpy sums a row pairwise: a row of more than 128 cells
-    as two parts split at a multiple of 8 below its middle, and a shorter
-    one of 8 or more by eight running sums over its first multiple-of-8
-    cells, then the rest one by one; so the width keeps the part, and the
-    running sums, that hold the first ``k`` cells."""
-    while n > 128:
-        half = n // 2 - n // 2 % 8
-        if k > half:
-            return n
-        n = half
-    if n < 8 or k > n - n % 8:
-        return n
-    return max(8, -(-k // 8) * 8)
 
 
 def _series(moments: np.ndarray) -> np.ndarray:
@@ -301,8 +285,8 @@ def _tied_series(batches: np.ndarray, starts: np.ndarray, counts: np.ndarray, at
         for n in range(4, _ORDER + 3):
             kappa[n] -= np.einsum("j,jk,jk->k", _CUMULANT_BINOMIALS[n, 2 : n - 1], kappa[2 : n - 1], m[n - 2 : 1 : -1])
         coef = np.stack([kappa[1 : _ORDER + 2].T, kappa[2:].T], axis=1) / _FACTORIALS
-        out[part] = coef if part.size == k.sum() else np.add.reduceat(coef, heads, axis=0)
-        sd[part] = np.sqrt(kappa[2]) if part.size == k.sum() else np.maximum.reduceat(np.sqrt(kappa[2]), heads)
+        out[part] = np.add.reduceat(coef, heads, axis=0)
+        sd[part] = np.maximum.reduceat(np.sqrt(kappa[2]), heads)
     return out, sd
 
 
@@ -341,10 +325,10 @@ class _SeriesTerm:
         return np.einsum("rjk,rk->jr", self.series, p)
 
 
-# Estimates solved together, one row per prefix of a stream.  The block and
-# its single-event width depend on the prefix's position only, so a row gets
-# bit-identical estimates whatever the rows solved with it, and a prefix of
-# a stream of single events those of the whole stream.
+# Estimates solved together: a block holds up to _BLOCK prefixes of each
+# row, by their position in the call.  A prefix's sums do not depend on the
+# rows solved with it, so a row gets the estimates it gets alone, and a
+# prefix of a stream those of the whole stream.
 _BLOCK = 64
 
 
@@ -353,8 +337,9 @@ class _PluginFit:
     estimate, treatment count, centre, radius and series (``state``), the
     batches taken, virtual and empty ones included, and the history: the
     offsets ``log(y1/y0)`` of its informative single events in order
-    (``held`` of them) and the ``(y1, y0, o)`` of its informative tied
-    batches in order (``held_tied`` of them)."""
+    (``held`` of them, ``-inf`` after them; room for every batch and the two
+    virtual events) and the ``(y1, y0, o)`` of its informative tied batches
+    in order (``held_tied`` of them)."""
 
     def __init__(self, rows: int, m1: int, m0: int, batches: int):
         if m1 < 1 or m0 < 1:
@@ -363,7 +348,7 @@ class _PluginFit:
         self.state = np.zeros((rows, 4 + 2 * (_ORDER + 1)))
         self.state[:, 3] = _RADIUS
         self.taken, self.held, self.held_tied = np.zeros((3, rows), dtype=np.int64)
-        self.offsets = np.full((rows, batches + 2 + _BLOCK), -np.inf)
+        self.offsets = np.full((rows, batches + 2), -np.inf)
         self.tied = np.zeros((3, rows, 0), dtype=np.int64)  # grown as rows take tied batches
 
 
@@ -380,9 +365,9 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
     by ``plugin_newton``, warm-started from each row's last estimate, on
     Taylor series about the row's centre (``_SeriesTerm``): the series of
     the fit before the block plus prefix sums of one series per new batch.
-    A prefix whose iterate leaves the radius re-centres on its own history,
-    read as a row as wide as the block's start plus ``_BLOCK``, and on the
-    windows of its tied batches.  The next block starts from each row's
+    A prefix whose iterate leaves the radius re-centres on its own history:
+    its single events' offsets, summed in order (``_moments_about``), and
+    the windows of its tied batches.  The next block starts from each row's
     last series, read again about the warm start only when that centre is
     more than half the radius from it.
     """
@@ -420,13 +405,11 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
         fit.tied[:, rows[r], n_tied[r, j]] = y1[tied], y0[tied], o[tied]
     batches, starts = fit.tied.reshape(3, -1), rows * fit.tied.shape[2]  # row r's tied batches from starts[r] on
 
-    def history(r, i, at, width):
+    def history(r, i, at):
         """Series about ``at``, and radii, of the fits of rows ``r`` on their
-        first ``i`` new batches; single events read ``width`` wide."""
-        # offsets past a row's end add exact zeros: read no more of them
-        # than the sum's order needs
-        width = _summed_width(int(ends[r, i].max()), width)
-        series = _series(_moments_about(fit.offsets[:, :width], at, rows[r], ends[r, i]))
+        first ``i`` new batches."""
+        end = ends[r, i]  # offsets past a row's end add exact zeros: none is read past the furthest
+        series = _series(_moments_about(fit.offsets[:, : end.max()], at, rows[r], end))
         if not held.any():
             return series, np.full(at.size, _RADIUS)
         tied_series, sd = _tied_series(batches, starts[r], n_tied[r, i], at)
@@ -436,9 +419,8 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
     betas[:, 0] = beta
     for lo in range(0, n, _BLOCK):
         # the fits on the new batches lo..hi: one series per batch, summed
-        # onto the fit before; a prefix's radius is its batches' least; no
-        # row's history reaches past start + _BLOCK
-        hi, start = min(lo + _BLOCK, n), int(taken.max()) + lo
+        # onto the fit before; a prefix's radius is its batches' least
+        hi = min(lo + _BLOCK, n)
         step = np.zeros((rows.size, 1 + hi - lo, 2, _ORDER + 1))
         radius = np.full(step.shape[:2], _RADIUS)
         step[:, 0], radius[:, 0] = base, base_radius
@@ -456,7 +438,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
         count = hi - lo + 1 - first
         term = _SeriesTerm(
             step[:, first:].reshape(-1, 2, _ORDER + 1), centre.repeat(count), radius[:, first:].ravel(),
-            lambda f, at: history(f // count, lo + first + f % count, at, start + _BLOCK),
+            lambda f, at: history(f // count, lo + first + f % count, at),
         )
         b = plugin_newton(beta.repeat(count), o1_sum[:, lo + first : hi + 1].ravel(), term)
         betas[:, lo + first : hi + 1] = b.reshape(rows.size, count)
@@ -467,7 +449,7 @@ def _plugin_betas(fit: _PluginFit, rows: np.ndarray, block: EventStream) -> np.n
         if far.any():
             far = np.flatnonzero(far)
             centre[far] = beta[far]
-            base[far], base_radius[far] = history(far, np.full(far.size, hi), centre[far], start + _BLOCK)
+            base[far], base_radius[far] = history(far, np.full(far.size, hi), centre[far])
     state[:, 1] = o1_sum[:, -1]
     fit.state[rows], fit.held[rows], fit.held_tied[rows] = state, ends[:, -1], held
     fit.taken[rows] += n
@@ -582,35 +564,33 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return m + np.log(a.sum(axis=-1))
 
 
-def _bayes_prior(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+def _bayes_prior(prior: PriorSpec) -> np.ndarray:
     """The log prior, which is the log posterior before any event, as one
-    row ``(1, G)``, and its log-sum-exp ``(1,)``."""
+    row ``(1, G)``."""
     with np.errstate(divide="ignore"):
-        log_prior = np.log(prior.weights)[None, :]
-    return log_prior, _logsumexp_rows(log_prior.copy())
+        return np.log(prior.weights)[None, :]
 
 
-def _bayes_log_numerators(
-    block: EventStream, log_grid: np.ndarray, log_post: np.ndarray, norm: np.ndarray
-) -> np.ndarray:
+def _bayes_log_numerators(block: EventStream, log_grid: np.ndarray, log_post: np.ndarray) -> np.ndarray:
     """Log predictive of each event time of the streams ``block`` (``(rows,
     L)`` columns) on the nodes ``log_grid`` (``(1, G)``), from each row's
-    unnormalized log posterior ``log_post`` (``(rows, G)``) before the block
-    and its log-sum-exp ``norm`` (``(rows,)``).  An empty batch (``o = 0``)
-    leaves the posterior as it is, and its log predictive is exactly 0.
+    unnormalized log posterior ``log_post`` (``(rows, G)``) before the
+    block.  An empty batch (``o = 0``) leaves the posterior as it is, and
+    its log predictive is exactly 0.
 
     With ``K[i, g] = log q_{theta_g}(o1_i | batch_i)`` from ``log_kernel``,
     the log posterior before event time i is ``log_post + sum_{k<i} K[k]``
     and the log predictive is ``logsumexp(posterior + K[i]) -
     logsumexp(posterior)``.  The first term of event time i - 1 is the
     second of event time i (the same sums of the same operands), so one
-    log-sum-exp serves both.  The table is read in chunks of
+    log-sum-exp serves both; the first event time's second term is taken
+    from ``log_post`` itself.  The table is read in chunks of
     ``_FAMILY_CELLS`` cells, each row's running posterior and log-sum-exp
     carried into a chunk's first event time, as ``confidence_sequence``
     reads its family.
     """
     size, n = block.o.shape
-    log_num, log_post, norm = np.empty((size, n)), log_post.copy(), norm.copy()
+    log_num, log_post, norm = np.empty((size, n)), log_post.copy(), _logsumexp_rows(log_post.copy())
     cells = max(1, _FAMILY_CELLS // log_grid.size)  # (rows, event times) cells a chunk
     height = max(1, cells // max(n, 1))
     for r in range(0, size, height):
@@ -638,7 +618,7 @@ def _bayes_log_numerators(
 
 def _bayes_stream_numerators(stream: EventStream, prior: PriorSpec) -> np.ndarray:
     """``_bayes_log_numerators`` of one stream, from the log prior."""
-    return _bayes_log_numerators(stream[None], np.log(prior.thetas)[None, :], *_bayes_prior(prior))[0]
+    return _bayes_log_numerators(stream[None], np.log(prior.thetas)[None, :], _bayes_prior(prior))[0]
 
 
 def bayes_log_trace(stream: EventStream, prior: PriorSpec, theta0: float = 1.0) -> np.ndarray:

@@ -181,9 +181,14 @@ def _window_blocks(y1, y0, o, beta: np.ndarray, order: int, cells: int):
 
 
 def _ascending_sum(table: np.ndarray) -> np.ndarray:
-    """Column sums of ``table``, each added down its rows in order (numpy
-    would sum a single column pairwise, so that one goes by ``cumsum``)."""
-    return table.sum(axis=0) if table.shape[1] > 1 else np.cumsum(table, axis=0)[-1]
+    """Sums of ``table`` down axis 0, added in row order for any shape,
+    memory layout or column count: the one place that fixes a summation
+    order.  numpy sums along a contiguous axis pairwise, in blocks, as a
+    single column or an F-ordered table would be; so the table is read
+    C-ordered, its rows added one after another, and one column by cumsum."""
+    rows = np.ascontiguousarray(table).reshape(table.shape[0], -1)
+    total = rows.sum(axis=0) if rows.shape[1] > 1 else np.cumsum(rows, axis=0)[-1]
+    return total.reshape(table.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)

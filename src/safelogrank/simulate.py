@@ -331,9 +331,9 @@ _BLOCK = 256
 # once, so the engine and the O'Brien-Fleming scan sample and score
 # _CELLS // 16 cells at a time.  A replication carries up to _BLOCK cells
 # from prefix to prefix (its key, counts, risk set and running sums take a
-# few), and a plug-in fit or a tied stream up to limit + 2 + _SPAN cells
-# more, limit the furthest any test reads, so the engine takes _CELLS cells'
-# worth of replications at a time.
+# few), and a plug-in fit or a tied stream up to limit + 2 cells more,
+# limit the furthest any test reads, so the engine takes _CELLS cells' worth
+# of replications at a time.
 _CELLS = 1 << 20
 
 
@@ -576,27 +576,25 @@ def _plugin_crossings(
 
 
 def _stopping_times(
-    scenario: SimScenario, kinds: Sequence[str] | dict[str, int], cap: int | None = None,
-    power: float | None = None,
+    scenario: SimScenario, limits: dict[str, int], cap: int | None = None, power: float | None = None
 ) -> dict[str, np.ndarray]:
     """Stopping times of every replication for each test kind, every kind on
     the same streams.
 
-    Each kind reads up to the cap, or to the event limit ``kinds`` maps it
-    to, which may lie past the cap (``_Running.read``): ``design_table``
-    maps ``obf`` to the O'Brien-Fleming horizon.  Replications run in
-    chunks of ``_CELLS // (_BLOCK + history)``, the history being ``limit +
-    2 + _SPAN`` cells (``limit`` the furthest) for plug-in designs and tied
-    streams and 0 otherwise, over growing prefixes:
-    the first ``_BLOCK`` events of the replications still running, then
-    twice as many, and so on up to the limit.  Each prefix goes on from
-    where the one before ended: ``_Streams`` draws only the new events of
-    the open rows, in blocks of at most ``_CELLS // 16`` cells, from each
-    row's key and draw count and its carried risk set (tied streams are
-    drawn once and kept), and ``_Running`` scores each kind on the rows
-    that have neither crossed nor settled for it, from their carried
-    statistics.  So each event is drawn and scored once, and a row first
-    crosses where it would on the whole stream.  A replication stops
+    Each kind reads up to the event limit ``limits`` maps it to, which may
+    lie past the cap (``_Running.read``): ``design_table`` maps ``obf`` to
+    the O'Brien-Fleming horizon.  Replications run in chunks of ``_CELLS //
+    (_BLOCK + history)``, the history being ``limit + 2`` cells (``limit``
+    the furthest) for plug-in designs and tied streams and 0 otherwise,
+    over growing prefixes: the first ``_BLOCK`` events of the replications
+    still running, then twice as many, and so on up to the limit.  Each
+    prefix goes on from where the one before ended: ``_Streams`` draws only
+    the new events of the open rows, in blocks of at most ``_CELLS // 16``
+    cells, from each row's key and draw count and its carried risk set
+    (tied streams are drawn once and kept), and ``_Running`` scores each
+    kind on the rows that have neither crossed nor settled for it, from
+    their carried statistics.  So each event is drawn and scored once, and
+    a row first crosses where it would on the whole stream.  A replication stops
     running once every kind has crossed or settled on it.  Replications
     are keyed individually, so any chunking gives bit-identical results.
 
@@ -611,13 +609,11 @@ def _stopping_times(
     passes no power.
     """
     reps = scenario.replications
-    limit = _event_limit(scenario, cap)
-    limits = kinds if isinstance(kinds, dict) else dict.fromkeys(kinds, limit)
-    end = max([limit, *limits.values()])
+    end = max([_event_limit(scenario, cap), *limits.values()])
     need = math.inf if power is None else _required_count(power, reps)
     taus = {k: np.full(reps, np.inf) for k in limits}
     history = scenario.tie_h0 is not None or "plugin" in limits
-    chunk = max(1, _CELLS // (_BLOCK + (end + 2 + _SPAN if history else 0)))
+    chunk = max(1, _CELLS // (_BLOCK + (end + 2 if history else 0)))
     for lo in range(0, reps if limits else 0, chunk):
         streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), end)
         running = {k: _Running(scenario, k, streams.size, limits[k]) for k in limits}
@@ -652,7 +648,7 @@ def simulate_stopping_times(scenario: SimScenario, cap: int | None = None) -> np
     individually, so the chunking never changes the result.
     """
     kind = scenario.design.test_kind
-    return _stopping_times(scenario, (kind,), cap)[kind]
+    return _stopping_times(scenario, {kind: _event_limit(scenario, cap)}, cap)[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +719,7 @@ def _obf_horizon(scenario: SimScenario, cap: int) -> int:
     cannot count crossings over all replications before the first ends.
     """
     if scenario.tie_h0 is not None:
-        raise ValueError("O'Brien-Fleming sizing needs single-event streams, not tie_h0")
+        raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
     design = scenario.design
     if design.theta1 == design.theta0:  # the boundary needs a side
         raise ValueError("theta1 must differ from theta0")
@@ -829,8 +825,6 @@ def design_table(
     for kind in kinds:
         if kind not in get_args(TestKind):
             raise ValueError(f"design sizes exact, gaussian and plugin tests, not {kind!r}")
-    if include_obf and tie_h0 is not None:
-        raise ValueError("the O'Brien-Fleming comparator needs single-event streams, not tie_h0")
     _check_cap(cap)
     _check_cap(obf_cap, "obf_cap")
     theta = theta1 if theta is None else theta

@@ -368,9 +368,7 @@ def test_13_exact_null_expectation_and_level_by_path_enumeration():
     null = log_kernel(paths, 0.0)
     betas = _plugin_betas(_PluginFit(size, m, m, n), np.arange(size), paths)
     prior = PriorSpec.lognormal(math.log(theta1), n=41)
-    log_num = _bayes_log_numerators(
-        paths, np.log(prior.thetas)[None, :], *(np.repeat(a, size, axis=0) for a in _bayes_prior(prior))
-    )
+    log_num = _bayes_log_numerators(paths, np.log(prior.thetas)[None, :], np.repeat(_bayes_prior(prior), size, axis=0))
     left, right = (np.cumsum(log_kernel(paths, math.log(t)) - null, axis=1) for t in (theta1, 1 / theta1))
     traces = {
         "exact": left,

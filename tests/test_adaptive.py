@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safelogrank import adaptive
-from safelogrank.core import EventStream, log_kernel
+from safelogrank.core import EventStream, _ascending_sum, log_kernel
 from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
 from safelogrank.adaptive import (
     _RADIUS,
@@ -414,24 +415,46 @@ def test_series_rows_keep_their_bits_alone_and_in_batches():
     assert np.allclose(whole[:, 1], moments @ derivative.T, rtol=1e-12, atol=1e-15)
 
 
-def test_history_reads_narrowed_to_their_ends_keep_their_bits():
-    # a re-centring read keeps only the columns that the moment sums add:
-    # rows whose cells past the first k are 0 sum to the same bits over
-    # _summed_width(k, n) columns as over all n, in _moments_about's layout
+def test_ascending_sum_is_a_left_fold_in_any_layout():
+    # every column added down its rows in order, as functools.reduce adds
+    # them, for C-ordered, F-ordered, transposed and sliced tables: numpy
+    # would sum a contiguous column pairwise
     rng = np.random.default_rng(11)
-    for n in range(1, 300):
-        for k in sorted({0, 1, 2, 3, 4, 5, 8, 9, 15, 17, 63, 64, 65, 100, 129, n // 2, n - 1, n}):
-            if not 0 <= k <= n:
-                continue
-            cells = np.zeros((adaptive._ORDER + 2, 3, n))
-            cells[..., :k] = rng.random((adaptive._ORDER + 2, 3, k)) * 10.0 ** rng.integers(-8, 8, k)
-            width = adaptive._summed_width(k, n)
-            assert k <= width <= n
-            assert np.array_equal(cells[..., :width].sum(axis=2), cells.sum(axis=2)), (k, n)
-    # the two virtual events of a tied row's history read 8 columns, not 64
-    assert adaptive._summed_width(2, 64) == 8 and adaptive._summed_width(2, 1266) == 8
-    offsets = np.full((2, 64), -np.inf)
-    offsets[:, :2] = rng.uniform(-3.0, 3.0, (2, 2))
+    for n in (*range(1, 20), 31, 64, 127, 128, 129, 200, 257, 300):
+        for m in (1, 2, 3, 7, 8, 9, 16, 40):
+            cells = rng.random((n, m)) * 10.0 ** rng.integers(-8, 8, (n, m))
+            whole = rng.random((2 * n, 2 * m + 1))
+            whole[::2, 1::2] = cells
+            for table in (cells, np.asfortranarray(cells), np.ascontiguousarray(cells.T).T, whole[::2, 1::2]):
+                assert np.array_equal(table, cells)
+                assert np.array_equal(_ascending_sum(table), functools.reduce(np.add, cells)), (n, m)
+    # any trailing shape is summed cell by cell, and one axis gives a scalar
+    cube = rng.random((150, 3, 4))
+    assert np.array_equal(_ascending_sum(cube.transpose(0, 2, 1)), functools.reduce(np.add, cube).T)
+    assert _ascending_sum(cube[:, 0, 0]) == functools.reduce(np.add, cube[:, 0, 0])
+
+
+def test_history_reads_keep_their_bits_at_any_width():
+    # a re-centring read sums each row's offsets in order, so the -inf cells
+    # past a row's end add exact zeros: a row read at every width from its
+    # end to the whole row, alone or among rows of other ends, keeps its bits
+    rng = np.random.default_rng(11)
+    width = 300
+    offsets = np.full((6, width), -np.inf)
+    lengths = np.array([2, 9, 64, 129, 250, width])
+    for row, length in enumerate(lengths):
+        offsets[row, :length] = rng.uniform(-3.0, 3.0, length)
+    at = rng.uniform(-1.0, 1.0, lengths.size)
+    every = np.arange(lengths.size)
+    together = _moments_about(offsets, at, every, lengths)
+    for read in range(2, width + 1):
+        fits = every[lengths <= read]
+        assert np.array_equal(_moments_about(offsets[:, :read], at[fits], fits, lengths[fits]), together[fits]), read
+        for row in fits:
+            alone = _moments_about(offsets[:, :read], at[row : row + 1], every[row : row + 1], lengths[row : row + 1])
+            assert np.array_equal(alone, together[row : row + 1]), (row, read)
+            assert np.array_equal(_moments_about(offsets[row : row + 1, :read], at[row : row + 1]), alone)
+    # the two virtual events of a row of a fit read among wider rows
     at, rows, ends = np.array([0.1, -0.2, 0.3]), np.array([0, 1, 1]), np.array([2, 1, 2])
     assert np.array_equal(_moments_about(offsets[:, :8], at, rows, ends), _moments_about(offsets, at, rows, ends))
 
@@ -481,9 +504,9 @@ def test_plugin_on_wide_tied_batches_matches_exact_prefix_solve():
 def test_plugin_rows_solved_together_match_each_row_alone():
     # rows fitted together, leaving after different spans as the engine's
     # rows leave at their first crossings, get the bits each row gets when
-    # it is fitted alone over the same spans: a prefix that re-centres reads
-    # its history as a row as wide as its block makes it, whatever the rows
-    # beside it hold.  With m1 = 3 the treatment group runs out early in
+    # it is fitted alone over the same spans: a prefix that re-centres sums
+    # its own history in ascending order, and the empty offsets that a wider
+    # row beside it makes it read add exact zeros.  With m1 = 3 the treatment group runs out early in
     # most streams, at different events, so the rows hold different numbers
     # of offsets; every estimate is within 1e-12 of the exact solve.
     m1, m0, thetas = 3, 300, (0.5, 1.0, 2.0, 5.0, 12.0)
@@ -651,7 +674,7 @@ def test_bayes_numerators_refuse_a_posterior_with_no_mass():
     log_grid = np.log(PriorSpec.lognormal(0.0, n=5).thetas)[None, :]
     dead = np.full((1, 5), -np.inf)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="underflowed"):
-        adaptive._bayes_log_numerators(stream_of([(5, 5, 1, 1)])[None], log_grid, dead, dead[:, 0])
+        adaptive._bayes_log_numerators(stream_of([(5, 5, 1, 1)])[None], log_grid, dead)
 
 
 def test_traces_of_no_events_are_empty():

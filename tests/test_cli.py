@@ -500,6 +500,12 @@ def test_design_tie_h0_refuses_the_obf_comparator(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_design_names_the_one_obf_refusal_of_tied_streams(capsys):
+    assert main(["design", "--theta1", "0.7", "--obf", "--tie-h0", "0.02"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "safelogrank: the O'Brien-Fleming comparator needs single-event streams, not tie_h0\n"
+
+
 def test_design_obf_cap_needs_obf(tmp_path):
     single = ["design", "--theta1", "0.7", "--m1", "300", "--m0", "300", "--reps", "50"]
     assert main(single + ["--obf-cap", "100", "--out", str(tmp_path / "a")]) == EXIT_USAGE

@@ -331,7 +331,7 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None, horizon=None):
     the O'Brien-Fleming comparator at ``horizon`` when that is) with
     ``_CELLS`` shrunk to 3000 cells.  The engine then takes replications in
     several chunks for every kind (11 a chunk when no fit or tied stream is
-    carried, 3 to 6 when one is) and reads a prefix of a chunk in several
+    carried, 3 to 7 when one is) and reads a prefix of a chunk in several
     blocks (one replication a block for 94 new events or more, several for
     fewer), every block going on from the statistics its rows carried out
     of the prefix before; fails unless both happen."""
@@ -353,7 +353,7 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None, horizon=None):
         if kinds is None:
             taus = engine(scenario, horizon, cap)
         else:
-            taus = _stopping_times(scenario, kinds, cap=cap)
+            taus = _stopping_times(scenario, dict.fromkeys(kinds, simulate._event_limit(scenario, cap)), cap=cap)
     assert len(chunks) > 1
     assert max(blocks.count(b) for b in blocks) > 1  # a prefix of a chunk read in several blocks
     return taus
@@ -461,7 +461,7 @@ def test_kinds_scored_together_keep_their_own_stopping_times(monkeypatch):
     scenario = SimScenario(
         m1=300, m0=300, theta=0.8, design=DesignSpec(theta1=0.7), replications=12, seed=1
     )
-    together = _stopping_times(scenario, kinds, cap=600)
+    together = _stopping_times(scenario, dict.fromkeys(kinds, 600), cap=600)
     both = np.array([together["exact"], together["plugin"]])
     assert ((both[0] <= _BLOCK) & (both[1] > _BLOCK)).any()
     for lo, hi in ((0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 600)):
@@ -1118,7 +1118,7 @@ def test_every_test_kind_is_one_a_design_table_sizes():
 def test_the_engine_refuses_a_kind_it_has_no_statistic_for():
     scenario = SimScenario(m1=20, m0=20, theta=0.7, design=DesignSpec(theta1=0.7), replications=2)
     with pytest.raises(ValueError, match="unsupported test kind 'nonsense'"):
-        _stopping_times(scenario, ("nonsense",), cap=10)
+        _stopping_times(scenario, {"nonsense": 10}, cap=10)
 
 
 def test_design_table_structure():
