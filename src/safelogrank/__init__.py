@@ -46,7 +46,6 @@ from .simulate import (
     design_table,
     estimate_nmax,
     sample_single_event_stream,
-    sample_tied_stream,
     schoenfeld_sample_size,
     simulate_stopping_times,
     stream_rng,
@@ -84,7 +83,6 @@ __all__ = [
     "SimScenario",
     "stream_rng",
     "sample_single_event_stream",
-    "sample_tied_stream",
     "simulate_stopping_times",
     "estimate_nmax",
     "schoenfeld_sample_size",

@@ -55,6 +55,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from . import core
 from .core import (
     THETA_LOWER,
     THETA_UPPER,
@@ -69,7 +70,6 @@ from .gaussian import _check_alpha
 __all__ = [
     "PriorSpec",
     "ConfidenceSequence",
-    "plugin_newton",
     "plugin_estimates",
     "plugin_log_trace",
     "bayes_log_trace",
@@ -143,10 +143,6 @@ def plugin_newton(
 _ORDER = 14
 _RADIUS = 0.25
 
-# Cells per chunk of the moments of a history read when re-centring: the
-# power moments of single events, the central moments of tied batches.
-_CELLS = 1 << 18
-
 
 def _taylor_table(order: int) -> np.ndarray:
     """The map from power moments to Taylor coefficients.  An event's power
@@ -194,7 +190,9 @@ def _moments_about(c: np.ndarray, at: np.ndarray, rows=None, ends=None) -> np.nd
     order (``_ascending_sum``), so an empty offset adds an exact 0.0
     wherever a read stops, and a row's bits depend on its offsets alone."""
     out = np.empty((at.size, _ORDER + 2))
-    step = max(1, _CELLS // ((_ORDER + 2) * max(1, c.shape[-1])))
+    # (offsets, centres) cells a chunk, a 64th of the budget: its powers
+    # table holds _ORDER + 2 arrays of them, and its sigmoids a few more
+    step = max(1, core._CELLS // (64 * max(1, c.shape[-1])))
     for lo in range(0, at.size, step):
         part = slice(lo, lo + step)
         x = c[part] if ends is None else c[rows[part], : ends[part].max()]
@@ -254,12 +252,14 @@ def _tied_series(batches: np.ndarray, starts: np.ndarray, counts: np.ndarray, at
     its mode (``core._window_blocks``) taken at the highest order read,
     which leaves out at most ``2^-60`` of that moment's scale, so a batch's
     series depends on it and its centre alone.  Rows are read about
-    ``_CELLS / 16`` batches at a time."""
+    ``core._CELLS // 64`` batches at a time."""
     out, sd = np.zeros((at.size, 2, _ORDER + 1)), np.zeros(at.size)
     rows = np.flatnonzero(counts)
     cells, lo = np.cumsum(counts[rows]), 0
     while lo < rows.size:
-        reach = (cells[lo - 1] if lo else 0) + _CELLS // 16
+        # batches a read: each holds about 64 cells, its moments and
+        # cumulants (2 (_ORDER + 3)) and its two series (2 (_ORDER + 1))
+        reach = (cells[lo - 1] if lo else 0) + core._CELLS // 64
         part = rows[lo : max(lo + 1, int(np.searchsorted(cells, reach, "right")))]
         lo += part.size
         k = counts[part]
@@ -267,7 +267,8 @@ def _tied_series(batches: np.ndarray, starts: np.ndarray, counts: np.ndarray, at
         batch = np.arange(k.sum()) + np.repeat(starts[part] - heads, k)
         centre = np.repeat(at[part], k)
         kappa = np.empty((centre.size, 1, _ORDER + 3))  # a batch's total, mean and central moments 2.._ORDER + 2
-        for where, first, p in _window_blocks(*batches[:, batch], centre[:, None], _ORDER + 2, _CELLS // (_ORDER + 3)):
+        # window blocks as large as log_kernel's
+        for where, first, p in _window_blocks(*batches[:, batch], centre[:, None], _ORDER + 2, core._CELLS // 64):
             p -= p.max(axis=0)
             np.exp(p, out=p)
             d = first + np.arange(p.shape[0], dtype=float)[:, None]
@@ -585,13 +586,16 @@ def _bayes_log_numerators(block: EventStream, log_grid: np.ndarray, log_post: np
     second of event time i (the same sums of the same operands), so one
     log-sum-exp serves both; the first event time's second term is taken
     from ``log_post`` itself.  The table is read in chunks of
-    ``_FAMILY_CELLS`` cells, each row's running posterior and log-sum-exp
-    carried into a chunk's first event time, as ``confidence_sequence``
-    reads its family.
+    ``core._CELLS // 16`` cells, each row's running posterior and
+    log-sum-exp carried into a chunk's first event time, as
+    ``confidence_sequence`` reads its family.
     """
     size, n = block.o.shape
     log_num, log_post, norm = np.empty((size, n)), log_post.copy(), _logsumexp_rows(log_post.copy())
-    cells = max(1, _FAMILY_CELLS // log_grid.size)  # (rows, event times) cells a chunk
+    # (rows, event times) cells a chunk: its (rows, event times, nodes)
+    # kernel table and posterior, and log_kernel's working arrays, about four
+    # arrays of a 16th of the budget
+    cells = max(1, core._CELLS // (16 * log_grid.size))
     height = max(1, cells // max(n, 1))
     for r in range(0, size, height):
         rows = slice(r, r + height)
@@ -677,16 +681,8 @@ class ConfidenceSequence:
         return (self.lower <= theta) & (theta <= self.upper)
 
 
-# Cells of an (event times, grid or prior nodes) kernel table held at a
-# time: 64k cells, 512 KB.  bayes_log_trace reads its table in chunks of
-# them, and a column joining a confidence sequence's band catches up in
-# blocks of them.  confidence_sequence reads its first chunk of event times
-# on every grid column, _FIRST_CELLS cells, and each later chunk on a band
-# of columns, _BAND_CELLS cells: those within _MARGIN of the two hull ends
-# at the end of the chunk before, widened where a hull end leaves them.
-_FAMILY_CELLS = 1 << 16
-_FIRST_CELLS = _FAMILY_CELLS // 4
-_BAND_CELLS = _FAMILY_CELLS // 16
+# The columns either side of each hull end that a confidence sequence's
+# band holds after a chunk of event times.
 _MARGIN = 4
 
 
@@ -712,11 +708,11 @@ class _Family:
     def rows(self, cols: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The summed denominators of event times ``lo..hi-1`` on columns
         ``cols``, bringing any column behind ``lo`` up to it first, in
-        blocks of at most ``_FAMILY_CELLS`` cells."""
+        blocks of at most ``core._CELLS // 16`` cells."""
         behind = cols[self.upto[cols] < lo]
         for start in np.unique(self.upto[behind]):
             c = behind[self.upto[behind] == start]
-            step = max(1, _FAMILY_CELLS // c.size)
+            step = max(1, core._CELLS // (16 * c.size))  # a kernel table as large as the Bayes trace's
             for a in range(start, lo, step):
                 self.run[c] = self._summed(c, a, min(a + step, lo), self.run[c])[-1]
             self.upto[c] = lo
@@ -786,19 +782,19 @@ def confidence_sequence(
 
     The family's denominators, ``log_kernel`` summed down each grid
     column, are read in chunks of event times.  The first chunk holds every
-    column for ``_FIRST_CELLS`` cells; each later chunk holds
-    ``_BAND_CELLS`` cells of a band of columns, those within ``_MARGIN`` of
-    the two hull ends at the chunk before's last event time.  The
-    non-rejected set is one run of columns (the log e-value is convex in
-    ``log theta``), so the band's edge columns, rejected, show that a hull
-    end lies inside it; where a row's end may lie beyond the band, the band
-    widens toward it, doubling, on the rows of the chunk (``_hull``).  A
-    column joining the band is first summed over the event times before
-    it, from where it last left the band.  The cost is O(n x band) plus
-    those catch-ups, and memory does not grow with the number of event
-    times.  Each column is one sequential sum, however it is split, and a
-    ``log_kernel`` cell does not depend on the rows or columns read with
-    it, so every sum keeps the bits of a whole-table pass.
+    column for ``core._CELLS // 64`` cells; each later chunk holds
+    ``core._CELLS // 256`` cells of a band of columns, those within
+    ``_MARGIN`` of the two hull ends at the chunk before's last event time.
+    The non-rejected set is one run of columns (the log e-value is convex
+    in ``log theta``), so the band's edge columns, rejected, show that a
+    hull end lies inside it; where a row's end may lie beyond the band, the
+    band widens toward it, doubling, on the rows of the chunk (``_hull``).  A
+    column joining the band is first summed over the event times before it,
+    from where it last left the band.  The cost is O(n x band) plus those
+    catch-ups, and memory does not grow with the number of event times.  Each
+    column is one sequential sum, however it is split, and a ``log_kernel``
+    cell does not depend on the rows or columns read with it, so every sum
+    keeps the bits of a whole-table pass.
     """
     _check_alpha(alpha)
     if grid is None:
@@ -824,7 +820,10 @@ def confidence_sequence(
     family = _Family(stream, grid)
     cols, lo = np.arange(size), 0
     while lo < n:
-        hi = min(n, lo + max(1, (_BAND_CELLS if lo else _FIRST_CELLS) // cols.size))
+        # (event times, columns) cells a chunk: a 64th of the budget on every
+        # column, held about four times over (the sums, the log e-values and
+        # a widening's merged sums), then a 256th on the band
+        hi = min(n, lo + max(1, core._CELLS // ((256 if lo else 64) * cols.size)))
         den, reach = family.rows(cols, lo, hi), 2 * _MARGIN
         while True:
             first, last, kept, down, up = _hull(cols, cum_num[lo:hi, None] - den, log_bound, size)
@@ -838,7 +837,7 @@ def confidence_sequence(
             join[cols] = False
             new = np.flatnonzero(join)
             # a widened chunk holds no more cells than the first
-            hi = min(hi, lo + max(1, _FIRST_CELLS // (cols.size + new.size)))
+            hi = min(hi, lo + max(1, core._CELLS // (64 * (cols.size + new.size))))
             merged = np.concatenate([cols, new])
             order = np.argsort(merged)
             den = np.concatenate([den[: hi - lo], family.rows(new, lo, hi)], axis=1)[:, order]

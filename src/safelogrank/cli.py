@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .adaptive import PriorSpec, confidence_sequence, plugin_log_trace, bayes_log_trace
-from .core import log_evalue_trace
+from .core import log_evalue_trace, validate_theta
 from .data import DatasetError, TrialDataset, read_dataset
 from .gaussian import (
     _gaussian_log_evidence,
@@ -336,6 +336,15 @@ def _refuse(args: argparse.Namespace, reason: str, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} {reason}")
 
 
+def _alpha(opt: Options) -> float:
+    """``--alpha`` (default 0.05), refused outside (0, 1).  Every command
+    that takes it reads it here first, before any input or simulation."""
+    alpha = opt.get("alpha", 0.05, float)
+    if not 0 < alpha < 1:
+        raise UsageError(f"--alpha must be in (0, 1), got {alpha}")
+    return alpha
+
+
 def _bayes_prior(opt: Options) -> PriorSpec:
     """The Bayes prior of ``--prior``, else a default centered at ``--theta1``."""
     text = opt.get("prior")
@@ -343,7 +352,7 @@ def _bayes_prior(opt: Options) -> PriorSpec:
         theta1 = opt.get("theta1", None, float)
         if theta1 is None:
             raise UsageError("the bayes test needs --prior or --theta1 to center a default prior")
-        return PriorSpec.lognormal(math.log(theta1))
+        return PriorSpec.lognormal(math.log(validate_theta(theta1, "--theta1")))
     _refuse(opt.args, "only centers the default prior; it does not apply with --prior", "theta1")
     kind, _, rest = text.partition(":")
     try:
@@ -463,13 +472,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     test = opt.get("test", "exact")
     if test not in ("exact", "gaussian", "plugin", "bayes"):
         raise UsageError(f"--test: unknown test {test!r}")
-    alpha = opt.get("alpha", 0.05, float)
+    alpha = _alpha(opt)
     theta0 = opt.get("theta0", 1.0, float)
     theta1 = opt.get("theta1", None, float)
     two_sided = opt.flag("two_sided")
     delimiter = opt.get("delimiter")
-    if not (0 < alpha < 1):
-        raise UsageError(f"--alpha must be in (0, 1), got {alpha}")
     if test in ("exact", "gaussian") and theta1 is None:
         raise UsageError(f"--theta1 (or --theta-min) is required for the {test} test")
     if two_sided and test != "exact":
@@ -552,12 +559,15 @@ def cmd_design(args: argparse.Namespace) -> int:
     theta1 = opt.get("theta1", None, float)
     if theta1 is None:
         raise UsageError("--theta1 is required")
-    alpha = opt.get("alpha", 0.05, float)
+    theta1 = validate_theta(theta1, "--theta1")
+    alpha = _alpha(opt)
     power = opt.get("power", 0.8, float)
     m1 = opt.get("m1", 5000, int)
     m0 = opt.get("m0", 5000, int)
-    theta = opt.get("true_theta", theta1, float)
+    theta = validate_theta(opt.get("true_theta", theta1, float), "--true-theta")
     reps = opt.get("reps", 1000, int)
+    if reps < 1:
+        raise UsageError(f"--reps must be >= 1, got {reps}")
     seed = opt.get("seed", None, int)
     source = "--seed" if args.seed is not None else f"seed in {args.config}"
     if seed is None:
@@ -626,7 +636,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     theta1 = opt.get("theta1", None, float)
     if theta1 is None:
         raise UsageError("--theta1 is required (it sets the gaussian-safe drift)")
-    alpha = opt.get("alpha", 0.05, float)
+    alpha = _alpha(opt)
     n_max = opt.get("nmax", None, int)
     if n_max is None or n_max < 1:
         raise UsageError("--nmax is required and must be >= 1 (it anchors the O'Brien-Fleming column)")
@@ -668,7 +678,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 def cmd_confseq(args: argparse.Namespace) -> int:
     opt = Options(args)
-    alpha = opt.get("alpha", 0.05, float)
+    alpha = _alpha(opt)
     numerator = opt.get("numerator", "plugin")
     if numerator not in ("plugin", "bayes"):
         raise UsageError(f"--numerator must be plugin or bayes, got {numerator!r}")
@@ -719,8 +729,8 @@ def cmd_confseq(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     opt = Options(args)
-    lo = opt.get("theta_from", 0.5, float)
-    hi = opt.get("theta_to", 2.0, float)
+    lo = validate_theta(opt.get("theta_from", 0.5, float), "--theta-from")
+    hi = validate_theta(opt.get("theta_to", 2.0, float), "--theta-to")
     points = opt.get("points", 61, int)
     scale = opt.get("scale", 100, int)
     ratios = [_parse_ratio(r) for r in opt.get("ratios", "1:1,3:1").split(",")]

@@ -50,10 +50,17 @@ __all__ = [
     "THETA_UPPER",
     "EventStream",
     "validate_theta",
-    "two_sided_log_evalue",
     "log_kernel",
     "log_evalue_trace",
 ]
+
+# The chunk budget: the cells, 8 bytes each, that the working arrays of one
+# chunk may hold, 2^20 (8 MiB).  It is the package's one budget: every loop
+# over chunks of event times, grid columns or replications reads it as
+# ``core._CELLS`` when it runs and says, where it sizes a chunk, how many
+# arrays of the chunk it holds, so memory stays bounded however long a
+# trial runs.  No output depends on it (``tests/test_determinism.py``).
+_CELLS = 1 << 20
 
 # Admissible hazard-ratio range.  Values outside are almost certainly unit
 # confusion (e.g. a log hazard ratio passed where a ratio was expected).
@@ -254,10 +261,6 @@ def log_kernel(stream: EventStream, log_theta) -> np.ndarray:
     return out
 
 
-# Cells of one block of tied windows in ``log_kernel``.
-_TIE_CELLS = 1 << 14
-
-
 def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     """``log_kernel`` of informative tied batches at ``log_theta`` of shape
     ``(k,)`` or ``(k, G)``: the observed split's tilted log weight less the
@@ -266,7 +269,9 @@ def _tied_log_kernel(y1, y0, o, o1, log_theta: np.ndarray) -> np.ndarray:
     theta alone."""
     grid = log_theta.reshape(o.size, -1)
     norm = np.empty(grid.shape)
-    for where, first, t in _window_blocks(y1, y0, o, grid, 0, _TIE_CELLS):
+    # a block holds about four arrays of its cells (the windows' points, log
+    # weights and indices, and the tilted block), a 16th of the budget
+    for where, first, t in _window_blocks(y1, y0, o, grid, 0, _CELLS // 64):
         m = t.max(axis=0)
         t -= m
         np.exp(t, out=t)

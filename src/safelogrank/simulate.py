@@ -46,6 +46,7 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
+from . import core
 from .adaptive import _BLOCK as _SPAN, _ORDER, _PluginFit, _plugin_betas, _plugin_log_numerators
 from .core import EventStream, _exact_log_evalue, _exact_steps, validate_theta
 from .gaussian import (
@@ -63,7 +64,6 @@ __all__ = [
     "UnattainablePowerError",
     "stream_rng",
     "sample_single_event_stream",
-    "sample_tied_stream",
     "simulate_stopping_times",
     "estimate_nmax",
     "schoenfeld_sample_size",
@@ -294,25 +294,6 @@ def _tied_columns(
     return times, y1, m1 + m0 - np.cumsum(o) + o - y1, o, o1
 
 
-def sample_tied_stream(
-    m1: int,
-    m0: int,
-    theta: float,
-    h0: float,
-    rng: np.random.Generator,
-    horizon: int | None = None,
-) -> EventStream:
-    """Unit-time stream: each at-risk participant has an event in interval k
-    with probability ``h0`` (control) or ``h0 * theta`` (treatment).  Each
-    event time is the (1-based) unit interval of its batch.  Runs to
-    risk-set exhaustion unless a horizon is given, which drops the batches
-    after it."""
-    validate_theta(theta)
-    times, y1, y0, o, o1 = _tied_columns(m1, m0, theta, h0, rng)
-    keep = slice(None) if horizon is None else times <= horizon
-    return EventStream(times[keep].astype(float), y1[keep], y0[keep], o[keep], o1[keep])
-
-
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -325,16 +306,6 @@ def _event_limit(scenario: SimScenario, cap: int | None) -> int:
 
 # Events of the first prefix the engine reads; each later prefix doubles it.
 _BLOCK = 256
-
-# Replications x events per array: 2^20 cells keep each array at 8 MB.  A
-# block of new events that is scored holds about 16 arrays of its size at
-# once, so the engine and the O'Brien-Fleming scan sample and score
-# _CELLS // 16 cells at a time.  A replication carries up to _BLOCK cells
-# from prefix to prefix (its key, counts, risk set and running sums take a
-# few), and a plug-in fit or a tied stream up to limit + 2 cells more,
-# limit the furthest any test reads, so the engine takes _CELLS cells' worth
-# of replications at a time.
-_CELLS = 1 << 20
 
 
 class _Streams:
@@ -551,15 +522,17 @@ def _plugin_crossings(
     ``rows`` of ``fit`` over its new batches ``block`` (``(rows, L)``
     columns, a row's empty batches last), -1 where it does not; ``fit`` and
     the log e-values ``log_m`` are carried past the block.  Chunks of rows
-    holding about ``_CELLS // 8`` cells of series go on in spans as long as
-    the fewest batches a row had taken, a quarter of ``_SPAN`` to
+    holding about ``core._CELLS // 8`` cells of series go on in spans as
+    long as the fewest batches a row had taken, a quarter of ``_SPAN`` to
     ``_SPAN``: ``_plugin_betas`` solves a span for the open rows with
     batches in it, one ``log_kernel`` call scores it at the estimates
     before each batch less the null, and a row drops out at its first
     crossing."""
     first = np.full(rows.size, -1)
     width = np.count_nonzero(block.o, axis=1)  # each row's batches before its empty ones
-    size = max(1, _CELLS // (16 * (_ORDER + 1) * (_SPAN + 1)))
+    # rows a chunk: it holds about eight arrays of its series, 2 (_ORDER + 1)
+    # coefficients a row for each of its _SPAN + 1 prefixes
+    size = max(1, core._CELLS // (8 * 2 * (_ORDER + 1) * (_SPAN + 1)))
     for lo in range(0, rows.size, size):
         keep, pos = np.arange(lo, min(lo + size, rows.size)), 0  # the chunk's open rows
         at = int(np.maximum(fit.taken[rows[keep]] - 2, 0).min())  # batches taken, virtual events not
@@ -583,19 +556,20 @@ def _stopping_times(
 
     Each kind reads up to the event limit ``limits`` maps it to, which may
     lie past the cap (``_Running.read``): ``design_table`` maps ``obf`` to
-    the O'Brien-Fleming horizon.  Replications run in chunks of ``_CELLS //
-    (_BLOCK + history)``, the history being ``limit + 2`` cells (``limit``
-    the furthest) for plug-in designs and tied streams and 0 otherwise,
-    over growing prefixes: the first ``_BLOCK`` events of the replications
-    still running, then twice as many, and so on up to the limit.  Each
-    prefix goes on from where the one before ended: ``_Streams`` draws only
-    the new events of the open rows, in blocks of at most ``_CELLS // 16``
-    cells, from each row's key and draw count and its carried risk set
-    (tied streams are drawn once and kept), and ``_Running`` scores each
-    kind on the rows that have neither crossed nor settled for it, from
-    their carried statistics.  So each event is drawn and scored once, and
-    a row first crosses where it would on the whole stream.  A replication stops
-    running once every kind has crossed or settled on it.  Replications
+    the O'Brien-Fleming horizon.  Replications run in chunks of
+    ``core._CELLS // (_BLOCK + history)``, the history being ``limit + 2``
+    cells (``limit`` the furthest) for plug-in designs and tied streams and
+    0 otherwise, over growing prefixes: the first ``_BLOCK`` events of the
+    replications still running, then twice as many, and so on up to the
+    limit.  Each prefix goes on from where the one before ended:
+    ``_Streams`` draws only the new events of the open rows, in blocks of
+    at most ``core._CELLS // 16`` cells, from each row's key and draw count
+    and its carried risk set (tied streams are drawn once and kept), and
+    ``_Running`` scores each kind on the rows that have neither crossed nor
+    settled for it, from their carried statistics.  So each event is drawn
+    and scored once, and a row first crosses where it would on the whole
+    stream.  A replication stops running once every kind has crossed or
+    settled on it.  Replications
     are keyed individually, so any chunking gives bit-identical results.
 
     With ``power``, a kind's horizon is settled once ``_required_count(power,
@@ -613,7 +587,10 @@ def _stopping_times(
     need = math.inf if power is None else _required_count(power, reps)
     taus = {k: np.full(reps, np.inf) for k in limits}
     history = scenario.tie_h0 is not None or "plugin" in limits
-    chunk = max(1, _CELLS // (_BLOCK + (end + 2 if history else 0)))
+    # replications a chunk: one array of what they carry fills the budget,
+    # up to _BLOCK cells a row (its key, counts, risk set and running sums
+    # take a few) and limit + 2 more for a plug-in fit or a tied stream
+    chunk = max(1, core._CELLS // (_BLOCK + (end + 2 if history else 0)))
     for lo in range(0, reps if limits else 0, chunk):
         streams = _Streams(scenario, range(lo, min(lo + chunk, reps)), end)
         running = {k: _Running(scenario, k, streams.size, limits[k]) for k in limits}
@@ -621,7 +598,7 @@ def _stopping_times(
         rows, length = np.arange(streams.size), 0
         while rows.size and length < end:
             done, length = length, min(max(2 * length, _BLOCK), end)
-            size = max(1, _CELLS // (16 * (length - done)))
+            size = max(1, core._CELLS // (16 * (length - done)))  # rows a block: it holds 16 arrays of its cells
             for start in range(0, rows.size, size):
                 part = rows[start : start + size]
                 block, n = streams.take(part, length)
@@ -708,8 +685,8 @@ def _obf_horizon(scenario: SimScenario, cap: int) -> int:
     prefixes of every replication's single-event stream, the first
     ``_BLOCK`` events, then twice as many and so on up to ``cap``, the way
     the engine does: each prefix draws and scores only its new events
-    (``_Streams``), in blocks of at most ``_CELLS // 16`` cells, going on
-    from each replication's key, risk set, logrank sums and running
+    (``_Streams``), in blocks of at most ``core._CELLS // 16`` cells, going
+    on from each replication's key, risk set, logrank sums and running
     maximum, and counts the crossings of its new horizons.  It stops at the
     first prefix that holds a horizon with the power: a longer prefix
     changes no count of a shorter horizon, so that horizon is the one a
@@ -732,7 +709,7 @@ def _obf_horizon(scenario: SimScenario, cap: int) -> int:
     while length < limit:  # prefixes of _BLOCK events, then twice as many, up to the limit
         done, length = length, min(max(2 * length, _BLOCK), limit)
         horizons = np.arange(done + 1, length + 1)
-        size, crossed = max(1, _CELLS // (16 * (length - done))), 0
+        size, crossed = max(1, core._CELLS // (16 * (length - done))), 0  # as the engine's blocks
         for lo in range(0, reps, size):
             part = rows[lo : lo + size]
             block, n = streams.take(part, length)

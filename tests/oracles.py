@@ -592,6 +592,22 @@ def family_table_bounds(stream, log_num, grid, alpha: float, running_intersectio
 # package's engine replaced
 # ---------------------------------------------------------------------------
 
+def sample_tied_stream(m1: int, m0: int, theta: float, h0: float, rng, horizon=None):
+    """The package's tied sampler (``simulate._tied_columns``) as one
+    ``EventStream``: each at-risk participant has an event in unit interval
+    k with probability ``h0`` (control) or ``h0 * theta`` (treatment), and
+    each event time is the (1-based) interval of its batch.  Runs to
+    risk-set exhaustion unless a horizon is given, which drops the batches
+    after it."""
+    from safelogrank.core import EventStream, validate_theta
+    from safelogrank.simulate import _tied_columns
+
+    validate_theta(theta)
+    times, y1, y0, o, o1 = _tied_columns(m1, m0, theta, h0, rng)
+    keep = slice(None) if horizon is None else times <= horizon
+    return EventStream(times[keep].astype(float), y1[keep], y0[keep], o[keep], o1[keep])
+
+
 def sample_tied_stream_binomial(m1: int, m0: int, theta: float, h0: float, rng, horizon=None):
     """Unit-time stream drawn one interval at a time: ``Binomial(y1, h0 *
     theta)`` treatment and ``Binomial(y0, h0)`` control events per interval,
@@ -719,7 +735,7 @@ def stopping_times_per_stream(scenario, cap=None, tied_sampler=None, horizon=Non
     import numpy as np
 
     from safelogrank.core import EventStream
-    from safelogrank.simulate import sample_tied_stream, stream_rng
+    from safelogrank.simulate import stream_rng
 
     tied_sampler = tied_sampler or sample_tied_stream
     taus = np.empty(scenario.replications)

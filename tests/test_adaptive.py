@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safelogrank import adaptive
+from safelogrank import adaptive, core
 from safelogrank.core import EventStream, _ascending_sum, log_kernel
-from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
+from safelogrank.simulate import sample_single_event_stream, stream_rng
 from safelogrank.adaptive import (
     _RADIUS,
     PriorSpec,
@@ -38,7 +38,7 @@ from safelogrank.adaptive import (
 )
 
 import oracles
-from oracles import exact_hypergeom_pmf, grid_argmax, stream_of
+from oracles import exact_hypergeom_pmf, grid_argmax, sample_tied_stream, stream_of
 
 
 def log_q(theta, row) -> float:
@@ -542,14 +542,13 @@ def test_bayes_trace_matches_per_batch_reference(stream, center, theta0):
     assert np.allclose(log_num, ref_num, rtol=0, atol=1e-12)
 
 
-def _band_chunks(first_cells, band_cells, family_cells=None):
-    """Patch the confidence sequence's chunk sizes: the first chunk's cells
-    on every grid column, each later chunk's cells on its band, and the
-    blocks in which a joining column catches up (unchanged if None)."""
-    return mock.patch.multiple(
-        adaptive, _FIRST_CELLS=first_cells, _BAND_CELLS=band_cells,
-        _FAMILY_CELLS=family_cells or adaptive._FAMILY_CELLS,
-    )
+def _budget(cells):
+    """Patch the one chunk budget, ``core._CELLS`` (unchanged if None).  A
+    confidence sequence's first chunk then holds ``cells // 64`` cells on
+    every grid column, each later chunk ``cells // 256`` on its band, and a
+    Bayes chunk or a joining column's catch-up block ``cells // 16``; below
+    16 cells every chunk is one row."""
+    return mock.patch.object(core, "_CELLS", cells or core._CELLS)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -561,11 +560,12 @@ def _band_chunks(first_cells, band_cells, family_cells=None):
 )
 @example(stream=stream_of(_TIES_AND_FORCED), numerator="plugin", alpha=0.3, chunk_rows=1)
 def test_confidence_bounds_match_per_batch_reference(stream, numerator, alpha, chunk_rows):
-    # the family is read a few event times at a time, so every example with
-    # more than chunk_rows event times carries its denominators across chunks
+    # the family is read a few event times at a time (chunk_rows in the
+    # first chunk), so every example with more than chunk_rows event times
+    # carries its denominators across chunks
     grid = default_theta_grid(60, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
-    with _band_chunks(chunk_rows * grid.size, chunk_rows):
+    with _budget(64 * chunk_rows * grid.size):
         cs = confidence_sequence(stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior)
     if numerator == "plugin":
         ref_num = oracles.plugin_reference(stream)[1]
@@ -716,13 +716,16 @@ def test_confidence_sequence_narrows_and_covers_truth():
 def test_confidence_sequence_chunks_match_one_pass(stream):
     # reading the family in chunks of event times, the first on every
     # column and the rest on a band, with the running denominators carried,
-    # gives the bounds of one whole-table pass
+    # gives the bounds of one whole-table pass.  The budgets read the first
+    # chunk and a band of 18 columns in chunks of 1 and 1, 1 and 3, 2 and
+    # 14, 10 and 56, and 163 and 910 event times, and the whole stream in
+    # one first chunk
     grid = default_theta_grid()
     fields = ("lower", "upper", "lower_bracketed", "upper_bracketed")
     log_num, _ = plugin_numerators(stream)
 
-    def bounds(first_rows, band_rows, intersect):
-        with _band_chunks(first_rows * grid.size, band_rows * (2 * adaptive._MARGIN + 1)):
+    def bounds(cells, intersect):
+        with _budget(cells):
             cs = confidence_sequence(stream, grid=grid, running_intersection=intersect)
         return [getattr(cs, f) for f in fields]
 
@@ -730,8 +733,8 @@ def test_confidence_sequence_chunks_match_one_pass(stream):
         whole = oracles.family_table_bounds(
             stream, log_num, grid, 0.05, intersect, cells=stream.o.size * grid.size
         )
-        for first_rows, band_rows in ((1, 1), (1, 7), (7, 1), (7, 163), (163, 7), (stream.o.size, 1)):
-            for got, want in zip(bounds(first_rows, band_rows, intersect), whole):
+        for cells in (15, 1 << 14, 1 << 16, 1 << 18, 1 << 22, 64 * grid.size * stream.o.size):
+            for got, want in zip(bounds(cells, intersect), whole):
                 assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -760,25 +763,22 @@ def _cs_fields(cs):
     size=st.sampled_from([3, 60, 400, 1000]),
     alpha=st.sampled_from([0.05, 0.3]),
     numerator=st.sampled_from(["plugin", "bayes"]),
-    chunks=st.sampled_from([(1, 1, None), (5, 40, 64), (20, 300, None), (None, None, None)]),
+    budget=st.sampled_from([15, 1 << 12, 1 << 16, None]),
     intersect=st.booleans(),
 )
-@example(stream=stream_of([]), size=60, alpha=0.05, numerator="plugin", chunks=(1, 1, None), intersect=True)
-def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, intersect):
+@example(stream=stream_of([]), size=60, alpha=0.05, numerator="plugin", budget=15, intersect=True)
+def test_band_matches_the_family_table(stream, size, alpha, numerator, budget, intersect):
     # the band scores the columns near the hull's two ends, widening where
     # an end leaves it; its bounds and bracketed flags are those of the
     # whole (event times, grid) table, with and without running
-    # intersection.  ``chunks`` holds the first chunk's rows, the band's
-    # cells and the catch-up blocks' cells (None: the package's sizes)
+    # intersection.  ``budget`` is the chunk budget (None: the package's)
     grid = default_theta_grid(size, lo=0.05, hi=20.0)
     prior = PriorSpec.lognormal(0.0, 0.7, n=41)
     if numerator == "plugin":
         log_num, _ = plugin_numerators(stream)
     else:
         log_num = _bayes_stream_numerators(stream, prior)
-    first_rows, band_cells, family_cells = chunks
-    sizes = (adaptive._FIRST_CELLS, adaptive._BAND_CELLS) if first_rows is None else (first_rows * size, band_cells)
-    with _band_chunks(*sizes, family_cells):
+    with _budget(budget):
         cs = confidence_sequence(
             stream, alpha=alpha, numerator=numerator, grid=grid, prior=prior,
             running_intersection=intersect,
@@ -788,17 +788,17 @@ def test_band_matches_the_family_table(stream, size, alpha, numerator, chunks, i
         assert np.array_equal(got, w, equal_nan=True)
 
 
-def _family_reads(stream, grid, alpha=0.05, first_rows=1, band_cells=1):
-    """The confidence sequence with the given chunk sizes, and the first
-    event time of each ``_Family.rows`` read: a chunk's first read, then
-    one more for each widening."""
+def _family_reads(stream, grid, budget, alpha=0.05):
+    """The confidence sequence at the chunk budget ``budget``, and the
+    first event time of each ``_Family.rows`` read: a chunk's first read,
+    then one more for each widening."""
     reads, rows = [], adaptive._Family.rows
 
     def reading(self, cols, lo, hi):
         reads.append(lo)
         return rows(self, cols, lo, hi)
 
-    with _band_chunks(first_rows * grid.size, band_cells), mock.patch.object(adaptive._Family, "rows", reading):
+    with _budget(budget), mock.patch.object(adaptive._Family, "rows", reading):
         cs = confidence_sequence(stream, alpha=alpha, grid=grid)
     return cs, reads
 
@@ -814,7 +814,7 @@ def test_band_reads_rows_that_keep_no_column_without_widening():
     # all, and no chunk widens to find that out
     stream = sample_single_event_stream(1000, 1000, 0.7, stream_rng(1, 0), max_events=1500)
     grid = default_theta_grid(30)
-    cs, reads = _family_reads(stream, grid, alpha=0.3, first_rows=40, band_cells=400)
+    cs, reads = _family_reads(stream, grid, 64 * 40 * grid.size, alpha=0.3)  # a first chunk of 40 rows
     assert np.isnan(cs.lower[40:]).sum() == 340
     assert len(reads) == len(set(reads))
     for got, want in zip(_cs_fields(cs), _table_fields(stream, grid, alpha=0.3)):
@@ -827,7 +827,7 @@ def test_band_widens_where_a_hull_end_moves_past_it():
     # margin of 4, so chunks widen the band toward them, some several times
     stream = _single_event_stream(0.7, 300, 300, 400, seed=7)
     grid = default_theta_grid(1000, lo=0.05, hi=20.0)
-    cs, reads = _family_reads(stream, grid, first_rows=5, band_cells=40 * 18)
+    cs, reads = _family_reads(stream, grid, 256 * 40 * 18)  # band chunks of 40 rows of 18 columns
     widened = collections.Counter(reads)
     assert len(widened) > 1 and max(widened.values()) > 2
     for got, want in zip(_cs_fields(cs), _table_fields(stream, grid)):
@@ -850,7 +850,7 @@ def test_bayes_trace_chunks_match_one_pass(stream):
     prior = PriorSpec.lognormal(math.log(0.7), 0.5)
 
     def trace(rows):
-        with mock.patch.object(adaptive, "_FAMILY_CELLS", rows * prior.thetas.size):
+        with _budget(16 * rows * prior.thetas.size):
             return bayes_log_trace(stream, prior, theta0=0.9), _bayes_stream_numerators(stream, prior)
 
     whole = trace(stream.o.size)
@@ -876,11 +876,9 @@ def test_family_sums_on_ties_match_one_whole_table():
         return den
 
     with mock.patch.object(adaptive._Family, "rows", reading):
-        for first_rows, band_cells, family_cells in ((1, 1, None), (7, 9, 64), (40, 300, None)):
-            with _band_chunks(first_rows * grid.size, band_cells, family_cells):
+        for budget in (15, 1 << 12, 1 << 16, None):
+            with _budget(budget):
                 confidence_sequence(stream, grid=grid)
-        with _band_chunks(adaptive._FIRST_CELLS, adaptive._BAND_CELLS, 5):
-            confidence_sequence(stream, grid=grid)
     assert len({lo for _, lo, _, _ in reads}) > 100
     for cols, lo, hi, den in reads:
         assert np.array_equal(den, whole[lo:hi, cols])

@@ -506,6 +506,34 @@ def test_design_names_the_one_obf_refusal_of_tied_streams(capsys):
     assert err == "safelogrank: the O'Brien-Fleming comparator needs single-event streams, not tie_h0\n"
 
 
+_LIBRARY_REFUSALS = [
+    *((command, *rest, "--alpha", alpha) for command, *rest in (
+        ("analyze", "MISSING", "--theta1", "0.7"), ("design", "--theta1", "0.7"),
+        ("boundary", "--theta1", "0.7", "--nmax", "100"), ("confseq", "MISSING"),
+    ) for alpha in ("0", "2")),
+    ("analyze", "MISSING", "--test", "bayes", "--theta1", "0"),
+    ("confseq", "MISSING", "--numerator", "bayes", "--theta1", "0"),
+    ("design", "--theta1", "0.7", "--reps", "0"),
+    ("design", "--theta1", "0.7", "--true-theta", "0"),
+    ("audit", "--theta-from", "1e-9"),
+    ("audit", "--theta-to", "1e9"),
+]
+
+
+@pytest.mark.parametrize("argv", _LIBRARY_REFUSALS, ids=" ".join)
+def test_values_the_library_would_refuse_name_their_flag(argv, tmp_path, monkeypatch, capsys):
+    # each command refuses the value itself, naming the flag (the last but
+    # one argument), before it reads a dataset (MISSING does not exist, which
+    # would exit 65) or runs a simulation, and writes no report
+    monkeypatch.setattr(cli, "design_table", lambda *args, **kwargs: pytest.fail("design_table ran"))
+    out = tmp_path / "out"
+    out.mkdir()
+    path = str(tmp_path / "missing.csv")
+    assert main([path if a == "MISSING" else a for a in argv] + ["--out", str(out / "r")]) == EXIT_USAGE
+    assert argv[-2] in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_design_obf_cap_needs_obf(tmp_path):
     single = ["design", "--theta1", "0.7", "--m1", "300", "--m0", "300", "--reps", "50"]
     assert main(single + ["--obf-cap", "100", "--out", str(tmp_path / "a")]) == EXIT_USAGE

@@ -225,12 +225,13 @@ def test_vectorized_tied_kernel_matches_per_row_pmf(stream, thetas):
     assert np.array_equal(got, grid[np.arange(stream.o.size), idx])
     forced = np.maximum(0, stream.o - stream.y0) == np.minimum(stream.o, stream.y1)
     assert np.all(grid[forced] == 0.0)
-    # blocks of a handful of cells: many blocks, each padded to its own width
-    cells, core._TIE_CELLS = core._TIE_CELLS, 16
+    # blocks of a handful of cells (16, at a budget of 1,024): many blocks,
+    # each padded to its own width
+    cells, core._CELLS = core._CELLS, 1024
     try:
         small = log_kernel(stream, np.broadcast_to(log_t, (stream.o.size, log_t.size)))
     finally:
-        core._TIE_CELLS = cells
+        core._CELLS = cells
     assert np.array_equal(small, grid)
 
 
@@ -357,7 +358,7 @@ def _window_cells(y1, y0, o, log_t):
     """Each cell's log-normalizer over its window, as the kernel takes it,
     and the number of support points the window sums."""
     norm, count = np.full(log_t.shape, np.nan), np.zeros(log_t.shape, dtype=np.int64)
-    for where, first, t in core._window_blocks(y1, y0, o, log_t, 0, core._TIE_CELLS):
+    for where, first, t in core._window_blocks(y1, y0, o, log_t, 0, core._CELLS // 64):
         count[where] = np.isfinite(t).sum(axis=0).reshape(first.size, -1)
         m = t.max(axis=0)
         norm[where] = (m + np.log(np.exp(t - m).sum(axis=0))).reshape(first.size, -1)

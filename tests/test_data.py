@@ -26,7 +26,7 @@ from safelogrank.data import (
     read_dataset,
     write_dataset,
 )
-from safelogrank.simulate import sample_single_event_stream, sample_tied_stream, stream_rng
+from safelogrank.simulate import sample_single_event_stream, stream_rng
 
 from oracles import (
     dataset_of,
@@ -34,6 +34,7 @@ from oracles import (
     exact_increment,
     parse_dataset_reference,
     rows_of,
+    sample_tied_stream,
     stream_of,
 )
 

@@ -1,22 +1,27 @@
 """The determinism contract: no output bit depends on a chunk size.
 
-Every constant that sizes a chunk of work (a block of tied windows, a
-chunk of history reads or of a kernel table, a chunk of replications) is
-set to a quarter and to four times its value, and a fixed set of library
-calls is run at each: plug-in traces on single events and on tied batches
-wide enough to fill a block of tied windows alone, the Bayes trace and
-both confidence sequences on a tied input, the engine's plug-in solver on
-rows of streams fitted together, and design tables of every test kind on
-single-event and tied streams.  Their outputs' sha256 digests must agree.
+The one chunk budget, ``core._CELLS``, sizes every chunk of work (a block
+of tied windows, a chunk of history reads or of a kernel table, a chunk of
+replications).  It is set to a quarter and to four times its value, and a
+fixed set of library calls is run at each: plug-in traces on single events
+and on tied batches wide enough to fill a block of tied windows alone, the
+Bayes trace and both confidence sequences on a tied input, the engine's
+plug-in solver on rows of streams fitted together, and design tables of
+every test kind on single-event and tied streams.  Their outputs' sha256
+digests must agree, and the smaller budget must make more ``log_kernel``
+calls, so the budget is read.  No other module-level name of the package
+may end in ``_CELLS``.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
-from safelogrank import adaptive, core, simulate
+from safelogrank import adaptive, core
 from safelogrank.adaptive import (
     PriorSpec,
     _PluginFit,
@@ -26,18 +31,11 @@ from safelogrank.adaptive import (
     plugin_log_trace,
 )
 from safelogrank.core import EventStream
-from safelogrank.simulate import design_table, sample_single_event_stream, sample_tied_stream, stream_rng
+from safelogrank.simulate import design_table, sample_single_event_stream, stream_rng
 
-from oracles import stream_of
+from oracles import sample_tied_stream, stream_of
 
-CHUNK_CONSTANTS = (
-    (simulate, "_CELLS"),
-    (adaptive, "_CELLS"),
-    (adaptive, "_FAMILY_CELLS"),
-    (adaptive, "_FIRST_CELLS"),
-    (adaptive, "_BAND_CELLS"),
-    (core, "_TIE_CELLS"),
-)
+PACKAGE = Path(core.__file__).resolve().parent
 
 
 def _digest(value) -> str:
@@ -84,10 +82,34 @@ def _outputs() -> dict[str, str]:
 
 
 def test_outputs_do_not_depend_on_chunk_sizes(monkeypatch):
-    digests = []
+    digests, calls = [], []
     for scale in (0.25, 4.0):
+        count = [0]
+
+        def counted(*args, kernel=core.log_kernel):
+            count[0] += 1
+            return kernel(*args)
+
         with monkeypatch.context() as patch:
-            for module, name in CHUNK_CONSTANTS:
-                patch.setattr(module, name, int(getattr(module, name) * scale))
+            patch.setattr(core, "_CELLS", int(core._CELLS * scale))
+            for module in (core, adaptive):  # the modules that call log_kernel by name
+                patch.setattr(module, "log_kernel", counted)
             digests.append(_outputs())
+        calls.append(count[0])
     assert digests[0] == digests[1], [name for name in digests[0] if digests[0][name] != digests[1][name]]
+    assert calls[0] > calls[1] > 0
+
+
+def test_the_package_has_one_chunk_budget():
+    # every chunked loop reads core._CELLS; a module-level name of its own
+    # ending in _CELLS would be a second budget that the test above does not scale
+    budgets = sorted(
+        f"{path.stem}.{name.id}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.endswith("_CELLS")
+    )
+    assert budgets == ["core._CELLS"]

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import safelogrank.simulate as simulate
+from safelogrank import core
 from safelogrank.core import log_evalue_trace
 from safelogrank.simulate import (
     DesignSpec,
@@ -24,7 +25,6 @@ from safelogrank.simulate import (
     design_table,
     estimate_nmax,
     sample_single_event_stream,
-    sample_tied_stream,
     schoenfeld_sample_size,
     simulate_stopping_times,
     stream_rng,
@@ -38,6 +38,7 @@ from oracles import (
     obf_stopping_times,
     obf_z_paths,
     sample_single_event_stream_loop,
+    sample_tied_stream,
     sample_tied_stream_binomial,
     stopping_time,
     stopping_times_per_stream,
@@ -328,13 +329,14 @@ def test_plugin_design_recentres_and_matches_per_stream(monkeypatch):
 
 def small_chunks(monkeypatch, scenario, cap, kinds=None, horizon=None):
     """Stopping times of ``scenario`` (by kind when ``kinds`` is given, of
-    the O'Brien-Fleming comparator at ``horizon`` when that is) with
-    ``_CELLS`` shrunk to 3000 cells.  The engine then takes replications in
-    several chunks for every kind (11 a chunk when no fit or tied stream is
-    carried, 3 to 7 when one is) and reads a prefix of a chunk in several
-    blocks (one replication a block for 94 new events or more, several for
-    fewer), every block going on from the statistics its rows carried out
-    of the prefix before; fails unless both happen."""
+    the O'Brien-Fleming comparator at ``horizon`` when that is) with the
+    chunk budget ``core._CELLS`` shrunk to 3000 cells.  The engine then
+    takes replications in several chunks for every kind (11 a chunk when
+    no fit or tied stream is carried, 3 to 7 when one is) and reads a
+    prefix of a chunk in several blocks (one replication a block for 94 new
+    events or more, several for fewer), every block going on from the
+    statistics its rows carried out of the prefix before; fails unless both
+    happen."""
     chunks, blocks = [], []
     streams = simulate._Streams
 
@@ -348,7 +350,7 @@ def small_chunks(monkeypatch, scenario, cap, kinds=None, horizon=None):
             return super().take(rows, length)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_CELLS", 3000)
+        patch.setattr(core, "_CELLS", 3000)
         patch.setattr(simulate, "_Streams", Counting)
         if kinds is None:
             taus = engine(scenario, horizon, cap)
@@ -1054,7 +1056,7 @@ def test_settled_horizons_give_the_tables_of_runs_to_the_cap(tie_h0, theta, powe
 
 @pytest.mark.parametrize("tie_h0", [None, 0.01])
 def test_settling_counts_the_stopping_times_of_earlier_chunks(tie_h0, monkeypatch):
-    # with _CELLS shrunk to 3000 cells the engine takes 3 (tied) or 11
+    # with core._CELLS shrunk to 3000 cells the engine takes 3 (tied) or 11
     # replications a chunk, fewer than the 20 stopping times power 0.5
     # needs of 40; so a chunk that settles after its first prefix where a
     # run to the cap reads on has counted the chunks before it.  Its table
@@ -1062,7 +1064,7 @@ def test_settling_counts_the_stopping_times_of_earlier_chunks(tie_h0, monkeypatc
     kw = dict(theta1=0.7, m1=300, m0=300, theta=0.7, power=0.5, replications=40, seed=6,
               kinds=("exact", "gaussian"), cap=600, tie_h0=tie_h0)
     one_chunk = design_table(**kw)
-    monkeypatch.setattr(simulate, "_CELLS", 3000)
+    monkeypatch.setattr(core, "_CELLS", 3000)
     settled, whole, (chunks, chunks_whole) = _tables_with_and_without_settling(monkeypatch, **kw)
     assert repr(settled) == repr(whole) == repr(one_chunk)
     assert len(chunks) == len(chunks_whole) > 3
